@@ -57,7 +57,16 @@ go test -race -run 'Policy|Golden|Starvation|Inversion|Admission|Determinism|Fuz
 # scrutiny as the engine. The chaos golden pins live==derived byte
 # identity across workers on a seeded fault+elastic schedule.
 go test -race ./internal/metrics
+# Partitioner gate: the bisection kernel's differential tests (contract,
+# refine and GGGP against their sort-based / recompute / full-scan
+# references), the work-graph invariants, the allocation pin and the 4k rows
+# of the digest golden, under the race detector; the 65k rows run in the full
+# suite below.
+go test -race -short ./internal/partition
 go test -race ./...
+# Layer benchmarks, once each, so they cannot rot (-short skips the
+# 1M-vertex size).
+go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph
 
 go run ./cmd/surfer-gen -kind social -vertices 4096 -seed 42 -out "$smoke/g.srfg"
 go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t3 \

@@ -114,6 +114,11 @@ func Build(cfg Config) (*System, error) {
 	if levels == 0 && cfg.MemoryBudget > 0 {
 		levels, _ = partition.ChoosePartitionCount(cfg.Graph.SizeBytes(), cfg.MemoryBudget)
 	}
+	// 2^levels must be a partition count: representable (PartID is 32-bit)
+	// and, beyond the single partition, no larger than the vertex count.
+	if n := cfg.Graph.NumVertices(); levels < 0 || levels > 30 || levels > 0 && 1<<levels > n {
+		return nil, fmt.Errorf("core: Config.Levels = %d out of range: 2^Levels partitions need 0 <= Levels <= 30 and at most the graph's %d vertices", levels, n)
+	}
 	sys := &System{Graph: cfg.Graph, Topology: cfg.Topology, cfg: cfg}
 	switch cfg.Strategy {
 	case StrategyBandwidthAware:

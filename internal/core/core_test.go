@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -212,5 +213,26 @@ func TestStrategyStrings(t *testing.T) {
 	}
 	if PartitionStrategy(42).String() == "" {
 		t.Fatal("unknown strategy must still stringify")
+	}
+}
+
+// TestBuildRejectsBadLevels: a level count that is negative, overflows the
+// partition count or asks for more partitions than vertices is a Build error
+// naming the field, for every strategy — not a shift panic in a partitioner.
+func TestBuildRejectsBadLevels(t *testing.T) {
+	for _, strat := range []PartitionStrategy{StrategyBandwidthAware, StrategyParMetis, StrategyRandom} {
+		for _, levels := range []int{-1, -64, 11, 31, 63, 64, 1 << 20} {
+			cfg := testConfig(8, strat) // 1500 vertices
+			cfg.Levels = levels
+			_, err := Build(cfg)
+			if err == nil || !strings.Contains(err.Error(), "Config.Levels") {
+				t.Errorf("%v, Levels=%d: err = %v, want one naming Config.Levels", strat, levels, err)
+			}
+		}
+		cfg := testConfig(8, strat)
+		cfg.Levels = 10 // 1024 partitions of 1500 vertices: the last level that fits
+		if _, err := Build(cfg); err != nil {
+			t.Errorf("%v, Levels=10 on 1500 vertices: %v", strat, err)
+		}
 	}
 }

@@ -146,19 +146,37 @@ func (g *Graph) Reverse() *Graph {
 
 // Undirected returns the symmetric closure of g with self-loops and duplicate
 // edges removed: for every edge u->v (u != v), both u->v and v->u appear
-// exactly once. Partitioning operates on this view, since cut quality is
-// about connectivity regardless of direction.
+// exactly once, and every neighbor list is sorted. Partitioning operates on
+// this view, since cut quality is about connectivity regardless of direction.
+//
+// It runs in O(V+E) and sorts nothing: transposing g sorts the in-neighbor
+// lists, transposing that back sorts the out-neighbor lists whatever order g
+// held them in, and each vertex's result is the merge of its two lists.
 func (g *Graph) Undirected() *Graph {
+	in := g.Reverse()
+	out := in.Reverse()
 	n := g.NumVertices()
-	b := NewBuilder(n)
-	g.ForEachEdge(func(u, v VertexID) bool {
-		if u != v {
-			b.AddEdge(u, v)
-			b.AddEdge(v, u)
+	offsets := make([]int64, n+1)
+	targets := make([]VertexID, 2*len(g.targets))
+	w := int64(0)
+	for v := 0; v < n; v++ {
+		a, b := out.Neighbors(VertexID(v)), in.Neighbors(VertexID(v))
+		for len(a) > 0 || len(b) > 0 {
+			var t VertexID
+			if len(b) == 0 || len(a) > 0 && a[0] <= b[0] {
+				t, a = a[0], a[1:]
+			} else {
+				t, b = b[0], b[1:]
+			}
+			// Merged order puts duplicates next to each other.
+			if t != VertexID(v) && (w == offsets[v] || t != targets[w-1]) {
+				targets[w] = t
+				w++
+			}
 		}
-		return true
-	})
-	return b.Build()
+		offsets[v+1] = w
+	}
+	return &Graph{offsets: offsets, targets: targets[:w]}
 }
 
 // Equal reports whether two graphs have identical vertex counts and

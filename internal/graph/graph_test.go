@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func TestEmptyGraph(t *testing.T) {
@@ -141,6 +143,48 @@ func TestUndirectedSymmetric(t *testing.T) {
 	})
 }
 
+// refUndirected is the Builder-based symmetric closure Undirected replaced:
+// add both directions of every non-loop edge, sort and deduplicate.
+func refUndirected(g *Graph) *Graph {
+	b := NewBuilder(g.NumVertices())
+	g.ForEachEdge(func(u, v VertexID) bool {
+		if u != v {
+			b.AddEdge(u, v)
+			b.AddEdge(v, u)
+		}
+		return true
+	})
+	return b.Build()
+}
+
+// TestQuickUndirectedMatchesReference: the merge of the two transposes equals
+// the sort-and-deduplicate reference, also on graphs a file could hold but no
+// Builder makes — unsorted adjacency with self-loops and repeated edges.
+func TestQuickUndirectedMatchesReference(t *testing.T) {
+	f := func(seed int64, nPick uint8, mPick uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nPick)
+		offsets := make([]int64, n+1)
+		var targets []VertexID
+		for v := 0; v < n; v++ {
+			for d := rng.Intn(1 + int(mPick)%12); d > 0; d-- {
+				targets = append(targets, VertexID(rng.Intn(n)))
+			}
+			offsets[v+1] = int64(len(targets))
+		}
+		g := NewFromCSR(offsets, targets)
+		return g.Undirected().Equal(refUndirected(g))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{{}, Ring(1), Social(DefaultSocial(2048, 5)), RMAT(DefaultRMAT(9, 6, 4))} {
+		if !g.Undirected().Equal(refUndirected(g)) {
+			t.Fatalf("Undirected differs from the reference on %v", g)
+		}
+	}
+}
+
 func TestInDegreesMatchReverse(t *testing.T) {
 	g := RMAT(DefaultRMAT(7, 3, 3))
 	in := g.InDegrees()
@@ -215,5 +259,16 @@ func TestEqual(t *testing.T) {
 	d := FromEdges(5, [][2]VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 1}})
 	if a.Equal(d) {
 		t.Error("different edges Equal")
+	}
+}
+
+var benchSink int64
+
+func BenchmarkUndirected(b *testing.B) {
+	g := Social(DefaultSocial(1<<16, 42))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += g.Undirected().NumEdges()
 	}
 }

@@ -96,17 +96,33 @@ func bisectRecursive(und *graph.Graph, subset []graph.VertexID, depth, levels in
 		}
 		return
 	}
-	w, toGlobal := newWorkGraphScratch(und, subset, sc)
-	side := bisectWork(w, rng)
-	var left, right []graph.VertexID
-	for i, s := range side {
-		if s == 0 {
-			left = append(left, toGlobal[i])
-		} else {
-			right = append(right, toGlobal[i])
-		}
-	}
+	left, right := bisectSubset(und, subset, rng, sc)
 	half := 1 << (levels - depth - 1)
 	bisectRecursive(und, left, depth+1, levels, firstPart, pt, sk, rng, sc)
 	bisectRecursive(und, right, depth+1, levels, firstPart+PartID(half), pt, sk, rng, sc)
+}
+
+// bisectSubset bisects the subgraph of und induced by subset and returns the
+// two sides, each in subset order.
+func bisectSubset(und *graph.Graph, subset []graph.VertexID, rng *rand.Rand, sc *wscratch) (left, right []graph.VertexID) {
+	w := newWorkGraph(und, subset, sc)
+	side := bisectWork(&w, rng, sc)
+	zeros := 0
+	for _, s := range side {
+		if s == 0 {
+			zeros++
+		}
+	}
+	out := make([]graph.VertexID, len(subset))
+	l, r := 0, zeros
+	for i, s := range side {
+		if s == 0 {
+			out[l] = subset[i]
+			l++
+		} else {
+			out[r] = subset[i]
+			r++
+		}
+	}
+	return out[:zeros:zeros], out[zeros:]
 }

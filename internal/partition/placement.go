@@ -107,16 +107,7 @@ func baPart(und, g *graph.Graph, subset []graph.VertexID, mg *cluster.MachineGra
 		DataEdges: countSubsetEdges(g, subset),
 		Machines:  mg.Machines(),
 	})
-	w, toGlobal := newWorkGraphScratch(und, subset, sc)
-	side := bisectWork(w, rng)
-	var left, right []graph.VertexID
-	for i, s := range side {
-		if s == 0 {
-			left = append(left, toGlobal[i])
-		} else {
-			right = append(right, toGlobal[i])
-		}
-	}
+	left, right := bisectSubset(und, subset, rng, sc)
 	m1, m2 := mg.Bisect()
 	half := PartID(1 << (levels - depth - 1))
 	baPart(und, g, left, m1, depth+1, levels, firstPart, res, rng, sc)
@@ -134,16 +125,7 @@ func localBisect(und, g *graph.Graph, subset []graph.VertexID, depth, levels int
 		res.Placement.MachineOf[firstPart] = m
 		return
 	}
-	w, toGlobal := newWorkGraphScratch(und, subset, sc)
-	side := bisectWork(w, rng)
-	var left, right []graph.VertexID
-	for i, s := range side {
-		if s == 0 {
-			left = append(left, toGlobal[i])
-		} else {
-			right = append(right, toGlobal[i])
-		}
-	}
+	left, right := bisectSubset(und, subset, rng, sc)
 	half := PartID(1 << (levels - depth - 1))
 	localBisect(und, g, left, depth+1, levels, firstPart, m, res, rng, sc)
 	localBisect(und, g, right, depth+1, levels, firstPart+half, m, res, rng, sc)

@@ -10,7 +10,6 @@ package partition
 
 import (
 	"math/rand"
-	"slices"
 
 	"repro/internal/graph"
 )
@@ -21,15 +20,20 @@ type wedge struct {
 	w  int64
 }
 
-// wgraph is the mutable weighted graph the multilevel kernel coarsens, in
+// wgraph is the weighted graph the multilevel kernel coarsens, in
 // compressed sparse row form: vertex v's adjacency is edges[xadj[v]:
 // xadj[v+1]]. Vertex weights count the original vertices collapsed into each
 // coarse vertex; edge weights count the original undirected edges collapsed
 // into each coarse edge. Both are what bisection must balance and minimize.
-// The flat layout replaces the per-vertex []wedge slices the kernel used to
-// coarsen: contraction now accumulates into stamp-indexed scratch arrays and
-// writes one slab, instead of clearing and refilling a hash map per coarse
-// vertex (which dominated partitioning time at 1M vertices).
+//
+// Every wgraph is symmetric (u lists (v,w) iff v lists (u,w)), has no
+// self-loops and lists each neighbor once: newWorkGraph gets this from
+// graph.Undirected's output and contract preserves it. The order within an
+// adjacency is not part of the contract. Gains and cuts are sums, and the one
+// order-sensitive choice — which of several equally heavy neighbors a vertex
+// is matched with — is made by neighbor index, so the sorted rows of level 0
+// and the first-seen rows contract emits decide alike and coarsening never
+// sorts. The arrays live in the run's wscratch.
 type wgraph struct {
 	vwgt  []int64
 	xadj  []int32
@@ -50,11 +54,76 @@ func (w *wgraph) totalVertexWeight() int64 {
 	return s
 }
 
-// wscratch is the reusable workspace of one recursive-bisection run: the
-// global→local vertex index (full graph size, reset per subset, so building
-// a work graph never hashes) shared by every newWorkGraph call of the run.
+// bump is a stack allocator of []T. take carves the next n elements out of
+// the current chunk, or out of a new one when no chunk has room; chunks live
+// as long as the allocator, so once the first (largest) bisection of a run
+// has sized them the rest of the run allocates nothing. Memory comes back
+// dirty: every caller initialises what it reads.
+type bump[T any] struct {
+	chunks  [][]T
+	ci, off int
+}
+
+// mark is a position in a bump; releasing it frees everything taken since.
+// The zero mark is the start.
+type mark struct{ ci, off int }
+
+// minChunk keeps the small arrays of deep coarsening levels from each
+// becoming a chunk of their own.
+const minChunk = 1 << 12
+
+func (b *bump[T]) take(n int) []T {
+	for ; b.ci < len(b.chunks); b.ci, b.off = b.ci+1, 0 {
+		if c := b.chunks[b.ci]; len(c)-b.off >= n {
+			b.off += n
+			return c[b.off-n : b.off : b.off]
+		}
+	}
+	b.chunks = append(b.chunks, make([]T, max(n, minChunk)))
+	b.off = n
+	return b.chunks[b.ci][:n:n]
+}
+
+// untake gives back the last n elements of the latest take.
+func (b *bump[T]) untake(n int) { b.off -= n }
+
+func (b *bump[T]) mark() mark     { return mark{b.ci, b.off} }
+func (b *bump[T]) release(m mark) { b.ci, b.off = m.ci, m.off }
+
+// wscratch is the arena of one partitioning run (one RecursiveBisect or
+// BandwidthAware call). Lifetimes:
+//
+//   - local is the global→local vertex index (full graph size, all -1
+//     between uses), so inducing a subgraph never hashes.
+//   - newWorkGraph rewinds the bumps. Everything a bisection takes — the work
+//     graph, each coarse level's vwgt/xadj/edges and matching, the side
+//     arrays, bisectWork's result — is valid until the next newWorkGraph on
+//     the same scratch, and no longer.
+//   - Inside a bisection, a function's temporaries (contract's members, slot
+//     and cursors, the matching's visit order, refine's gains) are taken
+//     after a marks() and handed back by release when it returns.
+//
+// The root bisection is the largest, so it sizes the chunks; the 2^L-2
+// bisections below it reuse them instead of allocating and zeroing fresh
+// slabs for every coarsening level.
 type wscratch struct {
-	local []int32
+	local  []int32
+	levels []level
+	i32    bump[int32]
+	i64    bump[int64]
+	u8     bump[uint8]
+	edges  bump[wedge]
+}
+
+// marks is the position of the three bumps that hold temporaries.
+type marks struct{ i32, i64, u8 mark }
+
+func (sc *wscratch) marks() marks { return marks{sc.i32.mark(), sc.i64.mark(), sc.u8.mark()} }
+
+func (sc *wscratch) release(m marks) {
+	sc.i32.release(m.i32)
+	sc.i64.release(m.i64)
+	sc.u8.release(m.u8)
 }
 
 func newWScratch(n int) *wscratch {
@@ -65,201 +134,141 @@ func newWScratch(n int) *wscratch {
 	return &wscratch{local: l}
 }
 
-// newWorkGraph builds the induced weighted subgraph of an undirected graph
-// over the given (global-ID) vertex subset. Each undirected edge gets
+// newWorkGraph starts a bisection: it rewinds the arena and builds in it the
+// induced weighted subgraph of an undirected graph over the given (global-ID)
+// vertex subset; local vertex i is subset[i]. Each undirected edge gets
 // weight 1; each vertex is weighted by 1 + its degree, so bisection
 // balances partitions by *edge* count — the paper's constraint ("all
 // partitions with similar number of edges", §2), which also balances
-// per-partition bytes and work on skewed graphs. It also returns the
-// local→global map. Adjacency order matches the neighbor order of und, so
-// every downstream decision (matching, GGGP, refinement) is identical to
-// the pre-CSR per-vertex-slice layout.
-func newWorkGraph(und *graph.Graph, subset []graph.VertexID) (*wgraph, []graph.VertexID) {
-	return newWorkGraphScratch(und, subset, nil)
-}
-
-// newWorkGraphScratch is newWorkGraph with a caller-owned scratch, so a
-// recursive run indexes global→local through one flat array instead of
-// building a hash map per subset. The scratch's local entries are restored
-// to -1 before returning.
-func newWorkGraphScratch(und *graph.Graph, subset []graph.VertexID, sc *wscratch) (*wgraph, []graph.VertexID) {
-	if sc == nil {
-		sc = newWScratch(und.NumVertices())
-	}
+// per-partition bytes and work on skewed graphs. Adjacency order is the
+// neighbor order of und, so und's sortedness and symmetry carry over.
+func newWorkGraph(und *graph.Graph, subset []graph.VertexID, sc *wscratch) wgraph {
+	sc.release(marks{})
+	sc.edges.release(mark{})
 	local := sc.local
 	for i, v := range subset {
 		local[v] = int32(i)
 	}
-	w := &wgraph{
-		vwgt: make([]int64, len(subset)),
-		xadj: make([]int32, len(subset)+1),
+	w := wgraph{
+		vwgt: sc.i64.take(len(subset)),
+		xadj: sc.i32.take(len(subset) + 1),
 	}
-	// Pass 1: count induced degrees.
-	deg := int32(0)
+	// The induced subgraph has at most the subset's total degree; the unused
+	// tail goes back to the arena.
+	bound := 0
 	for i, v := range subset {
+		bound += und.OutDegree(v)
 		w.vwgt[i] = 1 + int64(und.OutDegree(v))
-		for _, nb := range und.Neighbors(v) {
-			if local[nb] >= 0 {
-				deg++
-			}
-		}
-		w.xadj[i+1] = deg
 	}
-	// Pass 2: fill the slab in neighbor order.
-	w.edges = make([]wedge, deg)
-	cur := int32(0)
-	for _, v := range subset {
+	edges := sc.edges.take(bound)[:0]
+	w.xadj[0] = 0
+	for i, v := range subset {
 		for _, nb := range und.Neighbors(v) {
 			if j := local[nb]; j >= 0 {
-				w.edges[cur] = wedge{to: j, w: 1}
-				cur++
+				edges = append(edges, wedge{to: j, w: 1})
 			}
 		}
+		w.xadj[i+1] = int32(len(edges))
 	}
+	sc.edges.untake(bound - len(edges))
+	w.edges = edges[:len(edges):len(edges)]
 	for _, v := range subset {
 		local[v] = -1
 	}
-	toGlobal := make([]graph.VertexID, len(subset))
-	copy(toGlobal, subset)
-	return w, toGlobal
+	return w
 }
 
 // contract builds the coarse graph given a matching: match[v] is the coarse
 // vertex index of v. Parallel edges between the same coarse pair merge with
-// summed weight; edges internal to a coarse vertex disappear. Accumulation
-// uses a stamp array (slot[cn] holds cn's position in the current coarse
-// vertex's output range, cleared by walking back over that range) — no
-// per-coarse-vertex map to clear, no per-edge hashing.
-func (w *wgraph) contract(match []int32, coarseN int) *wgraph {
-	c := &wgraph{
-		vwgt: make([]int64, coarseN),
-		xadj: make([]int32, coarseN+1),
+// summed weight; edges internal to a coarse vertex disappear. It is linear
+// in the fine edges: each coarse vertex's row is accumulated in place in the
+// coarse slab, slot[cn] remembering where neighbor cn sits in it; the slab
+// only grows, so a slot below the current row's start is stale and slot is
+// never cleared between rows. Rows are left in first-seen order — no consumer
+// needs them sorted (see wgraph).
+func (w *wgraph) contract(match []int32, coarseN int, sc *wscratch) wgraph {
+	c := wgraph{vwgt: sc.i64.take(coarseN), xadj: sc.i32.take(coarseN + 1)}
+	defer sc.release(sc.marks())
+	// Group fine vertices by coarse vertex (counting sort).
+	clear(c.vwgt)
+	start := sc.i32.take(coarseN + 1)
+	clear(start)
+	for v, cv := range match {
+		c.vwgt[cv] += w.vwgt[v]
+		start[cv+1]++
 	}
-	for v := range w.vwgt {
-		c.vwgt[match[v]] += w.vwgt[v]
+	for i := 1; i <= coarseN; i++ {
+		start[i] += start[i-1]
 	}
-	// Group fine vertices by coarse vertex (counting sort: stable in fine
-	// vertex order, like the append loop it replaces).
-	counts := make([]int32, coarseN+1)
-	for v := range w.vwgt {
-		counts[match[v]+1]++
-	}
-	for i := 1; i <= int(coarseN); i++ {
-		counts[i] += counts[i-1]
-	}
-	members := make([]int32, len(w.vwgt))
-	cursor := make([]int32, coarseN)
-	copy(cursor, counts[:coarseN])
-	for v := range w.vwgt {
-		cv := match[v]
+	members := sc.i32.take(len(match))
+	cursor := sc.i32.take(coarseN)
+	copy(cursor, start)
+	for v, cv := range match {
 		members[cursor[cv]] = int32(v)
 		cursor[cv]++
 	}
-	// slot[cn] = index into the accumulation buffer where coarse neighbor cn
-	// accumulates for the coarse vertex being built, or -1.
-	slot := make([]int32, coarseN)
+
+	// The coarse graph has at most as many edges as the fine one; the unused
+	// tail goes back to the arena.
+	rows := sc.edges.take(len(w.edges))[:0]
+	slot := cursor
 	for i := range slot {
 		slot[i] = -1
 	}
-	// Accumulate each coarse vertex's neighbors as packed (to<<32 | w)
-	// words: sorting []uint64 with slices.Sort is several times faster than
-	// comparison-function sorting of 16-byte structs, and because neighbor
-	// IDs are unique within a range, ordering the packed words orders the
-	// range by neighbor. Weights are far below 2^32 at our scales (they
-	// count collapsed undirected edges); the overflow guard falls back to
-	// widening arithmetic should that ever change.
-	var packed []uint64
-	c.edges = make([]wedge, 0, len(w.edges))
 	for cv := int32(0); cv < int32(coarseN); cv++ {
-		packed = packed[:0]
-		overflow := false
-		for _, v := range members[counts[cv]:counts[cv+1]] {
+		lo := int32(len(rows))
+		c.xadj[cv] = lo
+		for _, v := range members[start[cv]:start[cv+1]] {
 			for _, e := range w.adjOf(int(v)) {
 				cn := match[e.to]
 				if cn == cv {
 					continue
 				}
-				if s := slot[cn]; s >= 0 {
-					packed[s] += uint64(e.w)
-					if packed[s]>>32 != uint64(cn) {
-						overflow = true
-					}
+				if s := slot[cn]; s >= lo {
+					rows[s].w += e.w
 				} else {
-					slot[cn] = int32(len(packed))
-					packed = append(packed, uint64(cn)<<32|uint64(e.w))
-					if e.w >= 1<<32 {
-						overflow = true
-					}
+					slot[cn] = int32(len(rows))
+					rows = append(rows, wedge{to: cn, w: e.w})
 				}
 			}
 		}
-		for _, pk := range packed {
-			slot[pk>>32] = -1
-		}
-		if overflow {
-			// A weight crossed 2^32: redo this coarse vertex with full-width
-			// weights. Deterministic and vanishingly rare (requires 4G+
-			// collapsed edges between one coarse pair).
-			c.edges = contractWide(w, match, members[counts[cv]:counts[cv+1]], cv, slot, c.edges)
-		} else {
-			slices.Sort(packed)
-			for _, pk := range packed {
-				c.edges = append(c.edges, wedge{to: int32(pk >> 32), w: int64(pk & 0xFFFFFFFF)})
-			}
-		}
-		c.xadj[cv+1] = int32(len(c.edges))
 	}
+	c.xadj[coarseN] = int32(len(rows))
+	sc.edges.untake(cap(rows) - len(rows))
+	c.edges = rows[:len(rows):len(rows)]
 	return c
-}
-
-// contractWide is contract's overflow fallback for one coarse vertex: the
-// same accumulation with 64-bit weights. slot must arrive all -1 and is
-// restored before returning.
-func contractWide(w *wgraph, match []int32, members []int32, cv int32, slot []int32, out []wedge) []wedge {
-	start := len(out)
-	for _, v := range members {
-		for _, e := range w.adjOf(int(v)) {
-			cn := match[e.to]
-			if cn == cv {
-				continue
-			}
-			if s := slot[cn]; s >= 0 {
-				out[s].w += e.w
-			} else {
-				slot[cn] = int32(len(out))
-				out = append(out, wedge{to: cn, w: e.w})
-			}
-		}
-	}
-	rng := out[start:]
-	slices.SortFunc(rng, func(a, b wedge) int { return int(a.to) - int(b.to) })
-	for _, e := range rng {
-		slot[e.to] = -1
-	}
-	return out
 }
 
 // heavyEdgeMatching computes a matching for coarsening: vertices are visited
 // in random order; each unmatched vertex is matched with its unmatched
-// neighbor of maximum edge weight (the paper's multilevel scheme [15,16]).
-// It returns the fine→coarse map and the coarse vertex count.
-func (w *wgraph) heavyEdgeMatching(rng *rand.Rand) ([]int32, int) {
+// neighbor of maximum edge weight (the paper's multilevel scheme [15,16]),
+// the lowest-numbered one among equals — a choice that does not depend on
+// the order of the adjacency (see wgraph). It returns the fine→coarse map
+// and the coarse vertex count.
+func (w *wgraph) heavyEdgeMatching(rng *rand.Rand, sc *wscratch) ([]int32, int) {
 	n := w.n()
-	match := make([]int32, n)
+	match := sc.i32.take(n)
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(n)
+	defer sc.release(sc.marks())
+	// rand.Perm's draws and result, in the arena instead of a fresh []int.
+	order := sc.i32.take(n)
+	for i := range order {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = int32(i)
+	}
 	next := int32(0)
-	for _, vi := range order {
-		v := int32(vi)
+	for _, v := range order {
 		if match[v] >= 0 {
 			continue
 		}
 		var best int32 = -1
 		var bestW int64 = -1
 		for _, e := range w.adjOf(int(v)) {
-			if match[e.to] < 0 && e.to != v && e.w > bestW {
+			// Weight first: it is at hand, match[e.to] is a cache miss.
+			if (e.w > bestW || e.w == bestW && e.to < best) && match[e.to] < 0 && e.to != v {
 				bestW, best = e.w, e.to
 			}
 		}
