@@ -63,10 +63,15 @@ go test -race ./internal/metrics
 # of the digest golden, under the race detector; the 65k rows run in the full
 # suite below.
 go test -race -short ./internal/partition
+# Propagation gate: the two pool phases (transfer, then destination-owned
+# gather + combine) at 1, 2 and 8 workers against the plan-digest golden
+# (one seed of three here, all in the full suite below), the gather against
+# the serial merge it replaced, the panic-reuse and allocation pins.
+go test -race -short ./internal/propagation
 go test -race ./...
 # Layer benchmarks, once each, so they cannot rot (-short skips the
-# 1M-vertex size).
-go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph
+# 1M-vertex partitioner size and plans propagation at 16k vertices).
+go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph ./internal/propagation
 
 go run ./cmd/surfer-gen -kind social -vertices 4096 -seed 42 -out "$smoke/g.srfg"
 go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t3 \

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
@@ -20,7 +19,9 @@ import (
 // the wall-clock throughput of the engine's real compute. It runs PageRank
 // (NR) on an R-MAT graph with the compute worker pool at 1 worker and at N
 // workers, asserts the results and metrics are bit-identical, and reports
-// the speedup.
+// the speedup. A pool of one worker has nothing to compare with the serial
+// run — the ratio of a configuration to itself is noise, not a speedup — so
+// the benchmark refuses to run rather than record one.
 
 // ParallelConfig sizes the parallel wall-clock benchmark.
 type ParallelConfig struct {
@@ -35,7 +36,8 @@ type ParallelConfig struct {
 	Machines int
 	// Iterations of PageRank (default 10).
 	Iterations int
-	// Workers for the parallel run; 0 selects GOMAXPROCS.
+	// Workers for the parallel run; 0 selects GOMAXPROCS. Must resolve to
+	// at least 2.
 	Workers int
 	// Seed drives generation and partitioning.
 	Seed int64
@@ -47,10 +49,14 @@ func DefaultParallelConfig() ParallelConfig {
 	return ParallelConfig{Scale: 17, EdgeFactor: 8, Levels: 4, Machines: 16, Iterations: 10, Seed: 42}
 }
 
-// ParallelRun is one timed execution of the workload.
+// ParallelRun is one side of the comparison: the workload at one worker
+// count, its wall time measured adaptively (the mean over WallRuns samples,
+// WallRelErr the relative standard error of that mean).
 type ParallelRun struct {
 	Workers         int     `json:"workers"`
 	WallSeconds     float64 `json:"wall_seconds"`
+	WallRelErr      float64 `json:"wall_rel_err"`
+	WallRuns        int     `json:"wall_runs"`
 	ResponseSeconds float64 `json:"virtual_response_seconds"`
 	NetworkBytes    int64   `json:"network_bytes"`
 	DiskBytes       int64   `json:"disk_bytes"`
@@ -75,10 +81,19 @@ type ParallelResult struct {
 }
 
 // ParallelBench times PageRank serial vs parallel and verifies bit-identical
-// results and metrics.
+// results and metrics. It returns an error when the parallel side would run
+// on one worker.
 func ParallelBench(cfg ParallelConfig) (*ParallelResult, error) {
 	if cfg.Scale == 0 {
 		cfg = DefaultParallelConfig()
+	}
+	parWorkers := cfg.Workers
+	if parWorkers <= 0 {
+		parWorkers = runtime.GOMAXPROCS(0)
+	}
+	if parWorkers < 2 {
+		return nil, fmt.Errorf("bench: the parallel run resolves to %d worker (GOMAXPROCS=%d), the same configuration as the serial run; raise GOMAXPROCS or set Workers >= 2",
+			parWorkers, runtime.GOMAXPROCS(0))
 	}
 	g := graph.RMAT(graph.DefaultRMAT(cfg.Scale, cfg.EdgeFactor, cfg.Seed))
 	pt, sk := partition.RecursiveBisect(g, cfg.Levels, partition.Options{Seed: cfg.Seed})
@@ -91,32 +106,36 @@ func ParallelBench(cfg ParallelConfig) (*ParallelResult, error) {
 	app := apps.NewNR(cfg.Iterations)
 	opt := propagation.Options{LocalPropagation: true, LocalCombination: true}
 
-	parWorkers := cfg.Workers
-	if parWorkers <= 0 {
-		parWorkers = runtime.GOMAXPROCS(0)
-	}
 	exec := func(workers int) (ParallelRun, []float64, error) {
-		r := engine.New(engine.Config{Topo: topo, Workers: workers})
-		start := time.Now() //lint:allow SL001 measuring real wall-clock speedup of the pool is this benchmark's purpose
-		res, m, err := app.RunPropagation(r, pg, pl, opt)
-		wall := time.Since(start).Seconds() //lint:allow SL001 wall-clock benchmarking; the simulated result itself stays seed-deterministic
-		if err != nil {
-			return ParallelRun{}, nil, err
-		}
-		ranks := res.([]float64)
-		sum := 0.0
-		for _, v := range ranks {
-			sum += v
-		}
-		return ParallelRun{
-			Workers:         workers,
-			WallSeconds:     wall,
-			ResponseSeconds: m.ResponseSeconds,
-			NetworkBytes:    m.NetworkBytes,
-			DiskBytes:       m.DiskBytes,
-			TasksRun:        m.TasksRun,
-			RankSum:         sum,
-		}, ranks, nil
+		var (
+			run   ParallelRun
+			ranks []float64
+		)
+		// Every sample is the same deterministic run; only its wall time
+		// differs, so the last sample's results stand for all of them.
+		wall, err := MeasureWall(AdaptiveConfig{}, func() error {
+			r := engine.New(engine.Config{Topo: topo, Workers: workers})
+			res, m, err := app.RunPropagation(r, pg, pl, opt)
+			if err != nil {
+				return err
+			}
+			ranks = res.([]float64)
+			sum := 0.0
+			for _, v := range ranks {
+				sum += v
+			}
+			run = ParallelRun{
+				Workers:         workers,
+				ResponseSeconds: m.ResponseSeconds,
+				NetworkBytes:    m.NetworkBytes,
+				DiskBytes:       m.DiskBytes,
+				TasksRun:        m.TasksRun,
+				RankSum:         sum,
+			}
+			return nil
+		})
+		run.WallSeconds, run.WallRelErr, run.WallRuns = wall.Mean, wall.RelErr, wall.Runs
+		return run, ranks, err
 	}
 
 	serial, serialRanks, err := exec(1)
@@ -167,9 +186,10 @@ func WriteParallel(w io.Writer, res *ParallelResult) {
 	fmt.Fprintf(w, "Parallel executor: %s, %d iterations, %d vertices / %d edges, %d partitions\n",
 		res.App, res.Iterations, res.Vertices, res.Edges, res.Partitions)
 	fmt.Fprintf(w, "GOMAXPROCS: %d\n", res.GOMAXPROCS)
-	fmt.Fprintf(w, "%-10s %12s %18s\n", "workers", "wall (s)", "virtual resp (s)")
+	fmt.Fprintf(w, "%-10s %22s %18s\n", "workers", "wall (s)", "virtual resp (s)")
 	for _, r := range res.Runs {
-		fmt.Fprintf(w, "%-10d %12.3f %18.3f\n", r.Workers, r.WallSeconds, r.ResponseSeconds)
+		wall := fmt.Sprintf("%.3f ±%.0f%% (n=%d)", r.WallSeconds, r.WallRelErr*100, r.WallRuns)
+		fmt.Fprintf(w, "%-10d %22s %18.3f\n", r.Workers, wall, r.ResponseSeconds)
 	}
 	fmt.Fprintf(w, "speedup: %.2fx, bit-identical: %v\n", res.Speedup, res.Identical)
 }

@@ -155,8 +155,6 @@ func metricsOf(responseSec, machineSec float64, networkBytes, diskBytes int64, t
 func FromParallel(res *ParallelResult) *Report {
 	r := NewReport()
 	for i, run := range res.Runs {
-		// Label by role, not worker count: on a single-core host the
-		// parallel run's pool is also 1 worker.
 		cs := "parallel"
 		if i == 0 {
 			cs = "serial"
@@ -173,6 +171,8 @@ func FromParallel(res *ParallelResult) *Report {
 			Info: map[string]float64{
 				"workers":      float64(run.Workers),
 				"wall_seconds": run.WallSeconds,
+				"wall_rel_err": run.WallRelErr,
+				"wall_runs":    float64(run.WallRuns),
 				"rank_sum":     run.RankSum,
 			},
 		}

@@ -14,8 +14,10 @@ import (
 //
 // The determinism contract: a Pool only ever executes index-disjoint work
 // (worker i writes slot i of preallocated per-task buffers), and callers
-// merge per-task outputs in task-index order afterwards. Results are
-// therefore bit-identical for every worker count, including 1.
+// consume per-task outputs in task-index order afterwards — in a serial
+// merge, or in a second index-disjoint phase whose task j reads every
+// output but writes only what j owns. Results are therefore bit-identical
+// for every worker count, including 1.
 type Pool struct {
 	workers int
 }

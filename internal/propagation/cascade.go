@@ -142,7 +142,7 @@ func partitionDiameter(pg *storage.PartitionedGraph, pi *storage.PartInfo) int {
 func RunIterations[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, iters int) (*State[V], engine.Metrics, error) {
 	var total engine.Metrics
 	for i := 0; i < iters; i++ {
-		next, m, err := iterateNamed(r, pg, pl, prog, st, opt, iterName("propagation", i))
+		next, m, err := iterateNamed(r, pg, pl, prog, st, opt, iterName("propagation", i), nil)
 		if err != nil {
 			return nil, total, err
 		}
@@ -166,7 +166,7 @@ func iterName(prefix string, i int) string {
 func RunUntilConverged[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, maxIters int, delta func(old, new V) float64, eps float64) (*State[V], engine.Metrics, error) {
 	var total engine.Metrics
 	for i := 0; i < maxIters; i++ {
-		next, m, err := iterateNamed(r, pg, pl, prog, st, opt, iterName("propagation", i))
+		next, m, err := iterateNamed(r, pg, pl, prog, st, opt, iterName("propagation", i), nil)
 		if err != nil {
 			return nil, total, err
 		}
@@ -195,26 +195,7 @@ func RunCascaded[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *part
 	}
 	var total engine.Metrics
 	for i := 0; i < iters; i++ {
-		phasePos := i % ci.MinDiameter // 0-based position within the phase
-		ex := newExecution(pg, pl, prog, st, opt)
-		ex.pool = r.Pool()
-		ex.jobName = iterName("cascaded", i)
-		// Iterations at a phase boundary (or the final iteration) must
-		// materialize everything; later in-phase iterations skip I/O for
-		// deep vertices.
-		last := i == iters-1
-		if phasePos > 0 && !last {
-			skip := make([]bool, pg.G.NumVertices())
-			for v, d := range ci.Depth {
-				if d >= phasePos {
-					skip[v] = true
-				}
-			}
-			ex.skipStateIO = skip
-		}
-		ex.transferAll()
-		next := ex.combineAll()
-		m, err := r.Run(ex.buildJob())
+		next, m, err := runOneIteration(r, pg, pl, prog, st, opt, i, iters, ci)
 		if err != nil {
 			return nil, total, err
 		}
@@ -222,4 +203,24 @@ func RunCascaded[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *part
 		st = next
 	}
 	return st, total, nil
+}
+
+// runOneIteration executes iteration i of iters, with the cascaded
+// propagation skip pattern when ci is non-nil: iterations at a phase boundary
+// (and the final one) materialize everything, later in-phase iterations skip
+// the state I/O of every vertex at least as deep as their position in the
+// phase. The pattern is keyed to the absolute iteration index, so a replayed
+// iteration skips exactly what the original run skipped.
+func runOneIteration[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, i, iters int, ci *CascadeInfo) (*State[V], engine.Metrics, error) {
+	if ci == nil {
+		return iterateNamed(r, pg, pl, prog, st, opt, iterName("propagation", i), nil)
+	}
+	var skip []bool
+	if phasePos := i % ci.MinDiameter; phasePos > 0 && i != iters-1 {
+		skip = make([]bool, pg.G.NumVertices())
+		for v, d := range ci.Depth {
+			skip[v] = d >= phasePos
+		}
+	}
+	return iterateNamed(r, pg, pl, prog, st, opt, iterName("cascaded", i), skip)
 }

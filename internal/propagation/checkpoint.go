@@ -115,35 +115,6 @@ func RunCheckpointed[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *
 	return st, total, nil
 }
 
-// runOneIteration executes iteration i, optionally with the cascaded
-// propagation skip pattern (keyed to the absolute iteration index, so a
-// replayed iteration skips exactly what the original run skipped).
-func runOneIteration[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, i, iters int, ci *CascadeInfo) (*State[V], engine.Metrics, error) {
-	if ci == nil {
-		return iterateNamed(r, pg, pl, prog, st, opt, iterName("propagation", i))
-	}
-	ex := newExecution(pg, pl, prog, st, opt)
-	ex.pool = r.Pool()
-	ex.jobName = iterName("cascaded", i)
-	phasePos := i % ci.MinDiameter
-	if phasePos > 0 && i != iters-1 {
-		skip := make([]bool, pg.G.NumVertices())
-		for v, d := range ci.Depth {
-			if d >= phasePos {
-				skip[v] = true
-			}
-		}
-		ex.skipStateIO = skip
-	}
-	ex.transferAll()
-	next := ex.combineAll()
-	m, err := r.Run(ex.buildJob())
-	if err != nil {
-		return nil, engine.Metrics{}, err
-	}
-	return next, m, nil
-}
-
 // statePartBytes sums the serialized state per partition: each real vertex
 // in its home partition, each virtual value in its round-robin owner.
 func statePartBytes[V any](pg *storage.PartitionedGraph, prog Program[V], st *State[V]) []int64 {

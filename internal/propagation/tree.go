@@ -1,8 +1,9 @@
 package propagation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -27,11 +28,43 @@ import (
 // funneled through a single aggregator. Combine's associativity makes the
 // results identical; only traffic moves.
 
-// aggKey identifies one aggregation task: the sending pod and the
-// destination partition its traffic heads to.
-type aggKey struct {
-	pod     int
-	dstPart int
+// treeAgg is the Aggregate stage's accounting for one iteration. Like every
+// other table of the execution it is split by owner: gatherPart(q) claims the
+// cross-pod values headed to partition q and writes only column q of each
+// table, so the pool fills it without a lock.
+type treeAgg struct {
+	// pod[p] is the pod of partition p's machine.
+	pod []int
+	// toAgg is the flat P×P [src*P+dst] bytes partition src ships to its
+	// pod's aggregation task for partition dst, over intra-pod links.
+	toAgg []int64
+	// inValues and outBytes are flat pods×P [pod*P+dst]: the values folded
+	// by, and the merged bytes leaving, the aggregation task of (pod, dst).
+	// The task exists when it folded at least one value.
+	inValues []int64
+	outBytes []int64
+}
+
+func newTreeAgg(topo *cluster.Topology, pl *partition.Placement) *treeAgg {
+	p := pl.NumPartitions()
+	t := &treeAgg{
+		pod:      make([]int, p),
+		toAgg:    make([]int64, p*p),
+		inValues: make([]int64, topo.NumPods()*p),
+		outBytes: make([]int64, topo.NumPods()*p),
+	}
+	for i := range t.pod {
+		t.pod[i] = topo.Pod(pl.MachineOf[i])
+	}
+	return t
+}
+
+// aggValue is one cross-pod value claimed on its way to the partition whose
+// scratch holds it, tagged with the pod it was sent from.
+type aggValue[V any] struct {
+	pod int
+	dst graph.VertexID
+	val V
 }
 
 // IterateTree runs one propagation iteration with tree aggregation. It
@@ -43,91 +76,64 @@ func IterateTree[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *part
 	if !prog.Associative() {
 		return nil, engine.Metrics{}, fmt.Errorf("propagation: tree aggregation requires an associative program")
 	}
-	if len(st.Values) != pg.G.NumVertices() {
-		return nil, engine.Metrics{}, fmt.Errorf("propagation: state has %d values, graph has %d vertices", len(st.Values), pg.G.NumVertices())
-	}
-	if pl.NumPartitions() != pg.Part.P {
-		return nil, engine.Metrics{}, fmt.Errorf("propagation: placement covers %d partitions, graph has %d", pl.NumPartitions(), pg.Part.P)
-	}
 	opt.LocalPropagation = true
 	opt.LocalCombination = true
+	ex, err := newExecution(r.Pool(), pg, pl, prog, st, opt, opt.jobName)
+	if err != nil {
+		return nil, engine.Metrics{}, err
+	}
 	topo := r.Topology()
-	partPod := func(p int) int { return topo.Pod(pl.MachineOf[p]) }
-
-	ex := newExecution(pg, pl, prog, st, opt)
-	ex.pool = r.Pool()
-	ex.jobName = opt.jobName
-	// Intercept cross-pod values after local combination: group them per
-	// (sending pod, destination vertex) for the Aggregate stage and track
-	// the partition -> aggregator intra-pod traffic per aggregation task.
-	// The hook only fires from the serial merge step (mergeEmissions), so
-	// its shared maps need no locking even with a parallel pool.
-	type podDst struct {
-		pod int
-		dst graph.VertexID
-	}
-	podVals := make(map[podDst][]V)
-	toAggBytes := make([]map[aggKey]int64, pg.Part.P)
-	for i := range toAggBytes {
-		toAggBytes[i] = make(map[aggKey]int64)
-	}
-	ex.crossHook = func(srcPart int, dst graph.VertexID, v V) bool {
-		dstPart := int(ex.partOf(dst))
-		if partPod(srcPart) == partPod(dstPart) {
-			return false // same pod: no top-level switch crossed
-		}
-		k := podDst{pod: partPod(srcPart), dst: dst}
-		podVals[k] = append(podVals[k], v)
-		toAggBytes[srcPart][aggKey{pod: k.pod, dstPart: dstPart}] += ex.prog.Bytes(v)
-		return true
-	}
-	ex.transferAll()
-
-	// Merge per (pod, destination vertex); account per aggregation task.
-	aggOutBytes := make(map[aggKey]int64)
-	aggInValues := make(map[aggKey]int64)
-	keys := make([]podDst, 0, len(podVals))
-	for k := range podVals {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].pod != keys[j].pod {
-			return keys[i].pod < keys[j].pod
-		}
-		return keys[i].dst < keys[j].dst
-	})
-	for _, k := range keys {
-		vals := podVals[k]
-		merged := vals[0]
-		if len(vals) > 1 {
-			merged = ex.prog.Merge(k.dst, vals)
-		}
-		ex.appendBag(k.dst, merged)
-		ak := aggKey{pod: k.pod, dstPart: int(ex.partOf(k.dst))}
-		aggOutBytes[ak] += ex.prog.Bytes(merged)
-		aggInValues[ak] += int64(len(vals))
-	}
-	next := ex.combineAll()
-
-	m, err := r.Run(ex.buildTreeJob(topo, toAggBytes, aggOutBytes, aggInValues))
+	ex.tree = newTreeAgg(topo, pl)
+	next := ex.run()
+	m, err := r.Run(ex.buildTreeJob(topo))
 	if err != nil {
 		return nil, engine.Metrics{}, err
 	}
 	return next, m, nil
 }
 
+// aggregatePart is partition q's share of the Aggregate stage semantics: the
+// cross-pod values gatherPart(q) set aside are merged per (sending pod,
+// destination vertex) and the one merged value joins the destination's bag
+// after its direct arrivals, pods in index order. The stable sort keeps each
+// group in gather order — source partitions by index, then log order.
+func (ex *execution[V]) aggregatePart(q int) {
+	t := ex.tree
+	ps := &ex.sc.parts[q]
+	np := len(ex.sc.parts)
+	slices.SortStableFunc(ps.agg, func(a, b aggValue[V]) int {
+		return cmp.Or(cmp.Compare(a.pod, b.pod), cmp.Compare(a.dst, b.dst))
+	})
+	for i := 0; i < len(ps.agg); {
+		k := &ps.agg[i]
+		ps.vals = ps.vals[:0]
+		for ; i < len(ps.agg) && ps.agg[i].pod == k.pod && ps.agg[i].dst == k.dst; i++ {
+			ps.vals = append(ps.vals, ps.agg[i].val)
+		}
+		merged := ps.vals[0]
+		if len(ps.vals) > 1 {
+			merged = ex.prog.Merge(k.dst, ps.vals)
+		}
+		ex.appendBag(ps, k.dst, merged)
+		t.outBytes[k.pod*np+q] += ex.prog.Bytes(merged)
+		t.inValues[k.pod*np+q] += int64(len(ps.vals))
+	}
+}
+
 // buildTreeJob assembles the three-stage job: Transfer -> Aggregate/Relay
 // -> Combine.
-func (ex *execution[V]) buildTreeJob(topo *cluster.Topology, toAggBytes []map[aggKey]int64, aggOutBytes, aggInValues map[aggKey]int64) *engine.Job {
+func (ex *execution[V]) buildTreeJob(topo *cluster.Topology) *engine.Job {
 	p := ex.pg.Part.P
+	t := ex.tree
 	costs := ex.opt.costs()
 	podMachines := machinesByPod(topo)
 
 	// Stage 2 layout: first P relay tasks forward direct (same-pod)
 	// traffic to their combine tasks, then one aggregation task per
-	// (pod, dstPart) pair with traffic, spread over the pod's machines by
-	// destination partition so the pod's full egress stays usable.
-	stage2 := make([]*engine.Task, p, p+len(aggOutBytes))
+	// (pod, dstPart) pair with traffic — pods, then partitions, in index
+	// order — spread over the pod's machines by destination partition so the
+	// pod's full egress stays usable.
+	stage2 := make([]*engine.Task, p, 2*p)
 	for q := 0; q < p; q++ {
 		stage2[q] = &engine.Task{
 			Name:    fmt.Sprintf("relay-p%d", q),
@@ -136,30 +142,9 @@ func (ex *execution[V]) buildTreeJob(topo *cluster.Topology, toAggBytes []map[ag
 			Machine: ex.pl.MachineOf[q],
 		}
 	}
-	aggKeys := make([]aggKey, 0, len(aggOutBytes))
-	for k := range aggOutBytes {
-		aggKeys = append(aggKeys, k)
-	}
-	sort.Slice(aggKeys, func(i, j int) bool {
-		if aggKeys[i].pod != aggKeys[j].pod {
-			return aggKeys[i].pod < aggKeys[j].pod
-		}
-		return aggKeys[i].dstPart < aggKeys[j].dstPart
-	})
-	aggTaskIdx := make(map[aggKey]int, len(aggKeys))
-	for _, k := range aggKeys {
-		ms := podMachines[k.pod]
-		aggTaskIdx[k] = len(stage2)
-		stage2 = append(stage2, &engine.Task{
-			Name:    fmt.Sprintf("aggregate-pod%d-to-p%d", k.pod, k.dstPart),
-			Kind:    engine.KindCombine,
-			Part:    engine.NoPart,
-			Machine: ms[k.dstPart%len(ms)],
-			Compute: costs.ComputePerValue * float64(aggInValues[k]),
-			Outputs: []engine.Output{{DstTask: k.dstPart, Bytes: aggOutBytes[k]}},
-		})
-	}
-
+	// aggTask[pod*P+q] is the stage-2 index of the aggregation task of
+	// (pod, q); meaningful only where inValues is positive.
+	aggTask := make([]int, len(t.inValues))
 	// Direct inbound bytes per partition (relay forwarding) and total
 	// combine-side arrivals.
 	directIn := make([]int64, p)
@@ -168,10 +153,23 @@ func (ex *execution[V]) buildTreeJob(topo *cluster.Topology, toAggBytes []map[ag
 			directIn[q] += ex.remoteBytes[i*p+q]
 		}
 	}
-	received := make([]int64, p)
-	copy(received, directIn)
-	for k, b := range aggOutBytes {
-		received[k.dstPart] += b
+	received := slices.Clone(directIn)
+	for k, in := range t.inValues {
+		if in == 0 {
+			continue
+		}
+		pod, q := k/p, k%p
+		ms := podMachines[pod]
+		aggTask[k] = len(stage2)
+		stage2 = append(stage2, &engine.Task{
+			Name:    fmt.Sprintf("aggregate-pod%d-to-p%d", pod, q),
+			Kind:    engine.KindCombine,
+			Part:    engine.NoPart,
+			Machine: ms[q%len(ms)],
+			Compute: costs.ComputePerValue * float64(in),
+			Outputs: []engine.Output{{DstTask: q, Bytes: t.outBytes[k]}},
+		})
+		received[q] += t.outBytes[k]
 	}
 	for q := 0; q < p; q++ {
 		if directIn[q] > 0 {
@@ -194,19 +192,9 @@ func (ex *execution[V]) buildTreeJob(topo *cluster.Topology, toAggBytes []map[ag
 				outs = append(outs, engine.Output{DstTask: q, Bytes: b})
 			}
 		}
-		aks := make([]aggKey, 0, len(toAggBytes[i]))
-		for k := range toAggBytes[i] {
-			aks = append(aks, k)
-		}
-		sort.Slice(aks, func(a, b int) bool {
-			if aks[a].pod != aks[b].pod {
-				return aks[a].pod < aks[b].pod
-			}
-			return aks[a].dstPart < aks[b].dstPart
-		})
-		for _, k := range aks {
-			if b := toAggBytes[i][k]; b > 0 {
-				outs = append(outs, engine.Output{DstTask: aggTaskIdx[k], Bytes: b})
+		for q := 0; q < p; q++ {
+			if b := t.toAgg[i*p+q]; b > 0 {
+				outs = append(outs, engine.Output{DstTask: aggTask[t.pod[i]*p+q], Bytes: b})
 			}
 		}
 		transfer[i] = &engine.Task{
