@@ -51,6 +51,11 @@ go test -race -short -run 'Elastic|Drain|Join|Migrat|Autoscale|Dormant|Retire' .
 # and committed fuzz corpus under the race detector (the planning pool
 # runs concurrently at workers 4 and 8).
 go test -race -run 'Policy|Golden|Starvation|Inversion|Admission|Determinism|Fuzz' ./internal/jobsvc
+# One-loop gate: the stage executor and its policy client, whole packages in
+# short mode — the service digest golden, the engine == service differential
+# at concurrency 1 and the engine's fault/elastic suites share one event
+# loop, so they are raced together.
+go test -race -short ./internal/engine ./internal/jobsvc
 # Metrics gate: the windowed time-series fold and alert engine under the
 # race detector — the live path runs as a Recorder observer inside runs
 # whose worker pools are concurrent, so the collector gets the same
@@ -71,7 +76,7 @@ go test -race -short ./internal/propagation
 go test -race ./...
 # Layer benchmarks, once each, so they cannot rot (-short skips the
 # 1M-vertex partitioner size and plans propagation at 16k vertices).
-go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph ./internal/propagation
+go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph ./internal/propagation ./internal/jobsvc
 
 go run ./cmd/surfer-gen -kind social -vertices 4096 -seed 42 -out "$smoke/g.srfg"
 go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t3 \

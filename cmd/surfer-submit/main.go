@@ -13,7 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"repro/internal/cluster"
@@ -23,137 +23,164 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("surfer-submit: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole tool: it parses args, writes the report to stdout and
+// one "surfer-submit: ..." line per failure to stderr, and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("surfer-submit", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		gen         = flag.Int("gen", 0, "generate a workload of this many jobs and write it to -out")
-		tenants     = flag.Int("tenants", 3, "tenant count for -gen")
-		maxPriority = flag.Int("max-priority", 2, "highest priority for -gen")
-		out         = flag.String("out", "jobs.json", "output path for -gen")
-		jobsPath    = flag.String("jobs", "", "workload file to plan and run")
-		policyName  = flag.String("policy", "fifo", "scheduling policy: fifo, fair, priority")
-		concurrency = flag.Int("concurrency", 2, "concurrent job slots")
-		queueLimit  = flag.Int("queue-limit", 0, "admission queue bound (0 = unlimited)")
-		vertices    = flag.Int("vertices", 1<<12, "synthetic graph vertices of the shared deployment")
-		machines    = flag.Int("machines", 8, "machines in the shared T3 cluster")
-		levels      = flag.Int("levels", 4, "log2 of partition count")
-		seed        = flag.Int64("seed", 42, "random seed (generation, partitioning, topology)")
-		workers     = flag.Int("workers", 0, "planning worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
-		faultsPath  = flag.String("faults", "", "JSON fault-schedule file injected into the run")
-		eventsOut   = flag.String("events", "", "write the raw event stream (with topology header) to this file for surfer-analyze")
+		sub         submission
+		gen         = fs.Int("gen", 0, "generate a workload of this many jobs and write it to -out")
+		tenants     = fs.Int("tenants", 3, "tenant count for -gen")
+		maxPriority = fs.Int("max-priority", 2, "highest priority for -gen")
+		out         = fs.String("out", "jobs.json", "output path for -gen")
 	)
-	flag.Parse()
-
+	fs.StringVar(&sub.jobsPath, "jobs", "", "workload file to plan and run")
+	fs.StringVar(&sub.policy, "policy", "fifo", "scheduling policy: fifo, fair, priority")
+	fs.IntVar(&sub.concurrency, "concurrency", 2, "concurrent job slots")
+	fs.IntVar(&sub.queueLimit, "queue-limit", 0, "admission queue bound (0 = unlimited)")
+	fs.IntVar(&sub.vertices, "vertices", 1<<12, "synthetic graph vertices of the shared deployment")
+	fs.IntVar(&sub.machines, "machines", 8, "machines in the shared T3 cluster")
+	fs.IntVar(&sub.levels, "levels", 4, "log2 of partition count")
+	fs.Int64Var(&sub.seed, "seed", 42, "random seed (generation, partitioning, topology)")
+	fs.IntVar(&sub.workers, "workers", 0, "planning worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
+	fs.StringVar(&sub.faultsPath, "faults", "", "JSON fault-schedule file injected into the run")
+	fs.StringVar(&sub.eventsOut, "events", "", "write the raw event stream (with topology header) to this file for surfer-analyze")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	var err error
 	if *gen > 0 {
-		wl := jobsvc.GenerateWorkload(jobsvc.GenConfig{
-			Jobs:        *gen,
-			Tenants:     *tenants,
-			MaxPriority: *maxPriority,
-			Seed:        *seed,
-		})
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := jobsvc.WriteWorkload(f, wl); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s (%d jobs, %d tenants)\n", *out, len(wl.Jobs), *tenants)
-		return
+		err = generate(stdout, *out, jobsvc.GenConfig{Jobs: *gen, Tenants: *tenants, MaxPriority: *maxPriority, Seed: sub.seed})
+	} else {
+		err = submit(stdout, sub)
 	}
-	if *jobsPath == "" {
-		log.Fatal("nothing to do: pass -gen N to generate a workload or -jobs FILE to run one")
+	if err != nil {
+		fmt.Fprintf(stderr, "surfer-submit: %v\n", err)
+		return 1
 	}
+	return 0
+}
 
-	pol, err := jobsvc.ParsePolicy(*policyName)
+// writeFile creates path, hands it to write and closes it, reporting the
+// first error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	f, err := os.Open(*jobsPath)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// generate writes a seeded arrival workload to path.
+func generate(stdout io.Writer, path string, cfg jobsvc.GenConfig) error {
+	wl := jobsvc.GenerateWorkload(cfg)
+	if err := writeFile(path, func(w io.Writer) error { return jobsvc.WriteWorkload(w, wl) }); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %s (%d jobs, %d tenants)\n", path, len(wl.Jobs), cfg.Tenants)
+	return nil
+}
+
+// submission is one replay of a jobs file: the flags of the -jobs mode.
+type submission struct {
+	jobsPath, policy, faultsPath, eventsOut             string
+	concurrency, queueLimit, vertices, machines, levels int
+	seed                                                int64
+	workers                                             int
+}
+
+// submit plans the jobs file on a shared deployment, replays it through the
+// job service and prints per-job latency, wait and fairness.
+func submit(stdout io.Writer, sub submission) error {
+	if sub.jobsPath == "" {
+		return fmt.Errorf("nothing to do: pass -gen N to generate a workload or -jobs FILE to run one")
+	}
+	pol, err := jobsvc.ParsePolicy(sub.policy)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	f, err := os.Open(sub.jobsPath)
+	if err != nil {
+		return err
 	}
 	wl, err := jobsvc.ReadWorkload(f)
 	f.Close()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	topo := cluster.NewT3(*machines, *seed)
-	g := graph.Social(graph.DefaultSocial(*vertices, *seed))
+	topo := cluster.NewT3(sub.machines, sub.seed)
+	g := graph.Social(graph.DefaultSocial(sub.vertices, sub.seed))
 	planner, err := jobsvc.NewPlanner(jobsvc.PlannerConfig{
-		Graph: g, Topo: topo, Levels: *levels, Seed: *seed, Workers: *workers,
+		Graph: g, Topo: topo, Levels: sub.levels, Seed: sub.seed, Workers: sub.workers,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	jobs, err := planner.Jobs(wl)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	cfg := jobsvc.Config{
 		Topo:        topo,
 		Policy:      pol,
-		Concurrency: *concurrency,
-		QueueLimit:  *queueLimit,
+		Concurrency: sub.concurrency,
+		QueueLimit:  sub.queueLimit,
 	}
-	if *faultsPath != "" {
-		ff, err := fault.Load(*faultsPath)
+	if sub.faultsPath != "" {
+		ff, err := fault.Load(sub.faultsPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cfg.Faults = ff.Schedule()
 		if len(ff.KillList()) != 0 {
-			log.Fatal("the job service handles transient faults only; remove kills from the schedule")
+			return fmt.Errorf("the job service handles transient faults only; remove kills from the schedule")
 		}
 	}
 	var rec *trace.Recorder
-	if *eventsOut != "" {
+	if sub.eventsOut != "" {
 		rec = trace.NewRecorder()
 		cfg.Trace = rec
 	}
 
 	recs, err := jobsvc.Run(cfg, jobs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("cluster: %s; policy: %s; concurrency: %d; %d jobs from %s\n",
-		topo, pol, cfg.Concurrency, len(jobs), *jobsPath)
-	fmt.Printf("%-10s %-10s %4s %10s %12s %12s %8s\n",
+	fmt.Fprintf(stdout, "cluster: %s; policy: %s; concurrency: %d; %d jobs from %s\n",
+		topo, pol, cfg.Concurrency, len(jobs), sub.jobsPath)
+	fmt.Fprintf(stdout, "%-10s %-10s %4s %10s %12s %12s %8s\n",
 		"job", "tenant", "prio", "status", "wait(s)", "latency(s)", "preempt")
 	for _, r := range recs {
 		status := "done"
 		if r.Rejected {
 			status = "rejected"
 		}
-		fmt.Printf("%-10s %-10s %4d %10s %12.4f %12.4f %8d\n",
+		fmt.Fprintf(stdout, "%-10s %-10s %4d %10s %12.4f %12.4f %8d\n",
 			r.ID, r.Tenant, r.Priority, status, r.WaitSeconds(), r.Latency(), r.Preemptions)
 	}
 	names, service := jobsvc.TenantService(recs)
-	fmt.Printf("p50 latency: %.4f s, p99 latency: %.4f s, mean wait: %.4f s\n",
+	fmt.Fprintf(stdout, "p50 latency: %.4f s, p99 latency: %.4f s, mean wait: %.4f s\n",
 		jobsvc.LatencyPercentile(recs, 0.50), jobsvc.LatencyPercentile(recs, 0.99), jobsvc.MeanWait(recs))
-	fmt.Printf("Jain fairness over %d tenants: %.3f\n", len(names), jobsvc.JainIndex(service))
+	fmt.Fprintf(stdout, "Jain fairness over %d tenants: %.3f\n", len(names), jobsvc.JainIndex(service))
 
-	if *eventsOut != "" {
-		ef, err := os.Create(*eventsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if sub.eventsOut != "" {
 		ti := &trace.TopoInfo{Name: topo.Name(), Machines: topo.NumMachines(), Bandwidth: topo.BandwidthMatrix()}
-		if err := trace.WriteEvents(ef, ti, rec.Events()); err != nil {
-			ef.Close()
-			log.Fatal(err)
+		err := writeFile(sub.eventsOut, func(w io.Writer) error { return trace.WriteEvents(w, ti, rec.Events()) })
+		if err != nil {
+			return err
 		}
-		if err := ef.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("events: %s (%d events)\n", *eventsOut, rec.Len())
+		fmt.Fprintf(stdout, "events: %s (%d events)\n", sub.eventsOut, rec.Len())
 	}
+	return nil
 }

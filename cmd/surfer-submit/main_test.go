@@ -1,0 +1,117 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/trace"
+)
+
+// invoke runs the tool in-process and returns its exit status and output.
+func invoke(args ...string) (code int, stdout, stderr string) {
+	var o, e bytes.Buffer
+	code = run(args, &o, &e)
+	return code, o.String(), e.String()
+}
+
+// replayArgs sizes the shared deployment small enough for Tier-1.
+func replayArgs(jobs string, more ...string) []string {
+	return append([]string{"-jobs", jobs, "-vertices", "512", "-levels", "3", "-workers", "1"}, more...)
+}
+
+func TestGenerateThenReplayUnderEachPolicy(t *testing.T) {
+	dir := t.TempDir()
+	jobs := filepath.Join(dir, "jobs.json")
+	code, stdout, stderr := invoke("-gen", "6", "-tenants", "3", "-seed", "7", "-out", jobs)
+	if code != 0 || !strings.Contains(stdout, "6 jobs, 3 tenants") {
+		t.Fatalf("-gen: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	for _, policy := range []string{"fifo", "fair", "priority"} {
+		events := filepath.Join(dir, policy+".events")
+		code, stdout, stderr := invoke(replayArgs(jobs, "-policy", policy, "-concurrency", "1", "-events", events)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", policy, code, stderr)
+		}
+		for _, want := range []string{"policy: " + policy, "job-005", "p50 latency:", "Jain fairness over"} {
+			if !strings.Contains(stdout, want) {
+				t.Errorf("%s: report lacks %q:\n%s", policy, want, stdout)
+			}
+		}
+		// The stream must pass the validator surfer-trace -in applies.
+		f, err := os.Open(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := trace.ReadEvents(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: event stream rejected: %v", policy, err)
+		}
+		if s.Topo == nil || s.Topo.Machines != 8 || len(s.Events) == 0 {
+			t.Fatalf("%s: stream has topology %+v and %d events", policy, s.Topo, len(s.Events))
+		}
+	}
+}
+
+func TestFaultFiles(t *testing.T) {
+	dir := t.TempDir()
+	jobs := filepath.Join(dir, "jobs.json")
+	if code, _, stderr := invoke("-gen", "4", "-seed", "7", "-out", jobs); code != 0 {
+		t.Fatalf("-gen: exit %d: %s", code, stderr)
+	}
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	// Machine deaths are not the job service's to handle.
+	kill := write("kill.json", `{"kills": [{"machine": 2, "at": 0.001}]}`)
+	code, _, stderr := invoke(replayArgs(jobs, "-faults", kill)...)
+	if code != 1 || !strings.Contains(stderr, "surfer-submit: the job service handles transient faults only; remove kills from the schedule") {
+		t.Fatalf("kill schedule: exit %d, stderr %q", code, stderr)
+	}
+
+	// A join is accepted, and its NIC rate cap is charged: the same join
+	// without the cap finishes sooner.
+	p99 := func(faults string) string {
+		code, stdout, stderr := invoke(replayArgs(jobs, "-faults", faults)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", faults, code, stderr)
+		}
+		m := regexp.MustCompile(`p99 latency: ([0-9.]+) s`).FindStringSubmatch(stdout)
+		if m == nil {
+			t.Fatalf("%s: no p99 latency in:\n%s", faults, stdout)
+		}
+		return m[1]
+	}
+	plain := p99(write("join.json", `{"joins": [{"machine": 5, "at": 0}]}`))
+	capped := p99(write("capped.json", `{"joins": [{"machine": 5, "at": 0, "nics": 1e5}]}`))
+	if plain == capped {
+		t.Fatalf("p99 latency %s s with and without the NIC cap: the cap is ignored", plain)
+	}
+}
+
+func TestBadInvocations(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{nil, 1, "nothing to do"},
+		{[]string{"-jobs", "/nonexistent/jobs.json"}, 1, "no such file"},
+		{[]string{"-jobs", "x", "-policy", "lifo"}, 1, `unknown policy "lifo"`},
+		{[]string{"-no-such-flag"}, 2, "Usage of surfer-submit"},
+	} {
+		code, _, stderr := invoke(tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d naming %q", tc.args, code, stderr, tc.code, tc.want)
+		}
+	}
+}

@@ -80,7 +80,7 @@ func (r *Runner) place(t *Task) (cluster.MachineID, error) {
 // onJoin brings a dormant machine live: from this instant it accepts
 // failovers, speculation backups and migrated partitions, and its NICs
 // (capped at its configured line rate) carry traffic.
-func (sr *stageRun) onJoin(e *event) {
+func (sr *StageRun) onJoin(e *event) {
 	r := sr.r
 	m := e.failMachine
 	if !r.dormant[m] {
@@ -88,17 +88,17 @@ func (sr *stageRun) onJoin(e *event) {
 		return
 	}
 	delete(r.dormant, m)
-	r.metrics.Joins++
+	sr.m.Joins++
 	// A join is exogenous, like a failure: anchor it to the enclosing stage.
-	sr.popSeq = r.tr.Emit(trace.Event{Kind: trace.KindMachineJoin, Job: sr.job.Name, Stage: sr.stageName(),
-		Cause: sr.stageBeginSeq, Machine: int(m), Dst: trace.None, Part: trace.None, Time: e.at})
+	sr.popSeq = sr.emit(trace.Event{Kind: trace.KindMachineJoin,
+		Cause: sr.beginSeq, Machine: int(m), Dst: trace.None, Part: trace.None, Time: e.at})
 }
 
 // onDrain starts a graceful decommission: the machine stops accepting new
 // work (it is unavailable from here on; tasks already queued on it finish),
 // every partition homed on it starts migrating to a survivor, and the
 // deadline is armed. A machine with nothing to migrate retires on the spot.
-func (sr *stageRun) onDrain(e *event) {
+func (sr *StageRun) onDrain(e *event) {
 	r := sr.r
 	m := e.failMachine
 	if r.dead[m] || r.draining[m] || r.retired[m] || r.dormant[m] {
@@ -106,9 +106,9 @@ func (sr *stageRun) onDrain(e *event) {
 		return
 	}
 	r.draining[m] = true
-	r.metrics.Drains++
-	drainSeq := r.tr.Emit(trace.Event{Kind: trace.KindMachineDrain, Job: sr.job.Name, Stage: sr.stageName(),
-		Cause: sr.stageBeginSeq, Machine: int(m), Dst: trace.None, Part: trace.None,
+	sr.m.Drains++
+	drainSeq := sr.emit(trace.Event{Kind: trace.KindMachineDrain,
+		Cause: sr.beginSeq, Machine: int(m), Dst: trace.None, Part: trace.None,
 		Time: e.at, End: e.deadline})
 	sr.popSeq = drainSeq
 	outstanding := sr.startMigrations(m, e.at, drainSeq)
@@ -119,7 +119,7 @@ func (sr *stageRun) onDrain(e *event) {
 	r.drainState[m] = &drainState{seq: drainSeq, outstanding: outstanding}
 	// The deadline event does not hold the stage barrier: if every
 	// migration lands first the machine retires and the deadline is moot
-	// (a stale pop is ignored; an unpopped event is recycled at stage end).
+	// (a stale pop is ignored; an unpopped event is cancelled with the stage).
 	sr.push(event{at: e.deadline, kind: evDrainDeadline, failMachine: m})
 }
 
@@ -129,7 +129,7 @@ func (sr *stageRun) onDrain(e *event) {
 // serialization, link degradation, drops and retries all apply — and each
 // holds the stage barrier via inflight until it lands. Zero-byte partitions
 // (no PartBytes configured) rehome instantly but still leave a trace event.
-func (sr *stageRun) startMigrations(m cluster.MachineID, at float64, drainSeq int) int {
+func (sr *StageRun) startMigrations(m cluster.MachineID, at float64, drainSeq int) int {
 	r := sr.r
 	if r.cfg.Replicas == nil {
 		return 0
@@ -151,8 +151,8 @@ func (sr *stageRun) startMigrations(m cluster.MachineID, at float64, drainSeq in
 		bytes := r.partBytes(pid)
 		if bytes <= 0 {
 			r.home[pid] = dst
-			r.metrics.Migrations++
-			r.tr.Emit(trace.Event{Kind: trace.KindPartitionMigrate, Job: sr.job.Name, Stage: sr.stageName(),
+			sr.m.Migrations++
+			sr.emit(trace.Event{Kind: trace.KindPartitionMigrate,
 				Cause: drainSeq, Machine: int(m), Dst: int(dst), Part: int(pid),
 				Time: at, Start: at, End: at})
 			continue
@@ -170,14 +170,14 @@ func (sr *stageRun) startMigrations(m cluster.MachineID, at float64, drainSeq in
 // migration lands. An arrival after the source died at its drain deadline
 // is stale — the copy never completed; the partition recovers through the
 // failover path instead.
-func (sr *stageRun) onMigrateDone(e *event) {
+func (sr *StageRun) onMigrateDone(e *event) {
 	r := sr.r
 	ts := e.transfer
 	if r.dead[ts.src] {
 		return
 	}
-	r.metrics.Migrations++
-	r.metrics.MigrationBytes += ts.bytes
+	sr.m.Migrations++
+	sr.m.MigrationBytes += ts.bytes
 	r.home[ts.part] = ts.dst
 	if ds := r.drainState[ts.src]; ds != nil {
 		ds.outstanding--
@@ -191,7 +191,7 @@ func (sr *stageRun) onMigrateDone(e *event) {
 // its state handed off and nothing lost. Retired is distinct from dead —
 // Deaths() stays untouched, so multi-iteration drivers do not mistake a
 // clean drain for a failure and roll back to a checkpoint.
-func (sr *stageRun) retire(m cluster.MachineID) {
+func (sr *StageRun) retire(m cluster.MachineID) {
 	r := sr.r
 	delete(r.drainState, m)
 	delete(r.draining, m)
@@ -203,7 +203,7 @@ func (sr *stageRun) retire(m cluster.MachineID) {
 // event is caused by the machine-drain, and the standard lost-task /
 // heartbeat / failover recovery takes over. A deadline whose drain already
 // retired (or died) is stale and ignored.
-func (sr *stageRun) onDrainDeadline(e *event) {
+func (sr *StageRun) onDrainDeadline(e *event) {
 	r := sr.r
 	m := e.failMachine
 	ds := r.drainState[m]

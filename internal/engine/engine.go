@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
@@ -73,11 +72,9 @@ type Runner struct {
 	timeline Timeline
 	dead     map[cluster.MachineID]bool
 	failures []Failure // pending, sorted by At
-	// progress tracking (Appendix B): per-machine busy time and the task
-	// completion timeline of the current job.
-	busySeconds   []float64
-	progress      []ProgressSample
-	progressTotal int
+	// busySeconds is each machine's busy time (Appendix B: the job manager
+	// records resource utilization).
+	busySeconds []float64
 	// tr receives structured trace events; nil means tracing is disabled
 	// and every emission site reduces to a nil check.
 	tr *trace.Recorder
@@ -113,9 +110,23 @@ type Runner struct {
 	joins      []fault.MachineJoin
 	drains     []fault.MachineDrain
 	drainState map[cluster.MachineID]*drainState
-	// evq is the simulation event queue, shared across stages and jobs so
-	// its heap storage and event freelist are reused.
-	evq eventQueue
+	// Cluster-wide execution state, shared by every open stage and kept
+	// across stages and jobs (see stage.go): the event queue with its
+	// tie-break sequence, the machines' task queues and busy slots, the
+	// registry of running task copies, and the NIC free-times. More than
+	// one stage can be open over it — that is where concurrent jobs of the
+	// job service contend.
+	evq      eventQueue
+	seq      int
+	queues   [][]taskRef
+	running  []int
+	attempts []runAttempt
+	// egressFree / ingressFree model the NIC as the shared resource: a
+	// transfer occupies the sender's egress and the receiver's ingress
+	// for bytes/bandwidth(src,dst) seconds. All-to-all bursts therefore
+	// serialize at the NICs (incast), as on a real cluster.
+	egressFree  []float64
+	ingressFree []float64
 }
 
 // New creates a Runner.
@@ -126,6 +137,7 @@ func New(cfg Config) *Runner {
 	if cfg.SlotsPerMachine <= 0 {
 		cfg.SlotsPerMachine = 1
 	}
+	nm := cfg.Topo.NumMachines()
 	r := &Runner{
 		cfg: cfg, pool: NewPool(cfg.Workers), tr: cfg.Trace,
 		dead:        make(map[cluster.MachineID]bool),
@@ -139,14 +151,20 @@ func New(cfg Config) *Runner {
 		draining:    make(map[cluster.MachineID]bool),
 		retired:     make(map[cluster.MachineID]bool),
 		home:        make(map[partition.PartID]cluster.MachineID),
-		nicRate:     make([]float64, cfg.Topo.NumMachines()),
+		nicRate:     make([]float64, nm),
 		drainState:  make(map[cluster.MachineID]*drainState),
+		busySeconds: make([]float64, nm),
+		queues:      make([][]taskRef, nm),
+		running:     make([]int, nm),
+		egressFree:  make([]float64, nm),
+		ingressFree: make([]float64, nm),
 	}
 	r.failures = append(r.failures, cfg.Failures...)
 	sortFailures(r.failures)
 	if cfg.Faults != nil {
 		// Join targets start dormant; their NIC rate cap is in force from
-		// the moment they go live.
+		// the moment they go live — and throughout for a client that places
+		// stages itself (StageSpec.Place) and so never waits for the join.
 		for _, j := range cfg.Faults.Joins {
 			if int(j.Machine) >= 0 && int(j.Machine) < len(r.nicRate) {
 				r.dormant[j.Machine] = true
@@ -181,6 +199,21 @@ func (r *Runner) Metrics() Metrics {
 	m := r.metrics
 	m.ResponseSeconds = r.clock
 	return m
+}
+
+// MachineUtilization reports each machine's busy time divided by the total
+// elapsed virtual time across all jobs run so far (the job manager "records
+// resource utilization", Appendix B). Dead machines show the utilization
+// they accumulated before failing.
+func (r *Runner) MachineUtilization() []float64 {
+	out := make([]float64, r.cfg.Topo.NumMachines())
+	if r.clock <= 0 {
+		return out
+	}
+	for m, b := range r.busySeconds {
+		out[m] = b / r.clock
+	}
+	return out
 }
 
 // Timeline exposes the recorded disk-I/O timeline.
@@ -271,96 +304,10 @@ func ValidateFailures(fs []Failure, topo *cluster.Topology, reps *storage.Replic
 // Topology exposes the simulated cluster the runner executes on.
 func (r *Runner) Topology() *cluster.Topology { return r.cfg.Topo }
 
-// pendingTransfer is the retry state machine of one logical transfer: the
-// same record is re-dispatched until an attempt succeeds, carrying the
-// attempt count that drives the exponential backoff.
-type pendingTransfer struct {
-	src, dst cluster.MachineID
-	bytes    int64
-	part     partition.PartID
-	attempt  int
-	// dstName is the destination task's name and cause the Seq of the event
-	// that enabled the current attempt (the producing task's end, a recovery
-	// retry, or the transfer-retry after a drop's backoff) — both carried
-	// onto the emitted transfer event for the causal DAG.
-	dstName string
-	cause   int
-	// migrate marks a live partition migration: a successful attempt emits
-	// KindPartitionMigrate instead of KindTransfer and rehomes the
-	// partition on arrival. part is the migrating partition itself.
-	migrate bool
-}
-
-// runAttempt is one currently-executing copy of a task, registered when the
-// attempt starts and dropped when it completes or its machine dies. The
-// registry replaces scans of the event queue: the straggler check and the
-// failure handler read it directly, in attempt-start order.
-type runAttempt struct {
-	task    *Task
-	machine cluster.MachineID
-	dur     float64
-}
-
-// stageRun holds the mutable state of one stage execution. All per-task
-// state is indexed by the task's position in the stage (Task.idx, stamped
-// at stage start) and all per-machine state by machine ID, so the event
-// loop touches only flat slices.
-type stageRun struct {
-	r        *Runner
-	job      *Job
-	stageIdx int
-	events   *eventQueue
-	seq      int
-	queues   [][]*Task
-	// running counts the tasks currently executing on each machine; a
-	// machine accepts up to Config.SlotsPerMachine concurrent tasks.
-	running []int
-	// egressFree / ingressFree model the NIC as the shared resource: a
-	// transfer occupies the sender's egress and the receiver's ingress
-	// for bytes/bandwidth(src,dst) seconds. All-to-all bursts therefore
-	// serialize at the NICs (incast), as on a real cluster.
-	egressFree  []float64
-	ingressFree []float64
-	remaining   int
-	inflight    int
-	// attempts registers the currently running task copies across all
-	// machines, in attempt-start order.
-	attempts []runAttempt
-	// taskMachine records where each task actually ran (-1 = nowhere yet),
-	// for input re-transfer on recovery.
-	taskMachine []cluster.MachineID
-	// committed marks tasks whose first completed copy already committed
-	// its results; later copies (speculative backups, stale completions)
-	// burn machine time but change nothing — first completion wins, and
-	// because commitment happens in the serial event loop the committed
-	// results are identical in task order for every worker count.
-	committed []bool
-	// copies counts the currently running copies of each task (original
-	// plus speculative backups).
-	copies []int
-	// speculated marks tasks that already received a backup copy, so the
-	// straggler rule fires at most once per task.
-	speculated []bool
-	// doneDurs collects committed task durations for the median the
-	// speculation policy compares stragglers against.
-	doneDurs []float64
-	end      float64
-	// Causal threading: stageBeginSeq is this stage's begin event,
-	// dispatchCause the Seq that enabled the next task launch (set before
-	// every startNext call), popSeq the Seq describing the heap event just
-	// handled, endCause the Seq of the event that last advanced sr.end (the
-	// stage barrier's binding event), endSeq the emitted stage-end.
-	stageBeginSeq int
-	dispatchCause int
-	popSeq        int
-	endCause      int
-	endSeq        int
-	// err aborts the event loop (e.g. a transfer exhausted its retries).
-	err error
-}
-
 // Run executes the job, advancing the runner's clock, and returns the
-// metrics of this job alone.
+// metrics of this job alone. It is the stage executor's single-job client
+// (stage.go): each stage is opened on the runner's own placement and the
+// loop stepped until its barrier closes.
 func (r *Runner) Run(job *Job) (Metrics, error) {
 	if err := job.Validate(r.cfg.Topo); err != nil {
 		return Metrics{}, err
@@ -373,31 +320,40 @@ func (r *Runner) Run(job *Job) (Metrics, error) {
 	}
 	before := r.metrics
 	start := r.clock
-	total := 0
-	for _, st := range job.Stages {
-		total += len(st.Tasks)
-	}
-	r.resetProgress(total)
 	// A job begins because the previous one ended — except a rollback
 	// replay, which begins because a machine died.
-	jobCause := r.lastJobEnd
+	cause := r.lastJobEnd
 	if r.recoveryPending && r.lastFailSeq != trace.None {
-		jobCause = r.lastFailSeq
+		cause = r.lastFailSeq
 	}
 	r.recoveryPending = false
-	cause := r.tr.Emit(trace.Event{Kind: trace.KindJobBegin, Job: job.Name, Cause: jobCause,
-		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: r.clock})
-	var prev *stageRun
+	if len(job.Stages) == 0 {
+		// No stage to carry the job's markers.
+		sr := &StageRun{r: r, label: job.Name}
+		cause = sr.mark(trace.KindJobEnd, sr.mark(trace.KindJobBegin, cause, r.clock), r.clock)
+	}
+	var prev *StageRun
 	for si := range job.Stages {
-		sr, err := r.runStage(job, si, prev, cause)
+		sr, err := r.Open(StageSpec{Job: job, Index: si, Label: job.Name, At: r.clock, Cause: cause,
+			Metrics: &r.metrics, prev: prev})
+		for err == nil && !sr.closed {
+			if _, pending := r.NextEvent(); !pending {
+				err = fmt.Errorf("engine: stage %q deadlocked with %d tasks and %d transfers pending", sr.name, sr.remaining, sr.inflight)
+			} else {
+				_, err = r.Step()
+			}
+		}
 		if err != nil {
+			if sr != nil {
+				// Leave the shared state clean for the next job.
+				r.cancel(sr)
+			}
 			return Metrics{}, err
 		}
-		cause = sr.endSeq
-		prev = sr
+		r.clock = sr.end
+		cause, prev = sr.endSeq, sr
 	}
-	r.lastJobEnd = r.tr.Emit(trace.Event{Kind: trace.KindJobEnd, Job: job.Name, Cause: cause,
-		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: r.clock})
+	r.lastJobEnd = cause
 	m := r.metrics
 	m.ResponseSeconds = r.clock - start
 	m.MachineSeconds -= before.MachineSeconds
@@ -415,559 +371,4 @@ func (r *Runner) Run(job *Job) (Metrics, error) {
 	m.Migrations -= before.Migrations
 	m.MigrationBytes -= before.MigrationBytes
 	return m, nil
-}
-
-func (r *Runner) runStage(job *Job, si int, prev *stageRun, cause int) (*stageRun, error) {
-	stage := job.Stages[si]
-	nm := r.cfg.Topo.NumMachines()
-	nt := len(stage.Tasks)
-	sr := &stageRun{
-		r: r, job: job, stageIdx: si,
-		events:      &r.evq,
-		queues:      make([][]*Task, nm),
-		running:     make([]int, nm),
-		egressFree:  make([]float64, nm),
-		ingressFree: make([]float64, nm),
-		taskMachine: make([]cluster.MachineID, nt),
-		committed:   make([]bool, nt),
-		copies:      make([]int, nt),
-		speculated:  make([]bool, nt),
-		remaining:   nt,
-		end:         r.clock,
-	}
-	// Enqueue tasks on their machines: a migrated partition's tasks follow
-	// its new home, dead/draining/dormant/retired primaries fail over. Each
-	// task is stamped with its stage-local index, the key of all per-task
-	// state above.
-	for i, t := range stage.Tasks {
-		t.idx = i
-		sr.taskMachine[i] = -1
-		m, err := r.place(t)
-		if err != nil {
-			return nil, err
-		}
-		sr.queues[m] = append(sr.queues[m], t)
-	}
-	// Arm pending failures that fall inside this stage: push them as
-	// events; ones beyond the stage end simply never fire (they are kept
-	// for later stages).
-	for _, f := range r.failures {
-		if !r.dead[f.Machine] {
-			at := f.At
-			if at < r.clock {
-				at = r.clock
-			}
-			sr.push(event{at: at, kind: evFailure, failMachine: f.Machine})
-		}
-	}
-	// Arm elastic membership events the same way: joins that have not
-	// fired (machine still dormant) and drains that have not started.
-	for _, j := range r.joins {
-		if r.dormant[j.Machine] {
-			at := j.At
-			if at < r.clock {
-				at = r.clock
-			}
-			sr.push(event{at: at, kind: evJoin, failMachine: j.Machine})
-		}
-	}
-	for _, d := range r.drains {
-		if !r.draining[d.Machine] && !r.retired[d.Machine] && !r.dead[d.Machine] {
-			at := d.At
-			if at < r.clock {
-				at = r.clock
-			}
-			sr.push(event{at: at, kind: evDrain, failMachine: d.Machine, deadline: d.Deadline})
-		}
-	}
-	sr.stageBeginSeq = r.tr.Emit(trace.Event{Kind: trace.KindStageBegin, Job: job.Name, Stage: stage.Name,
-		Cause: cause, Machine: trace.None, Dst: trace.None, Part: trace.None, Time: r.clock})
-	// An empty (or instantaneous) stage's barrier is bound by its own begin.
-	sr.endCause = sr.stageBeginSeq
-	// Start machines in ID order for determinism. These launches are
-	// enabled by the stage barrier opening.
-	sr.dispatchCause = sr.stageBeginSeq
-	for i := 0; i < r.cfg.Topo.NumMachines(); i++ {
-		sr.startNext(cluster.MachineID(i), r.clock)
-	}
-	// Event loop.
-	for sr.remaining > 0 || sr.inflight > 0 {
-		if sr.events.Len() == 0 {
-			return nil, fmt.Errorf("engine: stage %q deadlocked with %d tasks and %d transfers pending", stage.Name, sr.remaining, sr.inflight)
-		}
-		e := sr.events.pop()
-		sr.popSeq = trace.None
-		switch e.kind {
-		case evTaskDone:
-			sr.onTaskDone(e, prev)
-		case evTransferDone:
-			sr.inflight--
-			sr.popSeq = e.traceSeq
-			if e.transfer != nil && e.transfer.migrate {
-				sr.onMigrateDone(e)
-			}
-		case evFailure:
-			sr.onFailure(e)
-		case evRecovery:
-			sr.onRecovery(e, prev)
-		case evTransferRetry:
-			sr.onTransferRetry(e)
-		case evJoin:
-			sr.onJoin(e)
-		case evDrain:
-			sr.onDrain(e)
-		case evDrainDeadline:
-			sr.onDrainDeadline(e)
-		}
-		if sr.err != nil {
-			return nil, sr.err
-		}
-		// The last event to advance sr.end is the stage barrier's binding
-		// event: the stage-end's cause on the critical path.
-		if e.at > sr.end {
-			sr.end = e.at
-			sr.endCause = sr.popSeq
-		}
-		sr.events.recycle(e)
-	}
-	// Recycle events the barrier left behind (stale completions of dead
-	// machines, failures armed past the stage end — re-armed next stage).
-	sr.events.reset()
-	r.clock = sr.end
-	sr.endSeq = r.tr.Emit(trace.Event{Kind: trace.KindStageEnd, Job: job.Name, Stage: stage.Name,
-		Cause: sr.endCause, Machine: trace.None, Dst: trace.None, Part: trace.None, Time: sr.end})
-	return sr, nil
-}
-
-// stageName names the stage this run executes, for trace events.
-func (sr *stageRun) stageName() string { return sr.job.Stages[sr.stageIdx].Name }
-
-// emitTask emits a task-lifecycle trace event and returns its Seq (None when
-// tracing is off, via the nil-safe Emit).
-func (sr *stageRun) emitTask(kind trace.EventKind, t *Task, m cluster.MachineID, at, start, end float64, cause int) int {
-	return sr.r.tr.Emit(trace.Event{
-		Kind: kind, Job: sr.job.Name, Stage: sr.stageName(), Name: t.Name,
-		Cause: cause, Machine: int(m), Dst: trace.None, Part: int(t.Part),
-		Time: at, Start: start, End: end,
-	})
-}
-
-// push enqueues a simulation event, copying it into a recycled record and
-// stamping the deterministic tie-break sequence.
-func (sr *stageRun) push(ev event) {
-	e := sr.events.alloc()
-	*e = ev
-	e.seq = sr.seq
-	sr.seq++
-	sr.events.push(e)
-}
-
-// startNext launches queued tasks on machine m at time now until its slots
-// are full or its queue drains.
-func (sr *stageRun) startNext(m cluster.MachineID, now float64) {
-	if sr.r.dead[m] {
-		return
-	}
-	for sr.running[m] < sr.r.cfg.SlotsPerMachine {
-		q := sr.queues[m]
-		if len(q) == 0 {
-			return
-		}
-		t := q[0]
-		sr.queues[m] = q[1:]
-		if sr.committed[t.idx] {
-			// A queued backup whose original already finished: drop it.
-			continue
-		}
-		sr.running[m]++
-		sr.copies[t.idx]++
-		// Stragglers: a machine slowed by a transient fault stretches
-		// every task that starts during the slowdown window.
-		dur := sr.r.taskDuration(t) * sr.r.faults.SlowdownFactor(m, now)
-		sr.r.timeline.record(now, t.DiskRead)
-		startSeq := sr.emitTask(trace.KindTaskStart, t, m, now, now, 0, sr.dispatchCause)
-		sr.attempts = append(sr.attempts, runAttempt{task: t, machine: m, dur: dur})
-		sr.push(event{at: now + dur, kind: evTaskDone, task: t, machine: m, start: now, dur: dur, startSeq: startSeq})
-	}
-}
-
-// dropAttempt unregisters the running attempt of task t on machine m,
-// preserving the start order of the remaining attempts.
-func (sr *stageRun) dropAttempt(t *Task, m cluster.MachineID) {
-	for i, a := range sr.attempts {
-		if a.task == t && a.machine == m {
-			sr.attempts = append(sr.attempts[:i], sr.attempts[i+1:]...)
-			return
-		}
-	}
-}
-
-func (r *Runner) taskDuration(t *Task) float64 {
-	return t.Compute + float64(t.DiskRead+t.DiskWrite)/r.cfg.Topo.DiskBandwidth()
-}
-
-func (sr *stageRun) onTaskDone(e *event, prev *stageRun) {
-	r := sr.r
-	if r.dead[e.machine] {
-		// The machine died while this completion event was in flight;
-		// the failure handler already requeued the task. If this stale
-		// completion still advances the stage barrier, blame the failure.
-		sr.popSeq = r.failSeq[e.machine]
-		return
-	}
-	t := e.task
-	sr.dropAttempt(t, e.machine)
-	r.metrics.MachineSeconds += e.dur
-	r.metrics.DiskBytes += t.DiskRead + t.DiskWrite
-	r.metrics.TasksRun++
-	endSeq := sr.emitTask(trace.KindTaskEnd, t, e.machine, e.at, e.start, e.at, e.startSeq)
-	sr.popSeq = endSeq
-	r.noteTaskDone(e.machine, e.at, e.dur, r.progressTotal)
-	r.timeline.record(e.at, t.DiskWrite)
-	sr.running[e.machine]--
-	sr.copies[t.idx]--
-	// This completion frees a slot: whatever launches next is its effect.
-	sr.dispatchCause = endSeq
-	if sr.committed[t.idx] {
-		// A speculative duplicate losing the race: its work is charged
-		// above, but the first completion already committed the results.
-		sr.startNext(e.machine, e.at)
-		return
-	}
-	sr.committed[t.idx] = true
-	sr.taskMachine[t.idx] = e.machine
-	sr.remaining--
-	sr.doneDurs = append(sr.doneDurs, e.dur)
-	// Launch output transfers toward next-stage task machines.
-	if len(t.Outputs) > 0 {
-		next := sr.job.Stages[sr.stageIdx+1]
-		for _, out := range t.Outputs {
-			dst := next.Tasks[out.DstTask]
-			dstM := dst.Machine
-			if pm, err := r.place(dst); err == nil {
-				dstM = pm
-			}
-			sr.sendBytes(e.machine, dstM, out.Bytes, e.at, dst.Part, dst.Name, endSeq)
-		}
-	}
-	sr.startNext(e.machine, e.at)
-	sr.maybeSpeculate(e.at)
-}
-
-// maybeSpeculate is the job manager's straggler check (Appendix B records
-// per-task progress; MapReduce-style backup tasks act on it): once enough
-// of the stage has committed to trust the median task duration, every
-// still-running task projected to overrun Factor × median gets one backup
-// copy on a live replica holder of its partition. The first completed copy
-// commits; the loop stays serial, so speculation preserves determinism.
-func (sr *stageRun) maybeSpeculate(now float64) {
-	r := sr.r
-	if !r.spec.Enabled || r.cfg.Replicas == nil {
-		return
-	}
-	total := len(sr.job.Stages[sr.stageIdx].Tasks)
-	median := medianOf(sr.doneDurs)
-	// Collect stragglers from the running-attempt registry first: launching
-	// backups mutates it via startNext. Attempts on dead machines were
-	// already dropped by the failure handler.
-	type straggler struct {
-		t       *Task
-		machine cluster.MachineID
-	}
-	var found []straggler
-	for _, a := range sr.attempts {
-		if sr.committed[a.task.idx] || sr.speculated[a.task.idx] || a.task.Part == NoPart {
-			continue
-		}
-		if r.spec.IsStraggler(a.dur, median, len(sr.doneDurs), total) {
-			found = append(found, straggler{t: a.task, machine: a.machine})
-		}
-	}
-	// Deterministic launch order: the registry order is deterministic, but
-	// sort by task name anyway so the order is obvious, not incidental.
-	sort.Slice(found, func(i, j int) bool { return found[i].t.Name < found[j].t.Name })
-	for _, s := range found {
-		backup := r.backupMachine(s.t, s.machine)
-		if backup < 0 {
-			continue
-		}
-		sr.speculated[s.t.idx] = true
-		r.metrics.Speculations++
-		// The committed completion whose median triggered this check is the
-		// cause of the backup launch (sr.popSeq: the task-end just handled).
-		specSeq := r.tr.Emit(trace.Event{Kind: trace.KindSpeculate, Job: sr.job.Name,
-			Stage: sr.stageName(), Name: s.t.Name, Cause: sr.popSeq, Machine: int(backup),
-			Dst: trace.None, Part: int(s.t.Part), Time: now})
-		sr.queues[backup] = append(sr.queues[backup], s.t)
-		sr.dispatchCause = specSeq
-		sr.startNext(backup, now)
-	}
-}
-
-// backupMachine picks the first available replica holder of the task's
-// partition that is not the machine already running it, or -1 when none
-// exists. Draining, retired and dormant machines do not accept backups.
-func (r *Runner) backupMachine(t *Task, running cluster.MachineID) cluster.MachineID {
-	for _, m := range r.cfg.Replicas.Machines[t.Part] {
-		if m != running && !r.unavailable(m) {
-			return m
-		}
-	}
-	return -1
-}
-
-// medianOf returns the median of a non-empty sample (0 when empty). The
-// sample is copied; the caller's order is preserved.
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
-}
-
-// sendBytes schedules a transfer from src to dst, serializing with earlier
-// transfers on the sender's egress NIC and the receiver's ingress NIC.
-// Intra-machine moves are free. dstPart is the destination task's partition
-// and dstName its name, recorded on the trace event so traffic can be
-// attributed per partition and the transfer → receiving-task edge is
-// visible; cause is the Seq of the event that produced the bytes.
-func (sr *stageRun) sendBytes(src, dst cluster.MachineID, bytes int64, now float64, dstPart partition.PartID, dstName string, cause int) {
-	if bytes <= 0 {
-		return
-	}
-	if src == dst {
-		return
-	}
-	sr.inflight++
-	sr.dispatch(&pendingTransfer{src: src, dst: dst, bytes: bytes, part: dstPart, dstName: dstName, cause: cause}, now)
-}
-
-// dispatch issues one attempt of a (possibly retried) transfer at time now.
-// A blackholed attempt holds both NICs until the sender's timeout, then
-// schedules a backoff retry; a successful attempt occupies the NICs for
-// bytes / (bandwidth ÷ degradation factor) seconds and delivers the bytes.
-func (sr *stageRun) dispatch(ts *pendingTransfer, now float64) {
-	r := sr.r
-	egFree, inFree := sr.egressFree[ts.src], sr.ingressFree[ts.dst]
-	start := now
-	if egFree > start {
-		start = egFree
-	}
-	if inFree > start {
-		start = inFree
-	}
-	if r.faults.DropsTransfer(ts.src, ts.dst, start) {
-		// The attempt makes no progress, but the sender cannot know that
-		// until its timeout fires: both NICs stay held until detection.
-		detect := start + r.retry.Timeout
-		sr.egressFree[ts.src] = detect
-		sr.ingressFree[ts.dst] = detect
-		ts.attempt++
-		r.metrics.TransferDrops++
-		dropSeq := r.tr.Emit(trace.Event{
-			Kind: trace.KindTransferDrop, Job: sr.job.Name, Stage: sr.stageName(), Name: ts.dstName,
-			Cause: ts.cause, Machine: int(ts.src), Dst: int(ts.dst), Part: int(ts.part), Bytes: ts.bytes,
-			Time: now, Start: start, End: detect, Attempt: ts.attempt,
-		})
-		if r.retry.MaxAttempts > 0 && ts.attempt >= r.retry.MaxAttempts {
-			sr.err = fmt.Errorf("engine: transfer %d→%d (%d bytes) dropped %d times; retry budget exhausted",
-				ts.src, ts.dst, ts.bytes, ts.attempt)
-			return
-		}
-		sr.push(event{at: detect + r.retry.BackoffAt(ts.attempt), kind: evTransferRetry, transfer: ts, traceSeq: dropSeq})
-		return
-	}
-	factor := r.faults.LinkFactor(ts.src, ts.dst, start)
-	// An elastic machine's NIC line rate caps the link in both directions
-	// (min of link bandwidth and either endpoint's rate), the slow-spot-
-	// instance model.
-	bw := r.cfg.Topo.Bandwidth(ts.src, ts.dst)
-	if nr := r.nicRate[ts.src]; nr > 0 && nr < bw {
-		bw = nr
-	}
-	if nr := r.nicRate[ts.dst]; nr > 0 && nr < bw {
-		bw = nr
-	}
-	dur := float64(ts.bytes) * factor / bw
-	sr.egressFree[ts.src] = start + dur
-	sr.ingressFree[ts.dst] = start + dur
-	// Only delivered bytes count as network I/O; dropped attempts moved
-	// nothing.
-	r.metrics.NetworkBytes += ts.bytes
-	kind := trace.KindTransfer
-	if ts.migrate {
-		kind = trace.KindPartitionMigrate
-	}
-	seq := r.tr.Emit(trace.Event{
-		Kind: kind, Job: sr.job.Name, Stage: sr.stageName(), Name: ts.dstName,
-		Cause: ts.cause, Machine: int(ts.src), Dst: int(ts.dst), Part: int(ts.part), Bytes: ts.bytes,
-		Time: now, Start: start, End: start + dur, Stall: start - now,
-		// The receiver's ingress NIC is the binding constraint when it
-		// frees no earlier than the sender's egress — the incast case.
-		Incast:  inFree > now && inFree >= egFree,
-		Attempt: ts.attempt, Degraded: factor > 1,
-	})
-	done := event{at: start + dur, kind: evTransferDone, bytes: ts.bytes, traceSeq: seq}
-	if ts.migrate {
-		// The completion handler needs the transfer record to rehome the
-		// partition on arrival.
-		done.transfer = ts
-	}
-	sr.push(done)
-}
-
-// onTransferRetry re-issues a dropped transfer once its backoff elapses.
-func (sr *stageRun) onTransferRetry(e *event) {
-	r := sr.r
-	ts := e.transfer
-	r.metrics.TransferRetries++
-	retrySeq := r.tr.Emit(trace.Event{
-		Kind: trace.KindTransferRetry, Job: sr.job.Name, Stage: sr.stageName(), Name: ts.dstName,
-		Cause: e.traceSeq, Machine: int(ts.src), Dst: int(ts.dst), Part: int(ts.part),
-		Time: e.at, Attempt: ts.attempt,
-	})
-	sr.popSeq = retrySeq
-	// The re-issued attempt is caused by the retry, not the original send.
-	ts.cause = retrySeq
-	sr.dispatch(ts, e.at)
-}
-
-// onFailure marks the machine dead, collects its lost work and schedules the
-// manager's reaction one heartbeat later. A scheduled failure is exogenous;
-// anchoring it to the enclosing stage keeps the DAG rooted, and the analyzer
-// blames the gap to the stage's start on the fault model (retry backoff),
-// not on work.
-func (sr *stageRun) onFailure(e *event) {
-	sr.failMachine(e.failMachine, e.at, sr.stageBeginSeq)
-}
-
-// failMachine executes a machine death at time at: the failure trace event
-// cites cause (the stage begin for scheduled failures, the machine-drain for
-// an expired drain deadline), lost work is collected and the manager's
-// reaction scheduled one heartbeat later.
-func (sr *stageRun) failMachine(m cluster.MachineID, at float64, cause int) {
-	r := sr.r
-	if r.dead[m] {
-		sr.popSeq = r.failSeq[m]
-		return
-	}
-	r.dead[m] = true
-	failSeq := r.tr.Emit(trace.Event{Kind: trace.KindFailure, Job: sr.job.Name, Stage: sr.stageName(),
-		Cause: cause, Machine: int(m), Dst: trace.None, Part: trace.None, Time: at})
-	r.failSeq[m] = failSeq
-	r.lastFailSeq = failSeq
-	sr.popSeq = failSeq
-	var lost []*Task
-	// Queued tasks are lost — unless another copy is committed or still
-	// running elsewhere (a queued speculative backup loses nothing).
-	for _, t := range sr.queues[m] {
-		if !sr.committed[t.idx] && sr.copies[t.idx] == 0 {
-			lost = append(lost, t)
-		}
-	}
-	sr.queues[m] = nil
-	// Running tasks are lost in attempt-start order: their completion
-	// events stay on the queue, but the completion handler sees the dead
-	// machine and ignores them. A task is only requeued when this death
-	// killed its last running copy and no copy has committed — a surviving
-	// speculative backup carries on.
-	if sr.running[m] > 0 {
-		kept := sr.attempts[:0]
-		for _, a := range sr.attempts {
-			if a.machine != m {
-				kept = append(kept, a)
-				continue
-			}
-			sr.copies[a.task.idx]--
-			if !sr.committed[a.task.idx] && sr.copies[a.task.idx] == 0 {
-				lost = append(lost, a.task)
-			}
-		}
-		sr.attempts = kept
-		sr.running[m] = 0
-	}
-	for _, t := range lost {
-		sr.emitTask(trace.KindTaskLost, t, m, at, 0, 0, failSeq)
-	}
-	sr.push(event{
-		at:       at + r.cfg.HeartbeatInterval,
-		kind:     evRecovery,
-		lost:     lost,
-		traceSeq: failSeq,
-	})
-	// Keep the recovery event from racing stage completion.
-	sr.inflight++
-}
-
-// onRecovery reassigns lost tasks to replica machines, re-transferring the
-// inputs of Combine-type tasks (Appendix B).
-func (sr *stageRun) onRecovery(e *event, prev *stageRun) {
-	r := sr.r
-	sr.inflight--
-	sr.popSeq = e.traceSeq
-	for _, t := range e.lost {
-		if sr.committed[t.idx] {
-			// A copy elsewhere committed between the failure and the
-			// manager noticing it; nothing to recover.
-			continue
-		}
-		m, err := r.failover(t)
-		if err != nil {
-			// No live replica: surface as a deadlock; tests assert on
-			// the error path via Run's deadlock message.
-			continue
-		}
-		r.metrics.Recoveries++
-		// The retry is caused by the failure (via the heartbeat); emit it
-		// before the input re-transfers so they can cite it as their cause.
-		retrySeq := sr.emitTask(trace.KindRetry, t, m, e.at, 0, 0, e.traceSeq)
-		if t.Kind == KindCombine && prev != nil {
-			// Re-transfer this task's inputs from their producers.
-			myIdx := t.idx
-			prevStage := sr.job.Stages[sr.stageIdx-1]
-			for pi, pt := range prevStage.Tasks {
-				for _, out := range pt.Outputs {
-					if out.DstTask != myIdx {
-						continue
-					}
-					src := prev.taskMachine[pi]
-					if src < 0 || r.dead[src] {
-						// Producer machine gone: fetch from the
-						// producing partition's replica.
-						if fm, err := r.failover(pt); err == nil {
-							src = fm
-						} else {
-							continue
-						}
-					}
-					sr.sendBytes(src, m, out.Bytes, e.at, t.Part, t.Name, retrySeq)
-				}
-			}
-		}
-		sr.queues[m] = append(sr.queues[m], t)
-		sr.dispatchCause = retrySeq
-		sr.startNext(m, e.at)
-	}
-}
-
-// failover picks an available replica machine for a task's partition.
-// Availability excludes dead machines and — under elastic membership —
-// dormant, draining and retired ones.
-func (r *Runner) failover(t *Task) (cluster.MachineID, error) {
-	if t.Part == NoPart || r.cfg.Replicas == nil {
-		// Unpinned task: any available machine.
-		for i := 0; i < r.cfg.Topo.NumMachines(); i++ {
-			if !r.unavailable(cluster.MachineID(i)) {
-				return cluster.MachineID(i), nil
-			}
-		}
-		return 0, fmt.Errorf("engine: no live machines")
-	}
-	return r.cfg.Replicas.FailoverFunc(t.Part, r.unavailable)
 }

@@ -25,6 +25,9 @@ type event struct {
 	at   float64
 	kind int
 	seq  int // tie-break for determinism
+	// sr is the stage run the event belongs to; events of a closed stage
+	// are cancelled (Runner.peek skips them).
+	sr *StageRun
 	// task events
 	task    *Task
 	machine cluster.MachineID
@@ -38,7 +41,7 @@ type event struct {
 	// failure and elastic-membership events (failMachine doubles as the
 	// joining/draining machine; deadline is a drain's migration deadline)
 	failMachine cluster.MachineID
-	lost        []*Task
+	lost        []taskRef
 	deadline    float64
 	// traceSeq is the Seq of the trace event whose consequence this heap
 	// event is (the transfer for evTransferDone, the failure for evRecovery,
@@ -130,15 +133,4 @@ func (q *eventQueue) pop() *event {
 		i = best
 	}
 	return top
-}
-
-// reset recycles every event still queued (stale completions of dead
-// machines, failures armed beyond the stage barrier) so the next stage
-// starts from an empty queue without dropping the records.
-func (q *eventQueue) reset() {
-	for i, e := range q.h {
-		q.free = append(q.free, e)
-		q.h[i] = nil
-	}
-	q.h = q.h[:0]
 }

@@ -18,8 +18,17 @@
 // control (Config.QueueLimit) rejects arrivals when the queue is over
 // budget, deterministically.
 //
-// Determinism contract: the service is one serial discrete-event loop in
-// virtual time — the worker pool parallelism of the engine only ever runs
+// The service simulates nothing itself: it is a policy client of the
+// engine's stage executor (engine.Runner.Open / NextEvent / Step / Load),
+// the same one Runner.Run drives for a single job. The engine owns how a
+// task occupies a slot, how a transfer occupies two NICs, how a drop is
+// detected and retried and how a stage barrier finds its binding event; the
+// service owns arrivals, admission, ranking, barrier preemption, rerouting
+// around draining or not-yet-joined machines, and the per-job records.
+//
+// Determinism contract: arrivals and engine events interleave in one serial
+// loop in virtual time, an arrival resolving before an engine event of the
+// same instant — the worker pool parallelism of the engine only ever runs
 // semantic *planning* compute (see propagation.PlanIterations), never this
 // loop — so per-job results, latencies and the trace stream are
 // bit-identical for every worker count, with or without a fault schedule.
@@ -30,7 +39,6 @@
 package jobsvc
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -97,7 +105,10 @@ type Config struct {
 	// Trace receives the event stream; nil disables tracing.
 	Trace *trace.Recorder
 	// Faults injects transient link faults and machine slowdowns shared by
-	// every job; Retry tunes dropped-transfer recovery.
+	// every job; its joins and drains steer placement at barriers (tasks
+	// avoid machines that are not accepting) and a join's NIC rate cap
+	// applies to every transfer touching the machine. Retry tunes
+	// dropped-transfer recovery.
 	Faults *fault.Schedule
 	Retry  fault.RetryPolicy
 }
@@ -180,16 +191,9 @@ type jobRun struct {
 	// planIdx/stageIdx locate the next (or running) stage.
 	planIdx  int
 	stageIdx int
-	// Running-stage bookkeeping, engine-equivalent: remaining tasks,
-	// in-flight transfers, and the barrier's binding event.
-	remaining     int
-	inflight      int
-	stageEnd      float64
-	stageEndCause int
-	dispatchCause int
-	// stageMach is the stage's delivered machine-seconds, accrued into the
-	// tenant's fair-share vruntime at the barrier.
-	stageMach float64
+	// metrics is the job's resource account, accumulated by the engine in
+	// event order over every stage of the plan.
+	metrics engine.Metrics
 	// Trace threading.
 	queuedSeq  int
 	preemptSeq int
@@ -197,104 +201,27 @@ type jobRun struct {
 	rec        Record
 }
 
-func (jr *jobRun) id() string { return jr.job.Spec.ID }
+func (jr *jobRun) id() string     { return jr.job.Spec.ID }
+func (jr *jobRun) tenant() string { return jr.job.Spec.Tenant }
 
 // curPlan returns the engine job the next/running stage belongs to.
 func (jr *jobRun) curPlan() *engine.Job { return jr.job.Plan[jr.planIdx] }
 
-// execName is the trace label of the job's current engine job: the spec ID
-// plus the plan-job name, unique across tenants even when two jobs run the
-// same app.
-func (jr *jobRun) execName() string { return jr.id() + "/" + jr.curPlan().Name }
-
-// event kinds, in tie-break order at equal virtual times: arrivals resolve
-// before completions so a same-instant arrival is visible to the schedule
-// pass its barrier triggers.
-const (
-	evArrival = iota
-	evTaskDone
-	evTransferDone
-	evTransferRetry
-)
-
-type event struct {
-	at   float64
-	kind int
-	seq  int
-	// evArrival / evTransferDone
-	jr *jobRun
-	// evTaskDone
-	st       *simTask
-	machine  cluster.MachineID
-	start    float64
-	dur      float64
-	startSeq int
-	// evTransferDone / evTransferRetry
-	transfer *pendingTransfer
-	traceSeq int
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// simTask is one enqueued task execution, tagged with its owning job.
-type simTask struct {
-	jr *jobRun
-	t  *engine.Task
-}
-
-type pendingTransfer struct {
-	jr      *jobRun
-	src     cluster.MachineID
-	dst     cluster.MachineID
-	bytes   int64
-	part    int
-	dstName string
-	attempt int
-	cause   int
-}
-
-// service is the multi-job discrete-event simulator. Everything here runs
-// on the caller's goroutine — the serial loop is the determinism anchor.
+// service is the multi-job scheduler over one engine.Runner. Everything
+// here runs on the caller's goroutine — the serial loop is the determinism
+// anchor.
 type service struct {
-	cfg    Config
-	tr     *trace.Recorder
-	faults *fault.Schedule
-	retry  fault.RetryPolicy
-
-	events eventHeap
-	seq    int
-
-	// Shared cluster state: task slots and NIC free-times span jobs, which
-	// is the whole point — concurrent tenants contend here.
-	running     []int
-	queues      [][]*simTask
-	egressFree  []float64
-	ingressFree []float64
+	cfg Config
+	tr  *trace.Recorder
+	// eng executes the stages: task slots, NICs, drops and retries span
+	// jobs there, which is the whole point — concurrent tenants contend.
+	eng *engine.Runner
 
 	jobs      []*jobRun // arrival order
 	queued    []*jobRun // waiting for admission, arrival order
 	preempted []*jobRun // preemption order
-	active    int       // jobs holding a run slot
+	// open maps each stage in flight to the job holding a run slot for it.
+	open map[*engine.StageRun]*jobRun
 
 	// vruntime is each tenant's fair-share clock: delivered machine-seconds.
 	vruntime map[string]float64
@@ -311,9 +238,6 @@ func newService(cfg Config, jobs []Job) (*service, error) {
 	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 2
-	}
-	if cfg.SlotsPerMachine <= 0 {
-		cfg.SlotsPerMachine = 1
 	}
 	if err := cfg.Faults.Validate(cfg.Topo.NumMachines()); err != nil {
 		return nil, err
@@ -348,16 +272,13 @@ func newService(cfg Config, jobs []Job) (*service, error) {
 			}
 		}
 	}
-	n := cfg.Topo.NumMachines()
 	s := &service{
-		cfg:           cfg,
-		tr:            cfg.Trace,
-		faults:        cfg.Faults,
-		retry:         cfg.Retry.WithDefaults(),
-		running:       make([]int, n),
-		queues:        make([][]*simTask, n),
-		egressFree:    make([]float64, n),
-		ingressFree:   make([]float64, n),
+		cfg: cfg,
+		tr:  cfg.Trace,
+		// The runner's pool is never used: plans arrive computed.
+		eng: engine.New(engine.Config{Topo: cfg.Topo, SlotsPerMachine: cfg.SlotsPerMachine, Workers: 1,
+			Trace: cfg.Trace, Faults: cfg.Faults, Retry: cfg.Retry}),
+		open:          make(map[*engine.StageRun]*jobRun),
 		vruntime:      make(map[string]float64),
 		lastQueuedSeq: trace.None,
 	}
@@ -377,38 +298,34 @@ func newService(cfg Config, jobs []Job) (*service, error) {
 			Priority: jr.job.Spec.Priority,
 		}
 		s.jobs = append(s.jobs, jr)
-		s.push(&event{at: jr.job.Spec.Submit, kind: evArrival, jr: jr})
 	}
 	return s, nil
 }
 
-func (s *service) push(e *event) {
-	e.seq = s.seq
-	s.seq++
-	heap.Push(&s.events, e)
-}
-
+// run interleaves the service's arrivals with the engine's events in
+// virtual-time order. At equal times the arrival resolves first, so a
+// same-instant arrival is visible to the schedule pass a barrier triggers.
 func (s *service) run() ([]Record, error) {
-	for s.events.Len() > 0 {
-		e := heap.Pop(&s.events).(*event)
-		switch e.kind {
-		case evArrival:
-			s.onArrival(e.jr, e.at)
-		case evTaskDone:
-			s.onTaskDone(e)
-		case evTransferDone:
-			jr := e.jr
-			jr.inflight--
-			s.noteStageEvent(jr, e.at, e.traceSeq)
-			if jr.remaining == 0 && jr.inflight == 0 {
-				s.finishStage(jr, e.at)
-			}
-		case evTransferRetry:
-			s.onTransferRetry(e)
+	arrivals := s.jobs
+	for s.err == nil {
+		at, pending := s.eng.NextEvent()
+		if len(arrivals) > 0 && (!pending || arrivals[0].job.Spec.Submit <= at) {
+			s.onArrival(arrivals[0])
+			arrivals = arrivals[1:]
+			continue
 		}
-		if s.err != nil {
-			return nil, s.err
+		if !pending {
+			break
 		}
+		closed, err := s.eng.Step()
+		if err != nil {
+			s.err = err
+		} else if closed != nil {
+			s.finishStage(closed)
+		}
+	}
+	if s.err != nil {
+		return nil, fmt.Errorf("jobsvc: %w", s.err)
 	}
 	recs := make([]Record, len(s.jobs))
 	for i, jr := range s.jobs {
@@ -420,17 +337,22 @@ func (s *service) run() ([]Record, error) {
 	return recs, nil
 }
 
+// emit records one of the service's scheduling events (job-queued,
+// job-admitted, job-preempted, job-resumed, job-rejected) about jr.
+// Everything else in the stream is the engine's.
+func (s *service) emit(kind trace.EventKind, jr *jobRun, cause int, at float64) int {
+	return s.tr.Emit(trace.Event{Kind: kind, Job: jr.id(), Tenant: jr.tenant(), Cause: cause,
+		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: at})
+}
+
 // onArrival queues (or rejects) an arriving job and runs a schedule pass.
-func (s *service) onArrival(jr *jobRun, at float64) {
+func (s *service) onArrival(jr *jobRun) {
+	at := jr.job.Spec.Submit
 	jr.rec.Submitted = at
-	jr.queuedSeq = s.tr.Emit(trace.Event{Kind: trace.KindJobQueued, Job: jr.id(),
-		Tenant: jr.job.Spec.Tenant, Cause: s.lastQueuedSeq, Machine: trace.None,
-		Dst: trace.None, Part: trace.None, Time: at})
+	jr.queuedSeq = s.emit(trace.KindJobQueued, jr, s.lastQueuedSeq, at)
 	s.lastQueuedSeq = jr.queuedSeq
 	if s.cfg.QueueLimit > 0 && len(s.queued) >= s.cfg.QueueLimit {
-		s.tr.Emit(trace.Event{Kind: trace.KindJobRejected, Job: jr.id(),
-			Tenant: jr.job.Spec.Tenant, Cause: jr.queuedSeq, Machine: trace.None,
-			Dst: trace.None, Part: trace.None, Time: at})
+		s.emit(trace.KindJobRejected, jr, jr.queuedSeq, at)
 		jr.state = jsRejected
 		jr.rec.Rejected = true
 		return
@@ -439,8 +361,8 @@ func (s *service) onArrival(jr *jobRun, at float64) {
 	// Fair-share placement: a tenant's first live job starts its vruntime
 	// at the minimum over tenants with unfinished jobs, so newcomers
 	// neither monopolize (no zero debt to pay off) nor starve.
-	if _, known := s.vruntime[jr.job.Spec.Tenant]; !known {
-		s.vruntime[jr.job.Spec.Tenant] = s.minLiveVruntime()
+	if _, known := s.vruntime[jr.tenant()]; !known {
+		s.vruntime[jr.tenant()] = s.minLiveVruntime()
 	}
 	s.queued = append(s.queued, jr)
 	s.schedule(at, nil)
@@ -454,7 +376,7 @@ func (s *service) minLiveVruntime() float64 {
 		if jr.state == jsDone || jr.state == jsRejected {
 			continue
 		}
-		v, known := s.vruntime[jr.job.Spec.Tenant]
+		v, known := s.vruntime[jr.tenant()]
 		if !known {
 			continue
 		}
@@ -470,7 +392,7 @@ func (s *service) minLiveVruntime() float64 {
 func (s *service) rankLess(a, b *jobRun) bool {
 	switch s.cfg.Policy {
 	case Fair:
-		va, vb := s.vruntime[a.job.Spec.Tenant], s.vruntime[b.job.Spec.Tenant]
+		va, vb := s.vruntime[a.tenant()], s.vruntime[b.tenant()]
 		if va != vb {
 			return va < vb
 		}
@@ -503,7 +425,7 @@ func (s *service) schedule(now float64, barrier *jobRun) {
 	cands = append(cands, s.preempted...)
 	cands = append(cands, s.queued...)
 	sort.SliceStable(cands, func(i, j int) bool { return s.rankLess(cands[i], cands[j]) })
-	free := s.cfg.Concurrency - s.active
+	free := s.cfg.Concurrency - len(s.open)
 	if free > len(cands) {
 		free = len(cands)
 	}
@@ -512,39 +434,42 @@ func (s *service) schedule(now float64, barrier *jobRun) {
 	}
 	if barrier != nil && barrier.state == jsBarrier {
 		// The barrier job lost its slot: preempt at the barrier.
-		barrier.preemptSeq = s.tr.Emit(trace.Event{Kind: trace.KindJobPreempted,
-			Job: barrier.id(), Tenant: barrier.job.Spec.Tenant, Cause: barrier.nextCause,
-			Machine: trace.None, Dst: trace.None, Part: trace.None, Time: now})
+		barrier.preemptSeq = s.emit(trace.KindJobPreempted, barrier, barrier.nextCause, now)
 		barrier.state = jsPreempted
 		barrier.rec.Preemptions++
 		s.preempted = append(s.preempted, barrier)
 	}
 }
 
-// grant gives jr a run slot and starts its next stage.
+// grant gives jr a run slot and has the engine open its next stage.
 func (s *service) grant(jr *jobRun, now float64) {
 	switch jr.state {
 	case jsQueued:
 		s.queued = removeJob(s.queued, jr)
-		admitSeq := s.tr.Emit(trace.Event{Kind: trace.KindJobAdmitted, Job: jr.id(),
-			Tenant: jr.job.Spec.Tenant, Cause: jr.queuedSeq, Machine: trace.None,
-			Dst: trace.None, Part: trace.None, Time: now})
+		jr.nextCause = s.emit(trace.KindJobAdmitted, jr, jr.queuedSeq, now)
 		jr.rec.Admitted = now
-		jr.nextCause = admitSeq
 	case jsPreempted:
 		s.preempted = removeJob(s.preempted, jr)
-		resumeSeq := s.tr.Emit(trace.Event{Kind: trace.KindJobResumed, Job: jr.id(),
-			Tenant: jr.job.Spec.Tenant, Cause: jr.preemptSeq, Machine: trace.None,
-			Dst: trace.None, Part: trace.None, Time: now})
-		jr.nextCause = resumeSeq
+		jr.nextCause = s.emit(trace.KindJobResumed, jr, jr.preemptSeq, now)
 	case jsBarrier:
 		// Continuing at its own barrier; nextCause is the stage/job end.
 	default:
 		panic(fmt.Sprintf("jobsvc: granting job %q in state %d", jr.id(), jr.state))
 	}
 	jr.state = jsActive
-	s.active++
-	s.startStage(jr, now)
+	// The trace label is the spec ID plus the plan-job name, unique across
+	// tenants even when two jobs run the same app.
+	sr, err := s.eng.Open(engine.StageSpec{
+		Job: jr.curPlan(), Index: jr.stageIdx,
+		Label: jr.id() + "/" + jr.curPlan().Name, Tenant: jr.tenant(),
+		At: now, Cause: jr.nextCause, Metrics: &jr.metrics,
+		Place: func(t *engine.Task) (cluster.MachineID, error) { return s.place(t, now), nil },
+	})
+	if err != nil {
+		s.err = err
+		return
+	}
+	s.open[sr] = jr
 }
 
 func removeJob(list []*jobRun, jr *jobRun) []*jobRun {
@@ -556,230 +481,52 @@ func removeJob(list []*jobRun, jr *jobRun) []*jobRun {
 	panic("jobsvc: job missing from its scheduler list")
 }
 
-// startStage opens jr's next stage: emits begin markers, enqueues the
-// stage's tasks on their machines and launches what fits in the free slots.
-func (s *service) startStage(jr *jobRun, now float64) {
-	plan := jr.curPlan()
-	if jr.stageIdx == 0 {
-		jr.nextCause = s.tr.Emit(trace.Event{Kind: trace.KindJobBegin, Job: jr.execName(),
-			Tenant: jr.job.Spec.Tenant, Cause: jr.nextCause, Machine: trace.None,
-			Dst: trace.None, Part: trace.None, Time: now})
+// place keeps a task on its pinned machine unless elastic membership says
+// otherwise: a machine that is draining (or not yet joined) at this barrier
+// stops accepting new tasks, and its work is rerouted to the accepting
+// machine with the least pending work (queued + running, ties to the lowest
+// machine ID). Running tasks are untouched; barriers are the only points
+// where assignment decisions happen. When no machine accepts, the pin is
+// kept.
+func (s *service) place(t *engine.Task, now float64) cluster.MachineID {
+	if s.cfg.Faults.AcceptingAt(t.Machine, now) {
+		return t.Machine
 	}
-	stage := plan.Stages[jr.stageIdx]
-	beginSeq := s.tr.Emit(trace.Event{Kind: trace.KindStageBegin, Job: jr.execName(),
-		Stage: stage.Name, Tenant: jr.job.Spec.Tenant, Cause: jr.nextCause,
-		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: now})
-	jr.remaining = len(stage.Tasks)
-	jr.inflight = 0
-	jr.stageMach = 0
-	jr.stageEnd = now
-	jr.stageEndCause = beginSeq
-	jr.dispatchCause = beginSeq
-	touched := make([]cluster.MachineID, 0, len(stage.Tasks))
-	for _, t := range stage.Tasks {
-		m := t.Machine
-		// Elastic membership: a machine that is draining (or not yet
-		// joined) at this barrier stops accepting new tasks — its work is
-		// rerouted to the least-loaded accepting machine. Running tasks
-		// elsewhere in flight are untouched; barriers are the only points
-		// where assignment decisions happen.
-		if !s.faults.AcceptingAt(m, now) {
-			if rm, ok := s.rerouteTarget(now); ok {
-				m = rm
-			}
-		}
-		if len(s.queues[m]) == 0 {
-			touched = append(touched, m)
-		}
-		s.queues[m] = append(s.queues[m], &simTask{jr: jr, t: t})
-	}
-	// Machines in ID order for determinism (engine-equivalent); only ones
-	// this stage touched can have gained runnable work.
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
-	for _, m := range touched {
-		s.startNext(m, now, jr.dispatchCause)
-	}
-}
-
-// rerouteTarget picks the accepting machine with the least pending work
-// (queued + running), ties to the lowest machine ID — the deterministic
-// landing spot for tasks whose pinned machine is draining or not yet
-// joined. False when no machine accepts (the caller then keeps the pin).
-func (s *service) rerouteTarget(now float64) (cluster.MachineID, bool) {
-	best := cluster.MachineID(-1)
-	bestLoad := 0
+	best, bestLoad := t.Machine, -1
 	for i := 0; i < s.cfg.Topo.NumMachines(); i++ {
 		m := cluster.MachineID(i)
-		if !s.faults.AcceptingAt(m, now) {
+		if !s.cfg.Faults.AcceptingAt(m, now) {
 			continue
 		}
-		load := len(s.queues[m]) + s.running[m]
-		if best < 0 || load < bestLoad {
+		if load := s.eng.Load(m); bestLoad < 0 || load < bestLoad {
 			best, bestLoad = m, load
 		}
 	}
-	return best, best >= 0
+	return best
 }
 
-// startNext launches queued tasks on machine m until its slots fill or its
-// queue drains. The queue is shared across jobs: contention for task slots
-// is FIFO in enqueue order, whatever the owning job.
-func (s *service) startNext(m cluster.MachineID, now float64, cause int) {
-	for s.running[m] < s.cfg.SlotsPerMachine && len(s.queues[m]) > 0 {
-		st := s.queues[m][0]
-		s.queues[m] = s.queues[m][1:]
-		s.running[m]++
-		dur := s.taskDuration(st.t) * s.faults.SlowdownFactor(m, now)
-		startSeq := s.tr.Emit(trace.Event{Kind: trace.KindTaskStart, Job: st.jr.execName(),
-			Stage: st.jr.curStageName(), Name: st.t.Name, Tenant: st.jr.job.Spec.Tenant,
-			Cause: cause, Machine: int(m), Dst: trace.None, Part: int(st.t.Part),
-			Time: now, Start: now})
-		s.push(&event{at: now + dur, kind: evTaskDone, st: st, machine: m,
-			start: now, dur: dur, startSeq: startSeq})
-	}
-}
-
-func (jr *jobRun) curStageName() string { return jr.curPlan().Stages[jr.stageIdx].Name }
-
-func (s *service) taskDuration(t *engine.Task) float64 {
-	return t.Compute + float64(t.DiskRead+t.DiskWrite)/s.cfg.Topo.DiskBandwidth()
-}
-
-// noteStageEvent advances jr's barrier clock: the last event to move it is
-// the stage barrier's binding event, the stage-end's cause.
-func (s *service) noteStageEvent(jr *jobRun, at float64, seq int) {
-	if at > jr.stageEnd {
-		jr.stageEnd = at
-		jr.stageEndCause = seq
-	}
-}
-
-func (s *service) onTaskDone(e *event) {
-	st := e.st
-	jr := st.jr
-	t := st.t
-	jr.rec.MachineSeconds += e.dur
-	jr.rec.DiskBytes += t.DiskRead + t.DiskWrite
-	jr.rec.TasksRun++
-	jr.stageMach += e.dur
-	endSeq := s.tr.Emit(trace.Event{Kind: trace.KindTaskEnd, Job: jr.execName(),
-		Stage: jr.curStageName(), Name: t.Name, Tenant: jr.job.Spec.Tenant,
-		Cause: e.startSeq, Machine: int(e.machine), Dst: trace.None, Part: int(t.Part),
-		Time: e.at, Start: e.start, End: e.at})
-	s.running[e.machine]--
-	jr.remaining--
-	s.noteStageEvent(jr, e.at, endSeq)
-	// Launch output transfers toward next-stage task machines.
-	if len(t.Outputs) > 0 {
-		next := jr.curPlan().Stages[jr.stageIdx+1]
-		for _, out := range t.Outputs {
-			dst := next.Tasks[out.DstTask]
-			s.sendBytes(jr, e.machine, dst.Machine, out.Bytes, e.at, int(dst.Part), dst.Name, endSeq)
-		}
-	}
-	// The freed slot goes to the head of the shared machine queue —
-	// possibly another tenant's task.
-	s.startNext(e.machine, e.at, endSeq)
-	if s.err == nil && jr.remaining == 0 && jr.inflight == 0 {
-		s.finishStage(jr, e.at)
-	}
-}
-
-// sendBytes schedules a transfer, serializing on the shared egress/ingress
-// NIC free-times — where cross-job contention happens. Intra-machine moves
-// are free.
-func (s *service) sendBytes(jr *jobRun, src, dst cluster.MachineID, bytes int64, now float64, dstPart int, dstName string, cause int) {
-	if bytes <= 0 || src == dst {
-		return
-	}
-	jr.inflight++
-	s.dispatch(&pendingTransfer{jr: jr, src: src, dst: dst, bytes: bytes,
-		part: dstPart, dstName: dstName, cause: cause}, now)
-}
-
-// dispatch issues one attempt of a (possibly retried) transfer, with the
-// engine's fault semantics: a blackholed attempt holds both NICs until the
-// sender's timeout, then schedules a backoff retry.
-func (s *service) dispatch(ts *pendingTransfer, now float64) {
-	jr := ts.jr
-	egFree, inFree := s.egressFree[ts.src], s.ingressFree[ts.dst]
-	start := now
-	if egFree > start {
-		start = egFree
-	}
-	if inFree > start {
-		start = inFree
-	}
-	if s.faults.DropsTransfer(ts.src, ts.dst, start) {
-		detect := start + s.retry.Timeout
-		s.egressFree[ts.src] = detect
-		s.ingressFree[ts.dst] = detect
-		ts.attempt++
-		jr.rec.TransferDrops++
-		dropSeq := s.tr.Emit(trace.Event{Kind: trace.KindTransferDrop, Job: jr.execName(),
-			Stage: jr.curStageName(), Name: ts.dstName, Tenant: jr.job.Spec.Tenant,
-			Cause: ts.cause, Machine: int(ts.src), Dst: int(ts.dst), Part: ts.part,
-			Bytes: ts.bytes, Time: now, Start: start, End: detect, Attempt: ts.attempt})
-		if s.retry.MaxAttempts > 0 && ts.attempt >= s.retry.MaxAttempts {
-			s.err = fmt.Errorf("jobsvc: job %q transfer %d→%d (%d bytes) dropped %d times; retry budget exhausted",
-				jr.id(), ts.src, ts.dst, ts.bytes, ts.attempt)
-			return
-		}
-		s.noteStageEvent(jr, detect, dropSeq)
-		s.push(&event{at: detect + s.retry.BackoffAt(ts.attempt), kind: evTransferRetry,
-			transfer: ts, traceSeq: dropSeq})
-		return
-	}
-	factor := s.faults.LinkFactor(ts.src, ts.dst, start)
-	dur := float64(ts.bytes) * factor / s.cfg.Topo.Bandwidth(ts.src, ts.dst)
-	s.egressFree[ts.src] = start + dur
-	s.ingressFree[ts.dst] = start + dur
-	jr.rec.NetworkBytes += ts.bytes
-	seq := s.tr.Emit(trace.Event{Kind: trace.KindTransfer, Job: jr.execName(),
-		Stage: jr.curStageName(), Name: ts.dstName, Tenant: jr.job.Spec.Tenant,
-		Cause: ts.cause, Machine: int(ts.src), Dst: int(ts.dst), Part: ts.part, Bytes: ts.bytes,
-		Time: now, Start: start, End: start + dur, Stall: start - now,
-		Incast:  inFree > now && inFree >= egFree,
-		Attempt: ts.attempt, Degraded: factor > 1})
-	s.push(&event{at: start + dur, kind: evTransferDone, jr: jr, traceSeq: seq})
-}
-
-func (s *service) onTransferRetry(e *event) {
-	ts := e.transfer
-	jr := ts.jr
-	jr.rec.TransferRetries++
-	retrySeq := s.tr.Emit(trace.Event{Kind: trace.KindTransferRetry, Job: jr.execName(),
-		Stage: jr.curStageName(), Name: ts.dstName, Tenant: jr.job.Spec.Tenant,
-		Cause: e.traceSeq, Machine: int(ts.src), Dst: int(ts.dst), Part: ts.part,
-		Time: e.at, Attempt: ts.attempt})
-	s.noteStageEvent(jr, e.at, retrySeq)
-	ts.cause = retrySeq
-	s.dispatch(ts, e.at)
-}
-
-// finishStage closes jr's stage barrier, accrues fair-share vruntime,
-// releases the run slot and runs a schedule pass with jr competing to
-// continue (or completing the job).
-func (s *service) finishStage(jr *jobRun, now float64) {
-	plan := jr.curPlan()
-	stage := plan.Stages[jr.stageIdx]
-	endSeq := s.tr.Emit(trace.Event{Kind: trace.KindStageEnd, Job: jr.execName(),
-		Stage: stage.Name, Tenant: jr.job.Spec.Tenant, Cause: jr.stageEndCause,
-		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: jr.stageEnd})
-	s.active--
-	s.vruntime[jr.job.Spec.Tenant] += jr.stageMach
-	jr.nextCause = endSeq
+// finishStage reacts to a closed barrier: accrues fair-share vruntime,
+// releases the run slot and runs a schedule pass with the job competing to
+// continue (or completing it).
+func (s *service) finishStage(sr *engine.StageRun) {
+	jr := s.open[sr]
+	delete(s.open, sr)
+	now := sr.End()
+	s.vruntime[jr.tenant()] += sr.MachineSeconds()
+	jr.nextCause = sr.EndSeq()
 	jr.stageIdx++
-	if jr.stageIdx >= len(plan.Stages) {
-		jobEndSeq := s.tr.Emit(trace.Event{Kind: trace.KindJobEnd, Job: jr.execName(),
-			Tenant: jr.job.Spec.Tenant, Cause: endSeq, Machine: trace.None,
-			Dst: trace.None, Part: trace.None, Time: jr.stageEnd})
-		jr.nextCause = jobEndSeq
+	if jr.stageIdx >= len(jr.curPlan().Stages) {
 		jr.planIdx++
 		jr.stageIdx = 0
 		if jr.planIdx >= len(jr.job.Plan) {
 			jr.state = jsDone
-			jr.rec.Finished = jr.stageEnd
+			jr.rec.Finished = now
+			jr.rec.MachineSeconds = jr.metrics.MachineSeconds
+			jr.rec.NetworkBytes = jr.metrics.NetworkBytes
+			jr.rec.DiskBytes = jr.metrics.DiskBytes
+			jr.rec.TasksRun = jr.metrics.TasksRun
+			jr.rec.TransferDrops = jr.metrics.TransferDrops
+			jr.rec.TransferRetries = jr.metrics.TransferRetries
 			s.schedule(now, nil)
 			return
 		}

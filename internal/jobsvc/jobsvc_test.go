@@ -351,3 +351,58 @@ func TestRerouteKeepsPinWhenNothingAccepts(t *testing.T) {
 		t.Fatalf("pins not kept: %v", got)
 	}
 }
+
+// TestJoinNICCapSlowsTransfers: a join's NIC line rate caps every transfer
+// touching the joined machine, in the service as in the engine — one
+// dispatch, one cost model for a link. (The service's own loop ignored the
+// cap: surfer-submit -faults accepted "nics" and charged the full link.)
+func TestJoinNICCapSlowsTransfers(t *testing.T) {
+	topo := cluster.NewT1(4)
+	const bytes = 1 << 20
+	producer := func(m cluster.MachineID) *engine.Task {
+		return &engine.Task{Name: fmt.Sprintf("p%d", m), Part: engine.NoPart, Machine: m, Compute: 1,
+			Outputs: []engine.Output{{DstTask: 0, Bytes: bytes}, {DstTask: 1, Bytes: bytes}}}
+	}
+	job := Job{
+		Spec: JobSpec{ID: "j", Tenant: "t"},
+		Plan: []*engine.Job{{Name: "j", Stages: []*engine.Stage{
+			{Name: "produce", Tasks: []*engine.Task{producer(0), producer(1)}},
+			{Name: "consume", Tasks: []*engine.Task{
+				{Name: "c2", Part: engine.NoPart, Machine: 2, Compute: 1},
+				{Name: "c3", Part: engine.NoPart, Machine: 3, Compute: 1},
+			}},
+		}}},
+	}
+	link := topo.Bandwidth(0, 3)
+	capped := link / 4
+	finished := make(map[float64]float64)
+	for _, nics := range []float64{0, capped} {
+		sched := &fault.Schedule{Joins: []fault.MachineJoin{{Machine: 3, At: 0, NICs: nics}}}
+		rec := trace.NewRecorder()
+		recs, err := Run(Config{Topo: topo, Policy: FIFO, Trace: rec, Faults: sched}, []Job{job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		finished[nics] = recs[0].Finished
+		transfers := 0
+		for _, ev := range rec.Events() {
+			if ev.Kind != trace.KindTransfer {
+				continue
+			}
+			transfers++
+			want := bytes / link
+			if ev.Dst == 3 && nics > 0 {
+				want = bytes / nics
+			}
+			if got := ev.End - ev.Start; math.Abs(got-want) > 1e-12*want {
+				t.Errorf("nics=%g: transfer %d→%d lasted %g s, want %g", nics, ev.Machine, ev.Dst, got, want)
+			}
+		}
+		if transfers != 4 {
+			t.Fatalf("nics=%g: %d transfers, want 4", nics, transfers)
+		}
+	}
+	if finished[capped] <= finished[0] {
+		t.Fatalf("capped join finished at %g, uncapped at %g: the cap changed nothing", finished[capped], finished[0])
+	}
+}
