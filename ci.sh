@@ -65,8 +65,9 @@ go test -race ./internal/metrics
 # Partitioner gate: the bisection kernel's differential tests (contract,
 # refine and GGGP against their sort-based / recompute / full-scan
 # references), the work-graph invariants, the allocation pin and the 4k rows
-# of the digest golden, under the race detector; the 65k rows run in the full
-# suite below.
+# of the digest golden — assignment, sketch leaves, placement, and the
+# cost-model steps with their modelled time (the *Steps rows) — under the race
+# detector; the 65k rows run in the full suite below.
 go test -race -short ./internal/partition
 # Propagation gate: the two pool phases (transfer, then destination-owned
 # gather + combine) at 1, 2 and 8 workers against the plan-digest golden

@@ -23,8 +23,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/partition"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -96,11 +94,6 @@ func main() {
 		log.Fatalf("unknown app %q (want vdd, rs, nr, rlg, tc or tfl)", *appName)
 	}
 
-	pt, sk := partition.RecursiveBisect(g, *levels, partition.Options{Seed: *seed})
-	pg, err := storage.Build(g, pt)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var rec *trace.Recorder
 	if *traceOut != "" || *eventsOut != "" || *metricsOut != "" {
 		rec = trace.NewRecorder()
@@ -130,14 +123,8 @@ func main() {
 		Seed: *seed, Workers: *workers, Trace: rec,
 		Failures: failures, Heartbeat: *heartbeat, Faults: faults,
 	}
-	placeBA := partition.SketchPlacement(sk, topo)
-	d := &bench.Deployment{
-		Scale: s, Graph: g, PG: pg, Sk: sk, Topo: topo,
-		PlacePM:  partition.RandomPlacement(pt.P, topo, *seed),
-		PlaceBA:  placeBA,
-		Replicas: storage.PlaceReplicas(placeBA, topo, *seed),
-	}
-	if err := engine.ValidateFailures(failures, topo, d.Replicas); err != nil {
+	d, err := bench.NewDeploymentFor(s, topo, g)
+	if err != nil {
 		log.Fatal(err)
 	}
 

@@ -99,6 +99,10 @@ func TestFaultFiles(t *testing.T) {
 }
 
 func TestBadInvocations(t *testing.T) {
+	jobs := filepath.Join(t.TempDir(), "jobs.json")
+	if code, _, stderr := invoke("-gen", "2", "-seed", "7", "-out", jobs); code != 0 {
+		t.Fatalf("-gen: exit %d: %s", code, stderr)
+	}
 	for _, tc := range []struct {
 		args []string
 		code int
@@ -108,6 +112,10 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-jobs", "/nonexistent/jobs.json"}, 1, "no such file"},
 		{[]string{"-jobs", "x", "-policy", "lifo"}, 1, `unknown policy "lifo"`},
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-submit"},
+		// 2^levels must be a partition count of the 512-vertex graph.
+		{replayArgs(jobs, "-levels", "-1"), 1, "Levels = -1"},
+		{replayArgs(jobs, "-levels", "31"), 1, "Levels = 31"},
+		{replayArgs(jobs, "-levels", "12"), 1, "Levels = 12"},
 	} {
 		code, _, stderr := invoke(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.want) {

@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// TestNewDeploymentForRejectsBadLevels: deployments are assembled by
+// core.Build, so its Levels check reaches every tool built on them.
+func TestNewDeploymentForRejectsBadLevels(t *testing.T) {
+	s := Scale{Vertices: 1024, Machines: 8, Seed: 42}
+	g := s.MakeGraph()
+	for _, levels := range []int{-1, 31, 12} {
+		s.Levels = levels
+		_, err := NewDeploymentFor(s, s.Topologies()[0], g)
+		if err == nil || !strings.Contains(err.Error(), "Levels") {
+			t.Errorf("levels %d on 1024 vertices: err = %v, want one naming Levels", levels, err)
+		}
+	}
+}
+
 func TestTable1Shapes(t *testing.T) {
 	rows, err := Table1(TestScale())
 	if err != nil {

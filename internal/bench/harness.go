@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -108,7 +109,6 @@ type Deployment struct {
 	Scale Scale
 	Graph *graph.Graph
 	PG    *storage.PartitionedGraph
-	Sk    *partition.Sketch
 	Topo  *cluster.Topology
 	// PlacePM is the bandwidth-oblivious (random) placement; PlaceBA the
 	// sketch-guided one.
@@ -128,31 +128,26 @@ func NewDeployment(s Scale, topo *cluster.Topology) (*Deployment, error) {
 }
 
 // NewDeploymentFor is NewDeployment with a caller-provided graph (so sweeps
-// can reuse one partitioning across topologies).
+// can reuse one partitioning across topologies). The deployment is core's
+// bandwidth-aware system plus the random placement the O1/O3 levels and
+// MapReduce run on.
 func NewDeploymentFor(s Scale, topo *cluster.Topology, g *graph.Graph) (*Deployment, error) {
-	pt, sk := partition.RecursiveBisect(g, s.Levels, partition.Options{Seed: s.Seed})
-	pg, err := storage.Build(g, pt)
+	sys, err := core.Build(core.Config{
+		Graph: g, Topology: topo, Levels: s.Levels, Seed: s.Seed,
+		Failures: s.Failures, Faults: s.Faults,
+	})
 	if err != nil {
 		return nil, err
 	}
-	placeBA := partition.SketchPlacement(sk, topo)
-	d := &Deployment{
+	return &Deployment{
 		Scale:    s,
 		Graph:    g,
-		PG:       pg,
-		Sk:       sk,
+		PG:       sys.PG,
 		Topo:     topo,
-		PlacePM:  partition.RandomPlacement(pt.P, topo, s.Seed),
-		PlaceBA:  placeBA,
-		Replicas: storage.PlaceReplicas(placeBA, topo, s.Seed),
-	}
-	if err := engine.ValidateFailures(s.Failures, topo, d.Replicas); err != nil {
-		return nil, err
-	}
-	if err := s.Faults.Validate(topo.NumMachines()); err != nil {
-		return nil, err
-	}
-	return d, nil
+		PlacePM:  partition.RandomPlacement(sys.PG.Part.P, topo, s.Seed),
+		PlaceBA:  sys.Placement,
+		Replicas: sys.Replicas,
+	}, nil
 }
 
 // Placement returns the placement an optimization level uses.

@@ -8,11 +8,10 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/partition"
 	"repro/internal/propagation"
-	"repro/internal/storage"
 )
 
 // The parallel benchmark measures what the simulator's virtual clock cannot:
@@ -96,13 +95,12 @@ func ParallelBench(cfg ParallelConfig) (*ParallelResult, error) {
 			parWorkers, runtime.GOMAXPROCS(0))
 	}
 	g := graph.RMAT(graph.DefaultRMAT(cfg.Scale, cfg.EdgeFactor, cfg.Seed))
-	pt, sk := partition.RecursiveBisect(g, cfg.Levels, partition.Options{Seed: cfg.Seed})
-	pg, err := storage.Build(g, pt)
+	topo := cluster.NewT1(cfg.Machines)
+	sys, err := core.Build(core.Config{Graph: g, Topology: topo, Levels: cfg.Levels, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	topo := cluster.NewT1(cfg.Machines)
-	pl := partition.SketchPlacement(sk, topo)
+	pg, pl := sys.PG, sys.Placement
 	app := apps.NewNR(cfg.Iterations)
 	opt := propagation.Options{LocalPropagation: true, LocalCombination: true}
 
@@ -163,7 +161,7 @@ func ParallelBench(cfg ParallelConfig) (*ParallelResult, error) {
 		App:        "NR (PageRank)",
 		Vertices:   g.NumVertices(),
 		Edges:      g.NumEdges(),
-		Partitions: pt.P,
+		Partitions: pg.Part.P,
 		Iterations: cfg.Iterations,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Serial:     serial,

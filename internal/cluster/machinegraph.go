@@ -21,8 +21,9 @@ func NewMachineGraph(t *Topology) *MachineGraph {
 	return &MachineGraph{machines: ms, topo: t}
 }
 
-// subgraph returns a machine graph restricted to the given machines.
-func (mg *MachineGraph) subgraph(ms []MachineID) *MachineGraph {
+// Subgraph returns a machine graph restricted to the given machines, which
+// it keeps without copying.
+func (mg *MachineGraph) Subgraph(ms []MachineID) *MachineGraph {
 	return &MachineGraph{machines: ms, topo: mg.topo}
 }
 
@@ -130,7 +131,7 @@ func (mg *MachineGraph) Bisect() (*MachineGraph, *MachineGraph) {
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
 	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	return mg.subgraph(as), mg.subgraph(bs)
+	return mg.Subgraph(as), mg.Subgraph(bs)
 }
 
 // swapGain computes the reduction in cut bandwidth from swapping a (in A)

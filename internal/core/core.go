@@ -120,33 +120,24 @@ func Build(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: Config.Levels = %d out of range: 2^Levels partitions need 0 <= Levels <= 30 and at most the graph's %d vertices", levels, n)
 	}
 	sys := &System{Graph: cfg.Graph, Topology: cfg.Topology, cfg: cfg}
+	var pt *partition.Partitioning
 	switch cfg.Strategy {
-	case StrategyBandwidthAware:
-		res := partition.BandwidthAware(cfg.Graph, cfg.Topology, levels, partition.Options{Seed: cfg.Seed})
-		sys.Sketch, sys.Placement, sys.Steps = res.Sketch, res.Placement, res.Steps
-		pg, err := storage.Build(cfg.Graph, res.Partitioning)
-		if err != nil {
-			return nil, err
+	case StrategyBandwidthAware, StrategyParMetis:
+		run := partition.BandwidthAware
+		if cfg.Strategy == StrategyParMetis {
+			run = partition.ParMetisLike
 		}
-		sys.PG = pg
-	case StrategyParMetis:
-		res := partition.ParMetisLike(cfg.Graph, cfg.Topology, levels, partition.Options{Seed: cfg.Seed})
-		sys.Sketch, sys.Placement, sys.Steps = res.Sketch, res.Placement, res.Steps
-		pg, err := storage.Build(cfg.Graph, res.Partitioning)
-		if err != nil {
-			return nil, err
-		}
-		sys.PG = pg
+		res := run(cfg.Graph, cfg.Topology, levels, partition.Options{Seed: cfg.Seed})
+		pt, sys.Sketch, sys.Placement, sys.Steps = res.Partitioning, res.Sketch, res.Placement, res.Steps
 	case StrategyRandom:
-		pt := partition.Random(cfg.Graph, 1<<levels, cfg.Seed)
-		pg, err := storage.Build(cfg.Graph, pt)
-		if err != nil {
-			return nil, err
-		}
-		sys.PG = pg
+		pt = partition.Random(cfg.Graph, 1<<levels, cfg.Seed)
 		sys.Placement = partition.RandomPlacement(pt.P, cfg.Topology, cfg.Seed)
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
+	}
+	var err error
+	if sys.PG, err = storage.Build(cfg.Graph, pt); err != nil {
+		return nil, err
 	}
 	if err := sys.Placement.Validate(cfg.Topology); err != nil {
 		return nil, err

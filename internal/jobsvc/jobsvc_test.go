@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/analyze"
@@ -219,6 +220,20 @@ func TestPlanPurity(t *testing.T) {
 	after := fmt.Sprintf("%+v", jobs[0].Plan[0].Stages[0].Tasks[0])
 	if before != after {
 		t.Fatalf("plan mutated by execution:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestNewPlannerRejectsBadLevels: the planner's deployment is core.Build's,
+// so a level count that is negative, past the 32-bit partition IDs or larger
+// than the graph is an error naming Levels — not a panic, a hang or a silent
+// run on empty partitions.
+func TestNewPlannerRejectsBadLevels(t *testing.T) {
+	g := graph.Social(graph.DefaultSocial(1024, 7))
+	for _, levels := range []int{-1, 31, 12} {
+		_, err := NewPlanner(PlannerConfig{Graph: g, Topo: testTopo(), Levels: levels, Seed: 7, Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), "Levels") {
+			t.Errorf("levels %d on 1024 vertices: err = %v, want one naming Levels", levels, err)
+		}
 	}
 }
 

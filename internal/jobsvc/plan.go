@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -42,19 +43,17 @@ type Planner struct {
 	cache map[string][]*engine.Job
 }
 
-// NewPlanner partitions the graph and places it on the topology.
+// NewPlanner partitions the graph and places it on the topology, as
+// core.Build does (which also rejects a missing graph or topology and a bad
+// Levels).
 func NewPlanner(cfg PlannerConfig) (*Planner, error) {
-	if cfg.Graph == nil || cfg.Topo == nil {
-		return nil, fmt.Errorf("jobsvc: planner needs a graph and a topology")
-	}
-	pt, sk := partition.RecursiveBisect(cfg.Graph, cfg.Levels, partition.Options{Seed: cfg.Seed})
-	pg, err := storage.Build(cfg.Graph, pt)
+	sys, err := core.Build(core.Config{Graph: cfg.Graph, Topology: cfg.Topo, Levels: cfg.Levels, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
 	return &Planner{
-		pg:    pg,
-		pl:    partition.SketchPlacement(sk, cfg.Topo),
+		pg:    sys.PG,
+		pl:    sys.Placement,
 		pool:  engine.NewPool(cfg.Workers),
 		opt:   propagation.Options{LocalPropagation: true, LocalCombination: true},
 		cache: make(map[string][]*engine.Job),

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/graph"
 )
 
@@ -12,7 +13,7 @@ import (
 // benchmarks run one phase on the root work graph of the 65k social graph;
 // BenchmarkRecursiveBisect runs the whole partitioner at the sizes of the
 // benchmark/ workloads and of the scale trajectory (1M is skipped under
-// -short). ci.sh runs them all once, with -short; EXPERIMENTS.md reads the
+// -short), BenchmarkBandwidthAware adds the machine side to its 65k row. ci.sh runs them all once, with -short; EXPERIMENTS.md reads the
 // per-phase table off their CPU profiles.
 
 var benchGraphs = map[int]*graph.Graph{} // by vertex count
@@ -47,6 +48,21 @@ func BenchmarkRecursiveBisect(b *testing.B) {
 				benchSink += pt.P
 			}
 		})
+	}
+}
+
+// BenchmarkBandwidthAware is the 65k row of BenchmarkRecursiveBisect plus the
+// machine side — the sketch walk on T2(32,4) and the one-pass node sizes its
+// steps need — so the difference of the two is what placement and steps cost
+// over bare bisection.
+func BenchmarkBandwidthAware(b *testing.B) {
+	g := benchSocial(1 << 16)
+	topo := cluster.NewT2(cluster.T2Config{Machines: 32, Pods: 4, Levels: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := BandwidthAware(g, topo, 6, Options{Seed: 42})
+		benchSink += len(res.Steps)
 	}
 }
 

@@ -56,27 +56,19 @@ func DefaultCostModel() CostModel {
 // selects the bandwidth-oblivious staging penalty (true for ParMetisLike
 // results, false for BandwidthAware ones).
 func (cm CostModel) PartitioningTime(res *Result, topo *cluster.Topology, staged bool) float64 {
-	// Group steps by depth; each level's elapsed time is the max over its
-	// nodes (disjoint machine sets run in parallel).
-	byDepth := map[int][]BisectStep{}
-	maxDepth := 0
-	for _, s := range res.Steps {
-		byDepth[s.Depth] = append(byDepth[s.Depth], s)
-		if s.Depth > maxDepth {
-			maxDepth = s.Depth
-		}
-	}
+	// Each level's elapsed time is the max over its nodes (disjoint machine
+	// sets run in parallel); levels run one after the other.
 	avgRandom := averagePairBandwidth(topo)
-	var total float64
-	for d := 0; d <= maxDepth; d++ {
-		var levelMax float64
-		for _, s := range byDepth[d] {
-			t := cm.stepTime(s, topo, staged, avgRandom)
-			if t > levelMax {
-				levelMax = t
-			}
+	var levelMax []float64
+	for _, s := range res.Steps {
+		for len(levelMax) <= s.Depth {
+			levelMax = append(levelMax, 0)
 		}
-		total += levelMax
+		levelMax[s.Depth] = max(levelMax[s.Depth], cm.stepTime(s, topo, staged, avgRandom))
+	}
+	var total float64
+	for _, t := range levelMax {
+		total += t
 	}
 	return total
 }

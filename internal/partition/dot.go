@@ -20,11 +20,12 @@ func (s *Sketch) WriteDOT(w io.Writer, g *graph.Graph, pl *Placement) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
+	vertices, edges := s.nodeSizes(g)
 	p("digraph sketch {\n")
 	p("  rankdir=TB;\n  node [shape=box, fontsize=10];\n")
 	for d := 0; d <= s.levels; d++ {
 		for idx := 0; idx < 1<<d; idx++ {
-			label := fmt.Sprintf("L%d.%d\\n%d vertices", d, idx, len(s.Node(d, idx)))
+			label := fmt.Sprintf("L%d.%d\\n%d vertices", d, idx, vertices[1<<d+idx])
 			if d == s.levels && pl != nil && idx < len(pl.MachineOf) {
 				label += fmt.Sprintf("\\nmachine %d", pl.MachineOf[idx])
 			}
@@ -34,10 +35,12 @@ func (s *Sketch) WriteDOT(w io.Writer, g *graph.Graph, pl *Placement) error {
 			}
 		}
 	}
-	// Sibling cross-edge annotations at the leaf level.
+	// Sibling cross-edge annotations at the leaf level: the edges inside
+	// the parent that are inside neither leaf.
 	if g != nil {
 		for idx := 0; idx+1 < 1<<s.levels; idx += 2 {
-			c := s.CrossEdges(g, s.levels, idx, idx+1)
+			k := (1<<s.levels + idx) / 2
+			c := edges[k] - edges[2*k] - edges[2*k+1]
 			p("  n%d_%d -> n%d_%d [style=dashed, dir=none, label=\"%d cross\"];\n",
 				s.levels, idx, s.levels, idx+1, c)
 		}

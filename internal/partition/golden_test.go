@@ -43,11 +43,48 @@ func digestResult(pt *Partitioning, sk *Sketch, pl *Placement) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// digestSteps hashes the cost-model steps Table 1 is computed from — depth,
+// subgraph size, machine set in order, locality — and appends the modelled
+// elapsed time of exactly those steps. Only steps with Depth < levels count:
+// a leaf is not bisected, so a step recorded there is not part of the
+// contract.
+func digestSteps(res *Result, topo *cluster.Topology, staged bool) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	var steps []BisectStep
+	for _, s := range res.Steps {
+		if s.Depth >= res.Sketch.Levels() {
+			continue
+		}
+		steps = append(steps, s)
+		put(uint64(s.Depth))
+		put(uint64(s.DataVertices))
+		put(uint64(s.DataEdges))
+		put(uint64(len(s.Machines)))
+		for _, m := range s.Machines {
+			put(uint64(m))
+		}
+		if s.Local {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	secs := DefaultCostModel().PartitioningTime(&Result{Steps: steps}, topo, staged)
+	return fmt.Sprintf("%x %.9g", h.Sum(nil), secs)
+}
+
 // TestPartitionDigestsGolden pins the three partitioners bit for bit: the
 // golden was recorded with the sort-based contraction and the
 // recompute-every-gain refinement, so a kernel rewrite that changes a single
-// assignment, sketch leaf or placement fails here. The 65k rows are skipped
-// under -short.
+// assignment, sketch leaf or placement fails here. The *Steps rows (recorded
+// on the two-recursion code, before BandwidthAware became RecursiveBisect plus
+// a sketch walk) pin the cost-model steps and their modelled time the same
+// way. The 65k rows are skipped under -short.
 func TestPartitionDigestsGolden(t *testing.T) {
 	const path = "testdata/partition_digests.golden"
 	sizes := []struct{ n, levels int }{{4096, 4}, {65536, 6}}
@@ -64,8 +101,10 @@ func TestPartitionDigestsGolden(t *testing.T) {
 			fmt.Fprintf(&got, "RecursiveBisect %d %d %s\n", sz.n, seed, digestResult(pt, sk, nil))
 			ba := BandwidthAware(g, topo, sz.levels, opt)
 			fmt.Fprintf(&got, "BandwidthAware %d %d %s\n", sz.n, seed, digestResult(ba.Partitioning, ba.Sketch, ba.Placement))
+			fmt.Fprintf(&got, "BandwidthAwareSteps %d %d %s\n", sz.n, seed, digestSteps(ba, topo, false))
 			pm := ParMetisLike(g, topo, sz.levels, opt)
 			fmt.Fprintf(&got, "ParMetisLike %d %d %s\n", sz.n, seed, digestResult(pm.Partitioning, pm.Sketch, pm.Placement))
+			fmt.Fprintf(&got, "ParMetisLikeSteps %d %d %s\n", sz.n, seed, digestSteps(pm, topo, true))
 		}
 	}
 	// Shapes the social generator does not produce: a power-law graph, a

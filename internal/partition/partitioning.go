@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 
@@ -65,9 +66,9 @@ type Options struct {
 
 // RecursiveBisect partitions g into P = 2^levels partitions with multilevel
 // recursive bisection on the undirected view of g, and returns both the
-// partitioning and its partition sketch. This is the pure partitioning
-// kernel; machine placement is layered on top by BandwidthAware and
-// ParMetisLike.
+// partitioning and its partition sketch. It is the only recursion over the
+// data graph; machine placement is layered on top of its sketch by
+// BandwidthAware, ParMetisLike and SketchPlacement.
 func RecursiveBisect(g *graph.Graph, levels int, opt Options) (*Partitioning, *Sketch) {
 	if levels < 0 {
 		panic("partition: negative level count")
@@ -80,26 +81,23 @@ func RecursiveBisect(g *graph.Graph, levels int, opt Options) (*Partitioning, *S
 	}
 	pt := &Partitioning{Assign: make([]PartID, n), P: 1 << levels}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	sk := newSketch(levels)
-	bisectRecursive(und, all, 0, levels, 0, pt, sk, rng, newWScratch(n))
-	return pt, sk
-}
-
-// bisectRecursive splits subset into 2^(levels-depth) partitions, assigning
-// partition IDs so that the sketch leaf order matches partition order.
-// node is the sketch node index covering subset.
-func bisectRecursive(und *graph.Graph, subset []graph.VertexID, depth, levels int, firstPart PartID, pt *Partitioning, sk *Sketch, rng *rand.Rand, sc *wscratch) {
-	sk.setNode(depth, int(firstPart)>>(levels-depth), subset)
-	if depth == levels {
-		for _, v := range subset {
-			pt.Assign[v] = firstPart
+	sc := newWScratch(n)
+	// divide gives subset the 2^left partition IDs from first, left to
+	// right, so that sketch leaf order is partition order.
+	var divide func(subset []graph.VertexID, left int, first PartID)
+	divide = func(subset []graph.VertexID, left int, first PartID) {
+		if left == 0 {
+			for _, v := range subset {
+				pt.Assign[v] = first
+			}
+			return
 		}
-		return
+		l, r := bisectSubset(und, subset, rng, sc)
+		divide(l, left-1, first)
+		divide(r, left-1, first+1<<(left-1))
 	}
-	left, right := bisectSubset(und, subset, rng, sc)
-	half := 1 << (levels - depth - 1)
-	bisectRecursive(und, left, depth+1, levels, firstPart, pt, sk, rng, sc)
-	bisectRecursive(und, right, depth+1, levels, firstPart+PartID(half), pt, sk, rng, sc)
+	divide(all, levels, 0)
+	return pt, &Sketch{levels: levels, assign: pt.Assign}
 }
 
 // bisectSubset bisects the subgraph of und induced by subset and returns the
@@ -107,22 +105,12 @@ func bisectRecursive(und *graph.Graph, subset []graph.VertexID, depth, levels in
 func bisectSubset(und *graph.Graph, subset []graph.VertexID, rng *rand.Rand, sc *wscratch) (left, right []graph.VertexID) {
 	w := newWorkGraph(und, subset, sc)
 	side := bisectWork(&w, rng, sc)
-	zeros := 0
-	for _, s := range side {
-		if s == 0 {
-			zeros++
-		}
-	}
+	zeros := bytes.Count(side, []byte{0})
 	out := make([]graph.VertexID, len(subset))
-	l, r := 0, zeros
+	next := [2]int{0, zeros} // where the next vertex of each side goes
 	for i, s := range side {
-		if s == 0 {
-			out[l] = subset[i]
-			l++
-		} else {
-			out[r] = subset[i]
-			r++
-		}
+		out[next[s]] = subset[i]
+		next[s]++
 	}
 	return out[:zeros:zeros], out[zeros:]
 }

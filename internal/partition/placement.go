@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -55,124 +56,73 @@ type Result struct {
 // finally store) the corresponding data-graph half. The resulting placement
 // realizes the three design principles P1–P3 of §4.1: sibling partitions in
 // the sketch (many mutual cross edges, by proximity) land on machine sets
-// with high mutual bandwidth.
+// with high mutual bandwidth. Bisecting a machine set draws no randomness, so
+// the lockstep recursion is RecursiveBisect followed by a walk of its sketch.
 func BandwidthAware(g *graph.Graph, topo *cluster.Topology, levels int, opt Options) *Result {
-	und := g.Undirected()
-	n := g.NumVertices()
-	all := make([]graph.VertexID, n)
-	for i := range all {
-		all[i] = graph.VertexID(i)
-	}
-	res := &Result{
-		Partitioning: &Partitioning{Assign: make([]PartID, n), P: 1 << levels},
-		Sketch:       newSketch(levels),
-		Placement:    &Placement{MachineOf: make([]cluster.MachineID, 1<<levels)},
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	mg := cluster.NewMachineGraph(topo)
-	baPart(und, g, all, mg, 0, levels, 0, res, rng, newWScratch(n))
-	return res
-}
-
-// baPart is the recursive BAPart(M, G, l) of Algorithm 4.
-func baPart(und, g *graph.Graph, subset []graph.VertexID, mg *cluster.MachineGraph, depth, levels int, firstPart PartID, res *Result, rng *rand.Rand, sc *wscratch) {
-	res.Sketch.setNode(depth, int(firstPart)>>(levels-depth), subset)
-	if depth == levels {
-		// Algorithm 4 line 7-9: undividable data partition; store it on
-		// the best-connected machine of the remaining machine set.
-		m := mg.BestConnected()
-		for _, v := range subset {
-			res.Partitioning.Assign[v] = firstPart
-		}
-		res.Placement.MachineOf[firstPart] = m
-		return
-	}
-	if mg.Size() == 1 {
-		// Algorithm 4 line 2-5: a single machine divides the rest of the
-		// way locally and stores all resulting partitions.
-		m := mg.Machines()[0]
-		res.Steps = append(res.Steps, BisectStep{
-			Depth: depth, DataVertices: len(subset),
-			DataEdges: countSubsetEdges(g, subset),
-			Machines:  mg.Machines(), Local: true,
-		})
-		localBisect(und, g, subset, depth, levels, firstPart, m, res, rng, sc)
-		return
-	}
-
-	// Bisect the data graph with the machines in M (cost recorded), and
-	// the machine graph with the local algorithm.
-	res.Steps = append(res.Steps, BisectStep{
-		Depth: depth, DataVertices: len(subset),
-		DataEdges: countSubsetEdges(g, subset),
-		Machines:  mg.Machines(),
-	})
-	left, right := bisectSubset(und, subset, rng, sc)
-	m1, m2 := mg.Bisect()
-	half := PartID(1 << (levels - depth - 1))
-	baPart(und, g, left, m1, depth+1, levels, firstPart, res, rng, sc)
-	baPart(und, g, right, m2, depth+1, levels, firstPart+half, res, rng, sc)
-}
-
-// localBisect finishes the recursion on a single machine: it keeps bisecting
-// the data graph (recording sketch nodes) and maps every leaf to machine m.
-func localBisect(und, g *graph.Graph, subset []graph.VertexID, depth, levels int, firstPart PartID, m cluster.MachineID, res *Result, rng *rand.Rand, sc *wscratch) {
-	res.Sketch.setNode(depth, int(firstPart)>>(levels-depth), subset)
-	if depth == levels {
-		for _, v := range subset {
-			res.Partitioning.Assign[v] = firstPart
-		}
-		res.Placement.MachineOf[firstPart] = m
-		return
-	}
-	left, right := bisectSubset(und, subset, rng, sc)
-	half := PartID(1 << (levels - depth - 1))
-	localBisect(und, g, left, depth+1, levels, firstPart, m, res, rng, sc)
-	localBisect(und, g, right, depth+1, levels, firstPart+half, m, res, rng, sc)
+	pt, sk := RecursiveBisect(g, levels, opt)
+	pl, steps := sk.walk(g, topo, (*cluster.MachineGraph).Bisect)
+	return &Result{Partitioning: pt, Sketch: sk, Placement: pl, Steps: steps}
 }
 
 // ParMetisLike runs the same multilevel recursive bisection on the data
-// graph but is oblivious to network bandwidth: at every recursion step it
-// picks a *random* machine subset to process each half, and stores each
-// final partition on a random machine of the subset that produced it — the
-// baseline behaviour the paper attributes to ParMetis on cloud clusters
-// ("randomly chooses the available machine for processing", §6.2).
+// graph but is oblivious to network bandwidth: at every recursion step a
+// *random* half of the machine set processes each half of the data, and the
+// final partitions are stored by an independent balanced RandomPlacement
+// (seeded Seed+1), not on the machines that produced them — the baseline
+// behaviour the paper attributes to ParMetis on cloud clusters ("randomly
+// chooses the available machine for processing", §6.2).
 func ParMetisLike(g *graph.Graph, topo *cluster.Topology, levels int, opt Options) *Result {
 	pt, sk := RecursiveBisect(g, levels, opt)
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	res := &Result{Partitioning: pt, Sketch: sk, Placement: RandomPlacement(pt.P, topo, opt.Seed+1)}
-
-	// Cost-model steps: the recursion assigns random machine subsets of
-	// the same sizes the bandwidth-aware version would use.
-	all := make([]cluster.MachineID, topo.NumMachines())
-	for i := range all {
-		all[i] = cluster.MachineID(i)
-	}
-	var walk func(depth, index int, machines []cluster.MachineID)
-	walk = func(depth, index int, machines []cluster.MachineID) {
-		subset := sk.Node(depth, index)
-		if len(subset) == 0 {
-			return
-		}
-		local := len(machines) == 1
-		res.Steps = append(res.Steps, BisectStep{
-			Depth: depth, DataVertices: len(subset),
-			DataEdges: countSubsetEdges(g, subset),
-			Machines:  machines, Local: local,
-		})
-		if depth+1 > sk.Levels() || local {
-			return
-		}
-		// Split the machine set randomly in half (bandwidth-oblivious).
-		shuffled := make([]cluster.MachineID, len(machines))
-		copy(shuffled, machines)
+	pl := RandomPlacement(pt.P, topo, opt.Seed+1)
+	_, steps := sk.walk(g, topo, func(mg *cluster.MachineGraph) (a, b *cluster.MachineGraph) {
+		shuffled := slices.Clone(mg.Machines())
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		h := len(shuffled) / 2
-		walk(depth+1, 2*index, shuffled[:h])
-		walk(depth+1, 2*index+1, shuffled[h:])
+		return mg.Subgraph(shuffled[:h]), mg.Subgraph(shuffled[h:])
+	})
+	return &Result{Partitioning: pt, Sketch: sk, Placement: pl, Steps: steps}
+}
+
+// walk is the machine side of Algorithm 4 (BAPart), run over a finished
+// sketch: it descends the tree with the topology's machine set at the root
+// and, at every bisection of the data graph, the halves split makes of it.
+// It returns where each leaf is stored and one BisectStep per bisection
+// performed — sized by nodeSizes, so without edge counts when g is nil — for
+// the cost model.
+func (s *Sketch) walk(g *graph.Graph, topo *cluster.Topology, split func(*cluster.MachineGraph) (a, b *cluster.MachineGraph)) (*Placement, []BisectStep) {
+	pl := &Placement{MachineOf: make([]cluster.MachineID, s.NumPartitions())}
+	vertices, edges := s.nodeSizes(g)
+	var steps []BisectStep
+	var visit func(depth, index int, mg *cluster.MachineGraph)
+	visit = func(depth, index int, mg *cluster.MachineGraph) {
+		if depth == s.levels {
+			// Algorithm 4 line 7-9: undividable data partition; store it on
+			// the best-connected machine of the remaining machine set.
+			pl.MachineOf[index] = mg.BestConnected()
+			return
+		}
+		k := 1<<depth + index // heap order, as nodeSizes counts
+		local := mg.Size() == 1
+		steps = append(steps, BisectStep{
+			Depth: depth, DataVertices: vertices[k], DataEdges: edges[k],
+			Machines: mg.Machines(), Local: local,
+		})
+		if local {
+			// Algorithm 4 line 2-5: a single machine divides the rest of the
+			// way locally (one step) and stores all resulting partitions.
+			span := 1 << (s.levels - depth)
+			for p := index * span; p < (index+1)*span; p++ {
+				pl.MachineOf[p] = mg.Machines()[0]
+			}
+			return
+		}
+		a, b := split(mg)
+		visit(depth+1, 2*index, a)
+		visit(depth+1, 2*index+1, b)
 	}
-	walk(0, 0, all)
-	return res
+	visit(0, 0, cluster.NewMachineGraph(topo))
+	return pl, steps
 }
 
 // RandomPlacement places partitions on machines in a random but *balanced*
@@ -212,41 +162,6 @@ func UnbalancedRandomPlacement(p int, topo *cluster.Topology, seed int64) *Place
 // is how optimization level O2/O4 layouts are derived from an O1/O3
 // partitioning in the evaluation (§6.3).
 func SketchPlacement(sk *Sketch, topo *cluster.Topology) *Placement {
-	pl := &Placement{MachineOf: make([]cluster.MachineID, sk.NumPartitions())}
-	var walk func(depth, index int, mg *cluster.MachineGraph)
-	walk = func(depth, index int, mg *cluster.MachineGraph) {
-		if depth == sk.Levels() {
-			pl.MachineOf[index] = mg.BestConnected()
-			return
-		}
-		if mg.Size() == 1 {
-			// Map the whole subtree of partitions onto this machine.
-			m := mg.Machines()[0]
-			first := index << (sk.Levels() - depth)
-			count := 1 << (sk.Levels() - depth)
-			for i := 0; i < count; i++ {
-				pl.MachineOf[first+i] = m
-			}
-			return
-		}
-		m1, m2 := mg.Bisect()
-		walk(depth+1, 2*index, m1)
-		walk(depth+1, 2*index+1, m2)
-	}
-	walk(0, 0, cluster.NewMachineGraph(topo))
+	pl, _ := sk.walk(nil, topo, (*cluster.MachineGraph).Bisect)
 	return pl
-}
-
-// countSubsetEdges counts directed edges of g with both endpoints in subset.
-func countSubsetEdges(g *graph.Graph, subset []graph.VertexID) int64 {
-	in := makeMemberSet(g.NumVertices(), subset)
-	var c int64
-	for _, v := range subset {
-		for _, nb := range g.Neighbors(v) {
-			if in[nb] {
-				c++
-			}
-		}
-	}
-	return c
 }

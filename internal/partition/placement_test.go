@@ -116,6 +116,27 @@ func TestBandwidthAwareRecordsSteps(t *testing.T) {
 	}
 }
 
+func TestNoStepAtLeafDepth(t *testing.T) {
+	// A leaf is stored, not bisected: with machines to spare at the leaves
+	// (8 >= 2^2) neither policy may charge a step there, and both charge
+	// the same 1+2 bisections.
+	g := testGraph(15)
+	topo := cluster.NewT1(8)
+	for name, res := range map[string]*Result{
+		"BandwidthAware": BandwidthAware(g, topo, 2, Options{Seed: 15}),
+		"ParMetisLike":   ParMetisLike(g, topo, 2, Options{Seed: 15}),
+	} {
+		if len(res.Steps) != 3 {
+			t.Errorf("%s: %d steps, want 3", name, len(res.Steps))
+		}
+		for _, s := range res.Steps {
+			if s.Depth >= 2 {
+				t.Errorf("%s: step at depth %d of a 2-level sketch", name, s.Depth)
+			}
+		}
+	}
+}
+
 func TestParMetisLikeBasics(t *testing.T) {
 	g := testGraph(6)
 	topo := cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1})
@@ -165,19 +186,23 @@ func TestSketchPlacementMatchesBandwidthAware(t *testing.T) {
 func TestPartitioningTimeT1Equal(t *testing.T) {
 	// On T1 every machine pair has the same bandwidth, so bandwidth-aware
 	// and ParMetis-like partitioning should cost about the same (Table 1).
+	// Levels 2 leaves two machines per leaf: a step charged there would
+	// inflate the baseline alone.
 	g := testGraph(9)
 	topo := cluster.NewT1(8)
 	cm := DefaultCostModel()
-	ba := BandwidthAware(g, topo, 4, Options{Seed: 9})
-	pm := ParMetisLike(g, topo, 4, Options{Seed: 9})
-	tBA := cm.PartitioningTime(ba, topo, false)
-	tPM := cm.PartitioningTime(pm, topo, true)
-	if tBA <= 0 || tPM <= 0 {
-		t.Fatalf("non-positive times %g %g", tBA, tPM)
-	}
-	ratio := tPM / tBA
-	if ratio < 1.0 || ratio > 1.6 {
-		t.Fatalf("T1 ratio = %.2f, want close to 1 (staging only)", ratio)
+	for _, levels := range []int{4, 2} {
+		ba := BandwidthAware(g, topo, levels, Options{Seed: 9})
+		pm := ParMetisLike(g, topo, levels, Options{Seed: 9})
+		tBA := cm.PartitioningTime(ba, topo, false)
+		tPM := cm.PartitioningTime(pm, topo, true)
+		if tBA <= 0 || tPM <= 0 {
+			t.Fatalf("levels %d: non-positive times %g %g", levels, tBA, tPM)
+		}
+		ratio := tPM / tBA
+		if ratio < 1.0 || ratio > 1.1 {
+			t.Fatalf("levels %d: T1 ratio = %.2f, want within 10%% of 1 (staging only)", levels, ratio)
+		}
 	}
 }
 

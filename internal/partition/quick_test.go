@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -40,6 +41,77 @@ func TestQuickRecursiveBisectInvariants(t *testing.T) {
 		return Balance(pt) < 1.5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickOneRecursion: the machine side draws nothing from the bisection's
+// random stream, so BandwidthAware is RecursiveBisect plus SketchPlacement and
+// ParMetisLike partitions exactly as RecursiveBisect does — on flat, tree and
+// heterogeneous topologies, with fewer and with more machines than leaves.
+func TestQuickOneRecursion(t *testing.T) {
+	topos := []*cluster.Topology{
+		cluster.NewT1(8),
+		cluster.NewT2(cluster.T2Config{Machines: 32, Pods: 4, Levels: 1}),
+		cluster.NewT2(cluster.T2Config{Machines: 6, Pods: 2, Levels: 1}),
+		cluster.NewT3(16, 7),
+	}
+	f := func(seed int64, topoPick, levelPick uint8) bool {
+		n := 300 + int(uint64(seed)%700)
+		g := graph.Uniform(n, n*4, seed)
+		topo := topos[int(topoPick)%len(topos)]
+		levels := int(levelPick % 7)
+		opt := Options{Seed: seed}
+		pt, sk := RecursiveBisect(g, levels, opt)
+		ba := BandwidthAware(g, topo, levels, opt)
+		pm := ParMetisLike(g, topo, levels, opt)
+		return reflect.DeepEqual(ba.Partitioning, pt) &&
+			reflect.DeepEqual(ba.Sketch, sk) &&
+			reflect.DeepEqual(ba.Placement, SketchPlacement(sk, topo)) &&
+			reflect.DeepEqual(pm.Partitioning, pt)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickSketchIsViewOfIDs: sketch node (d, i) is the vertices whose
+// partition ID, shifted down to depth d, is i — in ascending order — and the
+// one-pass node sizes agree with counting each node's set directly.
+func TestQuickSketchIsViewOfIDs(t *testing.T) {
+	f := func(seed int64, levelPick uint8) bool {
+		n := 200 + int(uint64(seed)%500)
+		g := graph.Uniform(n, n*3, seed)
+		levels := int(levelPick % 6)
+		pt, sk := RecursiveBisect(g, levels, Options{Seed: seed})
+		vertices, edges := sk.nodeSizes(g)
+		for d := 0; d <= levels; d++ {
+			for i := 0; i < 1<<d; i++ {
+				var want []graph.VertexID
+				in := make([]bool, n)
+				for v, p := range pt.Assign {
+					if int(p)>>(levels-d) == i {
+						want = append(want, graph.VertexID(v))
+						in[v] = true
+					}
+				}
+				var inside int64
+				for _, v := range want {
+					for _, nb := range g.Neighbors(v) {
+						if in[nb] {
+							inside++
+						}
+					}
+				}
+				k := 1<<d + i
+				if !reflect.DeepEqual(sk.Node(d, i), want) || vertices[k] != len(want) || edges[k] != inside {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -11,25 +12,17 @@ import (
 // graph; the node at (depth, index) holds the vertex set fed to the bisection
 // at that point; the 2^levels leaves are the final partitions, ordered so
 // that leaf i is partition i.
+//
+// The tree is a view of the partition IDs, not a copy of the vertex sets:
+// RecursiveBisect numbers the leaves left to right, so node (depth, index) is
+// {v : Assign[v] >> (levels-depth) == index}. The sketch shares
+// Partitioning.Assign and only reads it. A caller that rewrites Assign
+// afterwards (KWayRefine) still has a tree over the new IDs, but no longer the
+// one the bisections produced: the proximity order the placement relies on
+// is gone.
 type Sketch struct {
-	levels  int
-	members [][][]graph.VertexID // members[depth][index]
-}
-
-func newSketch(levels int) *Sketch {
-	s := &Sketch{levels: levels}
-	s.members = make([][][]graph.VertexID, levels+1)
-	for d := 0; d <= levels; d++ {
-		s.members[d] = make([][]graph.VertexID, 1<<d)
-	}
-	return s
-}
-
-// setNode records the vertex membership of the sketch node at (depth, index).
-func (s *Sketch) setNode(depth, index int, subset []graph.VertexID) {
-	cp := make([]graph.VertexID, len(subset))
-	copy(cp, subset)
-	s.members[depth][index] = cp
+	levels int
+	assign []PartID
 }
 
 // Levels reports the leaf depth; the tree has Levels+1 levels and 2^Levels
@@ -39,24 +32,27 @@ func (s *Sketch) Levels() int { return s.levels }
 // NumPartitions reports the number of leaves.
 func (s *Sketch) NumPartitions() int { return 1 << s.levels }
 
-// Node returns the vertex set of sketch node (depth, index). The returned
-// slice must not be modified.
+// Node returns the vertex set of sketch node (depth, index) in ascending ID
+// order — the order the bisection at that node saw it in.
 func (s *Sketch) Node(depth, index int) []graph.VertexID {
-	return s.members[depth][index]
+	shift := s.levels - depth
+	var set []graph.VertexID
+	for v, p := range s.assign {
+		if int(p)>>shift == index {
+			set = append(set, graph.VertexID(v))
+		}
+	}
+	return set
 }
-
-// LeafParts returns, for a leaf index, the partition ID (identical by
-// construction; kept for readability at call sites).
-func (s *Sketch) LeafParts(index int) PartID { return PartID(index) }
 
 // CrossEdges counts C(n1, n2): directed edges of g with one endpoint in
 // sketch node (depth, i) and the other in (depth, j), in either direction.
 func (s *Sketch) CrossEdges(g *graph.Graph, depth, i, j int) int64 {
-	inI := makeMemberSet(g.NumVertices(), s.members[depth][i])
-	inJ := makeMemberSet(g.NumVertices(), s.members[depth][j])
+	shift := s.levels - depth
 	var count int64
 	g.ForEachEdge(func(u, v graph.VertexID) bool {
-		if (inI[u] && inJ[v]) || (inJ[u] && inI[v]) {
+		a, b := int(s.assign[u])>>shift, int(s.assign[v])>>shift
+		if (a == i && b == j) || (a == j && b == i) {
 			count++
 		}
 		return true
@@ -69,18 +65,10 @@ func (s *Sketch) CrossEdges(g *graph.Graph, depth, i, j int) int64 {
 // monotonicity property (§4.1) states T_i <= T_j for i <= j on an ideal
 // sketch.
 func (s *Sketch) LevelCrossEdges(g *graph.Graph, depth int) int64 {
-	nodeOf := make([]int32, g.NumVertices())
-	for i := range nodeOf {
-		nodeOf[i] = -1
-	}
-	for idx, set := range s.members[depth] {
-		for _, v := range set {
-			nodeOf[v] = int32(idx)
-		}
-	}
+	shift := s.levels - depth
 	var count int64
 	g.ForEachEdge(func(u, v graph.VertexID) bool {
-		if nodeOf[u] != nodeOf[v] && nodeOf[u] >= 0 && nodeOf[v] >= 0 {
+		if s.assign[u]>>shift != s.assign[v]>>shift {
 			count++
 		}
 		return true
@@ -88,33 +76,43 @@ func (s *Sketch) LevelCrossEdges(g *graph.Graph, depth int) int64 {
 	return count
 }
 
-// Validate checks sketch structural invariants: each level is a refinement
-// of the previous (children partition their parent's vertex set), and the
-// leaf sets match the given partitioning.
-func (s *Sketch) Validate(pt *Partitioning) error {
-	for d := 0; d < s.levels; d++ {
-		for idx := range s.members[d] {
-			parent := len(s.members[d][idx])
-			kids := len(s.members[d+1][2*idx]) + len(s.members[d+1][2*idx+1])
-			if parent != kids {
-				return fmt.Errorf("sketch: node (%d,%d) has %d vertices but children hold %d", d, idx, parent, kids)
-			}
+// nodeSizes sizes every sketch node in one pass over the IDs and the edges of
+// g: its vertex count and the directed edges with both endpoints inside it.
+// Nodes are in heap order — root 1, children of k at 2k and 2k+1, so node
+// (d, i) is 1<<d + i. An edge belongs to the deepest node holding both its
+// endpoints — bits.Len(a^b) levels above the leaves a and b — and to every
+// ancestor of that node, so the counts are summed bottom-up. A nil g leaves
+// the edge counts zero.
+func (s *Sketch) nodeSizes(g *graph.Graph) (vertices []int, edges []int64) {
+	leaves := s.NumPartitions()
+	vertices, edges = make([]int, 2*leaves), make([]int64, 2*leaves)
+	for u, a := range s.assign {
+		vertices[leaves+int(a)]++
+		if g == nil {
+			continue
+		}
+		for _, v := range g.Neighbors(graph.VertexID(u)) {
+			b := s.assign[v]
+			edges[(leaves+int(a))>>bits.Len32(uint32(a^b))]++
 		}
 	}
-	for leaf := 0; leaf < s.NumPartitions(); leaf++ {
-		for _, v := range s.members[s.levels][leaf] {
-			if pt.Assign[v] != PartID(leaf) {
-				return fmt.Errorf("sketch: leaf %d contains vertex %d assigned to %d", leaf, v, pt.Assign[v])
-			}
+	for k := leaves - 1; k >= 1; k-- {
+		vertices[k] = vertices[2*k] + vertices[2*k+1]
+		edges[k] += edges[2*k] + edges[2*k+1]
+	}
+	return vertices, edges
+}
+
+// Validate checks that the sketch is a view of the given partitioning: the
+// same partition count, the same vertices, the same IDs.
+func (s *Sketch) Validate(pt *Partitioning) error {
+	if pt.P != s.NumPartitions() || len(pt.Assign) != len(s.assign) {
+		return fmt.Errorf("sketch: %d leaves over %d vertices, partitioning has %d over %d", s.NumPartitions(), len(s.assign), pt.P, len(pt.Assign))
+	}
+	for v, leaf := range s.assign {
+		if pt.Assign[v] != leaf {
+			return fmt.Errorf("sketch: leaf %d contains vertex %d assigned to %d", leaf, v, pt.Assign[v])
 		}
 	}
 	return nil
-}
-
-func makeMemberSet(n int, members []graph.VertexID) []bool {
-	set := make([]bool, n)
-	for _, v := range members {
-		set[v] = true
-	}
-	return set
 }
