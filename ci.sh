@@ -51,6 +51,13 @@ go test -race -short -run 'Elastic|Drain|Join|Migrat|Autoscale|Dormant|Retire' .
 # and committed fuzz corpus under the race detector (the planning pool
 # runs concurrently at workers 4 and 8).
 go test -race -run 'Policy|Golden|Starvation|Inversion|Admission|Determinism|Fuzz' ./internal/jobsvc
+# Stream gate: the raw-trace codec against the encoding/json round trip it
+# replaced (kept in codec_test.go) — the committed seeds and the stream
+# digest golden under the race detector, then ten seconds of fresh inputs
+# through the reader's differential (stricter than the reference is allowed,
+# different is not).
+go test -race ./internal/trace
+go test -run '^$' -fuzz FuzzReadEvents -fuzztime 10s ./internal/trace
 # One-loop gate: the stage executor and its policy client, whole packages in
 # short mode — the service digest golden, the engine == service differential
 # at concurrency 1 and the engine's fault/elastic suites share one event
@@ -77,7 +84,8 @@ go test -race -short ./internal/propagation
 go test -race ./...
 # Layer benchmarks, once each, so they cannot rot (-short skips the
 # 1M-vertex partitioner size and plans propagation at 16k vertices).
-go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph ./internal/propagation ./internal/jobsvc
+go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph ./internal/propagation ./internal/jobsvc \
+    ./internal/trace ./internal/metrics
 
 go run ./cmd/surfer-gen -kind social -vertices 4096 -seed 42 -out "$smoke/g.srfg"
 go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t3 \

@@ -91,36 +91,10 @@ func main() {
 }
 
 // derive folds the captured stream into windowed series, exactly as a live
-// collector with the same config would have.
+// collector with the same config would have. With -window the file is
+// folded as it streams by and no event is held; the automatic window is a
+// fraction of the makespan, which only the whole stream tells.
 func derive(path string, window float64, rulesPath string) (*metrics.Set, []metrics.Alert) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	s, err := trace.ReadEvents(f)
-	if err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	var topo *cluster.Topology
-	if s.Topo != nil {
-		topo = cluster.NewTopologyFromMatrix(s.Topo.Name, s.Topo.Bandwidth)
-	}
-	if window <= 0 {
-		// Auto-size to makespan/32. The stream clock (max Time) is the
-		// makespan; span End fields are not used because a drain's End
-		// carries its deadline, which can lie far past the run.
-		makespan := 0.0
-		for i := range s.Events {
-			if s.Events[i].Time > makespan {
-				makespan = s.Events[i].Time
-			}
-		}
-		if makespan <= 0 {
-			log.Fatalf("%s: empty stream; pass -window explicitly", path)
-		}
-		window = makespan / 32
-	}
 	var rules *metrics.RuleSet
 	if rulesPath != "" {
 		data, err := os.ReadFile(rulesPath)
@@ -131,7 +105,52 @@ func derive(path string, window float64, rulesPath string) (*metrics.Set, []metr
 			log.Fatal(err)
 		}
 	}
-	set, alerts, err := metrics.FromEvents(s.Events, metrics.Config{Window: window, Topo: topo, Rules: rules})
+	config := func(s *trace.Stream) metrics.Config {
+		cfg := metrics.Config{Window: window, Rules: rules}
+		if s.Topo != nil {
+			cfg.Topo = cluster.NewTopologyFromMatrix(s.Topo.Name, s.Topo.Bandwidth)
+		}
+		return cfg
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Close()
+
+	if window > 0 {
+		var col *metrics.Collector
+		err := trace.ScanEvents(f, func(s *trace.Stream) (err error) {
+			col, err = metrics.NewCollector(config(s))
+			return err
+		}, func(ev *trace.Event) error {
+			col.Observe(*ev)
+			return nil
+		})
+		if err != nil {
+			log.Fatalf("%s: %v", path, err)
+		}
+		return col.Finish(), col.Alerts()
+	}
+
+	s, err := trace.ReadEvents(f)
+	if err != nil {
+		log.Fatalf("%s: %v", path, err)
+	}
+	// Auto-size to makespan/32. The stream clock (max Time) is the
+	// makespan; span End fields are not used because a drain's End
+	// carries its deadline, which can lie far past the run.
+	makespan := 0.0
+	for i := range s.Events {
+		if s.Events[i].Time > makespan {
+			makespan = s.Events[i].Time
+		}
+	}
+	if makespan <= 0 {
+		log.Fatalf("%s: empty stream; pass -window explicitly", path)
+	}
+	window = makespan / 32
+	set, alerts, err := metrics.FromEvents(s.Events, config(s))
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}

@@ -17,10 +17,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -57,59 +57,58 @@ func main() {
 		log.Fatal("missing -in trace.json")
 	}
 
-	data, err := os.ReadFile(*in)
+	f, err := os.Open(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if isRawStream(data) {
-		checkRaw(*in, data, *breakdown)
+	defer f.Close()
+	// The raw-trace marker sits in the first bytes of the file: sniff it,
+	// then read the file once, from the start, as what it is.
+	raw := trace.SniffFormat(f) == trace.StreamFormat
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		log.Fatal(err)
+	}
+	if raw {
+		checkRaw(*in, f, *breakdown)
 		return
 	}
 	if *breakdown {
 		log.Fatalf("%s: -breakdown needs a raw event stream (surfer-run -events); Chrome exports drop the event fields it is computed from", *in)
 	}
-	checkChrome(*in, data)
+	checkChrome(*in, f)
 }
 
-// isRawStream sniffs the raw-trace format marker without committing to a
-// full parse.
-func isRawStream(data []byte) bool {
-	var probe struct {
-		Format string `json:"format"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return false
-	}
-	return probe.Format == trace.StreamFormat
-}
-
-// checkRaw validates a raw event stream (ReadEvents enforces the seq/cause
-// invariants) and summarizes it; with breakdown it prints the full
-// job → stage → machine table.
-func checkRaw(path string, data []byte, breakdown bool) {
-	s, err := trace.ReadEvents(bytes.NewReader(data))
+// checkRaw validates a raw event stream (the scan enforces the seq/cause
+// invariants) and summarizes it as it streams by; only the
+// job → stage → machine table of -breakdown needs the events kept.
+func checkRaw(path string, r io.Reader, breakdown bool) {
+	var hdr *trace.Stream
+	var events []trace.Event
+	var n int
+	var maxEnd float64
+	err := trace.ScanEvents(r, func(s *trace.Stream) error {
+		hdr = s
+		return nil
+	}, func(ev *trace.Event) error {
+		n++
+		maxEnd = max(maxEnd, ev.Time, ev.End)
+		if breakdown {
+			events = append(events, *ev)
+		}
+		return nil
+	})
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}
-	var maxEnd float64
-	for i := range s.Events {
-		if t := s.Events[i].Time; t > maxEnd {
-			maxEnd = t
-		}
-		if e := s.Events[i].End; e > maxEnd {
-			maxEnd = e
-		}
-	}
-	fmt.Printf("%s: OK (raw event stream v%d)\n", path, s.Version)
-	fmt.Printf("events:    %d\n", len(s.Events))
-	if s.Topo != nil {
-		fmt.Printf("topology:  %s (%d machines)\n", s.Topo.Name, s.Topo.Machines)
+	fmt.Printf("%s: OK (raw event stream v%d)\n", path, hdr.Version)
+	fmt.Printf("events:    %d\n", n)
+	if hdr.Topo != nil {
+		fmt.Printf("topology:  %s (%d machines)\n", hdr.Topo.Name, hdr.Topo.Machines)
 	}
 	fmt.Printf("time span: %.3f ms virtual\n", maxEnd*1e3)
 	if breakdown {
 		fmt.Println()
-		printBreakdown(trace.Summarize(s.Events))
+		printBreakdown(trace.Summarize(events))
 	}
 }
 
@@ -157,10 +156,14 @@ func printBreakdown(b *trace.Breakdown) {
 }
 
 // checkChrome validates a Chrome trace_event export.
-func checkChrome(path string, data []byte) {
+func checkChrome(path string, r io.Reader) {
 	var tf traceFile
-	if err := json.Unmarshal(data, &tf); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&tf); err != nil {
 		log.Fatalf("%s: invalid JSON: %v", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		log.Fatalf("%s: invalid JSON: data after the top-level value", path)
 	}
 	if len(tf.TraceEvents) == 0 {
 		log.Fatalf("%s: no trace events", path)

@@ -148,20 +148,19 @@ func (c *Collector) seal(w int) {
 	if c.cfg.Rules == nil || len(c.cfg.Rules.Rules) == 0 {
 		return
 	}
-	keys := c.sortedKeys()
-	for i := range c.cfg.Rules.Rules {
-		r := &c.cfg.Rules.Rules[i]
-		for _, key := range keys {
+	rules := c.cfg.Rules.Rules
+	for i := range rules {
+		r := &rules[i]
+		for _, s := range c.sortedSeries() {
+			key := s.key
 			if !r.matches(key) {
 				continue
 			}
-			v := c.series[key].value(w, c.cfg.Window)
-			id := r.Name + "\x00" + key
-			st := c.states[id]
-			if st == nil {
-				st = &alertState{firedSeq: trace.None}
-				c.states[id] = st
+			if s.alerts == nil {
+				s.alerts = make([]alertState, len(rules))
 			}
+			st := &s.alerts[i]
+			v := s.value(w, c.cfg.Window)
 			if r.breach(v) {
 				st.streak++
 				if !st.fired && st.streak >= r.For {

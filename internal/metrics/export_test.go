@@ -3,8 +3,12 @@ package metrics
 import (
 	"bytes"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/trace"
 )
 
 func sampleSet() *Set {
@@ -124,5 +128,45 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 	if v := percentile(nil, 0.99); v != 0 {
 		t.Fatalf("empty = %g", v)
+	}
+}
+
+// TestSeriesOrderIsNameOrder: series are ordered by what they measure, which
+// must be the natural order of their names — for every family, with IDs
+// inside and outside a topology's range, and tenants whose names hold digits.
+func TestSeriesOrderIsNameOrder(t *testing.T) {
+	if !sort.SliceIsSorted(families[:], func(i, j int) bool { return naturalLess(families[i].name, families[j].name) }) {
+		t.Fatal("families are not declared in the natural order of their names")
+	}
+	none := trace.Event{Cause: trace.None, Machine: trace.None, Dst: trace.None, Part: trace.None}
+	var events []trace.Event
+	add := func(ev trace.Event) {
+		ev.Seq = len(events)
+		events = append(events, ev)
+	}
+	for k := trace.KindJobBegin; k <= trace.KindAlertResolved; k++ {
+		for i, m := range []int{10, 2, 0, 33, 100, 9} {
+			ev := none
+			ev.Kind, ev.Machine, ev.Dst = k, m, (m*7+i)%12
+			ev.Job, ev.Tenant = "job"+strconv.Itoa(i), "tenant-"+strconv.Itoa(m)
+			ev.Time, ev.Start, ev.End, ev.Bytes = 0.1*float64(i), 0.1*float64(i), 0.1*float64(i)+0.25, 64
+			add(ev)
+		}
+	}
+	for _, topo := range []*cluster.Topology{nil, cluster.NewT1(12)} {
+		set, _, err := FromEvents(events, Config{Window: 0.1, Topo: topo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(set.Series) < 40 {
+			t.Fatalf("only %d series: the stream no longer covers the families", len(set.Series))
+		}
+		if !sort.SliceIsSorted(set.Series, func(i, j int) bool { return naturalLess(set.Series[i].Name, set.Series[j].Name) }) {
+			names := make([]string, len(set.Series))
+			for i := range set.Series {
+				names[i] = set.Series[i].Name
+			}
+			t.Errorf("topology %v: series out of name order: %v", topo != nil, names)
+		}
 	}
 }

@@ -30,6 +30,7 @@ package metrics
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/trace"
@@ -57,12 +58,24 @@ type Config struct {
 // NewCollector, feed with Observe (or Attach to a live Recorder), then call
 // Finish exactly once.
 type Collector struct {
-	cfg     Config
-	n       int     // machine count when Topo is set, else 0
-	lvl     [][]int // bisection levels when Topo is set
-	series  map[string]*series
-	keys    []string // series keys in creation order (sorted on demand)
+	cfg Config
+	n   int     // machine count when Topo is set, else 0
+	lvl [][]int // bisection levels when Topo is set
+
+	// A series is found by what it measures, never by its name: dense holds,
+	// per family, the series of machines (and machine pairs, row-major) below
+	// n; sparse holds every other machine's, grown on demand — all of them
+	// when no topology fixes n; tenants is scanned (a run has a handful).
+	// The name is rendered once, when the series is created.
+	dense   [numFamilies][]*series
+	sparse  map[seriesID]*series
+	tenants []tenantSeries
+	all     []*series // every series: in creation order until sorted by name
 	sorted  bool
+	// counters are the series fed through counter(), which alone hold a
+	// level between events and so alone need flushing at a seal.
+	counters []*series
+
 	lastSeq []int // per window: Seq of the last event whose Time fell in it
 	// queuedAt maps a queued job's spec ID to its job-queued time, for the
 	// admission-wait samples.
@@ -71,7 +84,6 @@ type Collector struct {
 	maxTime  float64 // max Time/End seen: the extent of the series
 	sealedTo int     // windows [0, sealedTo) have been sealed
 	alerts   []Alert
-	states   map[string]*alertState
 	emit     func(trace.Event) int // live alert emission; nil offline
 	finished bool
 }
@@ -88,9 +100,8 @@ func NewCollector(cfg Config) (*Collector, error) {
 	}
 	c := &Collector{
 		cfg:      cfg,
-		series:   make(map[string]*series),
+		sparse:   make(map[seriesID]*series),
 		queuedAt: make(map[string]float64),
-		states:   make(map[string]*alertState),
 	}
 	if cfg.Topo != nil {
 		c.n = cfg.Topo.NumMachines()
@@ -117,11 +128,137 @@ func FromEvents(events []trace.Event, cfg Config) (*Set, []Alert, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, ev := range events {
-		c.Observe(ev)
+	for i := range events {
+		c.observe(&events[i])
 	}
 	set := c.Finish()
 	return set, c.Alerts(), nil
+}
+
+// family is one kind of signal; with a machine, a machine pair, a level or
+// a tenant it identifies a series. Declared in the natural order of the
+// names, so that ordering series by (family, IDs) orders them by name.
+type family uint8
+
+const (
+	levelUtil family = iota // per bisection level
+	linkBytes               // per directed link
+	linkUtil
+	machineInflight // per machine
+	machineQueue
+	machineTasks
+	queueDepth // one series each, down to rateTransferRetries
+	rateCheckpoints
+	rateFailures
+	rateMigrations
+	rateRestores
+	rateRetries
+	rateSpeculations
+	rateTransferDrops
+	rateTransferRetries
+	tenantSlots // per tenant
+	tenantWait
+	numFamilies
+)
+
+// families gives each family its series name (the part before the ":") and
+// how its accumulator exports.
+var families = [numFamilies]struct {
+	name  string
+	class class
+}{
+	levelUtil:           {"level-util", classAvg},
+	linkBytes:           {"link-bytes", classSum},
+	linkUtil:            {"link-util", classAvg},
+	machineInflight:     {"machine-inflight-bytes", classAvg},
+	machineQueue:        {"machine-queue", classAvg},
+	machineTasks:        {"machine-tasks", classAvg},
+	queueDepth:          {"queue-depth", classAvg},
+	rateCheckpoints:     {"rate-checkpoints", classSum},
+	rateFailures:        {"rate-failures", classSum},
+	rateMigrations:      {"rate-migrations", classSum},
+	rateRestores:        {"rate-restores", classSum},
+	rateRetries:         {"rate-retries", classSum},
+	rateSpeculations:    {"rate-speculations", classSum},
+	rateTransferDrops:   {"rate-transfer-drops", classSum},
+	rateTransferRetries: {"rate-transfer-retries", classSum},
+	tenantSlots:         {"tenant-slots", classAvg},
+	tenantWait:          {"tenant-wait-p99", classP99},
+}
+
+// seriesID is what a series measures: its family and the machine, machine
+// pair or level it is about (trace.None where there is none; tenants go by
+// name).
+type seriesID struct {
+	f    family
+	a, b int
+}
+
+type tenantSeries struct {
+	f      family
+	tenant string
+	s      *series
+}
+
+// newSeries registers the series id under key.
+func (c *Collector) newSeries(id seriesID, key string) *series {
+	s := &series{id: id, key: key, class: families[id.f].class}
+	c.all = append(c.all, s)
+	c.sorted = false
+	return s
+}
+
+// at returns (creating if needed) family f's series of the directed link
+// a -> b, of machine (or level) a when b is trace.None, or the family's only
+// series when a is too. IDs that are given are not negative.
+func (c *Collector) at(f family, a, b int) *series {
+	idx, size, dense := 0, 1, true
+	switch {
+	case b >= 0:
+		idx, size, dense = a*c.n+b, c.n*c.n, a < c.n && b < c.n
+	case a >= 0:
+		idx, size, dense = a, c.n, a < c.n
+	}
+	id := seriesID{f, a, b}
+	var s *series
+	if !dense {
+		s = c.sparse[id]
+	} else if c.dense[f] == nil {
+		c.dense[f] = make([]*series, size)
+	} else {
+		s = c.dense[f][idx]
+	}
+	if s == nil {
+		key := families[f].name
+		if a >= 0 {
+			key += ":" + strconv.Itoa(a)
+		}
+		if b >= 0 {
+			key += ">" + strconv.Itoa(b)
+		}
+		s = c.newSeries(id, key)
+		if dense {
+			c.dense[f][idx] = s
+		} else {
+			c.sparse[id] = s
+		}
+	}
+	return s
+}
+
+// one returns the only series of family f.
+func (c *Collector) one(f family) *series { return c.at(f, trace.None, trace.None) }
+
+// tenant returns family f's series of the named tenant.
+func (c *Collector) tenant(f family, name string) *series {
+	for i := range c.tenants {
+		if t := &c.tenants[i]; t.f == f && t.tenant == name {
+			return t.s
+		}
+	}
+	s := c.newSeries(seriesID{f, trace.None, trace.None}, families[f].name+":"+name)
+	c.tenants = append(c.tenants, tenantSeries{f, name, s})
+	return s
 }
 
 // windowOf maps a virtual time to its window index.
@@ -162,18 +299,6 @@ func (c *Collector) spanWindows(lo, hi float64, f func(w int, overlap float64)) 
 	}
 }
 
-// at returns (creating if needed) the series for key.
-func (c *Collector) at(key string, cl class) *series {
-	s := c.series[key]
-	if s == nil {
-		s = &series{class: cl}
-		c.series[key] = s
-		c.keys = append(c.keys, key)
-		c.sorted = false
-	}
-	return s
-}
-
 // addAt charges v to the window containing t (count-like signals).
 func (c *Collector) addAt(s *series, t, v float64) {
 	w := c.windowOf(t)
@@ -192,8 +317,11 @@ func (c *Collector) addSpan(s *series, lo, hi, rate float64) {
 // counter applies a step change of delta at time t to a time-weighted
 // counter series: the level held since the last change is flushed into the
 // windows it spanned, then the level steps.
-func (c *Collector) counter(key string, t, delta float64) {
-	s := c.at(key, classAvg)
+func (c *Collector) counter(s *series, t, delta float64) {
+	if !s.counter {
+		s.counter = true
+		c.counters = append(c.counters, s)
+	}
 	c.addSpan(s, s.ctrSince, t, s.ctrVal)
 	if t > s.ctrSince {
 		s.ctrSince = t
@@ -203,11 +331,10 @@ func (c *Collector) counter(key string, t, delta float64) {
 
 // flushCounters brings every counter series current to time t, so sealed
 // windows carry the level that was held across them even when no step
-// change landed nearby. Iterates in sorted key order (each counter touches
-// only its own series, but the order is pinned anyway).
+// change landed nearby. Each flush touches only its own series, so the
+// order of the walk shows nowhere.
 func (c *Collector) flushCounters(t float64) {
-	for _, key := range c.sortedKeys() {
-		s := c.series[key]
+	for _, s := range c.counters {
 		if s.ctrVal != 0 || s.ctrSince > 0 {
 			c.addSpan(s, s.ctrSince, t, s.ctrVal)
 			if t > s.ctrSince {
@@ -247,7 +374,9 @@ func (c *Collector) linkOK(src, dst int) bool {
 
 // Observe folds one event. Events must arrive in Seq order (the Recorder
 // guarantees this live; FromEvents replays captures in stream order).
-func (c *Collector) Observe(ev trace.Event) {
+func (c *Collector) Observe(ev trace.Event) { c.observe(&ev) }
+
+func (c *Collector) observe(ev *trace.Event) {
 	if c == nil || c.finished {
 		return
 	}
@@ -262,10 +391,10 @@ func (c *Collector) Observe(ev trace.Event) {
 	switch ev.Kind {
 	case trace.KindTransfer, trace.KindPartitionMigrate:
 		if c.linkOK(ev.Machine, ev.Dst) {
-			link := c.at(fmt.Sprintf("link-util:%d>%d", ev.Machine, ev.Dst), classAvg)
+			link := c.at(linkUtil, ev.Machine, ev.Dst)
 			var level *series
 			if c.lvl != nil {
-				level = c.at(fmt.Sprintf("level-util:%d", c.lvl[ev.Machine][ev.Dst]), classAvg)
+				level = c.at(levelUtil, c.lvl[ev.Machine][ev.Dst], trace.None)
 			}
 			c.spanWindows(ev.Start, ev.End, func(w int, o float64) {
 				link.grow(w)
@@ -280,67 +409,66 @@ func (c *Collector) Observe(ev trace.Event) {
 					}
 				}
 			})
-			c.addAt(c.at(fmt.Sprintf("link-bytes:%d>%d", ev.Machine, ev.Dst), classSum), ev.Time, float64(ev.Bytes))
-			c.addSpan(c.at(fmt.Sprintf("machine-inflight-bytes:%d", ev.Dst), classAvg), ev.Time, ev.End, float64(ev.Bytes))
+			c.addAt(c.at(linkBytes, ev.Machine, ev.Dst), ev.Time, float64(ev.Bytes))
+			c.addSpan(c.at(machineInflight, ev.Dst, trace.None), ev.Time, ev.End, float64(ev.Bytes))
 		}
 		if ev.Machine >= 0 {
 			// NIC queue depth: the transfer waited on the source machine's
 			// egress from issue until both NICs freed up.
-			c.addSpan(c.at(fmt.Sprintf("machine-queue:%d", ev.Machine), classAvg), ev.Time, ev.Start, 1)
+			c.addSpan(c.at(machineQueue, ev.Machine, trace.None), ev.Time, ev.Start, 1)
 		}
 		if ev.Kind == trace.KindPartitionMigrate {
-			c.addAt(c.at("rate-migrations", classSum), ev.Time, 1)
+			c.addAt(c.one(rateMigrations), ev.Time, 1)
 		}
 	case trace.KindTaskEnd:
 		if ev.Machine >= 0 {
-			c.addSpan(c.at(fmt.Sprintf("machine-tasks:%d", ev.Machine), classAvg), ev.Start, ev.End, 1)
+			c.addSpan(c.at(machineTasks, ev.Machine, trace.None), ev.Start, ev.End, 1)
 		}
 	case trace.KindTransferDrop:
 		if ev.Machine >= 0 {
-			c.addSpan(c.at(fmt.Sprintf("machine-queue:%d", ev.Machine), classAvg), ev.Time, ev.Start, 1)
+			c.addSpan(c.at(machineQueue, ev.Machine, trace.None), ev.Time, ev.Start, 1)
 		}
-		c.addAt(c.at("rate-transfer-drops", classSum), ev.Time, 1)
+		c.addAt(c.one(rateTransferDrops), ev.Time, 1)
 	case trace.KindTransferRetry:
-		c.addAt(c.at("rate-transfer-retries", classSum), ev.Time, 1)
+		c.addAt(c.one(rateTransferRetries), ev.Time, 1)
 	case trace.KindRetry:
-		c.addAt(c.at("rate-retries", classSum), ev.Time, 1)
+		c.addAt(c.one(rateRetries), ev.Time, 1)
 	case trace.KindSpeculate:
-		c.addAt(c.at("rate-speculations", classSum), ev.Time, 1)
+		c.addAt(c.one(rateSpeculations), ev.Time, 1)
 	case trace.KindFailure:
-		c.addAt(c.at("rate-failures", classSum), ev.Time, 1)
+		c.addAt(c.one(rateFailures), ev.Time, 1)
 	case trace.KindCheckpoint:
-		c.addAt(c.at("rate-checkpoints", classSum), ev.Time, 1)
+		c.addAt(c.one(rateCheckpoints), ev.Time, 1)
 	case trace.KindRestore:
-		c.addAt(c.at("rate-restores", classSum), ev.Time, 1)
+		c.addAt(c.one(rateRestores), ev.Time, 1)
 	case trace.KindJobQueued:
-		c.counter("queue-depth", ev.Time, 1)
+		c.counter(c.one(queueDepth), ev.Time, 1)
 		c.queuedAt[ev.Job] = ev.Time
 	case trace.KindJobAdmitted:
-		c.counter("queue-depth", ev.Time, -1)
+		c.counter(c.one(queueDepth), ev.Time, -1)
 		if qt, ok := c.queuedAt[ev.Job]; ok {
 			delete(c.queuedAt, ev.Job)
 			if ev.Tenant != "" {
-				s := c.at("tenant-wait-p99:"+ev.Tenant, classP99)
-				s.sample(c.windowOf(ev.Time), ev.Time-qt)
+				c.tenant(tenantWait, ev.Tenant).sample(c.windowOf(ev.Time), ev.Time-qt)
 			}
 		}
 	case trace.KindJobRejected:
-		c.counter("queue-depth", ev.Time, -1)
+		c.counter(c.one(queueDepth), ev.Time, -1)
 		delete(c.queuedAt, ev.Job)
 	case trace.KindStageBegin:
 		if ev.Tenant != "" {
 			// A run slot is held exactly while a stage runs (the scheduler
 			// re-arbitrates slots at every barrier), so slot occupancy is the
 			// stage-begin/stage-end bracket.
-			c.counter("tenant-slots:"+ev.Tenant, ev.Time, 1)
+			c.counter(c.tenant(tenantSlots, ev.Tenant), ev.Time, 1)
 		}
 	case trace.KindStageEnd:
 		if ev.Tenant != "" {
-			c.counter("tenant-slots:"+ev.Tenant, ev.Time, -1)
+			c.counter(c.tenant(tenantSlots, ev.Tenant), ev.Time, -1)
 		}
 	}
 
-	c.note(&ev)
+	c.note(ev)
 	if ev.Time > c.cursor {
 		c.cursor = ev.Time
 		c.sealTo(c.cursor)
@@ -370,7 +498,7 @@ func (c *Collector) Finish() *Set {
 	}
 	c.flushCounters(c.maxTime)
 	nw := 0
-	for _, s := range c.series {
+	for _, s := range c.all {
 		if n := s.windows(); n > nw {
 			nw = n
 		}
@@ -387,11 +515,9 @@ func (c *Collector) Finish() *Set {
 		Window:  c.cfg.Window,
 		Windows: nw,
 	}
-	for _, key := range c.sortedKeys() {
-		set.Series = append(set.Series, Series{
-			Name:   key,
-			Values: c.series[key].export(nw, c.cfg.Window),
-		})
+	set.Series = make([]Series, 0, len(c.all))
+	for _, s := range c.sortedSeries() {
+		set.Series = append(set.Series, Series{Name: s.key, Values: s.export(nw, c.cfg.Window)})
 	}
 	return set
 }

@@ -57,6 +57,8 @@ const (
 
 // series is one signal's accumulation state.
 type series struct {
+	id    seriesID
+	key   string // the exported name, rendered when the series was created
 	class class
 	acc   []float64
 	// samples holds per-window observations for classP99.
@@ -65,12 +67,16 @@ type series struct {
 	// (classAvg series fed through Collector.counter).
 	ctrVal   float64
 	ctrSince float64
-	maxW     int // highest window index touched (for classP99, where acc stays empty)
+	counter  bool // listed in Collector.counters
+	maxW     int  // highest window index touched (for classP99, where acc stays empty)
+	// alerts is the rule engine's state for this series, one entry per rule,
+	// allocated when the first rule matches it.
+	alerts []alertState
 }
 
 func (s *series) grow(w int) {
-	for len(s.acc) <= w {
-		s.acc = append(s.acc, 0)
+	if w >= len(s.acc) {
+		s.acc = append(s.acc, make([]float64, w+1-len(s.acc))...)
 	}
 	if w > s.maxW {
 		s.maxW = w
@@ -116,8 +122,17 @@ func (s *series) value(w int, window float64) float64 {
 // export renders the series over nw windows.
 func (s *series) export(nw int, window float64) []float64 {
 	out := make([]float64, nw)
-	for w := 0; w < nw; w++ {
-		out[w] = s.value(w, window)
+	switch s.class {
+	case classSum:
+		copy(out, s.acc)
+	case classAvg:
+		for w, v := range s.acc[:min(nw, len(s.acc))] {
+			out[w] = v / window
+		}
+	default:
+		for w := range out {
+			out[w] = s.value(w, window)
+		}
 	}
 	return out
 }
@@ -141,14 +156,32 @@ func percentile(samples []float64, p float64) float64 {
 	return sorted[idx]
 }
 
-// sortedKeys returns the series keys in natural sort order (numeric runs
-// compare as numbers), caching between calls until a new series appears.
-func (c *Collector) sortedKeys() []string {
+// sortedSeries returns the series in natural order of their names (numeric
+// runs compare as numbers): the order that is observable, in the exported
+// set and in the sequence of alert decisions. Sorted in place, and again
+// only after a new series has appeared.
+func (c *Collector) sortedSeries() []*series {
 	if !c.sorted {
-		sort.Slice(c.keys, func(i, j int) bool { return naturalLess(c.keys[i], c.keys[j]) })
+		sort.Slice(c.all, func(i, j int) bool { return c.all[i].before(c.all[j]) })
 		c.sorted = true
 	}
-	return c.keys
+	return c.all
+}
+
+// before orders two series as naturalLess orders their names, read off what
+// the names were rendered from: families are declared in name order and IDs
+// are rendered as plain decimals. Only two tenants of one family are left to
+// compare by name.
+func (s *series) before(t *series) bool {
+	switch {
+	case s.id.f != t.id.f:
+		return s.id.f < t.id.f
+	case s.id.a != t.id.a:
+		return s.id.a < t.id.a
+	case s.id.b != t.id.b:
+		return s.id.b < t.id.b
+	}
+	return naturalLess(s.key, t.key)
 }
 
 // naturalLess compares strings with embedded integers numerically, so

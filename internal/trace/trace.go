@@ -12,6 +12,8 @@
 // allocation, pinned by TestDisabledRecorderAllocatesNothing).
 package trace
 
+import "slices"
+
 // EventKind identifies what a trace event describes.
 type EventKind uint8
 
@@ -254,6 +256,11 @@ func (r *Recorder) Emit(ev Event) int {
 		return None
 	}
 	ev.Seq = len(r.events)
+	if len(r.events) == cap(r.events) {
+		// Double: append's 1.25x for large slices copies a long stream four
+		// times over while it is recorded, doubling once.
+		r.events = slices.Grow(r.events, max(len(r.events), 256))
+	}
 	r.events = append(r.events, ev)
 	for _, fn := range r.observers {
 		fn(ev)
