@@ -1,14 +1,12 @@
 // Command surfer-lint enforces Surfer's determinism contract statically
-// (docs/LINTS.md): wall-clock and global-randomness calls — direct (SL001)
-// or laundered through any chain of helper packages (SL005, reported with
-// the full call chain) — map-iteration order leaking into ordered output,
-// concurrency outside the engine's worker pool, order-sensitive float
-// folds, mutation of published shared CSR views, and schema vocabulary
-// missing from docs/METRICS.md never reach a replay.
+// (docs/LINTS.md): wall-clock and global-randomness calls, map-iteration
+// order leaking into ordered output, concurrency outside the engine's
+// worker pool, order-sensitive float folds, and output vocabulary missing
+// from docs/METRICS.md never reach a replay.
 //
 // Usage:
 //
-//	surfer-lint [-json|-sarif] [-baseline file] [-update-baseline] [packages]
+//	surfer-lint [-json] [-root dir] [packages]
 //
 // Packages default to ./... relative to the module root (found by walking
 // up from the working directory; overridable with -root, which is how the
@@ -16,22 +14,18 @@
 // A pattern that matches no Go files is an error (exit 2): an empty run
 // must not masquerade as a clean one.
 //
-// -json emits every finding — suppressed ones included, with
-// "suppressed": true and the pragma reason, and baselined warns with
-// "baselined": true — so the suppression inventory is auditable. -sarif
-// emits SARIF 2.1.0 for review tooling. Both outputs are byte-deterministic.
-//
-// The exit gate is lint.Failing: unsuppressed error-severity findings
-// always fail (exit 1); warn-severity findings fail unless parked in the
-// committed baseline (lint-baseline.json at the root, overridable with
-// -baseline). -update-baseline rewrites that file from the current run's
-// warn findings and exits 0.
+// Every finding not covered by a reasoned //lint:allow pragma fails the
+// gate (exit 1) and is printed as file:line:col: SLnnn[error]: message.
+// -json emits every finding instead — suppressed ones included, with
+// "suppressed": true and the pragma reason — so the suppression inventory
+// is auditable. The output is byte-deterministic.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -39,96 +33,72 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON (includes suppressed and baselined findings)")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	rootFlag := flag.String("root", "", "analyze this tree instead of the enclosing module")
-	baselineFlag := flag.String("baseline", "", "warn-findings baseline file (default <root>/lint-baseline.json)")
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite the baseline from this run's warn findings and exit 0")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *jsonOut && *sarifOut {
-		fatal(fmt.Errorf("surfer-lint: -json and -sarif are mutually exclusive"))
+// run is the whole tool: 0 clean, 1 unsuppressed findings, 2 usage or load
+// errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("surfer-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit every finding as JSON (includes suppressed findings)")
+	root := fs.String("root", "", "analyze this tree instead of the enclosing module")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	patterns := flag.Args()
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	root := *rootFlag
-	if root == "" {
+	if *root == "" {
 		var err error
-		root, err = moduleRoot()
-		if err != nil {
-			fatal(err)
+		if *root, err = moduleRoot(); err != nil {
+			return fail(err)
 		}
 	}
-	baselinePath := *baselineFlag
-	if baselinePath == "" {
-		baselinePath = filepath.Join(root, "lint-baseline.json")
-	}
-
-	findings, err := lint.Run(lint.DefaultConfig(root), patterns)
+	findings, err := lint.Run(lint.DefaultConfig(*root), patterns)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	failing := lint.Unsuppressed(findings)
 
-	if *updateBaseline {
-		b := lint.BaselineFrom(findings)
-		if err := lint.WriteBaseline(baselinePath, b); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "surfer-lint: baseline %s rewritten with %d warn finding(s)\n",
-			baselinePath, len(b.Findings))
-		return
-	}
-
-	baseline, err := lint.LoadBaseline(baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	lint.ApplyBaseline(findings, baseline)
-	failing := lint.Failing(findings)
-
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		out := struct {
 			Findings     []lint.Finding `json:"findings"`
 			Total        int            `json:"total"`
 			Unsuppressed int            `json:"unsuppressed"`
-			Failing      int            `json:"failing"`
-		}{Findings: findings, Total: len(findings),
-			Unsuppressed: len(lint.Unsuppressed(findings)), Failing: len(failing)}
+		}{Findings: findings, Total: len(findings), Unsuppressed: len(failing)}
 		if out.Findings == nil {
 			out.Findings = []lint.Finding{}
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-	case *sarifOut:
-		if err := lint.WriteSARIF(os.Stdout, findings); err != nil {
-			fatal(err)
-		}
-	default:
+	} else {
 		for _, f := range failing {
-			fmt.Println(f)
-			for _, frame := range f.Chain {
-				fmt.Printf("\t%s\n", frame)
-			}
+			fmt.Fprintln(stdout, f)
 		}
-		if n := len(findings) - len(lint.Unsuppressed(findings)); n > 0 {
-			fmt.Fprintf(os.Stderr, "surfer-lint: %d finding(s) suppressed by //lint:allow pragmas (run -json to audit)\n", n)
+		if n := len(findings) - len(failing); n > 0 {
+			fmt.Fprintf(stderr, "surfer-lint: %d finding(s) suppressed by //lint:allow pragmas (run -json to audit)\n", n)
 		}
-		if n := len(lint.Unsuppressed(findings)) - len(failing); n > 0 {
-			fmt.Fprintf(os.Stderr, "surfer-lint: %d warn finding(s) parked in %s\n", n, baselinePath)
+		if len(failing) > 0 {
+			fmt.Fprintf(stderr, "surfer-lint: %d failing finding(s)\n", len(failing))
 		}
 	}
 	if len(failing) > 0 {
-		if !*jsonOut && !*sarifOut {
-			fmt.Fprintf(os.Stderr, "surfer-lint: %d failing finding(s)\n", len(failing))
-		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // moduleRoot walks up from the working directory to the nearest go.mod.
@@ -147,9 +117,4 @@ func moduleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
 }

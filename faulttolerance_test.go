@@ -3,6 +3,8 @@ package surfer
 import (
 	"math"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // TestFaultToleranceParallel is the Figure 10 scenario (a slave machine
@@ -71,6 +73,43 @@ func TestFaultToleranceParallel(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		if _, m := build(workers, []Failure{{Machine: 2, At: killAt}}, heartbeat); m != failRef {
 			t.Errorf("workers=%d: failover metrics %+v, want %+v", workers, m, failRef)
+		}
+	}
+}
+
+// TestSchedulerInheritsHeartbeat: a job run through the public scheduler
+// sees the deployment as configured. The scheduler used to rebuild its
+// runner from a hand copy of the engine's fields that had no
+// HeartbeatInterval, so a kill on a system built with a 5 s heartbeat was
+// detected after the engine's 1 s default.
+func TestSchedulerInheritsHeartbeat(t *testing.T) {
+	g := Social(DefaultSocial(8192, 3))
+	prog := &pagerank{g: g, n: float64(g.NumVertices())}
+	rec := NewTraceRecorder()
+	const killAt, heartbeat = 0.001, 5.0
+	sys, err := Build(Config{
+		Graph: g, Topology: NewT1(8), Levels: 4, Seed: 3, Trace: rec,
+		Failures: []Failure{{Machine: 2, At: killAt}}, HeartbeatInterval: heartbeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler(sys, ScheduleFIFO)
+	sched.Submit(JobRequest{Name: "pr", User: "u", Run: func(r *Runner) (Metrics, error) {
+		_, m, err := RunPropagation(sys, r, prog, 1, PropagationOptions{})
+		return m, err
+	}})
+	sched.RunAll()
+	recs := sched.Records()
+	if len(recs) != 1 || recs[0].Err != nil {
+		t.Fatalf("scheduled job: %+v", recs)
+	}
+	if recs[0].Metrics.Recoveries == 0 {
+		t.Fatalf("kill at %gs lost no task; the test needs one to recover", killAt)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindRetry && math.Abs(ev.Time-(killAt+heartbeat)) > 1e-9 {
+			t.Fatalf("lost task recovered at %gs, want kill %gs + heartbeat %gs", ev.Time, killAt, heartbeat)
 		}
 	}
 }

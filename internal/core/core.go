@@ -155,12 +155,14 @@ func Build(cfg Config) (*System, error) {
 }
 
 // NewRunner creates a fresh engine runner over this system's topology,
-// replicas and failure plan. Each experiment should use its own runner so
-// clocks and metrics start at zero.
+// replicas and failure plan — the one place a deployment becomes an
+// engine.Config. Each experiment should use its own runner so clocks and
+// metrics start at zero.
 func (s *System) NewRunner() *engine.Runner {
 	return engine.New(engine.Config{
 		Topo:              s.Topology,
 		Replicas:          s.Replicas,
+		PartBytes:         s.PG.PartBytes(),
 		Failures:          s.cfg.Failures,
 		HeartbeatInterval: s.cfg.HeartbeatInterval,
 		Workers:           s.cfg.Workers,
@@ -170,24 +172,6 @@ func (s *System) NewRunner() *engine.Runner {
 		Speculation:       s.cfg.Speculation,
 	})
 }
-
-// Trace reports the configured trace recorder (nil when tracing is off).
-func (s *System) Trace() *trace.Recorder { return s.cfg.Trace }
-
-// Workers reports the configured compute worker count (0 = GOMAXPROCS).
-func (s *System) Workers() int { return s.cfg.Workers }
-
-// Failures reports the configured machine-death plan.
-func (s *System) Failures() []engine.Failure { return s.cfg.Failures }
-
-// Faults reports the configured transient-fault schedule (nil when unset).
-func (s *System) Faults() *fault.Schedule { return s.cfg.Faults }
-
-// Retry reports the configured dropped-transfer retry policy.
-func (s *System) Retry() fault.RetryPolicy { return s.cfg.Retry }
-
-// Speculation reports the configured speculative-execution policy.
-func (s *System) Speculation() fault.SpeculationPolicy { return s.cfg.Speculation }
 
 // PartitioningTime estimates the elapsed time of the distributed
 // partitioning run itself under the given cost model (Table 1). It returns

@@ -6,9 +6,11 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/propagation"
+	"repro/internal/trace"
 )
 
 func testConfig(seed int64, strat PartitionStrategy) Config {
@@ -184,6 +186,44 @@ func TestBuildWithFailuresWiresRunner(t *testing.T) {
 		if st.Values[v] != int64(in[v]) {
 			t.Fatalf("value[%d] wrong under failure", v)
 		}
+	}
+}
+
+// TestDrainThroughBuildChargesMigration: a drain on a system assembled by
+// Build moves real bytes. NewRunner used to leave engine.Config.PartBytes
+// unset, so the library path rehomed every partition in zero time and zero
+// bytes while surfer-run -fail (bench.Deployment.Runner) charged
+// PG.PartBytes().
+func TestDrainThroughBuildChargesMigration(t *testing.T) {
+	cfg := testConfig(7, StrategyBandwidthAware)
+	cfg.Trace = trace.NewRecorder()
+	cfg.Faults = &fault.Schedule{Drains: []fault.MachineDrain{{Machine: 3, At: 0, Deadline: 1e6}}}
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, m, err := RunPropagation[int64](sys, sys.NewRunner(), countProgram{}, 1, propagation.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Drains != 1 || m.Migrations == 0 || m.MigrationBytes <= 0 {
+		t.Fatalf("drains/migrations/bytes = %d/%d/%d, want 1 drain moving > 0 bytes",
+			m.Drains, m.Migrations, m.MigrationBytes)
+	}
+	partBytes := sys.PG.PartBytes()
+	var migrated int64
+	for _, ev := range cfg.Trace.Events() {
+		if ev.Kind != trace.KindPartitionMigrate {
+			continue
+		}
+		if ev.Bytes <= 0 || ev.Bytes != partBytes[ev.Part] {
+			t.Errorf("partition-migrate of part %d carries %d bytes, want its %d resident bytes",
+				ev.Part, ev.Bytes, partBytes[ev.Part])
+		}
+		migrated += ev.Bytes
+	}
+	if migrated != m.MigrationBytes {
+		t.Errorf("partition-migrate events sum to %d bytes, Metrics.MigrationBytes = %d", migrated, m.MigrationBytes)
 	}
 }
 

@@ -109,55 +109,48 @@ func checkConcurrency(ctx *fileCtx) {
 // afterwards (the sortedKeys idiom) is the sanctioned fix: an append whose
 // target is passed to a sort call later in the same block is accepted.
 //
-// Map-ness is decided by the type checker, so struct fields, cross-package
-// accessors and every aliasing the v1 syntactic resolver had to skip are
-// now covered; the syntactic resolver remains as the fallback when type
-// information is incomplete (the known-bad corpus is linted on purpose).
+// Map-ness is decided by the type checker alone, so struct fields,
+// cross-package accessors and aliases are covered; an expression the
+// checker could not type is not a map range.
 func checkMapRangeEmission(ctx *fileCtx) {
-	for _, decl := range ctx.file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		inspectStmtLists(fn.Body, func(stmts []ast.Stmt) {
-			for i, st := range stmts {
-				rng, ok := st.(*ast.RangeStmt)
-				if !ok || !ctx.isMapRange(rng, fn) {
+	inspectStmtLists(ctx.file, func(stmts []ast.Stmt) {
+		for i, st := range stmts {
+			rng, ok := st.(*ast.RangeStmt)
+			if !ok || !ctx.isMapRange(rng) {
+				continue
+			}
+			direct, appends := findEmissions(rng.Body)
+			for _, em := range direct {
+				ctx.add(em.pos, IDMapOrder,
+					"map iteration order is nondeterministic and this range body %s; emit in sorted key order",
+					em.what)
+			}
+			for _, em := range appends {
+				if sortedAfter(stmts[i+1:], em.target) {
 					continue
 				}
-				direct, appends := findEmissions(rng.Body)
-				for _, em := range direct {
-					ctx.add(em.pos, IDMapOrder,
-						"map iteration order is nondeterministic and this range body %s; emit in sorted key order",
-						em.what)
-				}
-				for _, em := range appends {
-					if sortedAfter(stmts[i+1:], em.target) {
-						continue
-					}
-					ctx.add(em.pos, IDMapOrder,
-						"map iteration order is nondeterministic and this range body appends to %q, which is never sorted afterwards",
-						em.target)
-				}
+				ctx.add(em.pos, IDMapOrder,
+					"map iteration order is nondeterministic and this range body appends to %q, which is never sorted afterwards",
+					em.target)
 			}
-		})
-	}
+		}
+	})
 }
 
-// isMapRange decides whether a range statement iterates a map, typed
-// first, syntactic fallback second.
-func (ctx *fileCtx) isMapRange(rng *ast.RangeStmt, fn *ast.FuncDecl) bool {
-	if t := ctx.typeOf(rng.X); t != nil {
-		_, ok := t.Underlying().(*types.Map)
-		return ok
+// isMapRange reports whether a range statement iterates a map.
+func (ctx *fileCtx) isMapRange(rng *ast.RangeStmt) bool {
+	t := ctx.typeOf(rng.X)
+	if t == nil {
+		return false
 	}
-	return isMapExpr(rng.X, fn)
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
-// inspectStmtLists visits every statement list in a function body: blocks,
-// switch cases and select clauses.
-func inspectStmtLists(body *ast.BlockStmt, visit func([]ast.Stmt)) {
-	ast.Inspect(body, func(n ast.Node) bool {
+// inspectStmtLists visits every statement list under root: blocks, switch
+// cases and select clauses.
+func inspectStmtLists(root ast.Node, visit func([]ast.Stmt)) {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.BlockStmt:
 			visit(s.List)
@@ -264,98 +257,4 @@ func mentionsIdent(exprs []ast.Expr, name string) bool {
 		}
 	}
 	return false
-}
-
-// isMapExpr decides syntactically whether expr has a map type, resolving
-// identifiers against parameters and local declarations of the enclosing
-// function — the pre-types fallback, kept for partial-information files.
-func isMapExpr(expr ast.Expr, fn *ast.FuncDecl) bool {
-	t := exprType(expr, fn, 0)
-	_, ok := t.(*ast.MapType)
-	return ok
-}
-
-const maxResolveDepth = 8
-
-// exprType infers the type expression of expr within fn, or nil.
-func exprType(expr ast.Expr, fn *ast.FuncDecl, depth int) ast.Expr {
-	if depth > maxResolveDepth {
-		return nil
-	}
-	switch e := expr.(type) {
-	case *ast.Ident:
-		return identType(e.Name, fn, depth)
-	case *ast.IndexExpr:
-		// x[i]: indexing a slice/array yields the element, a map the value.
-		switch t := exprType(e.X, fn, depth+1).(type) {
-		case *ast.ArrayType:
-			return t.Elt
-		case *ast.MapType:
-			return t.Value
-		}
-	case *ast.CompositeLit:
-		return e.Type
-	case *ast.CallExpr:
-		if fun, ok := e.Fun.(*ast.Ident); ok && fun.Name == "make" && len(e.Args) > 0 {
-			return e.Args[0]
-		}
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return exprType(e.X, fn, depth+1)
-		}
-	case *ast.ParenExpr:
-		return exprType(e.X, fn, depth+1)
-	}
-	return nil
-}
-
-// identType finds the declared or inferred type of a name in fn: receiver,
-// parameters, then the last assignment or var declaration in the body. A
-// syntactic nearest-wins lookup — shadowing across nested scopes is rare
-// enough in this codebase to accept.
-func identType(name string, fn *ast.FuncDecl, depth int) ast.Expr {
-	if fn.Recv != nil {
-		if t := fieldType(fn.Recv, name); t != nil {
-			return t
-		}
-	}
-	if fn.Type.Params != nil {
-		if t := fieldType(fn.Type.Params, name); t != nil {
-			return t
-		}
-	}
-	var typ ast.Expr
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range s.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name != name || i >= len(s.Rhs) {
-					continue
-				}
-				if t := exprType(s.Rhs[i], fn, depth+1); t != nil {
-					typ = t
-				}
-			}
-		case *ast.ValueSpec:
-			for _, id := range s.Names {
-				if id.Name == name && s.Type != nil {
-					typ = s.Type
-				}
-			}
-		}
-		return true
-	})
-	return typ
-}
-
-func fieldType(fields *ast.FieldList, name string) ast.Expr {
-	for _, f := range fields.List {
-		for _, id := range f.Names {
-			if id.Name == name {
-				return f.Type
-			}
-		}
-	}
-	return nil
 }

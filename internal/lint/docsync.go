@@ -11,156 +11,75 @@ import (
 	"strings"
 )
 
-// checkDocSync is SL004: every trace event-kind constant must appear in
-// docs/METRICS.md, so the observability reference can never silently lag
-// the event stream. The check parses the EventKind const block and the
-// EventKind.String method out of the trace package, then requires each
-// kind's display string (falling back to its constant name) to occur in
-// the metrics document.
-func checkDocSync(cfg Config, fset *token.FileSet) ([]Finding, error) {
-	traceDir := filepath.Join(cfg.Root, filepath.FromSlash(cfg.TraceDir))
-	names, err := goSources(traceDir)
-	if err != nil {
-		return nil, fmt.Errorf("surfer-lint: trace package: %w", err)
-	}
-	docPath := filepath.Join(cfg.Root, filepath.FromSlash(cfg.MetricsDoc))
-	doc, err := os.ReadFile(docPath)
+// docWord is one vocabulary word a consumer of the system's output parses,
+// found at pos: desc names it in the finding, value must be documented.
+type docWord struct {
+	pos   token.Pos
+	desc  string
+	value string
+}
+
+// checkDocSync is SL004: the three vocabularies downstream tools parse must
+// appear, backticked, in docs/METRICS.md, so the reference can never
+// silently lag the output — every trace event kind's display string
+// (cfg.TraceDir), every analyze blame category (cfg.AnalyzeDir), and the
+// surfer-bench/v1 schema name, metric keys and info keys (cfg.BenchDir).
+// The packages are parsed directly (not via the type-checking loader), so
+// the pass holds even when the CLI pattern excludes them; each parsed
+// file's pragmas join the index so its findings can be suppressed.
+func checkDocSync(cfg Config, fset *token.FileSet, pragmas map[string][]pragma) ([]Finding, error) {
+	doc, err := os.ReadFile(filepath.Join(cfg.Root, filepath.FromSlash(cfg.MetricsDoc)))
 	if err != nil {
 		return nil, fmt.Errorf("surfer-lint: metrics doc: %w", err)
 	}
 	content := string(doc)
 
 	var findings []Finding
-	for _, name := range names {
-		path := filepath.Join(traceDir, name)
-		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("surfer-lint: %w", err)
-		}
-		kinds := eventKindConsts(file)
-		if len(kinds) == 0 {
+	for _, src := range []struct {
+		rel   string
+		words func(*ast.File) []docWord
+	}{
+		{cfg.TraceDir, traceKindWords},
+		{cfg.AnalyzeDir, blameCategoryWords},
+		{cfg.BenchDir, benchReportWords},
+	} {
+		if src.rel == "" {
 			continue
 		}
-		display := kindStrings(file)
-		relFile := relSlash(cfg.Root, path)
-		fileFindings := make([]Finding, 0)
-		for _, k := range kinds {
-			want := display[k.name]
-			if want == "" {
-				want = k.name
-			}
-			if strings.Contains(content, want) {
-				continue
-			}
-			p := fset.Position(k.pos)
-			fileFindings = append(fileFindings, Finding{
-				ID:   IDDocSync,
-				File: relFile,
-				Line: p.Line,
-				Col:  p.Column,
-				Message: fmt.Sprintf("trace event kind %s (%q) is not documented in %s",
-					k.name, want, cfg.MetricsDoc),
-			})
+		dir := filepath.Join(cfg.Root, filepath.FromSlash(src.rel))
+		names, err := goSources(dir)
+		if err != nil {
+			return nil, fmt.Errorf("surfer-lint: %s: %w", src.rel, err)
 		}
-		suppressWith(fset, file, fileFindings)
-		findings = append(findings, fileFindings...)
-	}
-	return findings, nil
-}
-
-// checkSchemaSync is SL008, the SL004 idea generalized beyond trace kinds:
-// the analyze package's blame-category constants and the bench package's
-// surfer-bench/v1 report vocabulary (schema constant, metric and info map
-// keys written as string literals) must all appear in docs/METRICS.md —
-// backticked, the way the document spells field names — so downstream
-// dashboards never meet an undocumented field. Both packages are parsed
-// directly (not via the type-checking loader): the pass holds even when
-// the CLI pattern excludes them, mirroring SL004.
-func checkSchemaSync(cfg Config, prog *program) ([]Finding, error) {
-	docPath := filepath.Join(cfg.Root, filepath.FromSlash(cfg.MetricsDoc))
-	doc, err := os.ReadFile(docPath)
-	if err != nil {
-		return nil, fmt.Errorf("surfer-lint: metrics doc: %w", err)
-	}
-	content := string(doc)
-	documented := func(word string) bool {
-		return strings.Contains(content, "`"+word+"`")
-	}
-
-	var findings []Finding
-	if cfg.AnalyzeDir != "" {
-		fs, err := schemaScanDir(cfg, prog, cfg.AnalyzeDir, func(file *ast.File, add func(pos token.Pos, format string, args ...any)) {
-			for _, c := range blameCategoryConsts(file) {
-				if !documented(c.value) {
-					add(c.pos, "blame category %s (%q) is not documented in %s", c.name, c.value, cfg.MetricsDoc)
+		for _, name := range names {
+			path := filepath.Join(dir, name)
+			file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return nil, fmt.Errorf("surfer-lint: %w", err)
+			}
+			relFile := relSlash(cfg.Root, path)
+			pragmas[relFile] = filePragmas(fset, file)
+			for _, w := range src.words(file) {
+				if strings.Contains(content, "`"+w.value+"`") {
+					continue
 				}
+				p := fset.Position(w.pos)
+				findings = append(findings, Finding{
+					ID:      IDDocSync,
+					File:    relFile,
+					Line:    p.Line,
+					Col:     p.Column,
+					Message: fmt.Sprintf("%s is not documented in %s", w.desc, cfg.MetricsDoc),
+				})
 			}
-		})
-		if err != nil {
-			return nil, err
 		}
-		findings = append(findings, fs...)
-	}
-	if cfg.BenchDir != "" {
-		fs, err := schemaScanDir(cfg, prog, cfg.BenchDir, func(file *ast.File, add func(pos token.Pos, format string, args ...any)) {
-			for _, k := range benchReportKeys(file) {
-				if !documented(k.value) {
-					add(k.pos, "bench report %s %q is not documented in %s", k.what, k.value, cfg.MetricsDoc)
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		findings = append(findings, fs...)
 	}
 	return findings, nil
 }
 
-// schemaScanDir parses one package directory, runs scan per file with a
-// position-aware adder, and applies that file's pragmas to its findings.
-func schemaScanDir(cfg Config, prog *program, rel string, scan func(*ast.File, func(pos token.Pos, format string, args ...any))) ([]Finding, error) {
-	dir := filepath.Join(cfg.Root, filepath.FromSlash(rel))
-	names, err := goSources(dir)
-	if err != nil {
-		return nil, fmt.Errorf("surfer-lint: %s: %w", rel, err)
-	}
-	var findings []Finding
-	for _, name := range names {
-		path := filepath.Join(dir, name)
-		file, err := parser.ParseFile(prog.fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("surfer-lint: %w", err)
-		}
-		relFile := relSlash(cfg.Root, path)
-		var fileFindings []Finding
-		scan(file, func(pos token.Pos, format string, args ...any) {
-			p := prog.fset.Position(pos)
-			fileFindings = append(fileFindings, Finding{
-				ID:      IDSchemaSync,
-				File:    relFile,
-				Line:    p.Line,
-				Col:     p.Column,
-				Message: fmt.Sprintf(format, args...),
-			})
-		})
-		suppressWith(prog.fset, file, fileFindings)
-		findings = append(findings, fileFindings...)
-	}
-	return findings, nil
-}
-
-type schemaWord struct {
-	name  string // constant name, "" for map keys
-	what  string // "schema"/"metric key"/"info key" for bench words
-	value string
-	pos   token.Pos
-}
-
-// blameCategoryConsts extracts the analyze package's category vocabulary:
-// string constants whose name starts with "Cat".
-func blameCategoryConsts(file *ast.File) []schemaWord {
-	var words []schemaWord
+// stringConsts calls fn for every constant of the file declared with a
+// string-literal value.
+func stringConsts(file *ast.File, fn func(name *ast.Ident, lit *ast.BasicLit, value string)) {
 	for _, decl := range file.Decls {
 		gen, ok := decl.(*ast.GenDecl)
 		if !ok || gen.Tok != token.CONST {
@@ -172,56 +91,71 @@ func blameCategoryConsts(file *ast.File) []schemaWord {
 				continue
 			}
 			for i, n := range vs.Names {
-				if !strings.HasPrefix(n.Name, "Cat") || i >= len(vs.Values) {
+				if i >= len(vs.Values) {
 					continue
 				}
-				lit, ok := vs.Values[i].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					continue
+				if lit, v, ok := stringLit(vs.Values[i]); ok {
+					fn(n, lit, v)
 				}
-				v, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					continue
-				}
-				words = append(words, schemaWord{name: n.Name, value: v, pos: n.Pos()})
 			}
 		}
+	}
+}
+
+// stringLit unquotes e if it is a string literal.
+func stringLit(e ast.Expr) (*ast.BasicLit, string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return nil, "", false
+	}
+	v, err := strconv.Unquote(lit.Value)
+	return lit, v, err == nil
+}
+
+// traceKindWords is the trace package's vocabulary: the display string of
+// every EventKind constant (its constant name when String has no case).
+func traceKindWords(file *ast.File) []docWord {
+	display := kindStrings(file)
+	var words []docWord
+	for _, k := range eventKindConsts(file) {
+		want := display[k.Name]
+		if want == "" {
+			want = k.Name
+		}
+		words = append(words, docWord{k.Pos(), fmt.Sprintf("trace event kind %s (%q)", k.Name, want), want})
 	}
 	return words
 }
 
-// benchReportKeys extracts the bench package's report vocabulary: the
+// blameCategoryWords is the analyze package's category vocabulary: string
+// constants whose name starts with "Cat".
+func blameCategoryWords(file *ast.File) []docWord {
+	var words []docWord
+	stringConsts(file, func(n *ast.Ident, _ *ast.BasicLit, v string) {
+		if strings.HasPrefix(n.Name, "Cat") {
+			words = append(words, docWord{n.Pos(), fmt.Sprintf("blame category %s (%q)", n.Name, v), v})
+		}
+	})
+	return words
+}
+
+// benchReportWords is the bench package's report vocabulary: the
 // ReportSchema constant, every string key of a map[string]float64
 // composite literal, and every string-literal index on the left of an
 // assignment (metrics["x"] = v). Computed keys are out of scope — they
 // are not a fixed vocabulary the doc could enumerate.
-func benchReportKeys(file *ast.File) []schemaWord {
-	var words []schemaWord
-	addLit := func(lit *ast.BasicLit, what string) {
-		v, err := strconv.Unquote(lit.Value)
-		if err != nil || v == "" {
-			return
-		}
-		words = append(words, schemaWord{what: what, value: v, pos: lit.Pos()})
-	}
-	for _, decl := range file.Decls {
-		if gen, ok := decl.(*ast.GenDecl); ok && gen.Tok == token.CONST {
-			for _, spec := range gen.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, n := range vs.Names {
-					if n.Name != "ReportSchema" || i >= len(vs.Values) {
-						continue
-					}
-					if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						addLit(lit, "schema")
-					}
-				}
-			}
+func benchReportWords(file *ast.File) []docWord {
+	var words []docWord
+	add := func(e ast.Expr, what string) {
+		if lit, v, ok := stringLit(e); ok && v != "" {
+			words = append(words, docWord{lit.Pos(), fmt.Sprintf("bench report %s %q", what, v), v})
 		}
 	}
+	stringConsts(file, func(n *ast.Ident, lit *ast.BasicLit, _ string) {
+		if n.Name == "ReportSchema" {
+			add(lit, "schema")
+		}
+	})
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.CompositeLit:
@@ -230,22 +164,14 @@ func benchReportKeys(file *ast.File) []schemaWord {
 				return true
 			}
 			for _, elt := range s.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				if lit, ok := kv.Key.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					addLit(lit, "metric key")
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					add(kv.Key, "metric key")
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range s.Lhs {
-				idx, ok := lhs.(*ast.IndexExpr)
-				if !ok {
-					continue
-				}
-				if lit, ok := idx.Index.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					addLit(lit, "info key")
+				if idx, ok := lhs.(*ast.IndexExpr); ok {
+					add(idx.Index, "info key")
 				}
 			}
 		}
@@ -254,15 +180,10 @@ func benchReportKeys(file *ast.File) []schemaWord {
 	return words
 }
 
-type kindConst struct {
-	name string
-	pos  token.Pos
-}
-
 // eventKindConsts returns the constants of every const block whose first
 // typed spec is EventKind — iota continuation lines inherit membership.
-func eventKindConsts(file *ast.File) []kindConst {
-	var kinds []kindConst
+func eventKindConsts(file *ast.File) []*ast.Ident {
+	var kinds []*ast.Ident
 	for _, decl := range file.Decls {
 		gen, ok := decl.(*ast.GenDecl)
 		if !ok || gen.Tok != token.CONST {
@@ -282,10 +203,9 @@ func eventKindConsts(file *ast.File) []kindConst {
 				continue
 			}
 			for _, n := range vs.Names {
-				if n.Name == "_" {
-					continue
+				if n.Name != "_" {
+					kinds = append(kinds, n)
 				}
-				kinds = append(kinds, kindConst{name: n.Name, pos: n.Pos()})
 			}
 		}
 	}
@@ -313,12 +233,8 @@ func kindStrings(file *ast.File) map[string]string {
 			if !ok || len(ret.Results) != 1 {
 				return true
 			}
-			lit, ok := ret.Results[0].(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			s, err := strconv.Unquote(lit.Value)
-			if err != nil {
+			_, s, ok := stringLit(ret.Results[0])
+			if !ok {
 				return true
 			}
 			for _, e := range cc.List {

@@ -26,35 +26,29 @@ var floatCompound = map[token.Token]string{
 }
 
 func checkFloatAccum(ctx *fileCtx) {
-	for _, decl := range ctx.file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.RangeStmt:
-				if ctx.isMapRange(s, fn) {
-					ctx.flagMapRangeAccums(s, fn)
-				}
-			case *ast.CallExpr:
-				if sel, ok := s.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "ForEach" {
-					for _, arg := range s.Args {
-						if lit, ok := arg.(*ast.FuncLit); ok {
-							ctx.flagCapturedAccums(lit)
-						}
+	ast.Inspect(ctx.file, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.RangeStmt:
+			if ctx.isMapRange(s) {
+				ctx.flagMapRangeAccums(s)
+			}
+		case *ast.CallExpr:
+			if sel, ok := s.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "ForEach" {
+				for _, arg := range s.Args {
+					if lit, ok := arg.(*ast.FuncLit); ok {
+						ctx.flagCapturedAccums(lit)
 					}
 				}
 			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 }
 
 // flagMapRangeAccums reports float compound assignments inside a map-range
 // body, excluding per-key slot updates (LHS indexed exactly by the range
 // key variable).
-func (ctx *fileCtx) flagMapRangeAccums(rng *ast.RangeStmt, fn *ast.FuncDecl) {
+func (ctx *fileCtx) flagMapRangeAccums(rng *ast.RangeStmt) {
 	keyObj := ctx.identObj(rng.Key)
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -71,12 +65,9 @@ func (ctx *fileCtx) flagMapRangeAccums(rng *ast.RangeStmt, fn *ast.FuncDecl) {
 				if obj := ctx.identObj(id); obj != nil && obj == keyObj {
 					return true // m[k] op= x: one slot per key, order-free
 				}
-				if keyID, ok := rng.Key.(*ast.Ident); ok && keyObj == nil && id.Name == keyID.Name {
-					return true // syntactic fallback for partially typed files
-				}
 			}
 		}
-		if !ctx.isFloatExpr(lhs, fn) {
+		if !isFloat(ctx.typeOf(lhs)) {
 			return true
 		}
 		ctx.add(as.Pos(), IDFloatAccum,
@@ -118,29 +109,8 @@ func (ctx *fileCtx) flagCapturedAccums(lit *ast.FuncLit) {
 
 // identObj resolves an identifier expression to its object, or nil.
 func (ctx *fileCtx) identObj(e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok || ctx.info == nil {
-		return nil
-	}
-	if obj := ctx.info.Uses[id]; obj != nil {
-		return obj
-	}
-	if obj := ctx.info.Defs[id]; obj != nil {
-		return obj
+	if id, ok := e.(*ast.Ident); ok {
+		return ctx.info.ObjectOf(id)
 	}
 	return nil
-}
-
-// isFloatExpr decides float-ness of an lvalue, typed first, falling back
-// to the syntactic resolver on partially typed files.
-func (ctx *fileCtx) isFloatExpr(e ast.Expr, fn *ast.FuncDecl) bool {
-	if t := ctx.typeOf(e); t != nil {
-		return isFloat(t)
-	}
-	if t := exprType(e, fn, 0); t != nil {
-		if id, ok := t.(*ast.Ident); ok {
-			return id.Name == "float64" || id.Name == "float32"
-		}
-	}
-	return false
 }

@@ -20,7 +20,7 @@ func FuzzParsePragma(f *testing.F) {
 		"//lint:allow SL999 retired check",
 		"//lint:allow entropy misspelled reference",
 		"//lint:allow SL006\ttab-separated reason",
-		"//lint:allow  SL007   extra   interior   spacing",
+		"//lint:allow  SL003   extra   interior   spacing",
 		"// ordinary comment",
 		"//lint:allow SL001 SL002 two IDs, second one is reason text",
 	} {
@@ -58,7 +58,7 @@ func FuzzDedup(f *testing.F) {
 	f.Add("SL001", "a.go", "m1", 1, 2, "SL002", "b.go", "m2", 3, 4)
 	f.Add("SL001", "a.go", "m1", 1, 2, "SL001", "a.go", "m1", 1, 2)
 	f.Add("SL000", "", "", 0, 0, "SL000", "", "", 0, 0)
-	f.Add("SL007", "x.go", "same line, different col", 7, 1, "SL007", "x.go", "same line, different col", 7, 9)
+	f.Add("SL006", "x.go", "same line, different col", 7, 1, "SL006", "x.go", "same line, different col", 7, 9)
 	f.Fuzz(func(t *testing.T, id1, file1, msg1 string, line1, col1 int, id2, file2, msg2 string, line2, col2 int) {
 		in := []Finding{
 			{ID: id1, File: file1, Message: msg1, Line: line1, Col: col1},

@@ -1,31 +1,28 @@
-// Package lint is surfer-lint v2: a static analyzer that proves the
+// Package lint is surfer-lint: a static analyzer that proves the
 // determinism contract (DESIGN.md "Parallel execution & the determinism
 // contract") at review time instead of replay time. The engine's guarantee —
 // results and traces bit-identical across worker counts — holds only if
 // every source of nondeterminism is kept out of the deterministic packages:
 // wall clock, unseeded randomness, map iteration order feeding ordered
-// output, ad-hoc concurrency outside the sanctioned worker pool,
-// order-sensitive float folds, and mutation of published shared views.
+// output, ad-hoc concurrency outside the sanctioned worker pool, and
+// order-sensitive float folds.
 //
-// The analyzer is stdlib-only but no longer purely syntactic: it
-// type-checks every analyzed package with go/types, resolving stdlib
-// imports through go/importer's source importer and module-internal
-// imports by recursively loading them from the configured root. On top of
-// the typed packages it builds a whole-program call graph, so entropy
-// reads laundered through any number of helper packages (SL005) are
-// reported with their full call chain.
+// The analyzer is stdlib-only: it type-checks every analyzed package with
+// go/types, resolving stdlib imports through go/importer's source importer
+// and module-internal imports by recursively loading them from the
+// configured root, so "is this a map", "is this a float" and "which package
+// does this qualifier name" are answered by the type checker.
 //
-// Each check has a stable ID (SL000..SL008, see docs/LINTS.md) and a
-// severity (error or warn). A finding on a legitimate line is suppressed
-// explicitly with a
+// Each check has a stable ID (see docs/LINTS.md, which also records what
+// each one has caught on this tree and why SL005, SL007 and SL008 were
+// retired) and every finding fails the build. A finding on a legitimate
+// line is suppressed explicitly with a
 //
 //	//lint:allow SLnnn reason
 //
 // pragma on the offending line or the line directly above it. The reason
-// is mandatory — a bare or malformed pragma is itself an error-severity
-// finding (SL000) — so every suppression is auditable. Warn-severity
-// findings can additionally be parked in a committed baseline file
-// (lint-baseline.json) and burned down incrementally.
+// is mandatory — a bare or malformed pragma is itself a finding (SL000) —
+// so every suppression is auditable.
 package lint
 
 import (
@@ -33,12 +30,13 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Check IDs. Stable: tests, pragmas, baselines and docs refer to them by
-// name.
+// Check IDs. Stable: tests, pragmas and docs refer to them by name, and a
+// retired ID (SL005, SL007, SL008) is never reused.
 const (
 	// IDPragma is SL000: a malformed //lint:allow pragma — missing or
 	// unknown check ID, or no reason. A bare pragma suppresses nothing and
@@ -53,110 +51,43 @@ const (
 	// IDConcurrency is SL003: go statements or multi-case selects outside
 	// the sanctioned worker pool.
 	IDConcurrency = "SL003"
-	// IDDocSync is SL004: trace event-kind constants missing from
-	// docs/METRICS.md.
+	// IDDocSync is SL004: vocabulary consumers parse — trace event kinds,
+	// analyze blame categories, surfer-bench/v1 report fields — missing
+	// from docs/METRICS.md.
 	IDDocSync = "SL004"
-	// IDTransitive is SL005: a deterministic-package function whose call
-	// graph reaches a wall-clock/env/global-rand sink through any number
-	// of helper functions in other packages. Reported with the full chain.
-	IDTransitive = "SL005"
 	// IDFloatAccum is SL006: order-sensitive float accumulation — a
 	// float compound assignment inside a map range, or into a variable
 	// captured across Pool.ForEach worker goroutines. Float addition is
 	// not associative, so the fold's bits depend on visit order.
 	IDFloatAccum = "SL006"
-	// IDSharedView is SL007: mutation-after-publish of a shared read-only
-	// view (graph CSR Offsets/Targets slices, storage partition tables)
-	// outside the view's constructor package.
-	IDSharedView = "SL007"
-	// IDSchemaSync is SL008: analyze blame categories or surfer-bench/v1
-	// report fields missing from docs/METRICS.md — the SL004 idea
-	// generalized beyond trace kinds.
-	IDSchemaSync = "SL008"
 )
 
-// Severities.
-const (
-	SeverityError = "error"
-	SeverityWarn  = "warn"
-)
+var checkIDs = []string{IDPragma, IDEntropy, IDMapOrder, IDConcurrency, IDDocSync, IDFloatAccum}
 
-// severities maps each check to its tier. SL006 is a heuristic (it cannot
-// prove two float folds collide), so it lands as warn and existing
-// findings can ride in the baseline; everything else is a contract
-// violation and fails the build outright.
-var severities = map[string]string{
-	IDPragma:      SeverityError,
-	IDEntropy:     SeverityError,
-	IDMapOrder:    SeverityError,
-	IDConcurrency: SeverityError,
-	IDDocSync:     SeverityError,
-	IDTransitive:  SeverityError,
-	IDFloatAccum:  SeverityWarn,
-	IDSharedView:  SeverityError,
-	IDSchemaSync:  SeverityError,
-}
-
-// SeverityOf returns a check's severity ("error" or "warn"); unknown IDs
-// are errors so nothing new can slip in quietly.
-func SeverityOf(id string) string {
-	if s, ok := severities[id]; ok {
-		return s
-	}
-	return SeverityError
-}
+// CheckIDs lists every check ID in order.
+func CheckIDs() []string { return slices.Clone(checkIDs) }
 
 // KnownCheck reports whether id names a check this analyzer runs — the
 // set a //lint:allow pragma may reference.
-func KnownCheck(id string) bool {
-	_, ok := severities[id]
-	return ok
-}
-
-// CheckIDs lists every check ID in order, for the SARIF rule catalogue
-// and the docs test.
-func CheckIDs() []string {
-	return []string{IDPragma, IDEntropy, IDMapOrder, IDConcurrency, IDDocSync,
-		IDTransitive, IDFloatAccum, IDSharedView, IDSchemaSync}
-}
+func KnownCheck(id string) bool { return slices.Contains(checkIDs, id) }
 
 // Finding is one analyzer report. File is slash-separated and relative to
 // the configured root.
 type Finding struct {
-	ID       string `json:"id"`
-	Severity string `json:"severity"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-	// Chain is SL005's full call path, outermost frame first, each frame
-	// "func (file:line)"; the last frame is the entropy sink itself.
-	Chain      []string `json:"chain,omitempty"`
-	Suppressed bool     `json:"suppressed"`
+	ID         string `json:"id"`
+	File       string `json:"file"`
+	Line       int    `json:"line"`
+	Col        int    `json:"col"`
+	Message    string `json:"message"`
+	Suppressed bool   `json:"suppressed"`
 	// Reason is the pragma justification when Suppressed.
 	Reason string `json:"reason,omitempty"`
-	// Baselined marks a warn-severity finding matched by the committed
-	// baseline (ApplyBaseline): reported, but not failing.
-	Baselined bool `json:"baselined,omitempty"`
 }
 
+// String renders the finding the way a compiler would. There is one
+// severity: every unsuppressed finding fails the build.
 func (f Finding) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s[%s]: %s", f.File, f.Line, f.Col, f.ID, f.Severity, f.Message)
-}
-
-// ViewSpec names a shared read-only view published by one package: method
-// results and struct fields that no code outside the owning package may
-// write through. SL007.
-type ViewSpec struct {
-	// Pkg is the owning package's slash-relative directory — its
-	// constructor set: writes inside it are the view being built.
-	Pkg string
-	// Type is the named type publishing the view.
-	Type string
-	// Methods are accessor methods whose returned slices are shared.
-	Methods []string
-	// Fields are exported slice fields that are shared views.
-	Fields []string
+	return fmt.Sprintf("%s:%d:%d: %s[error]: %s", f.File, f.Line, f.Col, f.ID, f.Message)
 }
 
 // Config scopes the analysis.
@@ -169,28 +100,24 @@ type Config struct {
 	Module string
 	// DeterministicDirs are slash-relative directory prefixes under Root
 	// holding the deterministic packages: the full contract (SL001, SL002,
-	// SL003, SL005, SL006, SL007) applies.
+	// SL003, SL006) applies.
 	DeterministicDirs []string
 	// SupportingDirs are prefixes for packages that feed the deterministic
 	// core seed-derived state (graphs, partitions, replicas, benchmarks):
 	// their outputs must be reproducible from seeds, but they run outside
-	// the event loop, so only SL001, SL006 and SL007 apply.
+	// the event loop, so only SL001 and SL006 apply.
 	SupportingDirs []string
 	// SanctionedConcurrency lists slash-relative files allowed to spawn
 	// goroutines and select: the engine's worker pool.
 	SanctionedConcurrency []string
-	// TraceDir is the slash-relative directory of the trace package, and
-	// MetricsDoc the document every event-kind constant must appear in.
-	// Either empty disables SL004.
-	TraceDir   string
+	// MetricsDoc is the document the vocabulary of TraceDir (event kinds),
+	// AnalyzeDir (blame categories) and BenchDir (surfer-bench/v1 fields)
+	// must appear in (SL004). An empty MetricsDoc disables the check, an
+	// empty directory that vocabulary.
 	MetricsDoc string
-	// AnalyzeDir and BenchDir are the packages whose blame-category
-	// constants and surfer-bench/v1 field inventories must appear in
-	// MetricsDoc (SL008). Either empty disables that half of the check.
+	TraceDir   string
 	AnalyzeDir string
 	BenchDir   string
-	// SharedViews are the published read-only views SL007 protects.
-	SharedViews []ViewSpec
 }
 
 // DefaultConfig returns the repository's real scoping: the deterministic
@@ -227,14 +154,10 @@ func DefaultConfig(root string) Config {
 			".", // the root package (surfer.go, workloads.go)
 		},
 		SanctionedConcurrency: []string{"internal/engine/parallel.go"},
-		TraceDir:              "internal/trace",
 		MetricsDoc:            "docs/METRICS.md",
+		TraceDir:              "internal/trace",
 		AnalyzeDir:            "internal/analyze",
 		BenchDir:              "internal/bench",
-		SharedViews: []ViewSpec{
-			{Pkg: "internal/graph", Type: "Graph", Methods: []string{"Offsets", "Targets"}},
-			{Pkg: "internal/storage", Type: "PartInfo", Fields: []string{"Vertices", "CrossDst"}},
-		},
 	}
 }
 
@@ -262,11 +185,11 @@ func (c *Config) tierOf(relDir string) tier {
 }
 
 // Run analyzes the packages matched by patterns under cfg.Root and returns
-// all findings (suppressed and baselined ones included, flagged), sorted
-// by position and deduplicated. Patterns are slash-relative to Root:
-// "./..." (or "...") walks everything, "dir/..." walks a subtree, a plain
-// directory analyzes that one package. A pattern that matches no Go files
-// at all is an error — an empty run must not masquerade as a clean one.
+// all findings (suppressed ones included, flagged), sorted by position and
+// deduplicated. Patterns are slash-relative to Root: "./..." (or "...")
+// walks everything, "dir/..." walks a subtree, a plain directory analyzes
+// that one package. A pattern that matches no Go files at all is an error —
+// an empty run must not masquerade as a clean one.
 func Run(cfg Config, patterns []string) ([]Finding, error) {
 	perPattern, err := expandPatterns(cfg.Root, patterns)
 	if err != nil {
@@ -274,10 +197,10 @@ func Run(cfg Config, patterns []string) ([]Finding, error) {
 	}
 	prog := newProgram(&cfg)
 
-	// Load every matched, non-exempt package. Dependencies inside the
-	// module load transitively through the importer, so the call graph is
-	// whole-program even when the pattern selects a subtree.
-	analyzed := map[string]*pkgInfo{}
+	// Load every matched, non-exempt package; what it imports from the
+	// module loads transitively through the importer.
+	var analyzed []*pkgInfo
+	seen := map[string]bool{}
 	for _, pp := range perPattern {
 		matchedFiles := 0
 		for _, dir := range pp.dirs {
@@ -290,79 +213,52 @@ func Run(cfg Config, patterns []string) ([]Finding, error) {
 			}
 			matchedFiles += len(names)
 			rel := relSlash(cfg.Root, dir)
-			if cfg.tierOf(rel) == tierExempt || len(names) == 0 {
+			if cfg.tierOf(rel) == tierExempt || len(names) == 0 || seen[rel] {
 				continue
 			}
-			if _, ok := analyzed[rel]; ok {
-				continue
-			}
+			seen[rel] = true
 			pi, err := prog.loadRel(rel)
 			if err != nil {
 				return nil, err
 			}
-			analyzed[rel] = pi
+			analyzed = append(analyzed, pi)
 		}
 		if matchedFiles == 0 {
 			return nil, fmt.Errorf("surfer-lint: pattern %q matched no Go files", pp.pattern)
 		}
 	}
 
+	// Per-file checks and the pragma audit (SL000), over every analyzed file.
 	var findings []Finding
-	rels := make([]string, 0, len(analyzed))
-	for rel := range analyzed {
-		rels = append(rels, rel)
-	}
-	sort.Strings(rels)
-	for _, rel := range rels {
-		pi := analyzed[rel]
+	pragmas := map[string][]pragma{}
+	for _, pi := range analyzed {
 		for i, file := range pi.files {
+			relFile := pi.relFiles[i]
 			findings = append(findings, analyzeFile(&fileCtx{
-				cfg:        &cfg,
 				fset:       prog.fset,
 				file:       file,
 				info:       pi.info,
-				pkgRel:     pi.rel,
-				relFile:    pi.relFiles[i],
+				relFile:    relFile,
 				tier:       pi.tier,
-				sanctioned: cfg.sanctioned(pi.relFiles[i]),
+				sanctioned: slices.Contains(cfg.SanctionedConcurrency, relFile),
 			})...)
+			pragmas[relFile] = filePragmas(prog.fset, file)
+			findings = append(findings, pragmaFindings(relFile, pragmas[relFile])...)
 		}
 	}
 
-	// Whole-program pass: SL005 transitive entropy over the call graph of
-	// everything the loader pulled in.
-	findings = append(findings, checkTransitiveEntropy(prog, analyzed)...)
-
-	// Doc-sync passes parse their target packages directly, so they hold
-	// even when the pattern excludes them.
-	if cfg.TraceDir != "" && cfg.MetricsDoc != "" {
-		docFindings, err := checkDocSync(cfg, prog.fset)
+	// The doc-sync pass parses its target packages directly, so it holds
+	// even when the pattern excludes them; it adds their pragmas to the
+	// index so its findings are suppressible like any other.
+	if cfg.MetricsDoc != "" {
+		docFindings, err := checkDocSync(cfg, prog.fset, pragmas)
 		if err != nil {
 			return nil, err
 		}
 		findings = append(findings, docFindings...)
 	}
-	if cfg.MetricsDoc != "" && (cfg.AnalyzeDir != "" || cfg.BenchDir != "") {
-		schemaFindings, err := checkSchemaSync(cfg, prog)
-		if err != nil {
-			return nil, err
-		}
-		findings = append(findings, schemaFindings...)
-	}
+	suppress(findings, pragmas)
 
-	// Pragma audit (SL000) and suppression, over every analyzed file.
-	for _, rel := range rels {
-		pi := analyzed[rel]
-		for i, file := range pi.files {
-			pragmas := filePragmas(prog.fset, file)
-			findings = append(findings, pragmaFindings(pi.relFiles[i], pragmas)...)
-		}
-	}
-	suppressAll(prog, analyzed, findings)
-
-	for i := range findings {
-		findings[i].Severity = SeverityOf(findings[i].ID)
-	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {
@@ -406,7 +302,8 @@ func Dedup(findings []Finding) []Finding {
 }
 
 // Unsuppressed filters to the findings not covered by a //lint:allow
-// pragma (baselined warns included — see Failing for the exit gate).
+// pragma: the ones that fail the build. This is the CLI's exit-status
+// predicate.
 func Unsuppressed(all []Finding) []Finding {
 	var out []Finding
 	for _, f := range all {
@@ -415,32 +312,6 @@ func Unsuppressed(all []Finding) []Finding {
 		}
 	}
 	return out
-}
-
-// Failing filters to the findings that fail the build: unsuppressed
-// error-severity findings, plus unsuppressed warn-severity findings not
-// parked in the baseline. This is the CLI's exit-status predicate.
-func Failing(all []Finding) []Finding {
-	var out []Finding
-	for _, f := range all {
-		if f.Suppressed {
-			continue
-		}
-		if f.Severity == SeverityWarn && f.Baselined {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-func (c *Config) sanctioned(relFile string) bool {
-	for _, s := range c.SanctionedConcurrency {
-		if relFile == s {
-			return true
-		}
-	}
-	return false
 }
 
 // analyzeFile runs the per-file checks appropriate to the tier. Test files
@@ -464,7 +335,6 @@ func analyzeFile(ctx *fileCtx) []Finding {
 	}
 	checkEntropy(ctx)
 	checkFloatAccum(ctx)
-	checkSharedViews(ctx)
 	if ctx.tier == tierDeterministic {
 		checkMapRangeEmission(ctx)
 		if !ctx.sanctioned {

@@ -1,14 +1,13 @@
-// Whole-program package loader: parses and type-checks every analyzed
-// package (and, transitively, every module-internal package it imports)
-// into one shared token.FileSet, so the per-file checks see resolved types
-// and the call-graph pass sees one object identity per function.
+// Package loader: parses and type-checks every analyzed package (and,
+// transitively, every module-internal package it imports) into one shared
+// token.FileSet, so the per-file checks see resolved types.
 //
 // Import resolution is two-headed: paths under Config.Module map to
 // directories under Config.Root and are loaded recursively from source;
 // everything else goes through go/importer's source importer (stdlib from
-// GOROOT). If the source importer is unavailable — stripped containers —
-// the loader degrades to empty stub packages and the checks fall back to
-// their syntactic resolution, staying conservative instead of failing.
+// GOROOT). An import that cannot be resolved is a type error like any
+// other: go/types substitutes an empty package of that name and carries on,
+// so qualifiers still resolve and the checks stay conservative.
 
 package lint
 
@@ -21,7 +20,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -42,19 +40,18 @@ type program struct {
 	fset *token.FileSet
 	pkgs map[string]*pkgInfo // by rel dir
 
-	loading  map[string]bool
-	std      types.Importer // go/importer source importer, nil after failure
-	stdOnce  bool
-	stdStubs map[string]*types.Package
+	loading map[string]bool
+	std     types.Importer // go/importer source importer; memoizes itself
 }
 
 func newProgram(cfg *Config) *program {
+	fset := token.NewFileSet()
 	return &program{
-		cfg:      cfg,
-		fset:     token.NewFileSet(),
-		pkgs:     map[string]*pkgInfo{},
-		loading:  map[string]bool{},
-		stdStubs: map[string]*types.Package{},
+		cfg:     cfg,
+		fset:    fset,
+		pkgs:    map[string]*pkgInfo{},
+		loading: map[string]bool{},
+		std:     importer.ForCompiler(fset, "source", nil),
 	}
 }
 
@@ -138,86 +135,32 @@ func (im *progImporter) Import(path string) (*types.Package, error) {
 		}
 		return pi.pkg, nil
 	}
-	return p.stdPkg(path)
-}
-
-// stdPkg resolves a non-module import, preferring real types from the
-// go/importer source importer and degrading to a named empty stub.
-func (p *program) stdPkg(path string) (*types.Package, error) {
-	if pkg, ok := p.stdStubs[path]; ok {
-		return pkg, nil
-	}
-	if !p.stdOnce {
-		p.stdOnce = true
-		p.std = importer.ForCompiler(p.fset, "source", nil)
-	}
-	if p.std != nil {
-		if pkg, err := p.std.Import(path); err == nil {
-			p.stdStubs[path] = pkg
-			return pkg, nil
-		}
-	}
-	pkg := types.NewPackage(path, pkgNameOf(path))
-	pkg.MarkComplete()
-	p.stdStubs[path] = pkg
-	return pkg, nil
-}
-
-var versionElem = regexp.MustCompile(`^v\d+$`)
-
-// pkgNameOf guesses a package name from its import path ("math/rand/v2"
-// is package rand).
-func pkgNameOf(path string) string {
-	elems := strings.Split(path, "/")
-	name := elems[len(elems)-1]
-	if versionElem.MatchString(name) && len(elems) > 1 {
-		name = elems[len(elems)-2]
-	}
-	return name
+	return p.std.Import(path)
 }
 
 // fileCtx is the per-file checking context handed to each check.
 type fileCtx struct {
-	cfg        *Config
 	fset       *token.FileSet
 	file       *ast.File
 	info       *types.Info
-	pkgRel     string
 	relFile    string
 	tier       tier
 	sanctioned bool
 	add        addFunc
-
-	importsOnce map[string]string // lazy syntactic fallback
 }
 
 // pkgPathOf resolves an identifier used as a package qualifier to its
-// import path, or "" if it names anything else. Type-resolved when
-// possible (aliases and shadowing handled exactly), syntactic fallback
-// otherwise.
+// import path (aliases and shadowing handled by the type checker), or ""
+// if it names anything else.
 func (ctx *fileCtx) pkgPathOf(id *ast.Ident) string {
-	if ctx.info != nil {
-		if obj, ok := ctx.info.Uses[id]; ok {
-			if pn, ok := obj.(*types.PkgName); ok {
-				return pn.Imported().Path()
-			}
-			return "" // resolved to a local, field, func, ...
-		}
+	if pn, ok := ctx.info.Uses[id].(*types.PkgName); ok {
+		return pn.Imported().Path()
 	}
-	if id.Obj != nil {
-		return ""
-	}
-	if ctx.importsOnce == nil {
-		ctx.importsOnce = importNames(ctx.file)
-	}
-	return ctx.importsOnce[id.Name]
+	return ""
 }
 
 // typeOf returns the resolved type of an expression, or nil.
 func (ctx *fileCtx) typeOf(e ast.Expr) types.Type {
-	if ctx.info == nil {
-		return nil
-	}
 	t := ctx.info.TypeOf(e)
 	if t == nil || t == types.Typ[types.Invalid] {
 		return nil
@@ -272,22 +215,4 @@ func goSources(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// importNames maps each local package name of the file to its import path
-// (the syntactic fallback when type information is unavailable).
-func importNames(file *ast.File) map[string]string {
-	m := make(map[string]string, len(file.Imports))
-	for _, imp := range file.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		name := path[strings.LastIndex(path, "/")+1:]
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				continue
-			}
-			name = imp.Name.Name
-		}
-		m[name] = path
-	}
-	return m
 }

@@ -1,8 +1,8 @@
 // The //lint:allow pragma path: parsing, hygiene auditing (SL000) and
 // suppression. A pragma suppresses a finding of the named check on its own
 // line or the line directly below; the reason is mandatory, and a pragma
-// that fails to parse is itself an error-severity finding so dead or bare
-// suppressions cannot accumulate silently.
+// that fails to parse is itself a finding so dead or bare suppressions
+// cannot accumulate silently.
 
 package lint
 
@@ -10,6 +10,7 @@ import (
 	"go/ast"
 	"go/token"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -24,7 +25,6 @@ type pragma struct {
 	// malformed is the empty string for a valid pragma, otherwise a short
 	// diagnosis used in the SL000 message.
 	malformed string
-	text      string
 }
 
 var pragmaIDRE = regexp.MustCompile(`^SL\d{3}$`)
@@ -47,7 +47,7 @@ func parsePragma(text string) (id, reason, malformed string, ok bool) {
 	}
 	id = fields[0]
 	if !pragmaIDRE.MatchString(id) {
-		return id, "", "check ID must look like SLnnn, got " + strconvQuote(id), true
+		return id, "", "check ID must look like SLnnn, got " + strconv.Quote(id), true
 	}
 	if !KnownCheck(id) {
 		return id, "", "unknown check " + id, true
@@ -57,24 +57,6 @@ func parsePragma(text string) (id, reason, malformed string, ok bool) {
 		return id, "", "suppression requires a non-empty reason", true
 	}
 	return id, reason, "", true
-}
-
-// strconvQuote is a tiny inline %q without importing strconv everywhere.
-func strconvQuote(s string) string {
-	b := make([]byte, 0, len(s)+2)
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == '"' || c == '\\' {
-			b = append(b, '\\', c)
-		} else if c >= 0x20 && c < 0x7f {
-			b = append(b, c)
-		} else {
-			const hex = "0123456789abcdef"
-			b = append(b, '\\', 'x', hex[c>>4], hex[c&0xf])
-		}
-	}
-	return string(append(b, '"'))
 }
 
 // filePragmas extracts every //lint:allow pragma of a file, valid or not.
@@ -89,7 +71,7 @@ func filePragmas(fset *token.FileSet, file *ast.File) []pragma {
 			pos := fset.Position(c.Pos())
 			out = append(out, pragma{
 				line: pos.Line, col: pos.Column,
-				id: id, reason: reason, malformed: malformed, text: c.Text,
+				id: id, reason: reason, malformed: malformed,
 			})
 		}
 	}
@@ -97,7 +79,7 @@ func filePragmas(fset *token.FileSet, file *ast.File) []pragma {
 }
 
 // pragmaFindings audits a file's pragmas: every malformed one is an SL000
-// error at the pragma itself.
+// finding at the pragma itself.
 func pragmaFindings(relFile string, pragmas []pragma) []Finding {
 	var out []Finding
 	for _, p := range pragmas {
@@ -116,76 +98,20 @@ func pragmaFindings(relFile string, pragmas []pragma) []Finding {
 	return out
 }
 
-// suppressAll marks findings covered by a valid pragma on the same line or
-// the line directly above, across all analyzed files. SL000 findings are
-// never suppressible — the audit itself must not be silenceable.
-func suppressAll(prog *program, analyzed map[string]*pkgInfo, findings []Finding) {
-	type allow struct {
-		id     string
-		reason string
-	}
-	byFileLine := map[string]map[int][]allow{}
-	for _, pi := range analyzed {
-		for i, file := range pi.files {
-			for _, p := range filePragmas(prog.fset, file) {
-				if p.malformed != "" {
-					continue
-				}
-				m := byFileLine[pi.relFiles[i]]
-				if m == nil {
-					m = map[int][]allow{}
-					byFileLine[pi.relFiles[i]] = m
-				}
-				m[p.line] = append(m[p.line], allow{id: p.id, reason: p.reason})
-			}
-		}
-	}
-	if len(byFileLine) == 0 {
-		return
-	}
+// suppress marks findings covered by a valid pragma of their check on the
+// same line or the line directly above. pragmas is indexed by the finding's
+// File. SL000 findings are never suppressible — the audit itself must not
+// be silenceable.
+func suppress(findings []Finding, pragmas map[string][]pragma) {
 	for i := range findings {
-		if findings[i].ID == IDPragma {
+		f := &findings[i]
+		if f.ID == IDPragma {
 			continue
 		}
-		m := byFileLine[findings[i].File]
-		if m == nil {
-			continue
-		}
-		for _, line := range []int{findings[i].Line, findings[i].Line - 1} {
-			for _, a := range m[line] {
-				if a.id == findings[i].ID {
-					findings[i].Suppressed = true
-					findings[i].Reason = a.reason
-				}
-			}
-		}
-	}
-}
-
-// suppressWith applies one parsed file's pragmas to findings already known
-// to belong to that file — the doc-sync passes parse their packages
-// outside the loader and suppress locally.
-func suppressWith(fset *token.FileSet, file *ast.File, findings []Finding) {
-	byLine := map[int][]pragma{}
-	for _, p := range filePragmas(fset, file) {
-		if p.malformed != "" {
-			continue
-		}
-		byLine[p.line] = append(byLine[p.line], p)
-	}
-	if len(byLine) == 0 {
-		return
-	}
-	for i := range findings {
-		if findings[i].ID == IDPragma {
-			continue
-		}
-		for _, line := range []int{findings[i].Line, findings[i].Line - 1} {
-			for _, a := range byLine[line] {
-				if a.id == findings[i].ID {
-					findings[i].Suppressed = true
-					findings[i].Reason = a.reason
-				}
+		for _, p := range pragmas[f.File] {
+			if p.malformed == "" && p.id == f.ID && (p.line == f.Line || p.line == f.Line-1) {
+				f.Suppressed = true
+				f.Reason = p.reason
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-// Package bench fixture: SL008 report-schema doc-sync. The schema
+// Package bench fixture: SL004 report-schema doc-sync. The schema
 // constant and wall_seconds are documented in the fixture METRICS.md;
 // rank_residual (a metric-map literal key) and converged (a string-literal
 // info-map index) are not — one finding each.

@@ -18,8 +18,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/fault"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -73,31 +71,9 @@ type Record struct {
 // WaitSeconds is how long the job queued before starting.
 func (rec Record) WaitSeconds() float64 { return rec.StartedAt - rec.SubmittedAt }
 
-// Config configures a Scheduler.
-type Config struct {
-	Topo     *cluster.Topology
-	Replicas *storage.Replicas
-	Failures []engine.Failure
-	Policy   Policy
-	// SlotsPerMachine is forwarded to the engine.
-	SlotsPerMachine int
-	// Workers is forwarded to the engine's compute worker pool
-	// (0 = GOMAXPROCS, 1 = serial; results identical either way).
-	Workers int
-	// Trace is forwarded to the engine: all jobs the scheduler runs emit
-	// their structured events into this recorder. Nil disables tracing.
-	Trace *trace.Recorder
-	// Faults, Retry and Speculation are forwarded to the engine's expanded
-	// fault model (transient link faults, dropped-transfer backoff, backup
-	// tasks for stragglers).
-	Faults      *fault.Schedule
-	Retry       fault.RetryPolicy
-	Speculation fault.SpeculationPolicy
-}
-
 // Scheduler coordinates jobs over one shared simulated cluster.
 type Scheduler struct {
-	cfg    Config
+	policy Policy
 	runner *engine.Runner
 	// pending jobs in submission order.
 	pending []pendingJob
@@ -115,23 +91,12 @@ type pendingJob struct {
 	seq         int
 }
 
-// New creates a scheduler over a fresh runner.
-func New(cfg Config) *Scheduler {
-	return &Scheduler{
-		cfg: cfg,
-		runner: engine.New(engine.Config{
-			Topo:            cfg.Topo,
-			Replicas:        cfg.Replicas,
-			Failures:        cfg.Failures,
-			SlotsPerMachine: cfg.SlotsPerMachine,
-			Workers:         cfg.Workers,
-			Trace:           cfg.Trace,
-			Faults:          cfg.Faults,
-			Retry:           cfg.Retry,
-			Speculation:     cfg.Speculation,
-		}),
-		served: make(map[string]float64),
-	}
+// New creates a scheduler over runner, which it shares with the jobs it
+// runs. Everything about the cluster — topology, replicas, fault plan,
+// worker pool, trace recorder — is the runner's configuration; the
+// scheduler adds only the ordering policy.
+func New(runner *engine.Runner, policy Policy) *Scheduler {
+	return &Scheduler{policy: policy, runner: runner, served: make(map[string]float64)}
 }
 
 // Runner exposes the shared runner (for workload helpers that need it).
@@ -144,7 +109,7 @@ func (s *Scheduler) Submit(req Request) {
 	if req.Run == nil {
 		panic("scheduler: job without a body")
 	}
-	s.cfg.Trace.Emit(trace.Event{Kind: trace.KindJobQueued, Job: req.Name,
+	s.runner.Trace().Emit(trace.Event{Kind: trace.KindJobQueued, Job: req.Name,
 		Cause: trace.None, Machine: trace.None, Dst: trace.None, Part: trace.None,
 		Time: s.runner.Clock()})
 	s.pending = append(s.pending, pendingJob{
@@ -169,7 +134,7 @@ func (s *Scheduler) Records() []Record {
 // failure handling.
 func (s *Scheduler) Membership() []cluster.MachineID {
 	var live []cluster.MachineID
-	for i := 0; i < s.cfg.Topo.NumMachines(); i++ {
+	for i := 0; i < s.runner.NumMachines(); i++ {
 		m := cluster.MachineID(i)
 		if !s.runner.IsDead(m) {
 			live = append(live, m)
@@ -192,7 +157,7 @@ func (s *Scheduler) electManager() (cluster.MachineID, error) {
 // next removes and returns the job the policy schedules next.
 func (s *Scheduler) next() pendingJob {
 	idx := 0
-	switch s.cfg.Policy {
+	switch s.policy {
 	case Fair:
 		// Least-served user first; within a user, submission order.
 		sort.SliceStable(s.pending, func(i, j int) bool {

@@ -22,7 +22,7 @@ func computeJob(seconds float64) JobFunc {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	s := New(Config{Topo: cluster.NewT1(2), Policy: FIFO})
+	s := New(engine.New(engine.Config{Topo: cluster.NewT1(2)}), FIFO)
 	for i, d := range []float64{1, 2, 3} {
 		s.Submit(Request{Name: string(rune('a' + i)), User: "u", Run: computeJob(d)})
 	}
@@ -49,7 +49,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestFairSharesAcrossUsers(t *testing.T) {
-	s := New(Config{Topo: cluster.NewT1(2), Policy: Fair})
+	s := New(engine.New(engine.Config{Topo: cluster.NewT1(2)}), Fair)
 	// Alice floods the queue, then Bob submits one job. Under Fair, after
 	// Alice's first job runs, Bob (served 0) goes next.
 	for i := 0; i < 3; i++ {
@@ -71,7 +71,7 @@ func TestFairSharesAcrossUsers(t *testing.T) {
 }
 
 func TestManagerElectionRotates(t *testing.T) {
-	s := New(Config{Topo: cluster.NewT1(3), Policy: FIFO})
+	s := New(engine.New(engine.Config{Topo: cluster.NewT1(3)}), FIFO)
 	for i := 0; i < 6; i++ {
 		s.Submit(Request{Name: "j", User: "u", Run: computeJob(0.1)})
 	}
@@ -94,10 +94,10 @@ func TestMembershipAfterFailure(t *testing.T) {
 	topo := cluster.NewT1(3)
 	pl := &partition.Placement{MachineOf: []cluster.MachineID{0, 1, 2}}
 	reps := storage.PlaceReplicas(pl, topo, 1)
-	s := New(Config{
-		Topo: topo, Replicas: reps, Policy: FIFO,
+	s := New(engine.New(engine.Config{
+		Topo: topo, Replicas: reps,
 		Failures: []engine.Failure{{Machine: 1, At: 0.5}},
-	})
+	}), FIFO)
 	if got := len(s.Membership()); got != 3 {
 		t.Fatalf("initial membership = %d", got)
 	}
@@ -133,7 +133,7 @@ func TestMembershipAfterFailure(t *testing.T) {
 }
 
 func TestJobErrorRecorded(t *testing.T) {
-	s := New(Config{Topo: cluster.NewT1(1)})
+	s := New(engine.New(engine.Config{Topo: cluster.NewT1(1)}), FIFO)
 	boom := errors.New("boom")
 	s.Submit(Request{Name: "bad", User: "u", Run: func(r *engine.Runner) (engine.Metrics, error) {
 		return engine.Metrics{}, boom
@@ -146,7 +146,7 @@ func TestJobErrorRecorded(t *testing.T) {
 }
 
 func TestSubmitDuringRun(t *testing.T) {
-	s := New(Config{Topo: cluster.NewT1(1)})
+	s := New(engine.New(engine.Config{Topo: cluster.NewT1(1)}), FIFO)
 	s.Submit(Request{Name: "outer", User: "u", Run: func(r *engine.Runner) (engine.Metrics, error) {
 		s.Submit(Request{Name: "inner", User: "u", Run: computeJob(1)})
 		return computeJob(1)(r)
@@ -163,11 +163,11 @@ func TestSubmitWithoutBodyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Config{Topo: cluster.NewT1(1)}).Submit(Request{Name: "nil"})
+	New(engine.New(engine.Config{Topo: cluster.NewT1(1)}), FIFO).Submit(Request{Name: "nil"})
 }
 
 func TestRunnerAccessor(t *testing.T) {
-	s := New(Config{Topo: cluster.NewT1(2)})
+	s := New(engine.New(engine.Config{Topo: cluster.NewT1(2)}), FIFO)
 	if s.Runner() == nil || s.Runner().NumMachines() != 2 {
 		t.Fatal("runner accessor broken")
 	}
@@ -189,7 +189,7 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 func TestFairTieBreaksBySubmission(t *testing.T) {
-	s := New(Config{Topo: cluster.NewT1(1), Policy: Fair})
+	s := New(engine.New(engine.Config{Topo: cluster.NewT1(1)}), Fair)
 	// Both users unserved: submission order decides.
 	s.Submit(Request{Name: "first", User: "b", Run: computeJob(1)})
 	s.Submit(Request{Name: "second", User: "a", Run: computeJob(1)})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -31,14 +32,17 @@ import (
 // encoding/json and a string-keyed fold, so a codec or fold change that moves
 // one byte of a file, one float of a series or one alert decision fails here.
 
-// capture is one seeded run: its stream, the cluster it ran on, and the
+// capture is one seeded run: its stream, the cluster it ran on, the
 // metrics window its series are folded at — a few dozen to a few hundred
-// windows per run, so windows seal (and counters flush) in mid-stream.
+// windows per run, so windows seal (and counters flush) in mid-stream — and
+// the in-loop counters the run reported (a runner's cumulative Metrics, or
+// the sum of a service run's records).
 type capture struct {
-	name   string
-	topo   *cluster.Topology
-	window float64
-	events []trace.Event
+	name    string
+	topo    *cluster.Topology
+	window  float64
+	events  []trace.Event
+	metrics engine.Metrics
 }
 
 func topoInfo(topo *cluster.Topology) *trace.TopoInfo {
@@ -109,10 +113,11 @@ func faultedCapture(t *testing.T) capture {
 		Retry:       fault.RetryPolicy{Timeout: h / 100, Backoff: h / 400, MaxBackoff: h / 10},
 		Speculation: fault.SpeculationPolicy{Enabled: true},
 	})
-	if _, _, err := apps.NewNR(3).RunPropagation(sys.NewRunner(), sys.PG, sys.Placement, propagation.Options{}); err != nil {
+	r := sys.NewRunner()
+	if _, _, err := apps.NewNR(3).RunPropagation(r, sys.PG, sys.Placement, propagation.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	return capture{"faulted", topo, h / 50, rec.Events()}
+	return capture{"faulted", topo, h / 50, rec.Events(), r.Metrics()}
 }
 
 // chaosConfig is the four-machine fault+elastic schedule of the metrics
@@ -170,10 +175,11 @@ func elasticCapture(t *testing.T, live bool) capture {
 		col.Attach(rec)
 		defer col.Finish()
 	}
-	if _, err := engine.New(cfg).Run(chaosJob()); err != nil {
+	r := engine.New(cfg)
+	if _, err := r.Run(chaosJob()); err != nil {
 		t.Fatal(err)
 	}
-	return capture{name, cfg.Topo, 0.05, rec.Events()}
+	return capture{name, cfg.Topo, 0.05, rec.Events(), r.Metrics()}
 }
 
 // checkpointedCapture kills a machine 70% into a four-iteration run that
@@ -202,10 +208,11 @@ func checkpointedCapture(t *testing.T) capture {
 		Failures:          []engine.Failure{{Machine: 2, At: 0.7 * m.ResponseSeconds}},
 		HeartbeatInterval: m.ResponseSeconds / 20,
 	})
-	if _, _, err := core.RunCheckpointed[float64](sys, sys.NewRunner(), sumProg{}, 4, opt, propagation.CheckpointConfig{Interval: 2}); err != nil {
+	r := sys.NewRunner()
+	if _, _, err := core.RunCheckpointed[float64](sys, r, sumProg{}, 4, opt, propagation.CheckpointConfig{Interval: 2}); err != nil {
 		t.Fatal(err)
 	}
-	return capture{"checkpointed", topo, m.ResponseSeconds / 30, rec.Events()}
+	return capture{"checkpointed", topo, m.ResponseSeconds / 30, rec.Events(), r.Metrics()}
 }
 
 // serviceCapture runs twelve synthetic jobs of three tenants through the job
@@ -228,14 +235,19 @@ func serviceCapture(t *testing.T, pol jobsvc.Policy) capture {
 	jobs[4].Spec.Submit = jobs[3].Spec.Submit
 	sched, _ := fault.Generate(fault.GenConfig{Machines: 8, Horizon: 0.2, Degrades: 6, Drops: 6, Slowdowns: 3, Seed: 42})
 	rec := trace.NewRecorder()
-	_, err := jobsvc.Run(jobsvc.Config{
+	records, err := jobsvc.Run(jobsvc.Config{
 		Topo: topo, Policy: pol, Concurrency: 2, QueueLimit: 6, Trace: rec,
 		Faults: sched, Retry: fault.RetryPolicy{Timeout: 0.002, Backoff: 0.0005, MaxBackoff: 0.004},
 	}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return capture{"jobsvc-" + pol.String(), topo, 0.002, rec.Events()}
+	var m engine.Metrics
+	for _, rec := range records {
+		m.Add(engine.Metrics{MachineSeconds: rec.MachineSeconds, NetworkBytes: rec.NetworkBytes, TasksRun: rec.TasksRun,
+			TransferDrops: rec.TransferDrops, TransferRetries: rec.TransferRetries})
+	}
+	return capture{"jobsvc-" + pol.String(), topo, 0.002, rec.Events(), m}
 }
 
 func digestCaptures(t *testing.T) []capture {
@@ -254,6 +266,7 @@ func TestStreamDigestsGolden(t *testing.T) {
 	const path = "testdata/stream_digests.golden"
 	caps := digestCaptures(t)
 	assertCoverage(t, caps)
+	assertMetricsEqualFold(t, caps)
 
 	var got strings.Builder
 	for _, c := range caps {
@@ -350,6 +363,47 @@ func assertCoverage(t *testing.T, caps []capture) {
 	for f := 0; f < typ.NumField(); f++ {
 		if !fields[typ.Field(f).Name] {
 			t.Errorf("no capture carries a non-zero %s", typ.Field(f).Name)
+		}
+	}
+}
+
+// assertMetricsEqualFold pins the in-loop counters against the stream: every
+// engine.Metrics field a capture can reproduce equals the total folded from
+// its events — counts and bytes exactly, MachineSeconds to 1e-9 relative
+// (one quantity, two float associations: the engine sums task seconds in
+// event order, Summarize per (job, stage, machine) first). DiskBytes and
+// ResponseSeconds are not reproducible: no event carries a task's disk
+// volume, and a runner's clock also spans the gaps between its jobs.
+func assertMetricsEqualFold(t *testing.T, caps []capture) {
+	t.Helper()
+	for _, c := range caps {
+		b := trace.Summarize(c.events)
+		tot := b.Totals()
+		fold := engine.Metrics{
+			MachineSeconds: tot.ComputeSeconds, NetworkBytes: tot.EgressBytes,
+			TasksRun: tot.TasksRun, Recoveries: tot.Retries,
+			TransferDrops: tot.TransferDrops, TransferRetries: tot.TransferRetries,
+			Speculations: tot.Speculations, Checkpoints: b.Checkpoints, Restores: b.Restores,
+		}
+		for i := range c.events {
+			switch ev := &c.events[i]; ev.Kind {
+			case trace.KindMachineJoin:
+				fold.Joins++
+			case trace.KindMachineDrain:
+				fold.Drains++
+			case trace.KindPartitionMigrate:
+				fold.Migrations++
+				fold.MigrationBytes += ev.Bytes
+			}
+		}
+		want := c.metrics
+		if rel := math.Abs(fold.MachineSeconds-want.MachineSeconds) / want.MachineSeconds; !(rel <= 1e-9) {
+			t.Errorf("%s: stream folds to %g machine seconds, Metrics reports %g", c.name, fold.MachineSeconds, want.MachineSeconds)
+		}
+		fold.MachineSeconds, want.MachineSeconds = 0, 0
+		want.DiskBytes, want.ResponseSeconds = 0, 0
+		if fold != want {
+			t.Errorf("%s: stream folds to\n %+v\nMetrics reports\n %+v", c.name, fold, want)
 		}
 	}
 }

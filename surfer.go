@@ -207,7 +207,7 @@ type CheckpointConfig = propagation.CheckpointConfig
 
 // TraceRecorder collects the structured event stream of traced runs. A nil
 // recorder is valid and disables tracing at zero cost; set one on
-// Config.Trace (or SchedulerConfig.Trace / bench.Scale.Trace) to record.
+// Config.Trace (or bench.Scale.Trace) to record.
 // The stream is identical for every Workers value — see docs/METRICS.md.
 type TraceRecorder = trace.Recorder
 
@@ -318,9 +318,6 @@ func RunMapReduce[K MRKey, V any, R any](sys *System, r *Runner, prog MRProgram[
 // manager election, and FIFO or fair ordering of submitted jobs.
 type Scheduler = scheduler.Scheduler
 
-// SchedulerConfig configures a Scheduler.
-type SchedulerConfig = scheduler.Config
-
 // JobRequest is a job submission; JobRecord the account of its execution.
 type (
 	JobRequest = scheduler.Request
@@ -335,22 +332,12 @@ const (
 	ScheduleFair = scheduler.Fair
 )
 
-// NewScheduler creates a job scheduler over a system's cluster. The
-// scheduler's runner inherits the system's Workers setting, so compute
-// parallelism follows the deployment configuration, and its trace recorder
-// (Config.Trace), so scheduled jobs appear in the same timeline.
+// NewScheduler creates a job scheduler over a fresh runner of the system
+// (sys.NewRunner), so scheduled jobs see the deployment exactly as configured
+// — fault plan, heartbeat, worker pool — and appear in its trace recorder's
+// timeline.
 func NewScheduler(sys *System, policy scheduler.Policy) *Scheduler {
-	return scheduler.New(scheduler.Config{
-		Topo:        sys.Topology,
-		Replicas:    sys.Replicas,
-		Failures:    sys.Failures(),
-		Policy:      policy,
-		Workers:     sys.Workers(),
-		Trace:       sys.Trace(),
-		Faults:      sys.Faults(),
-		Retry:       sys.Retry(),
-		Speculation: sys.Speculation(),
-	})
+	return scheduler.New(sys.NewRunner(), policy)
 }
 
 // ----------------------------------------------------------- diagnostics
