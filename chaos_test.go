@@ -50,14 +50,10 @@ func TestChaosSoak(t *testing.T) {
 	}
 	var totalRecoveries, totalDrops, totalRetries int
 	for _, seed := range seeds {
-		sched, kills := fault.Generate(fault.GenConfig{
+		sched, failures := fault.Generate(fault.GenConfig{
 			Machines: topo.NumMachines(), Horizon: horizon,
 			Degrades: 3, Drops: 3, Slowdowns: 2, Kills: 1, Seed: seed,
 		})
-		var failures []Failure
-		for _, k := range kills {
-			failures = append(failures, Failure{Machine: k.Machine, At: k.At})
-		}
 
 		refSt, refM := build(1, failures, heartbeat, sched)
 		totalRecoveries += refM.Recoveries

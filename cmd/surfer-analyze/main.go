@@ -20,174 +20,154 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/analyze"
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/trace"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("surfer-analyze: ")
-	var (
-		traceIn   = flag.String("trace", "", "raw event stream to analyze (from surfer-run -events)")
-		doDiff    = flag.Bool("diff", false, "diff two raw event streams given as positional args: A.events B.events")
-		doCompare = flag.Bool("compare", false, "gate a bench report against a baseline, positional args: old.json new.json")
-		threshold = flag.String("threshold", "5%", "regression threshold for -compare (percent; trailing % optional)")
-		autoscale = flag.String("autoscale", "", "raw event stream (with topology header) to run the utilization-driven autoscaling policy on; prints the recommended joins/drains and, with -json, a fault-schedule file ready for surfer-run -fail")
-		asJSON    = flag.Bool("json", false, "emit the report as JSON instead of text")
-	)
-	flag.Parse()
-	// The issue-standard invocation puts flags after the positional files
-	// ("-compare old.json new.json -threshold 5%"); stdlib flag stops at the
-	// first positional, so re-parse interleaved flags ourselves.
-	var args []string
-	for rest := flag.Args(); len(rest) > 0; {
-		if strings.HasPrefix(rest[0], "-") {
-			flag.CommandLine.Parse(rest)
-			rest = flag.CommandLine.Args()
-			continue
-		}
-		args = append(args, rest[0])
-		rest = rest[1:]
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	switch {
-	case *doCompare:
-		if len(args) != 2 {
-			log.Fatal("-compare wants two positional args: old.json new.json")
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.Flags("surfer-analyze", stderr)
+	var (
+		traceIn   = fs.String("trace", "", "raw event stream to analyze (from surfer-run -events)")
+		doDiff    = fs.Bool("diff", false, "diff two raw event streams given as positional args: A.events B.events")
+		doCompare = fs.Bool("compare", false, "gate a bench report against a baseline, positional args: old.json new.json")
+		threshold = fs.String("threshold", "5%", "regression threshold for -compare (percent; trailing % optional)")
+		autoscale = fs.String("autoscale", "", "raw event stream (with topology header) to run the utilization-driven autoscaling policy on; prints the recommended joins/drains and, with -json, a fault-schedule file ready for surfer-run -fail")
+		asJSON    = fs.Bool("json", false, "emit the report as JSON instead of text")
+	)
+	return cli.Run(fs, args, stderr, func(files []string) error {
+		switch {
+		case *doCompare:
+			if len(files) != 2 {
+				return errors.New("-compare wants two positional args: old.json new.json")
+			}
+			pct, err := parseThreshold(*threshold)
+			if err != nil {
+				return err
+			}
+			return runCompare(stdout, files[0], files[1], pct)
+		case *doDiff:
+			if len(files) != 2 {
+				return errors.New("-diff wants two positional args: A.events B.events")
+			}
+			a, err := analyzeFile(files[0])
+			if err != nil {
+				return err
+			}
+			b, err := analyzeFile(files[1])
+			if err != nil {
+				return err
+			}
+			d := analyze.Diff(a, b)
+			if *asJSON {
+				return analyze.WriteDiffJSON(stdout, d)
+			}
+			return analyze.WriteDiffText(stdout, d)
+		case *autoscale != "":
+			return runAutoscale(stdout, *autoscale, *asJSON)
+		case *traceIn != "":
+			r, err := analyzeFile(*traceIn)
+			if err != nil {
+				return err
+			}
+			if *asJSON {
+				return analyze.WriteJSON(stdout, r)
+			}
+			return analyze.WriteText(stdout, r)
 		}
-		pct, err := parseThreshold(*threshold)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runCompare(args[0], args[1], pct)
-	case *doDiff:
-		if len(args) != 2 {
-			log.Fatal("-diff wants two positional args: A.events B.events")
-		}
-		a := analyzeFile(args[0])
-		b := analyzeFile(args[1])
-		d := analyze.Diff(a, b)
-		if *asJSON {
-			must(analyze.WriteDiffJSON(os.Stdout, d))
-		} else {
-			must(analyze.WriteDiffText(os.Stdout, d))
-		}
-	case *autoscale != "":
-		runAutoscale(*autoscale, *asJSON)
-	case *traceIn != "":
-		r := analyzeFile(*traceIn)
-		if *asJSON {
-			must(analyze.WriteJSON(os.Stdout, r))
-		} else {
-			must(analyze.WriteText(os.Stdout, r))
-		}
-	default:
-		log.Fatal("nothing to do: want -trace f, -autoscale f, -diff a b, or -compare old new")
-	}
+		return errors.New("nothing to do: want -trace f, -autoscale f, -diff a b, or -compare old new")
+	})
 }
 
 // runAutoscale applies the default autoscaling policy to an event stream.
 // With -json it emits the plan's fault-schedule file (the format surfer-run
 // -fail consumes), so recommendation → replay is one pipe.
-func runAutoscale(path string, asJSON bool) {
-	f, err := os.Open(path)
+func runAutoscale(w io.Writer, path string, asJSON bool) error {
+	s, err := trace.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	s, err := trace.ReadEvents(f)
-	if err != nil {
-		log.Fatalf("%s: %v", path, err)
+		return err
 	}
 	if s.Topo == nil {
-		log.Fatalf("%s: no topology header (write the stream with surfer-run -events, not surfer-bench)", path)
+		return fmt.Errorf("%s: no topology header (write the stream with surfer-run -events, not surfer-bench)", path)
 	}
-	topo := cluster.NewTopologyFromMatrix(s.Topo.Name, s.Topo.Bandwidth)
-	plan, err := analyze.Autoscale(s.Events, topo, analyze.AutoscalePolicy{})
+	plan, err := analyze.Autoscale(s.Events, s.Topo.Topology(), analyze.AutoscalePolicy{})
 	if err != nil {
-		log.Fatalf("%s: %v", path, err)
+		return fmt.Errorf("%s: %v", path, err)
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		must(enc.Encode(plan.File()))
-		return
+		return enc.Encode(plan.File())
 	}
-	fmt.Printf("autoscale: %d window(s), %d join(s), %d drain(s) recommended\n",
+	fmt.Fprintf(w, "autoscale: %d window(s), %d join(s), %d drain(s) recommended\n",
 		len(plan.Windows), len(plan.Joins), len(plan.Drains))
-	for _, w := range plan.Windows {
+	for _, win := range plan.Windows {
 		state := ""
-		if w.Saturated {
+		if win.Saturated {
 			state = "  SATURATED"
-		} else if w.Idle {
+		} else if win.Idle {
 			state = "  idle"
 		}
-		fmt.Printf("  %-12s [%8.4f, %8.4f]  max level-0 util %5.1f%%%s\n",
-			w.Job, w.Start, w.End, 100*w.MaxLevel0Util, state)
+		fmt.Fprintf(w, "  %-12s [%8.4f, %8.4f]  max level-0 util %5.1f%%%s\n",
+			win.Job, win.Start, win.End, 100*win.MaxLevel0Util, state)
 	}
 	for _, j := range plan.Joins {
-		fmt.Printf("  join machine %d at %.4f\n", j.Machine, j.At)
+		fmt.Fprintf(w, "  join machine %d at %.4f\n", j.Machine, j.At)
 	}
 	for _, d := range plan.Drains {
-		fmt.Printf("  drain machine %d at %.4f (deadline %.4f)\n", d.Machine, d.At, d.Deadline)
+		fmt.Fprintf(w, "  drain machine %d at %.4f (deadline %.4f)\n", d.Machine, d.At, d.Deadline)
 	}
+	return nil
 }
 
 // analyzeFile loads a raw event stream and runs the critical-path
 // analysis. A topology header in the stream enables the link-utilization
 // section; without one the report simply omits it.
-func analyzeFile(path string) *analyze.Report {
-	f, err := os.Open(path)
+func analyzeFile(path string) (*analyze.Report, error) {
+	s, err := trace.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	defer f.Close()
-	s, err := trace.ReadEvents(f)
+	r, err := analyze.Analyze(s.Events, s.Topo.Topology())
 	if err != nil {
-		log.Fatalf("%s: %v", path, err)
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	var topo *cluster.Topology
-	if s.Topo != nil {
-		topo = cluster.NewTopologyFromMatrix(s.Topo.Name, s.Topo.Bandwidth)
-	}
-	r, err := analyze.Analyze(s.Events, topo)
-	if err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	return r
+	return r, nil
 }
 
-// runCompare loads two bench reports and exits 1 when any gated metric in
-// new exceeds old by more than pct percent.
-func runCompare(oldPath, newPath string, pct float64) {
+// runCompare loads two bench reports and fails when any gated metric in new
+// exceeds old by more than pct percent. The verdict, either way, is the
+// tool's output.
+func runCompare(w io.Writer, oldPath, newPath string, pct float64) error {
 	old, err := bench.LoadReport(oldPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cur, err := bench.LoadReport(newPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	regs := bench.Compare(old, cur, pct)
 	if len(regs) == 0 {
-		fmt.Printf("compare: OK (%d entries, threshold %.1f%%)\n", len(cur.Entries), pct)
-		return
+		fmt.Fprintf(w, "compare: OK (%d entries, threshold %.1f%%)\n", len(cur.Entries), pct)
+		return nil
 	}
 	for _, r := range regs {
-		fmt.Printf("REGRESSION %s/%s %s: %.6f -> %.6f (+%.1f%%)\n",
+		fmt.Fprintf(w, "REGRESSION %s/%s %s: %.6f -> %.6f (+%.1f%%)\n",
 			r.Experiment, r.Case, r.Metric, r.Old, r.New, r.Pct)
 	}
-	fmt.Printf("compare: %d regression(s) past %.1f%% threshold\n", len(regs), pct)
-	os.Exit(1)
+	fmt.Fprintf(w, "compare: %d regression(s) past %.1f%% threshold\n", len(regs), pct)
+	return cli.Failed
 }
 
 // parseThreshold accepts "5", "5%", "2.5%".
@@ -198,10 +178,4 @@ func parseThreshold(s string) (float64, error) {
 		return 0, fmt.Errorf("bad -threshold %q (want a percentage like 5%%)", s)
 	}
 	return v, nil
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -9,375 +9,168 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/bench"
-	"repro/internal/engine"
+	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("surfer-bench: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.Flags("surfer-bench", stderr)
 	var (
-		experiment  = flag.String("experiment", "all", "table1|table2|table3|table4|table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|parallel|multitenant|scale|all")
-		vertices    = flag.Int("vertices", 1<<16, "synthetic graph vertices")
-		sizes       = flag.String("sizes", "", "comma-separated vertex counts for the scale experiment (default: -vertices)")
-		machines    = flag.Int("machines", 32, "machines in the simulated cluster")
-		levels      = flag.Int("levels", 6, "log2 of partition count")
-		seed        = flag.Int64("seed", 42, "random seed")
-		iterations  = flag.Int("iterations", 3, "iterations for the cascade study")
-		workers     = flag.Int("workers", 0, "compute worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
-		parallelOut = flag.String("parallel-out", "BENCH_parallel.json", "output file for the parallel experiment")
-		appsDir     = flag.String("appsdir", "", "path to internal/apps for table4 (auto-detected)")
-		traceOut    = flag.String("trace", "", "write a Chrome trace_event JSON timeline of every simulated run to this file")
-		eventsOut   = flag.String("events", "", "write the raw event stream of every simulated run to this file for surfer-analyze")
-		jsonOut     = flag.String("json", "", "write a machine-readable bench report (surfer-bench/v1 schema) to this file for surfer-analyze -compare")
-		faultsPath  = flag.String("faults", "", "JSON fault-schedule file (kills, degraded links, drop windows, slowdowns) injected into every simulated run")
-		promOut     = flag.String("prom", "", "write Prometheus text exposition of the windowed metrics derived from every simulated run's events to this file (the wall-clock scrape bridge; see docs/METRICS.md §8)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU pprof profile of the bench process to this file (go tool pprof; see docs/TUNING.md)")
-		memProfile  = flag.String("memprofile", "", "write a heap pprof profile at exit to this file (go tool pprof)")
+		experiment  = fs.String("experiment", "all", strings.Join(bench.ExperimentNames(), "|"))
+		vertices    = fs.Int("vertices", 1<<16, "synthetic graph vertices")
+		sizes       = fs.String("sizes", "", "comma-separated vertex counts for the scale experiment (default: -vertices)")
+		machines    = fs.Int("machines", 32, "machines in the simulated cluster")
+		levels      = fs.Int("levels", 6, "log2 of partition count")
+		seed        = fs.Int64("seed", 42, "random seed")
+		iterations  = fs.Int("iterations", 3, "iterations for the cascade study")
+		workers     = fs.Int("workers", 0, "compute worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
+		parallelOut = fs.String("parallel-out", "BENCH_parallel.json", "output file for the parallel experiment")
+		appsDir     = fs.String("appsdir", "", "path to internal/apps for table4 (auto-detected)")
+		traceOut    = fs.String("trace", "", "write a Chrome trace_event JSON timeline of every simulated run to this file")
+		eventsOut   = fs.String("events", "", "write the raw event stream of every simulated run to this file for surfer-analyze")
+		jsonOut     = fs.String("json", "", "write a machine-readable bench report (surfer-bench/v1 schema) to this file for surfer-analyze -compare")
+		faultsPath  = fs.String("faults", "", "JSON fault-schedule file (kills, degraded links, drop windows, slowdowns) injected into every simulated run")
+		promOut     = fs.String("prom", "", "write Prometheus text exposition of the windowed metrics derived from every simulated run's events to this file (the wall-clock scrape bridge; see docs/METRICS.md §8)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU pprof profile of the bench process to this file (go tool pprof; see docs/TUNING.md)")
+		memProfile  = fs.String("memprofile", "", "write a heap pprof profile at exit to this file (go tool pprof)")
 	)
-	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	return cli.Run(fs, args, stderr, func([]string) (err error) {
+		selected, err := bench.SelectExperiments(*experiment)
 		if err != nil {
-			log.Fatalf("cpu profile: %v", err)
+			return cli.Usage(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpu profile: %v", err)
+		p := bench.Params{
+			Scale:      bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed, Workers: *workers},
+			Iterations: *iterations, ParallelOut: *parallelOut, AppsDir: *appsDir,
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				log.Fatalf("cpu profile: %v", err)
-			}
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatalf("heap profile: %v", err)
-			}
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatalf("heap profile: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("heap profile: %v", err)
-			}
-		}()
-	}
-
-	var rec *trace.Recorder
-	if *traceOut != "" || *eventsOut != "" || *promOut != "" {
-		rec = trace.NewRecorder()
-	}
-	var jsonReport *bench.Report
-	if *jsonOut != "" {
-		jsonReport = bench.NewReport()
-	}
-	s := bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed, Workers: *workers, Trace: rec}
-	if *faultsPath != "" {
-		ff, err := fault.Load(*faultsPath)
-		if err != nil {
-			log.Fatal(err)
+		if p.AppsDir == "" {
+			p.AppsDir = bench.FindAppsDir("internal/apps", "../internal/apps", "../../internal/apps")
 		}
-		// Validate the whole file — not just the transient Schedule — so a
-		// kill of a machine outside the topology fails loudly here instead
-		// of silently running fault-free (Schedule() does not carry kills).
-		if err := ff.Validate(*machines); err != nil {
-			log.Fatal(err)
-		}
-		s.Faults = ff.Schedule()
-		for _, k := range ff.KillList() {
-			s.Failures = append(s.Failures, engine.Failure{Machine: k.Machine, At: k.At})
-		}
-	}
-	dir := *appsDir
-	if dir == "" {
-		dir = bench.FindAppsDir("internal/apps", "../internal/apps", "../../internal/apps")
-	}
-	want := strings.ToLower(*experiment)
-	run := func(name string, fn func() error) {
-		if want != "all" && want != name {
-			return
-		}
-		start := time.Now()
-		if err := fn(); err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		fmt.Printf("[%s took %.1fs]\n\n", name, time.Since(start).Seconds())
-	}
-
-	var cells23 []bench.AppLevelMetrics
-	tables23 := func() error {
-		if cells23 != nil {
-			return nil
-		}
-		var err error
-		cells23, err = bench.Tables23(s)
-		if err == nil && jsonReport != nil {
-			jsonReport.Merge(bench.FromTables23(cells23))
-		}
-		return err
-	}
-
-	run("table1", func() error {
-		rows, err := bench.Table1(s)
-		if err != nil {
-			return err
-		}
-		bench.WriteTable1(os.Stdout, rows)
-		if jsonReport != nil {
-			jsonReport.Merge(bench.FromTable1(rows))
-		}
-		return nil
-	})
-	run("table2", func() error {
-		if err := tables23(); err != nil {
-			return err
-		}
-		bench.WriteTable2(os.Stdout, cells23)
-		return nil
-	})
-	run("table3", func() error {
-		if err := tables23(); err != nil {
-			return err
-		}
-		bench.WriteTable3(os.Stdout, cells23)
-		return nil
-	})
-	run("table4", func() error {
-		rows, err := bench.Table4(dir)
-		if err != nil {
-			return err
-		}
-		bench.WriteTable4(os.Stdout, rows)
-		return nil
-	})
-	run("table5", func() error {
-		rows, err := bench.Table5(s)
-		if err != nil {
-			return err
-		}
-		bench.WriteTable5(os.Stdout, rows)
-		return nil
-	})
-	run("fig6", func() error {
-		rows, err := bench.Fig6(s)
-		if err != nil {
-			return err
-		}
-		bench.WriteFig6(os.Stdout, rows)
-		return nil
-	})
-	run("fig7", func() error {
-		rows, err := bench.Fig7(s)
-		if err != nil {
-			return err
-		}
-		bench.WriteFig7(os.Stdout, rows)
-		return nil
-	})
-	run("fig9", func() error {
-		rows, err := bench.Fig9(s)
-		if err != nil {
-			return err
-		}
-		bench.WriteFig9(os.Stdout, rows)
-		return nil
-	})
-	run("fig10", func() error {
-		res, err := bench.Fig10(s)
-		if err != nil {
-			return err
-		}
-		bench.WriteFig10(os.Stdout, res)
-		return nil
-	})
-	runScaling := func() error {
-		rows, err := bench.Fig11And12(s)
-		if err != nil {
-			return err
-		}
-		bench.WriteFig11And12(os.Stdout, rows)
-		return nil
-	}
-	run("fig11", runScaling)
-	if want == "fig12" {
-		run("fig12", runScaling)
-	}
-	run("cascade", func() error {
-		res, err := bench.Cascade(s, *iterations)
-		if err != nil {
-			return err
-		}
-		bench.WriteCascade(os.Stdout, res)
-		return nil
-	})
-	// The parallel wall-clock benchmark runs only when asked for: unlike
-	// the paper experiments it measures the host machine, not the
-	// simulated cluster, so it has no place in "-experiment all".
-	if want == "parallel" {
-		run("parallel", func() error {
-			res, err := bench.ParallelBench(bench.ParallelConfig{
-				Scale: 17, EdgeFactor: 8, Levels: 4, Machines: 16,
-				Iterations: 10, Workers: *workers, Seed: *seed,
-			})
-			if err != nil {
-				return err
-			}
-			bench.WriteParallel(os.Stdout, res)
-			if err := bench.WriteParallelJSON(*parallelOut, res); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *parallelOut)
-			if jsonReport != nil {
-				jsonReport.Merge(bench.FromParallel(res))
-			}
-			return nil
-		})
-	}
-	// The multi-tenant experiment is deterministic virtual time but runs the
-	// whole workload three times (once per policy), so like parallel it runs
-	// only when asked for.
-	if want == "multitenant" {
-		run("multitenant", func() error {
-			mt := bench.DefaultMultitenantConfig()
-			mt.Scale.Vertices = *vertices
-			mt.Scale.Levels = *levels
-			mt.Scale.Machines = *machines
-			mt.Scale.Seed = *seed
-			mt.Scale.Workers = *workers
-			mt.Scale.Trace = rec
-			mt.Scale.Faults = s.Faults
-			mt.Scale.Retry = s.Retry
-			rows, err := bench.Multitenant(mt)
-			if err != nil {
-				return err
-			}
-			bench.WriteMultitenant(os.Stdout, rows)
-			if jsonReport != nil {
-				jsonReport.Merge(bench.FromMultitenant(rows))
-			}
-			return nil
-		})
-	}
-	// The scale experiment measures host wall-clock phase timings besides
-	// the gated virtual metrics, so like parallel it runs only when asked.
-	if want == "scale" {
-		run("scale", func() error {
-			ns := []int{*vertices}
-			if *sizes != "" {
-				ns = ns[:0]
-				for _, f := range strings.Split(*sizes, ",") {
-					var n int
-					if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n <= 0 {
-						return fmt.Errorf("bad -sizes entry %q", f)
-					}
-					ns = append(ns, n)
+		if *sizes != "" {
+			for _, f := range strings.Split(*sizes, ",") {
+				n, err := strconv.Atoi(strings.TrimSpace(f))
+				if err != nil || n <= 0 {
+					return fmt.Errorf("bad -sizes entry %q", f)
 				}
+				p.Sizes = append(p.Sizes, n)
 			}
-			rows, err := bench.ScaleExperiment(s, ns, bench.AdaptiveConfig{})
+		}
+		if *faultsPath != "" {
+			ff, err := fault.Load(*faultsPath)
 			if err != nil {
 				return err
 			}
-			bench.WriteScale(os.Stdout, rows)
-			if jsonReport != nil {
-				jsonReport.Merge(bench.FromScale(rows))
+			// Every experiment builds its own clusters of -machines machines,
+			// so the file must fit that count as it stands: a join past it
+			// would never be provisioned, and must not silently run fault-free.
+			topo, kills, faults, err := ff.RunInputs(cluster.NewT1(*machines))
+			if err == nil && topo.NumMachines() != *machines {
+				err = fmt.Errorf("names machine %d, outside the %d-machine clusters the experiments build", ff.MaxMachine(), *machines)
 			}
-			return nil
-		})
-	}
-	run("ablation", func() error {
-		rows, err := bench.Ablation(s)
-		if err != nil {
-			return err
+			if err != nil {
+				return fmt.Errorf("%s: %v", *faultsPath, err)
+			}
+			p.Scale.Failures, p.Scale.Faults = kills, faults
 		}
-		bench.WriteAblation(os.Stdout, rows)
+		if *traceOut != "" || *eventsOut != "" || *promOut != "" {
+			p.Scale.Trace = trace.NewRecorder()
+		}
+		rec := p.Scale.Trace
+
+		if *cpuProfile != "" {
+			f, err := os.Create(*cpuProfile)
+			if err != nil {
+				return fmt.Errorf("cpu profile: %v", err)
+			}
+			if err := pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+				return fmt.Errorf("cpu profile: %v", err)
+			}
+			defer func() {
+				pprof.StopCPUProfile()
+				if cerr := f.Close(); cerr != nil && err == nil {
+					err = fmt.Errorf("cpu profile: %v", cerr)
+				}
+			}()
+		}
+		if *memProfile != "" {
+			defer func() {
+				runtime.GC() // settle the heap so the profile shows live objects
+				if perr := cli.WriteFile(*memProfile, pprof.WriteHeapProfile); perr != nil && err == nil {
+					err = fmt.Errorf("heap profile: %v", perr)
+				}
+			}()
+		}
+
+		report := bench.NewReport()
+		for _, e := range selected {
+			start := time.Now()
+			rep, err := e.Run(p, stdout)
+			if err != nil {
+				return fmt.Errorf("%s: %v", e.Name, err)
+			}
+			if rep != nil {
+				report.Merge(rep)
+			}
+			fmt.Fprintf(stdout, "[%s took %.1fs]\n\n", e.Name, time.Since(start).Seconds())
+		}
+
+		if *traceOut != "" {
+			if err := cli.WriteFile(*traceOut, func(w io.Writer) error { return trace.WriteChrome(w, rec.Events()) }); err != nil {
+				return fmt.Errorf("writing trace: %v", err)
+			}
+			fmt.Fprintf(stdout, "wrote %s (%d events)\n", *traceOut, rec.Len())
+		}
+		if *eventsOut != "" {
+			// The bench harness runs many deployments over different topologies,
+			// so the combined stream carries no single topology header; the
+			// analyzer simply skips its link-utilization section.
+			if err := cli.WriteFile(*eventsOut, func(w io.Writer) error { return trace.WriteEvents(w, nil, rec.Events()) }); err != nil {
+				return fmt.Errorf("writing events: %v", err)
+			}
+			fmt.Fprintf(stdout, "wrote %s (%d events)\n", *eventsOut, rec.Len())
+		}
+		if *promOut != "" {
+			// The combined stream spans every run the experiment performed, so
+			// the exposition aggregates across them — a scrape-style summary of
+			// the whole bench invocation, not a per-run determinism artifact.
+			window := metrics.AutoWindow(rec.Events())
+			if window <= 0 {
+				window = 1.0 / 32 // nothing simulated: an empty exposition, not an error
+			}
+			set, _, err := metrics.FromEvents(rec.Events(), metrics.Config{Window: window})
+			if err != nil {
+				return fmt.Errorf("deriving metrics: %v", err)
+			}
+			if err := cli.WriteFile(*promOut, func(w io.Writer) error { return metrics.WriteProm(w, set) }); err != nil {
+				return fmt.Errorf("writing prom: %v", err)
+			}
+			fmt.Fprintf(stdout, "wrote %s (%d series)\n", *promOut, len(set.Series))
+		}
+		if *jsonOut != "" {
+			if err := report.Validate(); err != nil {
+				return fmt.Errorf("bench report: %v", err)
+			}
+			if err := bench.WriteReport(*jsonOut, report); err != nil {
+				return fmt.Errorf("writing bench report: %v", err)
+			}
+			fmt.Fprintf(stdout, "wrote %s (%d entries)\n", *jsonOut, len(report.Entries))
+		}
 		return nil
 	})
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("writing trace: %v", err)
-		}
-		if err := trace.WriteChrome(f, rec.Events()); err != nil {
-			f.Close()
-			log.Fatalf("writing trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("writing trace: %v", err)
-		}
-		fmt.Printf("wrote %s (%d events)\n", *traceOut, rec.Len())
-	}
-	if *eventsOut != "" {
-		// The bench harness runs many deployments over different topologies,
-		// so the combined stream carries no single topology header; the
-		// analyzer simply skips its link-utilization section.
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			log.Fatalf("writing events: %v", err)
-		}
-		if err := trace.WriteEvents(f, nil, rec.Events()); err != nil {
-			f.Close()
-			log.Fatalf("writing events: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("writing events: %v", err)
-		}
-		fmt.Printf("wrote %s (%d events)\n", *eventsOut, rec.Len())
-	}
-	if *promOut != "" {
-		// The combined stream spans every run the experiment performed, so
-		// the exposition aggregates across them — a scrape-style summary of
-		// the whole bench invocation, not a per-run determinism artifact.
-		makespan := 0.0
-		for _, ev := range rec.Events() {
-			if ev.Time > makespan {
-				makespan = ev.Time
-			}
-		}
-		if makespan <= 0 {
-			makespan = 1
-		}
-		set, _, err := metrics.FromEvents(rec.Events(), metrics.Config{Window: makespan / 32})
-		if err != nil {
-			log.Fatalf("deriving metrics: %v", err)
-		}
-		f, err := os.Create(*promOut)
-		if err != nil {
-			log.Fatalf("writing prom: %v", err)
-		}
-		if err := metrics.WriteProm(f, set); err != nil {
-			f.Close()
-			log.Fatalf("writing prom: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("writing prom: %v", err)
-		}
-		fmt.Printf("wrote %s (%d series)\n", *promOut, len(set.Series))
-	}
-	if jsonReport != nil {
-		if err := jsonReport.Validate(); err != nil {
-			log.Fatalf("bench report: %v", err)
-		}
-		if err := bench.WriteReport(*jsonOut, jsonReport); err != nil {
-			log.Fatalf("writing bench report: %v", err)
-		}
-		fmt.Printf("wrote %s (%d entries)\n", *jsonOut, len(jsonReport.Entries))
-	}
 }

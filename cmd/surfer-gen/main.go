@@ -8,51 +8,53 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	surfer "repro"
+	"repro/cmd/internal/cli"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("surfer-gen: ")
-	var (
-		kind       = flag.String("kind", "social", "generator: social, smallworld, rmat, uniform")
-		vertices   = flag.Int("vertices", 1<<16, "number of vertices (social, smallworld, uniform)")
-		scale      = flag.Int("scale", 16, "log2 vertices (rmat)")
-		edgeFactor = flag.Int("edgefactor", 12, "average out-degree (rmat, uniform)")
-		rewire     = flag.Float64("rewire", 0.05, "cross-component rewire ratio (smallworld)")
-		seed       = flag.Int64("seed", 42, "random seed")
-		out        = flag.String("out", "graph.srfg", "output file")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var g *surfer.Graph
-	switch *kind {
-	case "social":
-		g = surfer.Social(surfer.DefaultSocial(*vertices, *seed))
-	case "smallworld":
-		cfg := surfer.DefaultSmallWorld(*vertices, *seed)
-		cfg.RewireRatio = *rewire
-		g = surfer.SmallWorld(cfg)
-	case "rmat":
-		g = surfer.RMAT(surfer.DefaultRMAT(*scale, *edgeFactor, *seed))
-	case "uniform":
-		g = uniform(*vertices, *edgeFactor, *seed)
-	default:
-		log.Fatalf("unknown kind %q (want social, smallworld, rmat or uniform)", *kind)
-	}
-	if err := g.Save(*out); err != nil {
-		log.Fatalf("saving %s: %v", *out, err)
-	}
-	fi, err := os.Stat(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s: %d vertices, %d edges, %d bytes\n", *out, g.NumVertices(), g.NumEdges(), fi.Size())
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.Flags("surfer-gen", stderr)
+	var (
+		kind       = fs.String("kind", "social", "generator: social, smallworld, rmat, uniform")
+		vertices   = fs.Int("vertices", 1<<16, "number of vertices (social, smallworld, uniform)")
+		scale      = fs.Int("scale", 16, "log2 vertices (rmat)")
+		edgeFactor = fs.Int("edgefactor", 12, "average out-degree (rmat, uniform)")
+		rewire     = fs.Float64("rewire", 0.05, "cross-component rewire ratio (smallworld)")
+		seed       = fs.Int64("seed", 42, "random seed")
+		out        = fs.String("out", "graph.srfg", "output file")
+	)
+	return cli.Run(fs, args, stderr, func([]string) error {
+		var g *surfer.Graph
+		switch *kind {
+		case "social":
+			g = surfer.Social(surfer.DefaultSocial(*vertices, *seed))
+		case "smallworld":
+			cfg := surfer.DefaultSmallWorld(*vertices, *seed)
+			cfg.RewireRatio = *rewire
+			g = surfer.SmallWorld(cfg)
+		case "rmat":
+			g = surfer.RMAT(surfer.DefaultRMAT(*scale, *edgeFactor, *seed))
+		case "uniform":
+			g = uniform(*vertices, *edgeFactor, *seed)
+		default:
+			return fmt.Errorf("unknown kind %q (want social, smallworld, rmat or uniform)", *kind)
+		}
+		if err := g.Save(*out); err != nil {
+			return fmt.Errorf("saving %s: %v", *out, err)
+		}
+		fi, err := os.Stat(*out)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s: %d vertices, %d edges, %d bytes\n", *out, g.NumVertices(), g.NumEdges(), fi.Size())
+		return nil
+	})
 }
 
 func uniform(n, edgeFactor int, seed int64) *surfer.Graph {

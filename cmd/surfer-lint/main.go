@@ -23,68 +23,58 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/lint"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole tool: 0 clean, 1 unsuppressed findings, 2 usage or load
 // errors.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("surfer-lint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.Flags("surfer-lint", stderr)
 	jsonOut := fs.Bool("json", false, "emit every finding as JSON (includes suppressed findings)")
 	root := fs.String("root", "", "analyze this tree instead of the enclosing module")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
+	return cli.Run(fs, args, stderr, func(patterns []string) error {
+		if len(patterns) == 0 {
+			patterns = []string{"./..."}
 		}
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
+		if *root == "" {
+			var err error
+			if *root, err = moduleRoot(); err != nil {
+				return cli.Usage(err)
+			}
+		}
+		findings, err := lint.Run(lint.DefaultConfig(*root), patterns)
+		if err != nil {
+			return cli.Usage(err)
+		}
+		failing := lint.Unsuppressed(findings)
 
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	if *root == "" {
-		var err error
-		if *root, err = moduleRoot(); err != nil {
-			return fail(err)
+		if *jsonOut {
+			out := struct {
+				Findings     []lint.Finding `json:"findings"`
+				Total        int            `json:"total"`
+				Unsuppressed int            `json:"unsuppressed"`
+			}{Findings: findings, Total: len(findings), Unsuppressed: len(failing)}
+			if out.Findings == nil {
+				out.Findings = []lint.Finding{}
+			}
+			enc := json.NewEncoder(stdout)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(out); err != nil {
+				return err
+			}
+			if len(failing) > 0 {
+				return cli.Failed
+			}
+			return nil
 		}
-	}
-	findings, err := lint.Run(lint.DefaultConfig(*root), patterns)
-	if err != nil {
-		return fail(err)
-	}
-	failing := lint.Unsuppressed(findings)
-
-	if *jsonOut {
-		out := struct {
-			Findings     []lint.Finding `json:"findings"`
-			Total        int            `json:"total"`
-			Unsuppressed int            `json:"unsuppressed"`
-		}{Findings: findings, Total: len(findings), Unsuppressed: len(failing)}
-		if out.Findings == nil {
-			out.Findings = []lint.Finding{}
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return fail(err)
-		}
-	} else {
 		for _, f := range failing {
 			fmt.Fprintln(stdout, f)
 		}
@@ -92,13 +82,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "surfer-lint: %d finding(s) suppressed by //lint:allow pragmas (run -json to audit)\n", n)
 		}
 		if len(failing) > 0 {
-			fmt.Fprintf(stderr, "surfer-lint: %d failing finding(s)\n", len(failing))
+			return fmt.Errorf("%d failing finding(s)", len(failing))
 		}
-	}
-	if len(failing) > 0 {
-		return 1
-	}
-	return 0
+		return nil
+	})
 }
 
 // moduleRoot walks up from the working directory to the nearest go.mod.
@@ -113,7 +100,7 @@ func moduleRoot() (string, error) {
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("surfer-lint: no go.mod found above %s", dir)
+			return "", fmt.Errorf("no go.mod found above %s", dir)
 		}
 		dir = parent
 	}

@@ -75,6 +75,7 @@ func TestRun(t *testing.T) {
 					t.Errorf("finding IDs = %v, want those of expected.txt %v", got, goldenIDs)
 				}
 			}},
+		{name: "help", args: []string{"-h"}, exit: 0, wantStderr: "Usage of surfer-lint"},
 		{name: "empty pattern", args: []string{"-root", repo, "internal/tpyo/..."}, exit: 2,
 			wantStderr: `pattern "internal/tpyo/..." matched no Go files`},
 		{name: "-sarif retired", args: []string{"-sarif", "-root", repo}, exit: 2,

@@ -1,0 +1,167 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/cmd/internal/cli"
+	"repro/internal/apps"
+	"repro/internal/bench"
+	"repro/internal/cluster"
+	"repro/internal/graph"
+	"repro/internal/metrics"
+	"repro/internal/trace"
+)
+
+// invoke runs the tool in-process and returns its exit status and output.
+func invoke(args ...string) (code int, stdout, stderr string) {
+	var o, e bytes.Buffer
+	code = run(args, &o, &e)
+	return code, o.String(), e.String()
+}
+
+const window = "0.0005" // a run at test size spans a few milliseconds
+
+// capture does what surfer-run -events -metrics does, at test size: NR on a
+// traced deployment with a live collector attached. It writes the stream to
+// path and returns the series file the live collector would have written.
+func capture(t *testing.T, path string) (liveSeries []byte) {
+	t.Helper()
+	topo, rec := cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1}), trace.NewRecorder()
+	col, err := metrics.NewCollector(metrics.Config{Window: 0.0005, Topo: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Attach(rec)
+	d, err := bench.NewDeploymentFor(bench.Scale{Levels: 3, Seed: 42, Workers: 1, Trace: rec}, topo, graph.Social(graph.DefaultSocial(2048, 42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RunApp(apps.NewNR(2), bench.O1); err != nil {
+		t.Fatal(err)
+	}
+	var live bytes.Buffer
+	if err := metrics.WriteSet(&live, col.Finish()); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.WriteFile(path, func(w io.Writer) error { return trace.WriteEvents(w, trace.TopoOf(topo), rec.Events()) }); err != nil {
+		t.Fatal(err)
+	}
+	return live.Bytes()
+}
+
+// TestDerivedEqualsLive is EXPERIMENTS.md's two-path contract through the
+// tool: the series derived from a capture at the live window are the live
+// collector's, byte for byte, and a series file re-renders to itself.
+func TestDerivedEqualsLive(t *testing.T) {
+	dir := t.TempDir()
+	events, series := filepath.Join(dir, "run.events"), filepath.Join(dir, "live.series")
+	live := capture(t, events)
+	if err := os.WriteFile(series, live, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-trace", events, "-window", window, "-json"}, {"-series", series, "-json"}} {
+		code, stdout, stderr := invoke(args...)
+		if code != 0 || stdout != string(live) {
+			t.Errorf("%v: exit %d, stderr %q; %d bytes, want the %d the live collector wrote", args, code, stderr, len(stdout), len(live))
+		}
+	}
+}
+
+// TestRenderings: every output form, the name filter, the automatic window
+// and offline rule evaluation.
+func TestRenderings(t *testing.T) {
+	dir := t.TempDir()
+	events := filepath.Join(dir, "run.events")
+	capture(t, events)
+	rules := filepath.Join(dir, "slo.json")
+	if err := os.WriteFile(rules, []byte(`{"rules": [{"name": "busy", "series": "machine-queue:*", "op": ">", "threshold": 1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args    []string
+		want    []string
+		wantNot string
+	}{
+		{[]string{"-trace", events}, []string{" series × 32 windows of ", "level-util:0", "machine-queue:7"}, "alerts ("},
+		{[]string{"-trace", events, "-window", window, "-csv"}, []string{"window,start,", "\n0,0,"}, ""},
+		{[]string{"-trace", events, "-window", window, "-prom"}, []string{"# HELP surfer_series_last", `surfer_series_last{name="level-util:0"}`}, ""},
+		{[]string{"-trace", events, "-window", window, "-match", "level-util"}, []string{"level-util:0"}, "machine-queue"},
+		{[]string{"-trace", events, "-window", window, "-rules", rules}, []string{"alerts (", "FIRED    busy@machine-queue:"}, ""},
+	} {
+		code, stdout, stderr := invoke(tc.args...)
+		if code != 0 || stderr != "" {
+			t.Fatalf("%v: exit %d: %s", tc.args, code, stderr)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(stdout, want) {
+				t.Errorf("%v: output lacks %q:\n%.600s", tc.args, want, stdout)
+			}
+		}
+		if tc.wantNot != "" && strings.Contains(stdout, tc.wantNot) {
+			t.Errorf("%v: output holds %q:\n%.600s", tc.args, tc.wantNot, stdout)
+		}
+	}
+}
+
+func TestBadInvocations(t *testing.T) {
+	dir := t.TempDir()
+	events, series := filepath.Join(dir, "run.events"), filepath.Join(dir, "live.series")
+	live := capture(t, events)
+	if err := os.WriteFile(series, live, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	missing, empty := filepath.Join(dir, "missing"), write("empty", "")
+	still := write("still.events", `{"format":"surfer-trace-events","version":1,"events":[]}`)
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-h"}, 0, "Usage of surfer-metrics"},
+		{[]string{"-no-such-flag"}, 2, "Usage of surfer-metrics"},
+		{nil, 1, "pass -trace run.events (derive) or -series run.series (re-render)"},
+		{[]string{"-trace", events, "-series", series}, 1, "alternatives"},
+		{[]string{"-series", series, "-rules", missing}, 1, "-rules needs -trace"},
+		{[]string{"-trace", still}, 1, "still.events: empty stream; pass -window explicitly"},
+
+		{[]string{"-trace", missing}, 1, "missing"},
+		{[]string{"-trace", empty}, 1, "empty: trace: not a raw event trace"},
+		{[]string{"-trace", write("truncated.events", string(whole[:len(whole)/2]))}, 1, "truncated.events: trace: raw trace file is truncated"},
+		{[]string{"-trace", write("truncated2.events", string(whole[:len(whole)/2])), "-window", window}, 1, "truncated2.events: trace: raw trace file is truncated"},
+		{[]string{"-trace", series}, 1, "live.series: trace: not a raw event trace"},
+
+		{[]string{"-series", missing}, 1, "missing"},
+		{[]string{"-series", empty}, 1, "empty: "},
+		{[]string{"-series", write("truncated.series", string(live[:len(live)/2]))}, 1, "truncated.series: "},
+		{[]string{"-series", events}, 1, "run.events: "},
+
+		{[]string{"-trace", events, "-rules", missing}, 1, "missing"},
+		{[]string{"-trace", events, "-rules", empty}, 1, "empty: metrics: parsing rules"},
+		{[]string{"-trace", events, "-rules", write("truncated.rules", `{"rules": [{"name": "bu`)}, 1, "truncated.rules: metrics: parsing rules"},
+		{[]string{"-trace", events, "-rules", series}, 1, "live.series: metrics: parsing rules"},
+	} {
+		code, stdout, stderr := invoke(tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("%v: exit %d, stdout %.100q, stderr %q; want exit %d naming %q", tc.args, code, stdout, stderr, tc.code, tc.want)
+		}
+		if tc.code == 1 && (strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "surfer-metrics: ")) {
+			t.Errorf("%v: a failure is one surfer-metrics: line, got %q", tc.args, stderr)
+		}
+	}
+}

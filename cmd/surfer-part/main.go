@@ -9,89 +9,75 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	surfer "repro"
+	"repro/cmd/internal/cli"
+	"repro/internal/cluster"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("surfer-part: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.Flags("surfer-part", stderr)
 	var (
-		graphPath = flag.String("graph", "graph.srfg", "input graph file")
-		machines  = flag.Int("machines", 32, "number of machines")
-		topoKind  = flag.String("topology", "t1", "topology: t1, t2, t3")
-		pods      = flag.Int("pods", 2, "pods (t2)")
-		treeLvls  = flag.Int("tree-levels", 1, "switch levels above pods (t2)")
-		levels    = flag.Int("levels", 6, "log2 of partition count")
-		seed      = flag.Int64("seed", 42, "random seed")
-		outDir    = flag.String("outdir", "", "write the bandwidth-aware partitions to this directory")
-		dotPath   = flag.String("dot", "", "write the partition sketch as Graphviz DOT to this file")
+		graphPath = fs.String("graph", "graph.srfg", "input graph file")
+		machines  = fs.Int("machines", 32, "number of machines")
+		topoKind  = fs.String("topology", "t1", "topology: t1, t2, t3")
+		pods      = fs.Int("pods", 2, "pods (t2)")
+		treeLvls  = fs.Int("tree-levels", 1, "switch levels above pods (t2)")
+		levels    = fs.Int("levels", 6, "log2 of partition count")
+		seed      = fs.Int64("seed", 42, "random seed")
+		outDir    = fs.String("outdir", "", "write the bandwidth-aware partitions to this directory")
+		dotPath   = fs.String("dot", "", "write the partition sketch as Graphviz DOT to this file")
 	)
-	flag.Parse()
-
-	g, err := surfer.LoadGraph(*graphPath)
-	if err != nil {
-		log.Fatalf("loading graph: %v", err)
-	}
-	topo := makeTopology(*topoKind, *machines, *pods, *treeLvls, *seed)
-	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
-	fmt.Printf("cluster: %s\n", topo)
-
-	cm := surfer.DefaultPartitionCostModel()
-	for _, strat := range []surfer.PartitionStrategy{surfer.StrategyBandwidthAware, surfer.StrategyParMetis} {
-		sys, err := surfer.Build(surfer.Config{
-			Graph: g, Topology: topo, Levels: *levels, Strategy: strat, Seed: *seed,
-		})
+	return cli.Run(fs, args, stderr, func([]string) error {
+		g, err := surfer.LoadGraph(*graphPath)
 		if err != nil {
-			log.Fatalf("%v: %v", strat, err)
+			return fmt.Errorf("loading graph %s: %v", *graphPath, err)
 		}
-		if *outDir != "" && strat == surfer.StrategyBandwidthAware {
-			if err := sys.PG.SaveDir(*outDir); err != nil {
-				log.Fatalf("writing partitions: %v", err)
-			}
-			fmt.Printf("wrote %d partition files to %s\n", sys.PG.Part.P, *outDir)
+		topo, err := cluster.ByName(*topoKind, *machines, *pods, *treeLvls, *seed)
+		if err != nil {
+			return err
 		}
-		if *dotPath != "" && strat == surfer.StrategyBandwidthAware {
-			f, err := os.Create(*dotPath)
-			if err != nil {
-				log.Fatalf("creating %s: %v", *dotPath, err)
-			}
-			if err := sys.Sketch.WriteDOT(f, g, sys.Placement); err != nil {
-				log.Fatalf("writing DOT: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote partition sketch to %s\n", *dotPath)
-		}
-		fmt.Printf("\n%v:\n", strat)
-		fmt.Printf("  partitions:          %d\n", sys.PG.Part.P)
-		fmt.Printf("  inner edge ratio:    %.1f%%\n", 100*sys.InnerEdgeRatio())
-		fmt.Printf("  cross edges:         %d\n", sys.PG.TotalCrossEdges())
-		fmt.Printf("  est. elapsed time:   %.3f s\n", sys.PartitioningTime(cm))
-		var inner, total int64
-		for _, pi := range sys.PG.Parts {
-			inner += pi.InnerVertices
-			total += int64(pi.NumVertices())
-		}
-		fmt.Printf("  inner vertex ratio:  %.1f%%\n", 100*float64(inner)/float64(total))
-	}
-}
+		fmt.Fprintf(stdout, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+		fmt.Fprintf(stdout, "cluster: %s\n", topo)
 
-func makeTopology(kind string, machines, pods, treeLevels int, seed int64) *surfer.Topology {
-	switch kind {
-	case "t1":
-		return surfer.NewT1(machines)
-	case "t2":
-		return surfer.NewT2(surfer.T2Config{Machines: machines, Pods: pods, Levels: treeLevels})
-	case "t3":
-		return surfer.NewT3(machines, seed)
-	default:
-		log.Fatalf("unknown topology %q (want t1, t2 or t3)", kind)
+		cm := surfer.DefaultPartitionCostModel()
+		for _, strat := range []surfer.PartitionStrategy{surfer.StrategyBandwidthAware, surfer.StrategyParMetis} {
+			sys, err := surfer.Build(surfer.Config{
+				Graph: g, Topology: topo, Levels: *levels, Strategy: strat, Seed: *seed,
+			})
+			if err != nil {
+				return fmt.Errorf("%v: %v", strat, err)
+			}
+			if *outDir != "" && strat == surfer.StrategyBandwidthAware {
+				if err := sys.PG.SaveDir(*outDir); err != nil {
+					return fmt.Errorf("writing partitions: %v", err)
+				}
+				fmt.Fprintf(stdout, "wrote %d partition files to %s\n", sys.PG.Part.P, *outDir)
+			}
+			if *dotPath != "" && strat == surfer.StrategyBandwidthAware {
+				err := cli.WriteFile(*dotPath, func(w io.Writer) error { return sys.Sketch.WriteDOT(w, g, sys.Placement) })
+				if err != nil {
+					return fmt.Errorf("writing DOT: %v", err)
+				}
+				fmt.Fprintf(stdout, "wrote partition sketch to %s\n", *dotPath)
+			}
+			fmt.Fprintf(stdout, "\n%v:\n", strat)
+			fmt.Fprintf(stdout, "  partitions:          %d\n", sys.PG.Part.P)
+			fmt.Fprintf(stdout, "  inner edge ratio:    %.1f%%\n", 100*sys.InnerEdgeRatio())
+			fmt.Fprintf(stdout, "  cross edges:         %d\n", sys.PG.TotalCrossEdges())
+			fmt.Fprintf(stdout, "  est. elapsed time:   %.3f s\n", sys.PartitioningTime(cm))
+			var inner, total int64
+			for _, pi := range sys.PG.Parts {
+				inner += pi.InnerVertices
+				total += int64(pi.NumVertices())
+			}
+			fmt.Fprintf(stdout, "  inner vertex ratio:  %.1f%%\n", 100*float64(inner)/float64(total))
+		}
 		return nil
-	}
+	})
 }

@@ -11,11 +11,12 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -25,12 +26,8 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the whole tool: it parses args, writes the report to stdout and
-// one "surfer-submit: ..." line per failure to stderr, and returns the exit
-// status.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("surfer-submit", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.Flags("surfer-submit", stderr)
 	var (
 		sub         submission
 		gen         = fs.Int("gen", 0, "generate a workload of this many jobs and write it to -out")
@@ -49,40 +46,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&sub.workers, "workers", 0, "planning worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
 	fs.StringVar(&sub.faultsPath, "faults", "", "JSON fault-schedule file injected into the run")
 	fs.StringVar(&sub.eventsOut, "events", "", "write the raw event stream (with topology header) to this file for surfer-analyze")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	var err error
-	if *gen > 0 {
-		err = generate(stdout, *out, jobsvc.GenConfig{Jobs: *gen, Tenants: *tenants, MaxPriority: *maxPriority, Seed: sub.seed})
-	} else {
-		err = submit(stdout, sub)
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "surfer-submit: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
-// writeFile creates path, hands it to write and closes it, reporting the
-// first error.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cli.Run(fs, args, stderr, func([]string) error {
+		if *gen > 0 {
+			return generate(stdout, *out, jobsvc.GenConfig{Jobs: *gen, Tenants: *tenants, MaxPriority: *maxPriority, Seed: sub.seed})
+		}
+		return submit(stdout, sub)
+	})
 }
 
 // generate writes a seeded arrival workload to path.
 func generate(stdout io.Writer, path string, cfg jobsvc.GenConfig) error {
 	wl := jobsvc.GenerateWorkload(cfg)
-	if err := writeFile(path, func(w io.Writer) error { return jobsvc.WriteWorkload(w, wl) }); err != nil {
+	if err := cli.WriteFile(path, func(w io.Writer) error { return jobsvc.WriteWorkload(w, wl) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %s (%d jobs, %d tenants)\n", path, len(wl.Jobs), cfg.Tenants)
@@ -101,7 +76,7 @@ type submission struct {
 // job service and prints per-job latency, wait and fairness.
 func submit(stdout io.Writer, sub submission) error {
 	if sub.jobsPath == "" {
-		return fmt.Errorf("nothing to do: pass -gen N to generate a workload or -jobs FILE to run one")
+		return errors.New("nothing to do: pass -gen N to generate a workload or -jobs FILE to run one")
 	}
 	pol, err := jobsvc.ParsePolicy(sub.policy)
 	if err != nil {
@@ -114,7 +89,7 @@ func submit(stdout io.Writer, sub submission) error {
 	wl, err := jobsvc.ReadWorkload(f)
 	f.Close()
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %v", sub.jobsPath, err)
 	}
 
 	topo := cluster.NewT3(sub.machines, sub.seed)
@@ -141,9 +116,14 @@ func submit(stdout io.Writer, sub submission) error {
 		if err != nil {
 			return err
 		}
-		cfg.Faults = ff.Schedule()
-		if len(ff.KillList()) != 0 {
-			return fmt.Errorf("the job service handles transient faults only; remove kills from the schedule")
+		// The cluster is the planner's: a join must name one of its machines,
+		// which the service checks against cfg.Topo.
+		var kills []fault.Kill
+		if _, kills, cfg.Faults, err = ff.RunInputs(topo); err != nil {
+			return fmt.Errorf("%s: %v", sub.faultsPath, err)
+		}
+		if len(kills) != 0 {
+			return errors.New("the job service handles transient faults only; remove kills from the schedule")
 		}
 	}
 	var rec *trace.Recorder
@@ -175,8 +155,7 @@ func submit(stdout io.Writer, sub submission) error {
 	fmt.Fprintf(stdout, "Jain fairness over %d tenants: %.3f\n", len(names), jobsvc.JainIndex(service))
 
 	if sub.eventsOut != "" {
-		ti := &trace.TopoInfo{Name: topo.Name(), Machines: topo.NumMachines(), Bandwidth: topo.BandwidthMatrix()}
-		err := writeFile(sub.eventsOut, func(w io.Writer) error { return trace.WriteEvents(w, ti, rec.Events()) })
+		err := cli.WriteFile(sub.eventsOut, func(w io.Writer) error { return trace.WriteEvents(w, trace.TopoOf(topo), rec.Events()) })
 		if err != nil {
 			return err
 		}

@@ -103,13 +103,34 @@ func TestBadInvocations(t *testing.T) {
 	if code, _, stderr := invoke("-gen", "2", "-seed", "7", "-out", jobs); code != 0 {
 		t.Fatalf("-gen: exit %d: %s", code, stderr)
 	}
+	whole, err := os.ReadFile(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name, body string) string {
+		path := filepath.Join(filepath.Dir(jobs), name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	for _, tc := range []struct {
 		args []string
 		code int
 		want string
 	}{
+		// was: exit 2, where the other nine tools exit 0.
+		{[]string{"-h"}, 0, "Usage of surfer-submit"},
 		{nil, 1, "nothing to do"},
-		{[]string{"-jobs", "/nonexistent/jobs.json"}, 1, "no such file"},
+		{[]string{"-jobs", "/nonexistent/jobs.json"}, 1, "/nonexistent/jobs.json: no such file"},
+		{[]string{"-jobs", write("empty.json", "")}, 1, "empty.json: "},
+		{[]string{"-jobs", write("truncated.json", string(whole[:len(whole)/2]))}, 1, "truncated.json: "},
+		{[]string{"-jobs", write("wrong.json", `{"kills": [{"machine": 2, "at": 1}]}`)}, 1, "wrong.json: "},
+		{replayArgs(jobs, "-faults", "/nonexistent/faults.json"), 1, "/nonexistent/faults.json"},
+		{replayArgs(jobs, "-faults", write("nofaults.json", "")), 1, "nofaults.json"},
+		{replayArgs(jobs, "-faults", jobs), 1, "jobs.json"},
+		{replayArgs(jobs, "-faults", write("past.json", `{"joins": [{"machine": 8, "at": 0}]}`)), 1, "outside"},
+		{replayArgs(jobs, "-events", "/nonexistent/dir/run.events"), 1, "/nonexistent/dir/run.events"},
 		{[]string{"-jobs", "x", "-policy", "lifo"}, 1, `unknown policy "lifo"`},
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-submit"},
 		// 2^levels must be a partition count of the 512-vertex graph.
@@ -120,6 +141,9 @@ func TestBadInvocations(t *testing.T) {
 		code, _, stderr := invoke(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.want) {
 			t.Errorf("%v: exit %d, stderr %q; want exit %d naming %q", tc.args, code, stderr, tc.code, tc.want)
+		}
+		if tc.code == 1 && (strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "surfer-submit: ")) {
+			t.Errorf("%v: a failure is one surfer-submit: line, got %q", tc.args, stderr)
 		}
 	}
 }

@@ -17,62 +17,57 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
-	"log"
+	"fmt"
+	"io"
 	"os"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/bench"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("surfer-tune: ")
-	var (
-		app       = flag.String("app", "nr", "application to tune: nr|tfl")
-		vertices  = flag.Int("vertices", 1<<16, "synthetic graph vertices")
-		machines  = flag.Int("machines", 32, "machines in the simulated cluster")
-		seed      = flag.Int64("seed", 42, "random seed (drives generation, partitioning, and the deterministic objective)")
-		levels    = flag.Int("levels", 6, "starting log2 partition count")
-		levelsMin = flag.Int("levels-min", 1, "partition-count axis lower bound (log2)")
-		levelsMax = flag.Int("levels-max", 0, "partition-count axis upper bound (log2, 0 = levels+2)")
-		budget    = flag.Int("budget", 24, "maximum distinct configuration evaluations")
-		objective = flag.String("objective", "virtual", "virtual (deterministic simulated seconds) | wall (adaptive host seconds)")
-		maxRuns   = flag.Int("max-runs", 6, "wall objective: maximum reruns per configuration")
-		maxRelErr = flag.Float64("max-rel-err", 0.1, "wall objective: relative standard error convergence bound")
-		jsonOut   = flag.String("json", "", "write the result as a surfer-bench/v1 report to this file")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	cfg := bench.TuneConfig{
-		Scale:     bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed},
-		App:       *app,
-		Budget:    *budget,
-		LevelsMin: *levelsMin,
-		LevelsMax: *levelsMax,
-		Adaptive:  bench.AdaptiveConfig{MaxRuns: *maxRuns, MaxRelErr: *maxRelErr},
-	}
-	switch *objective {
-	case "virtual":
-		cfg.Objective = bench.ObjVirtual
-	case "wall":
-		cfg.Objective = bench.ObjWall
-	default:
-		log.Fatalf("unknown objective %q (want virtual or wall)", *objective)
-	}
-	res, err := bench.Tune(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bench.WriteTune(os.Stdout, cfg, res)
-	if *jsonOut != "" {
-		r := bench.FromTune(cfg, res)
-		data, err := json.MarshalIndent(r, "", "  ")
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.Flags("surfer-tune", stderr)
+	var (
+		app       = fs.String("app", "nr", "application to tune: nr, tfl or any other surfer-run -app name")
+		vertices  = fs.Int("vertices", 1<<16, "synthetic graph vertices")
+		machines  = fs.Int("machines", 32, "machines in the simulated cluster")
+		seed      = fs.Int64("seed", 42, "random seed (drives generation, partitioning, and the deterministic objective)")
+		levels    = fs.Int("levels", 6, "starting log2 partition count")
+		levelsMin = fs.Int("levels-min", 1, "partition-count axis lower bound (log2)")
+		levelsMax = fs.Int("levels-max", 0, "partition-count axis upper bound (log2, 0 = levels+2)")
+		budget    = fs.Int("budget", 24, "maximum distinct configuration evaluations")
+		objective = fs.String("objective", "virtual", "virtual (deterministic simulated seconds) | wall (adaptive host seconds)")
+		maxRuns   = fs.Int("max-runs", 6, "wall objective: maximum reruns per configuration")
+		maxRelErr = fs.Float64("max-rel-err", 0.1, "wall objective: relative standard error convergence bound")
+		jsonOut   = fs.String("json", "", "write the result as a surfer-bench/v1 report to this file")
+	)
+	return cli.Run(fs, args, stderr, func([]string) error {
+		cfg := bench.TuneConfig{
+			Scale:     bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed},
+			App:       *app,
+			Budget:    *budget,
+			LevelsMin: *levelsMin,
+			LevelsMax: *levelsMax,
+			Adaptive:  bench.AdaptiveConfig{MaxRuns: *maxRuns, MaxRelErr: *maxRelErr},
+		}
+		switch *objective {
+		case "virtual":
+			cfg.Objective = bench.ObjVirtual
+		case "wall":
+			cfg.Objective = bench.ObjWall
+		default:
+			return fmt.Errorf("unknown objective %q (want virtual or wall)", *objective)
+		}
+		res, err := bench.Tune(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
+		bench.WriteTune(stdout, cfg, res)
+		if *jsonOut != "" {
+			return bench.WriteReport(*jsonOut, bench.FromTune(cfg, res))
 		}
-	}
+		return nil
+	})
 }

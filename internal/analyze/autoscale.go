@@ -81,14 +81,7 @@ type AutoscalePlan struct {
 // File converts the plan into the on-disk fault-schedule format, so a
 // recommended scaling action replays with `surfer-run -fail plan.json`.
 func (pl *AutoscalePlan) File() *fault.File {
-	f := &fault.File{}
-	for _, j := range pl.Joins {
-		f.Joins = append(f.Joins, fault.FileJoin{Machine: int(j.Machine), At: j.At, NICs: j.NICs})
-	}
-	for _, d := range pl.Drains {
-		f.Drains = append(f.Drains, fault.FileDrain{Machine: int(d.Machine), At: d.At, Deadline: d.Deadline})
-	}
-	return f
+	return &fault.File{Joins: pl.Joins, Drains: pl.Drains}
 }
 
 // Autoscale applies the policy to a trace: per job window it reads the

@@ -7,6 +7,9 @@
 package apps
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/engine"
 	"repro/internal/partition"
 	"repro/internal/propagation"
@@ -27,17 +30,61 @@ type App interface {
 	RunMapReduce(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement) (any, engine.Metrics, error)
 }
 
+// table is the one name → application table: the paper's six in the order
+// its tables use, then the two fixpoint extensions. iterations sizes the
+// iterative ones (RS, NR); CC and SSSP take their bound from the input.
+var table = []struct {
+	name string
+	make func(iterations int) App
+}{
+	{"VDD", func(int) App { return NewVDD() }},
+	{"RS", func(iterations int) App {
+		cfg := DefaultRSConfig()
+		cfg.Iterations = iterations
+		return NewRS(cfg)
+	}},
+	{"NR", func(iterations int) App { return NewNR(iterations) }},
+	{"RLG", func(int) App { return NewRLG() }},
+	{"TC", func(int) App { return NewTC(DefaultSelectRatio) }},
+	{"TFL", func(int) App { return NewTFL(DefaultSelectRatio) }},
+	{"CC", func(int) App { return NewCC(0) }},
+	{"SSSP", func(int) App { return NewSSSP(0, 0) }},
+}
+
+// paperApps is how many leading rows of table are the paper's own.
+const paperApps = 6
+
+// Names lists every application ByName knows, paper order first.
+func Names() []string {
+	names := make([]string, len(table))
+	for i, row := range table {
+		names[i] = row.name
+	}
+	return names
+}
+
+// ByName returns the application with the given abbreviation, in any letter
+// case. A non-positive iterations selects the paper's three.
+func ByName(name string, iterations int) (App, error) {
+	if iterations <= 0 {
+		iterations = 3
+	}
+	for _, row := range table {
+		if strings.EqualFold(row.name, name) {
+			return row.make(iterations), nil
+		}
+	}
+	return nil, fmt.Errorf("apps: unknown application %q (want one of %s)", name, strings.Join(Names(), ", "))
+}
+
 // All returns the six applications in the order the paper's tables use
 // (VDD, RS, NR, RLG, TC, TFL).
 func All() []App {
-	return []App{
-		NewVDD(),
-		NewRS(DefaultRSConfig()),
-		NewNR(3),
-		NewRLG(),
-		NewTC(DefaultSelectRatio),
-		NewTFL(DefaultSelectRatio),
+	all := make([]App, paperApps)
+	for i := range all {
+		all[i] = table[i].make(3)
 	}
+	return all
 }
 
 // DefaultSelectRatio is the vertex sampling ratio TC and TFL use ("the

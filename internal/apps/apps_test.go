@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -378,6 +379,34 @@ func TestAllRegistry(t *testing.T) {
 		if !names[want] {
 			t.Errorf("missing app %s", want)
 		}
+	}
+}
+
+// TestByName: every name resolves, in any case, to the app of that name;
+// iterations reach the iterative apps (defaulting to the paper's three) and
+// not the fixpoint ones; an unknown name is an error listing the names.
+func TestByName(t *testing.T) {
+	for i, name := range Names() {
+		for _, spelled := range []string{name, strings.ToLower(name)} {
+			a, err := ByName(spelled, 0)
+			if err != nil || a.Name() != name {
+				t.Fatalf("ByName(%q) = %v, %v", spelled, a, err)
+			}
+		}
+		if i < len(All()) && All()[i].Name() != name {
+			t.Errorf("Names()[%d] = %s, but All()[%d] is %s", i, name, i, All()[i].Name())
+		}
+	}
+	for name, want := range map[string][2]int{"NR": {3, 7}, "RS": {3, 7}, "VDD": {1, 1}, "CC": {0, 0}, "SSSP": {0, 0}} {
+		for i, iterations := range []int{0, 7} {
+			if a, _ := ByName(name, iterations); a.Iterations() != want[i] {
+				t.Errorf("ByName(%s, %d).Iterations() = %d, want %d", name, iterations, a.Iterations(), want[i])
+			}
+		}
+	}
+	_, err := ByName("xyz", 1)
+	if err == nil || !strings.Contains(err.Error(), `"xyz"`) || !strings.Contains(err.Error(), strings.Join(Names(), ", ")) {
+		t.Errorf("ByName(xyz) error = %v, want one listing %v", err, Names())
 	}
 }
 

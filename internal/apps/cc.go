@@ -1,6 +1,9 @@
 package apps
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
@@ -16,9 +19,27 @@ import (
 // [12] and PEGASUS [13], the systems the paper compares against, treat
 // connected components as a core operation.)
 type CC struct {
-	// MaxIterations bounds the label-propagation rounds; the diameter of
-	// the graph suffices for convergence.
+	// MaxIterations caps the label-propagation rounds; a run that reaches
+	// it with labels still changing is an error. A non-positive value means
+	// the exact bound (see roundCap).
 	MaxIterations int
+}
+
+// roundCap resolves a fixpoint application's MaxIterations against its
+// input: a non-positive value is the bound no graph exceeds, one round per
+// vertex (a label or a distance crosses at most n-1 edges, and one more
+// round sees nothing change).
+func roundCap(maxIterations int, pg *storage.PartitionedGraph) int {
+	if maxIterations <= 0 {
+		return pg.G.NumVertices()
+	}
+	return maxIterations
+}
+
+// errRoundCap is the MapReduce drivers' form of the error
+// propagation.RunUntilConverged returns.
+func errRoundCap(limit int) error {
+	return fmt.Errorf("apps: values still changing after the cap of %d round(s)", limit)
 }
 
 // NewCC creates the connected-components application.
@@ -41,37 +62,27 @@ func (ccProgram) Transfer(_ graph.VertexID, label uint32, dst graph.VertexID, em
 }
 
 func (ccProgram) Combine(v graph.VertexID, prev uint32, values []uint32) uint32 {
-	min := prev
 	for _, l := range values {
-		if l < min {
-			min = l
-		}
+		prev = min(prev, l)
 	}
-	return min
+	return prev
 }
 
-func (ccProgram) Bytes(uint32) int64 { return 4 }
-func (ccProgram) Associative() bool  { return true }
-func (ccProgram) Merge(_ graph.VertexID, values []uint32) uint32 {
-	min := values[0]
-	for _, l := range values[1:] {
-		if l < min {
-			min = l
-		}
-	}
-	return min
-}
+func (ccProgram) Bytes(uint32) int64                             { return 4 }
+func (ccProgram) Associative() bool                              { return true }
+func (ccProgram) Merge(_ graph.VertexID, values []uint32) uint32 { return slices.Min(values) }
 
-// ccDelta measures label changes between iterations, for convergence.
-func ccDelta(a, b uint32) float64 {
+// changeOf is the convergence delta of the fixpoint applications: one per
+// vertex whose value moved this iteration.
+func changeOf[V comparable](a, b V) float64 {
 	if a == b {
 		return 0
 	}
 	return 1
 }
 
-// RunPropagation runs label propagation to convergence (or MaxIterations)
-// on the symmetrized graph and returns the per-vertex component labels.
+// RunPropagation runs label propagation to convergence on the symmetrized
+// graph and returns the per-vertex component labels.
 //
 // Weak connectivity needs labels to flow against edge direction too, so the
 // execution runs on the undirected view of the partitioned graph. The
@@ -84,7 +95,7 @@ func (a *CC) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *
 	}
 	prog := ccProgram{}
 	st := propagation.NewState[uint32](upg, prog)
-	st, m, err := propagation.RunUntilConverged(r, upg, pl, prog, st, opt, a.MaxIterations, ccDelta, 0)
+	st, m, err := propagation.RunUntilConverged(r, upg, pl, prog, st, opt, roundCap(a.MaxIterations, upg), changeOf[uint32], 0)
 	if err != nil {
 		return nil, m, err
 	}
@@ -113,32 +124,16 @@ func (p *ccMR) Map(pi *storage.PartInfo, g *graph.Graph, emit func(graph.VertexI
 	}
 }
 
-func (p *ccMR) Reduce(_ graph.VertexID, values []uint32) uint32 {
-	min := values[0]
-	for _, l := range values[1:] {
-		if l < min {
-			min = l
-		}
-	}
-	return min
-}
+func (p *ccMR) Reduce(_ graph.VertexID, values []uint32) uint32 { return slices.Min(values) }
 
 func (p *ccMR) PairBytes(graph.VertexID, uint32) int64 { return 8 }
 func (p *ccMR) ResultBytes(uint32) int64               { return 8 }
 
 // CombineValues folds labels map-side: min is associative.
-func (p *ccMR) CombineValues(_ graph.VertexID, values []uint32) uint32 {
-	min := values[0]
-	for _, l := range values[1:] {
-		if l < min {
-			min = l
-		}
-	}
-	return min
-}
+func (p *ccMR) CombineValues(_ graph.VertexID, values []uint32) uint32 { return slices.Min(values) }
 
 // RunMapReduce iterates MapReduce label-propagation rounds until the labels
-// stop changing (or MaxIterations).
+// stop changing.
 func (a *CC) RunMapReduce(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement) (any, engine.Metrics, error) {
 	upg, err := undirectedView(pg)
 	if err != nil {
@@ -150,7 +145,11 @@ func (a *CC) RunMapReduce(r *engine.Runner, pg *storage.PartitionedGraph, pl *pa
 		labels[v] = uint32(v)
 	}
 	var total engine.Metrics
-	for it := 0; it < a.MaxIterations; it++ {
+	limit := roundCap(a.MaxIterations, upg)
+	for it := 0; ; it++ {
+		if it == limit {
+			return nil, total, errRoundCap(limit)
+		}
 		prog := &ccMR{labels: labels}
 		res, m, err := mapreduce.Run[graph.VertexID, uint32, uint32](r, upg, pl, prog, mapreduce.Options{StatePerVertexBytes: 4})
 		if err != nil {

@@ -61,10 +61,17 @@ func (p *nrProgram) Merge(_ graph.VertexID, values []float64) float64 {
 	return sum
 }
 
+// NRProgram is NR's propagation program over g, for studies that drive the
+// primitive themselves (cascaded propagation, tree aggregation) rather than
+// run the application.
+func NRProgram(g *graph.Graph) propagation.Program[float64] {
+	return &nrProgram{g: g, n: float64(g.NumVertices())}
+}
+
 // RunPropagation runs the configured number of PageRank iterations and
 // returns the final rank vector.
 func (a *NR) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
-	prog := &nrProgram{g: pg.G, n: float64(pg.G.NumVertices())}
+	prog := NRProgram(pg.G)
 	st := propagation.NewState[float64](pg, prog)
 	st, m, err := propagation.RunIterations(r, pg, pl, prog, st, opt, a.iterations)
 	if err != nil {

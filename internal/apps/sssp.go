@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -18,8 +19,8 @@ import (
 // fixpoint.
 type SSSP struct {
 	Source graph.VertexID
-	// MaxIterations bounds the relaxation rounds (graph diameter
-	// suffices).
+	// MaxIterations caps the relaxation rounds, with CC's meaning: reaching
+	// it unconverged is an error, non-positive is the exact bound.
 	MaxIterations int
 }
 
@@ -52,40 +53,21 @@ func (p *ssspProgram) Transfer(_ graph.VertexID, dist int32, dst graph.VertexID,
 }
 
 func (p *ssspProgram) Combine(_ graph.VertexID, prev int32, values []int32) int32 {
-	min := prev
 	for _, d := range values {
-		if d < min {
-			min = d
-		}
+		prev = min(prev, d)
 	}
-	return min
+	return prev
 }
 
-func (p *ssspProgram) Bytes(int32) int64 { return 4 }
-func (p *ssspProgram) Associative() bool { return true }
-func (p *ssspProgram) Merge(_ graph.VertexID, values []int32) int32 {
-	min := values[0]
-	for _, d := range values[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
+func (p *ssspProgram) Bytes(int32) int64                            { return 4 }
+func (p *ssspProgram) Associative() bool                            { return true }
+func (p *ssspProgram) Merge(_ graph.VertexID, values []int32) int32 { return slices.Min(values) }
 
-func ssspDelta(a, b int32) float64 {
-	if a == b {
-		return 0
-	}
-	return 1
-}
-
-// RunPropagation relaxes distances until fixpoint (or MaxIterations) and
-// returns the per-vertex hop distances (Unreachable where no path exists).
+// RunPropagation relaxes distances until fixpoint and returns the per-vertex hop distances (Unreachable where no path exists).
 func (a *SSSP) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
 	prog := &ssspProgram{source: a.Source}
 	st := propagation.NewState[int32](pg, prog)
-	st, m, err := propagation.RunUntilConverged(r, pg, pl, prog, st, opt, a.MaxIterations, ssspDelta, 0)
+	st, m, err := propagation.RunUntilConverged(r, pg, pl, prog, st, opt, roundCap(a.MaxIterations, pg), changeOf[int32], 0)
 	if err != nil {
 		return nil, m, err
 	}
@@ -108,29 +90,13 @@ func (p *ssspMR) Map(pi *storage.PartInfo, g *graph.Graph, emit func(graph.Verte
 	}
 }
 
-func (p *ssspMR) Reduce(_ graph.VertexID, values []int32) int32 {
-	min := values[0]
-	for _, d := range values[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
+func (p *ssspMR) Reduce(_ graph.VertexID, values []int32) int32 { return slices.Min(values) }
 
 func (p *ssspMR) PairBytes(graph.VertexID, int32) int64 { return 8 }
 func (p *ssspMR) ResultBytes(int32) int64               { return 8 }
 
 // CombineValues folds candidate distances map-side (min is associative).
-func (p *ssspMR) CombineValues(_ graph.VertexID, values []int32) int32 {
-	min := values[0]
-	for _, d := range values[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
+func (p *ssspMR) CombineValues(_ graph.VertexID, values []int32) int32 { return slices.Min(values) }
 
 // RunMapReduce iterates relaxation rounds until no distance changes.
 func (a *SSSP) RunMapReduce(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement) (any, engine.Metrics, error) {
@@ -141,7 +107,11 @@ func (a *SSSP) RunMapReduce(r *engine.Runner, pg *storage.PartitionedGraph, pl *
 	}
 	dists[a.Source] = 0
 	var total engine.Metrics
-	for it := 0; it < a.MaxIterations; it++ {
+	limit := roundCap(a.MaxIterations, pg)
+	for it := 0; ; it++ {
+		if it == limit {
+			return nil, total, errRoundCap(limit)
+		}
 		prog := &ssspMR{dists: dists}
 		res, m, err := mapreduce.Run[graph.VertexID, int32, int32](r, pg, pl, prog, mapreduce.Options{StatePerVertexBytes: 4})
 		if err != nil {

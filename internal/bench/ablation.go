@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/propagation"
 )
@@ -86,7 +85,7 @@ func Ablation(s Scale) ([]AblationRow, error) {
 			// distinct-union merge barely shrinks bytes.
 			if app.Name() == "NR" && topo.NumPods() > 1 {
 				nr := apps.NewNR(3)
-				prog := nrTreeProgram(d.Graph)
+				prog := apps.NRProgram(d.Graph)
 				st := propagation.NewState[float64](d.PG, prog)
 				st, m, err := propagation.RunIterationsTree(d.Runner(), d.PG, d.PlacePM, prog, st, both, nr.Iterations())
 				if err != nil {
@@ -98,11 +97,6 @@ func Ablation(s Scale) ([]AblationRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// nrTreeProgram builds a PageRank program for the tree-aggregation row.
-func nrTreeProgram(g *graph.Graph) propagation.Program[float64] {
-	return nrProgramFor(g)
 }
 
 // WriteAblation renders the ablation rows.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/propagation"
-	"repro/internal/storage"
 )
 
 // ---------------------------------------------------------------- Table 1
@@ -397,7 +396,6 @@ func Fig10(s Scale) (*Fig10Result, error) {
 			victim = m
 		}
 	}
-	replicas := storage.PlaceReplicas(d.PlaceBA, topo, s.Seed)
 	// Kill times are probed as fractions of the span in which tasks
 	// actually run. Under a transient-fault schedule the baseline response
 	// can be dominated by retry stalls (a dropped transfer holds the stage
@@ -416,15 +414,14 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	killAt := probeResp / 3
 	found := false
 	for _, frac := range []float64{0.05, 0.15, 0.25, 1.0 / 3, 0.45, 0.55, 0.65, 0.75} {
-		cand := engine.New(engine.Config{
-			Topo:              topo,
-			Replicas:          replicas,
-			Failures:          []engine.Failure{{Machine: victim, At: probeResp * frac}},
-			HeartbeatInterval: probeResp / 20,
-			Faults:            s.Faults,
-			Retry:             s.Retry,
-			Speculation:       s.Speculation,
-		})
+		// A probe is the deployment's own run with the kill added and the
+		// recorder off: the search for a kill time is not part of the
+		// experiment's stream.
+		cfg := d.sys.EngineConfig()
+		cfg.Failures = []engine.Failure{{Machine: victim, At: probeResp * frac}}
+		cfg.HeartbeatInterval = probeResp / 20
+		cfg.Trace = nil
+		cand := engine.New(cfg)
 		_, cm, err := app.RunPropagation(cand, d.PG, d.PlaceBA, d.Options(O4))
 		if err != nil {
 			return nil, err
@@ -562,7 +559,7 @@ func Cascade(s Scale, iterations int) (*CascadeResult, error) {
 		return nil, err
 	}
 	ci := propagation.AnalyzeCascade(d.PG)
-	prog := nrProgramFor(d.Graph)
+	prog := apps.NRProgram(d.Graph)
 	opt := d.Options(O4)
 
 	stA := propagation.NewState[float64](d.PG, prog)
@@ -594,36 +591,4 @@ func WriteCascade(w io.Writer, res *CascadeResult) {
 	fmt.Fprintf(w, "iterations: %d   V_k (k>=2) ratio: %.1f%%   d_min: %d\n", res.Iterations, res.VkRatioPct, res.MinDiameter)
 	fmt.Fprintf(w, "response:  plain %.3f s   cascaded %.3f s   saving %.1f%%\n", res.PlainSec, res.CascadedSec, res.TimeSavingPct)
 	fmt.Fprintf(w, "disk I/O:  plain %.2f MB  cascaded %.2f MB  saving %.1f%%\n", res.PlainDiskMB, res.CascadedDiskMB, res.DiskSavingPct)
-}
-
-// nrProgramFor builds the NR propagation program outside the apps package
-// (the cascade study needs direct state control).
-func nrProgramFor(g *graph.Graph) propagation.Program[float64] {
-	return &cascNR{g: g, n: float64(g.NumVertices())}
-}
-
-type cascNR struct {
-	g *graph.Graph
-	n float64
-}
-
-func (p *cascNR) Init(graph.VertexID) float64 { return 1 / p.n }
-func (p *cascNR) Transfer(src graph.VertexID, rank float64, dst graph.VertexID, emit propagation.Emit[float64]) {
-	emit(dst, rank*0.85/float64(p.g.OutDegree(src)))
-}
-func (p *cascNR) Combine(_ graph.VertexID, _ float64, values []float64) float64 {
-	sum := 0.0
-	for _, r := range values {
-		sum += r
-	}
-	return sum + 0.15/p.n
-}
-func (p *cascNR) Bytes(float64) int64 { return 8 }
-func (p *cascNR) Associative() bool   { return true }
-func (p *cascNR) Merge(_ graph.VertexID, values []float64) float64 {
-	sum := 0.0
-	for _, r := range values {
-		sum += r
-	}
-	return sum
 }

@@ -56,11 +56,6 @@ type Scale struct {
 	Speculation fault.SpeculationPolicy
 }
 
-// DefaultScale is the full benchmark scale.
-func DefaultScale() Scale {
-	return Scale{Vertices: 1 << 16, Levels: 6, Machines: 32, Seed: 42}
-}
-
 // TestScale is a shrunken configuration keeping test runtimes low.
 func TestScale() Scale {
 	return Scale{Vertices: 4096, Levels: 4, Machines: 8, Seed: 42}
@@ -106,7 +101,6 @@ func (o OptLevel) LocalOpts() bool { return o == O3 || o == O4 }
 // Deployment is a partitioned graph with both placements precomputed, so
 // the four optimization levels can run against identical partitions.
 type Deployment struct {
-	Scale Scale
 	Graph *graph.Graph
 	PG    *storage.PartitionedGraph
 	Topo  *cluster.Topology
@@ -114,10 +108,12 @@ type Deployment struct {
 	// sketch-guided one.
 	PlacePM *partition.Placement
 	PlaceBA *partition.Placement
-	// Replicas is the three-way replica layout over the sketch-guided
-	// placement: the failover targets for machine deaths and the backup
-	// hosts for speculative re-execution.
-	Replicas *storage.Replicas
+
+	// sys is core's system for the sketch-guided placement, built with the
+	// scale's whole run configuration: where Runner gets its runners, and
+	// with them the three-way replicas that machine deaths fail over to and
+	// speculative backups run on.
+	sys *core.System
 }
 
 // NewDeployment partitions the scale's graph once and derives both
@@ -134,19 +130,20 @@ func NewDeployment(s Scale, topo *cluster.Topology) (*Deployment, error) {
 func NewDeploymentFor(s Scale, topo *cluster.Topology, g *graph.Graph) (*Deployment, error) {
 	sys, err := core.Build(core.Config{
 		Graph: g, Topology: topo, Levels: s.Levels, Seed: s.Seed,
-		Failures: s.Failures, Faults: s.Faults,
+		Failures: s.Failures, HeartbeatInterval: s.Heartbeat,
+		Workers: s.Workers, Trace: s.Trace,
+		Faults: s.Faults, Retry: s.Retry, Speculation: s.Speculation,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Deployment{
-		Scale:    s,
-		Graph:    g,
-		PG:       sys.PG,
-		Topo:     topo,
-		PlacePM:  partition.RandomPlacement(sys.PG.Part.P, topo, s.Seed),
-		PlaceBA:  sys.Placement,
-		Replicas: sys.Replicas,
+		Graph:   g,
+		PG:      sys.PG,
+		Topo:    topo,
+		PlacePM: partition.RandomPlacement(sys.PG.Part.P, topo, s.Seed),
+		PlaceBA: sys.Placement,
+		sys:     sys,
 	}, nil
 }
 
@@ -169,20 +166,7 @@ func (d *Deployment) Options(o OptLevel) propagation.Options {
 // Runner builds a fresh metrics-clean runner on the deployment's topology.
 // The scale's trace recorder (if any) is shared across runners, so one
 // recorder collects a whole experiment sweep.
-func (d *Deployment) Runner() *engine.Runner {
-	return engine.New(engine.Config{
-		Topo:              d.Topo,
-		Workers:           d.Scale.Workers,
-		Trace:             d.Scale.Trace,
-		Replicas:          d.Replicas,
-		Failures:          d.Scale.Failures,
-		HeartbeatInterval: d.Scale.Heartbeat,
-		Faults:            d.Scale.Faults,
-		Retry:             d.Scale.Retry,
-		Speculation:       d.Scale.Speculation,
-		PartBytes:         d.PG.PartBytes(),
-	})
-}
+func (d *Deployment) Runner() *engine.Runner { return d.sys.NewRunner() }
 
 // RunApp executes one application at one optimization level.
 func (d *Deployment) RunApp(app apps.App, o OptLevel) (engine.Metrics, error) {

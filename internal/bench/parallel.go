@@ -172,13 +172,6 @@ func ParallelBench(cfg ParallelConfig) (*ParallelResult, error) {
 	}, nil
 }
 
-// WriteParallelJSON writes the result to path in the versioned bench report
-// schema (ReportSchema), so BENCH_parallel.json records the perf trajectory
-// in the form surfer-analyze -compare gates.
-func WriteParallelJSON(path string, res *ParallelResult) error {
-	return WriteReport(path, FromParallel(res))
-}
-
 // WriteParallel renders the comparison for the terminal.
 func WriteParallel(w io.Writer, res *ParallelResult) {
 	fmt.Fprintf(w, "Parallel executor: %s, %d iterations, %d vertices / %d edges, %d partitions\n",

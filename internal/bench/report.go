@@ -178,11 +178,7 @@ func FromParallel(res *ParallelResult) *Report {
 		}
 		if cs == "parallel" {
 			e.Info["speedup"] = res.Speedup
-			if res.Identical {
-				e.Info["bit_identical"] = 1
-			} else {
-				e.Info["bit_identical"] = 0
-			}
+			e.Info["bit_identical"] = b2f(res.Identical)
 			e.Info["gomaxprocs"] = float64(res.GOMAXPROCS)
 		}
 		r.Entries = append(r.Entries, e)

@@ -75,7 +75,8 @@ type TuneConfig struct {
 	// Scale supplies the graph (Vertices, Seed) and cluster (Machines).
 	// Scale.Levels seeds the partition-count axis' starting point.
 	Scale Scale
-	// App is "nr" or "tfl".
+	// App is any name apps.ByName knows (default "nr"), run for
+	// tuneIterations where it iterates.
 	App string
 	// Objective selects virtual (default) or wall minimization.
 	Objective Objective
@@ -168,17 +169,7 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 		tn.pls[levels] = partition.RandomPlacement(pt.P, tn.topo, cfg.Scale.Seed)
 		return pg, tn.pls[levels], nil
 	}
-	newApp := func() (apps.App, error) {
-		switch cfg.App {
-		case "nr":
-			return apps.NewNR(10), nil
-		case "tfl":
-			return apps.NewTFL(10), nil
-		default:
-			return nil, fmt.Errorf("bench: unknown tune app %q (want nr or tfl)", cfg.App)
-		}
-	}
-	if _, err := newApp(); err != nil {
+	if _, err := apps.ByName(cfg.App, tuneIterations); err != nil {
 		return nil, err
 	}
 
@@ -197,7 +188,7 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 		opt := propagation.Options{LocalPropagation: p.LocalProp, LocalCombination: p.LocalComb}
 		var m engine.Metrics
 		runOnce := func() error {
-			app, err := newApp()
+			app, err := apps.ByName(cfg.App, tuneIterations)
 			if err != nil {
 				return err
 			}
@@ -305,6 +296,10 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 	res.Trace = tn.trace
 	return res, nil
 }
+
+// tuneIterations is how long an iterative app runs per evaluation: long
+// enough that per-iteration cost, not set-up, is what the search compares.
+const tuneIterations = 10
 
 // errBudget is the internal out-of-budget sentinel.
 var errBudget = fmt.Errorf("bench: tune evaluation budget exhausted")

@@ -216,6 +216,28 @@ func NewT3(n int, seed int64) *Topology {
 	return t
 }
 
+// ByName builds the topology a tool's -topology flag names: "t1", "t2" (pods
+// pods under treeLevels switch levels) or "t3" (seed picks the slow half).
+// The constructors take static experiment configurations and panic on a bad
+// one; this takes user input and returns an error.
+func ByName(kind string, machines, pods, treeLevels int, seed int64) (*Topology, error) {
+	if machines <= 0 {
+		return nil, fmt.Errorf("cluster: a topology needs at least one machine, got %d", machines)
+	}
+	switch kind {
+	case "t1":
+		return NewT1(machines), nil
+	case "t2":
+		if pods <= 0 || machines%pods != 0 || treeLevels < 1 || treeLevels > 2 {
+			return nil, fmt.Errorf("cluster: T2 needs machines that divide into pods and 1 or 2 switch levels, got %d machines, %d pods, %d levels", machines, pods, treeLevels)
+		}
+		return NewT2(T2Config{Machines: machines, Pods: pods, Levels: treeLevels}), nil
+	case "t3":
+		return NewT3(machines, seed), nil
+	}
+	return nil, fmt.Errorf("cluster: unknown topology %q (want t1, t2 or t3)", kind)
+}
+
 // Expand returns a copy of the topology provisioned with extra additional
 // machines, for elastic joins: the new machines form one new pod, connect to
 // each other at the full link rate, and reach every existing machine at the

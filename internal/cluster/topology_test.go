@@ -331,3 +331,34 @@ func TestExpandAddsDormantCapacity(t *testing.T) {
 		t.Fatal("Expand(0) should return the same topology")
 	}
 }
+
+// TestByName: the three names build the three settings, and every input a
+// flag can carry that the constructors would panic on is an error instead.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		kind                string
+		machines, pods, lvl int
+		want                string // String() of the topology, or "" for an error
+	}{
+		{"t1", 8, 2, 1, "T1{machines=8 pods=1}"},
+		{"t2", 8, 2, 1, "T2(2,1){machines=8 pods=2}"},
+		{"t2", 8, 4, 2, "T2(4,2){machines=8 pods=4}"},
+		{"t3", 8, 2, 1, "T3{machines=8 pods=1}"},
+		{"t4", 8, 2, 1, ""},
+		{"t1", 0, 2, 1, ""},
+		{"t2", 8, 3, 1, ""},
+		{"t2", 8, 0, 1, ""},
+		{"t2", 8, 2, 3, ""},
+	} {
+		topo, err := ByName(tc.kind, tc.machines, tc.pods, tc.lvl, 42)
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("ByName(%q, %d, %d, %d) = %v, want an error", tc.kind, tc.machines, tc.pods, tc.lvl, topo)
+			}
+			continue
+		}
+		if err != nil || topo.String() != tc.want {
+			t.Errorf("ByName(%q, %d, %d, %d) = %v, %v; want %s", tc.kind, tc.machines, tc.pods, tc.lvl, topo, err, tc.want)
+		}
+	}
+}

@@ -154,12 +154,12 @@ func Build(cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// NewRunner creates a fresh engine runner over this system's topology,
-// replicas and failure plan — the one place a deployment becomes an
-// engine.Config. Each experiment should use its own runner so clocks and
-// metrics start at zero.
-func (s *System) NewRunner() *engine.Runner {
-	return engine.New(engine.Config{
+// EngineConfig is the one place a deployment becomes an engine.Config: the
+// system's topology, replicas and partition sizes with the run configuration
+// it was built with. NewRunner runs it as it stands; an experiment that varies
+// one run (a kill probe) edits the copy it gets.
+func (s *System) EngineConfig() engine.Config {
+	return engine.Config{
 		Topo:              s.Topology,
 		Replicas:          s.Replicas,
 		PartBytes:         s.PG.PartBytes(),
@@ -170,8 +170,13 @@ func (s *System) NewRunner() *engine.Runner {
 		Faults:            s.cfg.Faults,
 		Retry:             s.cfg.Retry,
 		Speculation:       s.cfg.Speculation,
-	})
+	}
 }
+
+// NewRunner creates a fresh engine runner over this system's topology,
+// replicas and failure plan. Each experiment should use its own runner so
+// clocks and metrics start at zero.
+func (s *System) NewRunner() *engine.Runner { return engine.New(s.EngineConfig()) }
 
 // PartitioningTime estimates the elapsed time of the distributed
 // partitioning run itself under the given cost model (Table 1). It returns

@@ -287,7 +287,7 @@ func TestElasticChurnSoak(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		sched, kills := fault.Generate(fault.GenConfig{
+		sched, failures := fault.Generate(fault.GenConfig{
 			Machines: 6, Horizon: 10,
 			Degrades: 1, Drops: 1, Slowdowns: 1, Kills: 1,
 			Joins: 2, Drains: 2, Seed: seed,
@@ -297,10 +297,6 @@ func TestElasticChurnSoak(t *testing.T) {
 			t.Fatalf("seed %d: generated schedule invalid: %v", seed, err)
 		}
 		topo := cluster.NewT1(6).Expand(2)
-		var failures []Failure
-		for _, k := range kills {
-			failures = append(failures, Failure{Machine: k.Machine, At: k.At})
-		}
 		parts := 8
 		// Machine 0 is never killed or drained by the generator, so keeping
 		// a replica of every partition there means failover never dead-ends

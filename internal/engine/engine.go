@@ -11,11 +11,10 @@ import (
 )
 
 // Failure schedules the death of a machine at a virtual time, for the
-// fault-tolerance experiments (Figure 10).
-type Failure struct {
-	Machine cluster.MachineID
-	At      float64
-}
+// fault-tolerance experiments (Figure 10). It is the fault package's Kill,
+// so a fault file's or a generator's kills are a runner's failures as they
+// stand.
+type Failure = fault.Kill
 
 // Config configures a Runner.
 type Config struct {

@@ -24,15 +24,15 @@ import (
 // virtual time. From At on, the machine accepts migrated partitions, acts
 // as a failover and speculation target, and its NICs carry traffic.
 type MachineJoin struct {
-	// At is the join time in virtual seconds.
-	At float64
 	// Machine is the joining machine's ID in the (expanded) topology.
-	Machine cluster.MachineID
+	Machine cluster.MachineID `json:"machine"`
+	// At is the join time in virtual seconds.
+	At float64 `json:"at"`
 	// NICs is the machine's NIC line rate in bytes/second; transfers
 	// touching the machine run at min(link bandwidth, NICs). Zero means
 	// the full topology rate — set it below the link rate to model cheap
 	// spot instances with slower network.
-	NICs float64
+	NICs float64 `json:"nics,omitempty"`
 }
 
 // MachineDrain begins a graceful decommission of a live machine at a
@@ -43,14 +43,14 @@ type MachineJoin struct {
 // ordinary machine death (engine.Failure semantics: lost tasks fail over
 // to replicas after heartbeat detection).
 type MachineDrain struct {
-	// At is the drain start in virtual seconds.
-	At float64
 	// Machine is the machine being decommissioned.
-	Machine cluster.MachineID
+	Machine cluster.MachineID `json:"machine"`
+	// At is the drain start in virtual seconds.
+	At float64 `json:"at"`
 	// Deadline is the absolute virtual time by which migration must have
 	// finished; at Deadline an undrained machine is killed. Required
 	// (Deadline > At), so every drain terminates.
-	Deadline float64
+	Deadline float64 `json:"deadline"`
 }
 
 // ValidateElastic rejects malformed elastic plans before they can corrupt a

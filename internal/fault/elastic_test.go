@@ -153,7 +153,7 @@ func TestFileRoundTripElastic(t *testing.T) {
 // Schedule().Validate path silently accepted a kill of a machine outside the
 // topology and the run proceeded fault-free.
 func TestFileValidateCatchesOutOfRangeKill(t *testing.T) {
-	f := &File{Kills: []FileKill{{Machine: 40, At: 1}}}
+	f := &File{Kills: []Kill{{Machine: 40, At: 1}}}
 	if f.Schedule() != nil {
 		t.Fatal("kills-only file should have a nil transient schedule")
 	}
@@ -167,6 +167,42 @@ func TestFileValidateCatchesOutOfRangeKill(t *testing.T) {
 	var nilFile *File
 	if err := nilFile.Validate(4); err != nil {
 		t.Fatalf("nil file Validate: %v", err)
+	}
+}
+
+// TestFileRunInputs: a file that fits the topology leaves it alone, a join
+// past it grows it by exactly the machines named, and what comes back is
+// what KillList and Schedule hold; a malformed entry is an error either way.
+func TestFileRunInputs(t *testing.T) {
+	base := cluster.NewT1(8)
+	fits := &File{
+		Kills:  []Kill{{Machine: 2, At: 1}},
+		Drains: []MachineDrain{{Machine: 3, At: 1, Deadline: 4}},
+	}
+	topo, kills, sched, err := fits.RunInputs(base)
+	if err != nil || topo != base {
+		t.Fatalf("fitting file: topology %v, err %v; want the base topology unchanged", topo, err)
+	}
+	if len(kills) != 1 || kills[0] != (Kill{Machine: 2, At: 1}) || len(sched.Drains) != 1 {
+		t.Fatalf("kills %+v, schedule %+v", kills, sched)
+	}
+
+	joins := &File{Joins: []MachineJoin{{Machine: 9, At: 0.5}}}
+	topo, kills, sched, err = joins.RunInputs(base)
+	if err != nil || topo.NumMachines() != 10 || base.NumMachines() != 8 {
+		t.Fatalf("join past the topology: %v machines (base %d), err %v; want 10 (8)", topo.NumMachines(), base.NumMachines(), err)
+	}
+	if kills != nil && len(kills) != 0 || len(sched.Joins) != 1 || sched.Joins[0].Machine != 9 {
+		t.Fatalf("kills %+v, schedule %+v", kills, sched)
+	}
+
+	bad := &File{Slowdowns: []Slowdown{{Machine: 1, From: 2, Until: 1, Factor: 3}}}
+	if _, _, _, err := bad.RunInputs(base); err == nil || !strings.Contains(err.Error(), "malformed window") {
+		t.Fatalf("malformed slowdown: err = %v", err)
+	}
+	var none *File
+	if topo, kills, sched, err := none.RunInputs(base); err != nil || topo != base || kills != nil || sched != nil {
+		t.Fatalf("nil file: %v %v %v %v", topo, kills, sched, err)
 	}
 }
 

@@ -26,31 +26,38 @@ import (
 // LinkFault degrades or blackholes one directed machine-to-machine link for
 // a virtual-time window. A transfer is affected when it *starts* (clears
 // both NICs) inside [From, Until).
+//
+// The json tags on the fault types are the fault file's entries (File): a
+// schedule file decodes straight into what the engine replays.
 type LinkFault struct {
 	// Src and Dst identify the directed link.
-	Src, Dst cluster.MachineID
+	Src cluster.MachineID `json:"src"`
+	Dst cluster.MachineID `json:"dst"`
 	// From and Until bound the active window [From, Until) in virtual
 	// seconds.
-	From, Until float64
+	From  float64 `json:"from"`
+	Until float64 `json:"until"`
 	// Factor divides the link bandwidth while the fault is active
 	// (Factor 4 = quarter rate). Values <= 1 leave bandwidth unchanged.
 	// Ignored when Drop is set.
-	Factor float64
+	Factor float64 `json:"factor,omitempty"`
 	// Drop, when true, makes transfers starting in the window fail
 	// entirely: the sender times out after RetryPolicy.Timeout and
-	// retries with backoff.
-	Drop bool
+	// retries with backoff. A file says it by listing the entry under
+	// "drops".
+	Drop bool `json:"-"`
 }
 
 // Slowdown multiplies the duration of tasks *starting* on a machine inside
 // [From, Until) — the straggler model: the machine keeps working and keeps
 // heartbeating, it is just slow.
 type Slowdown struct {
-	Machine cluster.MachineID
+	Machine cluster.MachineID `json:"machine"`
 	// From and Until bound the active window [From, Until).
-	From, Until float64
+	From  float64 `json:"from"`
+	Until float64 `json:"until"`
 	// Factor multiplies task durations; values <= 1 have no effect.
-	Factor float64
+	Factor float64 `json:"factor"`
 }
 
 // Schedule is a deterministic fault plan: every query is a pure function of

@@ -210,7 +210,7 @@ func TestFileEmptySchedule(t *testing.T) {
 	if f.Schedule() != nil || f.KillList() != nil {
 		t.Error("nil file produced a schedule")
 	}
-	empty := &File{Kills: []FileKill{{Machine: 1, At: 2}}}
+	empty := &File{Kills: []Kill{{Machine: 1, At: 2}}}
 	if empty.Schedule() != nil {
 		t.Error("kills-only file produced a transient schedule")
 	}

@@ -1,9 +1,11 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/cluster"
 )
@@ -27,52 +29,13 @@ import (
 // provisioned large enough to include it (the CLIs expand the base topology
 // automatically when a join references a machine beyond it).
 type File struct {
-	Kills     []FileKill     `json:"kills,omitempty"`
-	Links     []FileLink     `json:"links,omitempty"`
-	Drops     []FileLink     `json:"drops,omitempty"`
-	Slowdowns []FileSlowdown `json:"slowdowns,omitempty"`
-	Joins     []FileJoin     `json:"joins,omitempty"`
-	Drains    []FileDrain    `json:"drains,omitempty"`
-}
-
-// FileKill is a permanent machine death entry.
-type FileKill struct {
-	Machine int     `json:"machine"`
-	At      float64 `json:"at"`
-}
-
-// FileLink is a link degradation ("links", Factor required) or a transfer
-// drop window ("drops", Factor ignored).
-type FileLink struct {
-	Src    int     `json:"src"`
-	Dst    int     `json:"dst"`
-	From   float64 `json:"from"`
-	Until  float64 `json:"until"`
-	Factor float64 `json:"factor,omitempty"`
-}
-
-// FileSlowdown is a machine compute slowdown entry.
-type FileSlowdown struct {
-	Machine int     `json:"machine"`
-	From    float64 `json:"from"`
-	Until   float64 `json:"until"`
-	Factor  float64 `json:"factor"`
-}
-
-// FileJoin is an elastic machine-join entry; NICs is the optional NIC line
-// rate in bytes/second (0 = full topology rate).
-type FileJoin struct {
-	Machine int     `json:"machine"`
-	At      float64 `json:"at"`
-	NICs    float64 `json:"nics,omitempty"`
-}
-
-// FileDrain is an elastic machine-drain entry; Deadline is the absolute
-// virtual time by which live migration must finish.
-type FileDrain struct {
-	Machine  int     `json:"machine"`
-	At       float64 `json:"at"`
-	Deadline float64 `json:"deadline"`
+	Kills []Kill `json:"kills,omitempty"`
+	// Links degrade a link by Factor; Drops blackhole it (Factor ignored).
+	Links     []LinkFault    `json:"links,omitempty"`
+	Drops     []LinkFault    `json:"drops,omitempty"`
+	Slowdowns []Slowdown     `json:"slowdowns,omitempty"`
+	Joins     []MachineJoin  `json:"joins,omitempty"`
+	Drains    []MachineDrain `json:"drains,omitempty"`
 }
 
 // Load reads and decodes a fault-schedule file.
@@ -81,99 +44,70 @@ func Load(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fault: reading schedule: %w", err)
 	}
+	// Strict about keys: some other JSON file handed to -fail or -faults must
+	// not decode as the empty schedule and run fault-free.
 	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("fault: parsing schedule %s: %w", path, err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("fault: parsing schedule %s: data after the schedule object", path)
 	}
 	return &f, nil
 }
 
-// Schedule converts the file's transient and elastic entries into an
-// engine-ready Schedule (kills are exposed separately via KillList, since
-// permanent deaths are engine.Failure territory).
+// Schedule returns the file's transient and elastic entries as an
+// engine-ready Schedule (kills are exposed separately via KillList: a
+// runner takes permanent deaths as its failure plan). The entries are the
+// Schedule's own types, so nothing is converted: drops join the links with
+// Drop set.
 func (f *File) Schedule() *Schedule {
 	if f == nil || (len(f.Links) == 0 && len(f.Drops) == 0 && len(f.Slowdowns) == 0 &&
 		len(f.Joins) == 0 && len(f.Drains) == 0) {
 		return nil
 	}
-	s := &Schedule{}
-	for _, l := range f.Links {
-		s.Links = append(s.Links, LinkFault{
-			Src: cluster.MachineID(l.Src), Dst: cluster.MachineID(l.Dst),
-			From: l.From, Until: l.Until, Factor: l.Factor,
-		})
-	}
+	s := &Schedule{Links: slices.Clone(f.Links), Slowdowns: f.Slowdowns, Joins: f.Joins, Drains: f.Drains}
 	for _, l := range f.Drops {
-		s.Links = append(s.Links, LinkFault{
-			Src: cluster.MachineID(l.Src), Dst: cluster.MachineID(l.Dst),
-			From: l.From, Until: l.Until, Drop: true,
-		})
-	}
-	for _, sd := range f.Slowdowns {
-		s.Slowdowns = append(s.Slowdowns, Slowdown{
-			Machine: cluster.MachineID(sd.Machine),
-			From:    sd.From, Until: sd.Until, Factor: sd.Factor,
-		})
-	}
-	for _, j := range f.Joins {
-		s.Joins = append(s.Joins, MachineJoin{
-			Machine: cluster.MachineID(j.Machine), At: j.At, NICs: j.NICs,
-		})
-	}
-	for _, d := range f.Drains {
-		s.Drains = append(s.Drains, MachineDrain{
-			Machine: cluster.MachineID(d.Machine), At: d.At, Deadline: d.Deadline,
-		})
+		l.Drop = true
+		s.Links = append(s.Links, l)
 	}
 	return s
 }
 
-// KillList returns the file's machine deaths as generator Kill entries.
+// KillList returns the file's machine deaths.
 func (f *File) KillList() []Kill {
 	if f == nil {
 		return nil
 	}
-	out := make([]Kill, 0, len(f.Kills))
-	for _, k := range f.Kills {
-		out = append(out, Kill{Machine: cluster.MachineID(k.Machine), At: k.At})
-	}
-	return out
+	return f.Kills
 }
 
 // MaxMachine returns the largest machine ID the file references, or -1 for
 // an empty file. CLIs use it to expand the base topology when a join
 // provisions machines beyond it.
 func (f *File) MaxMachine() int {
-	max := -1
-	up := func(m int) {
-		if m > max {
-			max = m
-		}
-	}
 	if f == nil {
-		return max
+		return -1
 	}
+	top := cluster.MachineID(-1)
 	for _, k := range f.Kills {
-		up(k.Machine)
+		top = max(top, k.Machine)
 	}
-	for _, l := range f.Links {
-		up(l.Src)
-		up(l.Dst)
-	}
-	for _, l := range f.Drops {
-		up(l.Src)
-		up(l.Dst)
+	for _, l := range slices.Concat(f.Links, f.Drops) {
+		top = max(top, l.Src, l.Dst)
 	}
 	for _, sd := range f.Slowdowns {
-		up(sd.Machine)
+		top = max(top, sd.Machine)
 	}
 	for _, j := range f.Joins {
-		up(j.Machine)
+		top = max(top, j.Machine)
 	}
 	for _, d := range f.Drains {
-		up(d.Machine)
+		top = max(top, d.Machine)
 	}
-	return max
+	return int(top)
 }
 
 // Validate rejects a fault file that references machines outside a
@@ -186,7 +120,7 @@ func (f *File) Validate(numMachines int) error {
 		return nil
 	}
 	for i, k := range f.Kills {
-		if k.Machine < 0 || k.Machine >= numMachines {
+		if k.Machine < 0 || int(k.Machine) >= numMachines {
 			return fmt.Errorf("fault: kill %d references machine %d outside the %d-machine topology", i, k.Machine, numMachines)
 		}
 	}
@@ -194,4 +128,17 @@ func (f *File) Validate(numMachines int) error {
 		return err
 	}
 	return nil
+}
+
+// RunInputs turns the file into what a run on topo takes, the one way every
+// tool does it: the topology — expanded when an entry names a machine past
+// it, so the machines a join provisions exist, dormant, in the bandwidth
+// matrix — the kills, and the transient and elastic schedule, all validated
+// against the machine count they will run on.
+func (f *File) RunInputs(topo *cluster.Topology) (*cluster.Topology, []Kill, *Schedule, error) {
+	topo = topo.Expand(f.MaxMachine() + 1 - topo.NumMachines())
+	if err := f.Validate(topo.NumMachines()); err != nil {
+		return nil, nil, nil, err
+	}
+	return topo, f.KillList(), f.Schedule(), nil
 }

@@ -18,7 +18,7 @@ type GenConfig struct {
 	Drops     int
 	Slowdowns int
 	// Kills is the number of permanent machine deaths to draw (returned
-	// separately — deaths are engine.Failure territory).
+	// separately: a Schedule holds what passes, a death does not).
 	Kills int
 	// Joins is the number of elastic machine joins to draw. Join targets
 	// are the machines [Machines, Machines+Joins) — callers must provision
@@ -34,11 +34,12 @@ type GenConfig struct {
 	Seed int64
 }
 
-// Kill is a generated permanent machine death (mirrors engine.Failure
-// without importing the engine, which imports this package).
+// Kill is a permanent machine death at a virtual time (Figure 10). The
+// engine, which imports this package, schedules it under the name
+// engine.Failure.
 type Kill struct {
-	Machine cluster.MachineID
-	At      float64
+	Machine cluster.MachineID `json:"machine"`
+	At      float64           `json:"at"`
 }
 
 // Generate draws a random but fully deterministic fault schedule: link

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 
 	"repro/internal/trace"
@@ -90,12 +92,35 @@ func (rs *RuleSet) Validate() error {
 
 // ParseRules decodes and validates a JSON rule file.
 func ParseRules(data []byte) (*RuleSet, error) {
+	// Strict about keys, so that some other JSON file is not "no rules".
 	rs := &RuleSet{}
-	if err := json.Unmarshal(data, rs); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(rs); err != nil {
 		return nil, fmt.Errorf("metrics: parsing rules: %w", err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("metrics: parsing rules: data after the rule set")
 	}
 	if err := rs.Validate(); err != nil {
 		return nil, err
+	}
+	return rs, nil
+}
+
+// LoadRules reads the rule file a tool's -rules flag names; no path is no
+// rules.
+func LoadRules(path string) (*RuleSet, error) {
+	if path == "" {
+		return nil, nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("metrics: reading rules: %w", err)
+	}
+	rs, err := ParseRules(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rs, nil
 }

@@ -1,6 +1,8 @@
 package metrics_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -157,6 +159,46 @@ func TestRuleValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %v, want %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestLoadRulesAndAutoWindow: the two things every tool used to do by hand.
+// No path is no rules, a good file is its ParseRules, and a missing or
+// malformed one is an error naming the file; the automatic window is a
+// thirty-second of the stream clock, which a drain's far deadline (End) does
+// not stretch.
+func TestLoadRulesAndAutoWindow(t *testing.T) {
+	if rs, err := metrics.LoadRules(""); rs != nil || err != nil {
+		t.Fatalf(`LoadRules("") = %v, %v`, rs, err)
+	}
+	dir := t.TempDir()
+	good, bad, missing := filepath.Join(dir, "good.json"), filepath.Join(dir, "bad.json"), filepath.Join(dir, "missing.json")
+	for path, body := range map[string]string{
+		good: `{"rules":[{"name":"a","series":"s","op":">","threshold":1}]}`,
+		bad:  `{"rules":[{"name":"a","series":"s","op":"!="}]}`,
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rs, err := metrics.LoadRules(good); err != nil || len(rs.Rules) != 1 || rs.Rules[0].For != 1 {
+		t.Fatalf("LoadRules(good) = %+v, %v", rs, err)
+	}
+	for path, want := range map[string]string{bad: "unknown op", missing: "no such file"} {
+		if _, err := metrics.LoadRules(path); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadRules(%s) = %v, want an error naming the file and %q", path, err, want)
+		}
+	}
+
+	rec := trace.NewRecorder()
+	tick(rec, 1)
+	rec.Emit(trace.Event{Kind: trace.KindMachineDrain, Cause: trace.None, Machine: 1, Dst: trace.None, Part: trace.None, Time: 2, End: 1e6})
+	tick(rec, 3.2)
+	if got := metrics.AutoWindow(rec.Events()); got != 0.1 {
+		t.Errorf("AutoWindow = %g, want 0.1", got)
+	}
+	if got := metrics.AutoWindow(nil); got != 0 {
+		t.Errorf("AutoWindow of no events = %g, want 0", got)
 	}
 }
 

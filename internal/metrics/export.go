@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -131,6 +132,37 @@ func WriteProm(w io.Writer, s *Set) error {
 
 // sparkRunes is the eight-level bar ramp of Sparkline.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
+
+// WriteDashboard renders the terminal view surfer-metrics defaults to: one
+// sparkline row per series, then the alert transcript.
+func WriteDashboard(w io.Writer, set *Set, alerts []Alert, width int) {
+	fmt.Fprintf(w, "%d series × %d windows of %gs\n", len(set.Series), set.Windows, set.Window)
+	nameW := 0
+	for i := range set.Series {
+		nameW = max(nameW, len(set.Series[i].Name))
+	}
+	for i := range set.Series {
+		s := &set.Series[i]
+		peak, last := 0.0, 0.0
+		if n := len(s.Values); n > 0 {
+			peak, last = max(0, slices.Max(s.Values)), s.Values[n-1]
+		}
+		fmt.Fprintf(w, "  %-*s  %s  max %-10.4g last %.4g\n",
+			nameW, s.Name, Sparkline(s.Values, width), peak, last)
+	}
+	if len(alerts) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "alerts (%d transition(s)):\n", len(alerts))
+	for _, al := range alerts {
+		state := "FIRED"
+		if al.Resolved {
+			state = "resolved"
+		}
+		fmt.Fprintf(w, "  %-8s %s@%s  window %d (t=%.4g)  value %.4g\n",
+			state, al.Rule, al.Series, al.Window, al.Time, al.Value)
+	}
+}
 
 // Sparkline renders values as a fixed-width bar string, resampling by
 // taking the maximum within each column's bucket and scaling to the series

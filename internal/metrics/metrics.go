@@ -135,6 +135,19 @@ func FromEvents(events []trace.Event, cfg Config) (*Set, []Alert, error) {
 	return set, c.Alerts(), nil
 }
 
+// AutoWindow sizes a window for a captured stream whose length is only known
+// afterwards: a thirty-second of the makespan, 0 for a stream that never
+// left t = 0. The stream clock (max Time) is the makespan; span End fields
+// are not used because a drain's End carries its deadline, which can lie far
+// past the run.
+func AutoWindow(events []trace.Event) float64 {
+	makespan := 0.0
+	for i := range events {
+		makespan = max(makespan, events[i].Time)
+	}
+	return makespan / 32
+}
+
 // family is one kind of signal; with a machine, a machine pair, a level or
 // a tenant it identifies a series. Declared in the natural order of the
 // names, so that ordering series by (family, IDs) orders them by name.

@@ -159,10 +159,11 @@ func iterName(prefix string, i int) string {
 }
 
 // RunUntilConverged iterates propagation until the summed per-vertex delta
-// between consecutive states drops to eps or below (or maxIters is
-// reached). delta measures the change of one vertex's value; fixpoint
-// algorithms (label propagation, PageRank with a tolerance) use it to stop
-// as soon as an iteration changes nothing.
+// between consecutive states drops to eps or below. delta measures the
+// change of one vertex's value; fixpoint algorithms (label propagation,
+// PageRank with a tolerance) use it to stop as soon as an iteration changes
+// nothing. maxIters caps the iterations, and reaching it while values still
+// change is an error naming it: an unconverged state is not a result.
 func RunUntilConverged[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, maxIters int, delta func(old, new V) float64, eps float64) (*State[V], engine.Metrics, error) {
 	var total engine.Metrics
 	for i := 0; i < maxIters; i++ {
@@ -175,12 +176,12 @@ func RunUntilConverged[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 		for v := range next.Values {
 			change += delta(st.Values[v], next.Values[v])
 		}
-		st = next
 		if change <= eps {
-			break
+			return next, total, nil
 		}
+		st = next
 	}
-	return st, total, nil
+	return nil, total, fmt.Errorf("propagation: values still changing after the cap of %d iteration(s)", maxIters)
 }
 
 // RunCascaded executes `iters` iterations with cascaded propagation: the

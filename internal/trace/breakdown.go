@@ -1,6 +1,11 @@
 package trace
 
-import "sort"
+import (
+	"fmt"
+	"io"
+	"sort"
+	"strings"
+)
 
 // Breakdown is the hierarchical metrics view of a trace: per job, per
 // stage, per machine. It is computed from the event stream alone
@@ -249,4 +254,48 @@ func (b *Breakdown) Totals() MachineBreakdown {
 		t.add(mb)
 	}
 	return t
+}
+
+// WriteText renders the job → stage → machine hierarchy as the table
+// surfer-trace -breakdown prints.
+func (b *Breakdown) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "breakdown (job -> stage -> machine)\n")
+	for _, jb := range b.Jobs {
+		fmt.Fprintf(w, "job %-24s [%10.6f .. %10.6f]\n", jb.Name, jb.Begin, jb.End)
+		for _, sb := range jb.Stages {
+			fmt.Fprintf(w, "  stage %-20s [%10.6f .. %10.6f]\n", sb.Name, sb.Begin, sb.End)
+			for _, mb := range sb.Machines {
+				fmt.Fprintf(w, "    m%-3d compute=%.6fs tasks=%d egress=%dB/%.6fs ingress=%dB/%.6fs stall=%.6fs incast=%.6fs",
+					mb.Machine, mb.ComputeSeconds, mb.TasksRun,
+					mb.EgressBytes, mb.EgressBusySeconds,
+					mb.IngressBytes, mb.IngressBusySeconds,
+					mb.StallSeconds, mb.IncastStallSeconds)
+				if mb.Retries > 0 {
+					fmt.Fprintf(w, " retries=%d", mb.Retries)
+				}
+				if mb.TasksLost > 0 {
+					fmt.Fprintf(w, " lost=%d", mb.TasksLost)
+				}
+				if mb.TransferDrops > 0 {
+					fmt.Fprintf(w, " drops=%d dropstall=%.6fs", mb.TransferDrops, mb.DropStallSeconds)
+				}
+				if mb.TransferRetries > 0 {
+					fmt.Fprintf(w, " xfer-retries=%d", mb.TransferRetries)
+				}
+				if mb.Speculations > 0 {
+					fmt.Fprintf(w, " speculations=%d", mb.Speculations)
+				}
+				if mb.Failed {
+					fmt.Fprintf(w, " FAILED")
+				}
+				fmt.Fprintf(w, "\n")
+			}
+		}
+	}
+	if b.Checkpoints > 0 {
+		fmt.Fprintf(w, "checkpoints: %d (%s)\n", b.Checkpoints, strings.Join(b.CheckpointJobs, ", "))
+	}
+	if b.Restores > 0 {
+		fmt.Fprintf(w, "restores:    %d (%s)\n", b.Restores, strings.Join(b.RestoreJobs, ", "))
+	}
 }

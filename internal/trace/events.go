@@ -310,7 +310,7 @@ func SniffFormat(r io.Reader) string {
 // checkHeader validates the envelope of a raw trace.
 func checkHeader(s *Stream) error {
 	if s.Format != StreamFormat {
-		return fmt.Errorf("trace: not a raw event trace (format %q, want %q — Chrome exports cannot be analyzed, re-capture with -events)", s.Format, StreamFormat)
+		return fmt.Errorf("%w (format %q, want %q — Chrome exports cannot be analyzed, re-capture with -events)", ErrNotStream, s.Format, StreamFormat)
 	}
 	if s.Version != StreamVersion {
 		return fmt.Errorf("trace: unsupported raw trace version %d (want %d)", s.Version, StreamVersion)

@@ -5,11 +5,7 @@ package surfer
 // users can run them on their own graphs without re-implementing the
 // user-defined functions.
 
-import (
-	"fmt"
-
-	"repro/internal/apps"
-)
+import "repro/internal/apps"
 
 // Workload names accepted by RunWorkload.
 const (
@@ -24,40 +20,12 @@ const (
 )
 
 // WorkloadNames lists the available prebuilt workloads.
-func WorkloadNames() []string {
-	return []string{WorkloadVDD, WorkloadRS, WorkloadNR, WorkloadRLG, WorkloadTC, WorkloadTFL, WorkloadCC, WorkloadSSSP}
-}
-
-func workloadByName(name string, iterations int) (apps.App, error) {
-	if iterations <= 0 {
-		iterations = 3
-	}
-	switch name {
-	case WorkloadVDD:
-		return apps.NewVDD(), nil
-	case WorkloadRS:
-		cfg := apps.DefaultRSConfig()
-		cfg.Iterations = iterations
-		return apps.NewRS(cfg), nil
-	case WorkloadNR:
-		return apps.NewNR(iterations), nil
-	case WorkloadRLG:
-		return apps.NewRLG(), nil
-	case WorkloadTC:
-		return apps.NewTC(apps.DefaultSelectRatio), nil
-	case WorkloadTFL:
-		return apps.NewTFL(apps.DefaultSelectRatio), nil
-	case WorkloadCC:
-		return apps.NewCC(iterations * 10), nil
-	case WorkloadSSSP:
-		return apps.NewSSSP(0, iterations*10), nil
-	default:
-		return nil, fmt.Errorf("surfer: unknown workload %q (want one of %v)", name, WorkloadNames())
-	}
-}
+func WorkloadNames() []string { return apps.Names() }
 
 // RunWorkload executes a prebuilt workload under the propagation primitive
-// and returns its result:
+// and returns its result. iterations sizes the iterative workloads (RS, NR;
+// non-positive selects three); CC and SSSP run to their fixpoint, bounded by
+// the graph alone.
 //
 //	VDD -> map[int]int64 (degree histogram)
 //	RS  -> []uint8 (adoption flags)
@@ -68,7 +36,7 @@ func workloadByName(name string, iterations int) (apps.App, error) {
 //	CC   -> []uint32 (component labels)
 //	SSSP -> []int32 (hop distances from vertex 0; apps.Unreachable if none)
 func RunWorkload(sys *System, r *Runner, name string, iterations int, opt PropagationOptions) (any, Metrics, error) {
-	app, err := workloadByName(name, iterations)
+	app, err := apps.ByName(name, iterations)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
@@ -78,7 +46,7 @@ func RunWorkload(sys *System, r *Runner, name string, iterations int, opt Propag
 // RunWorkloadMapReduce executes a prebuilt workload under the MapReduce
 // primitive; result types match RunWorkload.
 func RunWorkloadMapReduce(sys *System, r *Runner, name string, iterations int) (any, Metrics, error) {
-	app, err := workloadByName(name, iterations)
+	app, err := apps.ByName(name, iterations)
 	if err != nil {
 		return nil, Metrics{}, err
 	}

@@ -1,6 +1,12 @@
 package surfer
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/apps"
+)
 
 func TestRunWorkloadAll(t *testing.T) {
 	sys := buildTestSystem(t)
@@ -58,6 +64,45 @@ func TestConnectedComponentsHelper(t *testing.T) {
 	for v, l := range labels {
 		if int(l) > v {
 			t.Fatalf("label[%d] = %d exceeds vertex ID", v, l)
+		}
+	}
+}
+
+// TestFixpointWorkloadsConvergeOnLongDiameters: on a path and a ring of 200
+// vertices a label or a distance crosses up to 199 edges, far past the thirty
+// rounds the by-name table used to guess, and the run used to hand back the
+// unconverged labels with no error. The cap now comes from the graph.
+func TestFixpointWorkloadsConvergeOnLongDiameters(t *testing.T) {
+	const n = 200
+	for name, closed := range map[string]bool{"path": false, "ring": true} {
+		b := NewBuilder(n)
+		for v := 0; v+1 < n; v++ {
+			b.AddEdge(VertexID(v), VertexID(v+1))
+		}
+		if closed {
+			b.AddEdge(n-1, 0)
+		}
+		sys, err := Build(Config{Graph: b.Build(), Topology: NewT1(4), Levels: 2, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := PropagationOptions{LocalPropagation: true, LocalCombination: true}
+		labels, _, err := ConnectedComponents(sys, sys.NewRunner(), opt)
+		if err != nil || !reflect.DeepEqual(labels, apps.ReferenceCC(sys.Graph)) {
+			t.Errorf("%s: ConnectedComponents = %v (err %v), want every vertex labelled 0", name, labels, err)
+		}
+		dists, _, err := RunWorkload(sys, sys.NewRunner(), WorkloadSSSP, 0, opt)
+		if err != nil || !reflect.DeepEqual(dists, apps.ReferenceSSSP(sys.Graph, 0)) {
+			t.Errorf("%s: SSSP = %v (err %v), want the BFS distances", name, dists, err)
+		}
+		// A cap the diameter exceeds is an error naming it, under either
+		// primitive, not a quietly wrong answer.
+		small := apps.NewCC(30)
+		if _, _, err := small.RunPropagation(sys.NewRunner(), sys.PG, sys.Placement, opt); err == nil || !strings.Contains(err.Error(), "cap of 30") {
+			t.Errorf("%s: CC capped at 30 rounds: err = %v, want one naming the cap", name, err)
+		}
+		if _, _, err := small.RunMapReduce(sys.NewRunner(), sys.PG, sys.Placement); err == nil || !strings.Contains(err.Error(), "cap of 30") {
+			t.Errorf("%s: MapReduce CC capped at 30 rounds: err = %v, want one naming the cap", name, err)
 		}
 	}
 }
