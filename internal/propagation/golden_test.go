@@ -194,6 +194,61 @@ func (bagProgram) Merge(graph.VertexID, [][]int64) []int64 {
 	panic("Merge called on a non-associative program")
 }
 
+// driftProgram is the program whose emission sequence never repeats: what an
+// edge does — nothing, one value, two, or a value redirected to a virtual
+// vertex — is a hash of the source's current value and the destination, and
+// the values change every iteration. TransferVertex reports to a virtual
+// vertex under the same kind of hash. Merge folds non-commutatively and Bytes
+// depends on the value, so a reordered bag or a byte charged to the wrong
+// task moves the digest.
+type driftProgram struct{ n, virtual int }
+
+// driftMix is splitmix64's finalizer over the value and a vertex.
+func driftMix(val int64, v graph.VertexID) uint64 {
+	x := uint64(val) ^ uint64(v)*0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+func (p driftProgram) Init(v graph.VertexID) int64 { return int64(v)*7919%10007 + 1 }
+func (p driftProgram) TransferVertex(v graph.VertexID, val int64, emit Emit[int64]) {
+	if h := driftMix(val, v); p.virtual > 0 && h%4 == 0 {
+		emit(graph.VertexID(p.n+int(h>>8%uint64(p.virtual))), val>>2)
+	}
+}
+func (p driftProgram) Transfer(_ graph.VertexID, val int64, dst graph.VertexID, emit Emit[int64]) {
+	h := driftMix(val, dst)
+	switch h % 5 {
+	case 0:
+	case 1:
+		emit(dst, val+int64(h>>40))
+		emit(dst, val^int64(h>>44))
+	case 2:
+		if p.virtual > 0 {
+			emit(graph.VertexID(p.n+int(h>>8%uint64(p.virtual))), val+1)
+			return
+		}
+		fallthrough
+	default:
+		emit(dst, val)
+	}
+}
+func (p driftProgram) Combine(_ graph.VertexID, prev int64, values []int64) int64 {
+	return prev/3 + p.Merge(0, values)
+}
+func (p driftProgram) Bytes(v int64) int64 { return 8 + v&7 }
+func (p driftProgram) Associative() bool   { return true }
+func (p driftProgram) Merge(_ graph.VertexID, values []int64) int64 {
+	var h int64
+	for _, v := range values {
+		h = h*31 + v
+	}
+	return h & (1<<40 - 1)
+}
+
+func putInt(d *digest, v int64) { d.i64(v) }
+
 func putFloat(d *digest, v float64) { d.f64(v) }
 func putList(d *digest, l []int64) {
 	d.u64(uint64(len(l)))
@@ -308,9 +363,11 @@ func goldenProgramRows[V any](t *testing.T, out *strings.Builder, name string, s
 // TestPlanDigestsGolden pins propagation bit for bit: the golden was recorded
 // with the serial emission-log merge, so an executor change that reorders one
 // bag, moves one byte between two tasks or shifts one event fails here. Rows
-// are {scalar, associative list, non-associative list, virtual-vertex}
+// are {scalar, associative list, non-associative list, virtual-vertex, drift}
 // programs x O1-O4 x the four multi-iteration drivers x three seeds; each row
 // must also agree with itself at 1, 2 and 8 workers. -short keeps one seed.
+// The first four emit exactly once per edge; drift is the one whose emission
+// sequence differs from one iteration to the next.
 func TestPlanDigestsGolden(t *testing.T) {
 	const path = "testdata/plan_digests.golden"
 	var got strings.Builder
@@ -324,6 +381,7 @@ func TestPlanDigestsGolden(t *testing.T) {
 		goldenProgramRows(t, &got, "list", seed, d, goldenProgram[[]int64]{prog: concatProgram{}, put: putList})
 		goldenProgramRows(t, &got, "bag", seed, d, goldenProgram[[]int64]{prog: bagProgram{}, put: putList})
 		goldenProgramRows(t, &got, "virtual", seed, d, goldenProgram[float64]{prog: degreeLike{n: n, buckets: 5}, virtual: 5, put: putFloat})
+		goldenProgramRows(t, &got, "drift", seed, d, goldenProgram[int64]{prog: driftProgram{n: n, virtual: 7}, virtual: 7, put: putInt})
 	}
 	if *update {
 		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
