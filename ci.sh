@@ -35,6 +35,9 @@ go test -race ./...
 # (stricter than the reference is allowed, different is not); the committed
 # seeds already ran above.
 go test -run '^$' -fuzz FuzzReadEvents -fuzztime 10s ./internal/trace
+# And through the emission plan's differential against the transfer path it
+# replaced: the fuzzer picks where an iteration leaves the previous one's plan.
+go test -run '^$' -fuzz FuzzPlanReuse -fuzztime 10s ./internal/propagation
 # Layer benchmarks, once each, so they cannot rot (-short skips the
 # 1M-vertex partitioner size and plans propagation at 16k vertices).
 go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph \

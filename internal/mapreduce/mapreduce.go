@@ -238,10 +238,6 @@ func Run[K Key, V any, R any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 	cpp := opt.computePerPair()
 	mapTasks := make([]*engine.Task, p)
 	for i, pi := range pg.Parts {
-		var edges int64
-		for _, v := range pi.Vertices {
-			edges += int64(pg.G.OutDegree(v))
-		}
 		var outs []engine.Output
 		for red := 0; red < reducers; red++ {
 			if b := shuffleBytes[i][red]; b > 0 {
@@ -253,7 +249,7 @@ func Run[K Key, V any, R any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 			Kind:     engine.KindTransfer,
 			Part:     partition.PartID(i),
 			Machine:  pl.MachineOf[i],
-			Compute:  cpp * float64(edges+pairsEmitted[i]),
+			Compute:  cpp * float64(pi.OutEdges()+pairsEmitted[i]),
 			DiskRead: pi.Bytes + opt.StatePerVertexBytes*int64(len(pi.Vertices)),
 			// Map output is spilled, then rewritten sorted by reducer —
 			// the Google-style map-side sort pass [5].

@@ -12,7 +12,9 @@ import (
 // encoded ID sum(sizes of partitions < i) + j. Surfer then finds a vertex's
 // partition with a binary search over P range starts instead of a global
 // vertex→partition map — crucial for Combine-task recovery, which must know
-// which partition each incoming edge came from.
+// which partition each incoming edge came from. Propagation lays its
+// per-vertex bags and counters out by encoded ID, so each partition's are one
+// dense run; the data graph itself is not relabeled.
 type Encoding struct {
 	// starts[p] is the first encoded ID of partition p; starts[P] = |V|.
 	starts []graph.VertexID
@@ -70,20 +72,6 @@ func (e *Encoding) NumVertices() int { return len(e.toNew) }
 
 // NumPartitions reports the number of partitions.
 func (e *Encoding) NumPartitions() int { return len(e.starts) - 1 }
-
-// Apply produces the relabeled graph: vertex v of the result corresponds to
-// original vertex ToOld(v) and its neighbor lists are relabeled accordingly.
-func (e *Encoding) Apply(g *graph.Graph) *graph.Graph {
-	if g.NumVertices() != len(e.toNew) {
-		panic(fmt.Sprintf("partition: encoding covers %d vertices, graph has %d", len(e.toNew), g.NumVertices()))
-	}
-	b := graph.NewBuilder(g.NumVertices()).KeepDuplicates()
-	g.ForEachEdge(func(u, v graph.VertexID) bool {
-		b.AddEdge(e.toNew[u], e.toNew[v])
-		return true
-	})
-	return b.Build()
-}
 
 // Validate checks the bijection and range invariants.
 func (e *Encoding) Validate() error {

@@ -261,22 +261,3 @@ func TestEncodingRanges(t *testing.T) {
 		cum = hi
 	}
 }
-
-func TestEncodingApplyPreservesStructure(t *testing.T) {
-	g := testGraph(14)
-	pt, _ := RecursiveBisect(g, 2, Options{Seed: 14})
-	e := NewEncoding(pt)
-	h := e.Apply(g)
-	if h.NumEdges() != g.NumEdges() || h.NumVertices() != g.NumVertices() {
-		t.Fatal("apply changed graph size")
-	}
-	// Spot-check: edges map through the bijection.
-	checked := 0
-	g.ForEachEdge(func(u, v graph.VertexID) bool {
-		if !h.HasEdge(e.ToNew(u), e.ToNew(v)) {
-			t.Fatalf("edge (%d,%d) missing after relabel", u, v)
-		}
-		checked++
-		return checked < 500
-	})
-}

@@ -72,3 +72,54 @@ func FuzzPropagationParallel(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPlanReuse fuzzes the emission plan against the reference transfer path:
+// the graph is decoded as above, and each of four iterations on one state
+// chain emits under its own mask (maskProgram), so the fuzzer decides where
+// an iteration repeats the last one's emission sequence, where it leaves it
+// and where it emits nothing. Every iteration must agree with the reference
+// on the log, the bags, the byte tables and the next state, at 1 and at 4
+// workers.
+func FuzzPlanReuse(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 2, 0}, uint32(0xffff), uint32(0xffff), uint32(0xffff), uint32(0xffff), uint8(3))
+	f.Add([]byte{0, 0, 5, 9, 9, 5, 3, 7, 7, 3, 1, 4}, uint32(0xffffffff), uint32(0xff0fffff), uint32(0), uint32(0xffffffff), uint8(7))
+	f.Add([]byte{255, 0, 0, 255, 128, 64, 64, 128}, uint32(0x10001), uint32(0x30003), uint32(0x1), uint32(0x3), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, m0, m1, m2, m3 uint32, optPick uint8) {
+		if len(data) < 2 {
+			return
+		}
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		const n = 64
+		b := graph.NewBuilder(n).KeepDuplicates()
+		for i := 0; i+1 < len(data); i += 2 {
+			b.AddEdge(graph.VertexID(int(data[i])%n), graph.VertexID(int(data[i+1])%n))
+		}
+		g := b.Build()
+		pt, sk := partition.RecursiveBisect(g, 2, partition.Options{Seed: 1})
+		pg, err := storage.Build(g, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo := cluster.NewT2(cluster.T2Config{Machines: 4, Pods: 2, Levels: 1})
+		pl := partition.SketchPlacement(sk, topo)
+		order := orderProgram{n: n, virtual: int(optPick >> 3 & 3)}
+		opt := Options{
+			LocalPropagation: optPick&1 != 0,
+			LocalCombination: optPick&2 != 0,
+			VirtualVertices:  order.virtual,
+		}
+		for _, workers := range []int{1, 4} {
+			pool := engine.NewPool(workers)
+			st := NewState[int64](pg, order)
+			for iter, mask := range []uint32{m0, m1, m2, m3} {
+				next, ok := planStep(t, pool, pg, pl, topo, maskProgram{order, mask}, st, opt, optPick&4 != 0)
+				if !ok {
+					t.Fatalf("workers=%d: iteration %d under mask %#x differs from the reference", workers, iter, mask)
+				}
+				st = next
+			}
+		}
+	})
+}

@@ -40,9 +40,15 @@ type Emit[V any] func(dst graph.VertexID, val V)
 // nothing arrived) and for every virtual vertex that received values.
 //
 // The values slices passed to Combine and Merge are windows into pooled
-// buffers the executor reuses across iterations: implementations may read
-// them freely during the call (and keep the element values, which are
-// copies) but must not retain the slice itself.
+// buffers the executor reuses across iterations — Merge's is the window of
+// its destination's group in the source partition's group buffer:
+// implementations may read them freely during the call (and keep the element
+// values, which are copies) but must not retain the slice itself.
+//
+// The executor plans a partition's emissions from the order they were made
+// in: a Transfer whose sequence of emitted destinations depends on the graph
+// only, not on the values, repeats it every iteration, and that is what keeps
+// the iterations after the first cheap. Any sequence is correct.
 type Program[V any] interface {
 	// Init returns vertex v's value before the first iteration.
 	Init(v graph.VertexID) V

@@ -25,58 +25,93 @@ type State[V any] struct {
 }
 
 // scratch is the pooled working memory of the propagation fast path. Every
-// buffer has one owner — a partition in its role as source (the emission
-// log, its grouping buffers, the log bucketed by destination partition) or
-// as destination (the slab its vertices' bags are windows into, its virtual
-// bags) — so no phase needs a lock or a serial pass. Buffers keep their
-// capacity across iterations; everything is re-sliced to zero length before
-// reuse, never reallocated while sizes are steady.
+// buffer has one owner — a partition in its role as source (its emission plan,
+// group buffer and log) or as destination (the slab its vertices' bags are
+// windows into, its virtual bags) — so no phase needs a lock or a serial
+// pass. Buffers keep their capacity across iterations; everything is
+// re-sliced before reuse, never reallocated while sizes are steady.
 type scratch[V any] struct {
-	// pg is the partitioned graph the slots below were laid out for.
+	// pg is the partitioned graph, and key the options, the plans were built
+	// for: another graph means another scratch, another key drops every plan.
 	pg    *storage.PartitionedGraph
+	key   planKey
 	parts []partScratch[V]
-	// slot[v] is real vertex v's index into bags and counts. Slots are
-	// grouped by partition — partition q's vertices, in id order, take
-	// base[q]..base[q+1] — so the bag headers and counters a partition
-	// writes are one dense run that no other partition's share a cache line
-	// with, wherever its vertices fall in id space.
-	slot []int32
-	base []int32
-	// bags[slot[v]] is v's received-value bag, a zero-copy window into its
-	// partition's slab sized by the gather's counting pass; counts is that
-	// pass's workspace (all-zero outside gatherPart).
+	// enc numbers the real vertices partition by partition (Appendix B):
+	// partition q's vertices, in id order, take Range(q) of bags and counts —
+	// a dense run that shares no cache line with another partition's,
+	// wherever its vertices fall in id space.
+	enc *partition.Encoding
+	// bags[enc.ToNew(v)] is v's received-value bag, a zero-copy window into
+	// its partition's slab sized by the gather's counting pass; counts is
+	// that pass's workspace (all-zero outside gatherPart).
 	bags   [][]V
 	counts []int32
 }
 
+// planKey is what, besides the graph, a destination's classification depends
+// on: a chain iterated under a second option set must not follow the first's
+// plans, nor skip the range check of a virtual space that has shrunk.
+type planKey struct {
+	localPropagation, grouping bool
+	virtualVertices            int
+}
+
+// slot plans one emission: the destination it must name again to follow the
+// plan, and where its value lands in gbuf.
+type slot struct {
+	dst graph.VertexID
+	pos int32
+}
+
+// group is one destination of a plan: its values are gbuf[start:end], start
+// being the previous group's end.
+type group struct {
+	dst graph.VertexID
+	end int32
+}
+
+// pending is a classified group awaiting placement: its end in the sorted
+// keys and its bucket's place in cur.
+type pending struct{ end, bucket int32 }
+
 // partScratch is one partition's private workspace. The source-side fields
-// are written by the partition's transferPart and only read afterwards; the
-// destination-side fields are touched only by its gatherPart/combinePart.
+// are written by the partition's transferPart and read, after the barrier, by
+// every destination's gatherPart; the destination-side fields are touched
+// only by its own gatherPart/combinePart.
 type partScratch[V any] struct {
-	// out is the partition's emission log.
-	out []emission[V]
-	// sent is out stably sorted by destination partition: the values headed
-	// to partition q are sent[off[q]:off[q+1]], in log order. One flat buffer
-	// and P+1 offsets (off has one more slot, the counting sort's cursor)
-	// rather than P slices, so 256 partitions cost 256 buffers, not 65 536.
-	sent []emission[V]
-	off  []int32
-	// key/gval hold emissions pending local combination: gval in emission
+	// The emission plan: built when the emission sequence is new, followed
+	// while it repeats — as it does for every program that emits
+	// independently of the values (NR, TFL, ...). slots[i] places the i-th
+	// emission. groups lists the destinations: the fused ones (groups[:fused],
+	// read only by this partition's own gather), then by (destination
+	// partition, destination) — one group per destination under local
+	// combination, else one per emission in emission order. next is the
+	// emission expected next; collecting, that the sequence has left the plan
+	// and waits in key/gval for buildPlan.
+	slots      []slot
+	groups     []group
+	fused      int
+	next       int
+	collecting bool
+	// gbuf holds the iteration's values, group by group; once the partition
+	// has flushed, a non-fused group's first value is the one value it sends
+	// — the emission log is groups[fused:] read with gbuf. cur, the cursors
+	// buildPlan placed the groups through, ends as the log's bucket offsets
+	// (see bucket): flat buffers, so 256 partitions cost 256 of each, not
+	// 65 536.
+	gbuf []V
+	cur  []int32
+	// key/gval hold a collecting partition's emissions: gval in emission
 	// order, key packing (dst<<32 | index-into-gval) so sorting the uint64
 	// keys groups by destination while preserving per-destination emission
 	// order. Partition-local emission counts stay far below 2^32 at the
-	// scales the 32-bit VertexID admits.
-	key  []uint64
-	gval []V
-	// vals is the reused buffer handed to Program.Merge; programs must not
-	// retain it (see Program.Merge).
-	vals []V
-	// raw/sorted cache the previous iteration's key sequence and its sorted
-	// order. For programs whose emission pattern is value-independent (one
-	// emission per edge — NR, TFL, ...), the sequence repeats every
-	// iteration, so grouping costs one O(m) comparison instead of a sort.
-	raw    []uint64
+	// scales the 32-bit VertexID admits. sorted and class are buildPlan's.
+	key    []uint64
 	sorted []uint64
+	gval   []V
+	class  []pending
+	// vals is the reused buffer tree aggregation hands to Program.Merge.
+	vals []V
 
 	// slab backs the bags of the partition's own vertices.
 	slab []V
@@ -96,25 +131,16 @@ func newScratch[V any](pg *storage.PartitionedGraph) *scratch[V] {
 	sc := &scratch[V]{
 		pg:     pg,
 		parts:  make([]partScratch[V], p),
-		slot:   make([]int32, n),
-		base:   make([]int32, p+1),
+		enc:    partition.NewEncoding(pg.Part),
 		bags:   make([][]V, n),
 		counts: make([]int32, n),
 	}
-	offs := make([]int32, p*(p+2))
-	for q, pi := range pg.Parts {
-		sc.parts[q].off = offs[q*(p+2) : (q+1)*(p+2)]
-		sc.base[q+1] = sc.base[q] + int32(len(pi.Vertices))
-		for i, v := range pi.Vertices {
-			sc.slot[v] = sc.base[q] + int32(i)
-		}
+	cur := make([]int32, p*2*(p+1))
+	for q := range sc.parts {
+		sc.parts[q].cur = cur[q*2*(p+1) : (q+1)*2*(p+1)]
 	}
 	return sc
 }
-
-// partBags returns the bags of partition q's vertices, in the order of its
-// vertex list.
-func (sc *scratch[V]) partBags(q int) [][]V { return sc.bags[sc.base[q]:sc.base[q+1]] }
 
 // sized returns s at length n, reallocating only when its capacity is short.
 // The contents are unspecified: callers overwrite every element they read.
@@ -125,9 +151,20 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// bucket returns the logged values headed to partition q, in log order.
-func (ps *partScratch[V]) bucket(q int) []emission[V] {
-	return ps.sent[ps.off[q]:ps.off[q+1]]
+// bucket returns the groups headed to partition q, in log order, and where
+// the first one's values start in gbuf.
+func (ps *partScratch[V]) bucket(q int) ([]group, int32) {
+	lo, start := ps.cur[2*q], int32(0)
+	if lo > 0 {
+		start = ps.groups[lo-1].end
+	}
+	return ps.groups[lo:ps.cur[2*q+2]], start
+}
+
+// dropPlan leaves the empty plan, which no emission follows.
+func (ps *partScratch[V]) dropPlan() {
+	ps.slots, ps.groups, ps.fused = ps.slots[:0], ps.groups[:0], 0
+	clear(ps.cur)
 }
 
 // NewState initializes the state with Program.Init.
@@ -225,8 +262,13 @@ type execution[V any] struct {
 	// bit-identical for every worker count.
 	pool *engine.Pool
 
-	n     int
-	assoc bool
+	n int
+	// grouping: the emissions headed to one destination are merged before
+	// they leave the partition (local combination) — remote-bound groups
+	// shrink the transfer, same-partition groups headed to non-fusable
+	// vertices shrink the materialized intermediates (one merged value per
+	// destination instead of one per edge).
+	grouping bool
 	// sc is the pooled workspace shared along the state chain.
 	sc *scratch[V]
 
@@ -262,6 +304,13 @@ func newExecution[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *pa
 	if st.sc == nil || st.sc.pg != pg {
 		st.sc = newScratch[V](pg)
 	}
+	grouping := prog.Associative() && opt.LocalCombination
+	if key := (planKey{opt.LocalPropagation, grouping, opt.VirtualVertices}); st.sc.key != key {
+		st.sc.key = key
+		for q := range st.sc.parts {
+			st.sc.parts[q].dropPlan()
+		}
+	}
 	// One allocation, carved into the six accounting tables.
 	tables := make([]int64, p*p+5*p)
 	carve := func(n int) []int64 {
@@ -274,7 +323,7 @@ func newExecution[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *pa
 		pool:          pool,
 		jobName:       jobName,
 		n:             n,
-		assoc:         prog.Associative(),
+		grouping:      grouping,
 		sc:            st.sc,
 		remoteBytes:   carve(p * p),
 		localBytes:    carve(p),
@@ -293,34 +342,6 @@ func (ex *execution[V]) partOf(dst graph.VertexID) partition.PartID {
 	return VirtualPartition(dst, ex.pg.Part.P)
 }
 
-// emitKind classifies a recorded emission for the destination's accounting.
-type emitKind uint32
-
-const (
-	// emitFused: same-partition destination with all-local inputs under
-	// local propagation — consumed in memory, no I/O charged.
-	emitFused emitKind = iota
-	// emitLocal: same-partition destination materialized to local disk.
-	emitLocal
-	// emitRemote: cross-partition destination.
-	emitRemote
-)
-
-// emission is one entry of a partition's transfer output log: the exact
-// sequence of values the serial executor would have delivered, with the
-// destination partition and the classification its owner needs to charge the
-// I/O. The two share a word (part<<2 | kind), which keeps a scalar-valued
-// entry at 16 bytes.
-type emission[V any] struct {
-	val  V
-	dst  graph.VertexID
-	part uint32
-}
-
-func pack(q partition.PartID, k emitKind) uint32 { return uint32(q)<<2 | uint32(k) }
-
-func (e *emission[V]) kind() emitKind { return emitKind(e.part & 3) }
-
 // run computes the iteration: the Transfer stage semantics for every
 // partition, then each partition's gather and Combine, both spread over the
 // pool. It returns the next state; the accounting stays on ex for the job.
@@ -338,26 +359,25 @@ func (ex *execution[V]) run() *State[V] {
 	return next
 }
 
-// transferPart runs one partition's Transfer calls and local combination,
-// then buckets its log by destination partition. It writes only
+// transferPart runs one partition's Transfer calls along its emission plan
+// and flushes the grouped values into its log. It writes only
 // partition-indexed slots (stateRead[p], its partScratch), so concurrent
 // invocations for different partitions never share state.
 func (ex *execution[V]) transferPart(p int) {
 	pi := ex.pg.Parts[p]
 	ps := &ex.sc.parts[p]
-	ps.out = ps.out[:0]
-	// grouping: pending emissions are held back for local combination —
-	// remote-bound groups shrink the transfer, same-partition groups
-	// headed to non-fusable vertices shrink the materialized intermediates
-	// (one merged value per destination instead of one per edge).
-	grouping := ex.assoc && ex.opt.LocalCombination
-	if grouping {
-		ps.key = ps.key[:0]
-		ps.gval = ps.gval[:0]
-	}
+	ps.next, ps.collecting = 0, false
 	vt, hasVT := any(ex.prog).(VertexTransferrer[V])
+	// An emission naming the destination the plan expects is one compare and
+	// one store: partition, kind and group were decided when the plan was
+	// built. Any other leaves the plan for good.
 	emit := func(d graph.VertexID, v V) {
-		ex.record(pi, ps, grouping, d, v)
+		if i := ps.next; i < len(ps.slots) && ps.slots[i].dst == d {
+			ps.gbuf[ps.slots[i].pos] = v
+			ps.next = i + 1
+			return
+		}
+		ex.collect(pi, ps, d, v)
 	}
 	// Byte totals are summed in locals and stored once: the accounting
 	// tables pack neighbouring partitions into one cache line, which a store
@@ -374,68 +394,122 @@ func (ex *execution[V]) transferPart(p int) {
 		}
 	}
 	ex.stateRead[p] = stateRead
-	if grouping {
-		ex.flushGroups(p, ps)
+	if ps.next < len(ps.slots) {
+		ex.startCollecting(pi, ps) // fewer emissions than planned
 	}
-	ps.bucketLog()
+	if ps.collecting {
+		ex.buildPlan(pi, ps)
+	}
+	if !ex.grouping {
+		return // every group is one emission
+	}
+	// A non-fused group sends one value: its only one, or the merge of its
+	// window of gbuf — capped, so that a Merge appending to the slice cannot
+	// reach the next group's values — left where the window starts.
+	start := int32(0)
+	if ps.fused > 0 {
+		start = ps.groups[ps.fused-1].end
+	}
+	for _, g := range ps.groups[ps.fused:] {
+		if g.end-start > 1 {
+			ps.gbuf[start] = ex.prog.Merge(g.dst, ps.gbuf[start:g.end:g.end])
+		}
+		start = g.end
+	}
 }
 
-// record classifies one emitted value into the partition's emission log (or
-// its local-combination group).
-func (ex *execution[V]) record(pi *storage.PartInfo, ps *partScratch[V], grouping bool, dst graph.VertexID, v V) {
+// collect takes an emission the plan did not expect. The range check comes
+// first, so that a panicking emission leaves the plan as it found it.
+func (ex *execution[V]) collect(pi *storage.PartInfo, ps *partScratch[V], dst graph.VertexID, v V) {
 	if int(dst) >= ex.n+ex.opt.VirtualVertices {
 		panic(fmt.Sprintf("propagation: emission to vertex %d outside real+virtual space", dst))
 	}
-	q := ex.partOf(dst)
-	kind := emitRemote
-	if q == pi.ID {
-		// Same-partition emission: free when the destination's inputs are
-		// entirely local (no cross in-edge) and local propagation is on;
-		// otherwise materialized to local disk for the Combine stage —
-		// after per-destination merging when local combination applies.
-		kind = emitLocal
-		if ex.opt.LocalPropagation && int(dst) < ex.n && !pi.HasCrossInEdge(dst) {
-			ps.out = append(ps.out, emission[V]{val: v, dst: dst, part: pack(q, emitFused)})
-			return
-		}
+	if !ps.collecting {
+		ex.startCollecting(pi, ps)
 	}
-	if grouping {
-		ps.key = append(ps.key, uint64(dst)<<32|uint64(len(ps.gval)))
-		ps.gval = append(ps.gval, v)
-		return
-	}
-	ps.out = append(ps.out, emission[V]{val: v, dst: dst, part: pack(q, kind)})
+	ps.key = append(ps.key, uint64(dst)<<32|uint64(len(ps.gval)))
+	ps.gval = append(ps.gval, v)
 }
 
-// flushGroups merges the held-back emissions (local combination) into the
-// log in sorted destination order. Sorting the packed keys groups the log by
-// destination (ascending) while keeping each destination's values in
-// emission order — exactly the grouping the map-based implementation
-// produced, without a hash map on the per-emission path.
-func (ex *execution[V]) flushGroups(p int, ps *partScratch[V]) {
-	if !slices.Equal(ps.key, ps.raw) {
-		ps.raw = append(ps.raw[:0], ps.key...)
-		ps.sortKeys(bits.Len(uint(ex.n + ex.opt.VirtualVertices)))
+// startCollecting leaves the plan: the emissions that followed it so far are
+// recovered from where it scattered them and the plan is dropped, so a later
+// panic leaves no half of one behind. The buffers are sized for the common
+// sequence, one emission per out-edge, not by doubling.
+func (ex *execution[V]) startCollecting(pi *storage.PartInfo, ps *partScratch[V]) {
+	if want := max(int(pi.OutEdges()), ps.next); cap(ps.key) < want || cap(ps.gval) < want {
+		ps.key, ps.gval = make([]uint64, 0, want), make([]V, 0, want)
 	}
-	keys := ps.sorted
+	ps.key, ps.gval = ps.key[:ps.next], ps.gval[:ps.next]
+	for k, sl := range ps.slots[:ps.next] {
+		ps.key[k] = uint64(sl.dst)<<32 | uint64(k)
+		ps.gval[k] = ps.gbuf[sl.pos]
+	}
+	ps.dropPlan()
+	ps.collecting = true
+}
+
+// buildPlan turns the collected emissions into the partition's plan and
+// scatters their values along it. Sorting the packed keys groups them by
+// destination (ascending) with each destination's values in emission order;
+// without grouping every emission is its own group, in emission order. Each
+// group is classified once, then a stable counting sort places the groups by
+// bucket: every destination partition finds its values in one run of the
+// log, in the order the serial executor delivered them.
+func (ex *execution[V]) buildPlan(pi *storage.PartInfo, ps *partScratch[V]) {
+	keys := ps.key
+	if ex.grouping {
+		ps.sortKeys(bits.Len(uint(ex.n + ex.opt.VirtualVertices)))
+		keys = ps.sorted
+	}
+	// cur[2b] first counts bucket b's groups and cur[2b+1] its values, then
+	// they turn into the cursors both are placed through — which leaves each
+	// group cursor at the start of the next bucket, where bucket reads it.
+	cur := ps.cur
+	clear(cur)
+	class := sized(ps.class, len(keys))[:0]
 	for i := 0; i < len(keys); {
 		d := graph.VertexID(keys[i] >> 32)
-		ps.vals = ps.vals[:0]
-		j := i
-		for ; j < len(keys) && graph.VertexID(keys[j]>>32) == d; j++ {
-			ps.vals = append(ps.vals, ps.gval[uint32(keys[j])])
+		j := i + 1
+		for ex.grouping && j < len(keys) && graph.VertexID(keys[j]>>32) == d {
+			j++
 		}
-		i = j
-		merged := ps.vals[0]
-		if len(ps.vals) > 1 {
-			merged = ex.prog.Merge(d, ps.vals)
-		}
+		// Bucket q+1 for a group headed to partition q. Bucket 0 for the
+		// fused ones: a same-partition emission is free — consumed in
+		// memory, no I/O charged — when the destination's inputs are entirely
+		// local (no cross in-edge) and local propagation is on; otherwise it
+		// is materialized to local disk for the Combine stage, after
+		// per-destination merging when local combination applies.
 		q := ex.partOf(d)
-		kind := emitRemote
-		if int(q) == p {
-			kind = emitLocal
+		b := 2 * (int32(q) + 1)
+		if q == pi.ID && ex.opt.LocalPropagation && int(d) < ex.n && !pi.HasCrossInEdge(d) {
+			b = 0
 		}
-		ps.out = append(ps.out, emission[V]{val: merged, dst: d, part: pack(q, kind)})
+		class = append(class, pending{end: int32(j), bucket: b})
+		cur[b]++
+		cur[b+1] += int32(j - i)
+		i = j
+	}
+	ps.class = class
+	var groups, values int32
+	for b := 0; b < len(cur); b += 2 {
+		cur[b], groups = groups, groups+cur[b]
+		cur[b+1], values = values, values+cur[b+1]
+	}
+	ps.fused = int(cur[2])
+	ps.slots = sized(ps.slots, len(keys))
+	ps.gbuf = sized(ps.gbuf, len(keys))
+	ps.groups = sized(ps.groups, len(class))
+	i := int32(0)
+	for _, c := range class {
+		d, b := graph.VertexID(keys[i]>>32), c.bucket
+		pos := cur[b+1]
+		for ; i < c.end; i, pos = i+1, pos+1 {
+			k := uint32(keys[i])
+			ps.slots[k] = slot{dst: d, pos: pos}
+			ps.gbuf[pos] = ps.gval[k]
+		}
+		ps.groups[cur[b]] = group{dst: d, end: pos}
+		cur[b], cur[b+1] = cur[b]+1, pos
 	}
 }
 
@@ -471,33 +545,13 @@ func (ps *partScratch[V]) sortKeys(dstBits int) {
 	ps.sorted, ps.key = src, dst
 }
 
-// bucketLog stably counting-sorts the finished log by destination partition
-// into sent, so each destination finds its values in one contiguous run.
-func (ps *partScratch[V]) bucketLog() {
-	// Counting two slots up and scattering through the slot between leaves
-	// off[q] at the start of bucket q once every cursor has run to its end.
-	off := ps.off
-	clear(off)
-	for i := range ps.out {
-		off[ps.out[i].part>>2+2]++
-	}
-	for q := 2; q < len(off); q++ {
-		off[q] += off[q-1]
-	}
-	ps.sent = sized(ps.sent, len(ps.out))
-	for i := range ps.out {
-		c := &off[ps.out[i].part>>2+1]
-		ps.sent[*c] = ps.out[i]
-		*c++
-	}
-}
-
-// gatherPart delivers to partition q everything the transfer phase logged
-// for it: it walks the source partitions in index order and each bucket in
-// log order — the sequence the serial executor delivered in, so
-// order-sensitive combines and float summations stay bit-identical — filling
-// the bags of q's vertices and charging the I/O of each value. It writes
-// only what q owns.
+// gatherPart delivers to partition q everything the transfer phase left for
+// it: it walks the source partitions in index order and each bucket in log
+// order — the sequence the serial executor delivered in, so order-sensitive
+// combines and float summations stay bit-identical — filling the bags of q's
+// vertices and charging the I/O of each value; q's own fused groups, which
+// never entered a log, join from gbuf when the walk reaches source q,
+// uncharged. It writes only what q owns.
 //
 // A counting pass first sizes every bag as a window into the partition's
 // slab, so delivery appends never allocate. The counts are an upper bound
@@ -508,18 +562,24 @@ func (ex *execution[V]) gatherPart(q int) {
 	ps := &sc.parts[q]
 	total := 0
 	for p := range sc.parts {
-		b := sc.parts[p].bucket(q)
-		for i := range b {
-			if d := b[i].dst; int(d) < ex.n {
-				sc.counts[sc.slot[d]]++
+		groups, _ := sc.parts[p].bucket(q)
+		for _, g := range groups {
+			if int(g.dst) < ex.n {
+				sc.counts[sc.enc.ToNew(g.dst)]++
 				total++
 			}
 		}
 	}
-	slab := sized(ps.slab, total)
+	start := int32(0)
+	for _, g := range ps.groups[:ps.fused] {
+		sc.counts[sc.enc.ToNew(g.dst)] += g.end - start
+		start = g.end
+	}
+	slab := sized(ps.slab, total+int(start))
 	ps.slab = slab
 	off := 0
-	bags, counts := sc.partBags(q), sc.counts[sc.base[q]:sc.base[q+1]]
+	lo, hi := sc.enc.Range(partition.PartID(q))
+	bags, counts := sc.bags[lo:hi], sc.counts[lo:hi]
 	for i, c := range counts {
 		bags[i] = slab[off : off : off+int(c)]
 		off += int(c)
@@ -530,23 +590,32 @@ func (ex *execution[V]) gatherPart(q int) {
 	np := len(sc.parts)
 	var local int64
 	for p := range sc.parts {
-		b := sc.parts[p].bucket(q)
+		if p == q {
+			start := int32(0)
+			for _, g := range ps.groups[:ps.fused] {
+				bag := &sc.bags[sc.enc.ToNew(g.dst)]
+				*bag = append(*bag, ps.gbuf[start:g.end]...)
+				start = g.end
+			}
+		}
+		groups, start := sc.parts[p].bucket(q)
+		gbuf := sc.parts[p].gbuf
 		var remote, toAgg int64
 		crossPod := ex.tree != nil && ex.tree.pod[p] != ex.tree.pod[q]
-		for i := range b {
-			e := &b[i]
-			switch e.kind() {
-			case emitLocal:
-				local += ex.prog.Bytes(e.val)
-			case emitRemote:
-				if crossPod {
-					ps.agg = append(ps.agg, aggValue[V]{pod: ex.tree.pod[p], dst: e.dst, val: e.val})
-					toAgg += ex.prog.Bytes(e.val)
-					continue
-				}
-				remote += ex.prog.Bytes(e.val)
+		for _, g := range groups {
+			v := gbuf[start]
+			start = g.end
+			switch {
+			case p == q: // materialized to local disk
+				local += ex.prog.Bytes(v)
+			case crossPod:
+				ps.agg = append(ps.agg, aggValue[V]{pod: ex.tree.pod[p], dst: g.dst, val: v})
+				toAgg += ex.prog.Bytes(v)
+				continue
+			default:
+				remote += ex.prog.Bytes(v)
 			}
-			ex.appendBag(ps, e.dst, e.val)
+			ex.appendBag(ps, g.dst, v)
 		}
 		ex.remoteBytes[p*np+q] = remote
 		if crossPod {
@@ -563,7 +632,7 @@ func (ex *execution[V]) gatherPart(q int) {
 // dst.
 func (ex *execution[V]) appendBag(ps *partScratch[V], dst graph.VertexID, v V) {
 	if int(dst) < ex.n {
-		bag := &ex.sc.bags[ex.sc.slot[dst]]
+		bag := &ex.sc.bags[ex.sc.enc.ToNew(dst)]
 		*bag = append(*bag, v)
 		return
 	}
@@ -580,7 +649,8 @@ func (ex *execution[V]) appendBag(ps *partScratch[V], dst graph.VertexID, v V) {
 // is a map, and maps are not written from the pool.
 func (ex *execution[V]) combinePart(q int, next *State[V]) {
 	var count, stateWrite, skippedRead int64
-	bags := ex.sc.partBags(q)
+	lo, _ := ex.sc.enc.Range(partition.PartID(q))
+	bags := ex.sc.bags[lo:] // q's vertices' bags, in the order of its vertex list
 	for i, v := range ex.pg.Parts[q].Vertices {
 		bag := bags[i]
 		next.Values[v] = ex.prog.Combine(v, ex.st.Values[v], bag)
@@ -646,10 +716,6 @@ func (ex *execution[V]) buildJob() *engine.Job {
 	for i := 0; i < p; i++ {
 		pi := ex.pg.Parts[i]
 		m := ex.pl.MachineOf[i]
-		var edges int64
-		for _, v := range pi.Vertices {
-			edges += int64(ex.pg.G.OutDegree(v))
-		}
 		var outs []engine.Output
 		for q := 0; q < p; q++ {
 			if b := ex.remoteBytes[i*p+q]; b > 0 {
@@ -661,7 +727,7 @@ func (ex *execution[V]) buildJob() *engine.Job {
 			Kind:      engine.KindTransfer,
 			Part:      partition.PartID(i),
 			Machine:   m,
-			Compute:   costs.ComputePerEdge * float64(edges),
+			Compute:   costs.ComputePerEdge * float64(pi.OutEdges()),
 			DiskRead:  pi.Bytes + ex.stateRead[i],
 			DiskWrite: ex.localBytes[i],
 			Outputs:   outs,

@@ -182,10 +182,6 @@ func (ex *execution[V]) buildTreeJob(topo *cluster.Topology) *engine.Job {
 	for i := 0; i < p; i++ {
 		pi := ex.pg.Parts[i]
 		m := ex.pl.MachineOf[i]
-		var edges int64
-		for _, v := range pi.Vertices {
-			edges += int64(ex.pg.G.OutDegree(v))
-		}
 		var outs []engine.Output
 		for q := 0; q < p; q++ {
 			if b := ex.remoteBytes[i*p+q]; b > 0 {
@@ -202,7 +198,7 @@ func (ex *execution[V]) buildTreeJob(topo *cluster.Topology) *engine.Job {
 			Kind:      engine.KindTransfer,
 			Part:      partition.PartID(i),
 			Machine:   m,
-			Compute:   costs.ComputePerEdge * float64(edges),
+			Compute:   costs.ComputePerEdge * float64(pi.OutEdges()),
 			DiskRead:  pi.Bytes + ex.stateRead[i],
 			DiskWrite: ex.localBytes[i],
 			Outputs:   outs,

@@ -85,6 +85,10 @@ func (pi *PartInfo) IsBoundary(v graph.VertexID) bool {
 	return pi.boundary.has(v)
 }
 
+// OutEdges reports the number of out-edges of the partition's vertices: one
+// Transfer call, and in the common program one emission, each.
+func (pi *PartInfo) OutEdges() int64 { return pi.InnerEdges + pi.CrossOut }
+
 // HasCrossInEdge reports whether v receives any cross-partition edge; if
 // not, v's combine input is entirely local and local propagation can fuse
 // it in memory.
@@ -200,15 +204,13 @@ func Build(g *graph.Graph, pt *partition.Partitioning) (*PartitionedGraph, error
 				pi.InPerPart[partition.PartID(q)] = e
 			}
 		}
-		var edges int64
 		for _, v := range pi.Vertices {
 			if boundary.has(v) {
 				pi.BoundaryCount++
 			}
-			edges += int64(g.OutDegree(v))
 		}
 		pi.InnerVertices = int64(len(pi.Vertices)) - pi.BoundaryCount
-		pi.Bytes = int64(len(pi.Vertices))*8 + edges*4
+		pi.Bytes = int64(len(pi.Vertices))*8 + pi.OutEdges()*4
 	}
 	return pg, nil
 }
