@@ -38,10 +38,15 @@ go test -run '^$' -fuzz FuzzReadEvents -fuzztime 10s ./internal/trace
 # And through the emission plan's differential against the transfer path it
 # replaced: the fuzzer picks where an iteration leaves the previous one's plan.
 go test -run '^$' -fuzz FuzzPlanReuse -fuzztime 10s ./internal/propagation
+# And through MapReduce's reducer-owned shuffle against the serial shuffle it
+# replaced: edge bytes plus a key-width and combiner selector, 1 and 4 workers.
+go test -run '^$' -fuzz FuzzShuffle -fuzztime 10s ./internal/mapreduce
 # Layer benchmarks, once each, so they cannot rot (-short skips the
-# 1M-vertex partitioner size and plans propagation at 16k vertices).
+# 1M-vertex partitioner size and plans propagation and MapReduce at 16k
+# vertices).
 go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph \
-    ./internal/propagation ./internal/jobsvc ./internal/trace ./internal/metrics
+    ./internal/propagation ./internal/mapreduce ./internal/apps ./internal/jobsvc \
+    ./internal/trace ./internal/metrics
 go run ./cmd/surfer-gen -kind social -vertices 4096 -seed 42 -out "$smoke/g.srfg"
 go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t3 \
     -machines 8 -levels 2 -trace "$smoke/trace.json" -events "$smoke/run.events"

@@ -54,6 +54,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return cli.Usage(err)
 		}
+		// Table 1, the scale rows and the layout studies partition without
+		// core.Build, so its range check is made here for all of them.
+		if *levels < 0 || *levels > 30 || *vertices < 1<<*levels {
+			return fmt.Errorf("-levels %d out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices %d", *levels, *vertices)
+		}
 		p := bench.Params{
 			Scale:      bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed, Workers: *workers},
 			Iterations: *iterations, ParallelOut: *parallelOut, AppsDir: *appsDir,

@@ -117,6 +117,8 @@ func TestBadInvocations(t *testing.T) {
 	}{
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-bench"},
 		{small("-experiment", "scale", "-sizes", "1024,lots"), 1, `bad -sizes entry "lots"`},
+		{small("-experiment", "table1", "-levels", "-1"), 1, "-levels -1 out of range"},
+		{small("-experiment", "table1", "-levels", "12"), 1, "-levels 12 out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices 2048"},
 		{small("-experiment", "table4", "-appsdir", filepath.Join(dir, "no-apps")), 1, "table4: "},
 		{small("-experiment", "table4", "-json", filepath.Join(dir, "no", "dir", "r.json")), 1, "writing bench report"},
 		{small("-experiment", "table1", "-cpuprofile", filepath.Join(dir, "no", "dir", "cpu.prof")), 1, "cpu profile"},

@@ -30,6 +30,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out        = fs.String("out", "graph.srfg", "output file")
 	)
 	return cli.Run(fs, args, stderr, func([]string) error {
+		// The generators size slices and shifts from these and panic on a bad one.
+		if *vertices < 0 {
+			return fmt.Errorf("-vertices %d: must not be negative", *vertices)
+		}
+		if *scale < 0 || *scale > 30 {
+			return fmt.Errorf("-scale %d: want 0 <= scale <= 30", *scale)
+		}
 		var g *surfer.Graph
 		switch *kind {
 		case "social":

@@ -426,3 +426,33 @@ func TestSelectedRatio(t *testing.T) {
 		t.Fatal("ratio 1 must select everything")
 	}
 }
+
+// BenchmarkNRMap is nrMR.Map alone — the partial-rank table of Algorithm 2 —
+// over every partition of the suite_65k deployment (16k vertices under
+// -short), on one goroutine.
+func BenchmarkNRMap(b *testing.B) {
+	n := 65536
+	if testing.Short() {
+		n = 16384
+	}
+	g := graph.Social(graph.DefaultSocial(n, 42))
+	pt, _ := partition.RecursiveBisect(g, 6, partition.Options{Seed: 42})
+	pg, err := storage.Build(g, pt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := newNRMR(g, 1)
+	prog.ranks = make([]float64, n)
+	for i := range prog.ranks {
+		prog.ranks[i] = 1 / float64(n)
+	}
+	pairs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pi := range pg.Parts {
+			prog.Map(pi, g, func(graph.VertexID, float64) { pairs++ })
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+}

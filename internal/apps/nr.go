@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"sort"
-
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
@@ -81,15 +79,37 @@ func (a *NR) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *
 }
 
 // nrMR is the MapReduce implementation of Algorithm 2: map computes partial
-// ranks per partition into a hash table (one emission per distinct
-// destination seen in the partition) and reduce sums them.
+// ranks per partition into a table (one emission per distinct destination
+// seen in the partition) and reduce sums them.
 type nrMR struct {
 	g     *graph.Graph
 	ranks []float64
+	// tables lends each running map task its table: one per pool worker,
+	// sized on first use, all-zero between tasks.
+	tables chan *nrTable
+}
+
+// nrTable is a map task's partial ranks: a dense sum per vertex and the
+// vertices touched so far.
+type nrTable struct {
+	sum     []float64
+	seen    []bool
+	touched []graph.VertexID
+}
+
+func newNRMR(g *graph.Graph, workers int) *nrMR {
+	p := &nrMR{g: g, tables: make(chan *nrTable, workers)}
+	for range workers {
+		p.tables <- &nrTable{}
+	}
+	return p
 }
 
 func (p *nrMR) Map(pi *storage.PartInfo, g *graph.Graph, emit func(graph.VertexID, float64)) {
-	rTable := make(map[graph.VertexID]float64)
+	t := <-p.tables
+	if t.sum == nil {
+		t.sum, t.seen = make([]float64, g.NumVertices()), make([]bool, g.NumVertices())
+	}
 	for _, u := range pi.Vertices {
 		deg := g.OutDegree(u)
 		if deg == 0 {
@@ -97,20 +117,22 @@ func (p *nrMR) Map(pi *storage.PartInfo, g *graph.Graph, emit func(graph.VertexI
 		}
 		delta := p.ranks[u] * Damping / float64(deg)
 		for _, v := range g.Neighbors(u) {
-			rTable[v] += delta
+			if !t.seen[v] {
+				t.seen[v] = true
+				t.touched = append(t.touched, v)
+			}
+			t.sum[v] += delta
 		}
 	}
-	// Emit in vertex order: map iteration order would scramble the value
-	// sequence reaching each reducer, and float summation in Reduce is not
-	// order-independent — run-to-run results would differ in the last ULP.
-	dsts := make([]graph.VertexID, 0, len(rTable))
-	for v := range rTable {
-		dsts = append(dsts, v)
+	// One pair per destination, in first-touch order — a deterministic order
+	// (no Go map is ranged over), and one that cannot show: a reducer sums a
+	// key's values in map-task order, and each task emits a key once.
+	for _, v := range t.touched {
+		emit(v, t.sum[v])
+		t.sum[v], t.seen[v] = 0, false
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	for _, v := range dsts {
-		emit(v, rTable[v])
-	}
+	t.touched = t.touched[:0]
+	p.tables <- t
 }
 
 func (p *nrMR) Reduce(_ graph.VertexID, values []float64) float64 {
@@ -133,8 +155,9 @@ func (a *NR) RunMapReduce(r *engine.Runner, pg *storage.PartitionedGraph, pl *pa
 		ranks[i] = 1 / float64(n)
 	}
 	var total engine.Metrics
+	prog := newNRMR(pg.G, r.Workers())
 	for it := 0; it < a.iterations; it++ {
-		prog := &nrMR{g: pg.G, ranks: ranks}
+		prog.ranks = ranks
 		res, m, err := mapreduce.Run[graph.VertexID, float64, float64](r, pg, pl, prog, mapreduce.Options{StatePerVertexBytes: 8})
 		if err != nil {
 			return nil, total, err

@@ -82,6 +82,8 @@ func (rlgMR) Map(pi *storage.PartInfo, g *graph.Graph, emit func(graph.VertexID,
 }
 
 func (rlgMR) Reduce(_ graph.VertexID, values []graph.VertexID) []graph.VertexID {
+	// The copy is required, not defensive: values is a window into the
+	// reducer's group buffer, reused for the next key (mapreduce.Program).
 	out := make([]graph.VertexID, len(values))
 	copy(out, values)
 	slices.Sort(out)

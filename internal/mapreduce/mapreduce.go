@@ -9,7 +9,7 @@ package mapreduce
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -30,7 +30,10 @@ type Program[K Key, V any, R any] interface {
 	// Map processes one partition and emits key/value pairs. The graph
 	// gives access to the adjacency lists of the partition's vertices.
 	Map(pi *storage.PartInfo, g *graph.Graph, emit func(K, V))
-	// Reduce folds all values of one key into a result.
+	// Reduce folds all values of one key into a result. values is a window
+	// into the reducer's group buffer: valid only during the call, the
+	// call's to reorder in place, never to be retained — the buffer is
+	// reused for the next key, so copy what must outlive the call.
 	Reduce(key K, values []V) R
 	// PairBytes reports the serialized size of one key/value pair.
 	PairBytes(k K, v V) int64
@@ -65,7 +68,8 @@ func (o Options) computePerPair() float64 {
 // Combiner is an optional Program extension: when implemented, the values
 // a map task emits for the same key are folded map-side before the shuffle
 // (Google MapReduce's combiner [5]), shrinking the map output and the
-// network traffic for associative reductions.
+// network traffic for associative reductions. values is a window under
+// Reduce's contract: the call's to reorder, not to retain.
 type Combiner[K Key, V any] interface {
 	CombineValues(key K, values []V) V
 }
@@ -76,56 +80,226 @@ func hashKey[K Key](k K, mod int) int {
 	return int(h>>33) % mod
 }
 
-// shuffled is one entry of a map task's output log: the pair plus its
-// destination reducer. Map tasks run in parallel and each fills only its
-// own log; the shuffle then replays the logs in map-task index order, so
-// every reducer sees its values in the exact sequence a serial run
-// produces.
-type shuffled[K Key, V any] struct {
-	key K
-	val V
-	red int
-}
-
-// kv is one key/value pair of a grouping log.
+// kv is one emitted key/value pair.
 type kv[K Key, V any] struct {
 	key K
 	val V
 }
 
-// groupSorted sorts an index permutation of the log stably by key (ties
-// break on log position, which makes the unstable sort stable) and calls fn
-// once per distinct key, ascending, with that key's values in log order.
-// vals is a reusable gather buffer; fn must not retain it. This replaces
-// per-entry hash-map grouping on the shuffle's hot path: one index sort
-// groups the whole log without hashing, and without moving the (possibly
-// wide) values during sorting.
-func groupSorted[K Key, V any](log []kv[K, V], idx []int32, vals []V, fn func(k K, vals []V)) {
-	idx = idx[:0]
-	for j := range log {
-		idx = append(idx, int32(j))
+// entry is one pair as the grouper sorts it: the key widened to 64 bits (a
+// conversion K undoes exactly, sign included) and the pair's place in the
+// runs being grouped, run<<32 | index. group hands entries back one per key,
+// pos then the end of the key's window of values.
+type entry struct{ key, pos uint64 }
+
+// mapOutput is what a map task leaves for the reducers: its pairs bucketed
+// by reducer — sent[off[r]:off[r+1]] is reducer r's run, in emission order.
+type mapOutput[K Key, V any] struct {
+	sent []kv[K, V]
+	off  []int
+}
+
+// account is the shuffle's exact accounting, the input of the engine job.
+type account struct {
+	pairsEmitted   []int64   // [mapTask] pairs Map emitted, before any combiner
+	shuffleBytes   [][]int64 // [mapTask][reducer] bytes
+	reduceValues   []int64   // [reducer] values folded
+	reduceOutBytes []int64   // [reducer] result bytes
+}
+
+// scratch is the working memory of one running map task or reducer: the
+// emission log, each pair's reducer, the grouper's runs, radix buffers and
+// values. Each is overwritten before it is read, whichever task had it last.
+type scratch[K Key, V any] struct {
+	pairs    []kv[K, V]
+	red      []int32
+	runs     [][]kv[K, V]
+	ent, tmp []entry
+	vals     []V
+}
+
+// sized returns s with length n, reallocated only when its capacity is short.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		ka, kb := log[a].key, log[b].key
-		switch {
-		case ka < kb:
-			return -1
-		case kb < ka:
-			return 1
-		default:
-			return int(a - b)
+	return s[:n]
+}
+
+// bucket counting-sorts a map task's pairs by reducer, stably, and returns
+// them with the bytes headed to each reducer.
+func (sc *scratch[K, V]) bucket(pairs []kv[K, V], reducers int, pairBytes func(K, V) int64) (mapOutput[K, V], []int64) {
+	sc.red = sized(sc.red, len(pairs))
+	off, bytes := make([]int, reducers+1), make([]int64, reducers)
+	for j, p := range pairs {
+		r := hashKey(p.key, reducers)
+		sc.red[j] = int32(r)
+		off[r+1]++
+		bytes[r] += pairBytes(p.key, p.val)
+	}
+	for r := range reducers {
+		off[r+1] += off[r]
+	}
+	// Placing through off[r] leaves it at the end of run r, the start of run
+	// r+1: shifting the cursors up by one slot restores the offsets.
+	sent := make([]kv[K, V], len(pairs))
+	for j, r := range sc.red {
+		sent[off[r]] = pairs[j]
+		off[r]++
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	return mapOutput[K, V]{sent: sent, off: off}, bytes
+}
+
+// radixBits is the digit width of sortEntries: 2 048 counters stay in L1 and
+// two passes cover 4M vertex keys.
+const radixBits = 11
+
+// sortEntries sorts src by its low keyBits key bits with a stable LSD radix
+// sort alternating between the two buffers, and returns the sorted one first.
+func sortEntries(src, dst []entry, keyBits int) (sorted, spare []entry) {
+	for shift := 0; shift < keyBits; shift += radixBits {
+		var start [1 << radixBits]int32
+		for i := range src {
+			start[src[i].key>>shift&(1<<radixBits-1)]++
 		}
+		sum := int32(0)
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for i := range src {
+			d := src[i].key >> shift & (1<<radixBits - 1)
+			dst[start[d]] = src[i]
+			start[d]++
+		}
+		src, dst = dst, src
+	}
+	return src, dst
+}
+
+// group reads sc.runs as one sequence, run after run, and groups it by key
+// without comparing keys or moving values while sorting: one radix sort of
+// (key, place) entries — as many passes as the widest key present needs,
+// stable, so a key's values keep their sequence order — then one permutation
+// of the values. It returns one entry per distinct key, its pos the end of
+// the key's window of vals (which starts where the previous key's ends).
+func (sc *scratch[K, V]) group() (groups []entry, vals []V) {
+	n := 0
+	for _, run := range sc.runs {
+		n += len(run)
+	}
+	ent := sized(sc.ent, n)[:0]
+	var or uint64
+	for r, run := range sc.runs {
+		for j := range run {
+			k := uint64(run[j].key)
+			or |= k
+			ent = append(ent, entry{key: k, pos: uint64(r)<<32 | uint64(j)})
+		}
+	}
+	ent, sc.tmp = sortEntries(ent, sized(sc.tmp, n), bits.Len64(or))
+	sc.ent, sc.vals = ent, sized(sc.vals, n)
+	g := 0
+	for i, e := range ent {
+		sc.vals[i] = sc.runs[e.pos>>32][uint32(e.pos)].val
+		if g == 0 || ent[g-1].key != e.key {
+			g++ // never past i, so the heads overwrite only entries already read
+		}
+		ent[g-1] = entry{key: e.key, pos: uint64(i + 1)}
+	}
+	return ent[:g], sc.vals
+}
+
+// reduced is one key's reduce result.
+type reduced[K Key, R any] struct {
+	key K
+	res R
+}
+
+// execute runs the semantic map and reduce phases, both on the pool, with no
+// pass over the pairs in between: every map task buckets its own log by
+// reducer, and every reducer gathers its bucket from the map outputs in
+// map-task index order — the order a serial shuffle delivers in, so a key's
+// values reach Reduce in the same sequence for every worker count. The tasks
+// draw their buffers from a free list of one scratch per worker, so P map
+// tasks and P reducers grow Workers sets of buffers between them.
+func execute[K Key, V any, R any](pool *engine.Pool, pg *storage.PartitionedGraph, prog Program[K, V, R]) (map[K]R, account) {
+	p := pg.Part.P
+	reducers := p
+	acct := account{
+		pairsEmitted:   make([]int64, p),
+		shuffleBytes:   make([][]int64, p),
+		reduceValues:   make([]int64, reducers),
+		reduceOutBytes: make([]int64, reducers),
+	}
+	free := make(chan *scratch[K, V], pool.Workers())
+	for range cap(free) {
+		free <- new(scratch[K, V])
+	}
+	outs := make([]mapOutput[K, V], p)
+	combiner, hasCombiner := prog.(Combiner[K, V])
+	pool.ForEach(p, func(i int) {
+		sc := <-free
+		pairs := sc.pairs[:0]
+		prog.Map(pg.Parts[i], pg.G, func(k K, v V) {
+			pairs = append(pairs, kv[K, V]{key: k, val: v})
+		})
+		acct.pairsEmitted[i] = int64(len(pairs))
+		if hasCombiner {
+			// Fold this task's pairs per key map-side; only the folded pairs
+			// are accounted and shuffled. The grouper has copied the log out,
+			// so they are written over it.
+			sc.runs = append(sc.runs[:0], pairs)
+			groups, vals := sc.group()
+			pairs = pairs[:0]
+			start := 0
+			for _, g := range groups {
+				k, v, end := K(g.key), vals[start], int(g.pos)
+				if end-start > 1 {
+					v = combiner.CombineValues(k, vals[start:end:end])
+				}
+				pairs = append(pairs, kv[K, V]{key: k, val: v})
+				start = end
+			}
+		}
+		sc.pairs = pairs
+		outs[i], acct.shuffleBytes[i] = sc.bucket(pairs, reducers, prog.PairBytes)
+		free <- sc
 	})
-	for s := 0; s < len(idx); {
-		k := log[idx[s]].key
-		vals = vals[:0]
-		e := s
-		for ; e < len(idx) && log[idx[e]].key == k; e++ {
-			vals = append(vals, log[idx[e]].val)
+
+	perRed := make([][]reduced[K, R], reducers)
+	pool.ForEach(reducers, func(red int) {
+		sc := <-free
+		sc.runs = sc.runs[:0]
+		for _, o := range outs {
+			sc.runs = append(sc.runs, o.sent[o.off[red]:o.off[red+1]])
 		}
-		s = e
-		fn(k, vals)
+		groups, vals := sc.group()
+		local := make([]reduced[K, R], len(groups))
+		start, outBytes := 0, int64(0)
+		for j, g := range groups {
+			k, end := K(g.key), int(g.pos)
+			res := prog.Reduce(k, vals[start:end:end])
+			local[j] = reduced[K, R]{key: k, res: res}
+			outBytes += prog.ResultBytes(res)
+			start = end
+		}
+		perRed[red], acct.reduceValues[red], acct.reduceOutBytes[red] = local, int64(len(vals)), outBytes
+		free <- sc
+	})
+	keys := 0
+	for _, local := range perRed {
+		keys += len(local)
 	}
+	results := make(map[K]R, keys)
+	for _, local := range perRed {
+		for _, e := range local {
+			results[e.key] = e.res
+		}
+	}
+	return results, acct
 }
 
 // Run executes the MapReduce job on the simulated cluster and returns the
@@ -139,108 +313,17 @@ func Run[K Key, V any, R any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 	p := pg.Part.P
 	numMachines := r.NumMachines()
 	reducers := p
-
-	// Semantic map phase with exact shuffle accounting. Map bodies run in
-	// parallel over the runner's pool; each task writes only its own log
-	// and accounting slots (perMap[i], mapOutBytes[i], ...).
-	perMap := make([][]shuffled[K, V], p)
-	mapOutBytes := make([]int64, p)    // materialized map output per partition
-	shuffleBytes := make([][]int64, p) // [mapTask][reducer] bytes
-	pairsEmitted := make([]int64, p)
-	for i := range shuffleBytes {
-		shuffleBytes[i] = make([]int64, reducers)
-	}
-	combiner, hasCombiner := prog.(Combiner[K, V])
-	pool := r.Pool()
-	pool.ForEach(p, func(i int) {
-		pi := pg.Parts[i]
-		var out []shuffled[K, V]
-		if hasCombiner {
-			// Collect this map task's pairs, fold per key map-side,
-			// then account and shuffle only the folded pairs.
-			var pairs []kv[K, V]
-			prog.Map(pi, pg.G, func(k K, v V) {
-				pairs = append(pairs, kv[K, V]{key: k, val: v})
-				pairsEmitted[i]++
-			})
-			groupSorted(pairs, nil, nil, func(k K, vals []V) {
-				folded := vals[0]
-				if len(vals) > 1 {
-					folded = combiner.CombineValues(k, vals)
-				}
-				red := hashKey(k, reducers)
-				b := prog.PairBytes(k, folded)
-				mapOutBytes[i] += b
-				shuffleBytes[i][red] += b
-				out = append(out, shuffled[K, V]{key: k, val: folded, red: red})
-			})
-		} else {
-			prog.Map(pi, pg.G, func(k K, v V) {
-				red := hashKey(k, reducers)
-				b := prog.PairBytes(k, v)
-				mapOutBytes[i] += b
-				shuffleBytes[i][red] += b
-				pairsEmitted[i]++
-				out = append(out, shuffled[K, V]{key: k, val: v, red: red})
-			})
-		}
-		perMap[i] = out
-	})
-	// Deterministic shuffle: concatenate the logs into per-reducer runs in
-	// map-task index order — the serial delivery order. Each reducer's run
-	// is then grouped by one index sort (stable, so a key's values keep the
-	// delivery order), replacing the per-entry hash-map inserts that
-	// dominated the shuffle at large pair counts.
-	redSizes := make([]int, reducers)
-	for i := range perMap {
-		for j := range perMap[i] {
-			redSizes[perMap[i][j].red]++
-		}
-	}
-	redLogs := make([][]kv[K, V], reducers)
-	for red := range redLogs {
-		redLogs[red] = make([]kv[K, V], 0, redSizes[red])
-	}
-	for i := range perMap {
-		for _, s := range perMap[i] {
-			redLogs[s.red] = append(redLogs[s.red], kv[K, V]{key: s.key, val: s.val})
-		}
-		perMap[i] = nil
-	}
-
-	// Semantic reduce phase: reducers own disjoint (hash-partitioned) key
-	// sets, so they fold in parallel into per-reducer result logs.
-	type kr struct {
-		key K
-		res R
-	}
-	perRed := make([][]kr, reducers)
-	reduceValues := make([]int64, reducers)
-	reduceOutBytes := make([]int64, reducers)
-	pool.ForEach(reducers, func(red int) {
-		local := make([]kr, 0, len(redLogs[red]))
-		groupSorted(redLogs[red], nil, nil, func(k K, vals []V) {
-			res := prog.Reduce(k, vals)
-			local = append(local, kr{key: k, res: res})
-			reduceValues[red] += int64(len(vals))
-			reduceOutBytes[red] += prog.ResultBytes(res)
-		})
-		perRed[red] = local
-	})
-	results := make(map[K]R)
-	for _, local := range perRed {
-		for _, e := range local {
-			results[e.key] = e.res
-		}
-	}
+	results, acct := execute(r.Pool(), pg, prog)
 
 	// Build the two-stage engine job.
 	cpp := opt.computePerPair()
 	mapTasks := make([]*engine.Task, p)
 	for i, pi := range pg.Parts {
 		var outs []engine.Output
-		for red := 0; red < reducers; red++ {
-			if b := shuffleBytes[i][red]; b > 0 {
+		var mapOutBytes int64 // materialized map output
+		for red, b := range acct.shuffleBytes[i] {
+			mapOutBytes += b
+			if b > 0 {
 				outs = append(outs, engine.Output{DstTask: red, Bytes: b})
 			}
 		}
@@ -249,11 +332,11 @@ func Run[K Key, V any, R any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 			Kind:     engine.KindTransfer,
 			Part:     partition.PartID(i),
 			Machine:  pl.MachineOf[i],
-			Compute:  cpp * float64(pi.OutEdges()+pairsEmitted[i]),
+			Compute:  cpp * float64(pi.OutEdges()+acct.pairsEmitted[i]),
 			DiskRead: pi.Bytes + opt.StatePerVertexBytes*int64(len(pi.Vertices)),
 			// Map output is spilled, then rewritten sorted by reducer —
 			// the Google-style map-side sort pass [5].
-			DiskWrite: 2 * mapOutBytes[i],
+			DiskWrite: 2 * mapOutBytes,
 			Outputs:   outs,
 		}
 	}
@@ -261,19 +344,19 @@ func Run[K Key, V any, R any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 	for red := 0; red < reducers; red++ {
 		var received int64
 		for i := 0; i < p; i++ {
-			received += shuffleBytes[i][red]
+			received += acct.shuffleBytes[i][red]
 		}
 		reduceTasks[red] = &engine.Task{
 			Name:    fmt.Sprintf("reduce-%d", red),
 			Kind:    engine.KindCombine,
 			Part:    engine.NoPart,
 			Machine: reducerMachine(red, numMachines),
-			Compute: cpp * float64(reduceValues[red]),
+			Compute: cpp * float64(acct.reduceValues[red]),
 			// Shuffled input is materialized on arrival, merge-sorted
 			// (read + read again for the reduce scan), and the results
 			// written out.
 			DiskRead:  2 * received,
-			DiskWrite: received + reduceOutBytes[red],
+			DiskWrite: received + acct.reduceOutBytes[red],
 		}
 	}
 	// Reduce outputs land on the distributed file system with 3-way
@@ -287,9 +370,9 @@ func Run[K Key, V any, R any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 		m := int(reducerMachine(red, numMachines))
 		for _, offset := range []int{1, 2} {
 			target := (m + offset) % numMachines
-			sinkWrite[target] += reduceOutBytes[red]
+			sinkWrite[target] += acct.reduceOutBytes[red]
 			reduceTasks[red].Outputs = append(reduceTasks[red].Outputs,
-				engine.Output{DstTask: target, Bytes: reduceOutBytes[red]})
+				engine.Output{DstTask: target, Bytes: acct.reduceOutBytes[red]})
 		}
 	}
 	for m := 0; m < numMachines; m++ {
