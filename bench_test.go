@@ -53,7 +53,7 @@ func BenchmarkTable2And3OptimizationLevels(b *testing.B) {
 
 func BenchmarkTable4UserCodeSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table4("internal/apps")
+		rows, err := bench.Table4()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,40 +31,35 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := cli.Flags("surfer-bench", stderr)
 	var (
-		experiment  = fs.String("experiment", "all", strings.Join(bench.ExperimentNames(), "|"))
-		vertices    = fs.Int("vertices", 1<<16, "synthetic graph vertices")
-		sizes       = fs.String("sizes", "", "comma-separated vertex counts for the scale experiment (default: -vertices)")
-		machines    = fs.Int("machines", 32, "machines in the simulated cluster")
-		levels      = fs.Int("levels", 6, "log2 of partition count")
-		seed        = fs.Int64("seed", 42, "random seed")
-		iterations  = fs.Int("iterations", 3, "iterations for the cascade study")
-		workers     = fs.Int("workers", 0, "compute worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
-		parallelOut = fs.String("parallel-out", "BENCH_parallel.json", "output file for the parallel experiment")
-		appsDir     = fs.String("appsdir", "", "path to internal/apps for table4 (auto-detected)")
-		traceOut    = fs.String("trace", "", "write a Chrome trace_event JSON timeline of every simulated run to this file")
-		eventsOut   = fs.String("events", "", "write the raw event stream of every simulated run to this file for surfer-analyze")
-		jsonOut     = fs.String("json", "", "write a machine-readable bench report (surfer-bench/v1 schema) to this file for surfer-analyze -compare")
-		faultsPath  = fs.String("faults", "", "JSON fault-schedule file (kills, degraded links, drop windows, slowdowns) injected into every simulated run")
-		promOut     = fs.String("prom", "", "write Prometheus text exposition of the windowed metrics derived from every simulated run's events to this file (the wall-clock scrape bridge; see docs/METRICS.md §8)")
-		cpuProfile  = fs.String("cpuprofile", "", "write a CPU pprof profile of the bench process to this file (go tool pprof; see docs/TUNING.md)")
-		memProfile  = fs.String("memprofile", "", "write a heap pprof profile at exit to this file (go tool pprof)")
+		experiment = fs.String("experiment", "all", strings.Join(bench.ExperimentNames(), "|"))
+		vertices   = fs.Int("vertices", 1<<16, "synthetic graph vertices")
+		sizes      = fs.String("sizes", "", "comma-separated vertex counts for the scale experiment (default: -vertices)")
+		machines   = fs.Int("machines", 32, "machines in the simulated cluster")
+		levels     = fs.Int("levels", 6, "log2 of partition count")
+		seed       = fs.Int64("seed", 42, "random seed")
+		iterations = fs.Int("iterations", 3, "iterations for the cascade study")
+		workers    = fs.Int("workers", 0, "compute worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
+		traceOut   = fs.String("trace", "", "write a Chrome trace_event JSON timeline of every simulated run to this file")
+		eventsOut  = fs.String("events", "", "write the raw event stream of every simulated run to this file for surfer-analyze")
+		jsonOut    = fs.String("json", "", "write a machine-readable bench report (surfer-bench/v1 schema) to this file for surfer-analyze -compare")
+		faultsPath = fs.String("faults", "", "JSON fault-schedule file (kills, degraded links, drop windows, slowdowns) injected into every simulated run")
+		promOut    = fs.String("prom", "", "write Prometheus text exposition of the windowed metrics derived from every simulated run's events to this file (the wall-clock scrape bridge; see docs/METRICS.md §8)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU pprof profile of the bench process to this file (go tool pprof; see docs/TUNING.md)")
+		memProfile = fs.String("memprofile", "", "write a heap pprof profile at exit to this file (go tool pprof)")
 	)
 	return cli.Run(fs, args, stderr, func([]string) (err error) {
 		selected, err := bench.SelectExperiments(*experiment)
 		if err != nil {
 			return cli.Usage(err)
 		}
-		// Table 1, the scale rows and the layout studies partition without
-		// core.Build, so its range check is made here for all of them.
+		// Tables 1 and 5 partition without core.Build, so its range check is
+		// made here for every experiment.
 		if *levels < 0 || *levels > 30 || *vertices < 1<<*levels {
 			return fmt.Errorf("-levels %d out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices %d", *levels, *vertices)
 		}
 		p := bench.Params{
 			Scale:      bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed, Workers: *workers},
-			Iterations: *iterations, ParallelOut: *parallelOut, AppsDir: *appsDir,
-		}
-		if p.AppsDir == "" {
-			p.AppsDir = bench.FindAppsDir("internal/apps", "../internal/apps", "../../internal/apps")
+			Iterations: *iterations,
 		}
 		if *sizes != "" {
 			for _, f := range strings.Split(*sizes, ",") {

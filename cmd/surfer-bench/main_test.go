@@ -34,7 +34,7 @@ func TestAllWithEveryOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	report, events, chrome, prom := filepath.Join(dir, "bench.json"), filepath.Join(dir, "all.events"), filepath.Join(dir, "all.trace"), filepath.Join(dir, "all.prom")
-	code, stdout, stderr := invoke(small("-experiment", "all", "-appsdir", filepath.Join("..", "..", "internal", "apps"),
+	code, stdout, stderr := invoke(small("-experiment", "all",
 		"-faults", faults, "-json", report, "-events", events, "-trace", chrome, "-prom", prom)...)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
@@ -52,7 +52,7 @@ func TestAllWithEveryOutput(t *testing.T) {
 		}
 		at += i
 	}
-	for _, absent := range []string{"[fig12 took", "[parallel took", "[multitenant took", "[scale took"} {
+	for _, absent := range []string{"[fig12 took", "[multitenant took", "[scale took"} {
 		if strings.Contains(stdout, absent) {
 			t.Errorf("-experiment all ran %s", absent)
 		}
@@ -101,6 +101,26 @@ func TestExperimentSelection(t *testing.T) {
 	}
 }
 
+// TestTable4FromAnyDirectory: Table 4 counts the sources embedded in the
+// binary, so it prints the same table wherever the tool runs. It used to
+// parse internal/apps relative to the working directory, and -experiment
+// all failed at table4 when run from anywhere but the repository root.
+func TestTable4FromAnyDirectory(t *testing.T) {
+	table := func() string {
+		code, stdout, stderr := invoke("-experiment", "table4")
+		if code != 0 || !strings.Contains(stdout, "Table 4:") {
+			t.Fatalf("exit %d, stderr %q, stdout:\n%s", code, stderr, stdout)
+		}
+		text, _, _ := strings.Cut(stdout, "[table4 took ")
+		return text
+	}
+	here := table()
+	t.Chdir(t.TempDir())
+	if there := table(); there != here {
+		t.Errorf("table4 depends on the working directory:\n%s\nvs\n%s", here, there)
+	}
+}
+
 func TestBadInvocations(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
@@ -119,7 +139,14 @@ func TestBadInvocations(t *testing.T) {
 		{small("-experiment", "scale", "-sizes", "1024,lots"), 1, `bad -sizes entry "lots"`},
 		{small("-experiment", "table1", "-levels", "-1"), 1, "-levels -1 out of range"},
 		{small("-experiment", "table1", "-levels", "12"), 1, "-levels 12 out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices 2048"},
-		{small("-experiment", "table4", "-appsdir", filepath.Join(dir, "no-apps")), 1, "table4: "},
+		{small("-experiment", "parallel"), 2, `unknown experiment "parallel"`},
+		{small("-experiment", "table1", "-machines", "0"), 1, "table1: cluster: a topology needs at least one machine, got 0"},
+		{small("-experiment", "table1", "-machines", "3"), 1, "table1: cluster: T2 needs machines that divide into pods and 1 or 2 switch levels, got 3 machines, 2 pods"},
+		{small("-experiment", "fig9", "-machines", "1"), 1, "fig9: cluster: T2 needs machines that divide into pods and 1 or 2 switch levels, got 1 machines, 2 pods"},
+		{small("-experiment", "fig7", "-machines", "0"), 1, "fig7: cluster: a topology needs at least one machine, got 0"},
+		{small("-experiment", "cascade", "-iterations", "-1"), 1, "cascade: bench: the cascade study needs at least one iteration, got Iterations = -1"},
+		{small("-experiment", "fig11", "-machines", "4"), 1, "fig11: bench: figures 11-12 grow the cluster from 8 machines in steps of 8, got Machines = 4"},
+		{small("-experiment", "scale", "-sizes", "16", "-levels", "6"), 1, "scale: bench: scale at 16 vertices: core: Config.Levels = 6 out of range"},
 		{small("-experiment", "table4", "-json", filepath.Join(dir, "no", "dir", "r.json")), 1, "writing bench report"},
 		{small("-experiment", "table1", "-cpuprofile", filepath.Join(dir, "no", "dir", "cpu.prof")), 1, "cpu profile"},
 		{small("-faults", filepath.Join(dir, "missing.json")), 1, "missing.json"},

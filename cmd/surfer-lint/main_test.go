@@ -12,10 +12,10 @@ import (
 )
 
 // TestRun drives the whole tool in process: the real tree is clean and its
-// suppression inventory is exactly the two wall-clock reads of the adaptive
-// benchmark helper; the known-bad corpus fails with the check IDs of its
-// golden; an empty pattern is an error naming it; and the flags retired with
-// the baseline and SARIF machinery are usage errors, not silent no-ops.
+// suppression inventory is empty; the known-bad corpus fails with the check
+// IDs of its golden; an empty pattern is an error naming it; and the flags
+// retired with the baseline and SARIF machinery are usage errors, not silent
+// no-ops.
 func TestRun(t *testing.T) {
 	repo, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -45,22 +45,14 @@ func TestRun(t *testing.T) {
 		{name: "real tree", args: []string{"-json", "-root", repo, "./..."}, exit: 0,
 			check: func(t *testing.T, stdout string) {
 				var out struct {
-					Findings []struct {
-						ID, File, Reason string
-						Suppressed       bool
-					}
+					Findings            []any
 					Total, Unsuppressed int
 				}
 				if err := json.Unmarshal([]byte(stdout), &out); err != nil {
 					t.Fatalf("-json output: %v\n%s", err, stdout)
 				}
-				if out.Total != 2 || out.Unsuppressed != 0 || len(out.Findings) != 2 {
-					t.Fatalf("want exactly 2 findings, all suppressed:\n%s", stdout)
-				}
-				for _, f := range out.Findings {
-					if f.ID != "SL001" || f.File != "internal/bench/adaptive.go" || !f.Suppressed || f.Reason == "" {
-						t.Errorf("unexpected inventory row: %+v", f)
-					}
+				if out.Total != 0 || out.Unsuppressed != 0 || len(out.Findings) != 0 {
+					t.Fatalf("want no findings, suppressed or not:\n%s", stdout)
 				}
 			}},
 		{name: "fixture root", args: []string{"-root", filepath.Join(corpus, "src")}, exit: 1,

@@ -1,23 +1,20 @@
-// surfer-tune searches the deployment configuration space — engine workers
-// × partition count × combiner settings — by coordinate descent and reports
-// the best configuration for an application at a given scale.
+// surfer-tune searches the deployment configuration space — partition
+// count × combiner settings — for the lowest simulated response time of an
+// application at a given scale: it sweeps the partition counts with both
+// local optimisations on, then the four combinations of the two at the
+// winning count.
 //
-// The default objective is the simulated cluster's virtual response time:
-// fully deterministic, so the same seed always reproduces the same search
-// trajectory and winner (the CI smoke relies on this). With -objective wall
-// the tuner instead minimizes host wall-clock, measured adaptively (each
-// configuration reruns until the relative standard error of the mean drops
-// below -max-rel-err or -max-runs is hit), and also sweeps the worker-pool
-// axis, which never affects virtual results.
+// The objective is the simulated cluster's virtual response time, fully
+// deterministic, so the same seed always reproduces the same search trace
+// and winner (the CI smoke relies on this).
 //
 // Usage:
 //
-//	surfer-tune -app nr -vertices 65536 -budget 24
-//	surfer-tune -app tfl -objective wall -max-rel-err 0.1
+//	surfer-tune -app nr -vertices 65536
+//	surfer-tune -app tfl -levels-min 4 -levels-max 8
 package main
 
 import (
-	"fmt"
 	"io"
 	"os"
 
@@ -33,32 +30,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		app       = fs.String("app", "nr", "application to tune: nr, tfl or any other surfer-run -app name")
 		vertices  = fs.Int("vertices", 1<<16, "synthetic graph vertices")
 		machines  = fs.Int("machines", 32, "machines in the simulated cluster")
-		seed      = fs.Int64("seed", 42, "random seed (drives generation, partitioning, and the deterministic objective)")
-		levels    = fs.Int("levels", 6, "starting log2 partition count")
-		levelsMin = fs.Int("levels-min", 1, "partition-count axis lower bound (log2)")
-		levelsMax = fs.Int("levels-max", 0, "partition-count axis upper bound (log2, 0 = levels+2)")
-		budget    = fs.Int("budget", 24, "maximum distinct configuration evaluations")
-		objective = fs.String("objective", "virtual", "virtual (deterministic simulated seconds) | wall (adaptive host seconds)")
-		maxRuns   = fs.Int("max-runs", 6, "wall objective: maximum reruns per configuration")
-		maxRelErr = fs.Float64("max-rel-err", 0.1, "wall objective: relative standard error convergence bound")
+		seed      = fs.Int64("seed", 42, "random seed (drives generation and partitioning)")
+		levels    = fs.Int("levels", 6, "log2 partition count evaluated first")
+		levelsMin = fs.Int("levels-min", 1, "partition-count sweep lower bound (log2)")
+		levelsMax = fs.Int("levels-max", 0, "partition-count sweep upper bound (log2, 0 = levels+2)")
 		jsonOut   = fs.String("json", "", "write the result as a surfer-bench/v1 report to this file")
 	)
 	return cli.Run(fs, args, stderr, func([]string) error {
 		cfg := bench.TuneConfig{
 			Scale:     bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed},
 			App:       *app,
-			Budget:    *budget,
 			LevelsMin: *levelsMin,
 			LevelsMax: *levelsMax,
-			Adaptive:  bench.AdaptiveConfig{MaxRuns: *maxRuns, MaxRelErr: *maxRelErr},
-		}
-		switch *objective {
-		case "virtual":
-			cfg.Objective = bench.ObjVirtual
-		case "wall":
-			cfg.Objective = bench.ObjWall
-		default:
-			return fmt.Errorf("unknown objective %q (want virtual or wall)", *objective)
 		}
 		res, err := bench.Tune(cfg)
 		if err != nil {

@@ -16,14 +16,15 @@ func invoke(args ...string) (code int, stdout, stderr string) {
 	return code, o.String(), e.String()
 }
 
-// TestTinySearch is ci.sh's auto-tuner smoke at test size: a four-evaluation
-// search on the virtual objective prints its trace and a winner, twice the
-// same, and -json writes a report surfer-analyze -compare would load.
+// TestTinySearch is ci.sh's auto-tuner smoke at test size: the eight
+// evaluations of the two sweeps (P = 8, 2, 4, 16, 32, then three flag
+// combinations) print their trace and a winner, twice the same, and -json
+// writes a report surfer-analyze -compare would load.
 func TestTinySearch(t *testing.T) {
 	report := filepath.Join(t.TempDir(), "tune.json")
-	args := []string{"-app", "nr", "-vertices", "2048", "-machines", "8", "-levels", "3", "-budget", "4", "-seed", "42", "-json", report}
+	args := []string{"-app", "nr", "-vertices", "2048", "-machines", "8", "-levels", "3", "-seed", "42", "-json", report}
 	code, first, stderr := invoke(args...)
-	if code != 0 || !strings.Contains(first, "\nbest:") || !strings.Contains(first, "objective=virtual") {
+	if code != 0 || !strings.HasPrefix(first, "surfer-tune: app=nr evals=8\n") || !strings.Contains(first, "\nbest:") {
 		t.Fatalf("exit %d, stderr %q, stdout:\n%s", code, stderr, first)
 	}
 	if _, again, _ := invoke(args...); again != first {
@@ -42,8 +43,12 @@ func TestBadInvocations(t *testing.T) {
 	}{
 		{[]string{"-h"}, 0, "Usage of surfer-tune"},
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-tune"},
-		{[]string{"-objective", "speed"}, 1, `surfer-tune: unknown objective "speed" (want virtual or wall)`},
+		{[]string{"-objective", "wall"}, 2, "flag provided but not defined: -objective"},
+		{[]string{"-budget", "24"}, 2, "flag provided but not defined: -budget"},
 		{[]string{"-app", "xyz", "-vertices", "256"}, 1, `unknown application "xyz"`},
+		{[]string{"-machines", "0"}, 1, "surfer-tune: cluster: a topology needs at least one machine, got 0"},
+		{[]string{"-levels", "20", "-vertices", "4096"}, 1, "surfer-tune: core: Config.Levels = 22 out of range"},
+		{[]string{"-levels-max", "40"}, 1, "surfer-tune: core: Config.Levels = 40 out of range"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.want) || stdout != "" {

@@ -7,6 +7,7 @@
 package apps
 
 import (
+	"embed"
 	"fmt"
 	"strings"
 
@@ -15,6 +16,13 @@ import (
 	"repro/internal/propagation"
 	"repro/internal/storage"
 )
+
+// Sources holds the source files of the paper's six applications, the user
+// code whose lines Table 4 counts. Embedded, so the count does not depend on
+// where the binary runs.
+//
+//go:embed vdd.go rs.go nr.go rlg.go tc.go tfl.go
+var Sources embed.FS
 
 // App is a benchmark application runnable under both primitives.
 type App interface {

@@ -33,14 +33,18 @@ type AblationRow struct {
 // Running it on T1 and T2(2,1) separates intra-machine locality from pod
 // locality.
 func Ablation(s Scale) ([]AblationRow, error) {
-	g := s.MakeGraph()
-	topos := []*cluster.Topology{
-		cluster.NewT1(s.Machines),
-		cluster.NewT2(cluster.T2Config{Machines: s.Machines, Pods: 2, Levels: 1}),
+	t1, err := cluster.ByName("t1", s.Machines, 0, 0, s.Seed)
+	if err != nil {
+		return nil, err
 	}
+	t2, err := cluster.ByName("t2", s.Machines, 2, 1, s.Seed)
+	if err != nil {
+		return nil, err
+	}
+	g := s.MakeGraph()
 	workloads := []apps.App{apps.NewNR(3), apps.NewTFL(apps.DefaultSelectRatio)}
 	var rows []AblationRow
-	for _, topo := range topos {
+	for _, topo := range []*cluster.Topology{t1, t2} {
 		d, err := NewDeploymentFor(s, topo, g)
 		if err != nil {
 			return nil, err
@@ -84,14 +88,12 @@ func Ablation(s Scale) ([]AblationRow, error) {
 			// where cross-pod traffic is heaviest. NR only: TFL's
 			// distinct-union merge barely shrinks bytes.
 			if app.Name() == "NR" && topo.NumPods() > 1 {
-				nr := apps.NewNR(3)
 				prog := apps.NRProgram(d.Graph)
 				st := propagation.NewState[float64](d.PG, prog)
-				st, m, err := propagation.RunIterationsTree(d.Runner(), d.PG, d.PlacePM, prog, st, both, nr.Iterations())
+				_, m, err := propagation.RunIterationsTree(d.Runner(), d.PG, d.PlacePM, prog, st, both, app.Iterations())
 				if err != nil {
 					return nil, err
 				}
-				_ = st
 				rows = append(rows, AblationRow{Topology: topo.Name(), App: app.Name(), Variant: "tree-aggregation", Metrics: m})
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // TestNewDeploymentForRejectsBadLevels: deployments are assembled by
@@ -11,9 +13,10 @@ import (
 func TestNewDeploymentForRejectsBadLevels(t *testing.T) {
 	s := Scale{Vertices: 1024, Machines: 8, Seed: 42}
 	g := s.MakeGraph()
+	topo := cluster.NewT1(s.Machines)
 	for _, levels := range []int{-1, 31, 12} {
 		s.Levels = levels
-		_, err := NewDeploymentFor(s, s.Topologies()[0], g)
+		_, err := NewDeploymentFor(s, topo, g)
 		if err == nil || !strings.Contains(err.Error(), "Levels") {
 			t.Errorf("levels %d on 1024 vertices: err = %v, want one naming Levels", levels, err)
 		}
@@ -95,7 +98,7 @@ func TestTables23Shapes(t *testing.T) {
 }
 
 func TestTable4Counts(t *testing.T) {
-	rows, err := Table4("../apps")
+	rows, err := Table4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +268,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 	} else {
 		t.Fatal(err)
 	}
-	if rows, err := Table4("../apps"); err == nil {
+	if rows, err := Table4(); err == nil {
 		WriteTable4(&sb, rows)
 	} else {
 		t.Fatal(err)

@@ -25,10 +25,14 @@ type Table1Row struct {
 // Table1 measures the elapsed time of distributed partitioning under each
 // topology for the oblivious baseline and the bandwidth-aware algorithm.
 func Table1(s Scale) ([]Table1Row, error) {
+	topos, err := s.Topologies()
+	if err != nil {
+		return nil, err
+	}
 	g := s.MakeGraph()
 	cm := partition.DefaultCostModel()
 	var rows []Table1Row
-	for _, topo := range s.Topologies() {
+	for _, topo := range topos {
 		// The oblivious baseline's cost depends on which random machine
 		// subsets its recursion happens to draw; average several seeds so
 		// the row reflects the expected behaviour, not one lucky draw.
@@ -85,8 +89,7 @@ type AppLevelMetrics struct {
 
 // Tables23 runs every application at every optimization level on T1.
 func Tables23(s Scale) ([]AppLevelMetrics, error) {
-	topo := cluster.NewT1(s.Machines)
-	d, err := NewDeployment(s, topo)
+	d, err := NewDeployment(s)
 	if err != nil {
 		return nil, err
 	}
@@ -207,9 +210,13 @@ type Fig6Row struct {
 // Fig6 measures the impact of bandwidth-aware partitioning on the non-flat
 // topologies.
 func Fig6(s Scale) ([]Fig6Row, error) {
+	topos, err := s.Topologies()
+	if err != nil {
+		return nil, err
+	}
 	g := s.MakeGraph()
 	var rows []Fig6Row
-	for _, topo := range s.Topologies() {
+	for _, topo := range topos {
 		if topo.Name() == "T1" {
 			continue
 		}
@@ -262,8 +269,7 @@ type Fig7Row struct {
 
 // Fig7 compares MapReduce against fully optimized propagation (O4).
 func Fig7(s Scale) ([]Fig7Row, error) {
-	topo := cluster.NewT1(s.Machines)
-	d, err := NewDeployment(s, topo)
+	d, err := NewDeployment(s)
 	if err != nil {
 		return nil, err
 	}
@@ -312,6 +318,11 @@ type Fig9Row struct {
 
 // Fig9 sweeps the simulated cross-pod delay on T2(2,1) running NR.
 func Fig9(s Scale) ([]Fig9Row, error) {
+	// ByName checks the machine count; the sweep then varies the one
+	// parameter it does not take, the top switch's delay factor.
+	if _, err := cluster.ByName("t2", s.Machines, 2, 1, s.Seed); err != nil {
+		return nil, err
+	}
 	g := s.MakeGraph()
 	var rows []Fig9Row
 	for _, factor := range []float64{2, 4, 8, 16, 32, 64, 128} {
@@ -370,8 +381,7 @@ type Fig10Result struct {
 // apply to the baseline and the killed runs alike.
 func Fig10(s Scale) (*Fig10Result, error) {
 	s.Failures = nil
-	topo := cluster.NewT1(s.Machines)
-	d, err := NewDeployment(s, topo)
+	d, err := NewDeployment(s)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +412,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	// while no task runs), so probe against a fault-free reference instead.
 	probeResp := base.ResponseSeconds
 	if !s.Faults.Empty() {
-		clean := engine.New(engine.Config{Topo: topo, Workers: s.Workers})
+		clean := engine.New(engine.Config{Topo: d.Topo, Workers: s.Workers})
 		_, cm, err := app.RunPropagation(clean, d.PG, d.PlaceBA, d.Options(O4))
 		if err != nil {
 			return nil, err
@@ -486,13 +496,15 @@ type ScaleRow struct {
 // Fig11And12 grows machines and graph together (8→Machines) and reports
 // P-Surfer and MapReduce response times for NR.
 func Fig11And12(s Scale) ([]ScaleRow, error) {
+	if s.Machines < 8 {
+		return nil, fmt.Errorf("bench: figures 11-12 grow the cluster from 8 machines in steps of 8, got Machines = %d", s.Machines)
+	}
 	var rows []ScaleRow
 	for machines := 8; machines <= s.Machines; machines += 8 {
 		sub := s
 		sub.Machines = machines
 		sub.Vertices = s.Vertices * machines / s.Machines
-		topo := cluster.NewT1(machines)
-		d, err := NewDeployment(sub, topo)
+		d, err := NewDeployment(sub)
 		if err != nil {
 			return nil, err
 		}
@@ -549,7 +561,13 @@ type CascadeResult struct {
 // experiment uses the paper's pure stitched small-world generator with a
 // low rewire ratio, where V_k (k>=2) is materially populated.
 func Cascade(s Scale, iterations int) (*CascadeResult, error) {
-	topo := cluster.NewT1(s.Machines)
+	if iterations < 1 {
+		return nil, fmt.Errorf("bench: the cascade study needs at least one iteration, got Iterations = %d", iterations)
+	}
+	topo, err := cluster.ByName("t1", s.Machines, 0, 0, s.Seed)
+	if err != nil {
+		return nil, err
+	}
 	swCfg := graph.DefaultSmallWorld(s.Vertices, s.Seed)
 	swCfg.RewireRatio = 0.01
 	swCfg.Beta = 0.05

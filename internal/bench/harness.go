@@ -68,15 +68,22 @@ func (s Scale) MakeGraph() *graph.Graph {
 	return graph.Social(graph.DefaultSocial(s.Vertices, s.Seed))
 }
 
-// Topologies returns the named network settings of §6.1 at this scale.
-func (s Scale) Topologies() []*cluster.Topology {
-	return []*cluster.Topology{
-		cluster.NewT1(s.Machines),
-		cluster.NewT2(cluster.T2Config{Machines: s.Machines, Pods: 2, Levels: 1}),
-		cluster.NewT2(cluster.T2Config{Machines: s.Machines, Pods: 4, Levels: 1}),
-		cluster.NewT2(cluster.T2Config{Machines: s.Machines, Pods: 4, Levels: 2}),
-		cluster.NewT3(s.Machines, s.Seed),
+// Topologies returns the named network settings of §6.1 at this scale,
+// built by cluster.ByName so a machine count a setting cannot hold is an
+// error.
+func (s Scale) Topologies() ([]*cluster.Topology, error) {
+	var out []*cluster.Topology
+	for _, t := range []struct {
+		kind             string
+		pods, treeLevels int
+	}{{"t1", 0, 0}, {"t2", 2, 1}, {"t2", 4, 1}, {"t2", 4, 2}, {"t3", 0, 0}} {
+		topo, err := cluster.ByName(t.kind, s.Machines, t.pods, t.treeLevels, s.Seed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, topo)
 	}
+	return out, nil
 }
 
 // OptLevel is one of the paper's four optimization levels (§6.3).
@@ -117,10 +124,13 @@ type Deployment struct {
 }
 
 // NewDeployment partitions the scale's graph once and derives both
-// placements for the given topology.
-func NewDeployment(s Scale, topo *cluster.Topology) (*Deployment, error) {
-	g := s.MakeGraph()
-	return NewDeploymentFor(s, topo, g)
+// placements on T1, the flat cluster of the scale's machines.
+func NewDeployment(s Scale) (*Deployment, error) {
+	topo, err := cluster.ByName("t1", s.Machines, 0, 0, s.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return NewDeploymentFor(s, topo, s.MakeGraph())
 }
 
 // NewDeploymentFor is NewDeployment with a caller-provided graph (so sweeps

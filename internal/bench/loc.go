@@ -7,8 +7,8 @@ import (
 	"go/token"
 	"io"
 	"io/fs"
-	"path/filepath"
-	"strings"
+
+	"repro/internal/apps"
 )
 
 // Table4Row reports the user-defined-function source line counts of one
@@ -23,82 +23,73 @@ type Table4Row struct {
 	PaperPropagation int
 }
 
-// paperTable4 is the paper's reported Table 4, keyed by app.
-var paperTable4 = map[string][3]int{
-	"VDD": {24, 33, 18},
-	"NR":  {147, 163, 21},
-	"RS":  {152, 168, 22},
-	"RLG": {131, 144, 23},
-	"TC":  {157, 171, 27},
-	"TFL": {171, 194, 25},
+// table4Apps lists the paper's six applications in its Table 4 order: the
+// receiver types of their propagation and MapReduce programs in
+// apps.Sources, and the paper's reported counts (Hadoop, home-grown MR,
+// propagation).
+var table4Apps = []struct {
+	app, prop, mr string
+	paper         [3]int
+}{
+	{"VDD", "vddProgram", "vddMR", [3]int{24, 33, 18}},
+	{"NR", "nrProgram", "nrMR", [3]int{147, 163, 21}},
+	{"RS", "rsProgram", "rsMR", [3]int{152, 168, 22}},
+	{"RLG", "rlgProgram", "rlgMR", [3]int{131, 144, 23}},
+	{"TC", "tcProgram", "tcMR", [3]int{157, 171, 27}},
+	{"TFL", "tflProgram", "tflMR", [3]int{171, 194, 25}},
 }
 
 // udf method sets per primitive: the user-authored logic, excluding size
 // accounting and associativity glue.
 var (
-	propagationUDFs = map[string]bool{"Init": true, "Transfer": true, "TransferVertex": true, "Combine": true, "Merge": true}
-	mapreduceUDFs   = map[string]bool{"Map": true, "Reduce": true}
+	propagationUDFs = []string{"Init", "Transfer", "TransferVertex", "Combine", "Merge"}
+	mapreduceUDFs   = []string{"Map", "Reduce"}
 )
 
-// receiver type prefixes per app within the apps package sources.
-var appReceivers = map[string][2]string{
-	"NR":  {"nrProgram", "nrMR"},
-	"RS":  {"rsProgram", "rsMR"},
-	"TC":  {"tcProgram", "tcMR"},
-	"VDD": {"vddProgram", "vddMR"},
-	"RLG": {"rlgProgram", "rlgMR"},
-	"TFL": {"tflProgram", "tflMR"},
-}
-
-// Table4 parses the application sources in appsDir (internal/apps) and
+// Table4 parses the application sources embedded in apps.Sources and
 // counts the lines of each user-defined function body.
-func Table4(appsDir string) ([]Table4Row, error) {
+func Table4() ([]Table4Row, error) {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, appsDir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	names, err := fs.Glob(apps.Sources, "*.go")
 	if err != nil {
-		return nil, fmt.Errorf("bench: parsing %s: %w", appsDir, err)
+		return nil, err
 	}
-	// methodLines[recv][method] = body line count.
-	methodLines := map[string]map[string]int{}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv == nil || fn.Body == nil {
-					continue
-				}
-				recv := receiverName(fn)
-				if recv == "" {
-					continue
-				}
-				start := fset.Position(fn.Pos()).Line
-				end := fset.Position(fn.End()).Line
-				if methodLines[recv] == nil {
-					methodLines[recv] = map[string]int{}
-				}
-				methodLines[recv][fn.Name.Name] = end - start + 1
+	lines := map[string]int{} // "receiver.Method" → line count
+	for _, name := range names {
+		src, err := apps.Sources.ReadFile(name)
+		if err != nil {
+			return nil, err
+		}
+		file, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			return nil, fmt.Errorf("bench: parsing %s: %w", name, err)
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Body != nil {
+				lines[receiverName(fn)+"."+fn.Name.Name] = fset.Position(fn.End()).Line - fset.Position(fn.Pos()).Line + 1
 			}
 		}
 	}
-	order := []string{"VDD", "NR", "RS", "RLG", "TC", "TFL"}
-	var rows []Table4Row
-	for _, app := range order {
-		recvs := appReceivers[app]
-		prop := sumMethods(methodLines[recvs[0]], propagationUDFs)
-		mr := sumMethods(methodLines[recvs[1]], mapreduceUDFs)
-		if prop == 0 || mr == 0 {
-			return nil, fmt.Errorf("bench: no UDFs found for %s in %s", app, appsDir)
+	sum := func(recv string, methods []string) int {
+		total := 0
+		for _, m := range methods {
+			total += lines[recv+"."+m]
 		}
-		paper := paperTable4[app]
+		return total
+	}
+	var rows []Table4Row
+	for _, a := range table4Apps {
+		prop, mr := sum(a.prop, propagationUDFs), sum(a.mr, mapreduceUDFs)
+		if prop == 0 || mr == 0 {
+			return nil, fmt.Errorf("bench: no UDFs found for %s in apps.Sources", a.app)
+		}
 		rows = append(rows, Table4Row{
-			App:              app,
+			App:              a.app,
 			MapReduceLoC:     mr,
 			PropagationLoC:   prop,
-			PaperHadoop:      paper[0],
-			PaperHomegrown:   paper[1],
-			PaperPropagation: paper[2],
+			PaperHadoop:      a.paper[0],
+			PaperHomegrown:   a.paper[1],
+			PaperPropagation: a.paper[2],
 		})
 	}
 	return rows, nil
@@ -116,27 +107,6 @@ func receiverName(fn *ast.FuncDecl) string {
 		return id.Name
 	}
 	return ""
-}
-
-func sumMethods(methods map[string]int, want map[string]bool) int {
-	total := 0
-	for name, lines := range methods {
-		if want[name] {
-			total += lines
-		}
-	}
-	return total
-}
-
-// FindAppsDir locates internal/apps starting from a repo-relative guess,
-// for callers running from different working directories.
-func FindAppsDir(candidates ...string) string {
-	for _, c := range candidates {
-		if matches, _ := filepath.Glob(filepath.Join(c, "*.go")); len(matches) > 0 {
-			return c
-		}
-	}
-	return "internal/apps"
 }
 
 // WriteTable4 renders Table 4.

@@ -16,34 +16,16 @@ import (
 // percentiles, mean wait); fairness is reported but not gated because
 // higher is better.
 
-// MultitenantConfig sizes the multi-tenant experiment.
-type MultitenantConfig struct {
-	// Scale sizes the shared deployment (graph, partitions, machines).
-	Scale Scale
-	// Jobs and Tenants shape the generated workload.
-	Jobs    int
-	Tenants int
-	// Concurrency is the service's job-slot count; QueueLimit bounds the
-	// admission queue (0 = unlimited).
-	Concurrency int
-	// QueueLimit bounds queued-or-preempted jobs per policy run.
-	QueueLimit int
-	// WorkloadSeed drives arrival generation (distinct from Scale.Seed so
-	// the deployment and the workload vary independently).
-	WorkloadSeed int64
-}
-
-// DefaultMultitenantConfig is the committed-baseline scale: small enough
-// for CI, busy enough that policies disagree.
-func DefaultMultitenantConfig() MultitenantConfig {
-	return MultitenantConfig{
-		Scale:        Scale{Vertices: 4096, Levels: 4, Machines: 8, Seed: 42},
-		Jobs:         10,
-		Tenants:      3,
-		Concurrency:  2,
-		WorkloadSeed: 11,
-	}
-}
+// The workload every policy replays: ten jobs of three tenants through two
+// job slots — small enough for CI, busy enough that policies disagree. Its
+// seed is its own, so the deployment (Scale.Seed) and the arrivals vary
+// independently.
+const (
+	multitenantJobs         = 10
+	multitenantTenants      = 3
+	multitenantConcurrency  = 2
+	multitenantWorkloadSeed = 11
+)
 
 // MultitenantRow is one policy's aggregate outcome on the shared workload.
 type MultitenantRow struct {
@@ -58,11 +40,13 @@ type MultitenantRow struct {
 	Preemptions int           `json:"preemptions"`
 }
 
-// Multitenant plans the workload once on a shared deployment and replays
-// it under every policy.
-func Multitenant(cfg MultitenantConfig) ([]MultitenantRow, error) {
-	s := cfg.Scale
-	topo := cluster.NewT3(s.Machines, s.Seed)
+// Multitenant plans the workload once on a shared T3 deployment of the
+// scale and replays it under every policy.
+func Multitenant(s Scale) ([]MultitenantRow, error) {
+	topo, err := cluster.ByName("t3", s.Machines, 0, 0, s.Seed)
+	if err != nil {
+		return nil, err
+	}
 	p, err := jobsvc.NewPlanner(jobsvc.PlannerConfig{
 		Graph:   s.MakeGraph(),
 		Topo:    topo,
@@ -74,11 +58,11 @@ func Multitenant(cfg MultitenantConfig) ([]MultitenantRow, error) {
 		return nil, err
 	}
 	wl := jobsvc.GenerateWorkload(jobsvc.GenConfig{
-		Jobs:          cfg.Jobs,
-		Tenants:       cfg.Tenants,
+		Jobs:          multitenantJobs,
+		Tenants:       multitenantTenants,
 		MaxPriority:   2,
 		MaxIterations: 2,
-		Seed:          cfg.WorkloadSeed,
+		Seed:          multitenantWorkloadSeed,
 	})
 	jobs, err := p.Jobs(wl)
 	if err != nil {
@@ -89,8 +73,7 @@ func Multitenant(cfg MultitenantConfig) ([]MultitenantRow, error) {
 		recs, err := jobsvc.Run(jobsvc.Config{
 			Topo:        topo,
 			Policy:      pol,
-			Concurrency: cfg.Concurrency,
-			QueueLimit:  cfg.QueueLimit,
+			Concurrency: multitenantConcurrency,
 			Trace:       s.Trace,
 			Faults:      s.Faults,
 			Retry:       s.Retry,

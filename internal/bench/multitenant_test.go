@@ -6,15 +6,14 @@ import (
 )
 
 // TestMultitenantDeterministic: the experiment is a pure function of its
-// config — identical rows across repeated runs and across planning worker
+// scale — identical rows across repeated runs and across planning worker
 // counts — and its report validates against the schema.
 func TestMultitenantDeterministic(t *testing.T) {
-	cfg := DefaultMultitenantConfig()
-	cfg.Scale = TestScale()
+	s := TestScale()
 	var ref []MultitenantRow
 	for _, workers := range []int{1, 4} {
-		cfg.Scale.Workers = workers
-		rows, err := Multitenant(cfg)
+		s.Workers = workers
+		rows, err := Multitenant(s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,10 @@ import (
 // surfer-bench (-json) and the input of the surfer-analyze -compare
 // regression gate. Metrics are the gated numbers — deterministic,
 // lower-is-better quantities of the simulated cluster (virtual seconds,
-// bytes, task counts). Info carries everything else (wall-clock timings,
-// speedups, rank sums): recorded for the history, never gated, because it
-// is host-dependent or not lower-is-better.
+// bytes, task counts). Info carries everything else (improvements,
+// fairness, graph and search shape): recorded for the history, never
+// gated, because it is not lower-is-better. Host wall-clock is not
+// recorded here at all: benchmark/ measures it.
 
 // ReportSchema identifies the current bench report format. The version
 // bumps on any change that would make old/new reports incomparable.
@@ -21,7 +22,7 @@ const ReportSchema = "surfer-bench/v1"
 
 // Entry is one benchmark case's record.
 type Entry struct {
-	// Experiment and Case identify the entry ("parallel"/"serial",
+	// Experiment and Case identify the entry ("scale"/"nr/65536",
 	// "table1"/"T2(8,2)"); Compare matches entries on the pair.
 	Experiment string `json:"experiment"`
 	Case       string `json:"case"`
@@ -148,42 +149,6 @@ func metricsOf(responseSec, machineSec float64, networkBytes, diskBytes int64, t
 		"disk_bytes":       float64(diskBytes),
 		"tasks_run":        float64(tasks),
 	}
-}
-
-// FromParallel converts the parallel wall-clock benchmark into the report
-// schema: the simulated quantities gate, the host wall-clock goes to Info.
-func FromParallel(res *ParallelResult) *Report {
-	r := NewReport()
-	for i, run := range res.Runs {
-		cs := "parallel"
-		if i == 0 {
-			cs = "serial"
-		}
-		e := Entry{
-			Experiment: "parallel",
-			Case:       cs,
-			Metrics: map[string]float64{
-				"virtual_response_seconds": run.ResponseSeconds,
-				"network_bytes":            float64(run.NetworkBytes),
-				"disk_bytes":               float64(run.DiskBytes),
-				"tasks_run":                float64(run.TasksRun),
-			},
-			Info: map[string]float64{
-				"workers":      float64(run.Workers),
-				"wall_seconds": run.WallSeconds,
-				"wall_rel_err": run.WallRelErr,
-				"wall_runs":    float64(run.WallRuns),
-				"rank_sum":     run.RankSum,
-			},
-		}
-		if cs == "parallel" {
-			e.Info["speedup"] = res.Speedup
-			e.Info["bit_identical"] = b2f(res.Identical)
-			e.Info["gomaxprocs"] = float64(res.GOMAXPROCS)
-		}
-		r.Entries = append(r.Entries, e)
-	}
-	return r
 }
 
 // FromTable1 converts partitioning-time rows (Table 1).

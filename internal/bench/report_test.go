@@ -11,9 +11,9 @@ func sampleReport() *Report {
 	r := NewReport()
 	r.Entries = append(r.Entries,
 		Entry{
-			Experiment: "parallel", Case: "serial",
-			Metrics: map[string]float64{"virtual_response_seconds": 2.0, "network_bytes": 1e6},
-			Info:    map[string]float64{"wall_seconds": 3.5},
+			Experiment: "scale", Case: "nr/65536",
+			Metrics: map[string]float64{"response_seconds": 2.0, "network_bytes": 1e6},
+			Info:    map[string]float64{"edges": 3.5},
 		},
 		Entry{
 			Experiment: "tables23", Case: "NR/O4",
@@ -61,20 +61,20 @@ func TestCompare(t *testing.T) {
 	}
 
 	drift := sampleReport()
-	drift.Entries[0].Metrics["virtual_response_seconds"] = 2.08 // +4%, under 5%
-	drift.Entries[0].Info["wall_seconds"] = 99                  // Info is never gated
+	drift.Entries[0].Metrics["response_seconds"] = 2.08 // +4%, under 5%
+	drift.Entries[0].Info["edges"] = 99                 // Info is never gated
 	if regs := Compare(old, drift, 5); len(regs) != 0 {
 		t.Fatalf("within-threshold drift regressed: %+v", regs)
 	}
 
 	regressed := sampleReport()
-	regressed.Entries[0].Metrics["virtual_response_seconds"] = 2.2 // +10%
-	regressed.Entries[1].Metrics["tasks_run"] = 80                 // +25%
+	regressed.Entries[0].Metrics["response_seconds"] = 2.2 // +10%
+	regressed.Entries[1].Metrics["tasks_run"] = 80         // +25%
 	regs := Compare(old, regressed, 5)
 	if len(regs) != 2 {
 		t.Fatalf("want 2 regressions, got %+v", regs)
 	}
-	if regs[0].Metric != "virtual_response_seconds" || regs[1].Metric != "tasks_run" {
+	if regs[0].Metric != "response_seconds" || regs[1].Metric != "tasks_run" {
 		t.Fatalf("unexpected regression order: %+v", regs)
 	}
 	if regs[0].Pct < 9.9 || regs[0].Pct > 10.1 {
@@ -82,38 +82,8 @@ func TestCompare(t *testing.T) {
 	}
 
 	improved := sampleReport()
-	improved.Entries[0].Metrics["virtual_response_seconds"] = 1.5
+	improved.Entries[0].Metrics["response_seconds"] = 1.5
 	if regs := Compare(old, improved, 5); len(regs) != 0 {
 		t.Fatalf("improvement regressed: %+v", regs)
-	}
-}
-
-// TestFromParallel: the adapter carries the simulated quantities as gated
-// metrics and the host wall-clock as ungated info, and the result validates.
-func TestFromParallel(t *testing.T) {
-	res := &ParallelResult{
-		GOMAXPROCS: 8,
-		Speedup:    2.5,
-		Identical:  true,
-		Runs: []ParallelRun{
-			{Workers: 1, WallSeconds: 10, ResponseSeconds: 4, NetworkBytes: 100, TasksRun: 7, RankSum: 1},
-			{Workers: 8, WallSeconds: 4, ResponseSeconds: 4, NetworkBytes: 100, TasksRun: 7, RankSum: 1},
-		},
-	}
-	r := FromParallel(res)
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Entries) != 2 || r.Entries[0].Case != "serial" || r.Entries[1].Case != "parallel" {
-		t.Fatalf("unexpected entries: %+v", r.Entries)
-	}
-	if r.Entries[0].Metrics["virtual_response_seconds"] != 4 {
-		t.Fatalf("serial metrics: %+v", r.Entries[0].Metrics)
-	}
-	if _, gated := r.Entries[0].Metrics["wall_seconds"]; gated {
-		t.Fatal("wall_seconds must not be a gated metric")
-	}
-	if r.Entries[1].Info["speedup"] != 2.5 || r.Entries[1].Info["bit_identical"] != 1 {
-		t.Fatalf("parallel info: %+v", r.Entries[1].Info)
 	}
 }

@@ -5,121 +5,61 @@ import (
 	"io"
 
 	"repro/internal/apps"
-	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/partition"
-	"repro/internal/propagation"
-	"repro/internal/storage"
 )
 
-// The scale experiment records the fast-path engine's end-to-end trajectory
-// from small to multi-million-vertex graphs: for each size it partitions
-// the social graph, builds the partition metadata, and runs TFL (1-in-10
-// sample, the paper's heaviest data mover) and NR (10 iterations) at O4.
-// Two kinds of numbers come out of one run: the simulated cluster's virtual
-// metrics, which are bit-identical across runs and gate regressions via
-// surfer-analyze -compare, and host wall-clock phase timings, measured
-// adaptively (rerun until the relative standard error converges) and
-// recorded as ungated info.
+// The scale experiment records the simulated cluster's trajectory from small
+// to multi-million-vertex graphs: for each size it deploys the social graph
+// and runs TFL (1-in-10 sample, the paper's heaviest data mover) and NR (10
+// iterations) at O3 — random placement, both local optimisations. Its
+// virtual metrics are bit-identical across runs and gate regressions via
+// surfer-analyze -compare; host wall-clock per phase is benchmark/'s to
+// measure.
 
 // TrajectoryRow is the measurement at one graph size.
 type TrajectoryRow struct {
 	Vertices int
 	Edges    int64
 	P        int
-	// Wall-clock phase timings on the host (ungated).
-	PartitionWall AdaptiveResult
-	BuildWall     AdaptiveResult
-	TFLWall       AdaptiveResult
-	NRWall        AdaptiveResult
-	// Virtual metrics of the simulated runs (gated).
-	TFL engine.Metrics
-	NR  engine.Metrics
+	TFL      engine.Metrics
+	NR       engine.Metrics
 }
 
 // ScaleExperiment runs the scale trajectory over the given vertex counts,
-// deriving every other parameter (seed, levels, machines) from s. The
-// wall-clock phases are measured per cfg.
-func ScaleExperiment(s Scale, sizes []int, cfg AdaptiveConfig) ([]TrajectoryRow, error) {
+// deriving every other parameter (seed, levels, machines) from s.
+func ScaleExperiment(s Scale, sizes []int) ([]TrajectoryRow, error) {
 	var rows []TrajectoryRow
 	for _, n := range sizes {
 		sc := s
 		sc.Vertices = n
-		row, err := scaleOne(sc, cfg)
+		d, err := NewDeployment(sc)
 		if err != nil {
 			return nil, fmt.Errorf("bench: scale at %d vertices: %w", n, err)
+		}
+		row := TrajectoryRow{Vertices: d.Graph.NumVertices(), Edges: d.Graph.NumEdges(), P: d.PG.Part.P}
+		if row.TFL, err = d.RunApp(apps.NewTFL(10), O3); err != nil {
+			return nil, err
+		}
+		if row.NR, err = d.RunApp(apps.NewNR(10), O3); err != nil {
+			return nil, err
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-func scaleOne(s Scale, cfg AdaptiveConfig) (TrajectoryRow, error) {
-	g := s.MakeGraph()
-	row := TrajectoryRow{Vertices: g.NumVertices(), Edges: g.NumEdges(), P: 1 << s.Levels}
-	topo := cluster.NewT1(s.Machines)
-
-	var pt *partition.Partitioning
-	var err error
-	row.PartitionWall, err = MeasureWall(cfg, func() error {
-		pt, _ = partition.RecursiveBisect(g, s.Levels, partition.Options{Seed: s.Seed})
-		return nil
-	})
-	if err != nil {
-		return row, err
-	}
-	var pg *storage.PartitionedGraph
-	row.BuildWall, err = MeasureWall(cfg, func() error {
-		pg, err = storage.Build(g, pt)
-		return err
-	})
-	if err != nil {
-		return row, err
-	}
-	pl := partition.RandomPlacement(pt.P, topo, s.Seed)
-	opt := propagation.Options{LocalPropagation: true, LocalCombination: true} // O4
-
-	runApp := func(app apps.App) (engine.Metrics, AdaptiveResult, error) {
-		var m engine.Metrics
-		wall, err := MeasureWall(cfg, func() error {
-			r := engine.New(engine.Config{Topo: topo, Workers: s.Workers, Trace: s.Trace})
-			_, rm, err := app.RunPropagation(r, pg, pl, opt)
-			m = rm
-			return err
-		})
-		return m, wall, err
-	}
-	if row.TFL, row.TFLWall, err = runApp(apps.NewTFL(10)); err != nil {
-		return row, err
-	}
-	if row.NR, row.NRWall, err = runApp(apps.NewNR(10)); err != nil {
-		return row, err
-	}
-	return row, nil
-}
-
 // WriteScale prints the trajectory as a table.
 func WriteScale(w io.Writer, rows []TrajectoryRow) {
-	fmt.Fprintf(w, "Scale trajectory (TFL 1-in-10 + NR x10 at O4, wall ±rel err)\n")
-	fmt.Fprintf(w, "%10s %10s %5s  %-18s %-18s %-18s %-18s %12s %12s\n",
-		"vertices", "edges", "P", "partition", "build", "tfl", "nr", "tfl-virt(s)", "nr-virt(s)")
+	fmt.Fprintf(w, "Scale trajectory (TFL 1-in-10 + NR x10 at O3)\n")
+	fmt.Fprintf(w, "%10s %10s %5s %12s %12s\n", "vertices", "edges", "P", "tfl-virt(s)", "nr-virt(s)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%10d %10d %5d  %-18s %-18s %-18s %-18s %12.2f %12.2f\n",
-			r.Vertices, r.Edges, r.P,
-			r.PartitionWall, r.BuildWall, r.TFLWall, r.NRWall,
-			r.TFL.ResponseSeconds, r.NR.ResponseSeconds)
+		fmt.Fprintf(w, "%10d %10d %5d %12.2f %12.2f\n",
+			r.Vertices, r.Edges, r.P, r.TFL.ResponseSeconds, r.NR.ResponseSeconds)
 	}
-}
-
-// scaleWallInfo flattens an adaptive result into report info fields.
-func scaleWallInfo(info map[string]float64, prefix string, a AdaptiveResult) {
-	info[prefix+"_wall_seconds"] = a.Mean
-	info[prefix+"_wall_rel_err"] = a.RelErr
-	info[prefix+"_wall_runs"] = float64(a.Runs)
 }
 
 // FromScale converts scale rows into the report schema: virtual metrics
-// gate, wall-clock phase timings go to Info.
+// gate, the graph's shape goes to Info.
 func FromScale(rows []TrajectoryRow) *Report {
 	r := NewReport()
 	for _, row := range rows {
@@ -127,20 +67,12 @@ func FromScale(rows []TrajectoryRow) *Report {
 			name string
 			m    engine.Metrics
 		}{{"tfl", row.TFL}, {"nr", row.NR}} {
-			info := map[string]float64{"edges": float64(row.Edges), "partitions": float64(row.P)}
-			scaleWallInfo(info, "partition", row.PartitionWall)
-			scaleWallInfo(info, "build", row.BuildWall)
-			if app.name == "tfl" {
-				scaleWallInfo(info, "app", row.TFLWall)
-			} else {
-				scaleWallInfo(info, "app", row.NRWall)
-			}
 			r.Entries = append(r.Entries, Entry{
 				Experiment: "scale",
 				Case:       fmt.Sprintf("%s/%d", app.name, row.Vertices),
 				Metrics: metricsOf(app.m.ResponseSeconds, app.m.MachineSeconds,
 					app.m.NetworkBytes, app.m.DiskBytes, app.m.TasksRun),
-				Info: info,
+				Info: map[string]float64{"edges": float64(row.Edges), "partitions": float64(row.P)},
 			})
 		}
 	}

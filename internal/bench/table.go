@@ -18,23 +18,15 @@ type Params struct {
 	Iterations int
 	// Sizes are the scale experiment's vertex counts (default: Scale.Vertices).
 	Sizes []int
-	// AppsDir is the internal/apps source directory table4 measures.
-	AppsDir string
-	// ParallelOut is where the parallel experiment writes its report.
-	ParallelOut string
 }
 
 // Experiment is one row of the table.
 type Experiment struct {
 	Name string
 	// All reports whether "-experiment all" includes it. The rest run only
-	// when named: they measure the host, run a whole workload several times
-	// over, or are a second name for a row that is included.
+	// when named: they run a whole workload several times over, or are a
+	// second name for a row that is included.
 	All bool
-	// Host marks an experiment that measures the host's wall clock rather
-	// than the simulated cluster: its numbers are not reproducible and its
-	// run time is seconds at any scale.
-	Host bool
 	// Run computes the experiment, renders it to w in the paper's layout
 	// and returns its machine-readable report, nil if it has none.
 	Run func(p Params, w io.Writer) (*Report, error)
@@ -83,7 +75,7 @@ func Experiments() []Experiment {
 		{Name: "table1", All: true, Run: experiment(atScale(Table1), WriteTable1, FromTable1)},
 		{Name: "table2", All: true, Run: tables23(WriteTable2)},
 		{Name: "table3", All: true, Run: tables23(WriteTable3)},
-		{Name: "table4", All: true, Run: experiment(func(p Params) ([]Table4Row, error) { return Table4(p.AppsDir) }, WriteTable4, nil)},
+		{Name: "table4", All: true, Run: experiment(func(Params) ([]Table4Row, error) { return Table4() }, WriteTable4, nil)},
 		{Name: "table5", All: true, Run: experiment(atScale(Table5), WriteTable5, nil)},
 		{Name: "fig6", All: true, Run: experiment(atScale(Fig6), WriteFig6, nil)},
 		{Name: "fig7", All: true, Run: experiment(atScale(Fig7), WriteFig7, nil)},
@@ -93,34 +85,14 @@ func Experiments() []Experiment {
 		{Name: "fig12", Run: scaling}, // the same sweep: Figure 12 is its machine-time column
 		{Name: "cascade", All: true, Run: experiment(func(p Params) (*CascadeResult, error) { return Cascade(p.Scale, p.Iterations) }, WriteCascade, nil)},
 		{Name: "ablation", All: true, Run: experiment(atScale(Ablation), WriteAblation, nil)},
-		{Name: "parallel", Host: true, Run: func(p Params, w io.Writer) (*Report, error) {
-			cfg := DefaultParallelConfig()
-			cfg.Workers, cfg.Seed = p.Scale.Workers, p.Scale.Seed
-			res, err := ParallelBench(cfg)
-			if err != nil {
-				return nil, err
-			}
-			WriteParallel(w, res)
-			// BENCH_parallel.json records the perf trajectory in the form
-			// surfer-analyze -compare gates.
-			rep := FromParallel(res)
-			if err := WriteReport(p.ParallelOut, rep); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(w, "wrote %s\n", p.ParallelOut)
-			return rep, nil
-		}},
-		// Deterministic virtual time, but the whole workload once per policy.
-		{Name: "multitenant", Run: experiment(atScale(func(s Scale) ([]MultitenantRow, error) {
-			mt := DefaultMultitenantConfig()
-			mt.Scale = s
-			return Multitenant(mt)
-		}), WriteMultitenant, FromMultitenant)},
-		{Name: "scale", Host: true, Run: experiment(func(p Params) ([]TrajectoryRow, error) {
+		// The whole workload once per policy.
+		{Name: "multitenant", Run: experiment(atScale(Multitenant), WriteMultitenant, FromMultitenant)},
+		// Two ten-iteration apps per size, sizes up to millions of vertices.
+		{Name: "scale", Run: experiment(func(p Params) ([]TrajectoryRow, error) {
 			if len(p.Sizes) == 0 {
 				p.Sizes = []int{p.Scale.Vertices}
 			}
-			return ScaleExperiment(p.Scale, p.Sizes, AdaptiveConfig{})
+			return ScaleExperiment(p.Scale, p.Sizes)
 		}, WriteScale, FromScale)},
 	}
 }

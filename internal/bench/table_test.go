@@ -6,22 +6,15 @@ import (
 	"testing"
 )
 
-// TestExperimentTable runs every row that measures the simulated cluster —
-// the dispatch of fig6, fig7, fig9, cascade and ablation used to be reached
-// only by typing -experiment all — at test scale: each renders something,
-// and each report it returns is one surfer-analyze -compare would accept.
-// What "all" selects, what a name selects and what an unknown name says are
-// read off the same table.
+// TestExperimentTable runs every row — the dispatch of fig6, fig7, fig9,
+// cascade and ablation used to be reached only by typing -experiment all —
+// at test scale: each renders something, and each report it returns is one
+// surfer-analyze -compare would accept. What "all" selects, what a name
+// selects and what an unknown name says are read off the same table.
 func TestExperimentTable(t *testing.T) {
-	p := Params{Scale: TestScale(), Iterations: 2, AppsDir: FindAppsDir("../apps")}
+	p := Params{Scale: TestScale(), Iterations: 2}
 	reported := map[string]bool{}
 	for _, e := range Experiments() {
-		if e.Host {
-			if e.All {
-				t.Errorf("%s measures the host but is part of -experiment all", e.Name)
-			}
-			continue
-		}
 		t.Run(e.Name, func(t *testing.T) {
 			var out bytes.Buffer
 			rep, err := e.Run(p, &out)
@@ -43,8 +36,8 @@ func TestExperimentTable(t *testing.T) {
 		})
 	}
 	// table2 and table3 share one grid: the first to run reports it, once.
-	if !reported["table1"] || !reported["table2"] || reported["table3"] || !reported["multitenant"] {
-		t.Errorf("reports came from %v; want table1, table2 (not table3 again) and multitenant", reported)
+	if !reported["table1"] || !reported["table2"] || reported["table3"] || !reported["multitenant"] || !reported["scale"] {
+		t.Errorf("reports came from %v; want table1, table2 (not table3 again), multitenant and scale", reported)
 	}
 
 	names := func(es []Experiment) string {

@@ -6,48 +6,18 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
-	"repro/internal/engine"
-	"repro/internal/partition"
 	"repro/internal/propagation"
-	"repro/internal/storage"
 )
 
 // The auto-tuner (surfer-tune) searches the deployment configuration space
-// — engine worker-pool size × partition count × combiner settings — by
-// coordinate descent: sweep one axis holding the others at the incumbent,
-// adopt the best point, move to the next axis, and repeat until a full
-// cycle improves nothing (convergence) or the evaluation budget runs out.
-//
-// Two objectives are supported. The default, virtual response seconds of
-// the simulated cluster, is fully deterministic: the tuner's trajectory and
-// winner are reproducible from the seed, and the Workers axis is skipped
-// because worker count never changes virtual results (the determinism
-// contract). The wall objective measures host wall-clock adaptively
-// (rerun until the relative standard error converges, see AdaptiveConfig)
-// and includes the Workers axis — use it to tune a real host.
-
-// Objective selects what the tuner minimizes.
-type Objective int
-
-const (
-	// ObjVirtual minimizes simulated response seconds (deterministic).
-	ObjVirtual Objective = iota
-	// ObjWall minimizes adaptive host wall-clock seconds.
-	ObjWall
-)
-
-func (o Objective) String() string {
-	if o == ObjWall {
-		return "wall"
-	}
-	return "virtual"
-}
+// — partition count × combiner settings — for the lowest simulated response
+// time, in two sweeps: the partition counts with both local optimisations
+// on, then the four combinations of the two at the winning count. The
+// objective is virtual time, so the search is deterministic: the same seed
+// reproduces the same trace and winner.
 
 // TunePoint is one configuration in the search space.
 type TunePoint struct {
-	// Workers is the engine pool size (0 = GOMAXPROCS). Only searched
-	// under ObjWall.
-	Workers int
 	// Levels is log2 of the partition count.
 	Levels int
 	// LocalProp / LocalComb are the §5.1 locality optimizations.
@@ -56,61 +26,37 @@ type TunePoint struct {
 }
 
 func (p TunePoint) String() string {
-	return fmt.Sprintf("workers=%d P=%d localProp=%v localComb=%v", p.Workers, 1<<p.Levels, p.LocalProp, p.LocalComb)
+	return fmt.Sprintf("P=%d localProp=%v localComb=%v", 1<<p.Levels, p.LocalProp, p.LocalComb)
 }
 
 // TuneEval is one evaluated configuration.
 type TuneEval struct {
 	Point TunePoint
-	// Objective is the minimized value (virtual or wall seconds); Wall
-	// carries the adaptive measurement under ObjWall.
+	// Objective is the minimized value: simulated response seconds.
 	Objective float64
-	Wall      AdaptiveResult
-	// VirtualSeconds is always recorded (deterministic context).
-	VirtualSeconds float64
 }
 
 // TuneConfig parameterizes a search.
 type TuneConfig struct {
 	// Scale supplies the graph (Vertices, Seed) and cluster (Machines).
-	// Scale.Levels seeds the partition-count axis' starting point.
+	// Scale.Levels is the partition count evaluated first.
 	Scale Scale
 	// App is any name apps.ByName knows (default "nr"), run for
 	// tuneIterations where it iterates.
 	App string
-	// Objective selects virtual (default) or wall minimization.
-	Objective Objective
-	// Budget caps the number of distinct configuration evaluations
-	// (cached repeats are free). Zero selects 24.
-	Budget int
-	// LevelsMin/LevelsMax bound the partition-count axis. Zeros select
+	// LevelsMin/LevelsMax bound the partition-count sweep. Zeros select
 	// [1, Scale.Levels+2].
 	LevelsMin, LevelsMax int
-	// WorkersAxis lists the pool sizes swept under ObjWall. Empty selects
-	// {1, 2, 4, 8}.
-	WorkersAxis []int
-	// Adaptive bounds the wall measurements under ObjWall.
-	Adaptive AdaptiveConfig
-	// MaxCycles caps the coordinate-descent cycles. Zero selects 4.
-	MaxCycles int
 }
 
 // TuneResult is the search outcome.
 type TuneResult struct {
 	Best TuneEval
-	// Trace lists every distinct evaluation in search order.
+	// Trace lists every evaluation in search order.
 	Trace []TuneEval
-	// Cycles is the number of full coordinate cycles run; Converged is
-	// true when the last cycle improved nothing (as opposed to running
-	// out of budget).
-	Cycles    int
-	Converged bool
 }
 
 func (c TuneConfig) withDefaults() TuneConfig {
-	if c.Budget <= 0 {
-		c.Budget = 24
-	}
 	if c.LevelsMax <= 0 {
 		c.LevelsMax = c.Scale.Levels + 2
 	}
@@ -120,180 +66,86 @@ func (c TuneConfig) withDefaults() TuneConfig {
 	if c.LevelsMax < c.LevelsMin {
 		c.LevelsMax = c.LevelsMin
 	}
-	if len(c.WorkersAxis) == 0 {
-		c.WorkersAxis = []int{1, 2, 4, 8}
-	}
-	if c.MaxCycles <= 0 {
-		c.MaxCycles = 4
-	}
 	if c.App == "" {
 		c.App = "nr"
 	}
 	return c
 }
 
-// tuner carries the search state: the graph is generated once, partitioning
-// (the expensive step) is cached per level, and evaluations are cached per
-// point so re-visited configurations are free.
-type tuner struct {
-	cfg   TuneConfig
-	topo  *cluster.Topology
-	pgs   map[int]*storage.PartitionedGraph
-	pls   map[int]*partition.Placement
-	evals map[TunePoint]TuneEval
-	trace []TuneEval
-	spent int
-}
-
-// Tune runs the coordinate-descent search.
+// Tune runs the two sweeps. Every level's deployment comes from
+// NewDeploymentFor and runs on its random placement (O1/O3's), so the
+// partition count is judged without the sketch layout's help.
 func Tune(cfg TuneConfig) (*TuneResult, error) {
 	cfg = cfg.withDefaults()
-	g := cfg.Scale.MakeGraph()
-	tn := &tuner{
-		cfg:   cfg,
-		topo:  cluster.NewT1(cfg.Scale.Machines),
-		pgs:   make(map[int]*storage.PartitionedGraph),
-		pls:   make(map[int]*partition.Placement),
-		evals: make(map[TunePoint]TuneEval),
-	}
-	deploy := func(levels int) (*storage.PartitionedGraph, *partition.Placement, error) {
-		if pg, ok := tn.pgs[levels]; ok {
-			return pg, tn.pls[levels], nil
-		}
-		pt, _ := partition.RecursiveBisect(g, levels, partition.Options{Seed: cfg.Scale.Seed})
-		pg, err := storage.Build(g, pt)
-		if err != nil {
-			return nil, nil, err
-		}
-		tn.pgs[levels] = pg
-		tn.pls[levels] = partition.RandomPlacement(pt.P, tn.topo, cfg.Scale.Seed)
-		return pg, tn.pls[levels], nil
-	}
 	if _, err := apps.ByName(cfg.App, tuneIterations); err != nil {
 		return nil, err
 	}
-
-	eval := func(p TunePoint) (TuneEval, error) {
-		if e, ok := tn.evals[p]; ok {
-			return e, nil
-		}
-		if tn.spent >= cfg.Budget {
-			return TuneEval{}, errBudget
-		}
-		tn.spent++
-		pg, pl, err := deploy(p.Levels)
-		if err != nil {
-			return TuneEval{}, err
-		}
-		opt := propagation.Options{LocalPropagation: p.LocalProp, LocalCombination: p.LocalComb}
-		var m engine.Metrics
-		runOnce := func() error {
-			app, err := apps.ByName(cfg.App, tuneIterations)
-			if err != nil {
-				return err
-			}
-			r := engine.New(engine.Config{Topo: tn.topo, Workers: p.Workers})
-			_, rm, err := app.RunPropagation(r, pg, pl, opt)
-			m = rm
-			return err
-		}
-		e := TuneEval{Point: p}
-		if cfg.Objective == ObjWall {
-			wall, err := MeasureWall(cfg.Adaptive, runOnce)
-			if err != nil {
-				return TuneEval{}, err
-			}
-			e.Wall = wall
-			e.Objective = wall.Mean
-		} else {
-			if err := runOnce(); err != nil {
-				return TuneEval{}, err
-			}
-			e.Objective = m.ResponseSeconds
-		}
-		e.VirtualSeconds = m.ResponseSeconds
-		tn.evals[p] = e
-		tn.trace = append(tn.trace, e)
-		return e, nil
+	topo, err := cluster.ByName("t1", cfg.Scale.Machines, 0, 0, cfg.Scale.Seed)
+	if err != nil {
+		return nil, err
 	}
-
-	// Starting point: the scale's own configuration at O4.
-	start := TunePoint{Workers: cfg.Scale.Workers, Levels: cfg.Scale.Levels, LocalProp: true, LocalComb: true}
-	if start.Levels < cfg.LevelsMin {
-		start.Levels = cfg.LevelsMin
+	g := cfg.Scale.MakeGraph()
+	deploy := func(levels int) (*Deployment, error) {
+		s := cfg.Scale
+		s.Levels = levels
+		return NewDeploymentFor(s, topo, g)
 	}
-	if start.Levels > cfg.LevelsMax {
-		start.Levels = cfg.LevelsMax
-	}
-	best, err := eval(start)
+	// The largest partition count is the one a bad bound makes impossible:
+	// deploy it first, so core.Build's range error comes before any run.
+	top, err := deploy(cfg.LevelsMax)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &TuneResult{}
-	// Coordinate axes, each generating candidates around the incumbent.
-	levelsAxis := func(p TunePoint) []TunePoint {
-		var out []TunePoint
-		for l := cfg.LevelsMin; l <= cfg.LevelsMax; l++ {
-			q := p
-			q.Levels = l
-			out = append(out, q)
+	var won *Deployment // the winner's, which the second sweep reuses
+	eval := func(d *Deployment, p TunePoint) error {
+		app, _ := apps.ByName(cfg.App, tuneIterations)
+		opt := propagation.Options{LocalPropagation: p.LocalProp, LocalCombination: p.LocalComb}
+		_, m, err := app.RunPropagation(d.Runner(), d.PG, d.PlacePM, opt)
+		if err != nil {
+			return err
 		}
-		return out
-	}
-	combAxis := func(p TunePoint) []TunePoint {
-		var out []TunePoint
-		for _, lp := range []bool{false, true} {
-			for _, lc := range []bool{false, true} {
-				q := p
-				q.LocalProp, q.LocalComb = lp, lc
-				out = append(out, q)
-			}
+		e := TuneEval{Point: p, Objective: m.ResponseSeconds}
+		if len(res.Trace) == 0 || e.Objective < res.Best.Objective {
+			res.Best, won = e, d
 		}
-		return out
-	}
-	workersAxis := func(p TunePoint) []TunePoint {
-		var out []TunePoint
-		for _, w := range cfg.WorkersAxis {
-			q := p
-			q.Workers = w
-			out = append(out, q)
-		}
-		return out
-	}
-	axes := []func(TunePoint) []TunePoint{levelsAxis, combAxis}
-	if cfg.Objective == ObjWall {
-		axes = append(axes, workersAxis)
+		res.Trace = append(res.Trace, e)
+		return nil
 	}
 
-	for cycle := 0; cycle < cfg.MaxCycles; cycle++ {
-		improved := false
-		for _, axis := range axes {
-			for _, cand := range axis(best.Point) {
-				e, err := eval(cand)
-				if err == errBudget {
-					res.Cycles = cycle + 1
-					res.Best = best
-					res.Trace = tn.trace
-					return res, nil
-				}
-				if err != nil {
-					return nil, err
-				}
-				if e.Objective < best.Objective {
-					best = e
-					improved = true
-				}
-			}
-		}
-		res.Cycles = cycle + 1
-		if !improved {
-			res.Converged = true
-			break
+	// Sweep 1: the partition counts, both local optimisations on, starting
+	// from the scale's own.
+	start := min(max(cfg.Scale.Levels, cfg.LevelsMin), cfg.LevelsMax)
+	levels := []int{start}
+	for l := cfg.LevelsMin; l <= cfg.LevelsMax; l++ {
+		if l != start {
+			levels = append(levels, l)
 		}
 	}
-	res.Best = best
-	res.Trace = tn.trace
+	for _, l := range levels {
+		d := top
+		if l != cfg.LevelsMax {
+			if d, err = deploy(l); err != nil {
+				return nil, err
+			}
+		}
+		if err := eval(d, TunePoint{Levels: l, LocalProp: true, LocalComb: true}); err != nil {
+			return nil, err
+		}
+	}
+	// Sweep 2: the other three flag combinations at the winning count.
+	for _, lp := range []bool{false, true} {
+		for _, lc := range []bool{false, true} {
+			if lp && lc {
+				continue
+			}
+			p := TunePoint{Levels: res.Best.Point.Levels, LocalProp: lp, LocalComb: lc}
+			if err := eval(won, p); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return res, nil
 }
 
@@ -301,51 +153,35 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 // enough that per-iteration cost, not set-up, is what the search compares.
 const tuneIterations = 10
 
-// errBudget is the internal out-of-budget sentinel.
-var errBudget = fmt.Errorf("bench: tune evaluation budget exhausted")
-
 // WriteTune prints the search trace and winner.
 func WriteTune(w io.Writer, cfg TuneConfig, res *TuneResult) {
 	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "surfer-tune: app=%s objective=%s budget=%d evals=%d cycles=%d converged=%v\n",
-		cfg.App, cfg.Objective, cfg.Budget, len(res.Trace), res.Cycles, res.Converged)
+	fmt.Fprintf(w, "surfer-tune: app=%s evals=%d\n", cfg.App, len(res.Trace))
 	for i, e := range res.Trace {
 		marker := " "
 		if e.Point == res.Best.Point {
 			marker = "*"
 		}
-		if cfg.Objective == ObjWall {
-			fmt.Fprintf(w, "%s %2d  %-44s %s  (virtual %.2fs)\n", marker, i, e.Point, e.Wall, e.VirtualSeconds)
-		} else {
-			fmt.Fprintf(w, "%s %2d  %-44s %.3fs\n", marker, i, e.Point, e.Objective)
-		}
+		fmt.Fprintf(w, "%s %2d  %-38s %.3fs\n", marker, i, e.Point, e.Objective)
 	}
 	fmt.Fprintf(w, "best: %s  objective=%.3fs\n", res.Best.Point, res.Best.Objective)
 }
 
-// FromTune converts a (deterministic-objective) tune result into the report
-// schema: the winner's virtual seconds gate; the search shape goes to Info.
+// FromTune converts a tune result into the report schema: the winner's
+// virtual seconds gate; the search shape goes to Info.
 func FromTune(cfg TuneConfig, res *TuneResult) *Report {
 	cfg = cfg.withDefaults()
 	r := NewReport()
-	info := map[string]float64{
-		"evals":           float64(len(res.Trace)),
-		"cycles":          float64(res.Cycles),
-		"best_workers":    float64(res.Best.Point.Workers),
-		"best_levels":     float64(res.Best.Point.Levels),
-		"best_local_prop": b2f(res.Best.Point.LocalProp),
-		"best_local_comb": b2f(res.Best.Point.LocalComb),
-	}
-	if res.Converged {
-		info["converged"] = 1
-	} else {
-		info["converged"] = 0
-	}
 	r.Entries = append(r.Entries, Entry{
 		Experiment: "tune",
 		Case:       fmt.Sprintf("%s/%d", cfg.App, cfg.Scale.Vertices),
-		Metrics:    map[string]float64{"best_virtual_seconds": res.Best.VirtualSeconds},
-		Info:       info,
+		Metrics:    map[string]float64{"best_virtual_seconds": res.Best.Objective},
+		Info: map[string]float64{
+			"evals":           float64(len(res.Trace)),
+			"best_levels":     float64(res.Best.Point.Levels),
+			"best_local_prop": b2f(res.Best.Point.LocalProp),
+			"best_local_comb": b2f(res.Best.Point.LocalComb),
+		},
 	})
 	return r
 }

@@ -1,65 +1,20 @@
 package bench
 
 import (
-	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-func TestRelStdErr(t *testing.T) {
-	if got := relStdErr(nil); got != 0 {
-		t.Fatalf("relStdErr(nil) = %g, want 0", got)
-	}
-	if got := relStdErr([]float64{3.5}); got != 0 {
-		t.Fatalf("relStdErr(single) = %g, want 0", got)
-	}
-	if got := relStdErr([]float64{2, 2, 2, 2}); got != 0 {
-		t.Fatalf("relStdErr(constant) = %g, want 0", got)
-	}
-	// {1,3}: mean 2, sd sqrt(2), stderr sqrt(2)/sqrt(2)=1, relative 0.5.
-	if got := relStdErr([]float64{1, 3}); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("relStdErr({1,3}) = %g, want 0.5", got)
-	}
-}
-
-func TestAdaptiveDefaults(t *testing.T) {
-	c := AdaptiveConfig{}.WithDefaults()
-	if c.MinRuns != 2 || c.MaxRuns != 6 || c.MaxRelErr != 0.10 {
-		t.Fatalf("defaults = %+v, want {2 6 0.1}", c)
-	}
-	// MaxRuns never drops below MinRuns.
-	c = AdaptiveConfig{MinRuns: 5, MaxRuns: 3}.WithDefaults()
-	if c.MaxRuns != 5 {
-		t.Fatalf("MaxRuns = %d, want clamped to MinRuns 5", c.MaxRuns)
-	}
-}
-
-func TestMeasureWallStopsAtMinRunsWhenStable(t *testing.T) {
-	runs := 0
-	res, err := MeasureWall(AdaptiveConfig{MinRuns: 2, MaxRuns: 6, MaxRelErr: 0.5}, func() error {
-		runs++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runs != runs {
-		t.Fatalf("Runs = %d but fn ran %d times", res.Runs, runs)
-	}
-	if res.Runs < 2 || res.Runs > 6 {
-		t.Fatalf("Runs = %d, want within [2, 6]", res.Runs)
-	}
-}
-
 // TestTuneDeterministic pins the determinism contract on the tuner itself:
-// under the virtual objective, two searches from the same seed must produce
-// identical traces and the same winner.
+// two searches from the same seed produce identical traces and the same
+// winner, and the trace is the two sweeps — the levels with both local
+// optimisations on, starting from the scale's own, then the other three
+// flag combinations at the level that won the first.
 func TestTuneDeterministic(t *testing.T) {
 	cfg := TuneConfig{
-		Scale:     Scale{Vertices: 2048, Levels: 3, Machines: 8, Seed: 42, Workers: 1},
-		App:       "nr",
-		Objective: ObjVirtual,
-		Budget:    12,
+		Scale: Scale{Vertices: 2048, Levels: 3, Machines: 8, Seed: 42, Workers: 1},
+		App:   "nr",
 	}
 	a, err := Tune(cfg)
 	if err != nil {
@@ -69,18 +24,30 @@ func TestTuneDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Best, b.Best) {
-		t.Fatalf("best diverged across identical searches:\n%+v\n%+v", a.Best, b.Best)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("identical searches diverged:\n%+v\n%+v", a, b)
 	}
-	if !reflect.DeepEqual(a.Trace, b.Trace) {
-		t.Fatalf("trace diverged across identical searches (%d vs %d evals)", len(a.Trace), len(b.Trace))
+	if len(a.Trace) != 8 {
+		t.Fatalf("%d evals, want 5 levels then 3 flag combinations: %v", len(a.Trace), a.Trace)
 	}
-	if len(a.Trace) == 0 || len(a.Trace) > cfg.Budget {
-		t.Fatalf("trace has %d evals, want within (0, %d]", len(a.Trace), cfg.Budget)
+	won := a.Trace[0]
+	for i, e := range a.Trace[:5] {
+		if want := []int{3, 1, 2, 4, 5}[i]; e.Point != (TunePoint{Levels: want, LocalProp: true, LocalComb: true}) {
+			t.Errorf("eval %d: %v, want P=%d with both local optimisations", i, e.Point, 1<<want)
+		}
+		if e.Objective < won.Objective {
+			won = e
+		}
 	}
-	// The winner can only improve on (or match) the starting point.
-	if a.Best.Objective > a.Trace[0].Objective {
-		t.Fatalf("best objective %.3f worse than start %.3f", a.Best.Objective, a.Trace[0].Objective)
+	for i, e := range a.Trace[5:] {
+		if e.Point.Levels != won.Point.Levels || e.Point.LocalProp && e.Point.LocalComb {
+			t.Errorf("eval %d: %v, want another flag combination at P=%d", 5+i, e.Point, 1<<won.Point.Levels)
+		}
+	}
+	for _, e := range a.Trace {
+		if e.Objective < a.Best.Objective {
+			t.Errorf("%v beats the winner %v", e, a.Best)
+		}
 	}
 }
 
@@ -88,5 +55,24 @@ func TestTuneRejectsUnknownApp(t *testing.T) {
 	_, err := Tune(TuneConfig{Scale: Scale{Vertices: 256, Levels: 2, Machines: 4, Seed: 1}, App: "nope"})
 	if err == nil {
 		t.Fatal("Tune accepted an unknown app")
+	}
+}
+
+// TestTuneRejectsBadBounds: every deployment comes from core.Build and the
+// cluster from cluster.ByName, so a partition count the graph cannot hold
+// or a cluster of no machines is an error before any evaluation runs, not a
+// panic or an out-of-memory death.
+func TestTuneRejectsBadBounds(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  TuneConfig
+		want string
+	}{
+		{TuneConfig{Scale: Scale{Vertices: 256, Levels: 2, Seed: 1}}, "at least one machine"},
+		{TuneConfig{Scale: Scale{Vertices: 256, Levels: 2, Machines: 4, Seed: 1}, LevelsMax: 40}, "Levels = 40 out of range"},
+		{TuneConfig{Scale: Scale{Vertices: 256, Levels: 20, Machines: 4, Seed: 1}}, "Levels = 22 out of range"},
+	} {
+		if _, err := Tune(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want one naming %q", tc.cfg, err, tc.want)
+		}
 	}
 }

@@ -353,22 +353,12 @@ func TestDirPattern(t *testing.T) {
 
 // TestRepoIsClean runs the real configuration over the real tree: the
 // determinism contract holds on every commit, and the suppression inventory
-// is exactly the two reasoned wall-clock reads of the adaptive benchmark
-// helper — a new //lint:allow anywhere has to be added here, in review.
+// is empty — host wall-clock is measured in benchmark/, outside the linted
+// module, so a new //lint:allow anywhere has to be added here, in review.
 // This is the same gate ci.sh runs via the CLI.
 func TestRepoIsClean(t *testing.T) {
-	findings := repoFindings(t)
-	if failing := lint.Unsuppressed(findings); len(failing) > 0 {
-		t.Errorf("determinism contract violated on the current tree:\n%s", formatFindings(failing))
-	}
-	for _, f := range findings {
-		if f.ID != lint.IDEntropy || f.File != "internal/bench/adaptive.go" || f.Reason == "" {
-			t.Errorf("suppression outside the reviewed inventory: %v [%s]", f, f.Reason)
-		}
-	}
-	if len(findings) != 2 {
-		t.Errorf("want the 2 suppressed SL001 findings of internal/bench/adaptive.go, got %d:\n%s",
-			len(findings), formatFindings(findings))
+	if findings := repoFindings(t); len(findings) > 0 {
+		t.Errorf("want no findings, suppressed or not, on the current tree; got:\n%s", formatFindings(findings))
 	}
 }
 
@@ -417,7 +407,8 @@ func TestCatalogueInSync(t *testing.T) {
 // with SL005"): every entropy sink is an SL001 finding where it stands, so
 // the only ones deterministic code could reach unreported are the
 // suppressed ones — and no deterministic package imports, through any
-// chain, a package that holds one.
+// chain, a package that holds one. The tree holds none today; the test
+// guards the next pragma TestRepoIsClean is changed to admit.
 func TestSuppressedSinksUnreachable(t *testing.T) {
 	root := repoRoot(t)
 	cfg := lint.DefaultConfig(root)
@@ -481,9 +472,6 @@ func TestSuppressedSinksUnreachable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(sinks) == 0 {
-		t.Error("no suppressed SL001 on the real tree; this test is guarding nothing")
 	}
 }
 
