@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: format, vet, lint, build, the whole suite once under the race
-# detector, ten seconds of fuzzing, every layer benchmark once, then the
-# tools end to end (traced run -> both exports -> analyzer -> bench report
-# -> regression gates against the committed BENCH_*.json baselines).
+# detector, ten seconds of fuzzing, every layer benchmark once, each example
+# once, then the tools end to end (traced run -> both exports -> analyzer ->
+# bench report -> regression gates against the committed BENCH_*.json
+# baselines).
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -47,6 +48,12 @@ go test -run '^$' -fuzz FuzzShuffle -fuzztime 10s ./internal/mapreduce
 go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph \
     ./internal/propagation ./internal/mapreduce ./internal/apps ./internal/jobsvc \
     ./internal/trace ./internal/metrics
+# The examples, run once each so they cannot rot; the fault-tolerance demo
+# must end with ranks bit-identical to its failure-free run.
+for ex in examples/*/; do
+    go run "./$ex" > "$smoke/$(basename "$ex").txt"
+done
+grep -q "^max rank difference vs baseline: 0.00e+00 " "$smoke/faulttolerance.txt"
 go run ./cmd/surfer-gen -kind social -vertices 4096 -seed 42 -out "$smoke/g.srfg"
 go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t3 \
     -machines 8 -levels 2 -trace "$smoke/trace.json" -events "$smoke/run.events"

@@ -104,7 +104,7 @@ func derive(path string, window float64, rulesPath string) (*metrics.Set, []metr
 			col, err = metrics.NewCollector(metrics.Config{Window: window, Topo: s.Topo.Topology(), Rules: rules})
 			return err
 		}, func(ev *trace.Event) error {
-			col.Observe(*ev)
+			col.Observe(ev)
 			return nil
 		})
 		if err != nil {

@@ -1,9 +1,8 @@
-// Fault tolerance and multi-job scheduling: run PageRank jobs through the
-// job scheduler while a slave machine dies mid-run. The engine detects the
-// failure via heartbeat, re-executes the lost tasks on replica machines
-// (re-transferring Combine inputs), and the results stay bit-identical to a
-// failure-free run — the Figure 10 experiment, driven through the public
-// API.
+// Fault tolerance: run PageRank while a slave machine dies mid-run. The
+// engine detects the failure via heartbeat, re-executes the lost tasks on
+// replica machines (re-transferring Combine inputs), and the results stay
+// bit-identical to a failure-free run — the Figure 10 experiment, driven
+// through the public API.
 package main
 
 import (
@@ -96,27 +95,5 @@ func main() {
 			marker = "   <- killed"
 		}
 		fmt.Printf("  machine %d: %5.1f%%%s\n", machine, 100*u, marker)
-	}
-
-	// Multi-job view: the job scheduler runs competing users' jobs with
-	// fair sharing and rotates the job manager.
-	sched := surfer.NewScheduler(clean, surfer.ScheduleFair)
-	for i := 0; i < 2; i++ {
-		sched.Submit(surfer.JobRequest{Name: fmt.Sprintf("alice-%d", i), User: "alice",
-			Run: func(r *surfer.Runner) (surfer.Metrics, error) {
-				_, m, err := surfer.RunPropagation(clean, r, prog, 1, opt)
-				return m, err
-			}})
-	}
-	sched.Submit(surfer.JobRequest{Name: "bob-0", User: "bob",
-		Run: func(r *surfer.Runner) (surfer.Metrics, error) {
-			_, m, err := surfer.RunPropagation(clean, r, prog, 1, opt)
-			return m, err
-		}})
-	sched.RunAll()
-	fmt.Println("\nscheduler records (fair policy):")
-	for _, rec := range sched.Records() {
-		fmt.Printf("  %-8s user=%-6s manager=m%d wait=%.4fs run=%.4fs\n",
-			rec.Name, rec.User, rec.Manager, rec.WaitSeconds(), rec.FinishedAt-rec.StartedAt)
 	}
 }

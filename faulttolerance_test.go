@@ -77,12 +77,10 @@ func TestFaultToleranceParallel(t *testing.T) {
 	}
 }
 
-// TestSchedulerInheritsHeartbeat: a job run through the public scheduler
-// sees the deployment as configured. The scheduler used to rebuild its
-// runner from a hand copy of the engine's fields that had no
-// HeartbeatInterval, so a kill on a system built with a 5 s heartbeat was
-// detected after the engine's 1 s default.
-func TestSchedulerInheritsHeartbeat(t *testing.T) {
+// TestRunnerInheritsHeartbeat: a system's runner sees the deployment as
+// configured, so a kill on a system built with a 5 s heartbeat is detected
+// 5 s later, not after the engine's 1 s default.
+func TestRunnerInheritsHeartbeat(t *testing.T) {
 	g := Social(DefaultSocial(8192, 3))
 	prog := &pagerank{g: g, n: float64(g.NumVertices())}
 	rec := NewTraceRecorder()
@@ -94,17 +92,11 @@ func TestSchedulerInheritsHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := NewScheduler(sys, ScheduleFIFO)
-	sched.Submit(JobRequest{Name: "pr", User: "u", Run: func(r *Runner) (Metrics, error) {
-		_, m, err := RunPropagation(sys, r, prog, 1, PropagationOptions{})
-		return m, err
-	}})
-	sched.RunAll()
-	recs := sched.Records()
-	if len(recs) != 1 || recs[0].Err != nil {
-		t.Fatalf("scheduled job: %+v", recs)
+	_, m, err := RunPropagation(sys, sys.NewRunner(), prog, 1, PropagationOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if recs[0].Metrics.Recoveries == 0 {
+	if m.Recoveries == 0 {
 		t.Fatalf("kill at %gs lost no task; the test needs one to recover", killAt)
 	}
 	for _, ev := range rec.Events() {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/propagation"
+	"repro/internal/trace"
 )
 
 // ---------------------------------------------------------------- Table 1
@@ -372,7 +373,15 @@ type Fig10Result struct {
 	KilledMachine cluster.MachineID
 	KillAtSec     float64
 	// Timeline is the disk-I/O rate series of the recovered run.
-	Timeline []engine.IOSample
+	Timeline []IOSample
+}
+
+// IOSample is a point on Figure 10's disk-I/O-rate timeline.
+type IOSample struct {
+	// Time is the bucket start in virtual seconds.
+	Time float64
+	// DiskBytes is the disk traffic attributed to the bucket.
+	DiskBytes int64
 }
 
 // Fig10 runs NR, kills one slave mid-run and reports the recovery overhead
@@ -385,9 +394,27 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	app := apps.NewNR(3)
-	// Baseline.
-	base, err := d.RunApp(app, O4)
+	// NR is planned once: planning is a pure function of the deployment, so
+	// the baseline and every probe replay the jobs NR.RunPropagation would
+	// plan on each of them.
+	prog := apps.NRProgram(d.PG.G)
+	plan, _, err := propagation.PlanIterations(engine.NewPool(s.Workers), d.PG, d.PlaceBA, prog,
+		propagation.NewState(d.PG, prog), d.Options(O4), 3, "propagation")
+	if err != nil {
+		return nil, err
+	}
+	run := func(r *engine.Runner) (engine.Metrics, error) {
+		var total engine.Metrics
+		for _, job := range plan {
+			m, err := r.Run(job)
+			if err != nil {
+				return total, err
+			}
+			total.Add(m)
+		}
+		return total, nil
+	}
+	base, err := run(d.Runner())
 	if err != nil {
 		return nil, err
 	}
@@ -412,27 +439,26 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	// while no task runs), so probe against a fault-free reference instead.
 	probeResp := base.ResponseSeconds
 	if !s.Faults.Empty() {
-		clean := engine.New(engine.Config{Topo: d.Topo, Workers: s.Workers})
-		_, cm, err := app.RunPropagation(clean, d.PG, d.PlaceBA, d.Options(O4))
+		cm, err := run(engine.New(engine.Config{Topo: d.Topo, Workers: s.Workers}))
 		if err != nil {
 			return nil, err
 		}
 		probeResp = cm.ResponseSeconds
 	}
 	var m engine.Metrics
-	var r *engine.Runner
+	var events []trace.Event
 	killAt := probeResp / 3
 	found := false
 	for _, frac := range []float64{0.05, 0.15, 0.25, 1.0 / 3, 0.45, 0.55, 0.65, 0.75} {
-		// A probe is the deployment's own run with the kill added and the
-		// recorder off: the search for a kill time is not part of the
-		// experiment's stream.
+		// A probe is the deployment's own run with the kill added and a
+		// recorder of its own: the search for a kill time is not part of
+		// the experiment's stream, and the winner's events are its disk
+		// timeline.
 		cfg := d.sys.EngineConfig()
 		cfg.Failures = []engine.Failure{{Machine: victim, At: probeResp * frac}}
 		cfg.HeartbeatInterval = probeResp / 20
-		cfg.Trace = nil
-		cand := engine.New(cfg)
-		_, cm, err := app.RunPropagation(cand, d.PG, d.PlaceBA, d.Options(O4))
+		cfg.Trace = trace.NewRecorder()
+		cm, err := run(engine.New(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -442,14 +468,13 @@ func Fig10(s Scale) (*Fig10Result, error) {
 		// actively serving the job).
 		if cm.Recoveries > 0 && (!found || cm.ResponseSeconds > m.ResponseSeconds) {
 			found = true
-			m, r = cm, cand
+			m, events = cm, cfg.Trace.Events()
 			killAt = probeResp * frac
 		}
 	}
 	if !found {
 		return nil, fmt.Errorf("bench: failure injection produced no recoveries at any probed time")
 	}
-	width := m.ResponseSeconds / 40
 	return &Fig10Result{
 		NormalSec:     base.ResponseSeconds,
 		RecoveredSec:  m.ResponseSeconds,
@@ -457,8 +482,42 @@ func Fig10(s Scale) (*Fig10Result, error) {
 		Recoveries:    m.Recoveries,
 		KilledMachine: victim,
 		KillAtSec:     killAt,
-		Timeline:      r.Timeline().Buckets(width, m.ResponseSeconds),
+		Timeline:      diskIO(plan, events, m.ResponseSeconds/40, m.ResponseSeconds),
 	}, nil
+}
+
+// diskIO buckets a run's disk traffic over [0, end] in buckets of width,
+// read off the run's own events: a task reads its input when it starts and
+// writes its output when it ends, with the byte counts of the planned task
+// the event names (by job and task name). Events beyond end land in the
+// final bucket.
+func diskIO(plan []*engine.Job, events []trace.Event, width, end float64) []IOSample {
+	type key struct{ job, task string }
+	tasks := make(map[key]*engine.Task)
+	for _, job := range plan {
+		for _, st := range job.Stages {
+			for _, t := range st.Tasks {
+				tasks[key{job.Name, t.Name}] = t
+			}
+		}
+	}
+	out := make([]IOSample, int(end/width)+1)
+	for i := range out {
+		out[i].Time = float64(i) * width
+	}
+	for _, ev := range events {
+		var bytes int64
+		switch ev.Kind {
+		case trace.KindTaskStart:
+			bytes = tasks[key{ev.Job, ev.Name}].DiskRead
+		case trace.KindTaskEnd:
+			bytes = tasks[key{ev.Job, ev.Name}].DiskWrite
+		default:
+			continue
+		}
+		out[min(int(ev.Time/width), len(out)-1)].DiskBytes += bytes
+	}
+	return out
 }
 
 // WriteFig10 renders Figure 10.

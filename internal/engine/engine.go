@@ -68,7 +68,6 @@ type Runner struct {
 	pool     *Pool
 	clock    float64
 	metrics  Metrics
-	timeline Timeline
 	dead     map[cluster.MachineID]bool
 	failures []Failure // pending, sorted by At
 	// busySeconds is each machine's busy time (Appendix B: the job manager
@@ -179,9 +178,6 @@ func New(cfg Config) *Runner {
 // Pool returns the worker pool that executes task compute bodies.
 func (r *Runner) Pool() *Pool { return r.pool }
 
-// Trace returns the runner's trace recorder (nil when tracing is off).
-func (r *Runner) Trace() *trace.Recorder { return r.tr }
-
 // Workers reports the pool size the runner executes compute with.
 func (r *Runner) Workers() int { return r.pool.Workers() }
 
@@ -215,18 +211,11 @@ func (r *Runner) MachineUtilization() []float64 {
 	return out
 }
 
-// Timeline exposes the recorded disk-I/O timeline.
-func (r *Runner) Timeline() *Timeline { return &r.timeline }
-
 // Clock returns the current virtual time.
 func (r *Runner) Clock() float64 { return r.clock }
 
 // NumMachines reports the size of the underlying cluster.
 func (r *Runner) NumMachines() int { return r.cfg.Topo.NumMachines() }
-
-// IsDead reports whether a machine has failed so far, for membership
-// tracking by the job scheduler (§3).
-func (r *Runner) IsDead(m cluster.MachineID) bool { return r.dead[m] }
 
 // Deaths reports how many machines have died so far. Multi-iteration
 // drivers use the delta across an iteration to detect that state stored on

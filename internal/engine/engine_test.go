@@ -317,25 +317,6 @@ func TestFailureBeforeStageReassignsUpfront(t *testing.T) {
 	}
 }
 
-func TestTimelineBuckets(t *testing.T) {
-	r := simpleRunner(1)
-	bw := r.cfg.Topo.DiskBandwidth()
-	job := &Job{Stages: []*Stage{{Tasks: []*Task{
-		{Machine: 0, DiskRead: int64(bw), DiskWrite: int64(bw)},
-	}}}}
-	if _, err := r.Run(job); err != nil {
-		t.Fatal(err)
-	}
-	samples := r.Timeline().Buckets(1.0, r.Clock())
-	var total int64
-	for _, s := range samples {
-		total += s.DiskBytes
-	}
-	if total != int64(2*bw) {
-		t.Fatalf("timeline total = %d, want %d", total, int64(2*bw))
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	mk := func() (Metrics, error) {
 		topo := cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1})

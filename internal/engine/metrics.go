@@ -1,7 +1,5 @@
 package engine
 
-import "sort"
-
 // Metrics aggregates the four quantities the paper reports for every
 // experiment (§F.1): response time, total machine time, total network I/O
 // and total disk I/O.
@@ -65,51 +63,4 @@ func (m *Metrics) Add(other Metrics) {
 	m.Drains += other.Drains
 	m.Migrations += other.Migrations
 	m.MigrationBytes += other.MigrationBytes
-}
-
-// IOSample is a point on the disk-I/O-rate timeline (Figure 10).
-type IOSample struct {
-	// Time is the bucket start in virtual seconds.
-	Time float64
-	// DiskBytes is the disk traffic attributed to the bucket.
-	DiskBytes int64
-}
-
-// Timeline records bursty I/O events and renders them as a bucketed rate
-// series.
-type Timeline struct {
-	events []ioEvent
-}
-
-type ioEvent struct {
-	at    float64
-	bytes int64
-}
-
-func (tl *Timeline) record(at float64, bytes int64) {
-	if bytes != 0 {
-		tl.events = append(tl.events, ioEvent{at: at, bytes: bytes})
-	}
-}
-
-// Buckets aggregates the recorded events into fixed-width buckets covering
-// [0, end]. Events beyond end land in the final bucket.
-func (tl *Timeline) Buckets(width, end float64) []IOSample {
-	if width <= 0 || end <= 0 {
-		return nil
-	}
-	n := int(end/width) + 1
-	out := make([]IOSample, n)
-	for i := range out {
-		out[i].Time = float64(i) * width
-	}
-	sort.Slice(tl.events, func(i, j int) bool { return tl.events[i].at < tl.events[j].at })
-	for _, e := range tl.events {
-		idx := int(e.at / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		out[idx].DiskBytes += e.bytes
-	}
-	return out
 }

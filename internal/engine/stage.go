@@ -397,7 +397,6 @@ func (r *Runner) startNext(m cluster.MachineID, now float64, cause int) {
 		// Stragglers: a machine slowed by a transient fault stretches
 		// every task that starts during the slowdown window.
 		dur := (t.Compute + float64(t.DiskRead+t.DiskWrite)/r.cfg.Topo.DiskBandwidth()) * r.faults.SlowdownFactor(m, now)
-		r.timeline.record(now, t.DiskRead)
 		startSeq := sr.emitTask(trace.KindTaskStart, t, m, now, now, 0, cause)
 		r.attempts = append(r.attempts, runAttempt{taskRef: ref, machine: m, dur: dur})
 		sr.push(event{at: now + dur, kind: evTaskDone, task: t, machine: m, start: now, dur: dur, startSeq: startSeq})
@@ -433,7 +432,6 @@ func (sr *StageRun) onTaskDone(e *event) {
 	r.busySeconds[e.machine] += e.dur
 	endSeq := sr.emitTask(trace.KindTaskEnd, t, e.machine, e.at, e.start, e.at, e.startSeq)
 	sr.popSeq = endSeq
-	r.timeline.record(e.at, t.DiskWrite)
 	r.running[e.machine]--
 	sr.copies[t.idx]--
 	if sr.committed[t.idx] {

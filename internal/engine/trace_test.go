@@ -133,17 +133,17 @@ func TestTracedFailureRecovery(t *testing.T) {
 }
 
 // TestUntracedRunnerUnchanged: a runner without a recorder behaves exactly
-// as before tracing existed (and its Trace accessor reports nil).
+// as before tracing existed (and holds a disabled recorder).
 func TestUntracedRunnerUnchanged(t *testing.T) {
 	r := simpleRunner(2)
-	if r.Trace().Enabled() {
+	if r.tr.Enabled() {
 		t.Fatal("untraced runner reports an enabled recorder")
 	}
 	job := &Job{Stages: []*Stage{{Tasks: []*Task{{Machine: 0, Compute: 1}}}}}
 	if _, err := r.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	if r.Trace().Len() != 0 {
+	if r.tr.Len() != 0 {
 		t.Fatal("untraced run recorded events")
 	}
 }

@@ -35,10 +35,6 @@ func (b *Builder) AddEdge(u, v VertexID) {
 	b.dsts = append(b.dsts, v)
 }
 
-// NumPendingEdges reports how many edges have been added so far (before any
-// dedup that Build may apply).
-func (b *Builder) NumPendingEdges() int { return len(b.srcs) }
-
 // Build constructs the Graph. The builder can be reused afterwards, but the
 // accumulated edges are retained; call Reset to start fresh.
 func (b *Builder) Build() *Graph {

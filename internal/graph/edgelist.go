@@ -107,16 +107,3 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// SaveEdgeList writes the graph to a text file.
-func (g *Graph) SaveEdgeList(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := g.WriteEdgeList(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -70,7 +71,14 @@ func TestEdgeListRoundTrip(t *testing.T) {
 func TestEdgeListFileRoundTrip(t *testing.T) {
 	g := RMAT(DefaultRMAT(7, 3, 9))
 	path := filepath.Join(t.TempDir(), "g.txt")
-	if err := g.SaveEdgeList(path); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WriteEdgeList(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	h, err := LoadEdgeList(path)

@@ -131,47 +131,3 @@ func TestBFSUnreachable(t *testing.T) {
 		t.Fatalf("unreachable vertex has dist %d", d[2])
 	}
 }
-
-func TestEstimateDiameterRing(t *testing.T) {
-	g := Ring(10)
-	if d := g.EstimateDiameter(10); d != 9 {
-		t.Fatalf("ring diameter estimate = %d, want 9", d)
-	}
-}
-
-func TestCountTriangles(t *testing.T) {
-	// Triangle 0-1-2 plus a dangling edge.
-	g := FromEdges(4, [][2]VertexID{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
-	all := []bool{true, true, true, true}
-	if n := g.CountTrianglesAmong(all); n != 1 {
-		t.Fatalf("triangles = %d, want 1", n)
-	}
-	// Deselect one corner: no triangle.
-	some := []bool{true, true, false, true}
-	if n := g.CountTrianglesAmong(some); n != 0 {
-		t.Fatalf("triangles = %d, want 0", n)
-	}
-}
-
-func TestCountTrianglesK4(t *testing.T) {
-	var edges [][2]VertexID
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			edges = append(edges, [2]VertexID{VertexID(i), VertexID(j)})
-		}
-	}
-	g := FromEdges(4, edges)
-	all := []bool{true, true, true, true}
-	if n := g.CountTrianglesAmong(all); n != 4 {
-		t.Fatalf("K4 triangles = %d, want 4", n)
-	}
-}
-
-func TestTwoHopNeighbors(t *testing.T) {
-	g := FromEdges(5, [][2]VertexID{{0, 1}, {1, 2}, {1, 3}, {3, 4}, {2, 0}})
-	got := g.TwoHopNeighbors(0)
-	// 0 -> 1 -> {2,3}; excludes 0 itself even if reachable.
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("TwoHopNeighbors(0) = %v, want [2 3]", got)
-	}
-}

@@ -80,12 +80,6 @@ func (g *Graph) HasEdge(u, v VertexID) bool {
 	return i < len(ns) && ns[i] == v
 }
 
-// EdgeOffset returns the index into the flat edge array of the first edge
-// leaving v. Together with OutDegree it lets callers address per-edge state.
-func (g *Graph) EdgeOffset(v VertexID) int64 {
-	return g.offsets[v]
-}
-
 // Offsets exposes the CSR offset array (NumVertices+1 entries) as a shared,
 // read-only slice: the out-neighbors of v are Targets()[Offsets()[v]:
 // Offsets()[v+1]]. Hot loops that walk the whole edge array use the flat

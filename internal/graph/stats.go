@@ -1,7 +1,5 @@
 package graph
 
-import "slices"
-
 // DegreeHistogram returns a map from out-degree to the number of vertices
 // with that out-degree. This is the reference computation for the Vertex
 // Degree Distribution (VDD) application.
@@ -33,110 +31,4 @@ func (g *Graph) BFSDistances(src VertexID) []int {
 		}
 	}
 	return dist
-}
-
-// Eccentricity returns the largest finite BFS distance from src, i.e. the
-// hop count to the farthest reachable vertex.
-func (g *Graph) Eccentricity(src VertexID) int {
-	ecc := 0
-	for _, d := range g.BFSDistances(src) {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
-// EstimateDiameter estimates the graph diameter by taking the maximum
-// eccentricity over `samples` evenly spaced source vertices. Exact diameter
-// computation is quadratic; the estimate is what cascaded propagation needs
-// (it only uses the minimum partition diameter as a batching depth, §5.2).
-func (g *Graph) EstimateDiameter(samples int) int {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	if samples < 1 {
-		samples = 1
-	}
-	if samples > n {
-		samples = n
-	}
-	step := n / samples
-	if step == 0 {
-		step = 1
-	}
-	best := 0
-	for s := 0; s < n; s += step {
-		if e := g.Eccentricity(VertexID(s)); e > best {
-			best = e
-		}
-	}
-	return best
-}
-
-// CountTrianglesAmong counts the number of triangles in the subgraph induced
-// by the selected vertices, treating edges as undirected. selected[v] marks
-// membership. This is the reference computation for the Triangle Counting
-// (TC) application, which in the paper runs on a sampled vertex subset.
-func (g *Graph) CountTrianglesAmong(selected []bool) int64 {
-	und := g.Undirected()
-	var count int64
-	for u := 0; u < und.NumVertices(); u++ {
-		if !selected[u] {
-			continue
-		}
-		nu := und.Neighbors(VertexID(u))
-		for _, v := range nu {
-			if v <= VertexID(u) || !selected[v] {
-				continue
-			}
-			// Count common neighbors w > v to count each triangle once.
-			nv := und.Neighbors(v)
-			count += countCommonGreater(nu, nv, v, selected)
-		}
-	}
-	return count
-}
-
-// countCommonGreater counts elements present in both sorted lists that are
-// greater than floor and selected.
-func countCommonGreater(a, b []VertexID, floor VertexID, selected []bool) int64 {
-	var c int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			if a[i] > floor && selected[a[i]] {
-				c++
-			}
-			i++
-			j++
-		}
-	}
-	return c
-}
-
-// TwoHopNeighbors returns the distinct set of two-hop out-neighbors of v,
-// excluding v itself. Reference computation for the Two-hop Friends List
-// (TFL) application.
-func (g *Graph) TwoHopNeighbors(v VertexID) []VertexID {
-	seen := make(map[VertexID]struct{})
-	for _, u := range g.Neighbors(v) {
-		for _, w := range g.Neighbors(u) {
-			if w != v {
-				seen[w] = struct{}{}
-			}
-		}
-	}
-	out := make([]VertexID, 0, len(seen))
-	for w := range seen {
-		out = append(out, w)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -1,9 +1,8 @@
-// Package jobsvc is Surfer's multi-tenant job service: a submission queue
-// over the simulated cluster that runs many jobs *concurrently* in one
-// virtual clock, so their transfers contend on the same per-machine NICs
-// and links — the cloud regime of §1–2 where network bandwidth is the
-// shared, fought-over resource, generalizing the one-job-at-a-time
-// scheduler package.
+// Package jobsvc is Surfer's job scheduler (Figure 1) as a multi-tenant
+// service: a submission queue over the simulated cluster that runs many jobs
+// *concurrently* in one virtual clock, so their transfers contend on the
+// same per-machine NICs and links — the cloud regime of §1–2 where network
+// bandwidth is the shared, fought-over resource.
 //
 // A job arrives at its spec's submit time, waits in the queue for a run
 // slot (Config.Concurrency bounds how many jobs hold the cluster at once),

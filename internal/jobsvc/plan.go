@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -72,7 +73,7 @@ func (p *Planner) Plan(spec JobSpec) ([]*engine.Job, error) {
 	)
 	switch spec.App {
 	case "rank":
-		prog := &rankProg{g: p.pg.G, n: float64(p.pg.G.NumVertices())}
+		prog := apps.NRProgram(p.pg.G)
 		st := propagation.NewState(p.pg, prog)
 		jobs, _, err = propagation.PlanIterations(p.pool, p.pg, p.pl, prog, st, p.opt, spec.Iterations, "rank")
 	case "reach":
@@ -100,38 +101,6 @@ func (p *Planner) Jobs(wl *Workload) ([]Job, error) {
 		jobs = append(jobs, Job{Spec: spec, Plan: plan})
 	}
 	return jobs, nil
-}
-
-// rankProg is PageRank-shaped network ranking: transfer sends
-// rank·d/outdegree along each edge, combine sums and adds the random-jump
-// term — the canonical propagation workload.
-type rankProg struct {
-	g *graph.Graph
-	n float64
-}
-
-func (p *rankProg) Init(graph.VertexID) float64 { return 1 / p.n }
-
-func (p *rankProg) Transfer(src graph.VertexID, rank float64, dst graph.VertexID, emit propagation.Emit[float64]) {
-	emit(dst, rank*0.85/float64(p.g.OutDegree(src)))
-}
-
-func (p *rankProg) Combine(_ graph.VertexID, _ float64, values []float64) float64 {
-	sum := 0.0
-	for _, r := range values {
-		sum += r
-	}
-	return sum + 0.15/p.n
-}
-
-func (p *rankProg) Bytes(float64) int64 { return 8 }
-func (p *rankProg) Associative() bool   { return true }
-func (p *rankProg) Merge(_ graph.VertexID, values []float64) float64 {
-	sum := 0.0
-	for _, r := range values {
-		sum += r
-	}
-	return sum
 }
 
 // reachProg is min-label propagation (connected-component style

@@ -135,7 +135,6 @@ func DefaultConfig(root string) Config {
 			"internal/engine",
 			"internal/propagation",
 			"internal/mapreduce",
-			"internal/scheduler",
 			"internal/jobsvc",
 			"internal/cluster",
 			"internal/apps",

@@ -125,13 +125,13 @@ func TestNRMapRegression(t *testing.T) {
 // reason suppresses nothing and is itself an SL000 finding, as are the
 // unknown-ID and malformed-ID pragmas at the bottom of the fixture.
 func TestPragmaSuppression(t *testing.T) {
-	sched := fileFindings(t, "internal/scheduler/suppressed.go")
-	if len(sched) != 6 {
+	fixture := fileFindings(t, "internal/metrics/suppressed.go")
+	if len(fixture) != 6 {
 		t.Fatalf("suppressed.go: want 6 findings (2 suppressed SL001 + 1 live SL001 + 3 SL000), got %d:\n%s",
-			len(sched), formatFindings(sched))
+			len(fixture), formatFindings(fixture))
 	}
 	var suppressed, live, audit int
-	for _, f := range sched {
+	for _, f := range fixture {
 		switch {
 		case f.ID == lint.IDPragma:
 			audit++
@@ -150,7 +150,7 @@ func TestPragmaSuppression(t *testing.T) {
 	if suppressed != 2 || live != 1 || audit != 3 {
 		t.Fatalf("want 2 suppressed + 1 live + 3 audit, got %d + %d + %d", suppressed, live, audit)
 	}
-	for _, f := range lint.Unsuppressed(sched) {
+	for _, f := range lint.Unsuppressed(fixture) {
 		if f.Suppressed {
 			t.Fatal("Unsuppressed returned a suppressed finding")
 		}
@@ -158,7 +158,7 @@ func TestPragmaSuppression(t *testing.T) {
 
 	// The -json contract: suppressed findings serialize with
 	// "suppressed": true and their pragma reason.
-	raw, err := json.Marshal(sched)
+	raw, err := json.Marshal(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,22 +332,22 @@ func TestEmptyPattern(t *testing.T) {
 }
 
 // TestDirPattern checks non-recursive package patterns: analyzing only
-// internal/scheduler must not surface engine findings. The doc-sync pass
+// internal/metrics must not surface engine findings. The doc-sync pass
 // is disabled so the run scopes to the one package.
 func TestDirPattern(t *testing.T) {
 	cfg := corpusConfig()
 	cfg.MetricsDoc = ""
-	findings, err := lint.Run(cfg, []string{"internal/scheduler"})
+	findings, err := lint.Run(cfg, []string{"internal/metrics"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range findings {
-		if !strings.HasPrefix(f.File, "internal/scheduler/") {
+		if !strings.HasPrefix(f.File, "internal/metrics/") {
 			t.Errorf("pattern leak: %v", f)
 		}
 	}
 	if len(findings) != 6 {
-		t.Errorf("internal/scheduler: want 6 findings, got %d:\n%s", len(findings), formatFindings(findings))
+		t.Errorf("internal/metrics: want 6 findings, got %d:\n%s", len(findings), formatFindings(findings))
 	}
 }
 

@@ -45,14 +45,14 @@ func TestObserveAllocatesNothingOnceSeriesExist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ev := range events {
-			col.Observe(ev)
+		for i := range events {
+			col.Observe(&events[i])
 		}
 		// The stream clock is at its end: replaying the events creates no
 		// series, opens no window and seals nothing.
 		if allocs := testing.AllocsPerRun(3, func() {
 			for i := range replay {
-				col.Observe(replay[i])
+				col.Observe(&replay[i])
 			}
 		}); allocs != 0 {
 			t.Errorf("topology %v: %.0f allocations replaying %d events into existing series", topo != nil, allocs, len(replay))

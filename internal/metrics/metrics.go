@@ -129,7 +129,7 @@ func FromEvents(events []trace.Event, cfg Config) (*Set, []Alert, error) {
 		return nil, nil, err
 	}
 	for i := range events {
-		c.observe(&events[i])
+		c.Observe(&events[i])
 	}
 	set := c.Finish()
 	return set, c.Alerts(), nil
@@ -387,9 +387,7 @@ func (c *Collector) linkOK(src, dst int) bool {
 
 // Observe folds one event. Events must arrive in Seq order (the Recorder
 // guarantees this live; FromEvents replays captures in stream order).
-func (c *Collector) Observe(ev trace.Event) { c.observe(&ev) }
-
-func (c *Collector) observe(ev *trace.Event) {
+func (c *Collector) Observe(ev *trace.Event) {
 	if c == nil || c.finished {
 		return
 	}

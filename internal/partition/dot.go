@@ -48,15 +48,3 @@ func (s *Sketch) WriteDOT(w io.Writer, g *graph.Graph, pl *Placement) error {
 	p("}\n")
 	return err
 }
-
-// MachineOfString formats a placement compactly for logs: "p0->m3 p1->m3 ...".
-func (pl *Placement) MachineOfString() string {
-	out := ""
-	for p, m := range pl.MachineOf {
-		if p > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("p%d->m%d", p, m)
-	}
-	return out
-}

@@ -36,10 +36,3 @@ func TestWriteDOT(t *testing.T) {
 		t.Error("cross labels emitted without a graph")
 	}
 }
-
-func TestMachineOfString(t *testing.T) {
-	pl := &Placement{MachineOf: []cluster.MachineID{3, 1}}
-	if got := pl.MachineOfString(); got != "p0->m3 p1->m1" {
-		t.Fatalf("got %q", got)
-	}
-}

@@ -16,10 +16,7 @@ import (
 // The tree is a view of the partition IDs, not a copy of the vertex sets:
 // RecursiveBisect numbers the leaves left to right, so node (depth, index) is
 // {v : Assign[v] >> (levels-depth) == index}. The sketch shares
-// Partitioning.Assign and only reads it. A caller that rewrites Assign
-// afterwards (KWayRefine) still has a tree over the new IDs, but no longer the
-// one the bisections produced: the proximity order the placement relies on
-// is gone.
+// Partitioning.Assign and only reads it.
 type Sketch struct {
 	levels int
 	assign []PartID

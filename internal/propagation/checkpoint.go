@@ -1,10 +1,7 @@
 package propagation
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -214,53 +211,4 @@ func runRestoreJob[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *pa
 	r.NoteRestore(name, totalBytes)
 	m.Restores++
 	return m, nil
-}
-
-// SaveCheckpoint persists a state to path in the storage checkpoint format
-// (a gob-encoded payload inside the SRFC envelope), for drivers that keep
-// real durable checkpoints between process runs.
-func SaveCheckpoint[V any](path string, iteration int, st *State[V]) error {
-	var payload bytes.Buffer
-	enc := gob.NewEncoder(&payload)
-	if err := enc.Encode(st.Values); err != nil {
-		return fmt.Errorf("propagation: encoding checkpoint values: %w", err)
-	}
-	if err := enc.Encode(st.Virtual); err != nil {
-		return fmt.Errorf("propagation: encoding checkpoint virtual values: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := storage.WriteCheckpoint(f, iteration, payload.Bytes()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint, returning the
-// iteration it belongs to and the decoded state.
-func LoadCheckpoint[V any](path string) (int, *State[V], error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer f.Close()
-	iter, payload, err := storage.ReadCheckpoint(f)
-	if err != nil {
-		return 0, nil, err
-	}
-	st := &State[V]{}
-	dec := gob.NewDecoder(bytes.NewReader(payload))
-	if err := dec.Decode(&st.Values); err != nil {
-		return 0, nil, fmt.Errorf("propagation: decoding checkpoint values: %w", err)
-	}
-	if err := dec.Decode(&st.Virtual); err != nil {
-		return 0, nil, fmt.Errorf("propagation: decoding checkpoint virtual values: %w", err)
-	}
-	if st.Virtual == nil {
-		st.Virtual = make(map[graph.VertexID]V)
-	}
-	return iter, st, nil
 }

@@ -1,7 +1,6 @@
 package propagation
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
@@ -180,33 +179,5 @@ func TestRunCheckpointedValidation(t *testing.T) {
 	if _, _, err := RunCheckpointed(f.runner(), f.pg, f.pl, sumProgram{}, st, Options{}, 2,
 		CheckpointConfig{Interval: 2}); err == nil {
 		t.Fatal("interval without replicas accepted")
-	}
-}
-
-func TestSaveLoadCheckpointFile(t *testing.T) {
-	f := newFixture(t, 100, 1, 1)
-	st := NewState(f.pg, sumProgram{})
-	st.Virtual[1000] = 42
-	path := filepath.Join(t.TempDir(), "state.srfc")
-	if err := SaveCheckpoint(path, 5, st); err != nil {
-		t.Fatal(err)
-	}
-	iter, got, err := LoadCheckpoint[int64](path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iter != 5 {
-		t.Fatalf("iteration = %d, want 5", iter)
-	}
-	if len(got.Values) != len(st.Values) {
-		t.Fatalf("values = %d, want %d", len(got.Values), len(st.Values))
-	}
-	for v := range st.Values {
-		if got.Values[v] != st.Values[v] {
-			t.Fatalf("vertex %d: %d != %d", v, got.Values[v], st.Values[v])
-		}
-	}
-	if got.Virtual[1000] != 42 {
-		t.Fatalf("virtual value = %d, want 42", got.Virtual[1000])
 	}
 }

@@ -106,16 +106,6 @@ func (pi *PartInfo) CrossDstPart(v graph.VertexID) (partition.PartID, bool) {
 	return pi.assign[v], true
 }
 
-// InnerVertexRatio is the fraction of the partition's vertices that are
-// inner — the quantity that determines how much local propagation helps
-// (§5.1).
-func (pi *PartInfo) InnerVertexRatio() float64 {
-	if len(pi.Vertices) == 0 {
-		return 1
-	}
-	return float64(pi.InnerVertices) / float64(len(pi.Vertices))
-}
-
 // PartitionedGraph bundles a data graph with its partitioning and the
 // per-partition metadata.
 type PartitionedGraph struct {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -224,6 +225,29 @@ func TestFailover(t *testing.T) {
 	}
 	if _, err := r.Failover(p, dead); err == nil {
 		t.Fatal("expected failover error with all machines dead")
+	}
+}
+
+func TestFailoverReplicaExhaustionNamesPartition(t *testing.T) {
+	r := &Replicas{Machines: [][]cluster.MachineID{
+		{0, 1, 2},
+		{1, 2, 3},
+	}}
+	dead := map[cluster.MachineID]bool{1: true, 2: true, 3: true}
+	// Partition 0 still has machine 0: failover succeeds.
+	if m, err := r.Failover(0, dead); err != nil || m != 0 {
+		t.Fatalf("partition 0 failover = %d, %v", m, err)
+	}
+	// Partition 1 lost every holder: the error must name it.
+	_, err := r.Failover(1, dead)
+	if err == nil {
+		t.Fatal("expected replica-exhaustion error")
+	}
+	if !strings.Contains(err.Error(), "partition 1") {
+		t.Fatalf("error %q does not name partition 1", err)
+	}
+	if !strings.Contains(err.Error(), "3 replicas") {
+		t.Fatalf("error %q does not state the replica count", err)
 	}
 }
 

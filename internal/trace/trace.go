@@ -224,7 +224,7 @@ type Event struct {
 // is nil-safe), which is how the engine runs untraced with zero overhead.
 type Recorder struct {
 	events    []Event
-	observers []func(Event)
+	observers []func(*Event)
 }
 
 // NewRecorder returns an enabled recorder.
@@ -237,10 +237,12 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // event after its Seq is assigned, in emission order. This is the live
 // sampling hook: a metrics collector attached here sees exactly the stream a
 // later reader of Events() would, so live and trace-derived series agree by
-// construction. Observers run in registration order inside the serial event
-// loop; an observer may itself Emit (the nested event is stored and observed
-// before the outer Emit returns). No-op on a nil recorder.
-func (r *Recorder) Observe(fn func(Event)) {
+// construction. fn receives the stored event itself, not a copy, and must
+// neither mutate it nor keep the pointer. Observers run in registration
+// order inside the serial event loop; an observer may itself Emit (the
+// nested event is stored and observed before the outer Emit returns).
+// No-op on a nil recorder.
+func (r *Recorder) Observe(fn func(*Event)) {
 	if r == nil || fn == nil {
 		return
 	}
@@ -263,7 +265,9 @@ func (r *Recorder) Emit(ev Event) int {
 	}
 	r.events = append(r.events, ev)
 	for _, fn := range r.observers {
-		fn(ev)
+		// The stored event, not &ev: taking the parameter's address would move
+		// every event to the heap, the disabled recorder's included.
+		fn(&r.events[ev.Seq])
 	}
 	return ev.Seq
 }

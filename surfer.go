@@ -43,7 +43,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/propagation"
-	"repro/internal/scheduler"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -310,34 +309,6 @@ type PartInfo = storage.PartInfo
 // RunMapReduce executes a MapReduce program once.
 func RunMapReduce[K MRKey, V any, R any](sys *System, r *Runner, prog MRProgram[K, V, R], opt MROptions) (map[K]R, Metrics, error) {
 	return core.RunMapReduce(sys, r, prog, opt)
-}
-
-// ------------------------------------------------------------- scheduler
-
-// Scheduler is the job scheduler of Figure 1: cluster membership, job
-// manager election, and FIFO or fair ordering of submitted jobs.
-type Scheduler = scheduler.Scheduler
-
-// JobRequest is a job submission; JobRecord the account of its execution.
-type (
-	JobRequest = scheduler.Request
-	JobRecord  = scheduler.Record
-)
-
-// Scheduling policies.
-const (
-	// ScheduleFIFO runs jobs in submission order.
-	ScheduleFIFO = scheduler.FIFO
-	// ScheduleFair runs the least-served user's job first.
-	ScheduleFair = scheduler.Fair
-)
-
-// NewScheduler creates a job scheduler over a fresh runner of the system
-// (sys.NewRunner), so scheduled jobs see the deployment exactly as configured
-// — fault plan, heartbeat, worker pool — and appear in its trace recorder's
-// timeline.
-func NewScheduler(sys *System, policy scheduler.Policy) *Scheduler {
-	return scheduler.New(sys.NewRunner(), policy)
 }
 
 // ----------------------------------------------------------- diagnostics

@@ -87,30 +87,3 @@ func TestTraceAcceptance(t *testing.T) {
 		}
 	}
 }
-
-// TestTraceThroughScheduler: jobs run through the public scheduler land in
-// the system's recorder too.
-func TestTraceThroughScheduler(t *testing.T) {
-	g := Social(DefaultSocial(1024, 3))
-	rec := NewTraceRecorder()
-	sys, err := Build(Config{
-		Graph: g, Topology: NewT1(4), Levels: 2, Seed: 3, Trace: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := &pagerank{g: g, n: float64(g.NumVertices())}
-	sched := NewScheduler(sys, ScheduleFIFO)
-	sched.Submit(JobRequest{Name: "pr", User: "u", Run: func(r *Runner) (Metrics, error) {
-		_, m, err := RunPropagation(sys, r, prog, 1, PropagationOptions{})
-		return m, err
-	}})
-	sched.RunAll()
-	if rec.Len() == 0 {
-		t.Fatal("scheduled job emitted no trace events")
-	}
-	b := SummarizeTrace(rec.Events())
-	if len(b.Jobs) == 0 || b.Jobs[0].Name != "propagation-iter-001" {
-		t.Fatalf("unexpected traced jobs: %+v", b.Jobs)
-	}
-}
