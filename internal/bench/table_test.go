@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -9,11 +11,15 @@ import (
 // TestExperimentTable runs every row — the dispatch of fig6, fig7, fig9,
 // cascade and ablation used to be reached only by typing -experiment all —
 // at test scale: each renders something, and each report it returns is one
-// surfer-analyze -compare would accept. What "all" selects, what a name
-// selects and what an unknown name says are read off the same table.
+// surfer-analyze -compare would accept. The rendered text of every row is
+// pinned by testdata/experiments.golden (re-record only for an intended
+// change, with -update). What "all" selects, what a name selects and what an
+// unknown name says are read off the same table.
 func TestExperimentTable(t *testing.T) {
+	const path = "testdata/experiments.golden"
 	p := Params{Scale: TestScale(), Iterations: 2}
 	reported := map[string]bool{}
+	var text strings.Builder
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
 			var out bytes.Buffer
@@ -24,6 +30,7 @@ func TestExperimentTable(t *testing.T) {
 			if out.Len() == 0 {
 				t.Error("rendered nothing")
 			}
+			fmt.Fprintf(&text, "== %s\n%s", e.Name, out.Bytes())
 			if rep != nil {
 				reported[e.Name] = true
 				if err := rep.Validate(); err != nil {
@@ -34,6 +41,15 @@ func TestExperimentTable(t *testing.T) {
 				}
 			}
 		})
+	}
+	if *update {
+		if err := os.WriteFile(path, []byte(text.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if want, err := os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	} else if text.String() != string(want) {
+		t.Errorf("experiment text differs from %s:\n%s", path, text.String())
 	}
 	// table2 and table3 share one grid: the first to run reports it, once.
 	if !reported["table1"] || !reported["table2"] || reported["table3"] || !reported["multitenant"] || !reported["scale"] {

@@ -85,6 +85,10 @@ type goldenProgram[V any] struct {
 	prog    Program[V]
 	virtual int
 	put     func(d *digest, v V)
+	// delta and eps, when set, add a RunUntilConverged row that stops before
+	// goldenConvergeCap.
+	delta func(old, new V) float64
+	eps   float64
 }
 
 func digestState[V any](d *digest, gp goldenProgram[V], st *State[V]) {
@@ -126,6 +130,11 @@ func (rankLike) Merge(_ graph.VertexID, values []float64) float64 {
 	}
 	return s
 }
+
+// rankLag is the share of its new value a vertex already held. The scalar
+// program's values grow every iteration; the summed lag falls as the growth
+// settles, below 61 at the third iteration on every golden seed.
+func rankLag(old, new float64) float64 { return old / new }
 
 // concatProgram is list-valued and associative: Merge and Combine
 // concatenate, so a vertex's list spells out the order its bag arrived in.
@@ -289,9 +298,13 @@ var goldenLevels = []struct {
 	sketch bool
 }{{"O1", false, false}, {"O2", false, true}, {"O3", true, false}, {"O4", true, true}}
 
-var goldenDrivers = []string{"PlanIterations", "RunCascaded", "RunIterationsTree", "RunCheckpointed"}
+var goldenDrivers = []string{"PlanIterations", "RunCascaded", "RunIterationsTree", "RunCheckpointed",
+	"RunIterations", "RunUntilConverged", "RunCheckpointedKilled"}
 
-const goldenIters = 3
+const (
+	goldenIters       = 3
+	goldenConvergeCap = 6
+)
 
 // goldenRow runs one (program, level, driver, seed) cell at the given worker
 // count and returns its digest.
@@ -316,23 +329,42 @@ func goldenRow[V any](t *testing.T, d *goldenDeployment, gp goldenProgram[V], le
 	}
 	rec := trace.NewRecorder()
 	reps := storage.PlaceReplicas(pl, d.topo, 7)
-	r := engine.New(engine.Config{Topo: d.topo, Replicas: reps, Workers: workers, Trace: rec})
+	cfg := engine.Config{Topo: d.topo, Replicas: reps, Workers: workers}
+	ckpt := CheckpointConfig{Interval: 2, Replicas: reps, Cascaded: level%2 == 1}
+	if driver == "RunCheckpointedKilled" {
+		// The clean run times the kill: 90% of the way through, past the
+		// checkpoint after iteration 2, inside iteration 3.
+		_, clean, err := RunCheckpointed(engine.New(cfg), d.pg, pl, gp.prog, NewState(d.pg, gp.prog), opt, goldenIters, ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Failures = []engine.Failure{{Machine: 2, At: 0.9 * clean.ResponseSeconds}}
+		cfg.HeartbeatInterval = clean.ResponseSeconds / 20
+	}
+	cfg.Trace = rec
+	r := engine.New(cfg)
 	var (
 		final *State[V]
 		m     engine.Metrics
 		err   error
 	)
 	switch driver {
+	case "RunIterations":
+		final, m, err = RunIterations(r, d.pg, pl, gp.prog, st, opt, goldenIters)
+	case "RunUntilConverged":
+		final, m, err = RunUntilConverged(r, d.pg, pl, gp.prog, st, opt, goldenConvergeCap, gp.delta, gp.eps)
 	case "RunCascaded":
 		final, m, err = RunCascaded(r, d.pg, pl, gp.prog, st, opt, goldenIters, nil)
 	case "RunIterationsTree":
 		final, m, err = RunIterationsTree(r, d.pg, pl, gp.prog, st, opt, goldenIters)
-	case "RunCheckpointed":
-		final, m, err = RunCheckpointed(r, d.pg, pl, gp.prog, st, opt, goldenIters,
-			CheckpointConfig{Interval: 2, Replicas: reps, Cascaded: level%2 == 1})
+	case "RunCheckpointed", "RunCheckpointedKilled":
+		final, m, err = RunCheckpointed(r, d.pg, pl, gp.prog, st, opt, goldenIters, ckpt)
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	if driver == "RunCheckpointedKilled" && m.Restores != 1 {
+		t.Fatalf("%s: %d restores, want the kill to roll back once", driver, m.Restores)
 	}
 	digestState(dg, gp, final)
 	dg.run(t, m, rec)
@@ -347,6 +379,9 @@ func goldenProgramRows[V any](t *testing.T, out *strings.Builder, name string, s
 		for _, driver := range goldenDrivers {
 			if driver == "RunIterationsTree" && !gp.prog.Associative() {
 				continue // tree aggregation rejects it
+			}
+			if driver == "RunUntilConverged" && gp.delta == nil {
+				continue
 			}
 			want := goldenRow(t, d, gp, level, driver, 1)
 			for _, workers := range []int{2, 8} {
@@ -364,8 +399,10 @@ func goldenProgramRows[V any](t *testing.T, out *strings.Builder, name string, s
 // with the serial emission-log merge, so an executor change that reorders one
 // bag, moves one byte between two tasks or shifts one event fails here. Rows
 // are {scalar, associative list, non-associative list, virtual-vertex, drift}
-// programs x O1-O4 x the four multi-iteration drivers x three seeds; each row
-// must also agree with itself at 1, 2 and 8 workers. -short keeps one seed.
+// programs x O1-O4 x the multi-iteration drivers x three seeds; each row must
+// also agree with itself at 1, 2 and 8 workers. -short keeps one seed.
+// RunUntilConverged runs the scalar program only; RunCheckpointedKilled kills
+// a machine after the checkpoint and must restore once.
 // The first four emit exactly once per edge; drift is the one whose emission
 // sequence differs from one iteration to the next.
 func TestPlanDigestsGolden(t *testing.T) {
@@ -377,7 +414,8 @@ func TestPlanDigestsGolden(t *testing.T) {
 		}
 		d := newGoldenDeployment(t, seed)
 		n := d.pg.G.NumVertices()
-		goldenProgramRows(t, &got, "scalar", seed, d, goldenProgram[float64]{prog: rankLike{}, put: putFloat})
+		goldenProgramRows(t, &got, "scalar", seed, d, goldenProgram[float64]{prog: rankLike{}, put: putFloat,
+			delta: rankLag, eps: 61})
 		goldenProgramRows(t, &got, "list", seed, d, goldenProgram[[]int64]{prog: concatProgram{}, put: putList})
 		goldenProgramRows(t, &got, "bag", seed, d, goldenProgram[[]int64]{prog: bagProgram{}, put: putList})
 		goldenProgramRows(t, &got, "virtual", seed, d, goldenProgram[float64]{prog: degreeLike{n: n, buckets: 5}, virtual: 5, put: putFloat})
