@@ -59,6 +59,8 @@ go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t3 \
     -machines 8 -levels 2 -trace "$smoke/trace.json" -events "$smoke/run.events"
 go run ./cmd/surfer-trace -in "$smoke/trace.json"
 go run ./cmd/surfer-trace -in "$smoke/run.events" -breakdown
+# The one Prometheus exposition writer, on the capture above.
+go run ./cmd/surfer-metrics -trace "$smoke/run.events" -prom | grep -q surfer_series_last
 # Critical-path analysis gate: the analyzer must accept its own capture
 # (nonzero exit on a malformed or acausal stream) and emit the blame table.
 go run ./cmd/surfer-analyze -trace "$smoke/run.events" > "$smoke/report.txt"

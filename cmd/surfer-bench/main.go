@@ -22,7 +22,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -43,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eventsOut  = fs.String("events", "", "write the raw event stream of every simulated run to this file for surfer-analyze")
 		jsonOut    = fs.String("json", "", "write a machine-readable bench report (surfer-bench/v1 schema) to this file for surfer-analyze -compare")
 		faultsPath = fs.String("faults", "", "JSON fault-schedule file (kills, degraded links, drop windows, slowdowns) injected into every simulated run")
-		promOut    = fs.String("prom", "", "write Prometheus text exposition of the windowed metrics derived from every simulated run's events to this file (the wall-clock scrape bridge; see docs/METRICS.md §8)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU pprof profile of the bench process to this file (go tool pprof; see docs/TUNING.md)")
 		memProfile = fs.String("memprofile", "", "write a heap pprof profile at exit to this file (go tool pprof)")
 	)
@@ -87,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			p.Scale.Failures, p.Scale.Faults = kills, faults
 		}
-		if *traceOut != "" || *eventsOut != "" || *promOut != "" {
+		if *traceOut != "" || *eventsOut != "" {
 			p.Scale.Trace = trace.NewRecorder()
 		}
 		rec := p.Scale.Trace
@@ -144,23 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fmt.Errorf("writing events: %v", err)
 			}
 			fmt.Fprintf(stdout, "wrote %s (%d events)\n", *eventsOut, rec.Len())
-		}
-		if *promOut != "" {
-			// The combined stream spans every run the experiment performed, so
-			// the exposition aggregates across them — a scrape-style summary of
-			// the whole bench invocation, not a per-run determinism artifact.
-			window := metrics.AutoWindow(rec.Events())
-			if window <= 0 {
-				window = 1.0 / 32 // nothing simulated: an empty exposition, not an error
-			}
-			set, _, err := metrics.FromEvents(rec.Events(), metrics.Config{Window: window})
-			if err != nil {
-				return fmt.Errorf("deriving metrics: %v", err)
-			}
-			if err := cli.WriteFile(*promOut, func(w io.Writer) error { return metrics.WriteProm(w, set) }); err != nil {
-				return fmt.Errorf("writing prom: %v", err)
-			}
-			fmt.Fprintf(stdout, "wrote %s (%d series)\n", *promOut, len(set.Series))
 		}
 		if *jsonOut != "" {
 			if err := report.Validate(); err != nil {

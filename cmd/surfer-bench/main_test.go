@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -26,16 +27,17 @@ func small(more ...string) []string {
 // TestAllWithEveryOutput runs what -experiment all selects once, under a
 // fault schedule, with every sidecar output on: each selected experiment
 // renders and is timed, in table order, and each file is what its reader
-// accepts.
+// accepts. The event stream is also what surfer-metrics -trace F -prom folds
+// into an exposition.
 func TestAllWithEveryOutput(t *testing.T) {
 	dir := t.TempDir()
 	faults := filepath.Join(dir, "faults.json")
 	if err := os.WriteFile(faults, []byte(`{"links": [{"src": 0, "dst": 3, "from": 0, "until": 2, "factor": 4}], "slowdowns": [{"machine": 5, "from": 0, "until": 10, "factor": 3}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	report, events, chrome, prom := filepath.Join(dir, "bench.json"), filepath.Join(dir, "all.events"), filepath.Join(dir, "all.trace"), filepath.Join(dir, "all.prom")
+	report, events, chrome := filepath.Join(dir, "bench.json"), filepath.Join(dir, "all.events"), filepath.Join(dir, "all.trace")
 	code, stdout, stderr := invoke(small("-experiment", "all",
-		"-faults", faults, "-json", report, "-events", events, "-trace", chrome, "-prom", prom)...)
+		"-faults", faults, "-json", report, "-events", events, "-trace", chrome)...)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
@@ -44,7 +46,7 @@ func TestAllWithEveryOutput(t *testing.T) {
 		"Table 1:", "[table1 took ", "Table 2:", "[table2 took ", "Table 3:", "[table3 took ", "Table 4:", "[table4 took ", "Table 5:", "[table5 took ",
 		"Figure 6:", "[fig6 took ", "Figure 7:", "[fig7 took ", "Figure 9:", "[fig9 took ", "Figure 10:", "[fig10 took ", "[fig11 took ",
 		"Cascaded propagation", "[cascade took ", "Ablation:", "[ablation took ",
-		"wrote " + chrome + " (", "wrote " + events + " (", "wrote " + prom + " (", "wrote " + report + " (29 entries)",
+		"wrote " + chrome + " (", "wrote " + events + " (", "wrote " + report + " (29 entries)",
 	} {
 		i := strings.Index(stdout[at:], want)
 		if i < 0 {
@@ -60,11 +62,17 @@ func TestAllWithEveryOutput(t *testing.T) {
 	if r, err := bench.LoadReport(report); err != nil || len(r.Entries) != 29 {
 		t.Errorf("-json: %v, %v", r, err)
 	}
-	if s, err := trace.ReadFile(events); err != nil || s.Topo != nil || len(s.Events) == 0 {
-		t.Errorf("-events: %v (a bench stream spans many clusters, so it has no topology header)", err)
+	s, err := trace.ReadFile(events)
+	if err != nil || s.Topo != nil || len(s.Events) == 0 {
+		t.Fatalf("-events: %v (a bench stream spans many clusters, so it has no topology header)", err)
 	}
-	if data, err := os.ReadFile(prom); err != nil || !bytes.HasPrefix(data, []byte("# HELP surfer_series_last")) {
-		t.Errorf("-prom wrote %.40q (%v)", data, err)
+	set, _, err := metrics.FromEvents(s.Events, metrics.Config{Window: metrics.AutoWindow(s.Events)})
+	var prom bytes.Buffer
+	if err == nil {
+		err = metrics.WriteProm(&prom, set)
+	}
+	if err != nil || !bytes.HasPrefix(prom.Bytes(), []byte("# HELP surfer_series_last")) {
+		t.Errorf("exposition of the -events stream: %.40q (%v)", prom.Bytes(), err)
 	}
 }
 
@@ -136,6 +144,7 @@ func TestBadInvocations(t *testing.T) {
 		want string
 	}{
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-bench"},
+		{[]string{"-prom", filepath.Join(dir, "out.prom")}, 2, "flag provided but not defined: -prom"},
 		{small("-experiment", "scale", "-sizes", "1024,lots"), 1, `bad -sizes entry "lots"`},
 		{small("-experiment", "table1", "-levels", "-1"), 1, "-levels -1 out of range"},
 		{small("-experiment", "table1", "-levels", "12"), 1, "-levels 12 out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices 2048"},

@@ -403,18 +403,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(r *engine.Runner) (engine.Metrics, error) {
-		var total engine.Metrics
-		for _, job := range plan {
-			m, err := r.Run(job)
-			if err != nil {
-				return total, err
-			}
-			total.Add(m)
-		}
-		return total, nil
-	}
-	base, err := run(d.Runner())
+	base, err := d.Runner().RunJobs(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +428,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	// while no task runs), so probe against a fault-free reference instead.
 	probeResp := base.ResponseSeconds
 	if !s.Faults.Empty() {
-		cm, err := run(engine.New(engine.Config{Topo: d.Topo, Workers: s.Workers}))
+		cm, err := engine.New(engine.Config{Topo: d.Topo, Workers: s.Workers}).RunJobs(plan)
 		if err != nil {
 			return nil, err
 		}
@@ -458,7 +447,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 		cfg.Failures = []engine.Failure{{Machine: victim, At: probeResp * frac}}
 		cfg.HeartbeatInterval = probeResp / 20
 		cfg.Trace = trace.NewRecorder()
-		cm, err := run(engine.New(cfg))
+		cm, err := engine.New(cfg).RunJobs(plan)
 		if err != nil {
 			return nil, err
 		}

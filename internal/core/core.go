@@ -1,8 +1,8 @@
 // Package core assembles the Surfer system (§3, Figure 1): given a data
 // graph and a cluster topology, it partitions the graph (bandwidth-aware or
 // baseline), derives the storage placement with three-way replication, and
-// exposes runners that execute propagation and MapReduce jobs with full
-// metrics. It is the engine room behind the public surfer package.
+// creates the engine runners propagation and MapReduce jobs run on. It is the
+// engine room behind the public surfer package.
 package core
 
 import (
@@ -12,9 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/mapreduce"
 	"repro/internal/partition"
-	"repro/internal/propagation"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -193,34 +191,4 @@ func (s *System) PartitioningTime(cm partition.CostModel) float64 {
 // InnerEdgeRatio reports the partitioning quality metric of Table 5.
 func (s *System) InnerEdgeRatio() float64 {
 	return partition.InnerEdgeRatio(s.Graph, s.PG.Part)
-}
-
-// RunPropagation executes a propagation program for the given number of
-// iterations on a fresh state, returning the final state and metrics.
-func RunPropagation[V any](s *System, r *engine.Runner, prog propagation.Program[V], iters int, opt propagation.Options) (*propagation.State[V], engine.Metrics, error) {
-	st := propagation.NewState[V](s.PG, prog)
-	return propagation.RunIterations(r, s.PG, s.Placement, prog, st, opt, iters)
-}
-
-// RunCascaded is RunPropagation with cascaded multi-iteration optimization
-// (§5.2).
-func RunCascaded[V any](s *System, r *engine.Runner, prog propagation.Program[V], iters int, opt propagation.Options) (*propagation.State[V], engine.Metrics, error) {
-	st := propagation.NewState[V](s.PG, prog)
-	return propagation.RunCascaded(r, s.PG, s.Placement, prog, st, opt, iters, nil)
-}
-
-// RunCheckpointed is RunPropagation with iteration checkpointing: state is
-// persisted to replicas every ckpt.Interval iterations, and a machine death
-// replays at most that many iterations instead of the whole run.
-func RunCheckpointed[V any](s *System, r *engine.Runner, prog propagation.Program[V], iters int, opt propagation.Options, ckpt propagation.CheckpointConfig) (*propagation.State[V], engine.Metrics, error) {
-	if ckpt.Interval > 0 && ckpt.Replicas == nil {
-		ckpt.Replicas = s.Replicas
-	}
-	st := propagation.NewState[V](s.PG, prog)
-	return propagation.RunCheckpointed(r, s.PG, s.Placement, prog, st, opt, iters, ckpt)
-}
-
-// RunMapReduce executes a MapReduce program once.
-func RunMapReduce[K mapreduce.Key, V any, R any](s *System, r *engine.Runner, prog mapreduce.Program[K, V, R], opt mapreduce.Options) (map[K]R, engine.Metrics, error) {
-	return mapreduce.Run[K, V, R](r, s.PG, s.Placement, prog, opt)
 }

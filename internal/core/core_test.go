@@ -128,12 +128,19 @@ func (countProgram) Merge(_ graph.VertexID, values []int64) int64 {
 	return s
 }
 
+// runPropagation runs countProgram for iters iterations on a fresh runner of
+// the system.
+func runPropagation(sys *System, iters int, opt propagation.Options) (*propagation.State[int64], engine.Metrics, error) {
+	return propagation.RunIterations(sys.NewRunner(), sys.PG, sys.Placement, countProgram{},
+		propagation.NewState(sys.PG, countProgram{}), opt, iters)
+}
+
 func TestRunPropagationEndToEnd(t *testing.T) {
 	sys, err := Build(testConfig(5, StrategyBandwidthAware))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, m, err := RunPropagation[int64](sys, sys.NewRunner(), countProgram{}, 1, propagation.Options{LocalPropagation: true, LocalCombination: true})
+	st, m, err := runPropagation(sys, 1, propagation.Options{LocalPropagation: true, LocalCombination: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +160,12 @@ func TestRunCascadedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stPlain, _, err := RunPropagation[int64](sys, sys.NewRunner(), countProgram{}, 4, propagation.Options{})
+	stPlain, _, err := runPropagation(sys, 4, propagation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stCasc, _, err := RunCascaded[int64](sys, sys.NewRunner(), countProgram{}, 4, propagation.Options{})
+	stCasc, _, err := propagation.RunCascaded(sys.NewRunner(), sys.PG, sys.Placement, countProgram{},
+		propagation.NewState(sys.PG, countProgram{}), propagation.Options{}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +185,7 @@ func TestBuildWithFailuresWiresRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Running with a failure must still produce correct results.
-	st, _, err := RunPropagation[int64](sys, sys.NewRunner(), countProgram{}, 1, propagation.Options{})
+	st, _, err := runPropagation(sys, 1, propagation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +210,7 @@ func TestDrainThroughBuildChargesMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, m, err := RunPropagation[int64](sys, sys.NewRunner(), countProgram{}, 1, propagation.Options{})
+	_, m, err := runPropagation(sys, 1, propagation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -360,3 +360,17 @@ func (r *Runner) Run(job *Job) (Metrics, error) {
 	m.MigrationBytes -= before.MigrationBytes
 	return m, nil
 }
+
+// RunJobs runs a plan's jobs in order and returns their summed metrics. It
+// stops at the first job that fails, returning the metrics of those before it.
+func (r *Runner) RunJobs(jobs []*Job) (Metrics, error) {
+	var total Metrics
+	for _, job := range jobs {
+		m, err := r.Run(job)
+		if err != nil {
+			return total, err
+		}
+		total.Add(m)
+	}
+	return total, nil
+}

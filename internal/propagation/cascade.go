@@ -140,48 +140,33 @@ func partitionDiameter(pg *storage.PartitionedGraph, pi *storage.PartInfo) int {
 // each iteration reads the previous state from disk and writes the next
 // (the naive multi-iteration approach of §5.2).
 func RunIterations[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, iters int) (*State[V], engine.Metrics, error) {
-	var total engine.Metrics
-	for i := 0; i < iters; i++ {
-		next, m, err := iterateNamed(r, pg, pl, prog, st, opt, iterName("propagation", i), nil)
-		if err != nil {
-			return nil, total, err
-		}
-		total.Add(m)
-		st = next
-	}
-	return st, total, nil
-}
-
-// iterName labels one iteration's engine job, so traced multi-iteration
-// runs show each iteration as its own span.
-func iterName(prefix string, i int) string {
-	return fmt.Sprintf("%s-iter-%03d", prefix, i+1)
+	p := planner[V]{pool: r.Pool(), pg: pg, pl: pl, prog: prog, opt: opt, prefix: "propagation"}
+	jobs, final, err := p.plan(st, iters, nil)
+	return runPlan(r, jobs, final, err)
 }
 
 // RunUntilConverged iterates propagation until the summed per-vertex delta
 // between consecutive states drops to eps or below. delta measures the
 // change of one vertex's value; fixpoint algorithms (label propagation,
 // PageRank with a tolerance) use it to stop as soon as an iteration changes
-// nothing. maxIters caps the iterations, and reaching it while values still
-// change is an error naming it: an unconverged state is not a result.
+// nothing. The iterations are planned until the states converge, then run.
+// maxIters caps them, and reaching it while values still change is an error
+// naming it, with nothing run: an unconverged state is not a result.
 func RunUntilConverged[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, maxIters int, delta func(old, new V) float64, eps float64) (*State[V], engine.Metrics, error) {
-	var total engine.Metrics
-	for i := 0; i < maxIters; i++ {
-		next, m, err := iterateNamed(r, pg, pl, prog, st, opt, iterName("propagation", i), nil)
-		if err != nil {
-			return nil, total, err
-		}
-		total.Add(m)
+	converged := false
+	p := planner[V]{pool: r.Pool(), pg: pg, pl: pl, prog: prog, opt: opt, prefix: "propagation"}
+	jobs, final, err := p.plan(st, maxIters, func(_ int, prev, next *State[V]) bool {
 		var change float64
 		for v := range next.Values {
-			change += delta(st.Values[v], next.Values[v])
+			change += delta(prev.Values[v], next.Values[v])
 		}
-		if change <= eps {
-			return next, total, nil
-		}
-		st = next
+		converged = change <= eps
+		return converged
+	})
+	if err == nil && !converged {
+		err = fmt.Errorf("propagation: values still changing after the cap of %d iteration(s)", maxIters)
 	}
-	return nil, total, fmt.Errorf("propagation: values still changing after the cap of %d iteration(s)", maxIters)
+	return runPlan(r, jobs, final, err)
 }
 
 // RunCascaded executes `iters` iterations with cascaded propagation: the
@@ -194,34 +179,28 @@ func RunCascaded[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *part
 	if ci == nil {
 		ci = AnalyzeCascade(pg)
 	}
-	var total engine.Metrics
-	for i := 0; i < iters; i++ {
-		next, m, err := runOneIteration(r, pg, pl, prog, st, opt, i, iters, ci)
-		if err != nil {
-			return nil, total, err
-		}
-		total.Add(m)
-		st = next
-	}
-	return st, total, nil
+	p := planner[V]{pool: r.Pool(), pg: pg, pl: pl, prog: prog, opt: opt, prefix: "cascaded", ci: ci}
+	jobs, final, err := p.plan(st, iters, nil)
+	return runPlan(r, jobs, final, err)
 }
 
-// runOneIteration executes iteration i of iters, with the cascaded
-// propagation skip pattern when ci is non-nil: iterations at a phase boundary
-// (and the final one) materialize everything, later in-phase iterations skip
-// the state I/O of every vertex at least as deep as their position in the
-// phase. The pattern is keyed to the absolute iteration index, so a replayed
-// iteration skips exactly what the original run skipped.
-func runOneIteration[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, i, iters int, ci *CascadeInfo) (*State[V], engine.Metrics, error) {
+// skip is the cascade skip set of iteration i of iters (nil for none, and for
+// no ci): iterations at a phase boundary (and the final one) materialize
+// everything, later in-phase iterations skip the state I/O of every vertex at
+// least as deep as their position in the phase. The pattern is keyed to the
+// absolute iteration index, so a replayed iteration skips exactly what the
+// original run skipped.
+func (ci *CascadeInfo) skip(i, iters int) []bool {
 	if ci == nil {
-		return iterateNamed(r, pg, pl, prog, st, opt, iterName("propagation", i), nil)
+		return nil
 	}
-	var skip []bool
-	if phasePos := i % ci.MinDiameter; phasePos > 0 && i != iters-1 {
-		skip = make([]bool, pg.G.NumVertices())
-		for v, d := range ci.Depth {
-			skip[v] = d >= phasePos
-		}
+	phasePos := i % ci.MinDiameter
+	if phasePos == 0 || i == iters-1 {
+		return nil
 	}
-	return iterateNamed(r, pg, pl, prog, st, opt, iterName("cascaded", i), skip)
+	skip := make([]bool, len(ci.Depth))
+	for v, d := range ci.Depth {
+		skip[v] = d >= phasePos
+	}
+	return skip
 }

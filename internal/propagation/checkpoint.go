@@ -5,24 +5,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/storage"
 )
-
-// Clone returns a deep copy of the state: the checkpoint the driver rolls
-// back to when a machine death invalidates the iterations since. Values are
-// copied shallowly (programs treat values as immutable between iterations).
-func (st *State[V]) Clone() *State[V] {
-	c := &State[V]{
-		Values:  append([]V(nil), st.Values...),
-		Virtual: make(map[graph.VertexID]V, len(st.Virtual)),
-	}
-	for k, v := range st.Virtual {
-		c.Virtual[k] = v
-	}
-	return c
-}
 
 // CheckpointConfig configures iteration checkpointing for multi-iteration
 // propagation (the recovery half of Figure 10's fault-tolerance story):
@@ -50,9 +35,10 @@ type CheckpointConfig struct {
 // checkpointing. Every checkpoint and restore runs as an ordinary engine job
 // — its disk and network traffic is charged to the virtual clock and the
 // NICs like any other stage — and is marked on the runner's metrics and
-// trace stream. When a machine dies during an iteration, the run rolls back
-// to the last checkpoint and replays; because iterations are deterministic,
-// the final values are bit-identical to a failure-free run.
+// trace stream. The iterations are planned once; when a machine dies during
+// one, the run restores the planned state of the last checkpoint and replays
+// the planned jobs from there, so the final values are bit-identical to a
+// failure-free run.
 func RunCheckpointed[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, iters int, cfg CheckpointConfig) (*State[V], engine.Metrics, error) {
 	if cfg.Interval < 0 {
 		return nil, engine.Metrics{}, fmt.Errorf("propagation: negative checkpoint interval %d", cfg.Interval)
@@ -60,17 +46,27 @@ func RunCheckpointed[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *
 	if cfg.Interval > 0 && cfg.Replicas == nil {
 		return nil, engine.Metrics{}, fmt.Errorf("propagation: checkpoint interval %d requires replicas", cfg.Interval)
 	}
-	var ci *CascadeInfo
+	p := planner[V]{pool: r.Pool(), pg: pg, pl: pl, prog: prog, opt: opt, prefix: "propagation"}
 	if cfg.Cascaded {
-		ci = AnalyzeCascade(pg)
+		p.prefix, p.ci = "cascaded", AnalyzeCascade(pg)
+	}
+	// ckpts[i] is the state the checkpoint after iteration i persists.
+	ckpts := make(map[int]*State[V])
+	jobs, final, err := p.plan(st, iters, func(i int, _, next *State[V]) bool {
+		if cfg.Interval > 0 && (i+1)%cfg.Interval == 0 && i+1 < iters {
+			ckpts[i+1] = next
+		}
+		return false
+	})
+	if err != nil {
+		return nil, engine.Metrics{}, err
 	}
 	var total engine.Metrics
-	ckptState := st.Clone()
 	ckptIter := 0
 	rollbacks := 0
-	for i := 0; i < iters; {
+	for i := 0; i < len(jobs); {
 		deaths := r.Deaths()
-		next, m, err := runOneIteration(r, pg, pl, prog, st, opt, i, iters, ci)
+		m, err := r.Run(jobs[i])
 		if err != nil {
 			return nil, total, err
 		}
@@ -87,29 +83,26 @@ func RunCheckpointed[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *
 				// The restore job is the failure's consequence, not normal
 				// job chaining: mark it so its trace event says so.
 				r.MarkNextJobRecovery()
-				rm, err := runRestoreJob(r, pg, pl, prog, ckptState, cfg.Replicas, ckptIter)
+				rm, err := runRestoreJob(r, pg, pl, prog, ckpts[ckptIter], cfg.Replicas, ckptIter)
 				if err != nil {
 					return nil, total, err
 				}
 				total.Add(rm)
 			}
-			st = ckptState.Clone()
 			i = ckptIter
 			continue
 		}
-		st = next
 		i++
-		if cfg.Interval > 0 && i%cfg.Interval == 0 && i < iters {
-			cm, err := runCheckpointJob(r, pg, pl, prog, st, cfg.Replicas, i)
+		if ckpt := ckpts[i]; ckpt != nil {
+			cm, err := runCheckpointJob(r, pg, pl, prog, ckpt, cfg.Replicas, i)
 			if err != nil {
 				return nil, total, err
 			}
 			total.Add(cm)
-			ckptState = st.Clone()
 			ckptIter = i
 		}
 	}
-	return st, total, nil
+	return final, total, nil
 }
 
 // statePartBytes sums the serialized state per partition: each real vertex

@@ -283,7 +283,7 @@ func (p maskProgram) Transfer(src graph.VertexID, val int64, dst graph.VertexID,
 func planStep(t testing.TB, pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, topo *cluster.Topology,
 	prog Program[int64], st *State[int64], opt Options, tree bool) (*State[int64], bool) {
 	n, np := pg.G.NumVertices(), pg.Part.P
-	ex, err := newExecution(pool, pg, pl, prog, st, opt, "")
+	ex, err := newExecution(pool, pg, pl, prog, st, opt)
 	if err != nil {
 		t.Log(err)
 		return nil, false
@@ -468,6 +468,12 @@ func (p strayProgram) Transfer(src graph.VertexID, val int64, dst graph.VertexID
 	}
 }
 
+// fresh copies st's values into a state of its own, with no scratch: the
+// state a chain that never planned before would hold.
+func fresh[V any](st *State[V]) *State[V] {
+	return &State[V]{Values: slices.Clone(st.Values), Virtual: maps.Clone(st.Virtual)}
+}
+
 // TestTransferPanicLeavesScratchReusable: a Transfer that panics in a pool
 // worker, after its partition has followed its plan through thousands of
 // emissions, must leave the state's pooled scratch as good as new — the
@@ -519,8 +525,7 @@ func TestTransferPanicLeavesScratchReusable(t *testing.T) {
 			t.Fatalf("partition %d's plan did not survive a panicked iteration", p)
 		}
 	}
-	fresh := engine.New(engine.Config{Topo: f.topo, Workers: 4})
-	wantSt, wantM, err := Iterate(fresh, f.pg, f.pl, prog, st.Clone(), opt)
+	wantSt, wantM, err := Iterate(engine.New(engine.Config{Topo: f.topo, Workers: 4}), f.pg, f.pl, prog, fresh(st), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +565,7 @@ func TestPlanDroppedWhenOptionsChange(t *testing.T) {
 		{LocalPropagation: true, VirtualVertices: 5},
 		{LocalPropagation: true, LocalCombination: true, VirtualVertices: 9},
 	} {
-		wantSt, wantM, err := Iterate(f.runner(), f.pg, f.pl, prog, st.Clone(), changed)
+		wantSt, wantM, err := Iterate(f.runner(), f.pg, f.pl, prog, fresh(st), changed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -657,7 +662,7 @@ func benchTransfer[V any](b *testing.B, pg *storage.PartitionedGraph, pl *partit
 	var exs [2]*execution[V]
 	st := NewState(pg, prog)
 	for i := range exs {
-		ex, err := newExecution(pool, pg, pl, prog, st, opt, "")
+		ex, err := newExecution(pool, pg, pl, prog, st, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -688,7 +693,7 @@ func BenchmarkGatherCombine(b *testing.B) {
 	pg, pl := benchDeployment(b)
 	pool := engine.NewPool(0)
 	st := NewState[float64](pg, rankLike{})
-	ex, err := newExecution(pool, pg, pl, Program[float64](rankLike{}), st, Options{}, "")
+	ex, err := newExecution(pool, pg, pl, Program[float64](rankLike{}), st, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

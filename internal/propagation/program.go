@@ -120,9 +120,6 @@ type Options struct {
 	VirtualVertices int
 	// Costs are the CPU cost constants; zero value means defaults.
 	Costs CostParams
-	// jobName labels the iteration's engine job in trace output; set by
-	// the multi-iteration drivers, empty for single Iterate calls.
-	jobName string
 }
 
 func (o Options) costs() CostParams {

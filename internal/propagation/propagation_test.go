@@ -1,6 +1,7 @@
 package propagation
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -321,5 +322,42 @@ func TestCascadedSavesDisk(t *testing.T) {
 	}
 	if casc.NetworkBytes != plain.NetworkBytes {
 		t.Fatalf("cascading changed network traffic: %d vs %d", casc.NetworkBytes, plain.NetworkBytes)
+	}
+}
+
+// TestPlanRejectsNegativeIterations: a negative iteration count is an error
+// naming it. PlanIterations used to panic allocating its job list, and
+// RunIterations to return its input state as if it had run.
+func TestPlanRejectsNegativeIterations(t *testing.T) {
+	f := newFixture(t, 200, 1, 1)
+	st := NewState[int64](f.pg, sumProgram{})
+	if _, _, err := PlanIterations(nil, f.pg, f.pl, sumProgram{}, st, Options{}, -1, "p"); err == nil || !strings.Contains(err.Error(), "iteration count -1") {
+		t.Errorf("PlanIterations: err = %v, want one naming the iteration count", err)
+	}
+	if _, _, err := RunIterations(f.runner(), f.pg, f.pl, sumProgram{}, st, Options{}, -1); err == nil || !strings.Contains(err.Error(), "iteration count -1") {
+		t.Errorf("RunIterations: err = %v, want one naming the iteration count", err)
+	}
+}
+
+// TestCascadeRejectsZeroMinDiameter: phases of d_min < 1 iterations do not
+// exist. RunCascaded used to divide by it.
+func TestCascadeRejectsZeroMinDiameter(t *testing.T) {
+	f := newFixture(t, 200, 1, 1)
+	ci := AnalyzeCascade(f.pg)
+	ci.MinDiameter = 0
+	_, _, err := RunCascaded(f.runner(), f.pg, f.pl, sumProgram{}, NewState[int64](f.pg, sumProgram{}), Options{}, 3, ci)
+	if err == nil || !strings.Contains(err.Error(), "CascadeInfo.MinDiameter = 0") {
+		t.Errorf("err = %v, want one naming CascadeInfo.MinDiameter", err)
+	}
+}
+
+// TestCascadeRejectsDepthLength: a CascadeInfo analysed for another graph is
+// refused. RunCascaded used to index past the skip set it built.
+func TestCascadeRejectsDepthLength(t *testing.T) {
+	f := newFixture(t, 200, 1, 1)
+	ci := &CascadeInfo{Depth: make([]int, f.pg.G.NumVertices()+1), MinDiameter: 2}
+	_, _, err := RunCascaded(f.runner(), f.pg, f.pl, sumProgram{}, NewState[int64](f.pg, sumProgram{}), Options{}, 3, ci)
+	if err == nil || !strings.Contains(err.Error(), "CascadeInfo.Depth has 201 entries") {
+		t.Errorf("err = %v, want one naming CascadeInfo.Depth", err)
 	}
 }

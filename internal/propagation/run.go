@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -19,8 +20,7 @@ type State[V any] struct {
 	Virtual map[graph.VertexID]V
 	// sc is the reusable iteration workspace, handed from each state to its
 	// successor so steady-state iterations allocate nothing per message. It
-	// is created lazily, so states built by hand (tests, checkpoint restore)
-	// work unchanged.
+	// is created lazily, so states built by hand work unchanged.
 	sc *scratch[V]
 }
 
@@ -191,35 +191,93 @@ func VirtualPartition(v graph.VertexID, p int) partition.PartID {
 // It returns the next state and the iteration's metrics. The runner's clock
 // and cumulative metrics advance.
 func Iterate[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options) (*State[V], engine.Metrics, error) {
-	return iterateNamed(r, pg, pl, prog, st, opt, "", nil)
-}
-
-// iterateNamed is Iterate with a job label for trace output and, when skip is
-// non-nil, the vertices whose state I/O cascaded propagation suppresses.
-func iterateNamed[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, jobName string, skip []bool) (*State[V], engine.Metrics, error) {
-	next, job, err := planIteration(r.Pool(), pg, pl, prog, st, opt, jobName, skip)
-	if err != nil {
-		return nil, engine.Metrics{}, err
-	}
-	m, err := r.Run(job)
-	if err != nil {
-		return nil, engine.Metrics{}, err
-	}
-	return next, m, nil
+	next, job, err := planIteration(r.Pool(), pg, pl, prog, st, opt, "propagation-iteration", nil, nil)
+	return runPlan(r, []*engine.Job{job}, next, err)
 }
 
 // planIteration computes one iteration's semantics — the next state and the
-// engine job carrying its exact I/O accounting — without running the job.
-// The semantic computation never reads the simulated clock, so the plan is
-// independent of when (or against what contention) the job later executes.
-func planIteration[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, jobName string, skip []bool) (*State[V], *engine.Job, error) {
-	ex, err := newExecution(pool, pg, pl, prog, st, opt, jobName)
+// engine job, named name, carrying its exact I/O accounting — without running
+// the job. skip, when set, marks the vertices whose state I/O cascaded
+// propagation suppresses; topo, when set, routes cross-pod values through an
+// Aggregate stage on its pods (tree.go). The semantic computation never reads
+// the simulated clock, so the plan is independent of when (or against what
+// contention) the job later executes.
+func planIteration[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, name string, skip []bool, topo *cluster.Topology) (*State[V], *engine.Job, error) {
+	if topo != nil {
+		if !prog.Associative() {
+			return nil, nil, fmt.Errorf("propagation: tree aggregation requires an associative program")
+		}
+		opt.LocalPropagation, opt.LocalCombination = true, true
+	}
+	ex, err := newExecution(pool, pg, pl, prog, st, opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	ex.skipStateIO = skip
+	if topo != nil {
+		ex.tree = newTreeAgg(topo, pl)
+	}
 	next := ex.run()
-	return next, ex.buildJob(), nil
+	return next, ex.buildJob(name), nil
+}
+
+// planner turns a state and an iteration count into a run's engine jobs.
+// Every driver plans, then runs: planning is a pure function of graph,
+// placement, program and state, so a plan's results are the same however,
+// wherever and however often its jobs are later run. Iteration i's job is
+// named "<prefix>-iter-<i+1>"; ci, when set, applies cascaded propagation's
+// skip sets (§5.2); topo, when set, plans tree aggregation on its pods.
+type planner[V any] struct {
+	pool   *engine.Pool
+	pg     *storage.PartitionedGraph
+	pl     *partition.Placement
+	prog   Program[V]
+	opt    Options
+	prefix string
+	ci     *CascadeInfo
+	topo   *cluster.Topology
+}
+
+// plan plans up to iters iterations from st, returning their jobs and the
+// final state. each, when set, sees the states before and after every
+// iteration as it is planned, and ends the plan there by returning true.
+func (p planner[V]) plan(st *State[V], iters int, each func(i int, prev, next *State[V]) bool) ([]*engine.Job, *State[V], error) {
+	if iters < 0 {
+		return nil, nil, fmt.Errorf("propagation: iteration count %d is negative", iters)
+	}
+	if ci := p.ci; ci != nil && ci.MinDiameter < 1 {
+		return nil, nil, fmt.Errorf("propagation: CascadeInfo.MinDiameter = %d, want at least 1", ci.MinDiameter)
+	}
+	if ci := p.ci; ci != nil && len(ci.Depth) != p.pg.G.NumVertices() {
+		return nil, nil, fmt.Errorf("propagation: CascadeInfo.Depth has %d entries, graph has %d vertices", len(ci.Depth), p.pg.G.NumVertices())
+	}
+	var jobs []*engine.Job
+	for i := 0; i < iters; i++ {
+		next, job, err := planIteration(p.pool, p.pg, p.pl, p.prog, st, p.opt,
+			fmt.Sprintf("%s-iter-%03d", p.prefix, i+1), p.ci.skip(i, iters), p.topo)
+		if err != nil {
+			return nil, nil, err
+		}
+		jobs = append(jobs, job)
+		if each != nil && each(i, st, next) {
+			return jobs, next, nil
+		}
+		st = next
+	}
+	return jobs, st, nil
+}
+
+// runPlan runs the jobs a driver planned on r and returns the final state
+// they compute. A planning error is returned before anything runs.
+func runPlan[V any](r *engine.Runner, jobs []*engine.Job, final *State[V], err error) (*State[V], engine.Metrics, error) {
+	var m engine.Metrics
+	if err == nil {
+		m, err = r.RunJobs(jobs)
+	}
+	if err != nil {
+		return nil, m, err
+	}
+	return final, m, nil
 }
 
 // PlanIterations runs iters iterations of the propagation semantics only,
@@ -231,16 +289,7 @@ func planIteration[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *p
 // pool parallelizes the per-partition compute bodies (nil = serial); results
 // are bit-identical for every worker count.
 func PlanIterations[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, iters int, prefix string) ([]*engine.Job, *State[V], error) {
-	jobs := make([]*engine.Job, 0, iters)
-	for i := 0; i < iters; i++ {
-		next, job, err := planIteration(pool, pg, pl, prog, st, opt, iterName(prefix, i), nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		jobs = append(jobs, job)
-		st = next
-	}
-	return jobs, st, nil
+	return planner[V]{pool: pool, pg: pg, pl: pl, prog: prog, opt: opt, prefix: prefix}.plan(st, iters, nil)
 }
 
 // execution holds the per-iteration working state: semantic bags plus the
@@ -286,13 +335,9 @@ type execution[V any] struct {
 	// tree, when set, routes cross-pod values through the Aggregate stage
 	// (see tree.go). Nil on the plain two-stage path.
 	tree *treeAgg
-	// jobName labels the engine job (and thus every trace event of the
-	// iteration); multi-iteration drivers set per-iteration labels so a
-	// traced run shows "propagation-iter-002" etc. as separate spans.
-	jobName string
 }
 
-func newExecution[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, jobName string) (*execution[V], error) {
+func newExecution[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options) (*execution[V], error) {
 	p := pg.Part.P
 	n := pg.G.NumVertices()
 	if len(st.Values) != n {
@@ -321,7 +366,6 @@ func newExecution[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *pa
 	return &execution[V]{
 		pg: pg, pl: pl, prog: prog, st: st, opt: opt,
 		pool:          pool,
-		jobName:       jobName,
 		n:             n,
 		grouping:      grouping,
 		sc:            st.sc,
@@ -702,17 +746,58 @@ func (ex *execution[V]) publishVirtual(next *State[V]) {
 	}
 }
 
-// buildJob converts the accounting into a two-stage engine job.
-func (ex *execution[V]) buildJob() *engine.Job {
+// buildJob converts the accounting into the iteration's engine job, named
+// name: Transfer, then Combine — with, under tree aggregation, the Aggregate
+// stage between them.
+func (ex *execution[V]) buildJob(name string) *engine.Job {
 	p := ex.pg.Part.P
 	costs := ex.opt.costs()
-	transfer := make([]*engine.Task, p)
-	combine := make([]*engine.Task, p)
 	for i := 0; i < p; i++ {
 		for q := 0; q < p; q++ {
 			ex.receivedBytes[q] += ex.remoteBytes[i*p+q]
 		}
 	}
+	// The Aggregate stage: first P relay tasks forward direct (same-pod)
+	// traffic to their combine tasks, then one aggregation task per (pod,
+	// destination partition) with traffic — pods, then partitions, in index
+	// order — spread over the pod's machines by destination partition so the
+	// pod's full egress stays usable. aggTask[pod*P+q] is the stage index of
+	// the aggregation task of (pod, q), meaningful where it folded a value.
+	var aggregate []*engine.Task
+	var aggTask []int
+	if t := ex.tree; t != nil {
+		aggregate, aggTask = make([]*engine.Task, p, 2*p), make([]int, len(t.inValues))
+		for q := 0; q < p; q++ {
+			aggregate[q] = &engine.Task{
+				Name:    fmt.Sprintf("relay-p%d", q),
+				Kind:    engine.KindCombine,
+				Part:    partition.PartID(q),
+				Machine: ex.pl.MachineOf[q],
+			}
+			if b := ex.receivedBytes[q]; b > 0 {
+				aggregate[q].Outputs = []engine.Output{{DstTask: q, Bytes: b}}
+			}
+		}
+		for k, in := range t.inValues {
+			if in == 0 {
+				continue
+			}
+			pod, q := k/p, k%p
+			ms := t.machines[pod]
+			aggTask[k] = len(aggregate)
+			aggregate = append(aggregate, &engine.Task{
+				Name:    fmt.Sprintf("aggregate-pod%d-to-p%d", pod, q),
+				Kind:    engine.KindCombine,
+				Part:    engine.NoPart,
+				Machine: ms[q%len(ms)],
+				Compute: costs.ComputePerValue * float64(in),
+				Outputs: []engine.Output{{DstTask: q, Bytes: t.outBytes[k]}},
+			})
+			ex.receivedBytes[q] += t.outBytes[k]
+		}
+	}
+	transfer := make([]*engine.Task, p)
+	combine := make([]*engine.Task, p)
 	for i := 0; i < p; i++ {
 		pi := ex.pg.Parts[i]
 		m := ex.pl.MachineOf[i]
@@ -720,6 +805,11 @@ func (ex *execution[V]) buildJob() *engine.Job {
 		for q := 0; q < p; q++ {
 			if b := ex.remoteBytes[i*p+q]; b > 0 {
 				outs = append(outs, engine.Output{DstTask: q, Bytes: b})
+			}
+		}
+		for q := 0; aggregate != nil && q < p; q++ {
+			if b := ex.tree.toAgg[i*p+q]; b > 0 {
+				outs = append(outs, engine.Output{DstTask: aggTask[ex.tree.pod[i]*p+q], Bytes: b})
 			}
 		}
 		transfer[i] = &engine.Task{
@@ -746,12 +836,9 @@ func (ex *execution[V]) buildJob() *engine.Job {
 			DiskWrite: ex.stateWrite[i],
 		}
 	}
-	name := ex.jobName
-	if name == "" {
-		name = "propagation-iteration"
+	stages := append(make([]*engine.Stage, 0, 3), &engine.Stage{Name: "transfer", Tasks: transfer})
+	if aggregate != nil {
+		stages = append(stages, &engine.Stage{Name: "aggregate", Tasks: aggregate})
 	}
-	return &engine.Job{
-		Name:   name,
-		Stages: []*engine.Stage{{Name: "transfer", Tasks: transfer}, {Name: "combine", Tasks: combine}},
-	}
+	return &engine.Job{Name: name, Stages: append(stages, &engine.Stage{Name: "combine", Tasks: combine})}
 }

@@ -2,7 +2,6 @@ package propagation
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/cluster"
@@ -33,8 +32,10 @@ import (
 // cross-pod values headed to partition q and writes only column q of each
 // table, so the pool fills it without a lock.
 type treeAgg struct {
-	// pod[p] is the pod of partition p's machine.
-	pod []int
+	// pod[p] is the pod of partition p's machine; machines lists each pod's
+	// machines in ID order.
+	pod      []int
+	machines [][]cluster.MachineID
 	// toAgg is the flat P×P [src*P+dst] bytes partition src ships to its
 	// pod's aggregation task for partition dst, over intra-pod links.
 	toAgg []int64
@@ -49,12 +50,17 @@ func newTreeAgg(topo *cluster.Topology, pl *partition.Placement) *treeAgg {
 	p := pl.NumPartitions()
 	t := &treeAgg{
 		pod:      make([]int, p),
+		machines: make([][]cluster.MachineID, topo.NumPods()),
 		toAgg:    make([]int64, p*p),
 		inValues: make([]int64, topo.NumPods()*p),
 		outBytes: make([]int64, topo.NumPods()*p),
 	}
 	for i := range t.pod {
 		t.pod[i] = topo.Pod(pl.MachineOf[i])
+	}
+	for i := 0; i < topo.NumMachines(); i++ {
+		m := cluster.MachineID(i)
+		t.machines[topo.Pod(m)] = append(t.machines[topo.Pod(m)], m)
 	}
 	return t
 }
@@ -73,23 +79,8 @@ type aggValue[V any] struct {
 // cross-pod traffic; running it without the cheaper optimizations would be
 // pointless).
 func IterateTree[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options) (*State[V], engine.Metrics, error) {
-	if !prog.Associative() {
-		return nil, engine.Metrics{}, fmt.Errorf("propagation: tree aggregation requires an associative program")
-	}
-	opt.LocalPropagation = true
-	opt.LocalCombination = true
-	ex, err := newExecution(r.Pool(), pg, pl, prog, st, opt, opt.jobName)
-	if err != nil {
-		return nil, engine.Metrics{}, err
-	}
-	topo := r.Topology()
-	ex.tree = newTreeAgg(topo, pl)
-	next := ex.run()
-	m, err := r.Run(ex.buildTreeJob(topo))
-	if err != nil {
-		return nil, engine.Metrics{}, err
-	}
-	return next, m, nil
+	next, job, err := planIteration(r.Pool(), pg, pl, prog, st, opt, "propagation-tree-iteration", nil, r.Topology())
+	return runPlan(r, []*engine.Job{job}, next, err)
 }
 
 // aggregatePart is partition q's share of the Aggregate stage semantics: the
@@ -120,134 +111,9 @@ func (ex *execution[V]) aggregatePart(q int) {
 	}
 }
 
-// buildTreeJob assembles the three-stage job: Transfer -> Aggregate/Relay
-// -> Combine.
-func (ex *execution[V]) buildTreeJob(topo *cluster.Topology) *engine.Job {
-	p := ex.pg.Part.P
-	t := ex.tree
-	costs := ex.opt.costs()
-	podMachines := machinesByPod(topo)
-
-	// Stage 2 layout: first P relay tasks forward direct (same-pod)
-	// traffic to their combine tasks, then one aggregation task per
-	// (pod, dstPart) pair with traffic — pods, then partitions, in index
-	// order — spread over the pod's machines by destination partition so the
-	// pod's full egress stays usable.
-	stage2 := make([]*engine.Task, p, 2*p)
-	for q := 0; q < p; q++ {
-		stage2[q] = &engine.Task{
-			Name:    fmt.Sprintf("relay-p%d", q),
-			Kind:    engine.KindCombine,
-			Part:    partition.PartID(q),
-			Machine: ex.pl.MachineOf[q],
-		}
-	}
-	// aggTask[pod*P+q] is the stage-2 index of the aggregation task of
-	// (pod, q); meaningful only where inValues is positive.
-	aggTask := make([]int, len(t.inValues))
-	// Direct inbound bytes per partition (relay forwarding) and total
-	// combine-side arrivals.
-	directIn := make([]int64, p)
-	for i := 0; i < p; i++ {
-		for q := 0; q < p; q++ {
-			directIn[q] += ex.remoteBytes[i*p+q]
-		}
-	}
-	received := slices.Clone(directIn)
-	for k, in := range t.inValues {
-		if in == 0 {
-			continue
-		}
-		pod, q := k/p, k%p
-		ms := podMachines[pod]
-		aggTask[k] = len(stage2)
-		stage2 = append(stage2, &engine.Task{
-			Name:    fmt.Sprintf("aggregate-pod%d-to-p%d", pod, q),
-			Kind:    engine.KindCombine,
-			Part:    engine.NoPart,
-			Machine: ms[q%len(ms)],
-			Compute: costs.ComputePerValue * float64(in),
-			Outputs: []engine.Output{{DstTask: q, Bytes: t.outBytes[k]}},
-		})
-		received[q] += t.outBytes[k]
-	}
-	for q := 0; q < p; q++ {
-		if directIn[q] > 0 {
-			stage2[q].Outputs = []engine.Output{{DstTask: q, Bytes: directIn[q]}}
-		}
-	}
-
-	transfer := make([]*engine.Task, p)
-	combine := make([]*engine.Task, p)
-	for i := 0; i < p; i++ {
-		pi := ex.pg.Parts[i]
-		m := ex.pl.MachineOf[i]
-		var outs []engine.Output
-		for q := 0; q < p; q++ {
-			if b := ex.remoteBytes[i*p+q]; b > 0 {
-				outs = append(outs, engine.Output{DstTask: q, Bytes: b})
-			}
-		}
-		for q := 0; q < p; q++ {
-			if b := t.toAgg[i*p+q]; b > 0 {
-				outs = append(outs, engine.Output{DstTask: aggTask[t.pod[i]*p+q], Bytes: b})
-			}
-		}
-		transfer[i] = &engine.Task{
-			Name:      fmt.Sprintf("transfer-p%d", i),
-			Kind:      engine.KindTransfer,
-			Part:      partition.PartID(i),
-			Machine:   m,
-			Compute:   costs.ComputePerEdge * float64(pi.OutEdges()),
-			DiskRead:  pi.Bytes + ex.stateRead[i],
-			DiskWrite: ex.localBytes[i],
-			Outputs:   outs,
-		}
-		combine[i] = &engine.Task{
-			Name:      fmt.Sprintf("combine-p%d", i),
-			Kind:      engine.KindCombine,
-			Part:      partition.PartID(i),
-			Machine:   m,
-			Compute:   costs.ComputePerValue * float64(ex.combineCount[i]),
-			DiskRead:  ex.localBytes[i] + received[i],
-			DiskWrite: ex.stateWrite[i],
-		}
-	}
-	name := ex.jobName
-	if name == "" {
-		name = "propagation-tree-iteration"
-	}
-	return &engine.Job{
-		Name: name,
-		Stages: []*engine.Stage{
-			{Name: "transfer", Tasks: transfer},
-			{Name: "aggregate", Tasks: stage2},
-			{Name: "combine", Tasks: combine},
-		},
-	}
-}
-
-// machinesByPod lists each pod's machines in ID order.
-func machinesByPod(topo *cluster.Topology) map[int][]cluster.MachineID {
-	out := make(map[int][]cluster.MachineID)
-	for i := 0; i < topo.NumMachines(); i++ {
-		m := cluster.MachineID(i)
-		out[topo.Pod(m)] = append(out[topo.Pod(m)], m)
-	}
-	return out
-}
-
 // RunIterationsTree is RunIterations with tree aggregation.
 func RunIterationsTree[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, iters int) (*State[V], engine.Metrics, error) {
-	var total engine.Metrics
-	for i := 0; i < iters; i++ {
-		opt.jobName = iterName("propagation-tree", i)
-		next, m, err := IterateTree(r, pg, pl, prog, st, opt)
-		if err != nil {
-			return nil, total, err
-		}
-		total.Add(m)
-		st = next
-	}
-	return st, total, nil
+	p := planner[V]{pool: r.Pool(), pg: pg, pl: pl, prog: prog, opt: opt, prefix: "propagation-tree", topo: r.Topology()}
+	jobs, final, err := p.plan(st, iters, nil)
+	return runPlan(r, jobs, final, err)
 }

@@ -198,7 +198,8 @@ func checkpointedCapture(t *testing.T) capture {
 		return sys
 	}
 	base := build(core.Config{})
-	_, m, err := core.RunPropagation[float64](base, base.NewRunner(), sumProg{}, 4, opt)
+	_, m, err := propagation.RunIterations(base.NewRunner(), base.PG, base.Placement, sumProg{},
+		propagation.NewState(base.PG, sumProg{}), opt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,8 @@ func checkpointedCapture(t *testing.T) capture {
 		HeartbeatInterval: m.ResponseSeconds / 20,
 	})
 	r := sys.NewRunner()
-	if _, _, err := core.RunCheckpointed[float64](sys, r, sumProg{}, 4, opt, propagation.CheckpointConfig{Interval: 2}); err != nil {
+	if _, _, err := propagation.RunCheckpointed(r, sys.PG, sys.Placement, sumProg{}, propagation.NewState(sys.PG, sumProg{}), opt, 4,
+		propagation.CheckpointConfig{Interval: 2, Replicas: sys.Replicas}); err != nil {
 		t.Fatal(err)
 	}
 	return capture{"checkpointed", topo, m.ResponseSeconds / 30, rec.Events(), r.Metrics()}

@@ -259,13 +259,13 @@ type CascadeInfo = propagation.CascadeInfo
 // RunPropagation executes a propagation program for iters iterations on a
 // fresh state.
 func RunPropagation[V any](sys *System, r *Runner, prog Program[V], iters int, opt PropagationOptions) (*State[V], Metrics, error) {
-	return core.RunPropagation(sys, r, prog, iters, opt)
+	return propagation.RunIterations(r, sys.PG, sys.Placement, prog, propagation.NewState(sys.PG, prog), opt, iters)
 }
 
 // RunCascaded is RunPropagation with the cascaded multi-iteration
 // optimization (§5.2).
 func RunCascaded[V any](sys *System, r *Runner, prog Program[V], iters int, opt PropagationOptions) (*State[V], Metrics, error) {
-	return core.RunCascaded(sys, r, prog, iters, opt)
+	return propagation.RunCascaded(r, sys.PG, sys.Placement, prog, propagation.NewState(sys.PG, prog), opt, iters, nil)
 }
 
 // RunCheckpointed is RunPropagation with iteration checkpointing: the state
@@ -275,7 +275,10 @@ func RunCascaded[V any](sys *System, r *Runner, prog Program[V], iters int, opt 
 // the system's own layout. Recovered values are bit-identical to a
 // failure-free run.
 func RunCheckpointed[V any](sys *System, r *Runner, prog Program[V], iters int, opt PropagationOptions, ckpt CheckpointConfig) (*State[V], Metrics, error) {
-	return core.RunCheckpointed(sys, r, prog, iters, opt, ckpt)
+	if ckpt.Replicas == nil {
+		ckpt.Replicas = sys.Replicas
+	}
+	return propagation.RunCheckpointed(r, sys.PG, sys.Placement, prog, propagation.NewState(sys.PG, prog), opt, iters, ckpt)
 }
 
 // RunPropagationTree is RunPropagation with tree aggregation (an extension
@@ -284,8 +287,7 @@ func RunCheckpointed[V any](sys *System, r *Runner, prog Program[V], iters int, 
 // associative program; pays off when spread placement or heavy workloads
 // push a lot of duplicate-destination traffic across pods.
 func RunPropagationTree[V any](sys *System, r *Runner, prog Program[V], iters int, opt PropagationOptions) (*State[V], Metrics, error) {
-	st := propagation.NewState[V](sys.PG, prog)
-	return propagation.RunIterationsTree(r, sys.PG, sys.Placement, prog, st, opt, iters)
+	return propagation.RunIterationsTree(r, sys.PG, sys.Placement, prog, propagation.NewState(sys.PG, prog), opt, iters)
 }
 
 // AnalyzeCascade computes the cascade depths (V_k membership) of a built
@@ -308,7 +310,7 @@ type PartInfo = storage.PartInfo
 
 // RunMapReduce executes a MapReduce program once.
 func RunMapReduce[K MRKey, V any, R any](sys *System, r *Runner, prog MRProgram[K, V, R], opt MROptions) (map[K]R, Metrics, error) {
-	return core.RunMapReduce(sys, r, prog, opt)
+	return mapreduce.Run(r, sys.PG, sys.Placement, prog, opt)
 }
 
 // ----------------------------------------------------------- diagnostics
