@@ -26,9 +26,9 @@ func TestChaosSoak(t *testing.T) {
 		sys, err := Build(Config{
 			Graph: g, Topology: topo, Levels: 4, Seed: 5,
 			Failures: failures, HeartbeatInterval: heartbeat,
-			Faults:      faults,
-			Speculation: SpeculationPolicy{Enabled: true},
-			Workers:     workers,
+			Faults:    faults,
+			Speculate: true,
+			Workers:   workers,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -42,6 +42,9 @@ go test -run '^$' -fuzz FuzzPlanReuse -fuzztime 10s ./internal/propagation
 # And through MapReduce's reducer-owned shuffle against the serial shuffle it
 # replaced: edge bytes plus a key-width and combiner selector, 1 and 4 workers.
 go test -run '^$' -fuzz FuzzShuffle -fuzztime 10s ./internal/mapreduce
+# And through the jobs-file reader behind surfer-submit -jobs: never a panic,
+# and what it accepts writes back and re-reads to the same bytes.
+go test -run '^$' -fuzz FuzzReadWorkload -fuzztime 10s ./internal/jobsvc
 # Layer benchmarks, once each, so they cannot rot (-short skips the
 # 1M-vertex partitioner size and plans propagation and MapReduce at 16k
 # vertices).

@@ -100,7 +100,7 @@ func runAutoscale(w io.Writer, path string, asJSON bool) error {
 	if s.Topo == nil {
 		return fmt.Errorf("%s: no topology header (write the stream with surfer-run -events, not surfer-bench)", path)
 	}
-	plan, err := analyze.Autoscale(s.Events, s.Topo.Topology(), analyze.AutoscalePolicy{})
+	plan, err := analyze.Autoscale(s.Events, s.Topo.Topology())
 	if err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}

@@ -48,6 +48,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&sub.eventsOut, "events", "", "write the raw event stream (with topology header) to this file for surfer-analyze")
 	return cli.Run(fs, args, stderr, func([]string) error {
 		if *gen > 0 {
+			if *tenants <= 0 {
+				return fmt.Errorf("-tenants %d: must be positive", *tenants)
+			}
+			if *maxPriority < 0 {
+				return fmt.Errorf("-max-priority %d: must not be negative", *maxPriority)
+			}
 			return generate(stdout, *out, jobsvc.GenConfig{Jobs: *gen, Tenants: *tenants, MaxPriority: *maxPriority, Seed: sub.seed})
 		}
 		return submit(stdout, sub)
@@ -78,6 +84,12 @@ func submit(stdout io.Writer, sub submission) error {
 	if sub.jobsPath == "" {
 		return errors.New("nothing to do: pass -gen N to generate a workload or -jobs FILE to run one")
 	}
+	if sub.concurrency <= 0 {
+		return fmt.Errorf("-concurrency %d: must be positive", sub.concurrency)
+	}
+	if sub.vertices < 0 {
+		return fmt.Errorf("-vertices %d: must not be negative", sub.vertices)
+	}
 	pol, err := jobsvc.ParsePolicy(sub.policy)
 	if err != nil {
 		return err
@@ -92,7 +104,10 @@ func submit(stdout io.Writer, sub submission) error {
 		return fmt.Errorf("%s: %v", sub.jobsPath, err)
 	}
 
-	topo := cluster.NewT3(sub.machines, sub.seed)
+	topo, err := cluster.ByName("t3", sub.machines, 0, 0, sub.seed)
+	if err != nil {
+		return fmt.Errorf("-machines: %w", err)
+	}
 	g := graph.Social(graph.DefaultSocial(sub.vertices, sub.seed))
 	planner, err := jobsvc.NewPlanner(jobsvc.PlannerConfig{
 		Graph: g, Topo: topo, Levels: sub.levels, Seed: sub.seed, Workers: sub.workers,

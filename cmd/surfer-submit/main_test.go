@@ -107,6 +107,7 @@ func TestBadInvocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen := filepath.Join(filepath.Dir(jobs), "gen.json")
 	write := func(name, body string) string {
 		path := filepath.Join(filepath.Dir(jobs), name)
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
@@ -137,6 +138,13 @@ func TestBadInvocations(t *testing.T) {
 		{replayArgs(jobs, "-levels", "-1"), 1, "Levels = -1"},
 		{replayArgs(jobs, "-levels", "31"), 1, "Levels = 31"},
 		{replayArgs(jobs, "-levels", "12"), 1, "Levels = 12"},
+		// was: a panic, or a run that printed a value it did not use.
+		{replayArgs(jobs, "-machines", "0"), 1, "-machines: cluster: a topology needs at least one machine, got 0"},
+		{replayArgs(jobs, "-vertices", "-4"), 1, "-vertices -4: must not be negative"},
+		{replayArgs(jobs, "-concurrency", "0"), 1, "-concurrency 0: must be positive"},
+		{[]string{"-gen", "2", "-max-priority", "-1", "-out", gen}, 1, "-max-priority -1: must not be negative"},
+		{[]string{"-gen", "2", "-tenants", "0", "-out", gen}, 1, "-tenants 0: must be positive"},
+		{[]string{"-gen", "2", "-tenants", "-2", "-out", gen}, 1, "-tenants -2: must be positive"},
 	} {
 		code, _, stderr := invoke(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.want) {

@@ -16,46 +16,23 @@ import (
 // signal the link report computes — per-directed-link utilization at
 // bisection level 0, the top-level cut that is the scarcest bandwidth in the
 // hierarchy — per job window (one window per engine job, i.e. per iteration
-// for propagation runs): when any level-0 link stays saturated for K
+// for propagation runs): when any level-0 link stays saturated for two
 // consecutive windows the cluster should grow, and when the whole level
-// stays idle for K windows it should shrink.
+// stays idle for two windows it should shrink.
 //
-// Autoscale is a pure function of (events, topology, policy), so its plan
+// Autoscale is a pure function of (events, topology), so its plan
 // inherits the determinism contract and can be fed straight back into a
 // re-run as a fault.File with joins and drains.
 
-// AutoscalePolicy parameterizes the recommendation rule. The zero value
-// selects the defaults.
-type AutoscalePolicy struct {
-	// SaturateUtil is the level-0 per-link utilization (busy seconds ÷
-	// window length, on the hottest directed link) at or above which a
-	// window counts as saturated. Default 0.8.
-	SaturateUtil float64
-	// IdleUtil is the utilization at or below which a window counts as
-	// idle. Default 0.05.
-	IdleUtil float64
-	// K is how many consecutive saturated (idle) windows trigger a join
-	// (drain). Default 2.
-	K int
-	// DrainSlack is the migration deadline a recommended drain gets, in
-	// virtual seconds after its At. Default 2× the triggering window's
-	// length (never below 1s), so a healthy cluster migrates out in time.
-	DrainSlack float64
-}
-
-// WithDefaults fills unset fields with the default policy.
-func (p AutoscalePolicy) WithDefaults() AutoscalePolicy {
-	if p.SaturateUtil <= 0 {
-		p.SaturateUtil = 0.8
-	}
-	if p.IdleUtil <= 0 {
-		p.IdleUtil = 0.05
-	}
-	if p.K <= 0 {
-		p.K = 2
-	}
-	return p
-}
+// The recommendation rule: a window whose hottest level-0 directed link is
+// busy (seconds ÷ window length) at least saturateUtil of the time is
+// saturated, at most idleUtil idle, and streak such windows in a row trigger
+// a join (drain).
+const (
+	saturateUtil = 0.8
+	idleUtil     = 0.05
+	streak       = 2
+)
 
 // WindowUtil is the per-window diagnostic behind a recommendation: one row
 // per engine job in stream order.
@@ -91,11 +68,10 @@ func (pl *AutoscalePlan) File() *fault.File {
 // ID past the topology) and one drain per idle streak (the least-loaded
 // machine by task busy seconds, never machine 0, never a machine already
 // recommended for drain).
-func Autoscale(events []trace.Event, topo *cluster.Topology, policy AutoscalePolicy) (*AutoscalePlan, error) {
+func Autoscale(events []trace.Event, topo *cluster.Topology) (*AutoscalePlan, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("analyze: autoscale needs the trace's topology header")
 	}
-	p := policy.WithDefaults()
 	if err := validate(events); err != nil {
 		return nil, err
 	}
@@ -113,11 +89,11 @@ func Autoscale(events []trace.Event, topo *cluster.Topology, policy AutoscalePol
 		span := w.End - w.Start
 		maxUtil := w.MaxLevel0Util
 		wu := WindowUtil{Job: w.Job, Start: w.Start, End: w.End, MaxLevel0Util: maxUtil}
-		if maxUtil >= p.SaturateUtil {
+		if maxUtil >= saturateUtil {
 			wu.Saturated = true
 			sat++
 			idle = 0
-		} else if maxUtil <= p.IdleUtil {
+		} else if maxUtil <= idleUtil {
 			wu.Idle = true
 			idle++
 			sat = 0
@@ -125,28 +101,24 @@ func Autoscale(events []trace.Event, topo *cluster.Topology, policy AutoscalePol
 			sat, idle = 0, 0
 		}
 		plan.Windows = append(plan.Windows, wu)
-		if sat >= p.K {
-			// The bisection stayed saturated for K windows: grow. The join
+		if sat >= streak {
+			// The bisection stayed saturated for a streak: grow. The join
 			// target is the next machine past the current topology — the
 			// caller expands the topology before replaying.
 			plan.Joins = append(plan.Joins, fault.MachineJoin{At: w.End, Machine: nextJoin})
 			nextJoin++
 			sat = 0
 		}
-		if idle >= p.K {
-			// The bisection stayed idle for K windows: shrink by draining
+		if idle >= streak {
+			// The bisection stayed idle for a streak: shrink by draining
 			// the least-loaded machine (ties to the lowest ID; machine 0 is
 			// never drained so a live machine always remains).
 			m := leastLoaded(compute, n, drained)
 			if m > 0 {
 				drained[m] = true
-				slack := p.DrainSlack
-				if slack <= 0 {
-					slack = 2 * span
-					if slack < 1 {
-						slack = 1
-					}
-				}
+				// Twice the triggering window's length, never below 1s, so
+				// a healthy cluster migrates out in time.
+				slack := max(2*span, 1)
 				plan.Drains = append(plan.Drains, fault.MachineDrain{
 					At: w.End, Machine: m, Deadline: w.End + slack,
 				})

@@ -40,7 +40,7 @@ func TestAutoscalePolicy(t *testing.T) {
 	scaleWindow(rec, "w3", 2, 0)
 	scaleWindow(rec, "w4", 3, 0)
 	topo := cluster.NewT1(2)
-	plan, err := Autoscale(rec.Events(), topo, AutoscalePolicy{})
+	plan, err := Autoscale(rec.Events(), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAutoscalePolicy(t *testing.T) {
 		t.Fatalf("round-tripped schedule = %+v", s)
 	}
 	// No topology, no plan.
-	if _, err := Autoscale(rec.Events(), nil, AutoscalePolicy{}); err == nil {
+	if _, err := Autoscale(rec.Events(), nil); err == nil {
 		t.Fatal("nil topology should be rejected")
 	}
 }
@@ -86,7 +86,7 @@ func TestAutoscaleQuietTraceRecommendsNothing(t *testing.T) {
 	rec := trace.NewRecorder()
 	scaleWindow(rec, "w1", 0, 0.5) // between the thresholds
 	scaleWindow(rec, "w2", 1, 0.9) // saturated once — below K
-	plan, err := Autoscale(rec.Events(), cluster.NewT1(2), AutoscalePolicy{})
+	plan, err := Autoscale(rec.Events(), cluster.NewT1(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,9 @@ type Scale struct {
 	Failures  []engine.Failure
 	Heartbeat float64
 	// Faults injects transient faults (degraded or blackholed links,
-	// machine slowdowns); Retry and Speculation tune the recovery policies.
-	Faults      *fault.Schedule
-	Retry       fault.RetryPolicy
-	Speculation fault.SpeculationPolicy
+	// machine slowdowns); Retry tunes the dropped-transfer recovery.
+	Faults *fault.Schedule
+	Retry  fault.RetryPolicy
 }
 
 // TestScale is a shrunken configuration keeping test runtimes low.
@@ -142,7 +141,7 @@ func NewDeploymentFor(s Scale, topo *cluster.Topology, g *graph.Graph) (*Deploym
 		Graph: g, Topology: topo, Levels: s.Levels, Seed: s.Seed,
 		Failures: s.Failures, HeartbeatInterval: s.Heartbeat,
 		Workers: s.Workers, Trace: s.Trace,
-		Faults: s.Faults, Retry: s.Retry, Speculation: s.Speculation,
+		Faults: s.Faults, Retry: s.Retry,
 	})
 	if err != nil {
 		return nil, err

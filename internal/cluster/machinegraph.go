@@ -154,12 +154,6 @@ func (mg *MachineGraph) swapGain(inA map[MachineID]bool, a, b MachineID) float64
 	return before - after
 }
 
-// CutBandwidth reports the aggregate bandwidth between the two halves of a
-// bisection, for assertions and diagnostics.
-func CutBandwidth(a, b *MachineGraph) float64 {
-	return a.topo.AggregateBandwidth(a.machines, b.machines)
-}
-
 // BestConnected returns the member machine with maximum aggregate bandwidth
 // to the other members. Algorithm 4 line 8 stores an undividable partition
 // on this machine.

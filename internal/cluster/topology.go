@@ -131,15 +131,17 @@ func NewT1(n int) *Topology {
 //
 // The paper sets the cross-switch machine-pair bandwidth as a fraction of the
 // link rate: 1/TopFactor through the top-level switch (default 32) and
-// 1/MidFactor through a second-level switch (default 16). Figure 9 sweeps
-// TopFactor from 2 to 128.
+// 1/midFactor through a second-level switch. Figure 9 sweeps TopFactor from
+// 2 to 128.
 type T2Config struct {
 	Machines  int
 	Pods      int
 	Levels    int
 	TopFactor float64 // bandwidth divisor across the top-level switch
-	MidFactor float64 // bandwidth divisor across a second-level switch
 }
+
+// midFactor is the bandwidth divisor across a second-level switch (§6.1).
+const midFactor = 16
 
 // NewT2 builds a T2 tree topology. It panics if machines do not divide
 // evenly into pods or the configuration is degenerate, since experiment
@@ -153,9 +155,6 @@ func NewT2(cfg T2Config) *Topology {
 	}
 	if cfg.TopFactor == 0 {
 		cfg.TopFactor = 32
-	}
-	if cfg.MidFactor == 0 {
-		cfg.MidFactor = 16
 	}
 	n := cfg.Machines
 	perPod := n / cfg.Pods
@@ -180,7 +179,7 @@ func NewT2(cfg T2Config) *Topology {
 			case t.pod[i] == t.pod[j]:
 				t.bw[i][j] = LinkBandwidth
 			case cfg.Levels == 2 && midGroup(t.pod[i]) == midGroup(t.pod[j]):
-				t.bw[i][j] = LinkBandwidth / cfg.MidFactor
+				t.bw[i][j] = LinkBandwidth / midFactor
 			default:
 				t.bw[i][j] = LinkBandwidth / cfg.TopFactor
 			}

@@ -238,17 +238,6 @@ func TestBestConnected(t *testing.T) {
 	}
 }
 
-func TestCutBandwidthMatchesAggregate(t *testing.T) {
-	topo := NewT2(T2Config{Machines: 8, Pods: 2, Levels: 1})
-	mg := NewMachineGraph(topo)
-	a, b := mg.Bisect()
-	got := CutBandwidth(a, b)
-	want := topo.AggregateBandwidth(a.Machines(), b.Machines())
-	if got != want {
-		t.Fatalf("CutBandwidth = %g, want %g", got, want)
-	}
-}
-
 func TestT2FactorMonotonic(t *testing.T) {
 	// Larger delay factors mean strictly lower cross-pod bandwidth.
 	var prev float64 = 1e18

@@ -83,8 +83,8 @@ type Config struct {
 	// Retry governs dropped-transfer detection and backoff; the zero value
 	// selects the defaults.
 	Retry fault.RetryPolicy
-	// Speculation enables backup tasks for stragglers.
-	Speculation fault.SpeculationPolicy
+	// Speculate enables backup tasks for stragglers.
+	Speculate bool
 }
 
 // System is a fully assembled Surfer deployment: partitioned, placed and
@@ -167,7 +167,7 @@ func (s *System) EngineConfig() engine.Config {
 		Trace:             s.cfg.Trace,
 		Faults:            s.cfg.Faults,
 		Retry:             s.cfg.Retry,
-		Speculation:       s.cfg.Speculation,
+		Speculate:         s.cfg.Speculate,
 	}
 }
 

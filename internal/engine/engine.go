@@ -27,11 +27,6 @@ type Config struct {
 	// HeartbeatInterval is the failure-detection latency of the job
 	// manager (Appendix B). Defaults to 1s.
 	HeartbeatInterval float64
-	// SlotsPerMachine is how many tasks a slave runs concurrently (the
-	// paper's slaves are quad-core Xeons; the job manager "dispatches one
-	// more task to a slave node when the slave node finishes a task").
-	// Defaults to 1.
-	SlotsPerMachine int
 	// Workers sizes the pool that executes the real Go compute of tasks
 	// (Transfer fan-out, Combine folds, Map/Reduce bodies) on host cores.
 	// Zero or negative selects GOMAXPROCS; 1 forces serial execution.
@@ -50,9 +45,10 @@ type Config struct {
 	// The zero value selects the defaults (1s timeout, 0.25s backoff
 	// doubling to an 8s cap, unlimited attempts).
 	Retry fault.RetryPolicy
-	// Speculation enables MapReduce-style backup tasks for stragglers.
-	// Requires Replicas (backups run on replica holders).
-	Speculation fault.SpeculationPolicy
+	// Speculate enables MapReduce-style backup tasks for stragglers: once
+	// half a stage has committed, a task projected past twice the median
+	// gets a copy. Requires Replicas (backups run on replica holders).
+	Speculate bool
 	// PartBytes is the resident state volume of each partition, indexed by
 	// PartID: the bytes a live migration must copy when the partition's
 	// home machine drains. Missing or short means zero-cost (instant)
@@ -87,10 +83,9 @@ type Runner struct {
 	lastFailSeq     int
 	recoveryPending bool
 	// faults is the transient-fault schedule (nil = fault-free: every
-	// query is a nil check), retry and spec the defaulted policies.
+	// query is a nil check), retry the defaulted policy.
 	faults *fault.Schedule
 	retry  fault.RetryPolicy
-	spec   fault.SpeculationPolicy
 	// Elastic membership (see elastic.go). dormant marks provisioned
 	// machines whose join has not fired; draining marks machines mid-drain;
 	// retired marks cleanly decommissioned machines. home overlays the
@@ -113,7 +108,9 @@ type Runner struct {
 	// tie-break sequence, the machines' task queues and busy slots, the
 	// registry of running task copies, and the NIC free-times. More than
 	// one stage can be open over it — that is where concurrent jobs of the
-	// job service contend.
+	// job service contend. A machine has one slot: the job manager
+	// "dispatches one more task to a slave node when the slave node
+	// finishes a task" (Appendix B).
 	evq      eventQueue
 	seq      int
 	queues   [][]taskRef
@@ -132,16 +129,12 @@ func New(cfg Config) *Runner {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 1.0
 	}
-	if cfg.SlotsPerMachine <= 0 {
-		cfg.SlotsPerMachine = 1
-	}
 	nm := cfg.Topo.NumMachines()
 	r := &Runner{
 		cfg: cfg, pool: NewPool(cfg.Workers), tr: cfg.Trace,
 		dead:        make(map[cluster.MachineID]bool),
 		faults:      cfg.Faults,
 		retry:       cfg.Retry.WithDefaults(),
-		spec:        cfg.Speculation.WithDefaults(),
 		lastJobEnd:  trace.None,
 		failSeq:     make(map[cluster.MachineID]int),
 		lastFailSeq: trace.None,

@@ -344,62 +344,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestSlotsAllowConcurrentTasks(t *testing.T) {
-	// Two equal tasks on one machine: serial with 1 slot, parallel with 2.
-	mkJob := func() *Job {
-		return &Job{Stages: []*Stage{{Tasks: []*Task{
-			{Machine: 0, Compute: 3},
-			{Machine: 0, Compute: 3},
-		}}}}
-	}
-	r1 := New(Config{Topo: cluster.NewT1(1)})
-	m1, err := r1.Run(mkJob())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := New(Config{Topo: cluster.NewT1(1), SlotsPerMachine: 2})
-	m2, err := r2.Run(mkJob())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m1.ResponseSeconds-6) > 1e-9 {
-		t.Fatalf("1 slot response = %g, want 6", m1.ResponseSeconds)
-	}
-	if math.Abs(m2.ResponseSeconds-3) > 1e-9 {
-		t.Fatalf("2 slots response = %g, want 3", m2.ResponseSeconds)
-	}
-	// Machine time identical: slots change elapsed, not work.
-	if math.Abs(m1.MachineSeconds-m2.MachineSeconds) > 1e-9 {
-		t.Fatalf("machine time differs: %g vs %g", m1.MachineSeconds, m2.MachineSeconds)
-	}
-}
-
-func TestSlotsWithFailureLosesAllRunning(t *testing.T) {
-	topo := cluster.NewT1(2)
-	reps := &storage.Replicas{Machines: [][]cluster.MachineID{{0, 1}, {0, 1}}}
-	r := New(Config{
-		Topo: topo, Replicas: reps, SlotsPerMachine: 2,
-		Failures:          []Failure{{Machine: 0, At: 1}},
-		HeartbeatInterval: 0.5,
-	})
-	job := &Job{Stages: []*Stage{{Tasks: []*Task{
-		{Part: 0, Machine: 0, Compute: 5},
-		{Part: 1, Machine: 0, Compute: 5},
-	}}}}
-	m, err := r.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both running tasks lost at t=1, requeued on machine 1 at t=1.5,
-	// run serially... machine 1 also has 2 slots: parallel, done at 6.5.
-	if m.Recoveries != 2 {
-		t.Fatalf("recoveries = %d, want 2", m.Recoveries)
-	}
-	if math.Abs(m.ResponseSeconds-6.5) > 1e-9 {
-		t.Fatalf("response = %g, want 6.5", m.ResponseSeconds)
-	}
-}
-
 func TestMultipleFailures(t *testing.T) {
 	topo := cluster.NewT1(4)
 	pl := &partition.Placement{MachineOf: []cluster.MachineID{0, 1, 2, 3}}

@@ -122,7 +122,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	// With speculation a backup launches on partition 3's other replica
 	// holder (machine 0) once the median is trusted, and commits first.
 	r1 := New(Config{Topo: topo, Replicas: reps, Faults: sched,
-		Speculation: fault.SpeculationPolicy{Enabled: true}})
+		Speculate: true})
 	m, err := r1.Run(mkJob())
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +136,18 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	}
 	if m.ResponseSeconds >= base.ResponseSeconds {
 		t.Fatalf("speculation did not help: %g vs %g", m.ResponseSeconds, base.ResponseSeconds)
+	}
+}
+
+func TestIsStraggler(t *testing.T) {
+	if isStraggler(10, 2, 1, 10) {
+		t.Error("speculated with only 10% of the stage complete")
+	}
+	if !isStraggler(10, 2, 6, 10) {
+		t.Error("missed a 5x straggler with 60% complete")
+	}
+	if isStraggler(3, 2, 6, 10) {
+		t.Error("speculated on a task within the threshold")
 	}
 }
 
@@ -153,7 +165,7 @@ func TestFaultyRunsAreDeterministic(t *testing.T) {
 			{0, 1}, {1, 2}, {2, 3}, {3, 0},
 		}}
 		r := New(Config{Topo: topo, Replicas: reps, Faults: sched, Workers: workers,
-			Speculation: fault.SpeculationPolicy{Enabled: true}})
+			Speculate: true})
 		var s1, s2 []*Task
 		for i := 0; i < 8; i++ {
 			s1 = append(s1, &Task{Name: "a", Part: partition.PartID(i % 4),

@@ -375,16 +375,16 @@ func (sr *StageRun) push(ev event) {
 	r.evq.push(e)
 }
 
-// startNext launches queued tasks on machine m at time now until its slots
-// are full or its queue drains. The queue is shared between open stages:
-// contention for task slots is FIFO in enqueue order, whatever the owning
-// job. cause is the Seq of the event that freed the slot or enqueued the
-// task — possibly another job's.
+// startNext launches the next queued task on machine m at time now when its
+// one slot is free. The queue is shared between open stages: contention for
+// task slots is FIFO in enqueue order, whatever the owning job. cause is the
+// Seq of the event that freed the slot or enqueued the task — possibly
+// another job's.
 func (r *Runner) startNext(m cluster.MachineID, now float64, cause int) {
 	if r.dead[m] {
 		return
 	}
-	for r.running[m] < r.cfg.SlotsPerMachine && len(r.queues[m]) > 0 {
+	for r.running[m] == 0 && len(r.queues[m]) > 0 {
 		ref := r.queues[m][0]
 		r.queues[m] = r.queues[m][1:]
 		sr, t := ref.sr, ref.t
@@ -466,12 +466,12 @@ func (sr *StageRun) onTaskDone(e *event) {
 // maybeSpeculate is the job manager's straggler check (Appendix B records
 // per-task progress; MapReduce-style backup tasks act on it): once enough
 // of the stage has committed to trust the median task duration, every
-// still-running task projected to overrun Factor × median gets one backup
+// still-running task projected to overrun twice the median gets one backup
 // copy on a live replica holder of its partition. The first completed copy
 // commits; the loop stays serial, so speculation preserves determinism.
 func (sr *StageRun) maybeSpeculate(now float64) {
 	r := sr.r
-	if !r.spec.Enabled || r.cfg.Replicas == nil {
+	if !r.cfg.Speculate || r.cfg.Replicas == nil {
 		return
 	}
 	total := len(sr.job.Stages[sr.stageIdx].Tasks)
@@ -488,7 +488,7 @@ func (sr *StageRun) maybeSpeculate(now float64) {
 		if a.sr != sr || sr.committed[a.t.idx] || sr.speculated[a.t.idx] || a.t.Part == NoPart {
 			continue
 		}
-		if r.spec.IsStraggler(a.dur, median, len(sr.doneDurs), total) {
+		if isStraggler(a.dur, median, len(sr.doneDurs), total) {
 			found = append(found, straggler{t: a.t, machine: a.machine})
 		}
 	}
@@ -509,6 +509,16 @@ func (sr *StageRun) maybeSpeculate(now float64) {
 		r.queues[backup] = append(r.queues[backup], taskRef{sr, s.t})
 		r.startNext(backup, now, specSeq)
 	}
+}
+
+// isStraggler is the backup-task rule: once half the stage has committed,
+// a task whose projected duration exceeds twice the stage's median committed
+// duration is a straggler.
+func isStraggler(projected, median float64, completed, total int) bool {
+	if total == 0 || median <= 0 || float64(completed) < 0.5*float64(total) {
+		return false
+	}
+	return projected > 2*median
 }
 
 // backupMachine picks the first available replica holder of the task's
@@ -776,5 +786,5 @@ func (r *Runner) failover(t *Task) (cluster.MachineID, error) {
 		}
 		return 0, fmt.Errorf("engine: no live machines")
 	}
-	return r.cfg.Replicas.FailoverFunc(t.Part, r.unavailable)
+	return r.cfg.Replicas.Failover(t.Part, r.unavailable)
 }

@@ -120,22 +120,6 @@ func (s *Schedule) AcceptingAt(m cluster.MachineID, t float64) bool {
 	return true
 }
 
-// Dormant returns the machines that start dormant under this schedule (the
-// join targets), as a lookup slice over numMachines machines. A nil
-// schedule dormants nothing.
-func (s *Schedule) Dormant(numMachines int) []bool {
-	out := make([]bool, numMachines)
-	if s == nil {
-		return out
-	}
-	for _, j := range s.Joins {
-		if int(j.Machine) >= 0 && int(j.Machine) < numMachines {
-			out[j.Machine] = true
-		}
-	}
-	return out
-}
-
 // SortedJoins returns the schedule's joins ordered by (At, Machine), the
 // deterministic arming order the engine uses.
 func (s *Schedule) SortedJoins() []MachineJoin {

@@ -1,8 +1,8 @@
 // Package fault is Surfer's expanded fault model: transient link faults
 // (degraded bandwidth, dropped transfers), machine slowdowns (stragglers),
-// and the policies the job manager applies against them — retry with
-// timeout and exponential backoff for transfers, speculative re-execution
-// for straggling tasks.
+// and the retry policy the job manager applies to dropped transfers —
+// timeout and exponential backoff. Speculative re-execution of straggling
+// tasks is the engine's own fixed rule.
 //
 // The package deliberately holds no engine state: a Schedule is a pure,
 // immutable description of *when* the cluster misbehaves, queried by the
@@ -174,7 +174,7 @@ func (s *Schedule) Validate(numMachines int) error {
 
 // RetryPolicy governs dropped-transfer recovery: a transfer that makes no
 // progress for Timeout seconds is declared failed, and the sender re-issues
-// it after an exponentially growing backoff. The zero value selects the
+// it after a backoff that doubles per attempt. The zero value selects the
 // defaults; attempts are unlimited unless MaxAttempts is set, so a transfer
 // always succeeds once its drop window closes.
 type RetryPolicy struct {
@@ -183,8 +183,6 @@ type RetryPolicy struct {
 	Timeout float64
 	// Backoff is the wait before the first retry. Default 0.25s.
 	Backoff float64
-	// Multiplier grows the backoff per attempt. Default 2.
-	Multiplier float64
 	// MaxBackoff caps the backoff. Default 8s.
 	MaxBackoff float64
 	// MaxAttempts bounds retries; 0 means unlimited. When the bound is
@@ -200,9 +198,6 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.Backoff <= 0 {
 		p.Backoff = 0.25
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 8
 	}
@@ -210,11 +205,11 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 }
 
 // BackoffAt returns the wait before retry attempt n (1-based): the
-// exponential schedule Backoff · Multiplier^(n-1), capped at MaxBackoff.
+// exponential schedule Backoff · 2^(n-1), capped at MaxBackoff.
 func (p RetryPolicy) BackoffAt(attempt int) float64 {
 	b := p.Backoff
 	for i := 1; i < attempt; i++ {
-		b *= p.Multiplier
+		b *= 2
 		if b >= p.MaxBackoff {
 			return p.MaxBackoff
 		}
@@ -223,45 +218,4 @@ func (p RetryPolicy) BackoffAt(attempt int) float64 {
 		return p.MaxBackoff
 	}
 	return b
-}
-
-// SpeculationPolicy is the job manager's backup-task rule (MapReduce-style
-// speculative re-execution): once enough of a stage has completed to
-// estimate a median task time, any still-running task projected to take
-// longer than Factor × median gets a backup copy on a replica holder; the
-// first completion commits, and the engine commits results in task order —
-// not completion order — so the determinism contract survives duplicates.
-type SpeculationPolicy struct {
-	// Enabled turns speculation on.
-	Enabled bool
-	// Factor is the straggler threshold multiple over the stage's median
-	// completed-task duration. Default 2.
-	Factor float64
-	// MinCompletedFraction is how much of the stage must have completed
-	// before the median is trusted. Default 0.5.
-	MinCompletedFraction float64
-}
-
-// WithDefaults fills unset fields with the default policy.
-func (p SpeculationPolicy) WithDefaults() SpeculationPolicy {
-	if p.Factor <= 1 {
-		p.Factor = 2
-	}
-	if p.MinCompletedFraction <= 0 || p.MinCompletedFraction > 1 {
-		p.MinCompletedFraction = 0.5
-	}
-	return p
-}
-
-// IsStraggler applies the policy: projected is the running task's expected
-// total duration, median the stage's median completed duration, completed
-// and total the stage's progress.
-func (p SpeculationPolicy) IsStraggler(projected, median float64, completed, total int) bool {
-	if !p.Enabled || total == 0 || median <= 0 {
-		return false
-	}
-	if float64(completed) < p.MinCompletedFraction*float64(total) {
-		return false
-	}
-	return projected > p.Factor*median
 }

@@ -102,7 +102,7 @@ func TestScheduleValidate(t *testing.T) {
 
 func TestRetryPolicyBackoff(t *testing.T) {
 	p := RetryPolicy{}.WithDefaults()
-	if p.Timeout != 1.0 || p.Backoff != 0.25 || p.Multiplier != 2 || p.MaxBackoff != 8 {
+	if p.Timeout != 1.0 || p.Backoff != 0.25 || p.MaxBackoff != 8 {
 		t.Fatalf("unexpected defaults: %+v", p)
 	}
 	want := []float64{0.25, 0.5, 1, 2, 4, 8, 8, 8}
@@ -110,23 +110,6 @@ func TestRetryPolicyBackoff(t *testing.T) {
 		if got := p.BackoffAt(i + 1); got != w {
 			t.Errorf("BackoffAt(%d) = %g, want %g", i+1, got, w)
 		}
-	}
-}
-
-func TestSpeculationPolicy(t *testing.T) {
-	p := SpeculationPolicy{Enabled: true}.WithDefaults()
-	if p.IsStraggler(10, 2, 1, 10) {
-		t.Error("speculated with only 10% of the stage complete")
-	}
-	if !p.IsStraggler(10, 2, 6, 10) {
-		t.Error("missed a 5x straggler with 60% complete")
-	}
-	if p.IsStraggler(3, 2, 6, 10) {
-		t.Error("speculated on a task within the threshold")
-	}
-	off := SpeculationPolicy{}.WithDefaults()
-	if off.IsStraggler(100, 1, 9, 10) {
-		t.Error("disabled policy speculated")
 	}
 }
 

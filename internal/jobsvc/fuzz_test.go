@@ -92,3 +92,37 @@ func FuzzJobService(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadWorkload feeds arbitrary bytes to the jobs-file reader behind
+// surfer-submit -jobs: it must return an error rather than panic, and a file
+// it accepts must write back through WriteWorkload and re-read to the same
+// bytes. Bytes, not DeepEqual: an absent "jobs" key reads as nil and
+// re-reads as empty.
+func FuzzReadWorkload(f *testing.F) {
+	var seed bytes.Buffer
+	if err := WriteWorkload(&seed, GenerateWorkload(GenConfig{Jobs: 4, Tenants: 2, MaxPriority: 2, Seed: 7})); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wl, err := ReadWorkload(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteWorkload(&first, wl); err != nil {
+			t.Fatalf("accepted workload does not write: %v", err)
+		}
+		again, err := ReadWorkload(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written workload does not re-read: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := WriteWorkload(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write → read → write changed the bytes:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}

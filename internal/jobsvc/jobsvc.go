@@ -99,8 +99,6 @@ type Config struct {
 	// QueueLimit bounds the jobs waiting for admission: an arrival that
 	// finds QueueLimit jobs already queued is rejected. 0 = unlimited.
 	QueueLimit int
-	// SlotsPerMachine is each machine's task slot count. <= 0 selects 1.
-	SlotsPerMachine int
 	// Trace receives the event stream; nil disables tracing.
 	Trace *trace.Recorder
 	// Faults injects transient link faults and machine slowdowns shared by
@@ -275,7 +273,7 @@ func newService(cfg Config, jobs []Job) (*service, error) {
 		cfg: cfg,
 		tr:  cfg.Trace,
 		// The runner's pool is never used: plans arrive computed.
-		eng: engine.New(engine.Config{Topo: cfg.Topo, SlotsPerMachine: cfg.SlotsPerMachine, Workers: 1,
+		eng: engine.New(engine.Config{Topo: cfg.Topo, Workers: 1,
 			Trace: cfg.Trace, Faults: cfg.Faults, Retry: cfg.Retry}),
 		open:          make(map[*engine.StageRun]*jobRun),
 		vruntime:      make(map[string]float64),

@@ -47,23 +47,12 @@ type Options struct {
 	// application state stored alongside the partition (e.g. PageRank
 	// ranks).
 	StatePerVertexBytes int64
-	// ComputePerPair is CPU seconds per emitted pair (Map) and per
-	// folded value (Reduce). Zero selects a default matching the
-	// propagation cost constants.
-	ComputePerPair float64
-	// JobName labels the engine job in trace output; empty means
-	// "mapreduce".
-	JobName string
 }
 
-func (o Options) computePerPair() float64 {
-	if o.ComputePerPair == 0 {
-		// Matches propagation.DefaultCostParams: the simulated system is
-		// I/O-bound like the paper's deployment.
-		return 20e-9
-	}
-	return o.ComputePerPair
-}
+// computePerPair is CPU seconds per emitted pair (Map) and per folded value
+// (Reduce). It matches propagation's per-edge cost: the simulated system is
+// I/O-bound like the paper's deployment.
+const computePerPair = 20e-9
 
 // Combiner is an optional Program extension: when implemented, the values
 // a map task emits for the same key are folded map-side before the shuffle
@@ -316,7 +305,6 @@ func Run[K Key, V any, R any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 	results, acct := execute(r.Pool(), pg, prog)
 
 	// Build the two-stage engine job.
-	cpp := opt.computePerPair()
 	mapTasks := make([]*engine.Task, p)
 	for i, pi := range pg.Parts {
 		var outs []engine.Output
@@ -332,7 +320,7 @@ func Run[K Key, V any, R any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 			Kind:     engine.KindTransfer,
 			Part:     partition.PartID(i),
 			Machine:  pl.MachineOf[i],
-			Compute:  cpp * float64(pi.OutEdges()+acct.pairsEmitted[i]),
+			Compute:  computePerPair * float64(pi.OutEdges()+acct.pairsEmitted[i]),
 			DiskRead: pi.Bytes + opt.StatePerVertexBytes*int64(len(pi.Vertices)),
 			// Map output is spilled, then rewritten sorted by reducer —
 			// the Google-style map-side sort pass [5].
@@ -351,7 +339,7 @@ func Run[K Key, V any, R any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 			Kind:    engine.KindCombine,
 			Part:    engine.NoPart,
 			Machine: reducerMachine(red, numMachines),
-			Compute: cpp * float64(acct.reduceValues[red]),
+			Compute: computePerPair * float64(acct.reduceValues[red]),
 			// Shuffled input is materialized on arrival, merge-sorted
 			// (read + read again for the reduce scan), and the results
 			// written out.
@@ -410,11 +398,7 @@ func Run[K Key, V any, R any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 		}
 		stages = append([]*engine.Stage{{Name: "dfs-read", Tasks: fetchTasks}}, stages...)
 	}
-	jobName := opt.JobName
-	if jobName == "" {
-		jobName = "mapreduce"
-	}
-	job := &engine.Job{Name: jobName, Stages: stages}
+	job := &engine.Job{Name: "mapreduce", Stages: stages}
 	m, err := r.Run(job)
 	if err != nil {
 		return nil, engine.Metrics{}, err

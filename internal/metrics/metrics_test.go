@@ -321,7 +321,7 @@ func TestAutoscalePlanUnchangedByRewire(t *testing.T) {
 	if math.Abs(wins[0].MaxLevel0Util-0.9) > 1e-9 || wins[2].MaxLevel0Util != 0 {
 		t.Fatalf("utils = %+v", wins)
 	}
-	plan, err := analyze.Autoscale(rec.Events(), topo, analyze.AutoscalePolicy{})
+	plan, err := analyze.Autoscale(rec.Events(), topo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,21 +87,17 @@ func (NonAssociative[V]) Merge(graph.VertexID, []V) V {
 	panic("propagation: Merge called on a non-associative program")
 }
 
-// CostParams sets the CPU cost constants of the execution model.
-type CostParams struct {
-	// ComputePerEdge is seconds per transfer call (one per out-edge).
-	ComputePerEdge float64
-	// ComputePerValue is seconds per value folded in a combine call.
-	ComputePerValue float64
-}
-
-// DefaultCostParams makes the simulated system I/O-bound, like the paper's
-// deployment: the per-edge CPU cost of an optimized C++ kernel is tens of
-// nanoseconds, far below the disk and network cost of moving the same edge's
-// data, so byte volumes — not CPU — decide the experiment outcomes.
-func DefaultCostParams() CostParams {
-	return CostParams{ComputePerEdge: 20e-9, ComputePerValue: 10e-9}
-}
+// The CPU cost constants of the execution model make the simulated system
+// I/O-bound, like the paper's deployment: the per-edge CPU cost of an
+// optimized C++ kernel is tens of nanoseconds, far below the disk and network
+// cost of moving the same edge's data, so byte volumes — not CPU — decide the
+// experiment outcomes.
+const (
+	// computePerEdge is seconds per transfer call (one per out-edge).
+	computePerEdge = 20e-9
+	// computePerValue is seconds per value folded in a combine call.
+	computePerValue = 10e-9
+)
 
 // Options selects the optimization level and execution parameters of a run.
 // The four optimization levels of §6.3 map to:
@@ -118,13 +114,4 @@ type Options struct {
 	// VirtualVertices is the size of the virtual vertex ID space
 	// [NumVertices, NumVertices+VirtualVertices) available to Transfer.
 	VirtualVertices int
-	// Costs are the CPU cost constants; zero value means defaults.
-	Costs CostParams
-}
-
-func (o Options) costs() CostParams {
-	if o.Costs.ComputePerEdge == 0 && o.Costs.ComputePerValue == 0 {
-		return DefaultCostParams()
-	}
-	return o.Costs
 }

@@ -751,7 +751,6 @@ func (ex *execution[V]) publishVirtual(next *State[V]) {
 // stage between them.
 func (ex *execution[V]) buildJob(name string) *engine.Job {
 	p := ex.pg.Part.P
-	costs := ex.opt.costs()
 	for i := 0; i < p; i++ {
 		for q := 0; q < p; q++ {
 			ex.receivedBytes[q] += ex.remoteBytes[i*p+q]
@@ -790,7 +789,7 @@ func (ex *execution[V]) buildJob(name string) *engine.Job {
 				Kind:    engine.KindCombine,
 				Part:    engine.NoPart,
 				Machine: ms[q%len(ms)],
-				Compute: costs.ComputePerValue * float64(in),
+				Compute: computePerValue * float64(in),
 				Outputs: []engine.Output{{DstTask: q, Bytes: t.outBytes[k]}},
 			})
 			ex.receivedBytes[q] += t.outBytes[k]
@@ -817,7 +816,7 @@ func (ex *execution[V]) buildJob(name string) *engine.Job {
 			Kind:      engine.KindTransfer,
 			Part:      partition.PartID(i),
 			Machine:   m,
-			Compute:   costs.ComputePerEdge * float64(pi.OutEdges()),
+			Compute:   computePerEdge * float64(pi.OutEdges()),
 			DiskRead:  pi.Bytes + ex.stateRead[i],
 			DiskWrite: ex.localBytes[i],
 			Outputs:   outs,
@@ -827,7 +826,7 @@ func (ex *execution[V]) buildJob(name string) *engine.Job {
 			Kind:    engine.KindCombine,
 			Part:    partition.PartID(i),
 			Machine: m,
-			Compute: costs.ComputePerValue * float64(ex.combineCount[i]),
+			Compute: computePerValue * float64(ex.combineCount[i]),
 			// The combine input is the locally materialized intermediates
 			// plus the remote arrivals staged on local disk ("all the
 			// intermediate results required for the Combine stage is

@@ -69,21 +69,10 @@ func (r *Replicas) Primary(p partition.PartID) cluster.MachineID {
 	return r.Machines[p][0]
 }
 
-// Failover returns the first replica of p not in the dead set, or an error
-// if all replicas are dead.
-func (r *Replicas) Failover(p partition.PartID, dead map[cluster.MachineID]bool) (cluster.MachineID, error) {
-	for _, m := range r.Machines[p] {
-		if !dead[m] {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("storage: all %d replicas of partition %d are on dead machines", len(r.Machines[p]), p)
-}
-
-// FailoverFunc is Failover generalized over an arbitrary exclusion
-// predicate, for elastic membership: the engine excludes not just dead
-// machines but also draining, retired and still-dormant ones.
-func (r *Replicas) FailoverFunc(p partition.PartID, excluded func(cluster.MachineID) bool) (cluster.MachineID, error) {
+// Failover returns the first replica of p that excluded does not reject, or
+// an error naming p when every replica is rejected. The engine excludes not
+// just dead machines but also draining, retired and still-dormant ones.
+func (r *Replicas) Failover(p partition.PartID, excluded func(cluster.MachineID) bool) (cluster.MachineID, error) {
 	for _, m := range r.Machines[p] {
 		if !excluded(m) {
 			return m, nil

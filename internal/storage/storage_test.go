@@ -211,7 +211,7 @@ func TestFailover(t *testing.T) {
 	r := PlaceReplicas(pl, topo, 3)
 	p := partition.PartID(0)
 	primary := r.Primary(p)
-	m, err := r.Failover(p, map[cluster.MachineID]bool{primary: true})
+	m, err := r.Failover(p, func(m cluster.MachineID) bool { return m == primary })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +219,7 @@ func TestFailover(t *testing.T) {
 		t.Fatal("failover returned dead primary")
 	}
 	// Kill everything: must error.
-	dead := map[cluster.MachineID]bool{}
-	for i := 0; i < 4; i++ {
-		dead[cluster.MachineID(i)] = true
-	}
-	if _, err := r.Failover(p, dead); err == nil {
+	if _, err := r.Failover(p, func(cluster.MachineID) bool { return true }); err == nil {
 		t.Fatal("expected failover error with all machines dead")
 	}
 }
@@ -233,7 +229,7 @@ func TestFailoverReplicaExhaustionNamesPartition(t *testing.T) {
 		{0, 1, 2},
 		{1, 2, 3},
 	}}
-	dead := map[cluster.MachineID]bool{1: true, 2: true, 3: true}
+	dead := func(m cluster.MachineID) bool { return m != 0 }
 	// Partition 0 still has machine 0: failover succeeds.
 	if m, err := r.Failover(0, dead); err != nil || m != 0 {
 		t.Fatalf("partition 0 failover = %d, %v", m, err)
@@ -263,15 +259,15 @@ func TestFailoverFunc(t *testing.T) {
 			return false
 		}
 	}
-	if m, err := r.FailoverFunc(0, excl()); err != nil || m != 2 {
+	if m, err := r.Failover(0, excl()); err != nil || m != 2 {
 		t.Fatalf("no exclusions: %d, %v", m, err)
 	}
 	// Replica order, not ID order: excluding the primary lands on the next
 	// listed holder.
-	if m, err := r.FailoverFunc(0, excl(2)); err != nil || m != 0 {
+	if m, err := r.Failover(0, excl(2)); err != nil || m != 0 {
 		t.Fatalf("primary excluded: %d, %v", m, err)
 	}
-	if _, err := r.FailoverFunc(0, excl(0, 1, 2)); err == nil {
+	if _, err := r.Failover(0, excl(0, 1, 2)); err == nil {
 		t.Fatal("all replicas excluded should error")
 	}
 }

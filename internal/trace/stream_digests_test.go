@@ -110,8 +110,8 @@ func faultedCapture(t *testing.T) capture {
 	rec := trace.NewRecorder()
 	sys := build(core.Config{
 		Trace: rec, Faults: sched,
-		Retry:       fault.RetryPolicy{Timeout: h / 100, Backoff: h / 400, MaxBackoff: h / 10},
-		Speculation: fault.SpeculationPolicy{Enabled: true},
+		Retry:     fault.RetryPolicy{Timeout: h / 100, Backoff: h / 400, MaxBackoff: h / 10},
+		Speculate: true,
 	})
 	r := sys.NewRunner()
 	if _, _, err := apps.NewNR(3).RunPropagation(r, sys.PG, sys.Placement, propagation.Options{}); err != nil {

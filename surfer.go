@@ -187,11 +187,6 @@ type MachineSlowdown = fault.Slowdown
 // unlimited attempts.
 type RetryPolicy = fault.RetryPolicy
 
-// SpeculationPolicy enables backup tasks for stragglers: when a running
-// task's projected duration exceeds Factor times the median of committed
-// tasks, a copy launches on a replica holder and the first completion wins.
-type SpeculationPolicy = fault.SpeculationPolicy
-
 // FaultFile is the on-disk JSON fault-schedule format consumed by the CLIs
 // (kills, degraded links, drop windows, slowdowns in one document).
 type FaultFile = fault.File
