@@ -21,14 +21,14 @@ func TestChaosSoak(t *testing.T) {
 	prog := &pagerank{g: g, n: float64(g.NumVertices())}
 	const iters = 3
 
-	build := func(workers int, failures []Failure, heartbeat float64, faults *FaultSchedule) (*State[float64], Metrics) {
+	build := func(workers int, heartbeat float64, faults *FaultSchedule) (*State[float64], Metrics) {
 		t.Helper()
 		sys, err := Build(Config{
 			Graph: g, Topology: topo, Levels: 4, Seed: 5,
-			Failures: failures, HeartbeatInterval: heartbeat,
-			Faults:    faults,
-			Speculate: true,
-			Workers:   workers,
+			HeartbeatInterval: heartbeat,
+			Faults:            faults,
+			Speculate:         true,
+			Workers:           workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -40,7 +40,7 @@ func TestChaosSoak(t *testing.T) {
 		return st, m
 	}
 
-	baseSt, baseM := build(1, nil, 0, nil)
+	baseSt, baseM := build(1, 0, nil)
 	horizon := baseM.ResponseSeconds
 	heartbeat := horizon / 20
 
@@ -50,12 +50,13 @@ func TestChaosSoak(t *testing.T) {
 	}
 	var totalRecoveries, totalDrops, totalRetries int
 	for _, seed := range seeds {
-		sched, failures := fault.Generate(fault.GenConfig{
+		sched, kills := fault.Generate(fault.GenConfig{
 			Machines: topo.NumMachines(), Horizon: horizon,
 			Degrades: 3, Drops: 3, Slowdowns: 2, Kills: 1, Seed: seed,
 		})
 
-		refSt, refM := build(1, failures, heartbeat, sched)
+		sched.Kills = kills
+		refSt, refM := build(1, heartbeat, sched)
 		totalRecoveries += refM.Recoveries
 		totalDrops += refM.TransferDrops
 		totalRetries += refM.TransferRetries
@@ -68,7 +69,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 		// The same schedule replays bit-identically on any worker count.
 		for _, workers := range []int{4, 8} {
-			st, m := build(workers, failures, heartbeat, sched)
+			st, m := build(workers, heartbeat, sched)
 			if m != refM {
 				t.Fatalf("seed %d workers=%d: metrics %+v differ from serial %+v", seed, workers, m, refM)
 			}

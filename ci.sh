@@ -45,6 +45,10 @@ go test -run '^$' -fuzz FuzzShuffle -fuzztime 10s ./internal/mapreduce
 # And through the jobs-file reader behind surfer-submit -jobs: never a panic,
 # and what it accepts writes back and re-reads to the same bytes.
 go test -run '^$' -fuzz FuzzReadWorkload -fuzztime 10s ./internal/jobsvc
+# And through the fault-file reader behind -fail and -faults: never a panic,
+# nor from what the tools do next with an accepted schedule, and what it
+# accepts writes back and re-reads to the same bytes.
+go test -run '^$' -fuzz FuzzLoad -fuzztime 10s ./internal/fault
 # Layer benchmarks, once each, so they cannot rot (-short skips the
 # 1M-vertex partitioner size and plans propagation and MapReduce at 16k
 # vertices).
@@ -104,6 +108,29 @@ go run ./cmd/surfer-analyze -trace "$smoke/elastic.events" | grep -q "migration=
 go run ./cmd/surfer-analyze -autoscale "$smoke/elastic.events" -json > "$smoke/plan.json"
 go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t1 \
     -machines 8 -levels 3 -fail "$smoke/plan.json" > /dev/null
+# Chaos smoke: one fault file with all six keys (the join names a machine of
+# the topology, so surfer-bench takes it as it stands) through a traced run,
+# the breakdown, and Figure 10, which drops the file's kill for its own.
+cat > "$smoke/chaos.json" <<'EOF'
+{
+  "kills":     [{"machine": 5, "at": 0.0015}],
+  "links":     [{"src": 0, "dst": 3, "from": 0.0005, "until": 0.002, "factor": 4}],
+  "drops":     [{"src": 1, "dst": 2, "from": 0.0002, "until": 0.0008}],
+  "slowdowns": [{"machine": 6, "from": 0, "until": 0.002, "factor": 3}],
+  "joins":     [{"machine": 7, "at": 0.0005, "nics": 62.5e6}],
+  "drains":    [{"machine": 3, "at": 0.001, "deadline": 1.0}]
+}
+EOF
+go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t1 \
+    -machines 8 -levels 3 -fail "$smoke/chaos.json" \
+    -events "$smoke/chaos.events" > "$smoke/chaos.txt"
+grep -q "elasticity:.*1 join(s), 1 drain(s)" "$smoke/chaos.txt"
+go run ./cmd/surfer-trace -in "$smoke/chaos.events" -breakdown > "$smoke/chaos-breakdown.txt"
+grep -q "drops=1" "$smoke/chaos-breakdown.txt"
+grep -q "FAILED" "$smoke/chaos-breakdown.txt"
+go run ./cmd/surfer-bench -experiment fig10 -vertices 4096 -machines 8 \
+    -levels 3 -faults "$smoke/chaos.json" > "$smoke/chaos-fig10.txt"
+grep -q "task recoveries" "$smoke/chaos-fig10.txt"
 # Multi-tenant smoke + regression gate: replay a generated workload through
 # the job service, find the scheduler's queued-preempted category in the blame
 # table, then gate the multitenant bench against BENCH_multitenant.json.

@@ -107,7 +107,7 @@ func runAutoscale(w io.Writer, path string, asJSON bool) error {
 	if asJSON {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(plan.File())
+		return enc.Encode(plan.Schedule())
 	}
 	fmt.Fprintf(w, "autoscale: %d window(s), %d join(s), %d drain(s) recommended\n",
 		len(plan.Windows), len(plan.Joins), len(plan.Drains))

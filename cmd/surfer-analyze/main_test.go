@@ -84,12 +84,12 @@ func TestStreams(t *testing.T) {
 	if err := os.WriteFile(planPath, []byte(plan), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ff, err := fault.Load(planPath)
+	sched, err := fault.Load(planPath)
 	if err != nil {
 		t.Fatalf("the plan is not a fault file: %v\n%s", err, plan)
 	}
-	if _, kills, _, err := ff.RunInputs(cluster.NewT1(8)); err != nil || len(kills) != 0 {
-		t.Errorf("the plan does not replay: %d kills, %v", len(kills), err)
+	if _, err := sched.RunInputs(cluster.NewT1(8)); err != nil || len(sched.Kills) != 0 {
+		t.Errorf("the plan does not replay: %d kills, %v", len(sched.Kills), err)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 
 	"repro/cmd/internal/cli"
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/trace"
 )
@@ -69,21 +68,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if *faultsPath != "" {
-			ff, err := fault.Load(*faultsPath)
-			if err != nil {
+			if p.Scale.Faults, err = fault.Load(*faultsPath); err != nil {
 				return err
 			}
 			// Every experiment builds its own clusters of -machines machines,
 			// so the file must fit that count as it stands: a join past it
 			// would never be provisioned, and must not silently run fault-free.
-			topo, kills, faults, err := ff.RunInputs(cluster.NewT1(*machines))
-			if err == nil && topo.NumMachines() != *machines {
-				err = fmt.Errorf("names machine %d, outside the %d-machine clusters the experiments build", ff.MaxMachine(), *machines)
-			}
-			if err != nil {
+			if err := p.Scale.Faults.Validate(*machines); err != nil {
 				return fmt.Errorf("%s: %v", *faultsPath, err)
 			}
-			p.Scale.Failures, p.Scale.Faults = kills, faults
 		}
 		if *traceOut != "" || *eventsOut != "" {
 			p.Scale.Trace = trace.NewRecorder()

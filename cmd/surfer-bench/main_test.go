@@ -162,8 +162,8 @@ func TestBadInvocations(t *testing.T) {
 		{small("-faults", write("empty.json", "")), 1, "empty.json"},
 		{small("-faults", write("truncated.json", `{"links": [{"src": 0, "dst"`)), 1, "truncated.json"},
 		{small("-faults", write("wrong.json", `{"schema":"surfer-bench/v1","entries":[]}`)), 1, "wrong.json"},
-		{small("-faults", write("kill.json", `{"kills": [{"machine": 40, "at": 1}]}`)), 1, "kill.json: names machine 40, outside the 8-machine clusters"},
-		{small("-faults", write("join.json", `{"joins": [{"machine": 8, "at": 0.5}]}`)), 1, "join.json: names machine 8, outside the 8-machine clusters"},
+		{small("-faults", write("kill.json", `{"kills": [{"machine": 40, "at": 1}]}`)), 1, "kill.json: fault: kill 0 references machine 40 outside the 8-machine topology"},
+		{small("-faults", write("join.json", `{"joins": [{"machine": 8, "at": 0.5}]}`)), 1, "join.json: fault: join 0 references machine 8 outside [0,8)"},
 		{small("-faults", write("loop.json", `{"drops": [{"src": 1, "dst": 1, "from": 0, "until": 1}]}`)), 1, "loop.json: fault: link fault 0 on loopback"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)

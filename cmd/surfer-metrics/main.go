@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -94,6 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // folded as it streams by and no event is held; the automatic window is a
 // fraction of the makespan, which only the whole stream tells.
 func derive(path string, window float64, rulesPath string) (*metrics.Set, []metrics.Alert, error) {
+	if window < 0 || math.IsNaN(window) {
+		return nil, nil, fmt.Errorf("-window %g: want 0 (automatic) or a positive number of virtual seconds", window)
+	}
 	rules, err := metrics.LoadRules(rulesPath)
 	if err != nil {
 		return nil, nil, err

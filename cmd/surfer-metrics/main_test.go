@@ -139,6 +139,10 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-trace", events, "-series", series}, 1, "alternatives"},
 		{[]string{"-series", series, "-rules", missing}, 1, "-rules needs -trace"},
 		{[]string{"-trace", still}, 1, "still.events: empty stream; pass -window explicitly"},
+		// was: silently the automatic window.
+		{[]string{"-trace", events, "-window", "NaN"}, 1, "-window NaN: want 0 (automatic) or a positive number"},
+		{[]string{"-trace", events, "-window", "-1"}, 1, "-window -1: want 0 (automatic) or a positive number"},
+		{[]string{"-trace", events, "-window", "Inf"}, 1, "metrics: window must be positive and finite, got +Inf"},
 
 		{[]string{"-trace", missing}, 1, "missing"},
 		{[]string{"-trace", empty}, 1, "empty: trace: not a raw event trace"},

@@ -58,17 +58,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		var failures []engine.Failure
 		var faults *fault.Schedule
 		if strings.HasSuffix(*failSpec, ".json") {
-			ff, err := fault.Load(*failSpec)
-			if err != nil {
+			if faults, err = fault.Load(*failSpec); err != nil {
 				return err
 			}
-			if topo, failures, faults, err = ff.RunInputs(topo); err != nil {
+			if topo, err = faults.RunInputs(topo); err != nil {
 				return fmt.Errorf("%s: %v", *failSpec, err)
 			}
-		} else if failures, err = parseFailures(*failSpec); err != nil {
+		} else if faults, err = parseKills(*failSpec); err != nil {
 			return err
 		}
 		app, err := apps.ByName(*appName, 0)
@@ -107,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		d, err := bench.NewDeploymentFor(bench.Scale{
 			Vertices: g.NumVertices(), Levels: *levels, Machines: topo.NumMachines(),
 			Seed: *seed, Workers: *workers, Trace: rec,
-			Failures: failures, Heartbeat: *heartbeat, Faults: faults,
+			Heartbeat: *heartbeat, Faults: faults,
 		}, topo, g)
 		if err != nil {
 			return err
@@ -175,14 +173,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 }
 
-// parseFailures decodes the -fail flag: a comma-separated list of
-// machine@time entries, each scheduling a permanent machine death at a
-// virtual time.
-func parseFailures(spec string) ([]engine.Failure, error) {
+// parseKills decodes the -fail flag: a comma-separated list of machine@time
+// entries, each scheduling a permanent machine death at a virtual time.
+func parseKills(spec string) (*fault.Schedule, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	var out []engine.Failure
+	out := &fault.Schedule{}
 	for _, entry := range strings.Split(spec, ",") {
 		mStr, tStr, ok := strings.Cut(strings.TrimSpace(entry), "@")
 		if !ok {
@@ -196,7 +193,7 @@ func parseFailures(spec string) ([]engine.Failure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad time in -fail entry %q: %v", entry, err)
 		}
-		out = append(out, engine.Failure{Machine: cluster.MachineID(m), At: at})
+		out.Kills = append(out.Kills, fault.Kill{Machine: cluster.MachineID(m), At: at})
 	}
 	return out, nil
 }

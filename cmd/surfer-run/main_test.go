@@ -143,6 +143,15 @@ func TestBadInvocations(t *testing.T) {
 		{small(g, "-fail", "2"), 1, `bad -fail entry "2"`},
 		{small(g, "-fail", "x@1"), 1, "bad machine in -fail entry"},
 		{small(g, "-fail", "40@1"), 1, "machine 40"},
+		// was: a run, slower than fault-free or fault-free itself.
+		{small(g, "-fail", "2@NaN"), 1, "kill 0 of machine 2 at time NaN"},
+		{small(g, "-fail", "2@Inf"), 1, "kill 0 of machine 2 at time +Inf"},
+		// was: "response time: NaN s", a wrong time, and silently 1 s.
+		{small(g, "-fail", "2@0.001", "-heartbeat", "Inf"), 1, "Config.HeartbeatInterval = +Inf"},
+		{small(g, "-fail", "2@0.001", "-heartbeat", "NaN"), 1, "Config.HeartbeatInterval = NaN"},
+		{small(g, "-heartbeat", "-1"), 1, "Config.HeartbeatInterval = -1"},
+		// was: a series that grew until the process was killed.
+		{small(g, "-metrics", missing+".series", "-metrics-window", "NaN"), 1, "metrics: window must be positive and finite, got NaN"},
 		{small(g, "-rules", write("slo.json", `{"rules":[]}`)), 1, "-rules needs -metrics"},
 
 		{[]string{"-graph", missing + ".srfg"}, 1, "missing.srfg"},
@@ -155,7 +164,7 @@ func TestBadInvocations(t *testing.T) {
 		{small(g, "-fail", write("truncated.json", `{"kills": [{"machine": 2, "at"`)), 1, "truncated.json"},
 		{small(g, "-fail", write("wrong.json", `{"format":"surfer-trace-events","version":1,"events":[]}`)), 1, "wrong.json"},
 		{small(g, "-fail", write("window.json", `{"slowdowns": [{"machine": 1, "from": 2, "until": 1, "factor": 3}]}`)), 1, "window.json"},
-		{small(g, "-fail", write("allkilled.json", `{"kills": [{"machine": 0, "at": 1}, {"machine": 0, "at": 2}]}`)), 1, "duplicate failure"},
+		{small(g, "-fail", write("allkilled.json", `{"kills": [{"machine": 0, "at": 1}, {"machine": 0, "at": 2}]}`)), 1, "duplicate kill of machine 0"},
 
 		{small(g, "-metrics", missing+".series", "-rules", missing+".rules"), 1, "missing.rules"},
 		{small(g, "-metrics", missing+".series", "-rules", write("empty.rules", "")), 1, "empty.rules"},

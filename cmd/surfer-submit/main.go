@@ -127,18 +127,8 @@ func submit(stdout io.Writer, sub submission) error {
 		QueueLimit:  sub.queueLimit,
 	}
 	if sub.faultsPath != "" {
-		ff, err := fault.Load(sub.faultsPath)
-		if err != nil {
+		if cfg.Faults, err = fault.Load(sub.faultsPath); err != nil {
 			return err
-		}
-		// The cluster is the planner's: a join must name one of its machines,
-		// which the service checks against cfg.Topo.
-		var kills []fault.Kill
-		if _, kills, cfg.Faults, err = ff.RunInputs(topo); err != nil {
-			return fmt.Errorf("%s: %v", sub.faultsPath, err)
-		}
-		if len(kills) != 0 {
-			return errors.New("the job service handles transient faults only; remove kills from the schedule")
 		}
 	}
 	var rec *trace.Recorder
@@ -147,7 +137,12 @@ func submit(stdout io.Writer, sub submission) error {
 		cfg.Trace = rec
 	}
 
+	// The plans are the planner's own, so what the service refuses is the
+	// fault file: a kill, or an entry the planner's cluster does not fit.
 	recs, err := jobsvc.Run(cfg, jobs)
+	if err != nil && sub.faultsPath != "" {
+		return fmt.Errorf("%s: %v", sub.faultsPath, err)
+	}
 	if err != nil {
 		return err
 	}

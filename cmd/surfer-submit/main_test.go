@@ -74,7 +74,7 @@ func TestFaultFiles(t *testing.T) {
 	// Machine deaths are not the job service's to handle.
 	kill := write("kill.json", `{"kills": [{"machine": 2, "at": 0.001}]}`)
 	code, _, stderr := invoke(replayArgs(jobs, "-faults", kill)...)
-	if code != 1 || !strings.Contains(stderr, "surfer-submit: the job service handles transient faults only; remove kills from the schedule") {
+	if code != 1 || stderr != "surfer-submit: "+kill+": jobsvc: the schedule kills 1 machine(s); the job service handles transient faults only\n" {
 		t.Fatalf("kill schedule: exit %d, stderr %q", code, stderr)
 	}
 

@@ -62,7 +62,7 @@ func main() {
 	killAt := baseM.ResponseSeconds * 0.3
 	faulty, err := surfer.Build(surfer.Config{
 		Graph: g, Topology: topo, Levels: 4, Seed: 3,
-		Failures:          []surfer.Failure{{Machine: 2, At: killAt}},
+		Faults:            &surfer.FaultSchedule{Kills: []surfer.Kill{{Machine: 2, At: killAt}}},
 		HeartbeatInterval: baseM.ResponseSeconds / 20,
 	})
 	if err != nil {

@@ -19,11 +19,11 @@ func TestFaultToleranceParallel(t *testing.T) {
 	opt := PropagationOptions{LocalPropagation: true, LocalCombination: true}
 	prog := &pagerank{g: g, n: float64(g.NumVertices())}
 
-	build := func(workers int, failures []Failure, heartbeat float64) (*State[float64], Metrics) {
+	build := func(workers int, kills []Kill, heartbeat float64) (*State[float64], Metrics) {
 		t.Helper()
 		sys, err := Build(Config{
 			Graph: g, Topology: topo, Levels: 4, Seed: 3,
-			Failures: failures, HeartbeatInterval: heartbeat,
+			Faults: &FaultSchedule{Kills: kills}, HeartbeatInterval: heartbeat,
 			Workers: workers,
 		})
 		if err != nil {
@@ -48,7 +48,7 @@ func TestFaultToleranceParallel(t *testing.T) {
 			if cleanM != baseM {
 				t.Errorf("failure-free metrics diverge: %+v vs %+v", cleanM, baseM)
 			}
-			failSt, failM := build(workers, []Failure{{Machine: 2, At: killAt}}, heartbeat)
+			failSt, failM := build(workers, []Kill{{Machine: 2, At: killAt}}, heartbeat)
 			if failM.Recoveries == 0 {
 				t.Fatalf("failure at %.3fs produced no recoveries", killAt)
 			}
@@ -69,9 +69,9 @@ func TestFaultToleranceParallel(t *testing.T) {
 	}
 
 	// The failover run itself is deterministic across worker counts.
-	_, failRef := build(1, []Failure{{Machine: 2, At: killAt}}, heartbeat)
+	_, failRef := build(1, []Kill{{Machine: 2, At: killAt}}, heartbeat)
 	for _, workers := range []int{2, 8} {
-		if _, m := build(workers, []Failure{{Machine: 2, At: killAt}}, heartbeat); m != failRef {
+		if _, m := build(workers, []Kill{{Machine: 2, At: killAt}}, heartbeat); m != failRef {
 			t.Errorf("workers=%d: failover metrics %+v, want %+v", workers, m, failRef)
 		}
 	}
@@ -87,7 +87,7 @@ func TestRunnerInheritsHeartbeat(t *testing.T) {
 	const killAt, heartbeat = 0.001, 5.0
 	sys, err := Build(Config{
 		Graph: g, Topology: NewT1(8), Levels: 4, Seed: 3, Trace: rec,
-		Failures: []Failure{{Machine: 2, At: killAt}}, HeartbeatInterval: heartbeat,
+		Faults: &FaultSchedule{Kills: []Kill{{Machine: 2, At: killAt}}}, HeartbeatInterval: heartbeat,
 	})
 	if err != nil {
 		t.Fatal(err)

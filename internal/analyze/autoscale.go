@@ -22,7 +22,7 @@ import (
 //
 // Autoscale is a pure function of (events, topology), so its plan
 // inherits the determinism contract and can be fed straight back into a
-// re-run as a fault.File with joins and drains.
+// re-run as a fault file with joins and drains.
 
 // The recommendation rule: a window whose hottest level-0 directed link is
 // busy (seconds ÷ window length) at least saturateUtil of the time is
@@ -55,10 +55,10 @@ type AutoscalePlan struct {
 	Drains  []fault.MachineDrain `json:"drains,omitempty"`
 }
 
-// File converts the plan into the on-disk fault-schedule format, so a
-// recommended scaling action replays with `surfer-run -fail plan.json`.
-func (pl *AutoscalePlan) File() *fault.File {
-	return &fault.File{Joins: pl.Joins, Drains: pl.Drains}
+// Schedule converts the plan into a fault schedule, so a recommended scaling
+// action replays with `surfer-run -fail plan.json`.
+func (pl *AutoscalePlan) Schedule() *fault.Schedule {
+	return &fault.Schedule{Joins: pl.Joins, Drains: pl.Drains}
 }
 
 // Autoscale applies the policy to a trace: per job window it reads the

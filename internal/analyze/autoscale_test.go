@@ -66,15 +66,14 @@ func TestAutoscalePolicy(t *testing.T) {
 	if math.Abs(plan.Drains[0].Deadline-6) > 1e-9 {
 		t.Fatalf("deadline = %g, want 6", plan.Drains[0].Deadline)
 	}
-	// The plan converts to a replayable fault file whose schedule validates
-	// against the expanded topology.
-	f := plan.File()
-	if err := f.Validate(topo.NumMachines() + len(plan.Joins)); err != nil {
-		t.Fatalf("plan file invalid: %v", err)
+	// The plan converts to a replayable schedule that validates against the
+	// expanded topology.
+	s := plan.Schedule()
+	if err := s.Validate(topo.NumMachines() + len(plan.Joins)); err != nil {
+		t.Fatalf("plan schedule invalid: %v", err)
 	}
-	s := f.Schedule()
 	if len(s.Joins) != 1 || len(s.Drains) != 1 {
-		t.Fatalf("round-tripped schedule = %+v", s)
+		t.Fatalf("plan schedule = %+v", s)
 	}
 	// No topology, no plan.
 	if _, err := Autoscale(rec.Events(), nil); err == nil {

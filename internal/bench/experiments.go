@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/propagation"
@@ -385,11 +386,11 @@ type IOSample struct {
 }
 
 // Fig10 runs NR, kills one slave mid-run and reports the recovery overhead
-// and the disk-I/O timeline. The experiment designs its own kill, so
-// scale-level Failures are ignored here; transient faults (Scale.Faults)
-// apply to the baseline and the killed runs alike.
+// and the disk-I/O timeline. The experiment designs its own kill, so the
+// scale's kills are dropped here; the rest of its fault plan applies to the
+// baseline and the killed runs alike.
 func Fig10(s Scale) (*Fig10Result, error) {
-	s.Failures = nil
+	s.Faults = withKills(s.Faults)
 	d, err := NewDeployment(s)
 	if err != nil {
 		return nil, err
@@ -444,7 +445,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 		// the experiment's stream, and the winner's events are its disk
 		// timeline.
 		cfg := d.sys.EngineConfig()
-		cfg.Failures = []engine.Failure{{Machine: victim, At: probeResp * frac}}
+		cfg.Faults = withKills(cfg.Faults, fault.Kill{Machine: victim, At: probeResp * frac})
 		cfg.HeartbeatInterval = probeResp / 20
 		cfg.Trace = trace.NewRecorder()
 		cm, err := engine.New(cfg).RunJobs(plan)
@@ -473,6 +474,16 @@ func Fig10(s Scale) (*Fig10Result, error) {
 		KillAtSec:     killAt,
 		Timeline:      diskIO(plan, events, m.ResponseSeconds/40, m.ResponseSeconds),
 	}, nil
+}
+
+// withKills returns a copy of s whose kills are exactly kills.
+func withKills(s *fault.Schedule, kills ...fault.Kill) *fault.Schedule {
+	var c fault.Schedule
+	if s != nil {
+		c = *s
+	}
+	c.Kills = kills
+	return &c
 }
 
 // diskIO buckets a run's disk traffic over [0, end] in buckets of width,

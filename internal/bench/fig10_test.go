@@ -37,7 +37,7 @@ func TestFig10Golden(t *testing.T) {
 		if res, err = Fig10(s); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&got, "== same, with %d link faults and %d slowdowns\n", len(s.Faults.Links), len(s.Faults.Slowdowns))
+		fmt.Fprintf(&got, "== same, with %d link faults and %d slowdowns\n", len(s.Faults.Links)+len(s.Faults.Drops), len(s.Faults.Slowdowns))
 		WriteFig10(&got, res)
 	}
 	if *update {

@@ -44,13 +44,11 @@ type Scale struct {
 	// run built from this scale. The stream is identical for every
 	// Workers value.
 	Trace *trace.Recorder
-	// Failures schedules machine deaths for every runner built from this
-	// scale (Figure 10); Heartbeat is the failure-detection latency
-	// (0 = engine default, 1s).
-	Failures  []engine.Failure
+	// Heartbeat is the failure-detection latency (0 = engine default, 1s).
 	Heartbeat float64
-	// Faults injects transient faults (degraded or blackholed links,
-	// machine slowdowns); Retry tunes the dropped-transfer recovery.
+	// Faults is the fault plan of every runner built from this scale:
+	// machine kills, degraded or blackholed links, machine slowdowns, joins
+	// and drains. Retry tunes the dropped-transfer recovery.
 	Faults *fault.Schedule
 	Retry  fault.RetryPolicy
 }
@@ -139,8 +137,7 @@ func NewDeployment(s Scale) (*Deployment, error) {
 func NewDeploymentFor(s Scale, topo *cluster.Topology, g *graph.Graph) (*Deployment, error) {
 	sys, err := core.Build(core.Config{
 		Graph: g, Topology: topo, Levels: s.Levels, Seed: s.Seed,
-		Failures: s.Failures, HeartbeatInterval: s.Heartbeat,
-		Workers: s.Workers, Trace: s.Trace,
+		HeartbeatInterval: s.Heartbeat, Workers: s.Workers, Trace: s.Trace,
 		Faults: s.Faults, Retry: s.Retry,
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -62,9 +63,9 @@ type Config struct {
 	Strategy PartitionStrategy
 	// Seed drives every randomized choice.
 	Seed int64
-	// Failures inject machine deaths into runners created by NewRunner.
-	Failures []engine.Failure
-	// HeartbeatInterval is the failure-detection latency (default 1s).
+	// HeartbeatInterval is the failure-detection latency: 0 selects the
+	// engine's 1 s, anything else must be a positive finite number of
+	// virtual seconds.
 	HeartbeatInterval float64
 	// Workers sizes the engine's compute worker pool for runners created
 	// by NewRunner: 0 selects GOMAXPROCS, 1 forces serial execution.
@@ -76,9 +77,10 @@ type Config struct {
 	// it with trace.WriteChrome or fold it with trace.Summarize. Nil (the
 	// default) disables tracing at zero cost.
 	Trace *trace.Recorder
-	// Faults injects transient faults (degraded links, dropped transfers,
-	// machine slowdowns) into runners created by NewRunner. Nil disables
-	// them at zero cost; the schedule is validated at Build time.
+	// Faults is the fault plan of runners created by NewRunner: machine
+	// kills, degraded links, dropped transfers, machine slowdowns, joins and
+	// drains. Nil disables them at zero cost; the schedule is validated at
+	// Build time.
 	Faults *fault.Schedule
 	// Retry governs dropped-transfer detection and backoff; the zero value
 	// selects the defaults.
@@ -112,6 +114,9 @@ func Build(cfg Config) (*System, error) {
 	if levels == 0 && cfg.MemoryBudget > 0 {
 		levels, _ = partition.ChoosePartitionCount(cfg.Graph.SizeBytes(), cfg.MemoryBudget)
 	}
+	if h := cfg.HeartbeatInterval; !(h >= 0) || math.IsInf(h, 1) {
+		return nil, fmt.Errorf("core: Config.HeartbeatInterval = %g: want 0 (the 1 s default) or a positive finite number of virtual seconds", h)
+	}
 	// 2^levels must be a partition count: representable (PartID is 32-bit)
 	// and, beyond the single partition, no larger than the vertex count.
 	if n := cfg.Graph.NumVertices(); levels < 0 || levels > 30 || levels > 0 && 1<<levels > n {
@@ -143,10 +148,10 @@ func Build(cfg Config) (*System, error) {
 	sys.Replicas = storage.PlaceReplicas(sys.Placement, cfg.Topology, cfg.Seed)
 	// Fail fast on malformed fault plans: a bad kill schedule or fault
 	// window should be a Build error, not a mid-run hang.
-	if err := engine.ValidateFailures(cfg.Failures, cfg.Topology, sys.Replicas); err != nil {
+	if err := cfg.Faults.Validate(cfg.Topology.NumMachines()); err != nil {
 		return nil, err
 	}
-	if err := cfg.Faults.Validate(cfg.Topology.NumMachines()); err != nil {
+	if err := engine.ValidateKills(cfg.Faults, sys.Replicas); err != nil {
 		return nil, err
 	}
 	return sys, nil
@@ -161,7 +166,6 @@ func (s *System) EngineConfig() engine.Config {
 		Topo:              s.Topology,
 		Replicas:          s.Replicas,
 		PartBytes:         s.PG.PartBytes(),
-		Failures:          s.cfg.Failures,
 		HeartbeatInterval: s.cfg.HeartbeatInterval,
 		Workers:           s.cfg.Workers,
 		Trace:             s.cfg.Trace,
@@ -172,7 +176,7 @@ func (s *System) EngineConfig() engine.Config {
 }
 
 // NewRunner creates a fresh engine runner over this system's topology,
-// replicas and failure plan. Each experiment should use its own runner so
+// replicas and fault plan. Each experiment should use its own runner so
 // clocks and metrics start at zero.
 func (s *System) NewRunner() *engine.Runner { return engine.New(s.EngineConfig()) }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -178,7 +179,7 @@ func TestRunCascadedEndToEnd(t *testing.T) {
 
 func TestBuildWithFailuresWiresRunner(t *testing.T) {
 	cfg := testConfig(7, StrategyBandwidthAware)
-	cfg.Failures = []engine.Failure{{Machine: 0, At: 0.001}}
+	cfg.Faults = &fault.Schedule{Kills: []fault.Kill{{Machine: 0, At: 0.001}}}
 	cfg.HeartbeatInterval = 0.0005
 	sys, err := Build(cfg)
 	if err != nil {
@@ -281,6 +282,26 @@ func TestBuildRejectsBadLevels(t *testing.T) {
 		cfg.Levels = 10 // 1024 partitions of 1500 vertices: the last level that fits
 		if _, err := Build(cfg); err != nil {
 			t.Errorf("%v, Levels=10 on 1500 vertices: %v", strat, err)
+		}
+	}
+}
+
+// TestBuildRejectsBadHeartbeat: a heartbeat the engine would silently
+// replace (negative) or carry into every recovery time (NaN, +Inf) is a Build
+// error naming the field; zero keeps the default.
+func TestBuildRejectsBadHeartbeat(t *testing.T) {
+	for _, h := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := testConfig(8, StrategyRandom)
+		cfg.HeartbeatInterval = h
+		if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "Config.HeartbeatInterval") {
+			t.Errorf("HeartbeatInterval=%g: err = %v, want one naming Config.HeartbeatInterval", h, err)
+		}
+	}
+	for _, h := range []float64{0, 0.25} {
+		cfg := testConfig(8, StrategyRandom)
+		cfg.HeartbeatInterval = h
+		if _, err := Build(cfg); err != nil {
+			t.Errorf("HeartbeatInterval=%g: %v", h, err)
 		}
 	}
 }

@@ -34,15 +34,6 @@ func (r *Runner) unavailable(m cluster.MachineID) bool {
 	return r.dead[m] || r.dormant[m] || r.draining[m] || r.retired[m]
 }
 
-// Draining reports whether machine m is currently mid-drain.
-func (r *Runner) Draining(m cluster.MachineID) bool { return r.draining[m] }
-
-// Retired reports whether machine m completed a graceful drain.
-func (r *Runner) Retired(m cluster.MachineID) bool { return r.retired[m] }
-
-// Dormant reports whether machine m is provisioned but not yet joined.
-func (r *Runner) Dormant(m cluster.MachineID) bool { return r.dormant[m] }
-
 // homeOf reports the current machine of partition p: the migration overlay
 // when the partition has moved, else the replica primary.
 func (r *Runner) homeOf(p partition.PartID) cluster.MachineID {

@@ -55,8 +55,8 @@ func TestCleanDrainMigratesAndRetires(t *testing.T) {
 	if r.Deaths() != 0 {
 		t.Fatalf("deaths = %d, want 0 (clean drain)", r.Deaths())
 	}
-	if !r.Retired(2) || r.Draining(2) {
-		t.Fatalf("machine 2: retired=%v draining=%v, want retired", r.Retired(2), r.Draining(2))
+	if !r.retired[2] || r.draining[2] {
+		t.Fatalf("machine 2: retired=%v draining=%v, want retired", r.retired[2], r.draining[2])
 	}
 	c := countKinds(rec.Events())
 	if c[trace.KindMachineDrain] != 1 || c[trace.KindPartitionMigrate] != 1 || c[trace.KindFailure] != 0 {
@@ -105,8 +105,8 @@ func TestDrainDeadlineExpiryDegradesToFailure(t *testing.T) {
 	if math.Abs(m.ResponseSeconds-6) > 1e-9 {
 		t.Fatalf("response = %g, want 6", m.ResponseSeconds)
 	}
-	if r.Deaths() != 1 || r.Retired(2) {
-		t.Fatalf("deaths=%d retired=%v, want a real death", r.Deaths(), r.Retired(2))
+	if r.Deaths() != 1 || r.retired[2] {
+		t.Fatalf("deaths=%d retired=%v, want a real death", r.Deaths(), r.retired[2])
 	}
 	// The aborted migration never commits.
 	if m.Drains != 1 || m.Migrations != 0 || m.MigrationBytes != 0 {
@@ -153,8 +153,8 @@ func TestJoinedMachineReceivesMigration(t *testing.T) {
 	if m.Joins != 1 || m.Drains != 1 || m.Migrations != 1 {
 		t.Fatalf("joins/drains/migrations = %d/%d/%d, want 1/1/1", m.Joins, m.Drains, m.Migrations)
 	}
-	if !r.Retired(1) || r.Dormant(3) {
-		t.Fatalf("machine 1 retired=%v, machine 3 dormant=%v", r.Retired(1), r.Dormant(3))
+	if !r.retired[1] || r.dormant[3] {
+		t.Fatalf("machine 1 retired=%v, machine 3 dormant=%v", r.retired[1], r.dormant[3])
 	}
 	// Partition 1 migrates to its replica holder machine 3 — live since its
 	// join — at the joiner's NIC rate: 2s on the wire (0.5→2.5), which gates
@@ -200,7 +200,7 @@ func TestDormantMachineExcludedUntilJoin(t *testing.T) {
 			t.Fatal("dormant machine ran a task before its join")
 		}
 	}
-	if !r.Dormant(2) {
+	if !r.dormant[2] {
 		t.Fatal("machine 2 should still be dormant (join at t=5, job ended at 1)")
 	}
 }
@@ -287,11 +287,12 @@ func TestElasticChurnSoak(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		sched, failures := fault.Generate(fault.GenConfig{
+		sched, kills := fault.Generate(fault.GenConfig{
 			Machines: 6, Horizon: 10,
 			Degrades: 1, Drops: 1, Slowdowns: 1, Kills: 1,
 			Joins: 2, Drains: 2, Seed: seed,
 		})
+		sched.Kills = kills
 		total := 6 + 2 // base machines + join targets
 		if err := sched.Validate(total); err != nil {
 			t.Fatalf("seed %d: generated schedule invalid: %v", seed, err)
@@ -315,8 +316,7 @@ func TestElasticChurnSoak(t *testing.T) {
 		}
 		mk := func(workers int) (Metrics, error) {
 			r := New(Config{
-				Topo: topo, Replicas: reps, Failures: failures,
-				Faults: sched, Workers: workers, PartBytes: pb,
+				Topo: topo, Replicas: reps, Faults: sched, Workers: workers, PartBytes: pb,
 			})
 			var m Metrics
 			for it := 0; it < 3; it++ {

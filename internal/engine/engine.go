@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
@@ -10,20 +12,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Failure schedules the death of a machine at a virtual time, for the
-// fault-tolerance experiments (Figure 10). It is the fault package's Kill,
-// so a fault file's or a generator's kills are a runner's failures as they
-// stand.
-type Failure = fault.Kill
-
 // Config configures a Runner.
 type Config struct {
 	Topo *cluster.Topology
-	// Replicas provides failover targets; required when Failures is
-	// non-empty.
+	// Replicas provides failover targets; required when Faults holds
+	// kills.
 	Replicas *storage.Replicas
-	// Failures to inject, in any order.
-	Failures []Failure
 	// HeartbeatInterval is the failure-detection latency of the job
 	// manager (Appendix B). Defaults to 1s.
 	HeartbeatInterval float64
@@ -37,9 +31,10 @@ type Config struct {
 	// zero cost. Every event is emitted from the serial event loop, so the
 	// stream is identical for every Workers value (see docs/METRICS.md).
 	Trace *trace.Recorder
-	// Faults injects transient faults — degraded links, dropped
-	// transfers, machine slowdowns — replayed deterministically from the
-	// serial event loop. Nil means no transient faults, at zero cost.
+	// Faults is the run's fault plan — machine kills, degraded links,
+	// dropped transfers, machine slowdowns, joins and drains — replayed
+	// deterministically from the serial event loop. Nil means none, at
+	// zero cost.
 	Faults *fault.Schedule
 	// Retry governs dropped-transfer detection and exponential backoff.
 	// The zero value selects the defaults (1s timeout, 0.25s backoff
@@ -60,12 +55,12 @@ type Config struct {
 // virtual clock and metrics across jobs, so a multi-iteration application
 // can run each iteration as a separate job and read cumulative metrics.
 type Runner struct {
-	cfg      Config
-	pool     *Pool
-	clock    float64
-	metrics  Metrics
-	dead     map[cluster.MachineID]bool
-	failures []Failure // pending, sorted by At
+	cfg     Config
+	pool    *Pool
+	clock   float64
+	metrics Metrics
+	dead    map[cluster.MachineID]bool
+	kills   []fault.Kill // pending, sorted stably by At
 	// busySeconds is each machine's busy time (Appendix B: the job manager
 	// records resource utilization).
 	busySeconds []float64
@@ -150,9 +145,11 @@ func New(cfg Config) *Runner {
 		egressFree:  make([]float64, nm),
 		ingressFree: make([]float64, nm),
 	}
-	r.failures = append(r.failures, cfg.Failures...)
-	sortFailures(r.failures)
 	if cfg.Faults != nil {
+		// Equal-time kills keep their plan order: it is the order their
+		// events reach the stream.
+		r.kills = slices.Clone(cfg.Faults.Kills)
+		slices.SortStableFunc(r.kills, func(a, b fault.Kill) int { return cmp.Compare(a.At, b.At) })
 		// Join targets start dormant; their NIC rate cap is in force from
 		// the moment they go live — and throughout for a client that places
 		// stages itself (StageSpec.Place) and so never waits for the join.
@@ -173,14 +170,6 @@ func (r *Runner) Pool() *Pool { return r.pool }
 
 // Workers reports the pool size the runner executes compute with.
 func (r *Runner) Workers() int { return r.pool.Workers() }
-
-func sortFailures(fs []Failure) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].At < fs[j-1].At; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
-}
 
 // Metrics returns the cumulative metrics of all jobs run so far.
 func (r *Runner) Metrics() Metrics {
@@ -240,43 +229,23 @@ func (r *Runner) NoteRestore(job string, bytes int64) {
 // DAG shows the failure — not normal job chaining — driving the replay.
 func (r *Runner) MarkNextJobRecovery() { r.recoveryPending = true }
 
-// ValidateFailures rejects malformed failure plans at build time instead of
-// letting them panic or hang mid-run: negative times, unknown or duplicate
-// machines, failures without replicas to fail over to, and kill sets that
-// destroy every replica of some partition.
-func ValidateFailures(fs []Failure, topo *cluster.Topology, reps *storage.Replicas) error {
-	if len(fs) == 0 {
+// ValidateKills rejects a kill plan the replicas cannot survive: kills
+// without replicas to fail over to, or kills of every replica of some
+// partition. The kills themselves are Schedule.Validate's to check.
+func ValidateKills(s *fault.Schedule, reps *storage.Replicas) error {
+	if s == nil || len(s.Kills) == 0 {
 		return nil
 	}
-	killed := make(map[cluster.MachineID]bool, len(fs))
-	for i, f := range fs {
-		if f.At < 0 {
-			return fmt.Errorf("engine: failure %d kills machine %d at negative time %g", i, f.Machine, f.At)
-		}
-		if int(f.Machine) < 0 || int(f.Machine) >= topo.NumMachines() {
-			return fmt.Errorf("engine: failure %d kills machine %d outside [0,%d)", i, f.Machine, topo.NumMachines())
-		}
-		if killed[f.Machine] {
-			return fmt.Errorf("engine: duplicate failure for machine %d", f.Machine)
-		}
-		killed[f.Machine] = true
-	}
-	if len(killed) >= topo.NumMachines() {
-		return fmt.Errorf("engine: failure plan kills all %d machines", topo.NumMachines())
-	}
 	if reps == nil {
-		return fmt.Errorf("engine: %d failure(s) configured but no replicas to fail over to", len(fs))
+		return fmt.Errorf("engine: %d kill(s) configured but no replicas to fail over to", len(s.Kills))
+	}
+	killed := make(map[cluster.MachineID]bool, len(s.Kills))
+	for _, k := range s.Kills {
+		killed[k.Machine] = true
 	}
 	for p, ms := range reps.Machines {
-		alive := false
-		for _, m := range ms {
-			if !killed[m] {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			return fmt.Errorf("engine: failure plan kills every replica of partition %d (machines %v)", p, ms)
+		if !slices.ContainsFunc(ms, func(m cluster.MachineID) bool { return !killed[m] }) {
+			return fmt.Errorf("engine: the kill plan kills every replica of partition %d (machines %v)", p, ms)
 		}
 	}
 	return nil
@@ -293,8 +262,8 @@ func (r *Runner) Run(job *Job) (Metrics, error) {
 	if err := job.Validate(r.cfg.Topo); err != nil {
 		return Metrics{}, err
 	}
-	if len(r.failures) > 0 && r.cfg.Replicas == nil {
-		return Metrics{}, fmt.Errorf("engine: failures configured without replicas")
+	if len(r.kills) > 0 && r.cfg.Replicas == nil {
+		return Metrics{}, fmt.Errorf("engine: kills configured without replicas")
 	}
 	if len(r.drains) > 0 && r.cfg.Replicas == nil {
 		return Metrics{}, fmt.Errorf("engine: drains configured without replicas (migration needs partition homes)")

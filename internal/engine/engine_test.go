@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/partition"
 	"repro/internal/storage"
 )
@@ -204,7 +205,7 @@ func failureFixture(t *testing.T) (*Runner, *Job) {
 	r := New(Config{
 		Topo:              topo,
 		Replicas:          reps,
-		Failures:          []Failure{{Machine: 0, At: 5}},
+		Faults:            &fault.Schedule{Kills: []fault.Kill{{Machine: 0, At: 5}}},
 		HeartbeatInterval: 1,
 	})
 	tasks := make([]*Task, 4)
@@ -241,7 +242,7 @@ func TestFailureRecovery(t *testing.T) {
 }
 
 func TestFailureWithoutReplicasErrors(t *testing.T) {
-	r := New(Config{Topo: cluster.NewT1(2), Failures: []Failure{{Machine: 0, At: 1}}})
+	r := New(Config{Topo: cluster.NewT1(2), Faults: &fault.Schedule{Kills: []fault.Kill{{Machine: 0, At: 1}}}})
 	job := &Job{Stages: []*Stage{{Tasks: []*Task{{Machine: 0, Compute: 5}}}}}
 	if _, err := r.Run(job); err == nil {
 		t.Fatal("expected error when failures configured without replicas")
@@ -275,7 +276,7 @@ func TestCombineRecoveryRetransfersInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill machine 1 while the combine task runs (stage 2 starts at t=2).
-	r1 := New(Config{Topo: topo, Replicas: reps, Failures: []Failure{{Machine: 1, At: 4}}, HeartbeatInterval: 1})
+	r1 := New(Config{Topo: topo, Replicas: reps, Faults: &fault.Schedule{Kills: []fault.Kill{{Machine: 1, At: 4}}}, HeartbeatInterval: 1})
 	m, err := r1.Run(mkJob())
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +297,7 @@ func TestFailureBeforeStageReassignsUpfront(t *testing.T) {
 	topo := cluster.NewT1(3)
 	pl := &partition.Placement{MachineOf: []cluster.MachineID{0, 1, 2}}
 	reps := storage.PlaceReplicas(pl, topo, 3)
-	r := New(Config{Topo: topo, Replicas: reps, Failures: []Failure{{Machine: 0, At: 0.5}}})
+	r := New(Config{Topo: topo, Replicas: reps, Faults: &fault.Schedule{Kills: []fault.Kill{{Machine: 0, At: 0.5}}}})
 	// Two sequential jobs; machine 0 dies during the first. The second
 	// job's task pinned to machine 0 must be reassigned at stage start.
 	j1 := &Job{Stages: []*Stage{{Tasks: []*Task{{Part: 1, Machine: 1, Compute: 2}}}}}
@@ -350,7 +351,7 @@ func TestMultipleFailures(t *testing.T) {
 	reps := storage.PlaceReplicas(pl, topo, 9)
 	r := New(Config{
 		Topo: topo, Replicas: reps,
-		Failures:          []Failure{{Machine: 0, At: 2}, {Machine: 1, At: 4}},
+		Faults:            &fault.Schedule{Kills: []fault.Kill{{Machine: 0, At: 2}, {Machine: 1, At: 4}}},
 		HeartbeatInterval: 1,
 	})
 	tasks := make([]*Task, 4)
@@ -374,7 +375,7 @@ func TestAllReplicasDeadDeadlocks(t *testing.T) {
 	reps := &storage.Replicas{Machines: [][]cluster.MachineID{{0, 1}}}
 	r := New(Config{
 		Topo: topo, Replicas: reps,
-		Failures:          []Failure{{Machine: 0, At: 1}, {Machine: 1, At: 2}},
+		Faults:            &fault.Schedule{Kills: []fault.Kill{{Machine: 0, At: 1}, {Machine: 1, At: 2}}},
 		HeartbeatInterval: 0.5,
 	})
 	job := &Job{Stages: []*Stage{{Tasks: []*Task{{Part: 0, Machine: 0, Compute: 10}}}}}

@@ -40,8 +40,8 @@ func TestDegradedLinkSlowsTransfer(t *testing.T) {
 }
 
 func TestDroppedTransferRetriesWithBackoff(t *testing.T) {
-	sched := &fault.Schedule{Links: []fault.LinkFault{
-		{Src: 0, Dst: 1, From: 0, Until: 3, Drop: true},
+	sched := &fault.Schedule{Drops: []fault.LinkFault{
+		{Src: 0, Dst: 1, From: 0, Until: 3},
 	}}
 	r := New(Config{Topo: cluster.NewT1(2), Faults: sched})
 	m, err := r.Run(transferJob())
@@ -64,8 +64,8 @@ func TestDroppedTransferRetriesWithBackoff(t *testing.T) {
 }
 
 func TestRetryBudgetExhaustionFailsRun(t *testing.T) {
-	sched := &fault.Schedule{Links: []fault.LinkFault{
-		{Src: 0, Dst: 1, From: 0, Until: 100, Drop: true},
+	sched := &fault.Schedule{Drops: []fault.LinkFault{
+		{Src: 0, Dst: 1, From: 0, Until: 100},
 	}}
 	r := New(Config{
 		Topo: cluster.NewT1(2), Faults: sched,
@@ -153,10 +153,8 @@ func TestIsStraggler(t *testing.T) {
 
 func TestFaultyRunsAreDeterministic(t *testing.T) {
 	sched := &fault.Schedule{
-		Links: []fault.LinkFault{
-			{Src: 0, Dst: 1, From: 0.5, Until: 2.5, Drop: true},
-			{Src: 2, Dst: 3, From: 0, Until: 5, Factor: 8},
-		},
+		Links:     []fault.LinkFault{{Src: 2, Dst: 3, From: 0, Until: 5, Factor: 8}},
+		Drops:     []fault.LinkFault{{Src: 0, Dst: 1, From: 0.5, Until: 2.5}},
 		Slowdowns: []fault.Slowdown{{Machine: 2, From: 0, Until: 1, Factor: 4}},
 	}
 	mk := func(workers int) (Metrics, error) {
@@ -194,28 +192,23 @@ func TestFaultyRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestValidateFailures(t *testing.T) {
-	topo := cluster.NewT1(4)
+func TestValidateKills(t *testing.T) {
 	reps := &storage.Replicas{Machines: [][]cluster.MachineID{
 		{0, 1}, {1, 2}, {2, 3}, {3, 0},
 	}}
 	cases := []struct {
-		name string
-		fs   []Failure
-		reps *storage.Replicas
-		want string // substring of the error, "" = valid
+		name  string
+		kills []fault.Kill
+		reps  *storage.Replicas
+		want  string // substring of the error, "" = valid
 	}{
 		{"empty plan", nil, nil, ""},
-		{"valid single kill", []Failure{{Machine: 2, At: 5}}, reps, ""},
-		{"negative time", []Failure{{Machine: 1, At: -1}}, reps, "negative time"},
-		{"unknown machine", []Failure{{Machine: 9, At: 1}}, reps, "outside"},
-		{"duplicate machine", []Failure{{Machine: 1, At: 1}, {Machine: 1, At: 2}}, reps, "duplicate"},
-		{"kills everything", []Failure{{Machine: 0, At: 1}, {Machine: 1, At: 1}, {Machine: 2, At: 1}, {Machine: 3, At: 1}}, reps, "kills all"},
-		{"no replicas", []Failure{{Machine: 0, At: 1}}, nil, "no replicas"},
-		{"kills every replica", []Failure{{Machine: 0, At: 1}, {Machine: 1, At: 2}}, reps, "every replica of partition 0"},
+		{"valid single kill", []fault.Kill{{Machine: 2, At: 5}}, reps, ""},
+		{"no replicas", []fault.Kill{{Machine: 0, At: 1}}, nil, "no replicas"},
+		{"kills every replica", []fault.Kill{{Machine: 0, At: 1}, {Machine: 1, At: 2}}, reps, "every replica of partition 0"},
 	}
 	for _, tc := range cases {
-		err := ValidateFailures(tc.fs, topo, tc.reps)
+		err := ValidateKills(&fault.Schedule{Kills: tc.kills}, tc.reps)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -225,5 +218,8 @@ func TestValidateFailures(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+	if err := ValidateKills(nil, nil); err != nil {
+		t.Errorf("nil schedule: %v", err)
 	}
 }

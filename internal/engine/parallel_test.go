@@ -90,7 +90,7 @@ func TestRunnerMetricsIdenticalAcrossWorkers(t *testing.T) {
 		r2 := New(Config{
 			Topo:              r.cfg.Topo,
 			Replicas:          r.cfg.Replicas,
-			Failures:          r.cfg.Failures,
+			Faults:            r.cfg.Faults,
 			HeartbeatInterval: r.cfg.HeartbeatInterval,
 			Workers:           workers,
 		})

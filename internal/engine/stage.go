@@ -206,7 +206,7 @@ func (r *Runner) Open(sp StageSpec) (*StageRun, error) {
 	return sr, nil
 }
 
-// arm pushes the runner's pending failures and membership events — joins
+// arm pushes the runner's pending kills and membership events — joins
 // that have not fired, drains that have not started — as events of sr, the
 // stage they will be attributed to if they fire before its barrier. Ones
 // beyond the barrier are cancelled with the stage and armed again by the
@@ -218,9 +218,9 @@ func (r *Runner) arm(sr *StageRun) {
 		}
 		return t
 	}
-	for _, f := range r.failures {
-		if !r.dead[f.Machine] {
-			sr.push(event{at: at(f.At), kind: evFailure, failMachine: f.Machine})
+	for _, k := range r.kills {
+		if !r.dead[k.Machine] {
+			sr.push(event{at: at(k.At), kind: evFailure, failMachine: k.Machine})
 		}
 	}
 	for _, j := range r.joins {

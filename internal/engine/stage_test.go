@@ -75,7 +75,7 @@ func TestTwoOpenStagesShareTheCluster(t *testing.T) {
 // queued events, tasks or busy slots into the next job on the same runner
 // (the scheduler keeps serving after a job fails).
 func TestFailedRunLeavesRunnerClean(t *testing.T) {
-	sched := &fault.Schedule{Links: []fault.LinkFault{{Src: 0, Dst: 1, From: 0, Until: 1.5, Drop: true}}}
+	sched := &fault.Schedule{Drops: []fault.LinkFault{{Src: 0, Dst: 1, From: 0, Until: 1.5}}}
 	r := New(Config{Topo: cluster.NewT1(2), Faults: sched, Retry: fault.RetryPolicy{MaxAttempts: 1}})
 	job := transferJob()
 	job.Stages[0].Tasks = append(job.Stages[0].Tasks, &Task{Name: "long", Machine: 1, Compute: 50})

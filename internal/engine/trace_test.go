@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/partition"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -94,7 +95,7 @@ func TestTracedFailureRecovery(t *testing.T) {
 	r := New(Config{
 		Topo:              topo,
 		Replicas:          reps,
-		Failures:          []Failure{{Machine: 0, At: 5}},
+		Faults:            &fault.Schedule{Kills: []fault.Kill{{Machine: 0, At: 5}}},
 		HeartbeatInterval: 1,
 		Trace:             rec,
 	})

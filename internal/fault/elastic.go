@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/cluster"
@@ -40,8 +39,8 @@ type MachineJoin struct {
 // migrate live to surviving machines (ordinary NIC-charged transfers), and
 // once the last byte lands the machine retires with nothing lost. A drain
 // whose Deadline passes before migration completes degrades into an
-// ordinary machine death (engine.Failure semantics: lost tasks fail over
-// to replicas after heartbeat detection).
+// ordinary machine death (a Kill's semantics: lost tasks fail over to
+// replicas after heartbeat detection).
 type MachineDrain struct {
 	// Machine is the machine being decommissioned.
 	Machine cluster.MachineID `json:"machine"`
@@ -51,51 +50,6 @@ type MachineDrain struct {
 	// finished; at Deadline an undrained machine is killed. Required
 	// (Deadline > At), so every drain terminates.
 	Deadline float64 `json:"deadline"`
-}
-
-// ValidateElastic rejects malformed elastic plans before they can corrupt a
-// run, mirroring engine.ValidateFailures: joins and drains must reference
-// machines inside the topology, a machine may join at most once (a second
-// join would join an already-live machine), a drain must target a machine
-// that is live at drain time (initially live, or joined before At), drains
-// must not repeat, and every drain needs a deadline after its start.
-func ValidateElastic(joins []MachineJoin, drains []MachineDrain, numMachines int) error {
-	joinAt := make(map[cluster.MachineID]float64, len(joins))
-	for i, j := range joins {
-		if int(j.Machine) < 0 || int(j.Machine) >= numMachines {
-			return fmt.Errorf("fault: join %d references machine %d outside [0,%d)", i, j.Machine, numMachines)
-		}
-		if j.At < 0 {
-			return fmt.Errorf("fault: join %d of machine %d at negative time %g", i, j.Machine, j.At)
-		}
-		if j.NICs < 0 {
-			return fmt.Errorf("fault: join %d of machine %d has negative NIC rate %g", i, j.Machine, j.NICs)
-		}
-		if _, dup := joinAt[j.Machine]; dup {
-			return fmt.Errorf("fault: join %d joins machine %d, which is already live (joined earlier)", i, j.Machine)
-		}
-		joinAt[j.Machine] = j.At
-	}
-	drained := make(map[cluster.MachineID]bool, len(drains))
-	for i, d := range drains {
-		if int(d.Machine) < 0 || int(d.Machine) >= numMachines {
-			return fmt.Errorf("fault: drain %d references machine %d outside [0,%d)", i, d.Machine, numMachines)
-		}
-		if d.At < 0 {
-			return fmt.Errorf("fault: drain %d of machine %d at negative time %g", i, d.Machine, d.At)
-		}
-		if d.Deadline <= d.At {
-			return fmt.Errorf("fault: drain %d of machine %d has deadline %g <= start %g; migration could never finish", i, d.Machine, d.Deadline, d.At)
-		}
-		if at, joins := joinAt[d.Machine]; joins && at >= d.At {
-			return fmt.Errorf("fault: drain %d drains machine %d at %g, before it joins at %g", i, d.Machine, d.At, at)
-		}
-		if drained[d.Machine] {
-			return fmt.Errorf("fault: duplicate drain for machine %d", d.Machine)
-		}
-		drained[d.Machine] = true
-	}
-	return nil
 }
 
 // AcceptingAt reports whether machine m accepts new task assignments at

@@ -35,7 +35,7 @@ func TestValidateElastic(t *testing.T) {
 			[]MachineDrain{{Machine: 1, At: 1, Deadline: 2}, {Machine: 1, At: 3, Deadline: 4}}, "duplicate drain"},
 	}
 	for _, tc := range cases {
-		err := ValidateElastic(tc.joins, tc.drains, 4)
+		err := (&Schedule{Joins: tc.joins, Drains: tc.drains}).Validate(4)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -104,23 +104,22 @@ func TestDormantAndSortedAccessors(t *testing.T) {
 	}
 }
 
+// elasticDoc is a fault file with a kill, a join past an 8-machine
+// topology and a drain.
+const elasticDoc = `{
+  "kills":  [{"machine": 2, "at": 1.5}],
+  "joins":  [{"machine": 8, "at": 0.5, "nics": 62.5e6}],
+  "drains": [{"machine": 3, "at": 1.0, "deadline": 4.0}]
+}`
+
 func TestFileRoundTripElastic(t *testing.T) {
-	doc := `{
-	  "kills":  [{"machine": 2, "at": 1.5}],
-	  "joins":  [{"machine": 8, "at": 0.5, "nics": 62.5e6}],
-	  "drains": [{"machine": 3, "at": 1.0, "deadline": 4.0}]
-	}`
 	path := filepath.Join(t.TempDir(), "elastic.json")
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(elasticDoc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Load(path)
+	s, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	s := f.Schedule()
-	if s == nil {
-		t.Fatal("elastic-only schedule decoded to nil")
 	}
 	if len(s.Joins) != 1 || s.Joins[0].Machine != 8 || s.Joins[0].NICs != 62.5e6 {
 		t.Fatalf("joins = %+v", s.Joins)
@@ -128,74 +127,60 @@ func TestFileRoundTripElastic(t *testing.T) {
 	if len(s.Drains) != 1 || s.Drains[0].Machine != 3 || s.Drains[0].Deadline != 4.0 {
 		t.Fatalf("drains = %+v", s.Drains)
 	}
-	if got := f.MaxMachine(); got != 8 {
+	if got := s.MaxMachine(); got != 8 {
 		t.Fatalf("MaxMachine = %d, want 8", got)
 	}
 	// A 9-machine topology (expanded for the join) accepts the file; the
 	// base 8-machine one rejects the join.
-	if err := f.Validate(9); err != nil {
+	if err := s.Validate(9); err != nil {
 		t.Fatalf("Validate(9): %v", err)
 	}
-	if err := f.Validate(8); err == nil {
+	if err := s.Validate(8); err == nil {
 		t.Fatal("Validate(8) let the out-of-range join through")
 	}
 }
 
 // TestFileValidateCatchesOutOfRangeKill is the regression test for the
-// surfer-bench -faults fix: a kills-only file has a nil Schedule, so the old
-// Schedule().Validate path silently accepted a kill of a machine outside the
-// topology and the run proceeded fault-free.
+// surfer-bench -faults fix: a kills-only file once validated as the empty
+// transient schedule, so a kill of a machine outside the topology was
+// silently accepted and the run proceeded fault-free.
 func TestFileValidateCatchesOutOfRangeKill(t *testing.T) {
-	f := &File{Kills: []Kill{{Machine: 40, At: 1}}}
-	if f.Schedule() != nil {
-		t.Fatal("kills-only file should have a nil transient schedule")
-	}
-	err := f.Validate(32)
+	s := &Schedule{Kills: []Kill{{Machine: 40, At: 1}}}
+	err := s.Validate(32)
 	if err == nil || !strings.Contains(err.Error(), "outside the 32-machine topology") {
 		t.Fatalf("err = %v, want out-of-range kill error", err)
 	}
-	if err := f.Validate(41); err != nil {
+	if err := s.Validate(41); err != nil {
 		t.Fatalf("Validate(41): %v", err)
-	}
-	var nilFile *File
-	if err := nilFile.Validate(4); err != nil {
-		t.Fatalf("nil file Validate: %v", err)
 	}
 }
 
-// TestFileRunInputs: a file that fits the topology leaves it alone, a join
-// past it grows it by exactly the machines named, and what comes back is
-// what KillList and Schedule hold; a malformed entry is an error either way.
+// TestFileRunInputs: a schedule that fits the topology leaves it alone, a
+// join past it grows it by exactly the machines named, and a malformed entry
+// is an error either way.
 func TestFileRunInputs(t *testing.T) {
 	base := cluster.NewT1(8)
-	fits := &File{
+	fits := &Schedule{
 		Kills:  []Kill{{Machine: 2, At: 1}},
 		Drains: []MachineDrain{{Machine: 3, At: 1, Deadline: 4}},
 	}
-	topo, kills, sched, err := fits.RunInputs(base)
-	if err != nil || topo != base {
-		t.Fatalf("fitting file: topology %v, err %v; want the base topology unchanged", topo, err)
-	}
-	if len(kills) != 1 || kills[0] != (Kill{Machine: 2, At: 1}) || len(sched.Drains) != 1 {
-		t.Fatalf("kills %+v, schedule %+v", kills, sched)
+	if topo, err := fits.RunInputs(base); err != nil || topo != base {
+		t.Fatalf("fitting schedule: topology %v, err %v; want the base topology unchanged", topo, err)
 	}
 
-	joins := &File{Joins: []MachineJoin{{Machine: 9, At: 0.5}}}
-	topo, kills, sched, err = joins.RunInputs(base)
+	joins := &Schedule{Joins: []MachineJoin{{Machine: 9, At: 0.5}}}
+	topo, err := joins.RunInputs(base)
 	if err != nil || topo.NumMachines() != 10 || base.NumMachines() != 8 {
 		t.Fatalf("join past the topology: %v machines (base %d), err %v; want 10 (8)", topo.NumMachines(), base.NumMachines(), err)
 	}
-	if kills != nil && len(kills) != 0 || len(sched.Joins) != 1 || sched.Joins[0].Machine != 9 {
-		t.Fatalf("kills %+v, schedule %+v", kills, sched)
-	}
 
-	bad := &File{Slowdowns: []Slowdown{{Machine: 1, From: 2, Until: 1, Factor: 3}}}
-	if _, _, _, err := bad.RunInputs(base); err == nil || !strings.Contains(err.Error(), "malformed window") {
+	bad := &Schedule{Slowdowns: []Slowdown{{Machine: 1, From: 2, Until: 1, Factor: 3}}}
+	if _, err := bad.RunInputs(base); err == nil || !strings.Contains(err.Error(), "malformed window") {
 		t.Fatalf("malformed slowdown: err = %v", err)
 	}
-	var none *File
-	if topo, kills, sched, err := none.RunInputs(base); err != nil || topo != base || kills != nil || sched != nil {
-		t.Fatalf("nil file: %v %v %v %v", topo, kills, sched, err)
+	var none *Schedule
+	if topo, err := none.RunInputs(base); err != nil || topo != base {
+		t.Fatalf("nil schedule: %v %v", topo, err)
 	}
 }
 

@@ -1,8 +1,9 @@
-// Package fault is Surfer's expanded fault model: transient link faults
-// (degraded bandwidth, dropped transfers), machine slowdowns (stragglers),
-// and the retry policy the job manager applies to dropped transfers —
-// timeout and exponential backoff. Speculative re-execution of straggling
-// tasks is the engine's own fixed rule.
+// Package fault is Surfer's fault model: permanent machine kills (Figure
+// 10), transient link faults (degraded bandwidth, dropped transfers),
+// machine slowdowns (stragglers), elastic membership (joins and drains), and
+// the retry policy the job manager applies to dropped transfers — timeout
+// and exponential backoff. Speculative re-execution of straggling tasks is
+// the engine's own fixed rule.
 //
 // The package deliberately holds no engine state: a Schedule is a pure,
 // immutable description of *when* the cluster misbehaves, queried by the
@@ -10,25 +11,27 @@
 // keeps the whole fault model inside the discrete-event determinism
 // contract — the same schedule replays identically for every compute
 // worker count, so faulty runs stay bit-reproducible.
-//
-// Permanent machine deaths remain engine.Failure (Figure 10); this package
-// covers everything short of death: real clusters mostly fail partially
-// (links degrade, transfers stall, machines run slow without dying).
 package fault
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 )
 
+// Kill is a permanent machine death at a virtual time (Figure 10): the
+// machine's running and queued tasks fail over to replicas once the
+// heartbeat detects it.
+type Kill struct {
+	Machine cluster.MachineID `json:"machine"`
+	At      float64           `json:"at"`
+}
+
 // LinkFault degrades or blackholes one directed machine-to-machine link for
 // a virtual-time window. A transfer is affected when it *starts* (clears
 // both NICs) inside [From, Until).
-//
-// The json tags on the fault types are the fault file's entries (File): a
-// schedule file decodes straight into what the engine replays.
 type LinkFault struct {
 	// Src and Dst identify the directed link.
 	Src cluster.MachineID `json:"src"`
@@ -37,15 +40,9 @@ type LinkFault struct {
 	// seconds.
 	From  float64 `json:"from"`
 	Until float64 `json:"until"`
-	// Factor divides the link bandwidth while the fault is active
-	// (Factor 4 = quarter rate). Values <= 1 leave bandwidth unchanged.
-	// Ignored when Drop is set.
+	// Factor divides the link bandwidth while a degradation is active
+	// (Factor 4 = quarter rate). A drop ignores it.
 	Factor float64 `json:"factor,omitempty"`
-	// Drop, when true, makes transfers starting in the window fail
-	// entirely: the sender times out after RetryPolicy.Timeout and
-	// retries with backoff. A file says it by listing the entry under
-	// "drops".
-	Drop bool `json:"-"`
 }
 
 // Slowdown multiplies the duration of tasks *starting* on a machine inside
@@ -60,18 +57,37 @@ type Slowdown struct {
 	Factor float64 `json:"factor"`
 }
 
-// Schedule is a deterministic fault plan: every query is a pure function of
-// (link or machine, virtual time), so replaying a run replays its faults.
-// A nil *Schedule is valid and means "no transient faults" — every query
+// Schedule is a run's whole deterministic fault plan: every query is a pure
+// function of (link or machine, virtual time), so replaying a run replays
+// its faults. A nil *Schedule is valid and means "no faults" — every query
 // on it is a nil-check and allocates nothing (the fault-free hot path).
+//
+// Its JSON form is the fault file the CLIs read (Load):
+//
+//	{
+//	  "kills":     [{"machine": 2, "at": 1.5}],
+//	  "links":     [{"src": 0, "dst": 3, "from": 0.5, "until": 2.0,
+//	                 "factor": 4}],
+//	  "drops":     [{"src": 1, "dst": 2, "from": 0.2, "until": 0.8}],
+//	  "slowdowns": [{"machine": 5, "from": 0, "until": 10, "factor": 3}],
+//	  "joins":     [{"machine": 8, "at": 0.5, "nics": 62.5e6}],
+//	  "drains":    [{"machine": 3, "at": 1.0, "deadline": 4.0}]
+//	}
 type Schedule struct {
-	Links     []LinkFault
-	Slowdowns []Slowdown
+	// Kills are permanent machine deaths, in any order; the engine arms
+	// them sorted stably by At.
+	Kills []Kill `json:"kills,omitempty"`
+	// Links degrade a link by Factor. Drops blackhole it: a transfer
+	// starting in the window fails entirely, the sender times out after
+	// RetryPolicy.Timeout and retries with backoff.
+	Links     []LinkFault `json:"links,omitempty"`
+	Drops     []LinkFault `json:"drops,omitempty"`
+	Slowdowns []Slowdown  `json:"slowdowns,omitempty"`
 	// Joins and Drains are the elastic-membership events (see elastic.go):
 	// machines arriving mid-job and machines gracefully decommissioning
 	// with live partition migration.
-	Joins  []MachineJoin
-	Drains []MachineDrain
+	Joins  []MachineJoin  `json:"joins,omitempty"`
+	Drains []MachineDrain `json:"drains,omitempty"`
 }
 
 // active reports whether t falls inside [from, until).
@@ -87,7 +103,7 @@ func (s *Schedule) LinkFactor(src, dst cluster.MachineID, t float64) float64 {
 	f := 1.0
 	for i := range s.Links {
 		lf := &s.Links[i]
-		if lf.Drop || lf.Src != src || lf.Dst != dst || !active(lf.From, lf.Until, t) {
+		if lf.Src != src || lf.Dst != dst || !active(lf.From, lf.Until, t) {
 			continue
 		}
 		if lf.Factor > 1 {
@@ -103,9 +119,9 @@ func (s *Schedule) DropsTransfer(src, dst cluster.MachineID, t float64) bool {
 	if s == nil {
 		return false
 	}
-	for i := range s.Links {
-		lf := &s.Links[i]
-		if lf.Drop && lf.Src == src && lf.Dst == dst && active(lf.From, lf.Until, t) {
+	for i := range s.Drops {
+		lf := &s.Drops[i]
+		if lf.Src == src && lf.Dst == dst && active(lf.From, lf.Until, t) {
 			return true
 		}
 	}
@@ -130,19 +146,43 @@ func (s *Schedule) SlowdownFactor(m cluster.MachineID, t float64) float64 {
 
 // Empty reports whether the schedule injects nothing.
 func (s *Schedule) Empty() bool {
-	return s == nil || (len(s.Links) == 0 && len(s.Slowdowns) == 0 &&
-		len(s.Joins) == 0 && len(s.Drains) == 0)
+	return s == nil || len(s.Kills)+len(s.Links)+len(s.Drops)+len(s.Slowdowns)+len(s.Joins)+len(s.Drains) == 0
 }
 
-// Validate rejects malformed fault windows before they can hang a run: a
-// drop window needs a finite end (otherwise retries never succeed and the
-// stage deadlocks) and every window must be well-ordered.
+// Validate rejects a malformed plan before it can hang or corrupt a run.
+// Every entry must name a machine of the topology and every window be
+// well-ordered. A kill needs a finite time >= 0 and a machine killed once,
+// with one machine left alive; whether the replicas survive the kills is
+// engine.ValidateKills'. A drop window needs a finite end, or retries never
+// succeed and the stage deadlocks. A machine joins at most once (a second
+// join would join a live machine); a drain targets a machine live at its
+// start (initially live, or joined before it), at most once, with a
+// deadline after its start.
 func (s *Schedule) Validate(numMachines int) error {
 	if s == nil {
 		return nil
 	}
-	for i, lf := range s.Links {
-		if int(lf.Src) < 0 || int(lf.Src) >= numMachines || int(lf.Dst) < 0 || int(lf.Dst) >= numMachines {
+	outside := func(m cluster.MachineID) bool { return m < 0 || int(m) >= numMachines }
+	killed := make(map[cluster.MachineID]bool, len(s.Kills))
+	for i, k := range s.Kills {
+		if !(k.At >= 0) || math.IsInf(k.At, 1) {
+			return fmt.Errorf("fault: kill %d of machine %d at time %g (want a finite time >= 0)", i, k.Machine, k.At)
+		}
+		if outside(k.Machine) {
+			return fmt.Errorf("fault: kill %d references machine %d outside the %d-machine topology", i, k.Machine, numMachines)
+		}
+		if killed[k.Machine] {
+			return fmt.Errorf("fault: duplicate kill of machine %d", k.Machine)
+		}
+		killed[k.Machine] = true
+	}
+	if len(s.Kills) > 0 && len(killed) == numMachines {
+		return fmt.Errorf("fault: the plan kills all %d machines", numMachines)
+	}
+	// Drops are numbered after the degradations, as one list of link faults.
+	for i, lf := range slices.Concat(s.Links, s.Drops) {
+		drop := i >= len(s.Links)
+		if outside(lf.Src) || outside(lf.Dst) {
 			return fmt.Errorf("fault: link fault %d references machine outside [0,%d)", i, numMachines)
 		}
 		if lf.Src == lf.Dst {
@@ -151,15 +191,15 @@ func (s *Schedule) Validate(numMachines int) error {
 		if lf.From < 0 || lf.Until <= lf.From {
 			return fmt.Errorf("fault: link fault %d has malformed window [%g,%g)", i, lf.From, lf.Until)
 		}
-		if lf.Drop && math.IsInf(lf.Until, 1) {
+		if drop && math.IsInf(lf.Until, 1) {
 			return fmt.Errorf("fault: link fault %d drops transfers forever; retries could never succeed", i)
 		}
-		if !lf.Drop && lf.Factor <= 1 {
-			return fmt.Errorf("fault: link fault %d degrades by factor %g (want > 1, or Drop)", i, lf.Factor)
+		if !drop && lf.Factor <= 1 {
+			return fmt.Errorf("fault: link fault %d degrades by factor %g (want > 1)", i, lf.Factor)
 		}
 	}
 	for i, sd := range s.Slowdowns {
-		if int(sd.Machine) < 0 || int(sd.Machine) >= numMachines {
+		if outside(sd.Machine) {
 			return fmt.Errorf("fault: slowdown %d references machine outside [0,%d)", i, numMachines)
 		}
 		if sd.From < 0 || sd.Until <= sd.From {
@@ -169,7 +209,42 @@ func (s *Schedule) Validate(numMachines int) error {
 			return fmt.Errorf("fault: slowdown %d has factor %g (want > 1)", i, sd.Factor)
 		}
 	}
-	return ValidateElastic(s.Joins, s.Drains, numMachines)
+	joinAt := make(map[cluster.MachineID]float64, len(s.Joins))
+	for i, j := range s.Joins {
+		if outside(j.Machine) {
+			return fmt.Errorf("fault: join %d references machine %d outside [0,%d)", i, j.Machine, numMachines)
+		}
+		if j.At < 0 {
+			return fmt.Errorf("fault: join %d of machine %d at negative time %g", i, j.Machine, j.At)
+		}
+		if j.NICs < 0 {
+			return fmt.Errorf("fault: join %d of machine %d has negative NIC rate %g", i, j.Machine, j.NICs)
+		}
+		if _, dup := joinAt[j.Machine]; dup {
+			return fmt.Errorf("fault: join %d joins machine %d, which is already live (joined earlier)", i, j.Machine)
+		}
+		joinAt[j.Machine] = j.At
+	}
+	drained := make(map[cluster.MachineID]bool, len(s.Drains))
+	for i, d := range s.Drains {
+		if outside(d.Machine) {
+			return fmt.Errorf("fault: drain %d references machine %d outside [0,%d)", i, d.Machine, numMachines)
+		}
+		if d.At < 0 {
+			return fmt.Errorf("fault: drain %d of machine %d at negative time %g", i, d.Machine, d.At)
+		}
+		if d.Deadline <= d.At {
+			return fmt.Errorf("fault: drain %d of machine %d has deadline %g <= start %g; migration could never finish", i, d.Machine, d.Deadline, d.At)
+		}
+		if at, joins := joinAt[d.Machine]; joins && at >= d.At {
+			return fmt.Errorf("fault: drain %d drains machine %d at %g, before it joins at %g", i, d.Machine, d.At, at)
+		}
+		if drained[d.Machine] {
+			return fmt.Errorf("fault: duplicate drain for machine %d", d.Machine)
+		}
+		drained[d.Machine] = true
+	}
+	return nil
 }
 
 // RetryPolicy governs dropped-transfer recovery: a transfer that makes no

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,8 +16,8 @@ func TestScheduleQueries(t *testing.T) {
 		Links: []LinkFault{
 			{Src: 0, Dst: 1, From: 1, Until: 3, Factor: 4},
 			{Src: 0, Dst: 1, From: 2, Until: 5, Factor: 2},
-			{Src: 2, Dst: 3, From: 0, Until: 1, Drop: true},
 		},
+		Drops: []LinkFault{{Src: 2, Dst: 3, From: 0, Until: 1}},
 		Slowdowns: []Slowdown{
 			{Machine: 1, From: 0, Until: 10, Factor: 3},
 			{Machine: 1, From: 5, Until: 6, Factor: 2},
@@ -73,22 +74,35 @@ func TestNilScheduleHotPathAllocatesNothing(t *testing.T) {
 }
 
 func TestScheduleValidate(t *testing.T) {
-	bad := []*Schedule{
-		{Links: []LinkFault{{Src: 0, Dst: 9, From: 0, Until: 1, Factor: 2}}},
-		{Links: []LinkFault{{Src: 1, Dst: 1, From: 0, Until: 1, Factor: 2}}},
-		{Links: []LinkFault{{Src: 0, Dst: 1, From: 2, Until: 1, Factor: 2}}},
-		{Links: []LinkFault{{Src: 0, Dst: 1, From: 0, Until: 1, Factor: 0.5}}},
-		{Links: []LinkFault{{Src: 0, Dst: 1, From: 0, Until: math.Inf(1), Drop: true}}},
-		{Slowdowns: []Slowdown{{Machine: 9, From: 0, Until: 1, Factor: 2}}},
-		{Slowdowns: []Slowdown{{Machine: 0, From: 0, Until: 1, Factor: 1}}},
-	}
-	for i, s := range bad {
-		if err := s.Validate(4); err == nil {
-			t.Errorf("schedule %d validated but is malformed: %+v", i, s)
+	for _, tc := range []struct {
+		s    *Schedule
+		want string // substring of the error
+	}{
+		{&Schedule{Links: []LinkFault{{Src: 0, Dst: 9, From: 0, Until: 1, Factor: 2}}}, "link fault 0 references machine outside"},
+		{&Schedule{Links: []LinkFault{{Src: 1, Dst: 1, From: 0, Until: 1, Factor: 2}}}, "loopback"},
+		{&Schedule{Links: []LinkFault{{Src: 0, Dst: 1, From: 2, Until: 1, Factor: 2}}}, "malformed window"},
+		{&Schedule{Links: []LinkFault{{Src: 0, Dst: 1, From: 0, Until: 1, Factor: 0.5}}}, "degrades by factor 0.5"},
+		{&Schedule{Drops: []LinkFault{{Src: 0, Dst: 1, From: 0, Until: math.Inf(1)}}}, "drops transfers forever"},
+		// Drops are numbered after the degradations.
+		{&Schedule{Links: []LinkFault{{Src: 0, Dst: 1, From: 0, Until: 1, Factor: 2}}, Drops: []LinkFault{{Src: 1, Dst: 1, From: 0, Until: 1}}}, "link fault 1 on loopback"},
+		{&Schedule{Kills: []Kill{{Machine: 1, At: -1}}}, "at time -1"},
+		{&Schedule{Kills: []Kill{{Machine: 1, At: math.NaN()}}}, "at time NaN"},
+		{&Schedule{Kills: []Kill{{Machine: 1, At: math.Inf(1)}}}, "at time +Inf"},
+		{&Schedule{Kills: []Kill{{Machine: 4, At: 1}}}, "machine 4 outside the 4-machine topology"},
+		{&Schedule{Kills: []Kill{{Machine: -1, At: 1}}}, "machine -1 outside"},
+		{&Schedule{Kills: []Kill{{Machine: 1, At: 1}, {Machine: 1, At: 2}}}, "duplicate kill of machine 1"},
+		{&Schedule{Kills: []Kill{{Machine: 0, At: 1}, {Machine: 1, At: 1}, {Machine: 2, At: 1}, {Machine: 3, At: 1}}}, "kills all 4 machines"},
+		{&Schedule{Slowdowns: []Slowdown{{Machine: 9, From: 0, Until: 1, Factor: 2}}}, "slowdown 0 references machine outside"},
+		{&Schedule{Slowdowns: []Slowdown{{Machine: 0, From: 0, Until: 1, Factor: 1}}}, "factor 1 (want > 1)"},
+	} {
+		if err := tc.s.Validate(4); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want %q", tc.s, err, tc.want)
 		}
 	}
 	ok := &Schedule{
-		Links:     []LinkFault{{Src: 0, Dst: 1, From: 0, Until: 2, Factor: 3}, {Src: 1, Dst: 2, From: 1, Until: 2, Drop: true}},
+		Kills:     []Kill{{Machine: 2, At: 0}, {Machine: 1, At: 1}, {Machine: 3, At: 1}},
+		Links:     []LinkFault{{Src: 0, Dst: 1, From: 0, Until: 2, Factor: 3}},
+		Drops:     []LinkFault{{Src: 1, Dst: 2, From: 1, Until: 2}},
 		Slowdowns: []Slowdown{{Machine: 3, From: 0, Until: 5, Factor: 2}},
 	}
 	if err := ok.Validate(4); err != nil {
@@ -117,16 +131,15 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 	cfg := GenConfig{Machines: 8, Horizon: 20, Degrades: 3, Drops: 2, Slowdowns: 2, Kills: 2, Seed: 7}
 	s1, k1 := Generate(cfg)
 	s2, k2 := Generate(cfg)
-	if len(s1.Links) != 5 || len(s1.Slowdowns) != 2 || len(k1) != 2 {
-		t.Fatalf("unexpected counts: %d links, %d slowdowns, %d kills", len(s1.Links), len(s1.Slowdowns), len(k1))
+	if len(s1.Links) != 3 || len(s1.Drops) != 2 || len(s1.Slowdowns) != 2 || len(k1) != 2 || s1.Kills != nil {
+		t.Fatalf("unexpected counts: %d links, %d drops, %d slowdowns, %d kills (%d in the schedule)",
+			len(s1.Links), len(s1.Drops), len(s1.Slowdowns), len(k1), len(s1.Kills))
 	}
 	if err := s1.Validate(cfg.Machines); err != nil {
 		t.Fatalf("generated schedule invalid: %v", err)
 	}
-	for i := range s1.Links {
-		if s1.Links[i] != s2.Links[i] {
-			t.Fatal("same seed produced different link faults")
-		}
+	if !slices.Equal(s1.Links, s2.Links) || !slices.Equal(s1.Drops, s2.Drops) {
+		t.Fatal("same seed produced different link faults")
 	}
 	for i := range k1 {
 		if k1[i] != k2[i] {
@@ -145,56 +158,74 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 	}
 }
 
+// faultDoc is a fault file with a kill and every transient fault.
+const faultDoc = `{
+	"kills": [{"machine": 2, "at": 1.5}],
+	"links": [{"src": 0, "dst": 3, "from": 0.5, "until": 2.0, "factor": 4}],
+	"drops": [{"src": 1, "dst": 2, "from": 0.2, "until": 0.8}],
+	"slowdowns": [{"machine": 5, "from": 0, "until": 10, "factor": 3}]
+}`
+
+// TestFileRoundTrip: a fault file decodes straight into the Schedule the
+// engine replays, kills included.
 func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "faults.json")
-	doc := `{
-		"kills": [{"machine": 2, "at": 1.5}],
-		"links": [{"src": 0, "dst": 3, "from": 0.5, "until": 2.0, "factor": 4}],
-		"drops": [{"src": 1, "dst": 2, "from": 0.2, "until": 0.8}],
-		"slowdowns": [{"machine": 5, "from": 0, "until": 10, "factor": 3}]
-	}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(faultDoc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Load(path)
+	s, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := f.Schedule()
-	if len(s.Links) != 2 || len(s.Slowdowns) != 1 {
+	if len(s.Links) != 1 || len(s.Drops) != 1 || len(s.Slowdowns) != 1 {
 		t.Fatalf("unexpected schedule: %+v", s)
 	}
 	if got := s.LinkFactor(0, 3, 1.0); got != 4 {
 		t.Errorf("degradation factor = %g, want 4", got)
 	}
-	if !s.DropsTransfer(1, 2, 0.5) {
-		t.Error("drop entry not converted")
+	if !s.DropsTransfer(1, 2, 0.5) || s.LinkFactor(1, 2, 0.5) != 1 {
+		t.Error("the drop entry does not drop, or degrades")
 	}
 	if got := s.SlowdownFactor(5, 5); got != 3 {
 		t.Errorf("slowdown factor = %g, want 3", got)
 	}
-	kills := f.KillList()
-	if len(kills) != 1 || kills[0].Machine != 2 || kills[0].At != 1.5 {
-		t.Fatalf("unexpected kills: %+v", kills)
+	if len(s.Kills) != 1 || s.Kills[0] != (Kill{Machine: 2, At: 1.5}) {
+		t.Fatalf("unexpected kills: %+v", s.Kills)
 	}
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("loading a missing file succeeded")
 	}
-	badPath := filepath.Join(dir, "bad.json")
-	os.WriteFile(badPath, []byte("{"), 0o644)
-	if _, err := Load(badPath); err == nil || !strings.Contains(err.Error(), "parsing") {
-		t.Errorf("bad JSON error = %v", err)
+	for body, want := range map[string]string{
+		"{":                                     "parsing",
+		`{"kills": [], "faults": []}`:           "unknown field",
+		`{"kills": []} {"kills": []}`:           "data after the schedule object",
+		`{"kills": [{"machine": "2"}]}`:         "parsing",
+		`{"drops": [{"src": 1, "drop": true}]}`: "unknown field",
+	} {
+		badPath := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(badPath, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(badPath); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %q", body, err, want)
+		}
 	}
 }
 
+// TestFileEmptySchedule: nothing injects nothing, and a kill alone is a
+// fault.
 func TestFileEmptySchedule(t *testing.T) {
-	var f *File
-	if f.Schedule() != nil || f.KillList() != nil {
-		t.Error("nil file produced a schedule")
+	var nilSched *Schedule
+	if !nilSched.Empty() || !(&Schedule{Links: []LinkFault{}}).Empty() || nilSched.MaxMachine() != -1 {
+		t.Error("an empty schedule injects something")
 	}
-	empty := &File{Kills: []Kill{{Machine: 1, At: 2}}}
-	if empty.Schedule() != nil {
-		t.Error("kills-only file produced a transient schedule")
+	for _, s := range []*Schedule{
+		{Kills: []Kill{{Machine: 1, At: 2}}},
+		{Drops: []LinkFault{{Src: 0, Dst: 1, From: 0, Until: 1}}},
+	} {
+		if s.Empty() {
+			t.Errorf("%+v reports empty", s)
+		}
 	}
 }

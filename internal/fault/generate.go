@@ -18,7 +18,7 @@ type GenConfig struct {
 	Drops     int
 	Slowdowns int
 	// Kills is the number of permanent machine deaths to draw (returned
-	// separately: a Schedule holds what passes, a death does not).
+	// beside the schedule; a caller that wants them sets Schedule.Kills).
 	Kills int
 	// Joins is the number of elastic machine joins to draw. Join targets
 	// are the machines [Machines, Machines+Joins) — callers must provision
@@ -34,18 +34,10 @@ type GenConfig struct {
 	Seed int64
 }
 
-// Kill is a permanent machine death at a virtual time (Figure 10). The
-// engine, which imports this package, schedules it under the name
-// engine.Failure.
-type Kill struct {
-	Machine cluster.MachineID `json:"machine"`
-	At      float64           `json:"at"`
-}
-
 // Generate draws a random but fully deterministic fault schedule: link
-// degradations, transfer-drop windows, straggler slowdowns, and machine
-// kills. Distinct machines are killed (never machine 0, so a live machine
-// always remains) and drop windows are kept short relative to the horizon
+// degradations, transfer-drop windows, straggler slowdowns, joins and
+// drains, with the machine kills returned beside it. Distinct machines are
+// killed (never machine 0, so a live machine always remains) and drop windows are kept short relative to the horizon
 // so retries always eventually succeed.
 func Generate(cfg GenConfig) (*Schedule, []Kill) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -75,9 +67,7 @@ func Generate(cfg GenConfig) (*Schedule, []Kill) {
 	for i := 0; i < cfg.Drops; i++ {
 		src, dst := pair()
 		from, until := window(0.15 * cfg.Horizon)
-		s.Links = append(s.Links, LinkFault{
-			Src: src, Dst: dst, From: from, Until: until, Drop: true,
-		})
+		s.Drops = append(s.Drops, LinkFault{Src: src, Dst: dst, From: from, Until: until})
 	}
 	for i := 0; i < cfg.Slowdowns; i++ {
 		m := cluster.MachineID(rng.Intn(cfg.Machines))

@@ -104,8 +104,9 @@ type Config struct {
 	// Faults injects transient link faults and machine slowdowns shared by
 	// every job; its joins and drains steer placement at barriers (tasks
 	// avoid machines that are not accepting) and a join's NIC rate cap
-	// applies to every transfer touching the machine. Retry tunes
-	// dropped-transfer recovery.
+	// applies to every transfer touching the machine. It may not kill: the
+	// service places its stages itself, so the engine arms no death for
+	// them. Retry tunes dropped-transfer recovery.
 	Faults *fault.Schedule
 	Retry  fault.RetryPolicy
 }
@@ -238,6 +239,9 @@ func newService(cfg Config, jobs []Job) (*service, error) {
 	}
 	if err := cfg.Faults.Validate(cfg.Topo.NumMachines()); err != nil {
 		return nil, err
+	}
+	if cfg.Faults != nil && len(cfg.Faults.Kills) > 0 {
+		return nil, fmt.Errorf("jobsvc: the schedule kills %d machine(s); the job service handles transient faults only", len(cfg.Faults.Kills))
 	}
 	seen := make(map[string]bool, len(jobs))
 	for i := range jobs {

@@ -367,6 +367,16 @@ func TestRerouteKeepsPinWhenNothingAccepts(t *testing.T) {
 	}
 }
 
+// TestRunRejectsKills: the service places its stages itself, so a kill in
+// its schedule would never fire; Run refuses it, naming how many.
+func TestRunRejectsKills(t *testing.T) {
+	sched := &fault.Schedule{Kills: []fault.Kill{{Machine: 1, At: 0.5}, {Machine: 2, At: 1}}}
+	_, err := Run(Config{Topo: cluster.NewT1(4), Faults: sched}, []Job{pinnedJob("j", 0, 1)})
+	if err == nil || !strings.Contains(err.Error(), "kills 2 machine(s)") {
+		t.Fatalf("err = %v, want the two kills refused", err)
+	}
+}
+
 // TestJoinNICCapSlowsTransfers: a join's NIC line rate caps every transfer
 // touching the joined machine, in the service as in the engine — one
 // dispatch, one cost model for a link. (The service's own loop ignored the

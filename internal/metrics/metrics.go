@@ -30,6 +30,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/cluster"
@@ -90,8 +91,8 @@ type Collector struct {
 
 // NewCollector validates cfg and returns an empty collector.
 func NewCollector(cfg Config) (*Collector, error) {
-	if cfg.Window <= 0 {
-		return nil, fmt.Errorf("metrics: window must be positive, got %g", cfg.Window)
+	if !(cfg.Window > 0) || math.IsInf(cfg.Window, 1) {
+		return nil, fmt.Errorf("metrics: window must be positive and finite, got %g", cfg.Window)
 	}
 	if cfg.Rules != nil {
 		if err := cfg.Rules.Validate(); err != nil {

@@ -38,18 +38,16 @@ func chaosConfig(rec *trace.Recorder, workers int) engine.Config {
 		}},
 		Trace:   rec,
 		Workers: workers,
-		Failures: []engine.Failure{
+		Faults: &fault.Schedule{
 			// Mid-second-stage: machine 2's running task is lost and retried
 			// on its surviving replica after the heartbeat.
-			{Machine: 2, At: 3.8},
-		},
-		Faults: &fault.Schedule{
+			Kills:  []fault.Kill{{Machine: 2, At: 3.8}},
 			Joins:  []fault.MachineJoin{{Machine: 3, At: 0.25, NICs: cluster.LinkBandwidth / 2}},
 			Drains: []fault.MachineDrain{{Machine: 1, At: 0.5, Deadline: 10}},
-			Links: []fault.LinkFault{
+			Drops: []fault.LinkFault{
 				// Covers the 2→0 shuffle transfer at t=2: one drop, one
 				// timeout, one backoff retry.
-				{Src: 2, Dst: 0, From: 1.5, Until: 2.4, Drop: true},
+				{Src: 2, Dst: 0, From: 1.5, Until: 2.4},
 			},
 		},
 		PartBytes: []int64{0, bw, 0},
@@ -330,5 +328,16 @@ func TestAutoscalePlanUnchangedByRewire(t *testing.T) {
 	}
 	if len(plan.Drains) != 1 || plan.Drains[0].Machine != 1 || plan.Drains[0].At != 4 {
 		t.Fatalf("drains = %+v", plan.Drains)
+	}
+}
+
+// TestNewCollectorRejectsBadWindow: a window that is not positive and finite
+// is refused. NaN once passed the `<= 0` check and grew the series until the
+// process ran out of memory.
+func TestNewCollectorRejectsBadWindow(t *testing.T) {
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := metrics.NewCollector(metrics.Config{Window: w}); err == nil || !strings.Contains(err.Error(), "positive and finite") {
+			t.Errorf("window %g: err = %v", w, err)
+		}
 	}
 }

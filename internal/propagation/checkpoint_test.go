@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/storage"
 )
 
-func (f *fixture) replicatedRunner(failures []engine.Failure, heartbeat float64, workers int) *engine.Runner {
+func (f *fixture) replicatedRunner(kills []fault.Kill, heartbeat float64, workers int) *engine.Runner {
 	reps := storage.PlaceReplicas(f.pl, f.topo, 7)
 	return engine.New(engine.Config{
-		Topo: f.topo, Replicas: reps, Failures: failures,
+		Topo: f.topo, Replicas: reps, Faults: &fault.Schedule{Kills: kills},
 		HeartbeatInterval: heartbeat, Workers: workers,
 	})
 }
@@ -64,7 +65,7 @@ func TestCheckpointRollbackBeatsRestartFromZero(t *testing.T) {
 	heartbeat := baseM.ResponseSeconds / 20
 	run := func(interval, workers int) (*State[int64], engine.Metrics) {
 		t.Helper()
-		r := f.replicatedRunner([]engine.Failure{{Machine: 2, At: killAt}}, heartbeat, workers)
+		r := f.replicatedRunner([]fault.Kill{{Machine: 2, At: killAt}}, heartbeat, workers)
 		st, m, err := RunCheckpointed(r, f.pg, f.pl, sumProgram{}, NewState(f.pg, sumProgram{}), opt, iters,
 			CheckpointConfig{Interval: interval, Replicas: f.replicas()})
 		if err != nil {
@@ -145,7 +146,7 @@ func TestRunCheckpointedCascaded(t *testing.T) {
 	heartbeat := m.ResponseSeconds / 20
 	runKilled := func(interval int) (*State[int64], engine.Metrics) {
 		t.Helper()
-		r := f.replicatedRunner([]engine.Failure{{Machine: 2, At: killAt}}, heartbeat, 1)
+		r := f.replicatedRunner([]fault.Kill{{Machine: 2, At: killAt}}, heartbeat, 1)
 		st, km, err := RunCheckpointed(r, f.pg, f.pl, sumProgram{}, NewState(f.pg, sumProgram{}), opt, iters,
 			CheckpointConfig{Interval: interval, Replicas: f.replicas(), Cascaded: true})
 		if err != nil {

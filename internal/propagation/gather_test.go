@@ -153,8 +153,8 @@ type merged struct {
 // before gatherPart existed, kept as the reference the gather is compared
 // with: one goroutine replays the partitions' reference emission logs in
 // partition-index order, delivering into shared bags and charging the I/O.
-// With pod set it is also IterateTree's cross-pod hook and its merge per (pod,
-// destination) as they ran then. It reads the logs only and resolves every
+// With pod set it is also tree aggregation's cross-pod hook and its merge per
+// (pod, destination) as they ran then. It reads the logs only and resolves every
 // destination's partition itself, so it also checks the packed destination
 // word.
 func serialMerge(ex *execution[int64], ref []refPart[int64], pod []int, pods int) *merged {

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/storage"
@@ -338,7 +339,7 @@ func goldenRow[V any](t *testing.T, d *goldenDeployment, gp goldenProgram[V], le
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Failures = []engine.Failure{{Machine: 2, At: 0.9 * clean.ResponseSeconds}}
+		cfg.Faults = &fault.Schedule{Kills: []fault.Kill{{Machine: 2, At: 0.9 * clean.ResponseSeconds}}}
 		cfg.HeartbeatInterval = clean.ResponseSeconds / 20
 	}
 	cfg.Trace = rec

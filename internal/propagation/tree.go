@@ -73,16 +73,6 @@ type aggValue[V any] struct {
 	val V
 }
 
-// IterateTree runs one propagation iteration with tree aggregation. It
-// requires an associative program and applies local propagation and local
-// combination unconditionally (the stage exists to squeeze the remaining
-// cross-pod traffic; running it without the cheaper optimizations would be
-// pointless).
-func IterateTree[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options) (*State[V], engine.Metrics, error) {
-	next, job, err := planIteration(r.Pool(), pg, pl, prog, st, opt, "propagation-tree-iteration", nil, r.Topology())
-	return runPlan(r, []*engine.Job{job}, next, err)
-}
-
 // aggregatePart is partition q's share of the Aggregate stage semantics: the
 // cross-pod values gatherPart(q) set aside are merged per (sending pod,
 // destination vertex) and the one merged value joins the destination's bag
@@ -111,7 +101,8 @@ func (ex *execution[V]) aggregatePart(q int) {
 	}
 }
 
-// RunIterationsTree is RunIterations with tree aggregation.
+// RunIterationsTree is RunIterations with tree aggregation, for an
+// associative program, with local propagation and combination always on.
 func RunIterationsTree[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, iters int) (*State[V], engine.Metrics, error) {
 	p := planner[V]{pool: r.Pool(), pg: pg, pl: pl, prog: prog, opt: opt, prefix: "propagation-tree", topo: r.Topology()}
 	jobs, final, err := p.plan(st, iters, nil)

@@ -67,7 +67,7 @@ func TestTreeAggregationCutsCrossPodTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	stB := NewState[int64](pg, prog)
-	_, tree, err := IterateTree(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stB, opt)
+	_, tree, err := RunIterationsTree(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stB, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTreeAggregationOverheadBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	stB := NewState[int64](pg, prog)
-	_, tree, err := IterateTree(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stB, opt)
+	_, tree, err := RunIterationsTree(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stB, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestTreeAggregationRejectsNonAssociative(t *testing.T) {
 	pg, pl, topo := treeFixture(t, 43)
 	prog := listProgram{}
 	st := NewState[[]int64](pg, prog)
-	_, _, err := IterateTree(engine.New(engine.Config{Topo: topo}), pg, pl, prog, st, Options{})
+	_, _, err := RunIterationsTree(engine.New(engine.Config{Topo: topo}), pg, pl, prog, st, Options{}, 1)
 	if err == nil {
 		t.Fatal("expected error for non-associative program")
 	}
@@ -128,7 +128,7 @@ func TestTreeAggregationOnSinglePod(t *testing.T) {
 		t.Fatal(err)
 	}
 	stB := NewState[int64](pg, prog)
-	next, tree, err := IterateTree(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stB, Options{})
+	next, tree, err := RunIterationsTree(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stB, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

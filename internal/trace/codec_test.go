@@ -490,7 +490,8 @@ func TestReadEventsReturnsReaderError(t *testing.T) {
 	}
 }
 
-// TestSniffFormat: the format is read off the head of the file.
+// TestSniffFormat: the format is read off the head of the file, so
+// ReadFile and ScanFile refuse another format without reading it.
 func TestSniffFormat(t *testing.T) {
 	var file bytes.Buffer
 	topo := &TopoInfo{Name: "T1", Machines: 2, Bandwidth: [][]float64{{1, 2}, {3, 4}}}
@@ -498,7 +499,7 @@ func TestSniffFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := &countingReader{r: bytes.NewReader(file.Bytes())}
-	if got := SniffFormat(head); got != StreamFormat {
+	if got := sniffFormat(head); got != StreamFormat {
 		t.Fatalf("sniffed %q from a raw stream", got)
 	}
 	if head.n > 128<<10 {
@@ -513,7 +514,7 @@ func TestSniffFormat(t *testing.T) {
 		`["format"]`:                                                  "",
 		``:                                                            "",
 	} {
-		if got := SniffFormat(strings.NewReader(in)); got != want {
+		if got := sniffFormat(strings.NewReader(in)); got != want {
 			t.Errorf("%s: sniffed %q, want %q", in, got, want)
 		}
 	}
@@ -521,7 +522,7 @@ func TestSniffFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SniffFormat(bytes.NewReader(chrome)); got != "" {
+	if got := sniffFormat(bytes.NewReader(chrome)); got != "" {
 		t.Errorf("sniffed %q from a Chrome export", got)
 	}
 }

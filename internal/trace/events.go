@@ -272,11 +272,11 @@ func ScanEvents(r io.Reader, header func(*Stream) error, fn func(*Event) error) 
 	return d.classify(d.stream(header, fn))
 }
 
-// SniffFormat reads only the leading key/value pairs of a JSON object — up
+// sniffFormat reads only the leading key/value pairs of a JSON object — up
 // to its first array value, which in a raw trace is the event list — and
 // returns the string under "format", or "" when there is none there (or r
 // does not start a JSON object at all).
-func SniffFormat(r io.Reader) string {
+func sniffFormat(r io.Reader) string {
 	d := newDecoder(r)
 	if d.expect('{') != nil {
 		return ""

@@ -39,7 +39,7 @@ func openStream(path string) (*os.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if format := SniffFormat(f); format != StreamFormat {
+	if format := sniffFormat(f); format != StreamFormat {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, checkHeader(&Stream{Format: format}))
 	}

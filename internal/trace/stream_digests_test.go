@@ -129,12 +129,12 @@ func chaosConfig(rec *trace.Recorder) engine.Config {
 		Topo:      cluster.NewT1(4),
 		Replicas:  &storage.Replicas{Machines: [][]cluster.MachineID{{0, 2}, {1, 3}, {2, 0}}},
 		Trace:     rec,
-		Failures:  []engine.Failure{{Machine: 2, At: 3.8}},
 		PartBytes: []int64{0, bw, 0},
 		Faults: &fault.Schedule{
+			Kills:  []fault.Kill{{Machine: 2, At: 3.8}},
 			Joins:  []fault.MachineJoin{{Machine: 3, At: 0.25, NICs: cluster.LinkBandwidth / 2}},
 			Drains: []fault.MachineDrain{{Machine: 1, At: 0.5, Deadline: 10}},
-			Links:  []fault.LinkFault{{Src: 2, Dst: 0, From: 1.5, Until: 2.4, Drop: true}},
+			Drops:  []fault.LinkFault{{Src: 2, Dst: 0, From: 1.5, Until: 2.4}},
 		},
 	}
 }
@@ -206,7 +206,7 @@ func checkpointedCapture(t *testing.T) capture {
 	rec := trace.NewRecorder()
 	sys := build(core.Config{
 		Trace:             rec,
-		Failures:          []engine.Failure{{Machine: 2, At: 0.7 * m.ResponseSeconds}},
+		Faults:            &fault.Schedule{Kills: []fault.Kill{{Machine: 2, At: 0.7 * m.ResponseSeconds}}},
 		HeartbeatInterval: m.ResponseSeconds / 20,
 	})
 	r := sys.NewRunner()

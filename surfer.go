@@ -161,20 +161,23 @@ type Runner = engine.Runner
 // disk I/O of a run.
 type Metrics = engine.Metrics
 
-// Failure schedules a machine death for fault-tolerance experiments.
-type Failure = engine.Failure
-
 // ----------------------------------------------------------- fault model
 
-// FaultSchedule injects transient faults into a run: degraded links,
-// transfer-drop windows, and machine compute slowdowns. Set one on
-// Config.Faults. Nil disables injection at zero cost; values are
-// bit-identical with and without workers because faults are pure functions
-// of (link, time) evaluated from the serial event loop.
+// FaultSchedule is a run's fault plan: machine kills, degraded links,
+// transfer-drop windows, machine compute slowdowns, joins and drains. Set
+// one on Config.Faults; its JSON form is the fault file the CLIs read. Nil
+// disables injection at zero cost; values are bit-identical with and
+// without workers because faults are pure functions of (link, time)
+// evaluated from the serial event loop.
 type FaultSchedule = fault.Schedule
 
-// LinkFault degrades (Factor > 1) or blackholes (Drop) one directed link
-// over a [From, Until) virtual-time window.
+// Kill schedules a machine death for fault-tolerance experiments (Figure
+// 10), in FaultSchedule.Kills.
+type Kill = fault.Kill
+
+// LinkFault degrades (in FaultSchedule.Links, by Factor > 1) or blackholes
+// (in FaultSchedule.Drops) one directed link over a [From, Until)
+// virtual-time window.
 type LinkFault = fault.LinkFault
 
 // MachineSlowdown stretches one machine's compute durations over a window,
@@ -187,12 +190,8 @@ type MachineSlowdown = fault.Slowdown
 // unlimited attempts.
 type RetryPolicy = fault.RetryPolicy
 
-// FaultFile is the on-disk JSON fault-schedule format consumed by the CLIs
-// (kills, degraded links, drop windows, slowdowns in one document).
-type FaultFile = fault.File
-
-// LoadFaultFile reads a fault-schedule file.
-func LoadFaultFile(path string) (*FaultFile, error) { return fault.Load(path) }
+// LoadFaultFile reads a fault file: a FaultSchedule's JSON form.
+func LoadFaultFile(path string) (*FaultSchedule, error) { return fault.Load(path) }
 
 // CheckpointConfig configures iteration checkpointing for RunCheckpointed.
 type CheckpointConfig = propagation.CheckpointConfig

@@ -161,7 +161,7 @@ func TestPublicAPIFailureInjection(t *testing.T) {
 	topo := NewT1(4)
 	sys, err := Build(Config{
 		Graph: g, Topology: topo, Levels: 2, Seed: 9,
-		Failures: []Failure{{Machine: 0, At: 0.0001}},
+		Faults: &FaultSchedule{Kills: []Kill{{Machine: 0, At: 0.0001}}},
 	})
 	if err != nil {
 		t.Fatal(err)
