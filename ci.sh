@@ -49,12 +49,16 @@ go test -run '^$' -fuzz FuzzReadWorkload -fuzztime 10s ./internal/jobsvc
 # nor from what the tools do next with an accepted schedule, and what it
 # accepts writes back and re-reads to the same bytes.
 go test -run '^$' -fuzz FuzzLoad -fuzztime 10s ./internal/fault
+# And through the series-file reader behind surfer-metrics -series: never a
+# panic, nor from the three renderers on an accepted set, and what it accepts
+# writes back and re-reads to the same bytes.
+go test -run '^$' -fuzz FuzzReadSet -fuzztime 10s ./internal/metrics
 # Layer benchmarks, once each, so they cannot rot (-short skips the
 # 1M-vertex partitioner size and plans propagation and MapReduce at 16k
 # vertices).
 go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph \
     ./internal/propagation ./internal/mapreduce ./internal/apps ./internal/jobsvc \
-    ./internal/trace ./internal/metrics
+    ./internal/trace ./internal/metrics ./internal/analyze
 # The examples, run once each so they cannot rot; the fault-tolerance demo
 # must end with ranks bit-identical to its failure-free run.
 for ex in examples/*/; do

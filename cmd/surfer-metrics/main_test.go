@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -108,6 +109,16 @@ func TestRenderings(t *testing.T) {
 	}
 }
 
+// seriesFile is a series file of the given window length and count, holding
+// one series "s" with the given JSON values, or none when values is "".
+func seriesFile(window float64, windows int, values string) string {
+	series := ""
+	if values != "" {
+		series = `{"name":"s","values":` + values + `}`
+	}
+	return fmt.Sprintf(`{"format":"surfer-metrics-series","version":1,"window":%g,"windows":%d,"series":[%s]}`, window, windows, series)
+}
+
 func TestBadInvocations(t *testing.T) {
 	dir := t.TempDir()
 	events, series := filepath.Join(dir, "run.events"), filepath.Join(dir, "live.series")
@@ -154,6 +165,13 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-series", empty}, 1, "empty: "},
 		{[]string{"-series", write("truncated.series", string(live[:len(live)/2]))}, 1, "truncated.series: "},
 		{[]string{"-series", events}, 1, "run.events: "},
+		// was: two CSV rows, then index out of range.
+		{[]string{"-series", write("short.series", seriesFile(0.5, 3, "[1]")), "-csv"}, 1, `short.series: metrics: series "s" has 1 values, want the file's 3 windows`},
+		{[]string{"-series", write("long.series", seriesFile(0.5, 1, "[1,2,3]"))}, 1, `long.series: metrics: series "s" has 3 values, want the file's 1 windows`},
+		// was: "0 series × -2 windows".
+		{[]string{"-series", write("negative.series", seriesFile(0.5, -2, ""))}, 1, "negative.series: metrics: -2 windows, want a count of at least 0"},
+		{[]string{"-series", write("nowindow.series", seriesFile(0, 1, "[1]"))}, 1, "nowindow.series: metrics: window 0, want a positive finite number of seconds"},
+		{[]string{"-series", write("backwards.series", seriesFile(-0.5, 1, "[1]"))}, 1, "backwards.series: metrics: window -0.5, want a positive finite number of seconds"},
 
 		{[]string{"-trace", events, "-rules", missing}, 1, "missing"},
 		{[]string{"-trace", events, "-rules", empty}, 1, "empty: metrics: parsing rules"},

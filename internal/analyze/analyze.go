@@ -349,6 +349,8 @@ func stageLabels(events []trace.Event) []string {
 	// last began" — because a multi-tenant stream interleaves events of
 	// concurrent jobs arbitrarily.
 	alias := make(map[string]string)
+	type jobStage struct{ job, stage string }
+	interned := make(map[jobStage]string) // one label per (job occurrence, stage)
 	for i := range events {
 		ev := &events[i]
 		if ev.Kind == trace.KindJobBegin {
@@ -371,8 +373,12 @@ func stageLabels(events []trace.Event) []string {
 		}
 		if ev.Stage == "" {
 			labels[i] = job
-		} else {
+			continue
+		}
+		key := jobStage{job, ev.Stage}
+		if labels[i] = interned[key]; labels[i] == "" {
 			labels[i] = job + "/" + ev.Stage
+			interned[key] = labels[i]
 		}
 	}
 	return labels

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 )
@@ -43,7 +44,8 @@ func WriteSet(w io.Writer, s *Set) error {
 	return err
 }
 
-// ReadSet parses a series file written by WriteSet.
+// ReadSet parses a series file written by WriteSet, refusing one whose window,
+// window count or series lengths the writers cannot render.
 func ReadSet(r io.Reader) (*Set, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -58,6 +60,17 @@ func ReadSet(r io.Reader) (*Set, error) {
 	}
 	if s.Version != SeriesVersion {
 		return nil, fmt.Errorf("metrics: version %d, want %d", s.Version, SeriesVersion)
+	}
+	if !(s.Window > 0) || math.IsInf(s.Window, 1) {
+		return nil, fmt.Errorf("metrics: window %g, want a positive finite number of seconds", s.Window)
+	}
+	if s.Windows < 0 {
+		return nil, fmt.Errorf("metrics: %d windows, want a count of at least 0", s.Windows)
+	}
+	for i := range s.Series {
+		if n := len(s.Series[i].Values); n != s.Windows {
+			return nil, fmt.Errorf("metrics: series %q has %d values, want the file's %d windows", s.Series[i].Name, n, s.Windows)
+		}
 	}
 	return s, nil
 }

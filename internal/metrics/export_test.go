@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,6 +53,61 @@ func TestReadSetRejectsForeignFiles(t *testing.T) {
 	if _, err := ReadSet(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// FuzzReadSet: ReadSet never panics. On a set it accepts, the three
+// renderers never panic either, and the set writes back to a file that
+// re-reads to the same bytes.
+//
+//	go test -run '^$' -fuzz FuzzReadSet -fuzztime 30s ./internal/metrics
+func FuzzReadSet(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "chaos_series.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var sample bytes.Buffer
+	if err := WriteSet(&sample, sampleSet()); err != nil {
+		f.Fatal(err)
+	}
+	const hdr = `{"format":"surfer-metrics-series","version":1,`
+	for _, doc := range []string{
+		string(golden), sample.String(),
+		hdr + `"window":0.5,"windows":0,"series":[]}`,
+		hdr + `"window":0.5,"windows":3,"series":[{"name":"a","values":[1]}]}`,
+		hdr + `"window":0.5,"windows":-2,"series":[]}`,
+		hdr + `"window":0,"windows":1,"series":[{"name":"a","values":[1]}]}`,
+		hdr + `"window":1e-300,"windows":2,"series":[{"name":" \ud800","values":[-0,1e308]},{"values":null}]}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadSet(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		// A set with no series may claim any number of windows, and the CSV
+		// has a row for each, so only short ones are rendered.
+		if s.Windows <= 1<<12 {
+			if err := WriteCSV(io.Discard, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := WriteProm(io.Discard, s); err != nil {
+			t.Fatal(err)
+		}
+		WriteDashboard(io.Discard, s, nil, 48)
+		var out, again bytes.Buffer
+		if err := WriteSet(&out, s); err != nil {
+			t.Fatalf("an accepted set does not write: %v", err)
+		}
+		s2, err := ReadSet(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("the written set is refused: %v\n%s", err, out.Bytes())
+		}
+		if err := WriteSet(&again, s2); err != nil || !bytes.Equal(out.Bytes(), again.Bytes()) {
+			t.Fatalf("round trip changed the file (%v):\n%s\n%s", err, out.Bytes(), again.Bytes())
+		}
+	})
 }
 
 func TestWriteCSVShape(t *testing.T) {

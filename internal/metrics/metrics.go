@@ -87,6 +87,7 @@ type Collector struct {
 	alerts   []Alert
 	emit     func(trace.Event) int // live alert emission; nil offline
 	finished bool
+	presize  int // windows of capacity a new accumulator starts with
 }
 
 // NewCollector validates cfg and returns an empty collector.
@@ -129,6 +130,13 @@ func FromEvents(events []trace.Event, cfg Config) (*Set, []Alert, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// Room for the stream's extent, as capacity only, and at most a window per
+	// event: a drain's End (its deadline) may lie far past the run.
+	extent := 0.0
+	for i := range events {
+		extent = max(extent, events[i].Time, events[i].End)
+	}
+	c.presize = int(min(extent/cfg.Window, float64(len(events)))) + 1
 	for i := range events {
 		c.Observe(&events[i])
 	}
@@ -216,7 +224,7 @@ type tenantSeries struct {
 
 // newSeries registers the series id under key.
 func (c *Collector) newSeries(id seriesID, key string) *series {
-	s := &series{id: id, key: key, class: families[id.f].class}
+	s := &series{id: id, key: key, class: families[id.f].class, acc: make([]float64, 0, c.presize)}
 	c.all = append(c.all, s)
 	c.sorted = false
 	return s

@@ -69,9 +69,10 @@ func BenchmarkRecorderEmit(b *testing.B) {
 }
 
 // TestReadEventsAllocations: what ReadEvents allocates does not grow with
-// the number of events beyond the slice that holds them (one chunk per 4 096
-// while reading, one exact copy at the end): the strings are interned, so a
-// stream twice as long whose names repeat allocates no more of them.
+// the number of events beyond the slice that holds them (the recorder's
+// chunks while reading, one exact copy at the end): the strings are
+// interned, so a stream twice as long whose names repeat allocates no more
+// of them.
 func TestReadEventsAllocations(t *testing.T) {
 	allocs := func(n int) (float64, int) {
 		events := tracetest.Capture(n, 8)

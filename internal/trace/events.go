@@ -219,40 +219,27 @@ func appendString(dst []byte, key, s string) []byte {
 	return append(dst, '"')
 }
 
-// readChunk is how many events ReadEvents gathers per allocation while the
-// stream's length is still unknown.
-const readChunk = 4096
-
 // ReadEvents parses a raw trace file and validates its envelope: the format
 // marker, a supported version, and consistent Seq numbering (Seq == stream
 // position, Cause < Seq) so DAG reconstruction can index events directly.
-// It is ScanEvents collecting: events gather in fixed-size chunks and move
-// once into a slice of exactly their number.
+// It is ScanEvents collecting into a Recorder, whose Emit re-assigns the Seq
+// ScanEvents has just checked.
 func ReadEvents(r io.Reader) (*Stream, error) {
 	var s *Stream
-	var chunks [][]Event
-	var cur []Event
+	rec := NewRecorder()
 	err := ScanEvents(r, func(hdr *Stream) error {
 		s = hdr
 		return nil
 	}, func(ev *Event) error {
-		if len(cur) == cap(cur) {
-			if cur != nil {
-				chunks = append(chunks, cur)
-			}
-			cur = make([]Event, 0, readChunk)
-		}
-		cur = append(cur, *ev)
+		rec.Emit(*ev)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.Events = make([]Event, 0, len(chunks)*readChunk+len(cur))
-	for _, c := range chunks {
-		s.Events = append(s.Events, c...)
+	if s.Events = rec.Events(); s.Events == nil {
+		s.Events = []Event{} // "events":[] decodes to an empty list, not to none
 	}
-	s.Events = append(s.Events, cur...)
 	return s, nil
 }
 

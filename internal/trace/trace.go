@@ -12,8 +12,6 @@
 // allocation, pinned by TestDisabledRecorderAllocatesNothing).
 package trace
 
-import "slices"
-
 // EventKind identifies what a trace event describes.
 type EventKind uint8
 
@@ -222,10 +220,17 @@ type Event struct {
 // Recorder collects the event stream of one or more runs. The zero value is
 // ready to use; a nil *Recorder is a valid disabled recorder (every method
 // is nil-safe), which is how the engine runs untraced with zero overhead.
+// Events live in chunks that never move, so recording allocates about the
+// stream's own size.
 type Recorder struct {
-	events    []Event
+	chunks    [][]Event // every chunk full but the last
+	n         int
 	observers []func(*Event)
 }
+
+// A new chunk holds as many events as the stream so far, within these bounds
+// (the larger is about 1.4 MB).
+const firstChunk, maxChunk = 256, 8192
 
 // NewRecorder returns an enabled recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
@@ -257,17 +262,20 @@ func (r *Recorder) Emit(ev Event) int {
 	if r == nil {
 		return None
 	}
-	ev.Seq = len(r.events)
-	if len(r.events) == cap(r.events) {
-		// Double: append's 1.25x for large slices copies a long stream four
-		// times over while it is recorded, doubling once.
-		r.events = slices.Grow(r.events, max(len(r.events), 256))
+	ev.Seq = r.n
+	last := len(r.chunks) - 1
+	if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
+		r.chunks = append(r.chunks, make([]Event, 0, min(max(r.n, firstChunk), maxChunk)))
+		last++
 	}
-	r.events = append(r.events, ev)
+	r.chunks[last] = append(r.chunks[last], ev)
+	r.n++
+	// The stored event, not &ev: taking the parameter's address would move
+	// every event to the heap, the disabled recorder's included. Taken once,
+	// because an observer's own Emit may open the next chunk.
+	stored := &r.chunks[last][len(r.chunks[last])-1]
 	for _, fn := range r.observers {
-		// The stored event, not &ev: taking the parameter's address would move
-		// every event to the heap, the disabled recorder's included.
-		fn(&r.events[ev.Seq])
+		fn(stored)
 	}
 	return ev.Seq
 }
@@ -277,22 +285,24 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.events)
+	return r.n
 }
 
-// Events returns the recorded stream in emission order. The slice is the
-// recorder's backing store; callers must not mutate it.
+// Events returns the recorded stream in emission order; callers must not
+// mutate it. A stream held in more than one chunk is copied once into a
+// single chunk of exactly its length, so until the next Emit further calls
+// return the same slice and allocate nothing.
 func (r *Recorder) Events() []Event {
-	if r == nil {
+	if r == nil || r.n == 0 {
 		return nil
 	}
-	return r.events
-}
-
-// Reset drops all recorded events, keeping the capacity.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
+	if len(r.chunks) > 1 {
+		all := make([]Event, 0, r.n)
+		for _, c := range r.chunks {
+			all = append(all, c...)
+		}
+		r.chunks = [][]Event{all}
 	}
-	r.events = r.events[:0]
+	c := r.chunks[0]
+	return c[:len(c):len(c)]
 }

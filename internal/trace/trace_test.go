@@ -1,6 +1,10 @@
 package trace
 
-import "testing"
+import (
+	"reflect"
+	"runtime"
+	"testing"
+)
 
 func TestRecorderBasics(t *testing.T) {
 	r := NewRecorder()
@@ -19,10 +23,6 @@ func TestRecorderBasics(t *testing.T) {
 	if evs[0].Kind != KindJobBegin || evs[1].Kind != KindJobEnd {
 		t.Fatalf("events out of order: %v, %v", evs[0].Kind, evs[1].Kind)
 	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", r.Len())
-	}
 }
 
 func TestNilRecorderIsDisabled(t *testing.T) {
@@ -31,9 +31,88 @@ func TestNilRecorderIsDisabled(t *testing.T) {
 		t.Fatal("nil recorder reports enabled")
 	}
 	r.Emit(Event{Kind: KindTransfer}) // must not panic
-	r.Reset()                         // must not panic
 	if r.Len() != 0 || r.Events() != nil {
 		t.Fatal("nil recorder holds events")
+	}
+}
+
+// TestObserverEmitsAcrossChunks: an observer that emits from inside Observe
+// (as a live collector's alerts do) may open a new chunk; every observer
+// registered after it must still be handed the outer event, and the stream
+// must keep emission order with Seq equal to position. Every outer event
+// triggers a nested one, and one leading event shifts the pairs by one, so
+// between the two runs an outer event lands on the last slot of every chunk.
+func TestObserverEmitsAcrossChunks(t *testing.T) {
+	for lead := range 2 {
+		r := NewRecorder()
+		r.Observe(func(ev *Event) {
+			if ev.Kind == KindTaskStart {
+				r.Emit(Event{Kind: KindTaskEnd, Cause: ev.Seq})
+			}
+		})
+		var seen []Event
+		r.Observe(func(ev *Event) { seen = append(seen, *ev) })
+		for range lead {
+			r.Emit(Event{Kind: KindJobBegin, Cause: None})
+		}
+		const outer = 5000 // past several chunk boundaries
+		for range outer {
+			seq := r.Emit(Event{Kind: KindTaskStart, Cause: None})
+			// The second observer saw the nested event, then this one.
+			if n := len(seen); n < 2 || seen[n-1].Seq != seq || seen[n-1].Kind != KindTaskStart ||
+				seen[n-2].Seq != seq+1 || seen[n-2].Cause != seq {
+				t.Fatalf("lead %d: outer event %d: the last two observed are %+v", lead, seq, seen[max(0, n-2):])
+			}
+		}
+		evs := r.Events()
+		if len(evs) != lead+2*outer || r.Len() != len(evs) || len(seen) != len(evs) {
+			t.Fatalf("lead %d: %d events, Len %d, %d observed; want %d", lead, len(evs), r.Len(), len(seen), lead+2*outer)
+		}
+		for i, ev := range evs {
+			want := KindTaskStart
+			if i < lead {
+				want = KindJobBegin
+			} else if (i-lead)%2 == 1 {
+				want = KindTaskEnd
+			}
+			if ev.Seq != i || ev.Kind != want {
+				t.Fatalf("lead %d: event %d is %v with seq %d, want %v", lead, i, ev.Kind, ev.Seq, want)
+			}
+		}
+	}
+}
+
+// TestEventsAllocatesOnce: the contiguous stream is built once and then
+// returned as is until the next Emit.
+func TestEventsAllocatesOnce(t *testing.T) {
+	r := NewRecorder()
+	for range 3 * maxChunk {
+		r.Emit(Event{Kind: KindTransfer})
+	}
+	first := r.Events()
+	if allocs := testing.AllocsPerRun(10, func() { r.Events() }); allocs != 0 {
+		t.Fatalf("Events with no Emit between calls allocates %.0f objects", allocs)
+	}
+	r.Emit(Event{Kind: KindJobEnd})
+	if evs := r.Events(); len(evs) != len(first)+1 || evs[len(first)].Kind != KindJobEnd {
+		t.Fatalf("after one more Emit, Events returned %d events (had %d)", len(evs), len(first))
+	}
+}
+
+// TestRecordingAllocatesTheStream: recording allocates in proportion to the
+// events kept, not to the copies a growing slice leaves behind.
+func TestRecordingAllocatesTheStream(t *testing.T) {
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRecorder()
+	for range n {
+		r.Emit(Event{Kind: KindTransfer})
+	}
+	runtime.ReadMemStats(&after)
+	size := float64(n) * float64(reflect.TypeOf(Event{}).Size())
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got > 1.15*size {
+		t.Fatalf("recording %d events (%.1f MB) allocated %.1f MB, %.2f× their size", n, size/1e6, got/1e6, got/size)
 	}
 }
 
