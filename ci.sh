@@ -53,6 +53,16 @@ go test -run '^$' -fuzz FuzzLoad -fuzztime 10s ./internal/fault
 # panic, nor from the three renderers on an accepted set, and what it accepts
 # writes back and re-reads to the same bytes.
 go test -run '^$' -fuzz FuzzReadSet -fuzztime 10s ./internal/metrics
+# And through the alert-rule reader behind -rules: never a panic, and an
+# accepted rule set marshals and re-parses to an equal set.
+go test -run '^$' -fuzz FuzzParseRules -fuzztime 10s ./internal/metrics
+# And through the partition-file reader behind LoadDir: never a panic, never
+# an allocation its input cannot back, and what it accepts writes back to the
+# bytes it read.
+go test -run '^$' -fuzz FuzzReadPartition -fuzztime 10s ./internal/storage
+# And through the bench-report reader behind surfer-analyze -compare: an
+# accepted report writes and re-loads equal.
+go test -run '^$' -fuzz FuzzLoadReport -fuzztime 10s ./internal/bench
 # Layer benchmarks, once each, so they cannot rot (-short skips the
 # 1M-vertex partitioner size and plans propagation and MapReduce at 16k
 # vertices).

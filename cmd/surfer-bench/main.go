@@ -14,6 +14,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -49,10 +50,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return cli.Usage(err)
 		}
-		// Tables 1 and 5 partition without core.Build, so its range check is
-		// made here for every experiment.
+		// Table 5 and Table 1's trial seeds bisect without core.Build, so its
+		// range check is made here for every experiment; Table 5 also sweeps
+		// one level past -levels.
 		if *levels < 0 || *levels > 30 || *vertices < 1<<*levels {
 			return fmt.Errorf("-levels %d out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices %d", *levels, *vertices)
+		}
+		if *vertices < 2<<*levels && slices.ContainsFunc(selected, func(e bench.Experiment) bool { return e.Name == "table5" }) {
+			return fmt.Errorf("-levels %d out of range for table5, which sweeps to levels+1: its %d partitions need at least as many -vertices, got %d", *levels, 2<<*levels, *vertices)
 		}
 		p := bench.Params{
 			Scale:      bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed, Workers: *workers},

@@ -148,6 +148,8 @@ func TestBadInvocations(t *testing.T) {
 		{small("-experiment", "scale", "-sizes", "1024,lots"), 1, `bad -sizes entry "lots"`},
 		{small("-experiment", "table1", "-levels", "-1"), 1, "-levels -1 out of range"},
 		{small("-experiment", "table1", "-levels", "12"), 1, "-levels 12 out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices 2048"},
+		{small("-experiment", "table5", "-vertices", "64", "-levels", "6"), 1, "-levels 6 out of range for table5, which sweeps to levels+1: its 128 partitions need at least as many -vertices, got 64"},
+		{small("-experiment", "all", "-vertices", "64", "-levels", "6"), 1, "-levels 6 out of range for table5"},
 		{small("-experiment", "parallel"), 2, `unknown experiment "parallel"`},
 		{small("-experiment", "table1", "-machines", "0"), 1, "table1: cluster: a topology needs at least one machine, got 0"},
 		{small("-experiment", "table1", "-machines", "3"), 1, "table1: cluster: T2 needs machines that divide into pods and 1 or 2 switch levels, got 3 machines, 2 pods"},

@@ -30,9 +30,10 @@ type AblationRow struct {
 //     sketch mapping (load balance + bandwidth awareness) — with both
 //     local optimizations on.
 //
-// Running it on T1 and T2(2,1) separates intra-machine locality from pod
-// locality.
+// Running it on T1 and T2(2,1) — one bisection placed on each — separates
+// intra-machine locality from pod locality.
 func Ablation(s Scale) ([]AblationRow, error) {
+	s = s.withMemo()
 	t1, err := cluster.ByName("t1", s.Machines, 0, 0, s.Seed)
 	if err != nil {
 		return nil, err

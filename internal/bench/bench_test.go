@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -20,6 +21,56 @@ func TestNewDeploymentForRejectsBadLevels(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "Levels") {
 			t.Errorf("levels %d on 1024 vertices: err = %v, want one naming Levels", levels, err)
 		}
+	}
+}
+
+// TestDeploymentsShareOneBisection: within one experiment table, Table 1's
+// own-seed row and every deployment of the scale's graph — tables 2–3, fig6's
+// four topologies, fig7, fig9's seven delay factors, fig10, fig11's full-size
+// step and ablation's two clusters — come from one graph and one bisection:
+// one *storage.PartitionedGraph, whatever the topology.
+func TestDeploymentsShareOneBisection(t *testing.T) {
+	p := Params{Scale: TestScale().withMemo(), Iterations: 2}
+	m := p.Scale.shared
+	for _, e := range Experiments() {
+		switch e.Name {
+		case "table1", "table2", "fig6", "fig7", "fig9", "fig10", "fig11", "ablation": // table3 renders table2's grid
+		default:
+			continue
+		}
+		// On its own, the experiment takes its graph and bisection from the
+		// memo it is handed; in the table, from the one every row shares.
+		own := p
+		own.Scale.shared = newMemo()
+		for _, run := range []Params{own, p} {
+			if _, err := e.Run(run, io.Discard); err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+			if got := run.Scale.shared; len(got.graphs) != 1 || len(got.bisections) != 1 {
+				t.Fatalf("%s: %d graphs and %d bisections in the memo, want 1 and 1", e.Name, len(got.graphs), len(got.bisections))
+			}
+		}
+	}
+	g := p.Scale.MakeGraph()
+	first := m.bisections[bisectKey{g, p.Scale.Levels, p.Scale.Seed}]
+	if first == nil {
+		t.Fatal("the one bisection is not of the scale's graph")
+	}
+	topos, err := p.Scale.Topologies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range topos {
+		d, err := NewDeploymentFor(p.Scale, topo, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.PG != first.PG || d.sys.Sketch != first.Sketch {
+			t.Errorf("%s: the deployment re-bisected the shared graph", topo.Name())
+		}
+	}
+	if len(m.bisections) != 1 {
+		t.Errorf("deploying on %d more topologies bisected again: %d bisections", len(topos), len(m.bisections))
 	}
 }
 

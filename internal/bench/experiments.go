@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -32,21 +33,32 @@ func Table1(s Scale) ([]Table1Row, error) {
 		return nil, err
 	}
 	g := s.MakeGraph()
+	// The oblivious baseline's cost depends on which random machine subsets
+	// its recursion happens to draw; average several seeds so the row
+	// reflects the expected behaviour, not one lucky draw. Each seed is one
+	// bisection priced on every topology; the first is the scale's own.
+	const pmTrials = 5
+	sys, err := s.shared.deploy(core.Config{Graph: g, Topology: topos[0], Levels: s.Levels, Seed: s.Seed})
+	if err != nil {
+		return nil, err
+	}
+	sketches := []*partition.Sketch{sys.Sketch}
+	for trial := int64(1); trial < pmTrials; trial++ {
+		_, sk := partition.RecursiveBisect(g, s.Levels, partition.Options{Seed: s.Seed + trial})
+		sketches = append(sketches, sk)
+	}
 	cm := partition.DefaultCostModel()
 	var rows []Table1Row
 	for _, topo := range topos {
-		// The oblivious baseline's cost depends on which random machine
-		// subsets its recursion happens to draw; average several seeds so
-		// the row reflects the expected behaviour, not one lucky draw.
-		const pmTrials = 5
-		var tPM float64
-		for trial := int64(0); trial < pmTrials; trial++ {
-			pm := partition.ParMetisLike(g, topo, s.Levels, partition.Options{Seed: s.Seed + trial})
-			tPM += cm.PartitioningTime(pm, topo, true)
+		var tBA, tPM float64
+		for trial, sk := range sketches {
+			aware, baseline := cm.PartitioningTime(g, sk, topo, s.Seed+int64(trial)+1)
+			if trial == 0 {
+				tBA = aware
+			}
+			tPM += baseline
 		}
 		tPM /= pmTrials
-		ba := partition.BandwidthAware(g, topo, s.Levels, partition.Options{Seed: s.Seed})
-		tBA := cm.PartitioningTime(ba, topo, false)
 		rows = append(rows, Table1Row{
 			Topology:       topo.Name(),
 			ParMetisSec:    tPM,
@@ -210,8 +222,9 @@ type Fig6Row struct {
 }
 
 // Fig6 measures the impact of bandwidth-aware partitioning on the non-flat
-// topologies.
+// topologies, placing one bisection on each.
 func Fig6(s Scale) ([]Fig6Row, error) {
+	s = s.withMemo()
 	topos, err := s.Topologies()
 	if err != nil {
 		return nil, err
@@ -318,8 +331,10 @@ type Fig9Row struct {
 	ImprovementPct float64
 }
 
-// Fig9 sweeps the simulated cross-pod delay on T2(2,1) running NR.
+// Fig9 sweeps the simulated cross-pod delay on T2(2,1) running NR, placing
+// one bisection on each delay's cluster.
 func Fig9(s Scale) ([]Fig9Row, error) {
+	s = s.withMemo()
 	// ByName checks the machine count; the sweep then varies the one
 	// parameter it does not take, the top switch's delay factor.
 	if _, err := cluster.ByName("t2", s.Machines, 2, 1, s.Seed); err != nil {

@@ -51,6 +51,51 @@ type Scale struct {
 	// and drains. Retry tunes the dropped-transfer recovery.
 	Faults *fault.Schedule
 	Retry  fault.RetryPolicy
+
+	// shared, when set, is the memo the scale's deployments share.
+	shared *memo
+}
+
+// memo is what the deployments of one experiment table share: one graph per
+// (Vertices, Seed), and one bisection per (graph, levels, seed) — the first
+// system built from them, which later deployments place. Both are pure
+// functions of their keys, so sharing them changes no number.
+type memo struct {
+	graphs     map[[2]int64]*graph.Graph
+	bisections map[bisectKey]*core.System
+}
+
+type bisectKey struct {
+	g      *graph.Graph
+	levels int
+	seed   int64
+}
+
+func newMemo() *memo {
+	return &memo{map[[2]int64]*graph.Graph{}, map[bisectKey]*core.System{}}
+}
+
+// withMemo gives s a memo of its own unless it shares one already.
+func (s Scale) withMemo() Scale {
+	if s.shared == nil {
+		s.shared = newMemo()
+	}
+	return s
+}
+
+// deploy is core.Build(cfg), bisecting only the first time the memo sees
+// cfg's graph, levels and seed; later deployments of them place that system.
+func (m *memo) deploy(cfg core.Config) (*core.System, error) {
+	if m == nil {
+		return core.Build(cfg)
+	}
+	k := bisectKey{cfg.Graph, cfg.Levels, cfg.Seed}
+	if sys := m.bisections[k]; sys != nil {
+		return sys.Place(cfg)
+	}
+	sys, err := core.Build(cfg)
+	m.bisections[k] = sys
+	return sys, err
 }
 
 // TestScale is a shrunken configuration keeping test runtimes low.
@@ -60,9 +105,16 @@ func TestScale() Scale {
 
 // MakeGraph generates the data graph for a scale: the hybrid social graph
 // (small-world communities + power-law hubs) standing in for the MSN
-// snapshot.
+// snapshot. A scale with a memo generates each (Vertices, Seed) once.
 func (s Scale) MakeGraph() *graph.Graph {
-	return graph.Social(graph.DefaultSocial(s.Vertices, s.Seed))
+	if s.shared == nil {
+		return graph.Social(graph.DefaultSocial(s.Vertices, s.Seed))
+	}
+	k := [2]int64{int64(s.Vertices), s.Seed}
+	if s.shared.graphs[k] == nil {
+		s.shared.graphs[k] = graph.Social(graph.DefaultSocial(s.Vertices, s.Seed))
+	}
+	return s.shared.graphs[k]
 }
 
 // Topologies returns the named network settings of §6.1 at this scale,
@@ -130,12 +182,12 @@ func NewDeployment(s Scale) (*Deployment, error) {
 	return NewDeploymentFor(s, topo, s.MakeGraph())
 }
 
-// NewDeploymentFor is NewDeployment with a caller-provided graph (so sweeps
-// can reuse one partitioning across topologies). The deployment is core's
-// bandwidth-aware system plus the random placement the O1/O3 levels and
-// MapReduce run on.
+// NewDeploymentFor is NewDeployment with a caller-provided graph. The
+// deployment is core's bandwidth-aware system plus the random placement the
+// O1/O3 levels and MapReduce run on; deployments of one graph under one memo
+// share its bisection.
 func NewDeploymentFor(s Scale, topo *cluster.Topology, g *graph.Graph) (*Deployment, error) {
-	sys, err := core.Build(core.Config{
+	sys, err := s.shared.deploy(core.Config{
 		Graph: g, Topology: topo, Levels: s.Levels, Seed: s.Seed,
 		HeartbeatInterval: s.Heartbeat, Workers: s.Workers, Trace: s.Trace,
 		Faults: s.Faults, Retry: s.Retry,

@@ -49,6 +49,49 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzLoadReport: LoadReport never panics, and a report it accepts goes
+// through WriteReport and LoadReport and comes back equal — up to an empty
+// Info, which the file format omits.
+//
+//	go test -run '^$' -fuzz FuzzLoadReport -fuzztime 30s ./internal/bench
+func FuzzLoadReport(f *testing.F) {
+	for _, name := range []string{"BENCH_scale.json", "BENCH_multitenant.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"schema":"surfer-bench/v1","entries":[{"experiment":"e","case":"c","metrics":{"m":-0,"n":1e308},"info":{}}]}`))
+	f.Add([]byte(`{"Schema":"surfer-bench/v1","entries":null,"extra":[1]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := LoadReport(in)
+		if err != nil {
+			return
+		}
+		if err := WriteReport(out, r); err != nil {
+			t.Fatalf("an accepted report does not write: %v", err)
+		}
+		again, err := LoadReport(out)
+		if err != nil {
+			t.Fatalf("the written report is refused: %v", err)
+		}
+		for i := range r.Entries {
+			if len(r.Entries[i].Info) == 0 {
+				r.Entries[i].Info = nil
+			}
+		}
+		if !reflect.DeepEqual(r, again) {
+			t.Fatalf("round trip changed the report:\n%+v\n%+v", r, again)
+		}
+	})
+}
+
 // TestCompare: within-threshold drift passes, past-threshold regression is
 // reported (the surfer-analyze -compare exit gate rides on this), improved
 // or equal metrics never trip, and Info is ignored.

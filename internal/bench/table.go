@@ -55,9 +55,12 @@ func atScale[T any](compute func(Scale) (T, error)) func(Params) (T, error) {
 
 // Experiments returns the table, in the order "all" runs it. Each call
 // returns a fresh one: table2 and table3 are two renderings of one grid,
-// computed (and reported) by whichever of the two a table runs first.
+// computed (and reported) by whichever of the two a table runs first, and the
+// rows share one memo, so the experiments of a table generate each graph and
+// bisect each (graph, levels, seed) once.
 func Experiments() []Experiment {
 	var grid []AppLevelMetrics
+	shared := newMemo()
 	tables23 := func(write func(io.Writer, []AppLevelMetrics)) func(Params, io.Writer) (*Report, error) {
 		return func(p Params, w io.Writer) (rep *Report, err error) {
 			if grid == nil {
@@ -71,7 +74,7 @@ func Experiments() []Experiment {
 		}
 	}
 	scaling := experiment(atScale(Fig11And12), WriteFig11And12, nil)
-	return []Experiment{
+	table := []Experiment{
 		{Name: "table1", All: true, Run: experiment(atScale(Table1), WriteTable1, FromTable1)},
 		{Name: "table2", All: true, Run: tables23(WriteTable2)},
 		{Name: "table3", All: true, Run: tables23(WriteTable3)},
@@ -95,6 +98,16 @@ func Experiments() []Experiment {
 			return ScaleExperiment(p.Scale, p.Sizes)
 		}, WriteScale, FromScale)},
 	}
+	for i := range table {
+		run := table[i].Run
+		table[i].Run = func(p Params, w io.Writer) (*Report, error) {
+			if p.Scale.shared == nil {
+				p.Scale.shared = shared
+			}
+			return run(p, w)
+		}
+	}
+	return table
 }
 
 // ExperimentNames lists what -experiment accepts, "all" last.

@@ -1,8 +1,8 @@
 // Package core assembles the Surfer system (§3, Figure 1): given a data
-// graph and a cluster topology, it partitions the graph (bandwidth-aware or
-// baseline), derives the storage placement with three-way replication, and
-// creates the engine runners propagation and MapReduce jobs run on. It is the
-// engine room behind the public surfer package.
+// graph and a cluster topology, it bisects the graph, places the partitions on
+// the machines by the bandwidth-aware sketch walk with three-way replication,
+// and creates the engine runners propagation and MapReduce jobs run on. It is
+// the engine room behind the public surfer package.
 package core
 
 import (
@@ -18,34 +18,6 @@ import (
 	"repro/internal/trace"
 )
 
-// PartitionStrategy selects how the graph is partitioned and placed.
-type PartitionStrategy int
-
-const (
-	// StrategyBandwidthAware runs Algorithm 4: lockstep machine-graph and
-	// data-graph bisection, sketch-guided placement.
-	StrategyBandwidthAware PartitionStrategy = iota
-	// StrategyParMetis runs the same bisection kernel but places
-	// partitions on random machines, like ParMetis in the cloud (§6.2).
-	StrategyParMetis
-	// StrategyRandom assigns vertices to partitions uniformly at random
-	// (the Table 5 sanity baseline) with random placement.
-	StrategyRandom
-)
-
-func (s PartitionStrategy) String() string {
-	switch s {
-	case StrategyBandwidthAware:
-		return "bandwidth-aware"
-	case StrategyParMetis:
-		return "parmetis"
-	case StrategyRandom:
-		return "random"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
-}
-
 // Config describes a Surfer deployment.
 type Config struct {
 	// Graph is the data graph.
@@ -59,8 +31,6 @@ type Config struct {
 	Levels int
 	// MemoryBudget is the per-machine memory in bytes for auto-sizing.
 	MemoryBudget int64
-	// Strategy selects the partitioner; default bandwidth-aware.
-	Strategy PartitionStrategy
 	// Seed drives every randomized choice.
 	Seed int64
 	// HeartbeatInterval is the failure-detection latency: 0 selects the
@@ -98,63 +68,68 @@ type System struct {
 	Sketch    *partition.Sketch
 	Placement *partition.Placement
 	Replicas  *storage.Replicas
-	// Steps records the distributed-partitioning cost steps (empty for
-	// StrategyRandom).
-	Steps []partition.BisectStep
 
 	cfg Config
 }
 
-// Build partitions, places and replicates the graph per the configuration.
+// Build bisects the configured graph and places it: validate, RecursiveBisect,
+// storage.Build, then Place on the configured topology.
 func Build(cfg Config) (*System, error) {
-	if cfg.Graph == nil || cfg.Topology == nil {
+	if cfg.Graph == nil {
 		return nil, fmt.Errorf("core: config requires Graph and Topology")
+	}
+	if err := checkRun(cfg); err != nil {
+		return nil, err
 	}
 	levels := cfg.Levels
 	if levels == 0 && cfg.MemoryBudget > 0 {
 		levels, _ = partition.ChoosePartitionCount(cfg.Graph.SizeBytes(), cfg.MemoryBudget)
-	}
-	if h := cfg.HeartbeatInterval; !(h >= 0) || math.IsInf(h, 1) {
-		return nil, fmt.Errorf("core: Config.HeartbeatInterval = %g: want 0 (the 1 s default) or a positive finite number of virtual seconds", h)
 	}
 	// 2^levels must be a partition count: representable (PartID is 32-bit)
 	// and, beyond the single partition, no larger than the vertex count.
 	if n := cfg.Graph.NumVertices(); levels < 0 || levels > 30 || levels > 0 && 1<<levels > n {
 		return nil, fmt.Errorf("core: Config.Levels = %d out of range: 2^Levels partitions need 0 <= Levels <= 30 and at most the graph's %d vertices", levels, n)
 	}
-	sys := &System{Graph: cfg.Graph, Topology: cfg.Topology, cfg: cfg}
-	var pt *partition.Partitioning
-	switch cfg.Strategy {
-	case StrategyBandwidthAware, StrategyParMetis:
-		run := partition.BandwidthAware
-		if cfg.Strategy == StrategyParMetis {
-			run = partition.ParMetisLike
-		}
-		res := run(cfg.Graph, cfg.Topology, levels, partition.Options{Seed: cfg.Seed})
-		pt, sys.Sketch, sys.Placement, sys.Steps = res.Partitioning, res.Sketch, res.Placement, res.Steps
-	case StrategyRandom:
-		pt = partition.Random(cfg.Graph, 1<<levels, cfg.Seed)
-		sys.Placement = partition.RandomPlacement(pt.P, cfg.Topology, cfg.Seed)
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
-	}
-	var err error
-	if sys.PG, err = storage.Build(cfg.Graph, pt); err != nil {
+	pt, sk := partition.RecursiveBisect(cfg.Graph, levels, partition.Options{Seed: cfg.Seed})
+	pg, err := storage.Build(cfg.Graph, pt)
+	if err != nil {
 		return nil, err
 	}
-	if err := sys.Placement.Validate(cfg.Topology); err != nil {
+	return (&System{Graph: cfg.Graph, PG: pg, Sketch: sk}).Place(cfg)
+}
+
+// Place deploys the system's bisection (graph, sketch and partitioned graph,
+// shared) on cfg's topology with cfg's run configuration: sketch placement,
+// replicas seeded with cfg.Seed, the fault plan checked against both. Build
+// ends here; cfg's Graph, Levels and MemoryBudget are not read.
+func (s *System) Place(cfg Config) (*System, error) {
+	if err := checkRun(cfg); err != nil {
 		return nil, err
 	}
-	sys.Replicas = storage.PlaceReplicas(sys.Placement, cfg.Topology, cfg.Seed)
-	// Fail fast on malformed fault plans: a bad kill schedule or fault
-	// window should be a Build error, not a mid-run hang.
-	if err := cfg.Faults.Validate(cfg.Topology.NumMachines()); err != nil {
+	pl := partition.SketchPlacement(s.Sketch, cfg.Topology)
+	if err := pl.Validate(cfg.Topology); err != nil {
 		return nil, err
+	}
+	sys := &System{
+		Graph: s.Graph, Topology: cfg.Topology, PG: s.PG, Sketch: s.Sketch,
+		Placement: pl, Replicas: storage.PlaceReplicas(pl, cfg.Topology, cfg.Seed), cfg: cfg,
 	}
 	if err := engine.ValidateKills(cfg.Faults, sys.Replicas); err != nil {
 		return nil, err
 	}
 	return sys, nil
+}
+
+// checkRun validates cfg's run configuration against its topology, so a bad
+// heartbeat or fault window fails before any bisecting, not mid-run.
+func checkRun(cfg Config) error {
+	if cfg.Topology == nil {
+		return fmt.Errorf("core: config requires Graph and Topology")
+	}
+	if h := cfg.HeartbeatInterval; !(h >= 0) || math.IsInf(h, 1) {
+		return fmt.Errorf("core: Config.HeartbeatInterval = %g: want 0 (the 1 s default) or a positive finite number of virtual seconds", h)
+	}
+	return cfg.Faults.Validate(cfg.Topology.NumMachines())
 }
 
 // EngineConfig is the one place a deployment becomes an engine.Config: the
@@ -179,18 +154,6 @@ func (s *System) EngineConfig() engine.Config {
 // replicas and fault plan. Each experiment should use its own runner so
 // clocks and metrics start at zero.
 func (s *System) NewRunner() *engine.Runner { return engine.New(s.EngineConfig()) }
-
-// PartitioningTime estimates the elapsed time of the distributed
-// partitioning run itself under the given cost model (Table 1). It returns
-// 0 for StrategyRandom, which records no steps.
-func (s *System) PartitioningTime(cm partition.CostModel) float64 {
-	if len(s.Steps) == 0 {
-		return 0
-	}
-	res := &partition.Result{Steps: s.Steps}
-	staged := s.cfg.Strategy == StrategyParMetis
-	return cm.PartitioningTime(res, s.Topology, staged)
-}
 
 // InnerEdgeRatio reports the partitioning quality metric of Table 5.
 func (s *System) InnerEdgeRatio() float64 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,33 +12,95 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/propagation"
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
-func testConfig(seed int64, strat PartitionStrategy) Config {
+func testConfig(seed int64) Config {
 	return Config{
 		Graph:    graph.SmallWorld(graph.DefaultSmallWorld(1500, seed)),
 		Topology: cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1}),
 		Levels:   3,
-		Strategy: strat,
 		Seed:     seed,
 	}
 }
 
-func TestBuildAllStrategies(t *testing.T) {
-	for _, strat := range []PartitionStrategy{StrategyBandwidthAware, StrategyParMetis, StrategyRandom} {
-		sys, err := Build(testConfig(1, strat))
+// TestPlaceMatchesBuild: one bisection serves every topology. Placing a built
+// system on another topology shares its partitioned graph and sketch, and is
+// the system Build assembles there from the same inputs; the run
+// configuration is validated against the new topology.
+func TestPlaceMatchesBuild(t *testing.T) {
+	cfg := testConfig(1)
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []*cluster.Topology{cfg.Topology, cluster.NewT1(8), cluster.NewT3(16, 1), cluster.NewT1(3)} {
+		c := cfg
+		c.Topology = topo
+		placed, err := sys.Place(c)
 		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
+			t.Fatalf("%s: %v", topo.Name(), err)
 		}
-		if sys.PG.Part.P != 8 {
-			t.Fatalf("%v: P = %d", strat, sys.PG.Part.P)
+		if placed.PG != sys.PG || placed.Sketch != sys.Sketch || placed.Graph != sys.Graph {
+			t.Errorf("%s: Place copied the bisection instead of sharing it", topo.Name())
 		}
-		if err := sys.PG.Validate(); err != nil {
-			t.Fatalf("%v: %v", strat, err)
+		built, err := Build(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := sys.Replicas.Validate(sys.Topology); err != nil {
-			t.Fatalf("%v: %v", strat, err)
+		if !reflect.DeepEqual(placed.PG.Part, built.PG.Part) || !reflect.DeepEqual(placed.Placement, built.Placement) ||
+			!reflect.DeepEqual(placed.Replicas, built.Replicas) || !reflect.DeepEqual(placed.EngineConfig(), built.EngineConfig()) {
+			t.Errorf("%s: Place and Build disagree", topo.Name())
+		}
+		if placed.PG.Part.P != 8 {
+			t.Fatalf("%s: P = %d", topo.Name(), placed.PG.Part.P)
+		}
+		if err := placed.PG.Validate(); err != nil {
+			t.Fatalf("%s: %v", topo.Name(), err)
+		}
+		if err := placed.Replicas.Validate(topo); err != nil {
+			t.Fatalf("%s: %v", topo.Name(), err)
+		}
+	}
+	c := cfg
+	c.Topology = cluster.NewT1(4)
+	c.Faults = &fault.Schedule{Kills: []fault.Kill{{Machine: 6, At: 1}}}
+	if _, err := sys.Place(c); err == nil {
+		t.Error("Place accepted a kill outside its topology")
+	}
+}
+
+// TestBuildAllStrategies: every layout the experiments compare deploys from
+// the parts Build exposes — the bandwidth-aware system itself, the baseline's
+// random placement of the same bisection, and a random partitioning.
+func TestBuildAllStrategies(t *testing.T) {
+	cfg := testConfig(1)
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd, err := storage.Build(sys.Graph, partition.Random(sys.Graph, sys.PG.Part.P, cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := partition.RandomPlacement(sys.PG.Part.P, cfg.Topology, cfg.Seed+1)
+	for _, d := range []struct {
+		name string
+		pg   *storage.PartitionedGraph
+		pl   *partition.Placement
+	}{{"bandwidth-aware", sys.PG, sys.Placement}, {"parmetis", sys.PG, pm}, {"random", rnd, pm}} {
+		if d.pg.Part.P != 8 {
+			t.Fatalf("%s: P = %d", d.name, d.pg.Part.P)
+		}
+		if err := d.pg.Validate(); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if err := d.pl.Validate(cfg.Topology); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if err := storage.PlaceReplicas(d.pl, cfg.Topology, cfg.Seed).Validate(cfg.Topology); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
 		}
 	}
 }
@@ -69,39 +132,26 @@ func TestBuildAutoSizesPartitions(t *testing.T) {
 }
 
 func TestInnerEdgeRatioOrdering(t *testing.T) {
-	ba, err := Build(testConfig(3, StrategyBandwidthAware))
+	sys, err := Build(testConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := Build(testConfig(3, StrategyRandom))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ba.InnerEdgeRatio() <= rnd.InnerEdgeRatio() {
-		t.Fatalf("bandwidth-aware ier %.3f <= random %.3f", ba.InnerEdgeRatio(), rnd.InnerEdgeRatio())
+	rnd := partition.InnerEdgeRatio(sys.Graph, partition.Random(sys.Graph, sys.PG.Part.P, 3))
+	if sys.InnerEdgeRatio() <= rnd {
+		t.Fatalf("bandwidth-aware ier %.3f <= random %.3f", sys.InnerEdgeRatio(), rnd)
 	}
 }
 
+// TestPartitioningTimeOrdering: priced on the system's own bisection and
+// topology, the bandwidth-aware run beats the oblivious baseline on T2.
 func TestPartitioningTimeOrdering(t *testing.T) {
-	cm := partition.DefaultCostModel()
-	ba, err := Build(testConfig(4, StrategyBandwidthAware))
+	sys, err := Build(testConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := Build(testConfig(4, StrategyParMetis))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnd, err := Build(testConfig(4, StrategyRandom))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tBA, tPM := ba.PartitioningTime(cm), pm.PartitioningTime(cm)
+	tBA, tPM := partition.DefaultCostModel().PartitioningTime(sys.Graph, sys.Sketch, sys.Topology, 5)
 	if tBA <= 0 || tPM <= tBA {
 		t.Fatalf("partitioning times BA=%.3f PM=%.3f", tBA, tPM)
-	}
-	if rnd.PartitioningTime(cm) != 0 {
-		t.Fatal("random strategy should report no partitioning time")
 	}
 }
 
@@ -137,7 +187,7 @@ func runPropagation(sys *System, iters int, opt propagation.Options) (*propagati
 }
 
 func TestRunPropagationEndToEnd(t *testing.T) {
-	sys, err := Build(testConfig(5, StrategyBandwidthAware))
+	sys, err := Build(testConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +207,7 @@ func TestRunPropagationEndToEnd(t *testing.T) {
 }
 
 func TestRunCascadedEndToEnd(t *testing.T) {
-	sys, err := Build(testConfig(6, StrategyBandwidthAware))
+	sys, err := Build(testConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +228,7 @@ func TestRunCascadedEndToEnd(t *testing.T) {
 }
 
 func TestBuildWithFailuresWiresRunner(t *testing.T) {
-	cfg := testConfig(7, StrategyBandwidthAware)
+	cfg := testConfig(7)
 	cfg.Faults = &fault.Schedule{Kills: []fault.Kill{{Machine: 0, At: 0.001}}}
 	cfg.HeartbeatInterval = 0.0005
 	sys, err := Build(cfg)
@@ -204,7 +254,7 @@ func TestBuildWithFailuresWiresRunner(t *testing.T) {
 // bytes while surfer-run -fail (bench.Deployment.Runner) charged
 // PG.PartBytes().
 func TestDrainThroughBuildChargesMigration(t *testing.T) {
-	cfg := testConfig(7, StrategyBandwidthAware)
+	cfg := testConfig(7)
 	cfg.Trace = trace.NewRecorder()
 	cfg.Faults = &fault.Schedule{Drains: []fault.MachineDrain{{Machine: 3, At: 0, Deadline: 1e6}}}
 	sys, err := Build(cfg)
@@ -247,42 +297,22 @@ func TestBuildDefaultsToSinglePartition(t *testing.T) {
 	}
 }
 
-func TestBuildUnknownStrategy(t *testing.T) {
-	cfg := testConfig(8, PartitionStrategy(99))
-	if _, err := Build(cfg); err == nil {
-		t.Fatal("expected error for unknown strategy")
-	}
-}
-
-func TestStrategyStrings(t *testing.T) {
-	if StrategyBandwidthAware.String() != "bandwidth-aware" ||
-		StrategyParMetis.String() != "parmetis" ||
-		StrategyRandom.String() != "random" {
-		t.Fatal("strategy names wrong")
-	}
-	if PartitionStrategy(42).String() == "" {
-		t.Fatal("unknown strategy must still stringify")
-	}
-}
-
 // TestBuildRejectsBadLevels: a level count that is negative, overflows the
 // partition count or asks for more partitions than vertices is a Build error
-// naming the field, for every strategy — not a shift panic in a partitioner.
+// naming the field — not a shift panic in the partitioner.
 func TestBuildRejectsBadLevels(t *testing.T) {
-	for _, strat := range []PartitionStrategy{StrategyBandwidthAware, StrategyParMetis, StrategyRandom} {
-		for _, levels := range []int{-1, -64, 11, 31, 63, 64, 1 << 20} {
-			cfg := testConfig(8, strat) // 1500 vertices
-			cfg.Levels = levels
-			_, err := Build(cfg)
-			if err == nil || !strings.Contains(err.Error(), "Config.Levels") {
-				t.Errorf("%v, Levels=%d: err = %v, want one naming Config.Levels", strat, levels, err)
-			}
+	for _, levels := range []int{-1, -64, 11, 31, 63, 64, 1 << 20} {
+		cfg := testConfig(8) // 1500 vertices
+		cfg.Levels = levels
+		_, err := Build(cfg)
+		if err == nil || !strings.Contains(err.Error(), "Config.Levels") {
+			t.Errorf("Levels=%d: err = %v, want one naming Config.Levels", levels, err)
 		}
-		cfg := testConfig(8, strat)
-		cfg.Levels = 10 // 1024 partitions of 1500 vertices: the last level that fits
-		if _, err := Build(cfg); err != nil {
-			t.Errorf("%v, Levels=10 on 1500 vertices: %v", strat, err)
-		}
+	}
+	cfg := testConfig(8)
+	cfg.Levels = 10 // 1024 partitions of 1500 vertices: the last level that fits
+	if _, err := Build(cfg); err != nil {
+		t.Errorf("Levels=10 on 1500 vertices: %v", err)
 	}
 }
 
@@ -291,14 +321,14 @@ func TestBuildRejectsBadLevels(t *testing.T) {
 // error naming the field; zero keeps the default.
 func TestBuildRejectsBadHeartbeat(t *testing.T) {
 	for _, h := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		cfg := testConfig(8, StrategyRandom)
+		cfg := testConfig(8)
 		cfg.HeartbeatInterval = h
 		if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "Config.HeartbeatInterval") {
 			t.Errorf("HeartbeatInterval=%g: err = %v, want one naming Config.HeartbeatInterval", h, err)
 		}
 	}
 	for _, h := range []float64{0, 0.25} {
-		cfg := testConfig(8, StrategyRandom)
+		cfg := testConfig(8)
 		cfg.HeartbeatInterval = h
 		if _, err := Build(cfg); err != nil {
 			t.Errorf("HeartbeatInterval=%g: %v", h, err)

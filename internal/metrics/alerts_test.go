@@ -1,8 +1,10 @@
 package metrics_test
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -132,20 +134,23 @@ func TestAlertPatternRulesMatchFamilies(t *testing.T) {
 	}
 }
 
+// ruleCases are rule files and what ParseRules makes of them: the error it
+// names, or "" for a valid file.
+var ruleCases = []struct {
+	name string
+	json string
+	want string // substring of the error; "" = valid
+}{
+	{"valid", `{"rules":[{"name":"a","series":"s","op":">","threshold":1}]}`, ""},
+	{"bad op", `{"rules":[{"name":"a","series":"s","op":"!=","threshold":1}]}`, "unknown op"},
+	{"no name", `{"rules":[{"series":"s","op":">","threshold":1}]}`, "no name"},
+	{"dup name", `{"rules":[{"name":"a","series":"s","op":">"},{"name":"a","series":"t","op":"<"}]}`, "duplicate"},
+	{"no series", `{"rules":[{"name":"a","op":">"}]}`, "names no series"},
+	{"garbage", `{"rules": 7}`, "parsing rules"},
+}
+
 func TestRuleValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		json string
-		want string // substring of the error; "" = valid
-	}{
-		{"valid", `{"rules":[{"name":"a","series":"s","op":">","threshold":1}]}`, ""},
-		{"bad op", `{"rules":[{"name":"a","series":"s","op":"!=","threshold":1}]}`, "unknown op"},
-		{"no name", `{"rules":[{"series":"s","op":">","threshold":1}]}`, "no name"},
-		{"dup name", `{"rules":[{"name":"a","series":"s","op":">"},{"name":"a","series":"t","op":"<"}]}`, "duplicate"},
-		{"no series", `{"rules":[{"name":"a","op":">"}]}`, "names no series"},
-		{"garbage", `{"rules": 7}`, "parsing rules"},
-	}
-	for _, tc := range cases {
+	for _, tc := range ruleCases {
 		rs, err := metrics.ParseRules([]byte(tc.json))
 		if tc.want == "" {
 			if err != nil {
@@ -160,6 +165,35 @@ func TestRuleValidation(t *testing.T) {
 			t.Fatalf("%s: error %v, want %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// FuzzParseRules: ParseRules never panics, and a rule set it accepts
+// marshals and re-parses to an equal set.
+//
+//	go test -run '^$' -fuzz FuzzParseRules -fuzztime 30s ./internal/metrics
+func FuzzParseRules(f *testing.F) {
+	for _, tc := range ruleCases {
+		f.Add([]byte(tc.json))
+	}
+	f.Add([]byte(`{"rules":[{"name":"hot","series":"level-util:*","op":"<=","threshold":-0.5,"for":-3},{"name":"\ud800","series":"q","op":">=","threshold":1e308,"for":4}]}`))
+	f.Add([]byte(`{"rules":null} {}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := metrics.ParseRules(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(rs)
+		if err != nil {
+			t.Fatalf("an accepted rule set does not marshal: %v", err)
+		}
+		again, err := metrics.ParseRules(out)
+		if err != nil {
+			t.Fatalf("the marshalled rule set is refused: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(rs, again) {
+			t.Fatalf("round trip changed the rule set:\n%+v\n%+v", rs, again)
+		}
+	})
 }
 
 // TestLoadRulesAndAutoWindow: the two things every tool used to do by hand.

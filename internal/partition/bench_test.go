@@ -13,8 +13,9 @@ import (
 // benchmarks run one phase on the root work graph of the 65k social graph;
 // BenchmarkRecursiveBisect runs the whole partitioner at the sizes of the
 // benchmark/ workloads and of the scale trajectory (1M is skipped under
-// -short), BenchmarkBandwidthAware adds the machine side to its 65k row. ci.sh runs them all once, with -short; EXPERIMENTS.md reads the
-// per-phase table off their CPU profiles.
+// -short), and BenchmarkSketchWalk prices the machine side over a finished
+// 65k bisection. ci.sh runs them all once, with -short; EXPERIMENTS.md reads
+// the per-phase table off their CPU profiles.
 
 var benchGraphs = map[int]*graph.Graph{} // by vertex count
 
@@ -51,18 +52,21 @@ func BenchmarkRecursiveBisect(b *testing.B) {
 	}
 }
 
-// BenchmarkBandwidthAware is the 65k row of BenchmarkRecursiveBisect plus the
-// machine side — the sketch walk on T2(32,4) and the one-pass node sizes its
-// steps need — so the difference of the two is what placement and steps cost
-// over bare bisection.
-func BenchmarkBandwidthAware(b *testing.B) {
+// BenchmarkSketchWalk is what one more topology costs once the bisection is
+// shared: over a finished bisection of the 65k social graph, Algorithm 4's
+// placement on T2(32,4) and the cost model's two walks with the node sizes
+// their steps need (Table 1's price of one topology).
+func BenchmarkSketchWalk(b *testing.B) {
 	g := benchSocial(1 << 16)
+	_, sk := RecursiveBisect(g, 6, Options{Seed: 42})
 	topo := cluster.NewT2(cluster.T2Config{Machines: 32, Pods: 4, Levels: 1})
+	cm := DefaultCostModel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := BandwidthAware(g, topo, 6, Options{Seed: 42})
-		benchSink += len(res.Steps)
+		pl := SketchPlacement(sk, topo)
+		aware, baseline := cm.PartitioningTime(g, sk, topo, 43)
+		benchSink += pl.NumPartitions() + int(aware+baseline)
 	}
 }
 

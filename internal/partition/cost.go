@@ -2,6 +2,7 @@ package partition
 
 import (
 	"repro/internal/cluster"
+	"repro/internal/graph"
 )
 
 // The elapsed-time model for distributed partitioning (Table 1).
@@ -51,33 +52,39 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// PartitioningTime estimates the elapsed seconds of the distributed
-// partitioning run recorded in res.Steps on the given topology. staged
-// selects the bandwidth-oblivious staging penalty (true for ParMetisLike
-// results, false for BandwidthAware ones).
-func (cm CostModel) PartitioningTime(res *Result, topo *cluster.Topology, staged bool) float64 {
-	// Each level's elapsed time is the max over its nodes (disjoint machine
-	// sets run in parallel); levels run one after the other.
-	avgRandom := averagePairBandwidth(topo)
-	var levelMax []float64
-	for _, s := range res.Steps {
-		for len(levelMax) <= s.Depth {
-			levelMax = append(levelMax, 0)
+// PartitioningTime estimates the elapsed seconds of the distributed run that
+// bisects g into sk on topo, two ways: aware is Algorithm 4, machine sets split
+// by MachineGraph.Bisect; baseline is the bandwidth-oblivious run, machine sets
+// split into random halves by a shuffle seeded with seed, paying staging.
+func (cm CostModel) PartitioningTime(g *graph.Graph, sk *Sketch, topo *cluster.Topology, seed int64) (aware, baseline float64) {
+	vertices, edges := sk.nodeSizes(g)
+	elapsed := func(split func(*cluster.MachineGraph) (a, b *cluster.MachineGraph), staged bool) float64 {
+		// Each level's elapsed time is the max over its nodes (disjoint
+		// machine sets run in parallel); levels run one after the other.
+		_, steps := sk.walk(topo, split)
+		avgRandom := averagePairBandwidth(topo)
+		var levelMax []float64
+		for _, s := range steps {
+			for len(levelMax) <= s.depth {
+				levelMax = append(levelMax, 0)
+			}
+			t := cm.stepTime(s, float64(vertices[s.node]), float64(edges[s.node]), topo, staged, avgRandom)
+			levelMax[s.depth] = max(levelMax[s.depth], t)
 		}
-		levelMax[s.Depth] = max(levelMax[s.Depth], cm.stepTime(s, topo, staged, avgRandom))
+		var total float64
+		for _, t := range levelMax {
+			total += t
+		}
+		return total
 	}
-	var total float64
-	for _, t := range levelMax {
-		total += t
-	}
-	return total
+	return elapsed((*cluster.MachineGraph).Bisect, false), elapsed(randomHalves(seed), true)
 }
 
-func (cm CostModel) stepTime(s BisectStep, topo *cluster.Topology, staged bool, avgRandom float64) float64 {
-	bytes := float64(8*s.DataVertices) + 4*float64(s.DataEdges)
-	nm := len(s.Machines)
-	compute := cm.ComputePerEdge * float64(s.DataEdges) / float64(nm)
-	if s.Local || nm <= 1 {
+func (cm CostModel) stepTime(s bisectStep, vertices, edges float64, topo *cluster.Topology, staged bool, avgRandom float64) float64 {
+	bytes := 8*vertices + 4*edges
+	nm := len(s.machines)
+	compute := cm.ComputePerEdge * edges / float64(nm)
+	if s.local || nm <= 1 {
 		// Single-machine bisection: CPU plus a disk pass over the data.
 		return compute + 2*bytes/topo.DiskBandwidth()
 	}
@@ -86,9 +93,9 @@ func (cm CostModel) stepTime(s BisectStep, topo *cluster.Topology, staged bool, 
 	// lowest average bandwidth to its peers.
 	perMachine := cm.ExchangeFactor * bytes / float64(nm)
 	worst := 0.0
-	for _, i := range s.Machines {
+	for _, i := range s.machines {
 		var bwSum float64
-		for _, j := range s.Machines {
+		for _, j := range s.machines {
 			if i != j {
 				bwSum += topo.Bandwidth(i, j)
 			}
@@ -99,7 +106,7 @@ func (cm CostModel) stepTime(s BisectStep, topo *cluster.Topology, staged bool, 
 		}
 	}
 	t := compute + worst
-	if staged && s.Depth > 0 {
+	if staged && s.depth > 0 {
 		// Re-stage the node's data over average random links.
 		t += cm.StagingRounds * (bytes / float64(nm)) / avgRandom
 	}

@@ -44,47 +44,42 @@ func digestResult(pt *Partitioning, sk *Sketch, pl *Placement) string {
 }
 
 // digestSteps hashes the cost-model steps Table 1 is computed from — depth,
-// subgraph size, machine set in order, locality — and appends the modelled
-// elapsed time of exactly those steps. Only steps with Depth < levels count:
-// a leaf is not bisected, so a step recorded there is not part of the
-// contract.
-func digestSteps(res *Result, topo *cluster.Topology, staged bool) string {
+// subgraph size, machine set in order, locality — of the walk split makes of
+// sk on topo, and appends their modelled elapsed time secs.
+func digestSteps(g *graph.Graph, sk *Sketch, topo *cluster.Topology, split func(*cluster.MachineGraph) (a, b *cluster.MachineGraph), secs float64) string {
 	h := sha256.New()
 	var b [8]byte
 	put := func(x uint64) {
 		binary.LittleEndian.PutUint64(b[:], x)
 		h.Write(b[:])
 	}
-	var steps []BisectStep
-	for _, s := range res.Steps {
-		if s.Depth >= res.Sketch.Levels() {
-			continue
-		}
-		steps = append(steps, s)
-		put(uint64(s.Depth))
-		put(uint64(s.DataVertices))
-		put(uint64(s.DataEdges))
-		put(uint64(len(s.Machines)))
-		for _, m := range s.Machines {
+	vertices, edges := sk.nodeSizes(g)
+	_, steps := sk.walk(topo, split)
+	for _, s := range steps {
+		put(uint64(s.depth))
+		put(uint64(vertices[s.node]))
+		put(uint64(edges[s.node]))
+		put(uint64(len(s.machines)))
+		for _, m := range s.machines {
 			put(uint64(m))
 		}
-		if s.Local {
+		if s.local {
 			put(1)
 		} else {
 			put(0)
 		}
 	}
-	secs := DefaultCostModel().PartitioningTime(&Result{Steps: steps}, topo, staged)
 	return fmt.Sprintf("%x %.9g", h.Sum(nil), secs)
 }
 
-// TestPartitionDigestsGolden pins the three partitioners bit for bit: the
-// golden was recorded with the sort-based contraction and the
+// TestPartitionDigestsGolden pins the bisection and both placements of it bit
+// for bit: the golden was recorded with the sort-based contraction and the
 // recompute-every-gain refinement, so a kernel rewrite that changes a single
-// assignment, sketch leaf or placement fails here. The *Steps rows (recorded
-// on the two-recursion code, before BandwidthAware became RecursiveBisect plus
-// a sketch walk) pin the cost-model steps and their modelled time the same
-// way. The 65k rows are skipped under -short.
+// assignment, sketch leaf or placement fails here. The BandwidthAware rows are
+// SketchPlacement's layout and the ParMetisLike rows RandomPlacement's with
+// the bisection seed + 1; the *Steps rows (recorded on the two-recursion code,
+// when each partitioner bisected for itself) pin the cost model's walks and
+// their modelled time the same way. The 65k rows are skipped under -short.
 func TestPartitionDigestsGolden(t *testing.T) {
 	const path = "testdata/partition_digests.golden"
 	sizes := []struct{ n, levels int }{{4096, 4}, {65536, 6}}
@@ -96,15 +91,13 @@ func TestPartitionDigestsGolden(t *testing.T) {
 		}
 		for _, seed := range []int64{1, 42, 2010} {
 			g := graph.Social(graph.DefaultSocial(sz.n, seed))
-			opt := Options{Seed: seed}
-			pt, sk := RecursiveBisect(g, sz.levels, opt)
+			pt, sk := RecursiveBisect(g, sz.levels, Options{Seed: seed})
 			fmt.Fprintf(&got, "RecursiveBisect %d %d %s\n", sz.n, seed, digestResult(pt, sk, nil))
-			ba := BandwidthAware(g, topo, sz.levels, opt)
-			fmt.Fprintf(&got, "BandwidthAware %d %d %s\n", sz.n, seed, digestResult(ba.Partitioning, ba.Sketch, ba.Placement))
-			fmt.Fprintf(&got, "BandwidthAwareSteps %d %d %s\n", sz.n, seed, digestSteps(ba, topo, false))
-			pm := ParMetisLike(g, topo, sz.levels, opt)
-			fmt.Fprintf(&got, "ParMetisLike %d %d %s\n", sz.n, seed, digestResult(pm.Partitioning, pm.Sketch, pm.Placement))
-			fmt.Fprintf(&got, "ParMetisLikeSteps %d %d %s\n", sz.n, seed, digestSteps(pm, topo, true))
+			aware, baseline := DefaultCostModel().PartitioningTime(g, sk, topo, seed+1)
+			fmt.Fprintf(&got, "BandwidthAware %d %d %s\n", sz.n, seed, digestResult(pt, sk, SketchPlacement(sk, topo)))
+			fmt.Fprintf(&got, "BandwidthAwareSteps %d %d %s\n", sz.n, seed, digestSteps(g, sk, topo, (*cluster.MachineGraph).Bisect, aware))
+			fmt.Fprintf(&got, "ParMetisLike %d %d %s\n", sz.n, seed, digestResult(pt, sk, RandomPlacement(pt.P, topo, seed+1)))
+			fmt.Fprintf(&got, "ParMetisLikeSteps %d %d %s\n", sz.n, seed, digestSteps(g, sk, topo, randomHalves(seed+1), baseline))
 		}
 	}
 	// Shapes the social generator does not produce: a power-law graph, a

@@ -67,8 +67,8 @@ type Options struct {
 // RecursiveBisect partitions g into P = 2^levels partitions with multilevel
 // recursive bisection on the undirected view of g, and returns both the
 // partitioning and its partition sketch. It is the only recursion over the
-// data graph; machine placement is layered on top of its sketch by
-// BandwidthAware, ParMetisLike and SketchPlacement.
+// data graph; machine placement (SketchPlacement, RandomPlacement) and the
+// cost model's machine side are layered on top of its sketch.
 func RecursiveBisect(g *graph.Graph, levels int, opt Options) (*Partitioning, *Sketch) {
 	if levels < 0 {
 		panic("partition: negative level count")

@@ -11,21 +11,28 @@ func testGraph(seed int64) *graph.Graph {
 	return graph.SmallWorld(graph.DefaultSmallWorld(2000, seed))
 }
 
+// bandwidthAware is Algorithm 4 end to end: one bisection, then its sketch
+// placement on topo.
+func bandwidthAware(g *graph.Graph, topo *cluster.Topology, levels int, seed int64) (*Partitioning, *Sketch, *Placement) {
+	pt, sk := RecursiveBisect(g, levels, Options{Seed: seed})
+	return pt, sk, SketchPlacement(sk, topo)
+}
+
 func TestBandwidthAwareBasics(t *testing.T) {
 	g := testGraph(1)
 	topo := cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1})
-	res := BandwidthAware(g, topo, 4, Options{Seed: 1}) // 16 partitions, 8 machines
-	if err := res.Partitioning.Validate(); err != nil {
+	pt, sk, pl := bandwidthAware(g, topo, 4, 1) // 16 partitions, 8 machines
+	if err := pt.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Placement.Validate(topo); err != nil {
+	if err := pl.Validate(topo); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Sketch.Validate(res.Partitioning); err != nil {
+	if err := sk.Validate(pt); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Placement.MachineOf) != 16 {
-		t.Fatalf("placement covers %d partitions", len(res.Placement.MachineOf))
+	if len(pl.MachineOf) != 16 {
+		t.Fatalf("placement covers %d partitions", len(pl.MachineOf))
 	}
 }
 
@@ -34,8 +41,7 @@ func TestBandwidthAwareSiblingsSharePods(t *testing.T) {
 	// the most mutual cross edges).
 	g := testGraph(2)
 	topo := cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1})
-	res := BandwidthAware(g, topo, 4, Options{Seed: 2})
-	pl := res.Placement
+	_, _, pl := bandwidthAware(g, topo, 4, 2)
 	for p := 0; p < 16; p += 2 {
 		a, b := pl.MachineOf[p], pl.MachineOf[p+1]
 		if !topo.SamePod(a, b) {
@@ -49,15 +55,15 @@ func TestBandwidthAwareTopSplitMatchesPods(t *testing.T) {
 	// 0..P/2-1 all live in one pod and the rest in the other.
 	g := testGraph(3)
 	topo := cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1})
-	res := BandwidthAware(g, topo, 3, Options{Seed: 3})
-	firstPod := topo.Pod(res.Placement.MachineOf[0])
+	_, _, pl := bandwidthAware(g, topo, 3, 3)
+	firstPod := topo.Pod(pl.MachineOf[0])
 	for p := 0; p < 4; p++ {
-		if topo.Pod(res.Placement.MachineOf[p]) != firstPod {
+		if topo.Pod(pl.MachineOf[p]) != firstPod {
 			t.Fatalf("partition %d escaped its pod", p)
 		}
 	}
 	for p := 4; p < 8; p++ {
-		if topo.Pod(res.Placement.MachineOf[p]) == firstPod {
+		if topo.Pod(pl.MachineOf[p]) == firstPod {
 			t.Fatalf("partition %d in wrong pod", p)
 		}
 	}
@@ -67,13 +73,13 @@ func TestBandwidthAwareMoreLevelsThanMachines(t *testing.T) {
 	// 4 machines, 16 partitions: each machine locally produces 4 leaves.
 	g := testGraph(4)
 	topo := cluster.NewT1(4)
-	res := BandwidthAware(g, topo, 4, Options{Seed: 4})
-	if err := res.Placement.Validate(topo); err != nil {
+	_, _, pl := bandwidthAware(g, topo, 4, 4)
+	if err := pl.Validate(topo); err != nil {
 		t.Fatal(err)
 	}
 	// Count partitions per machine: must be exactly 4 each (balanced).
 	count := map[cluster.MachineID]int{}
-	for _, m := range res.Placement.MachineOf {
+	for _, m := range pl.MachineOf {
 		count[m]++
 	}
 	for m, c := range count {
@@ -83,9 +89,9 @@ func TestBandwidthAwareMoreLevelsThanMachines(t *testing.T) {
 	}
 	// Consecutive groups of 4 partitions share a machine (sketch subtrees).
 	for p := 0; p < 16; p += 4 {
-		m := res.Placement.MachineOf[p]
+		m := pl.MachineOf[p]
 		for q := p + 1; q < p+4; q++ {
-			if res.Placement.MachineOf[q] != m {
+			if pl.MachineOf[q] != m {
 				t.Fatalf("subtree partitions %d..%d split across machines", p, p+3)
 			}
 		}
@@ -95,18 +101,19 @@ func TestBandwidthAwareMoreLevelsThanMachines(t *testing.T) {
 func TestBandwidthAwareRecordsSteps(t *testing.T) {
 	g := testGraph(5)
 	topo := cluster.NewT1(8)
-	res := BandwidthAware(g, topo, 4, Options{Seed: 5})
+	_, sk := RecursiveBisect(g, 4, Options{Seed: 5})
+	_, steps := sk.walk(topo, (*cluster.MachineGraph).Bisect)
 	// Levels 0..2 distributed with 8,4,2 machines: 1+2+4 = 7 steps,
 	// then 8 local steps at depth 3 (machine sets of size 1 finishing
 	// the last level locally).
-	if len(res.Steps) != 15 {
-		t.Fatalf("steps = %d, want 15", len(res.Steps))
+	if len(steps) != 15 {
+		t.Fatalf("steps = %d, want 15", len(steps))
 	}
 	locals := 0
-	for _, s := range res.Steps {
-		if s.Local {
+	for _, s := range steps {
+		if s.local {
 			locals++
-			if len(s.Machines) != 1 {
+			if len(s.machines) != 1 {
 				t.Fatal("local step with multiple machines")
 			}
 		}
@@ -118,51 +125,42 @@ func TestBandwidthAwareRecordsSteps(t *testing.T) {
 
 func TestNoStepAtLeafDepth(t *testing.T) {
 	// A leaf is stored, not bisected: with machines to spare at the leaves
-	// (8 >= 2^2) neither policy may charge a step there, and both charge
-	// the same 1+2 bisections.
+	// (8 >= 2^2) neither walk may charge a step there, and both charge the
+	// same 1+2 bisections.
 	g := testGraph(15)
 	topo := cluster.NewT1(8)
-	for name, res := range map[string]*Result{
-		"BandwidthAware": BandwidthAware(g, topo, 2, Options{Seed: 15}),
-		"ParMetisLike":   ParMetisLike(g, topo, 2, Options{Seed: 15}),
+	_, sk := RecursiveBisect(g, 2, Options{Seed: 15})
+	for name, split := range map[string]func(*cluster.MachineGraph) (a, b *cluster.MachineGraph){
+		"bandwidth-aware": (*cluster.MachineGraph).Bisect,
+		"baseline":        randomHalves(16),
 	} {
-		if len(res.Steps) != 3 {
-			t.Errorf("%s: %d steps, want 3", name, len(res.Steps))
+		_, steps := sk.walk(topo, split)
+		if len(steps) != 3 {
+			t.Errorf("%s: %d steps, want 3", name, len(steps))
 		}
-		for _, s := range res.Steps {
-			if s.Depth >= 2 {
-				t.Errorf("%s: step at depth %d of a 2-level sketch", name, s.Depth)
+		for _, s := range steps {
+			if s.depth >= 2 {
+				t.Errorf("%s: step at depth %d of a 2-level sketch", name, s.depth)
 			}
 		}
 	}
 }
 
 func TestParMetisLikeBasics(t *testing.T) {
+	// The baseline stores the bisection by a balanced random placement and
+	// processes it on random machine halves.
 	g := testGraph(6)
 	topo := cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1})
-	res := ParMetisLike(g, topo, 4, Options{Seed: 6})
-	if err := res.Partitioning.Validate(); err != nil {
+	pt, sk := RecursiveBisect(g, 4, Options{Seed: 6})
+	if err := RandomPlacement(pt.P, topo, 7).Validate(topo); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Placement.Validate(topo); err != nil {
+	pl, steps := sk.walk(topo, randomHalves(7))
+	if err := pl.Validate(topo); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Steps) == 0 {
+	if len(steps) == 0 {
 		t.Fatal("no cost steps recorded")
-	}
-}
-
-func TestParMetisSameCutQualityAsBA(t *testing.T) {
-	// Both use the same bisection kernel, so cut quality should be close;
-	// the experiments isolate placement, not cut quality.
-	g := testGraph(7)
-	topo := cluster.NewT1(8)
-	ba := BandwidthAware(g, topo, 3, Options{Seed: 7})
-	pm := ParMetisLike(g, topo, 3, Options{Seed: 7})
-	ierBA := InnerEdgeRatio(g, ba.Partitioning)
-	ierPM := InnerEdgeRatio(g, pm.Partitioning)
-	if diff := ierBA - ierPM; diff > 0.1 || diff < -0.1 {
-		t.Fatalf("cut quality diverged: BA=%.3f PM=%.3f", ierBA, ierPM)
 	}
 }
 
@@ -192,10 +190,8 @@ func TestPartitioningTimeT1Equal(t *testing.T) {
 	topo := cluster.NewT1(8)
 	cm := DefaultCostModel()
 	for _, levels := range []int{4, 2} {
-		ba := BandwidthAware(g, topo, levels, Options{Seed: 9})
-		pm := ParMetisLike(g, topo, levels, Options{Seed: 9})
-		tBA := cm.PartitioningTime(ba, topo, false)
-		tPM := cm.PartitioningTime(pm, topo, true)
+		_, sk := RecursiveBisect(g, levels, Options{Seed: 9})
+		tBA, tPM := cm.PartitioningTime(g, sk, topo, 10)
 		if tBA <= 0 || tPM <= 0 {
 			t.Fatalf("levels %d: non-positive times %g %g", levels, tBA, tPM)
 		}
@@ -211,11 +207,8 @@ func TestPartitioningTimeBandwidthAwareWinsOnT2(t *testing.T) {
 	// is substantially faster than the oblivious baseline.
 	g := testGraph(10)
 	topo := cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1})
-	cm := DefaultCostModel()
-	ba := BandwidthAware(g, topo, 4, Options{Seed: 10})
-	pm := ParMetisLike(g, topo, 4, Options{Seed: 10})
-	tBA := cm.PartitioningTime(ba, topo, false)
-	tPM := cm.PartitioningTime(pm, topo, true)
+	_, sk := RecursiveBisect(g, 4, Options{Seed: 10})
+	tBA, tPM := DefaultCostModel().PartitioningTime(g, sk, topo, 11)
 	if tPM < tBA*1.2 {
 		t.Fatalf("bandwidth-aware not winning on T2: BA=%.3fs PM=%.3fs", tBA, tPM)
 	}

@@ -46,9 +46,11 @@ func TestQuickRecursiveBisectInvariants(t *testing.T) {
 }
 
 // TestQuickOneRecursion: the machine side draws nothing from the bisection's
-// random stream, so BandwidthAware is RecursiveBisect plus SketchPlacement and
-// ParMetisLike partitions exactly as RecursiveBisect does — on flat, tree and
-// heterogeneous topologies, with fewer and with more machines than leaves.
+// random stream, so one RecursiveBisect serves every topology. The walk that
+// prices Algorithm 4 places exactly as SketchPlacement does, both priced walks
+// descend that one sketch, and pricing leaves the bisection as it was — on
+// flat, tree and heterogeneous topologies, with fewer and with more machines
+// than leaves.
 func TestQuickOneRecursion(t *testing.T) {
 	topos := []*cluster.Topology{
 		cluster.NewT1(8),
@@ -56,19 +58,31 @@ func TestQuickOneRecursion(t *testing.T) {
 		cluster.NewT2(cluster.T2Config{Machines: 6, Pods: 2, Levels: 1}),
 		cluster.NewT3(16, 7),
 	}
+	cm := DefaultCostModel()
 	f := func(seed int64, topoPick, levelPick uint8) bool {
 		n := 300 + int(uint64(seed)%700)
 		g := graph.Uniform(n, n*4, seed)
 		topo := topos[int(topoPick)%len(topos)]
 		levels := int(levelPick % 7)
-		opt := Options{Seed: seed}
-		pt, sk := RecursiveBisect(g, levels, opt)
-		ba := BandwidthAware(g, topo, levels, opt)
-		pm := ParMetisLike(g, topo, levels, opt)
-		return reflect.DeepEqual(ba.Partitioning, pt) &&
-			reflect.DeepEqual(ba.Sketch, sk) &&
-			reflect.DeepEqual(ba.Placement, SketchPlacement(sk, topo)) &&
-			reflect.DeepEqual(pm.Partitioning, pt)
+		pt, sk := RecursiveBisect(g, levels, Options{Seed: seed})
+		aware, awareSteps := sk.walk(topo, (*cluster.MachineGraph).Bisect)
+		base, baseSteps := sk.walk(topo, randomHalves(seed+1))
+		if !reflect.DeepEqual(aware, SketchPlacement(sk, topo)) || aware.Validate(topo) != nil || base.Validate(topo) != nil {
+			return false
+		}
+		for _, steps := range [][]bisectStep{awareSteps, baseSteps} {
+			seen := map[int]bool{}
+			for _, s := range steps {
+				if s.depth >= levels || s.node>>s.depth != 1 || seen[s.node] {
+					return false
+				}
+				seen[s.node] = true
+			}
+		}
+		a1, b1 := cm.PartitioningTime(g, sk, topo, seed+1)
+		pt2, sk2 := RecursiveBisect(g, levels, Options{Seed: seed})
+		a2, b2 := cm.PartitioningTime(g, sk2, topo, seed+1)
+		return reflect.DeepEqual(pt, pt2) && reflect.DeepEqual(sk, sk2) && a1 == a2 && b1 == b2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -152,20 +166,20 @@ func TestQuickBandwidthAwarePlacement(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.Uniform(300, 1500, seed)
 		topo := cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1})
-		res := BandwidthAware(g, topo, 4, Options{Seed: seed})
-		if res.Partitioning.Validate() != nil || res.Placement.Validate(topo) != nil {
+		pt, _, pl := bandwidthAware(g, topo, 4, seed)
+		if pt.Validate() != nil || pl.Validate(topo) != nil {
 			return false
 		}
 		// Sibling partitions share pods.
 		for p := 0; p < 16; p += 2 {
-			if !topo.SamePod(res.Placement.MachineOf[p], res.Placement.MachineOf[p+1]) {
+			if !topo.SamePod(pl.MachineOf[p], pl.MachineOf[p+1]) {
 				return false
 			}
 		}
 		// Per-machine partition counts balanced (16 partitions, 8
 		// machines -> exactly 2 each).
 		count := map[cluster.MachineID]int{}
-		for _, m := range res.Placement.MachineOf {
+		for _, m := range pl.MachineOf {
 			count[m]++
 		}
 		for _, c := range count {

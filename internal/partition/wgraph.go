@@ -90,8 +90,8 @@ func (b *bump[T]) untake(n int) { b.off -= n }
 func (b *bump[T]) mark() mark     { return mark{b.ci, b.off} }
 func (b *bump[T]) release(m mark) { b.ci, b.off = m.ci, m.off }
 
-// wscratch is the arena of one partitioning run (one RecursiveBisect or
-// BandwidthAware call). Lifetimes:
+// wscratch is the arena of one partitioning run (one RecursiveBisect call).
+// Lifetimes:
 //
 //   - local is the global→local vertex index (full graph size, all -1
 //     between uses), so inducing a subgraph never hashes.

@@ -103,6 +103,15 @@ func LoadDir(dir string) (*PartitionedGraph, error) {
 	if p <= 0 || p > maxReasonable || n < 0 || n > maxReasonable {
 		return nil, fmt.Errorf("storage: implausible manifest p=%d n=%d", p, n)
 	}
+	// The assignment is read only once the file is known to hold it: n comes
+	// from the header, and 16 bytes may claim two billion vertices.
+	fi, err := mf.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if want := 16 + 4*int64(n); fi.Size() != want {
+		return nil, fmt.Errorf("storage: manifest of %d vertices is %d bytes, want %d", n, fi.Size(), want)
+	}
 	raw := make([]uint32, n)
 	if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
 		return nil, fmt.Errorf("storage: reading assignment: %w", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -28,13 +29,19 @@ const (
 
 // WritePartition serializes one partition's adjacency lists.
 func WritePartition(w io.Writer, g *graph.Graph, pi *PartInfo) error {
+	return writePartition(w, pi.ID, pi.Vertices, func(i int) []graph.VertexID { return g.Neighbors(pi.Vertices[i]) })
+}
+
+// writePartition writes the partition file of vertices, the i-th with the
+// out-neighbors adj(i).
+func writePartition(w io.Writer, id partition.PartID, vertices []graph.VertexID, adj func(i int) []graph.VertexID) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []uint32{partMagic, partVersion, uint32(pi.ID), uint32(len(pi.Vertices))}
+	hdr := []uint32{partMagic, partVersion, uint32(id), uint32(len(vertices))}
 	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
 		return err
 	}
-	for _, v := range pi.Vertices {
-		ns := g.Neighbors(v)
+	for i, v := range vertices {
+		ns := adj(i)
 		if err := binary.Write(bw, binary.LittleEndian, []uint32{uint32(v), uint32(len(ns))}); err != nil {
 			return err
 		}
@@ -53,6 +60,12 @@ type PartitionData struct {
 	Adjacency [][]graph.VertexID
 }
 
+// maxPrealloc caps how many vertices or neighbors ReadPartition allocates
+// for before reading them: counts come from the file, and a 16-byte header
+// may claim four billion vertices. Up to the cap a valid file allocates each
+// slice exactly once; past it the slices grow as records actually arrive.
+const maxPrealloc = 1 << 16
+
 // ReadPartition decodes a partition file written by WritePartition.
 func ReadPartition(r io.Reader) (*PartitionData, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -69,25 +82,35 @@ func ReadPartition(r io.Reader) (*PartitionData, error) {
 	n := int(hdr[3])
 	pd := &PartitionData{
 		ID:        partition.PartID(hdr[2]),
-		Vertices:  make([]graph.VertexID, n),
-		Adjacency: make([][]graph.VertexID, n),
+		Vertices:  make([]graph.VertexID, 0, min(n, maxPrealloc)),
+		Adjacency: make([][]graph.VertexID, 0, min(n, maxPrealloc)),
 	}
 	for i := 0; i < n; i++ {
 		var vh [2]uint32
 		if err := binary.Read(br, binary.LittleEndian, &vh); err != nil {
 			return nil, fmt.Errorf("storage: reading vertex %d: %w", i, err)
 		}
-		pd.Vertices[i] = graph.VertexID(vh[0])
-		d := int(vh[1])
-		const maxDegree = 1 << 28
-		if d > maxDegree {
-			return nil, fmt.Errorf("storage: implausible degree %d", d)
-		}
-		ns := make([]graph.VertexID, d)
-		if err := binary.Read(br, binary.LittleEndian, ns); err != nil {
+		ns, err := readIDs(br, int(vh[1]))
+		if err != nil {
 			return nil, fmt.Errorf("storage: reading neighbors of vertex %d: %w", i, err)
 		}
-		pd.Adjacency[i] = ns
+		pd.Vertices = append(pd.Vertices, graph.VertexID(vh[0]))
+		pd.Adjacency = append(pd.Adjacency, ns)
 	}
 	return pd, nil
+}
+
+// readIDs reads d vertex IDs in chunks of at most maxPrealloc, so a degree
+// the stream cannot back fails at its end instead of allocating first.
+func readIDs(br *bufio.Reader, d int) ([]graph.VertexID, error) {
+	ns := make([]graph.VertexID, 0, min(d, maxPrealloc))
+	for len(ns) < d {
+		k := min(d-len(ns), maxPrealloc)
+		ns = slices.Grow(ns, k)
+		if err := binary.Read(br, binary.LittleEndian, ns[len(ns):len(ns)+k]); err != nil {
+			return nil, err
+		}
+		ns = ns[:len(ns)+k]
+	}
+	return ns, nil
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/partition"
 )
 
-func buildPG(t *testing.T, g *graph.Graph, levels int, seed int64) *PartitionedGraph {
+func buildPG(t testing.TB, g *graph.Graph, levels int, seed int64) *PartitionedGraph {
 	t.Helper()
 	pt, _ := partition.RecursiveBisect(g, levels, partition.Options{Seed: seed})
 	pg, err := Build(g, pt)

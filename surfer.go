@@ -132,20 +132,6 @@ type Config = core.Config
 // System is an assembled deployment: partitioned, placed and replicated.
 type System = core.System
 
-// PartitionStrategy selects the partitioning and placement algorithm.
-type PartitionStrategy = core.PartitionStrategy
-
-// Partitioning strategies.
-const (
-	// StrategyBandwidthAware is the paper's Algorithm 4 (default).
-	StrategyBandwidthAware = core.StrategyBandwidthAware
-	// StrategyParMetis uses the same bisection kernel with
-	// bandwidth-oblivious placement.
-	StrategyParMetis = core.StrategyParMetis
-	// StrategyRandom assigns vertices to partitions at random.
-	StrategyRandom = core.StrategyRandom
-)
-
 // Build partitions and places the configured graph.
 func Build(cfg Config) (*System, error) { return core.Build(cfg) }
 

@@ -137,22 +137,22 @@ func TestPublicAPIGenerators(t *testing.T) {
 	}
 }
 
+// TestPublicAPIStrategies: the two partitioning strategies Table 1 compares
+// are two walks of one bisection, priced through the public API. Both cost
+// time; on a tree topology the bandwidth-aware one costs less.
 func TestPublicAPIStrategies(t *testing.T) {
 	g := Social(DefaultSocial(1024, 3))
-	topo := NewT1(4)
-	for _, strat := range []PartitionStrategy{StrategyBandwidthAware, StrategyParMetis, StrategyRandom} {
-		sys, err := Build(Config{Graph: g, Topology: topo, Levels: 2, Strategy: strat, Seed: 3})
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
-		if sys.PG.Part.P != 4 {
-			t.Fatalf("%v: P = %d", strat, sys.PG.Part.P)
-		}
+	topo := NewT2(T2Config{Machines: 8, Pods: 2, Levels: 1})
+	sys, err := Build(Config{Graph: g, Topology: topo, Levels: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Table 1 helper surfaces through the public API too.
-	sys, _ := Build(Config{Graph: g, Topology: topo, Levels: 2, Seed: 3})
-	if sys.PartitioningTime(DefaultPartitionCostModel()) <= 0 {
-		t.Fatal("no partitioning time")
+	if sys.PG.Part.P != 8 {
+		t.Fatalf("P = %d", sys.PG.Part.P)
+	}
+	aware, baseline := DefaultPartitionCostModel().PartitioningTime(g, sys.Sketch, topo, 4)
+	if aware <= 0 || baseline <= aware {
+		t.Fatalf("partitioning times: bandwidth-aware %g, baseline %g", aware, baseline)
 	}
 }
 
