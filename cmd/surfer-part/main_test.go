@@ -17,8 +17,31 @@ func invoke(args ...string) (code int, stdout, stderr string) {
 	return code, o.String(), e.String()
 }
 
-// TestInvocation: a valid level count prints both strategies and writes the
-// partitions and the sketch it was asked for; a level count no partitioner
+// wantStdout is surfer-part's whole stdout for TestInvocation's small-world
+// graph on -topology t2 -machines 4 -levels 3, with the temporary directory
+// written as DIR.
+const wantStdout = `graph: 600 vertices, 7144 edges
+cluster: T2(2,1){machines=4 pods=2}
+wrote 8 partition files to DIR/parts
+wrote partition sketch to DIR/sketch.dot
+
+bandwidth-aware:
+  partitions:          8
+  inner edge ratio:    85.8%
+  cross edges:         1012
+  est. elapsed time:   0.006 s
+  inner vertex ratio:  16.2%
+
+parmetis:
+  partitions:          8
+  inner edge ratio:    85.8%
+  cross edges:         1012
+  est. elapsed time:   0.007 s
+  inner vertex ratio:  16.2%
+`
+
+// TestInvocation: a valid level count prints exactly wantStdout and writes
+// the partitions and the sketch it was asked for; a level count no partitioner
 // can honour is a one-line error naming the field — `-levels -1` used to die
 // with a raw "negative shift amount" panic.
 func TestInvocation(t *testing.T) {
@@ -32,10 +55,8 @@ func TestInvocation(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-levels 3: exit %d: %s", code, stderr)
 	}
-	for _, want := range []string{"cluster: T2(2,1){machines=4 pods=2}", "bandwidth-aware:", "parmetis:", "partitions:          8", "wrote 8 partition files to " + parts} {
-		if !strings.Contains(stdout, want) {
-			t.Errorf("-levels 3: output lacks %q:\n%s", want, stdout)
-		}
+	if got := strings.ReplaceAll(stdout, dir, "DIR"); got != wantStdout {
+		t.Errorf("-levels 3: stdout\n%s\nwant\n%s", got, wantStdout)
 	}
 	if files, err := os.ReadDir(parts); err != nil || len(files) < 8 {
 		t.Errorf("-outdir holds %d files (%v), want the 8 partitions", len(files), err)
