@@ -16,6 +16,7 @@ import (
 	surfer "repro"
 	"repro/cmd/internal/cli"
 	"repro/internal/cluster"
+	"repro/internal/partition"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -65,19 +66,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Both algorithms run the one bisection; they differ only in which
 		// machines process each step, and so in its elapsed time.
 		aware, baseline := surfer.DefaultPartitionCostModel().PartitioningTime(g, sys.Sketch, topo, *seed+1)
-		ier := sys.InnerEdgeRatio()
-		var inner, total int64
-		for _, pi := range sys.PG.Parts {
-			inner += pi.InnerVertices
-			total += int64(pi.NumVertices())
-		}
+		pt := sys.PG.Part
+		ier, ivr, cross := sys.InnerEdgeRatio(), partition.InnerVertexRatio(g, pt), partition.CrossEdges(g, pt)
 		for i, elapsed := range []float64{aware, baseline} {
 			fmt.Fprintf(stdout, "\n%s:\n", [...]string{"bandwidth-aware", "parmetis"}[i])
-			fmt.Fprintf(stdout, "  partitions:          %d\n", sys.PG.Part.P)
+			fmt.Fprintf(stdout, "  partitions:          %d\n", pt.P)
 			fmt.Fprintf(stdout, "  inner edge ratio:    %.1f%%\n", 100*ier)
-			fmt.Fprintf(stdout, "  cross edges:         %d\n", sys.PG.TotalCrossEdges())
+			fmt.Fprintf(stdout, "  cross edges:         %d\n", cross)
 			fmt.Fprintf(stdout, "  est. elapsed time:   %.3f s\n", elapsed)
-			fmt.Fprintf(stdout, "  inner vertex ratio:  %.1f%%\n", 100*float64(inner)/float64(total))
+			fmt.Fprintf(stdout, "  inner vertex ratio:  %.1f%%\n", 100*ivr)
 		}
 		return nil
 	})

@@ -50,6 +50,7 @@ func (mg *MachineGraph) Weight(a, b MachineID) float64 { return mg.topo.Bandwidt
 func (mg *MachineGraph) Bisect() (*MachineGraph, *MachineGraph) {
 	n := len(mg.machines)
 	if n < 2 {
+		// Unreachable: BisectionLevels, the only caller, stops at Size() < 2.
 		panic("cluster: cannot bisect fewer than 2 machines")
 	}
 	half := n / 2

@@ -89,6 +89,7 @@ func NewTopologyFromMatrix(name string, bw [][]float64) *Topology {
 	t.bw = make([][]float64, n)
 	for i := range bw {
 		if len(bw[i]) != n {
+			// Unreachable from bytes: the trace reader's checkHeader refuses a non-square matrix before TopoInfo.Topology calls this.
 			panic(fmt.Sprintf("cluster: bandwidth matrix row %d has %d entries, want %d", i, len(bw[i]), n))
 		}
 		t.bw[i] = append([]float64(nil), bw[i]...)
@@ -98,19 +99,6 @@ func NewTopologyFromMatrix(name string, bw [][]float64) *Topology {
 
 // SamePod reports whether two machines share a bottom-level switch.
 func (t *Topology) SamePod(a, b MachineID) bool { return t.pod[a] == t.pod[b] }
-
-// AggregateBandwidth sums the pairwise bandwidth between two disjoint machine
-// sets. The bandwidth-aware partitioner minimizes this quantity across the
-// cut when bisecting the machine graph (§4.2).
-func (t *Topology) AggregateBandwidth(setA, setB []MachineID) float64 {
-	var sum float64
-	for _, a := range setA {
-		for _, b := range setB {
-			sum += t.bw[a][b]
-		}
-	}
-	return sum
-}
 
 func (t *Topology) String() string {
 	return fmt.Sprintf("%s{machines=%d pods=%d}", t.name, t.n, t.NumPods())
@@ -148,9 +136,11 @@ const midFactor = 16
 // configurations are static.
 func NewT2(cfg T2Config) *Topology {
 	if cfg.Pods <= 0 || cfg.Machines%cfg.Pods != 0 {
+		// Unreachable from flags: ByName checks pods first, and Fig9 asks ByName for its machines and pods before calling this.
 		panic(fmt.Sprintf("cluster: %d machines do not divide into %d pods", cfg.Machines, cfg.Pods))
 	}
 	if cfg.Levels < 1 || cfg.Levels > 2 {
+		// Unreachable from flags: ByName checks the switch levels first; every other caller passes a constant.
 		panic("cluster: T2 supports 1 or 2 switch levels above pods")
 	}
 	if cfg.TopFactor == 0 {

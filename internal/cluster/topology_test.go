@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 )
 
@@ -131,16 +130,6 @@ func TestBandwidthSymmetric(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestAggregateBandwidth(t *testing.T) {
-	topo := NewT2(T2Config{Machines: 4, Pods: 2, Levels: 1})
-	// Cross-pod sets: 2x2 pairs at LinkBandwidth/32.
-	got := topo.AggregateBandwidth([]MachineID{0, 1}, []MachineID{2, 3})
-	want := 4 * LinkBandwidth / 32
-	if math.Abs(got-want) > 1 {
-		t.Fatalf("aggregate = %g, want %g", got, want)
 	}
 }
 

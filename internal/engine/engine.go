@@ -193,9 +193,6 @@ func (r *Runner) MachineUtilization() []float64 {
 	return out
 }
 
-// Clock returns the current virtual time.
-func (r *Runner) Clock() float64 { return r.clock }
-
 // NumMachines reports the size of the underlying cluster.
 func (r *Runner) NumMachines() int { return r.cfg.Topo.NumMachines() }
 

@@ -86,6 +86,7 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	}
 	wg.Wait()
 	if panicVal != nil {
+		// Unreachable unless fn panics: this re-raises fn's panic on the caller's goroutine.
 		panic(panicVal)
 	}
 }

@@ -29,6 +29,7 @@ func (b *Builder) DropSelfLoops() *Builder { b.noLoops = true; return b }
 // out of range.
 func (b *Builder) AddEdge(u, v VertexID) {
 	if int(u) >= b.n || int(v) >= b.n {
+		// Unreachable from bytes or flags: ReadEdgeList sizes the builder from its largest ID, LoadDir range-checks first, generators draw below n.
 		panic("graph: edge endpoint out of range")
 	}
 	b.srcs = append(b.srcs, u)

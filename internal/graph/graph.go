@@ -35,14 +35,17 @@ type Graph struct {
 // it panics otherwise. The caller must not modify the slices afterwards.
 func NewFromCSR(offsets []int64, targets []VertexID) *Graph {
 	if len(offsets) == 0 || offsets[0] != 0 {
+		// Unreachable from bytes or flags: no reader or tool calls NewFromCSR; only tests do.
 		panic("graph: offsets must start at 0")
 	}
 	for i := 1; i < len(offsets); i++ {
 		if offsets[i] < offsets[i-1] {
+			// Unreachable from bytes or flags: no reader or tool calls NewFromCSR; only tests do.
 			panic("graph: offsets must be non-decreasing")
 		}
 	}
 	if offsets[len(offsets)-1] != int64(len(targets)) {
+		// Unreachable from bytes or flags: no reader or tool calls NewFromCSR; only tests do.
 		panic("graph: offsets tail must equal len(targets)")
 	}
 	return &Graph{offsets: offsets, targets: targets}

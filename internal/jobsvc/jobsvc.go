@@ -455,6 +455,7 @@ func (s *service) grant(jr *jobRun, now float64) {
 	case jsBarrier:
 		// Continuing at its own barrier; nextCause is the stage/job end.
 	default:
+		// Unreachable: schedule grants only the barrier job and the preempted and queued lists, the three states above.
 		panic(fmt.Sprintf("jobsvc: granting job %q in state %d", jr.id(), jr.state))
 	}
 	jr.state = jsActive
@@ -479,6 +480,7 @@ func removeJob(list []*jobRun, jr *jobRun) []*jobRun {
 			return append(list[:i], list[i+1:]...)
 		}
 	}
+	// Unreachable: grant removes a job only from the list its state names (jsQueued in queued, jsPreempted in preempted).
 	panic("jobsvc: job missing from its scheduler list")
 }
 

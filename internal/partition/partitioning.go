@@ -45,19 +45,6 @@ func (pt *Partitioning) Sizes() []int {
 	return sizes
 }
 
-// Members returns the vertex lists of all partitions, each sorted by ID.
-func (pt *Partitioning) Members() [][]graph.VertexID {
-	sizes := pt.Sizes()
-	out := make([][]graph.VertexID, pt.P)
-	for p := range out {
-		out[p] = make([]graph.VertexID, 0, sizes[p])
-	}
-	for v, p := range pt.Assign {
-		out[p] = append(out[p], graph.VertexID(v))
-	}
-	return out
-}
-
 // Options configures the recursive bisection partitioner.
 type Options struct {
 	// Seed drives all randomized steps (matching order, GGGP seeds).
@@ -71,6 +58,7 @@ type Options struct {
 // cost model's machine side are layered on top of its sketch.
 func RecursiveBisect(g *graph.Graph, levels int, opt Options) (*Partitioning, *Sketch) {
 	if levels < 0 {
+		// Unreachable from bytes or flags: core.Build's Levels range check, or surfer-bench's -levels check, runs first.
 		panic("partition: negative level count")
 	}
 	und := g.Undirected()

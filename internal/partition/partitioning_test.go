@@ -65,6 +65,22 @@ func TestPartitioningBeatsRandom(t *testing.T) {
 	}
 }
 
+func TestInnerVertexRatio(t *testing.T) {
+	// {0,1} | {2,3}: the one cross edge 1->2 makes its source and its
+	// destination boundary vertices; 0 and 3 stay inner.
+	g := graph.FromEdges(4, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}})
+	pt := &Partitioning{Assign: []PartID{0, 0, 1, 1}, P: 2}
+	if r := InnerVertexRatio(g, pt); r != 0.5 {
+		t.Fatalf("hand graph: ratio = %g, want 0.5", r)
+	}
+	// Most vertices of a bisected small-world graph are inner at P=8.
+	g = graph.SmallWorld(graph.DefaultSmallWorld(3000, 1))
+	pt, _ = RecursiveBisect(g, 3, Options{Seed: 1})
+	if r := InnerVertexRatio(g, pt); r < 0.3 {
+		t.Fatalf("small-world: ratio = %.2f, suspiciously low", r)
+	}
+}
+
 func TestMonotonicity(t *testing.T) {
 	// §4.1: T_l is non-decreasing with sketch level.
 	g := graph.SmallWorld(graph.DefaultSmallWorld(2000, 4))
@@ -139,18 +155,6 @@ func TestValidateCatchesBadAssign(t *testing.T) {
 	pt := &Partitioning{Assign: []PartID{0, 5}, P: 2}
 	if err := pt.Validate(); err == nil {
 		t.Fatal("expected validation error")
-	}
-}
-
-func TestMembersMatchesAssign(t *testing.T) {
-	g := graph.RMAT(graph.DefaultRMAT(8, 4, 6))
-	pt, _ := RecursiveBisect(g, 2, Options{Seed: 6})
-	for p, members := range pt.Members() {
-		for _, v := range members {
-			if pt.Assign[v] != PartID(p) {
-				t.Fatalf("member list wrong for partition %d", p)
-			}
-		}
 	}
 }
 

@@ -214,32 +214,6 @@ func TestPartitioningTimeBandwidthAwareWinsOnT2(t *testing.T) {
 	}
 }
 
-func TestEncodingRoundTrip(t *testing.T) {
-	g := testGraph(11)
-	pt, _ := RecursiveBisect(g, 3, Options{Seed: 11})
-	e := NewEncoding(pt)
-	if err := e.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if e.ToOld(e.ToNew(graph.VertexID(v))) != graph.VertexID(v) {
-			t.Fatalf("encoding not a bijection at %d", v)
-		}
-	}
-}
-
-func TestEncodingPartOf(t *testing.T) {
-	g := testGraph(12)
-	pt, _ := RecursiveBisect(g, 3, Options{Seed: 12})
-	e := NewEncoding(pt)
-	for v := 0; v < g.NumVertices(); v++ {
-		old := graph.VertexID(v)
-		if e.PartOf(e.ToNew(old)) != pt.Assign[old] {
-			t.Fatalf("PartOf mismatch at %d", v)
-		}
-	}
-}
-
 func TestEncodingRanges(t *testing.T) {
 	g := testGraph(13)
 	pt, _ := RecursiveBisect(g, 2, Options{Seed: 13})

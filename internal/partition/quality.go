@@ -29,6 +29,29 @@ func InnerEdgeRatio(g *graph.Graph, pt *Partitioning) float64 {
 	return float64(g.NumEdges()-cross) / float64(g.NumEdges())
 }
 
+// InnerVertexRatio computes the fraction of vertices that no
+// cross-partition edge touches, in either direction.
+func InnerVertexRatio(g *graph.Graph, pt *Partitioning) float64 {
+	n := g.NumVertices()
+	if n == 0 {
+		return 1
+	}
+	boundary := make([]bool, n)
+	g.ForEachEdge(func(u, v graph.VertexID) bool {
+		if pt.Assign[u] != pt.Assign[v] {
+			boundary[u], boundary[v] = true, true
+		}
+		return true
+	})
+	inner := 0
+	for _, b := range boundary {
+		if !b {
+			inner++
+		}
+	}
+	return float64(inner) / float64(n)
+}
+
 // Balance reports max partition size divided by the ideal size |V|/P;
 // 1.0 is perfect balance.
 func Balance(pt *Partitioning) float64 {
@@ -63,6 +86,7 @@ func Random(g *graph.Graph, p int, seed int64) *Partitioning {
 // memory yields L=0, P=1.
 func ChoosePartitionCount(graphBytes, memoryBytes int64) (levels, p int) {
 	if memoryBytes <= 0 {
+		// Unreachable from bytes or flags: core.Build calls this only when MemoryBudget > 0.
 		panic("partition: memory budget must be positive")
 	}
 	levels = 0

@@ -130,27 +130,28 @@ func TestQuickSketchIsViewOfIDs(t *testing.T) {
 	}
 }
 
-// TestQuickEncodingBijection: consecutive-range encoding is a bijection
-// with correct PartOf for arbitrary partitionings.
+// TestQuickEncodingBijection: for arbitrary partitionings, ToNew maps the
+// vertices one-to-one onto [0, n), each into its partition's Range, with IDs
+// ascending within a partition — the layout propagation's bags rely on.
 func TestQuickEncodingBijection(t *testing.T) {
 	f := func(seed int64, pPick uint8) bool {
 		n := 100 + int(uint64(seed)%400)
 		p := 1 + int(pPick%12)
-		g := graph.Ring(n)
-		pt := Random(g, p, seed)
+		pt := Random(graph.Ring(n), p, seed)
 		e := NewEncoding(pt)
-		if e.Validate() != nil {
-			return false
+		seen := make([]bool, n)
+		last := make([]int64, p) // last encoded ID seen per partition
+		for i := range last {
+			last[i] = -1
 		}
-		for v := 0; v < n; v++ {
-			old := graph.VertexID(v)
-			nw := e.ToNew(old)
-			if e.ToOld(nw) != old {
+		for v, q := range pt.Assign {
+			nw := e.ToNew(graph.VertexID(v))
+			lo, hi := e.Range(q)
+			if int(nw) >= n || seen[nw] || nw < lo || nw >= hi || int64(nw) <= last[q] {
 				return false
 			}
-			if e.PartOf(nw) != pt.Assign[old] {
-				return false
-			}
+			seen[nw] = true
+			last[q] = int64(nw)
 		}
 		return true
 	}

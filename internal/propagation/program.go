@@ -84,6 +84,7 @@ func (NonAssociative[V]) Associative() bool { return false }
 
 // Merge panics: local combination must not be applied.
 func (NonAssociative[V]) Merge(graph.VertexID, []V) V {
+	// Unreachable: both callers group only when Associative() holds (newExecution's grouping, planIteration's tree check).
 	panic("propagation: Merge called on a non-associative program")
 }
 

@@ -466,6 +466,7 @@ func (ex *execution[V]) transferPart(p int) {
 // first, so that a panicking emission leaves the plan as it found it.
 func (ex *execution[V]) collect(pi *storage.PartInfo, ps *partScratch[V], dst graph.VertexID, v V) {
 	if int(dst) >= ex.n+ex.opt.VirtualVertices {
+		// Unreachable from bytes or flags: every built-in program (apps.ByName) emits only to neighbours and its own VirtualVertices.
 		panic(fmt.Sprintf("propagation: emission to vertex %d outside real+virtual space", dst))
 	}
 	if !ps.collecting {
