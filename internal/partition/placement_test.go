@@ -214,6 +214,45 @@ func TestPartitioningTimeBandwidthAwareWinsOnT2(t *testing.T) {
 	}
 }
 
+// TestEncodingRoundTrip: ToNew is one-to-one onto [0, n), so inverting it
+// by hand recovers every original ID.
+func TestEncodingRoundTrip(t *testing.T) {
+	g := testGraph(11)
+	pt, _ := RecursiveBisect(g, 3, Options{Seed: 11})
+	e := NewEncoding(pt)
+	n := g.NumVertices()
+	toOld := make([]graph.VertexID, n)
+	seen := make([]bool, n)
+	for v := 0; v < n; v++ {
+		nw := e.ToNew(graph.VertexID(v))
+		if int(nw) >= n || seen[nw] {
+			t.Fatalf("encoding not a bijection at %d", v)
+		}
+		seen[nw] = true
+		toOld[nw] = graph.VertexID(v)
+	}
+	for v := 0; v < n; v++ {
+		if toOld[e.ToNew(graph.VertexID(v))] != graph.VertexID(v) {
+			t.Fatalf("encoding not a bijection at %d", v)
+		}
+	}
+}
+
+// TestEncodingPartOf: every encoded ID falls in the Range of its vertex's
+// partition.
+func TestEncodingPartOf(t *testing.T) {
+	g := testGraph(12)
+	pt, _ := RecursiveBisect(g, 3, Options{Seed: 12})
+	e := NewEncoding(pt)
+	for v := 0; v < g.NumVertices(); v++ {
+		old := graph.VertexID(v)
+		lo, hi := e.Range(pt.Assign[old])
+		if nw := e.ToNew(old); nw < lo || nw >= hi {
+			t.Fatalf("encoded %d of vertex %d outside partition %d's range [%d,%d)", nw, v, pt.Assign[old], lo, hi)
+		}
+	}
+}
+
 func TestEncodingRanges(t *testing.T) {
 	g := testGraph(13)
 	pt, _ := RecursiveBisect(g, 2, Options{Seed: 13})
