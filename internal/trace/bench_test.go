@@ -68,6 +68,26 @@ func BenchmarkRecorderEmit(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
 }
 
+func BenchmarkSummarize(b *testing.B) {
+	events, _, _ := benchCapture(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		trace.Summarize(events)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
+}
+
+func BenchmarkWriteChrome(b *testing.B) {
+	events, _, _ := benchCapture(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := trace.WriteChrome(io.Discard, events); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
+}
+
 // TestReadEventsAllocations: what ReadEvents allocates does not grow with
 // the number of events beyond the slice that holds them (the recorder's
 // chunks while reading, one exact copy at the end): the strings are
