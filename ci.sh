@@ -152,6 +152,12 @@ go run ./cmd/surfer-submit -gen 6 -tenants 3 -seed 7 -out "$smoke/jobs.json"
 go run ./cmd/surfer-submit -jobs "$smoke/jobs.json" -policy fair \
     -events "$smoke/jobs.events" > "$smoke/submit.txt"
 grep -q "Jain fairness" "$smoke/submit.txt"
+# The breakdown files each event under its own job and stage, so on this
+# two-slot run every stage line has a machine row under it and no stage is
+# "(untracked)".
+go run ./cmd/surfer-trace -in "$smoke/jobs.events" -breakdown > "$smoke/jobs-breakdown.txt"
+awk '/^  stage /{if (open || /\(untracked\)/) bad = 1; open = 1; next}
+     /^    m/{open = 0} END{exit bad || open}' "$smoke/jobs-breakdown.txt"
 go run ./cmd/surfer-analyze -trace "$smoke/jobs.events" | grep -q "queued-preempted"
 go run ./cmd/surfer-bench -experiment multitenant -vertices 4096 -levels 4 \
     -machines 8 -json "$smoke/mt.json" > /dev/null

@@ -13,6 +13,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/graph"
+	"repro/internal/jobsvc"
 	"repro/internal/trace"
 )
 
@@ -45,16 +46,41 @@ func capture(t *testing.T, dir string) (events, chrome string) {
 	return events, chrome
 }
 
+// serviceCapture runs two synthetic jobs side by side through the job service
+// (two slots) and writes the raw stream, whose events of the two interleave.
+func serviceCapture(t *testing.T, dir string) string {
+	t.Helper()
+	topo, rec := cluster.NewT1(8), trace.NewRecorder()
+	plans := jobsvc.SyntheticPlan(42, 8, 2, 2, 8)
+	jobs := []jobsvc.Job{
+		{Spec: jobsvc.JobSpec{ID: "a", Tenant: "t"}, Plan: plans[:1]},
+		{Spec: jobsvc.JobSpec{ID: "b", Tenant: "t"}, Plan: plans[1:]},
+	}
+	if _, err := jobsvc.Run(jobsvc.Config{Topo: topo, Concurrency: 2, Trace: rec}, jobs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "jobs.events")
+	if err := cli.WriteFile(path, func(w io.Writer) error { return trace.WriteEvents(w, trace.TopoOf(topo), rec.Events()) }); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestBothFormats: the format is sniffed, each export validates and
-// summarizes, and -breakdown renders the accounting table of a raw stream.
+// summarizes, and -breakdown renders the accounting table of a raw stream,
+// with the machines that worked in every stage under it — of each job, when
+// two ran at once.
 func TestBothFormats(t *testing.T) {
-	events, chrome := capture(t, t.TempDir())
+	dir := t.TempDir()
+	events, chrome := capture(t, dir)
+	jobs := serviceCapture(t, dir)
 	for _, tc := range []struct {
 		args []string
 		want []string
 	}{
 		{[]string{"-in", events}, []string{events + ": OK (raw event stream v1)", "events:    ", "topology:  T3 (8 machines)", "time span: "}},
 		{[]string{"-in", events, "-breakdown"}, []string{"breakdown (job -> stage -> machine)", "job propagation-iter-001", "  stage transfer", "    m0   compute="}},
+		{[]string{"-in", jobs, "-breakdown"}, []string{"job a/synth-000", "job b/synth-001", "  stage stage-1"}},
 		{[]string{"-in", chrome}, []string{chrome + ": OK\n", " spans, ", "processes: ", "time span: "}},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
@@ -64,6 +90,12 @@ func TestBothFormats(t *testing.T) {
 		for _, want := range tc.want {
 			if !strings.Contains(stdout, want) {
 				t.Errorf("%v: output lacks %q:\n%s", tc.args, want, stdout)
+			}
+		}
+		lines := strings.Split(stdout, "\n")
+		for i, l := range lines {
+			if strings.HasPrefix(l, "  stage ") && !strings.HasPrefix(lines[i+1], "    m") {
+				t.Errorf("%v: no machine row under %q", tc.args, l)
 			}
 		}
 	}

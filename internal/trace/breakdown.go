@@ -125,58 +125,94 @@ func (sb *StageBreakdown) machine(id int) *MachineBreakdown {
 	return mb
 }
 
+// untracked names the synthetic job and stage that gather events whose own
+// job or stage never began (there are none in engine-emitted streams).
+const untracked = "(untracked)"
+
+// latest returns the job's latest-begun stage called name, or nil.
+func (jb *JobBreakdown) latest(name string) *StageBreakdown {
+	for i := len(jb.Stages) - 1; i >= 0; i-- {
+		if jb.Stages[i].Name == name {
+			return jb.Stages[i]
+		}
+	}
+	return nil
+}
+
 // Summarize folds an event stream into the job → stage → machine hierarchy.
-// Events outside any job or stage context (there are none in engine-emitted
-// streams) are gathered under a synthetic "(untracked)" job/stage.
+// Each event is filed under the latest-begun job its own Job names and that
+// job's latest-begun stage its Stage names — the rule analyze and
+// metrics.JobWindows label by — never under whichever job began last, since
+// a job-service stream interleaves the events of concurrent jobs. Events
+// whose job or stage never began are gathered under a synthetic
+// "(untracked)" job or stage.
 func Summarize(events []Event) *Breakdown {
 	b := &Breakdown{}
-	var job *JobBreakdown
-	var stage *StageBreakdown
-	ensure := func() *StageBreakdown {
-		if job == nil {
-			job = &JobBreakdown{Name: "(untracked)"}
-			b.Jobs = append(b.Jobs, job)
+	jobs := make(map[string]*JobBreakdown) // job name → its latest-begun run
+	jobOf := func(name string) *JobBreakdown {
+		if jb := jobs[name]; jb != nil {
+			return jb
 		}
-		if stage == nil {
-			stage = &StageBreakdown{Name: "(untracked)"}
-			job.Stages = append(job.Stages, stage)
+		jb := jobs[untracked]
+		if jb == nil {
+			jb = &JobBreakdown{Name: untracked}
+			jobs[untracked] = jb
+			b.Jobs = append(b.Jobs, jb)
 		}
-		return stage
+		return jb
+	}
+	// Consecutive events mostly share a row: the previous event's job and
+	// stage are checked before the lookups. A begin resets it.
+	var lastJob, lastStage string
+	var last *StageBreakdown
+	row := func(ev *Event) *StageBreakdown {
+		if last != nil && ev.Job == lastJob && ev.Stage == lastStage {
+			return last
+		}
+		jb := jobOf(ev.Job)
+		sb := jb.latest(ev.Stage)
+		if sb == nil {
+			if sb = jb.latest(untracked); sb == nil {
+				sb = &StageBreakdown{Name: untracked}
+				jb.Stages = append(jb.Stages, sb)
+			}
+		}
+		lastJob, lastStage, last = ev.Job, ev.Stage, sb
+		return sb
 	}
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
 		case KindJobBegin:
-			job = &JobBreakdown{Name: ev.Job, Begin: ev.Time, End: ev.Time}
-			stage = nil
-			b.Jobs = append(b.Jobs, job)
+			jb := &JobBreakdown{Name: ev.Job, Begin: ev.Time, End: ev.Time}
+			jobs[ev.Job] = jb
+			b.Jobs = append(b.Jobs, jb)
+			last = nil
 		case KindJobEnd:
-			if job != nil {
-				job.End = ev.Time
+			if jb := jobs[ev.Job]; jb != nil {
+				jb.End = ev.Time
 			}
-			stage = nil
 		case KindStageBegin:
-			if job == nil {
-				ensure()
-			}
-			stage = &StageBreakdown{Name: ev.Stage, Begin: ev.Time, End: ev.Time}
-			job.Stages = append(job.Stages, stage)
+			jb := jobOf(ev.Job)
+			jb.Stages = append(jb.Stages, &StageBreakdown{Name: ev.Stage, Begin: ev.Time, End: ev.Time})
+			last = nil
 		case KindStageEnd:
-			if stage != nil {
-				stage.End = ev.Time
+			if jb := jobs[ev.Job]; jb != nil {
+				if sb := jb.latest(ev.Stage); sb != nil {
+					sb.End = ev.Time
+				}
 			}
-			stage = nil
 		case KindTaskEnd:
-			mb := ensure().machine(ev.Machine)
+			mb := row(ev).machine(ev.Machine)
 			mb.ComputeSeconds += ev.End - ev.Start
 			mb.TasksRun++
 		case KindTaskLost:
-			ensure().machine(ev.Machine).TasksLost++
+			row(ev).machine(ev.Machine).TasksLost++
 		case KindTransfer, KindPartitionMigrate:
 			// Migration bytes are counted like transfers: they occupy the
 			// same NICs and sum into Metrics.NetworkBytes, so the
 			// egress/ingress reconciliation invariant holds on elastic runs.
-			sb := ensure()
+			sb := row(ev)
 			src := sb.machine(ev.Machine)
 			dst := sb.machine(ev.Dst)
 			dur := ev.End - ev.Start
@@ -194,17 +230,17 @@ func Summarize(events []Event) *Breakdown {
 				dst.IncastStallSeconds += ev.Stall
 			}
 		case KindFailure:
-			ensure().machine(ev.Machine).Failed = true
+			row(ev).machine(ev.Machine).Failed = true
 		case KindRetry:
-			ensure().machine(ev.Machine).Retries++
+			row(ev).machine(ev.Machine).Retries++
 		case KindTransferDrop:
-			mb := ensure().machine(ev.Machine)
+			mb := row(ev).machine(ev.Machine)
 			mb.TransferDrops++
 			mb.DropStallSeconds += ev.End - ev.Start
 		case KindTransferRetry:
-			ensure().machine(ev.Machine).TransferRetries++
+			row(ev).machine(ev.Machine).TransferRetries++
 		case KindSpeculate:
-			ensure().machine(ev.Machine).Speculations++
+			row(ev).machine(ev.Machine).Speculations++
 		case KindCheckpoint:
 			b.Checkpoints++
 			b.CheckpointJobs = append(b.CheckpointJobs, ev.Job)
