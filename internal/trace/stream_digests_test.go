@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analyze"
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -32,7 +33,9 @@ import (
 // encoding/json and a string-keyed fold, so a codec or fold change that moves
 // one byte of a file, one float of a series or one alert decision fails here.
 // The same captures pin the two renderings of a stream, WriteChrome and
-// Summarize's table, so every kind's row in either is held too.
+// Summarize's table, so every kind's row in either is held too, and the two
+// folds elsewhere that file events by job and stage: analyze.Analyze's
+// report and metrics.JobWindows.
 
 // capture is one seeded run: its stream, the cluster it ran on, the
 // metrics window its series are folded at — a few dozen to a few hundred
@@ -269,8 +272,8 @@ func digestCaptures(t *testing.T) []capture {
 
 // TestStreamDigestsGolden pins, per capture, the stream file (with its
 // topology header), the series file folded from it at a fixed window, the
-// series file plus alert records folded under a rule file, the Chrome export
-// and the breakdown table.
+// series file plus alert records folded under a rule file, the Chrome export,
+// the breakdown table, the analyzer's report and the job windows.
 func TestStreamDigestsGolden(t *testing.T) {
 	const path = "testdata/stream_digests.golden"
 	caps := digestCaptures(t)
@@ -331,6 +334,27 @@ func TestStreamDigestsGolden(t *testing.T) {
 		h.Reset()
 		trace.Summarize(c.events).WriteText(h)
 		fmt.Fprintf(&got, "%s breakdown %x\n", c.name, h.Sum(nil))
+
+		// The two folds outside this package that file events by job and
+		// stage: the analyzer's report and the autoscaler's job windows.
+		h.Reset()
+		rep, err := analyze.Analyze(c.events, c.topo)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := analyze.WriteText(h, rep); err != nil {
+			t.Fatal(err)
+		}
+		if err := analyze.WriteJSON(h, rep); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s analyze %d %x\n", c.name, len(rep.Stages), h.Sum(nil))
+		h.Reset()
+		wins := metrics.JobWindows(c.events, c.topo)
+		if err := json.NewEncoder(h).Encode(wins); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s windows %d %x\n", c.name, len(wins), h.Sum(nil))
 	}
 
 	if f := flag.Lookup("update"); f != nil && f.Value.String() == "true" {
