@@ -6,7 +6,7 @@ import (
 )
 
 // Job windows: the per-engine-job aggregation the autoscaler consumes (one
-// window per job in stream order — per iteration for propagation runs),
+// window per job run in stream order — per iteration for propagation runs),
 // distinct from the Collector's fixed-width windows. Factored here so the
 // autoscale policy and the dashboards observe the same numbers through the
 // same fold.
@@ -25,60 +25,47 @@ type JobWindow struct {
 }
 
 // JobWindows folds a stream into per-job level-0 utilization windows.
-// Transfers and migrations are charged to the window of their enclosing job
-// (concurrent jobs each accumulate their own traffic); machine pairs outside
-// the topology or below level 0 are ignored, mirroring the link report.
+// Transfers and migrations are charged to the window of the job run
+// trace.Label files them under — concurrent jobs each accumulate their own
+// traffic, and one sent after its run's end still counts toward that run;
+// machine pairs outside the topology or below level 0 are ignored,
+// mirroring the link report.
 func JobWindows(events []trace.Event, topo *cluster.Topology) []JobWindow {
 	n := topo.NumMachines()
 	lvl := cluster.BisectionLevels(topo)
 
-	type window struct {
-		job        string
-		start, end float64
-		busy       map[[2]int]float64
-	}
-	var wins []*window
-	open := make(map[string]*window) // job name → its open window
+	runs := trace.Label(events)
+	busy := make([]map[[2]int]float64, len(runs.Jobs)) // per job run, per level-0 link
 	for i := range events {
 		ev := &events[i]
-		switch ev.Kind {
-		case trace.KindJobBegin:
-			w := &window{job: ev.Job, start: ev.Time, busy: make(map[[2]int]float64)}
-			wins = append(wins, w)
-			open[ev.Job] = w
-		case trace.KindJobEnd:
-			if w := open[ev.Job]; w != nil {
-				w.end = ev.Time
-				delete(open, ev.Job)
-			}
-		case trace.KindTransfer, trace.KindPartitionMigrate:
-			if ev.Machine < 0 || ev.Dst < 0 || ev.Machine >= n || ev.Dst >= n {
-				continue
-			}
-			if lvl[ev.Machine][ev.Dst] != 0 {
-				continue
-			}
-			if w := open[ev.Job]; w != nil {
-				w.busy[[2]int{ev.Machine, ev.Dst}] += ev.End - ev.Start
-			}
+		if ev.Kind != trace.KindTransfer && ev.Kind != trace.KindPartitionMigrate {
+			continue
 		}
+		j := runs.Job[i]
+		if j < 0 || ev.Machine < 0 || ev.Dst < 0 || ev.Machine >= n || ev.Dst >= n || lvl[ev.Machine][ev.Dst] != 0 {
+			continue
+		}
+		if busy[j] == nil {
+			busy[j] = make(map[[2]int]float64)
+		}
+		busy[j][[2]int{ev.Machine, ev.Dst}] += ev.End - ev.Start
 	}
 
 	var out []JobWindow
-	for _, w := range wins {
-		if w.end <= w.start {
+	for j, run := range runs.Jobs {
+		if run.End <= run.Begin {
 			continue // unfinished or instantaneous window: no signal
 		}
-		span := w.end - w.start
+		span := run.End - run.Begin
 		maxUtil := 0.0
-		for _, busy := range w.busy {
+		for _, b := range busy[j] {
 			// A max over map values is order-independent, so ranging the map
 			// is safe here.
-			if u := busy / span; u > maxUtil {
+			if u := b / span; u > maxUtil {
 				maxUtil = u
 			}
 		}
-		out = append(out, JobWindow{Job: w.job, Start: w.start, End: w.end, MaxLevel0Util: maxUtil})
+		out = append(out, JobWindow{Job: run.Name, Start: run.Begin, End: run.End, MaxLevel0Util: maxUtil})
 	}
 	return out
 }

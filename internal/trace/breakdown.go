@@ -129,90 +129,60 @@ func (sb *StageBreakdown) machine(id int) *MachineBreakdown {
 // job or stage never began (there are none in engine-emitted streams).
 const untracked = "(untracked)"
 
-// latest returns the job's latest-begun stage called name, or nil.
-func (jb *JobBreakdown) latest(name string) *StageBreakdown {
-	for i := len(jb.Stages) - 1; i >= 0; i-- {
-		if jb.Stages[i].Name == name {
-			return jb.Stages[i]
-		}
-	}
-	return nil
-}
-
-// Summarize folds an event stream into the job → stage → machine hierarchy.
-// Each event is filed under the latest-begun job its own Job names and that
-// job's latest-begun stage its Stage names — the rule analyze and
-// metrics.JobWindows label by — never under whichever job began last, since
-// a job-service stream interleaves the events of concurrent jobs. Events
-// whose job or stage never began are gathered under a synthetic
-// "(untracked)" job or stage.
+// Summarize folds an event stream into the job → stage → machine hierarchy:
+// one job row per job run and one stage row per stage run, each event filed
+// under the runs Label resolves it to. Events whose job or stage never began
+// are gathered under a synthetic "(untracked)" job or stage.
 func Summarize(events []Event) *Breakdown {
 	b := &Breakdown{}
-	jobs := make(map[string]*JobBreakdown) // job name → its latest-begun run
-	jobOf := func(name string) *JobBreakdown {
-		if jb := jobs[name]; jb != nil {
-			return jb
+	runs := Label(events)
+	jobs := make([]*JobBreakdown, len(runs.Jobs))
+	stages := make([]*StageBreakdown, len(runs.Stages))
+	var lost *JobBreakdown
+	jobOf := func(j int32) *JobBreakdown {
+		if j >= 0 {
+			return jobs[j]
 		}
-		jb := jobs[untracked]
-		if jb == nil {
-			jb = &JobBreakdown{Name: untracked}
-			jobs[untracked] = jb
-			b.Jobs = append(b.Jobs, jb)
+		if lost == nil {
+			lost = &JobBreakdown{Name: untracked}
+			b.Jobs = append(b.Jobs, lost)
 		}
-		return jb
+		return lost
 	}
-	// Consecutive events mostly share a row: the previous event's job and
-	// stage are checked before the lookups. A begin resets it.
-	var lastJob, lastStage string
-	var last *StageBreakdown
-	row := func(ev *Event) *StageBreakdown {
-		if last != nil && ev.Job == lastJob && ev.Stage == lastStage {
-			return last
+	strays := make(map[*JobBreakdown]*StageBreakdown) // each job's untracked stage
+	row := func(i int) *StageBreakdown {
+		if s := runs.Stage[i]; s >= 0 {
+			return stages[s]
 		}
-		jb := jobOf(ev.Job)
-		sb := jb.latest(ev.Stage)
-		if sb == nil {
-			if sb = jb.latest(untracked); sb == nil {
-				sb = &StageBreakdown{Name: untracked}
-				jb.Stages = append(jb.Stages, sb)
-			}
+		jb := jobOf(runs.Job[i])
+		if strays[jb] == nil {
+			strays[jb] = &StageBreakdown{Name: untracked}
+			jb.Stages = append(jb.Stages, strays[jb])
 		}
-		lastJob, lastStage, last = ev.Job, ev.Stage, sb
-		return sb
+		return strays[jb]
 	}
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
 		case KindJobBegin:
-			jb := &JobBreakdown{Name: ev.Job, Begin: ev.Time, End: ev.Time}
-			jobs[ev.Job] = jb
-			b.Jobs = append(b.Jobs, jb)
-			last = nil
-		case KindJobEnd:
-			if jb := jobs[ev.Job]; jb != nil {
-				jb.End = ev.Time
-			}
+			j := runs.Job[i]
+			jobs[j] = &JobBreakdown{Name: ev.Job, Begin: ev.Time, End: runs.Jobs[j].End}
+			b.Jobs = append(b.Jobs, jobs[j])
 		case KindStageBegin:
-			jb := jobOf(ev.Job)
-			jb.Stages = append(jb.Stages, &StageBreakdown{Name: ev.Stage, Begin: ev.Time, End: ev.Time})
-			last = nil
-		case KindStageEnd:
-			if jb := jobs[ev.Job]; jb != nil {
-				if sb := jb.latest(ev.Stage); sb != nil {
-					sb.End = ev.Time
-				}
-			}
+			s, jb := runs.Stage[i], jobOf(runs.Job[i])
+			stages[s] = &StageBreakdown{Name: ev.Stage, Begin: ev.Time, End: runs.Stages[s].End}
+			jb.Stages = append(jb.Stages, stages[s])
 		case KindTaskEnd:
-			mb := row(ev).machine(ev.Machine)
+			mb := row(i).machine(ev.Machine)
 			mb.ComputeSeconds += ev.End - ev.Start
 			mb.TasksRun++
 		case KindTaskLost:
-			row(ev).machine(ev.Machine).TasksLost++
+			row(i).machine(ev.Machine).TasksLost++
 		case KindTransfer, KindPartitionMigrate:
 			// Migration bytes are counted like transfers: they occupy the
 			// same NICs and sum into Metrics.NetworkBytes, so the
 			// egress/ingress reconciliation invariant holds on elastic runs.
-			sb := row(ev)
+			sb := row(i)
 			src := sb.machine(ev.Machine)
 			dst := sb.machine(ev.Dst)
 			dur := ev.End - ev.Start
@@ -230,17 +200,17 @@ func Summarize(events []Event) *Breakdown {
 				dst.IncastStallSeconds += ev.Stall
 			}
 		case KindFailure:
-			row(ev).machine(ev.Machine).Failed = true
+			row(i).machine(ev.Machine).Failed = true
 		case KindRetry:
-			row(ev).machine(ev.Machine).Retries++
+			row(i).machine(ev.Machine).Retries++
 		case KindTransferDrop:
-			mb := row(ev).machine(ev.Machine)
+			mb := row(i).machine(ev.Machine)
 			mb.TransferDrops++
 			mb.DropStallSeconds += ev.End - ev.Start
 		case KindTransferRetry:
-			row(ev).machine(ev.Machine).TransferRetries++
+			row(i).machine(ev.Machine).TransferRetries++
 		case KindSpeculate:
-			row(ev).machine(ev.Machine).Speculations++
+			row(i).machine(ev.Machine).Speculations++
 		case KindCheckpoint:
 			b.Checkpoints++
 			b.CheckpointJobs = append(b.CheckpointJobs, ev.Job)

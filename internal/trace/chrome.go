@@ -71,28 +71,7 @@ func WriteChrome(w io.Writer, events []Event) error {
 	}
 	jobPid := maxMachine + 1
 
-	// One backward sweep pairs each job and stage begin with the next end
-	// carrying its Job and Stage. A key names the begin kind; each end kind
-	// directly follows its begin's.
-	type marker struct {
-		begin      EventKind
-		job, stage string
-	}
-	nextEnd := make(map[marker]float64) // the nearest end past the sweep
-	endOf := make(map[int]float64)      // begin index → its end's time
-	for i := len(events) - 1; i >= 0; i-- {
-		ev := &events[i]
-		key := marker{ev.Kind, ev.Job, ev.Stage}
-		switch ev.Kind {
-		case KindJobEnd, KindStageEnd:
-			key.begin--
-			nextEnd[key] = ev.Time
-		case KindJobBegin, KindStageBegin:
-			if end, ok := nextEnd[key]; ok {
-				endOf[i] = end
-			}
-		}
-	}
+	runs := Label(events)
 
 	buf := bytes.NewBufferString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
 	enc := json.NewEncoder(buf)
@@ -156,12 +135,12 @@ func WriteChrome(w io.Writer, events []Event) error {
 		ev := &events[i]
 		switch ev.Kind {
 		case KindJobBegin:
-			if end, ok := endOf[i]; ok {
-				span(ev.Job, "job", jobPid, 0, ev.Time, end, nil)
+			if run := runs.Jobs[runs.Job[i]]; run.Ended {
+				span(ev.Job, "job", jobPid, 0, ev.Time, run.End, nil)
 			}
 		case KindStageBegin:
-			if end, ok := endOf[i]; ok {
-				span(ev.Stage, "stage", jobPid, 1, ev.Time, end, &chromeArgs{Job: ev.Job})
+			if run := runs.Stages[runs.Stage[i]]; run.Ended {
+				span(ev.Stage, "stage", jobPid, 1, ev.Time, run.End, &chromeArgs{Job: ev.Job})
 			}
 		case KindTaskEnd:
 			span(ev.Name, "task", ev.Machine, laneTasks, ev.Start, ev.End, taskArgs(ev))
