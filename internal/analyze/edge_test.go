@@ -78,6 +78,22 @@ func TestAnalyzeTrailingFailure(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsMachinelessTaskEnd: a task-end on machine -1 has no
+// machine to charge its compute to; the stream is refused with an error
+// naming the event, not folded into an index out of range.
+func TestAnalyzeRejectsMachinelessTaskEnd(t *testing.T) {
+	events := []trace.Event{
+		{Seq: 0, Kind: trace.KindJobBegin, Time: 0, Job: "j", Machine: trace.None, Cause: trace.None},
+		{Seq: 1, Kind: trace.KindTaskEnd, Time: 1, Job: "j", Machine: trace.None, End: 1, Cause: 0},
+		{Seq: 2, Kind: trace.KindJobEnd, Time: 1, Job: "j", Machine: trace.None, Cause: 1},
+	}
+	if rep, err := Analyze(events, nil); err == nil {
+		t.Fatalf("task-end on machine -1 accepted: %+v", rep)
+	} else if !strings.Contains(err.Error(), "event 1 is a task-end on machine -1") {
+		t.Errorf("error %q should name event 1 and its machine", err)
+	}
+}
+
 // TestAnalyzeRejectsCorruptSeq: reordered or truncated streams (seq gaps)
 // are refused with a descriptive error, not analyzed partially.
 func TestAnalyzeRejectsCorruptSeq(t *testing.T) {
