@@ -27,6 +27,17 @@ func BenchmarkFromEvents(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
 }
 
+// BenchmarkJobWindows is the autoscaler's per-job-run fold.
+func BenchmarkJobWindows(b *testing.B) {
+	events := tracetest.Capture(benchEvents, benchMachines)
+	topo := cluster.NewT1(benchMachines)
+	b.ReportAllocs()
+	for b.Loop() {
+		metrics.JobWindows(events, topo)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
+}
+
 // TestObserveAllocatesNothingOnceSeriesExist: folding an event into series
 // that exist, over windows they already span, allocates nothing — with a
 // topology (dense tables) and without (the on-demand table). The one event

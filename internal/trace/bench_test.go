@@ -77,6 +77,17 @@ func BenchmarkSummarize(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
 }
 
+// BenchmarkLabel is the run-resolution pass under Summarize, WriteChrome,
+// the analyzer's stage labels and metrics.JobWindows.
+func BenchmarkLabel(b *testing.B) {
+	events, _, _ := benchCapture(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		trace.Label(events)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
+}
+
 func BenchmarkWriteChrome(b *testing.B) {
 	events, _, _ := benchCapture(b)
 	b.ReportAllocs()
