@@ -36,6 +36,9 @@ go test -race ./...
 # (stricter than the reference is allowed, different is not); the committed
 # seeds already ran above.
 go test -run '^$' -fuzz FuzzReadEvents -fuzztime 10s ./internal/trace
+# And the Chrome export against the encoding/json writer it replaced: the
+# same bytes, and an error exactly where that one errs.
+go test -run '^$' -fuzz FuzzWriteChrome -fuzztime 10s ./internal/trace
 # And through every fold of what that reader accepts: the analyzer's report,
 # Summarize, WriteChrome and the job windows return or refuse, never panic.
 go test -run '^$' -fuzz FuzzAnalyze -fuzztime 10s ./internal/analyze

@@ -145,13 +145,17 @@ func TestBadInvocations(t *testing.T) {
 	empty, truncated := write("empty.events", ""), write("truncated.events", string(whole[:len(whole)/2]))
 	chrome := write("chrome.json", `{"displayTimeUnit":"ms","traceEvents":[{"name":"t","ph":"X","pid":1,"ts":5,"dur":1}]}`)
 	report := write("report.json", `{"schema":"surfer-bench/v1","entries":[{"experiment":"e","case":"c","metrics":{"m":1}}]}`)
-	// A stream the reader accepts but the analyzer cannot fold: a task-end
-	// that ran on no machine.
-	machineless := write("machineless.events", `{"format":"surfer-trace-events","version":1,"events":[
+	// Streams the reader accepts but the analyzer cannot fold: a task-end
+	// that ran on no machine, and one on a machine far past any cluster,
+	// which the report's per-machine table once grew to.
+	taskEndOn := func(name, machine string) string {
+		return write(name, `{"format":"surfer-trace-events","version":1,"events":[
 {"kind":0,"seq":0,"cause":-1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":0},
-{"kind":5,"seq":1,"cause":0,"job":"j","machine":-1,"dst":-1,"part":-1,"time":1,"end":1},
+{"kind":5,"seq":1,"cause":0,"job":"j","machine":`+machine+`,"dst":-1,"part":-1,"time":1,"end":1},
 {"kind":1,"seq":2,"cause":1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":1}
 ]}`)
+	}
+	machineless, far := taskEndOn("machineless.events", "-1"), taskEndOn("far.events", "8589934592")
 	for _, tc := range []struct {
 		args []string
 		code int
@@ -166,6 +170,7 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-compare", report, report, "-threshold", "lots"}, 1, `bad -threshold "lots"`},
 		{[]string{"-autoscale", bare}, 1, "bare.events: no topology header"},
 		{[]string{"-trace", machineless}, 1, "machineless.events: analyze: event 1 is a task-end on machine -1"},
+		{[]string{"-trace", far}, 1, "far.events: analyze: event 1 is a task-end on machine 8589934592"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.want) || stdout != "" {

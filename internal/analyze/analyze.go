@@ -209,6 +209,11 @@ func Analyze(events []trace.Event, topo *cluster.Topology) (*Report, error) {
 	return rep, nil
 }
 
+// maxMachines bounds the machine a task-end may name: the report keeps a
+// dense compute table up to the largest, and no cluster the tools build has
+// more than 128 machines.
+const maxMachines = 1 << 16
+
 // validate checks the causal envelope Analyze depends on.
 func validate(events []trace.Event) error {
 	for i := range events {
@@ -218,8 +223,8 @@ func validate(events []trace.Event) error {
 		if events[i].Cause < trace.None || events[i].Cause >= i {
 			return fmt.Errorf("analyze: event %d has acausal cause %d", i, events[i].Cause)
 		}
-		if events[i].Kind == trace.KindTaskEnd && events[i].Machine < 0 {
-			return fmt.Errorf("analyze: event %d is a task-end on machine %d", i, events[i].Machine)
+		if m := events[i].Machine; events[i].Kind == trace.KindTaskEnd && (m < 0 || m >= maxMachines) {
+			return fmt.Errorf("analyze: event %d is a task-end on machine %d, outside [0, %d)", i, m, maxMachines)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -79,18 +80,23 @@ func TestAnalyzeTrailingFailure(t *testing.T) {
 }
 
 // TestAnalyzeRejectsMachinelessTaskEnd: a task-end on machine -1 has no
-// machine to charge its compute to; the stream is refused with an error
-// naming the event, not folded into an index out of range.
+// machine to charge its compute to, and one on machine 1<<33 would size the
+// per-machine compute table past any cluster; each stream is refused with
+// an error naming the event, not folded into an index out of range or out
+// of memory.
 func TestAnalyzeRejectsMachinelessTaskEnd(t *testing.T) {
-	events := []trace.Event{
-		{Seq: 0, Kind: trace.KindJobBegin, Time: 0, Job: "j", Machine: trace.None, Cause: trace.None},
-		{Seq: 1, Kind: trace.KindTaskEnd, Time: 1, Job: "j", Machine: trace.None, End: 1, Cause: 0},
-		{Seq: 2, Kind: trace.KindJobEnd, Time: 1, Job: "j", Machine: trace.None, Cause: 1},
-	}
-	if rep, err := Analyze(events, nil); err == nil {
-		t.Fatalf("task-end on machine -1 accepted: %+v", rep)
-	} else if !strings.Contains(err.Error(), "event 1 is a task-end on machine -1") {
-		t.Errorf("error %q should name event 1 and its machine", err)
+	for _, machine := range []int{trace.None, 1 << 33} {
+		events := []trace.Event{
+			{Seq: 0, Kind: trace.KindJobBegin, Time: 0, Job: "j", Machine: trace.None, Cause: trace.None},
+			{Seq: 1, Kind: trace.KindTaskEnd, Time: 1, Job: "j", Machine: machine, End: 1, Cause: 0},
+			{Seq: 2, Kind: trace.KindJobEnd, Time: 1, Job: "j", Machine: trace.None, Cause: 1},
+		}
+		want := fmt.Sprintf("event 1 is a task-end on machine %d", machine)
+		if rep, err := Analyze(events, nil); err == nil {
+			t.Fatalf("task-end on machine %d accepted with %d compute entries", machine, len(rep.MachineCompute))
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q should name event 1 and its machine", err)
+		}
 	}
 }
 

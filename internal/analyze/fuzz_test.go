@@ -14,10 +14,10 @@ import (
 	"repro/internal/trace/tracetest"
 )
 
-// fuzzMachines bounds the machine IDs of a folded fuzz stream. The Chrome
-// export names a process for every ID up to the largest and the report
-// keeps a compute entry for each, so one event on machine 1<<40 asks for
-// tables no cluster has; only streams a cluster could write are folded.
+// fuzzMachines bounds the machine IDs of a stream handed to the Chrome
+// export, which names a process for every ID up to the largest: one event
+// on machine 1<<40 asks for more rows than any cluster has. Analyze refuses
+// such a stream itself.
 const fuzzMachines = 1 << 12
 
 // FuzzAnalyze: on any stream the reader accepts, every fold of it — the
@@ -44,20 +44,18 @@ func FuzzAnalyze(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(capture.Bytes())
-	// A task-end on no machine, which Analyze once indexed its table with.
-	f.Add([]byte(`{"format":"surfer-trace-events","version":1,"events":[
+	// A task-end on no machine, which Analyze once indexed its table with,
+	// and one on a machine far past any cluster, which it once sized it to.
+	for _, machine := range []string{"-1", "8589934592"} {
+		f.Add([]byte(`{"format":"surfer-trace-events","version":1,"events":[
 {"kind":0,"seq":0,"cause":-1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":0},
-{"kind":5,"seq":1,"cause":0,"job":"j","machine":-1,"dst":-1,"part":-1,"time":1,"end":1},
+{"kind":5,"seq":1,"cause":0,"job":"j","machine":` + machine + `,"dst":-1,"part":-1,"time":1,"end":1},
 {"kind":1,"seq":2,"cause":1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":1}]}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := trace.ReadEvents(bytes.NewReader(data))
 		if err != nil {
 			return
-		}
-		for i := range s.Events {
-			if s.Events[i].Machine >= fuzzMachines || s.Events[i].Dst >= fuzzMachines {
-				return
-			}
 		}
 		// Each fold may refuse the stream (JSON has no infinite span, say);
 		// only a panic fails the target, so the errors are not checked.
@@ -67,9 +65,22 @@ func FuzzAnalyze(f *testing.F) {
 			_ = analyze.WriteJSON(io.Discard, rep)
 		}
 		trace.Summarize(s.Events).WriteText(io.Discard)
-		_ = trace.WriteChrome(io.Discard, s.Events)
+		if chromeSized(s.Events) {
+			_ = trace.WriteChrome(io.Discard, s.Events)
+		}
 		if topo != nil {
 			metrics.JobWindows(s.Events, topo)
 		}
 	})
+}
+
+// chromeSized reports whether every machine the stream names is below
+// fuzzMachines.
+func chromeSized(events []trace.Event) bool {
+	for i := range events {
+		if events[i].Machine >= fuzzMachines || events[i].Dst >= fuzzMachines {
+			return false
+		}
+	}
+	return true
 }

@@ -83,7 +83,7 @@ func RunCheckpointed[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *
 				// The restore job is the failure's consequence, not normal
 				// job chaining: mark it so its trace event says so.
 				r.MarkNextJobRecovery()
-				rm, err := runRestoreJob(r, pg, pl, prog, ckpts[ckptIter], cfg.Replicas, ckptIter)
+				rm, err := runStateCopy(r, pg, pl, prog, ckpts[ckptIter], cfg.Replicas, ckptIter, true)
 				if err != nil {
 					return nil, total, err
 				}
@@ -94,7 +94,7 @@ func RunCheckpointed[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *
 		}
 		i++
 		if ckpt := ckpts[i]; ckpt != nil {
-			cm, err := runCheckpointJob(r, pg, pl, prog, ckpt, cfg.Replicas, i)
+			cm, err := runStateCopy(r, pg, pl, prog, ckpt, cfg.Replicas, i, false)
 			if err != nil {
 				return nil, total, err
 			}
@@ -130,78 +130,58 @@ func syncHolder(reps *storage.Replicas, p int, writer cluster.MachineID) cluster
 	return writer
 }
 
-// runCheckpointJob persists the state as a two-stage engine job: ckpt-write
-// writes each partition's state to its machine's disk, ckpt-sync ships a
-// copy to a replica holder and writes it there. All I/O flows through the
-// simulated disks and NICs.
-func runCheckpointJob[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], reps *storage.Replicas, iter int) (engine.Metrics, error) {
+// runStateCopy copies each partition's state between its machine and its
+// sync holder as a two-stage engine job; all I/O flows through the
+// simulated disks and NICs. A checkpoint's ckpt-write writes the state to
+// the machine's disk and ckpt-sync ships a copy to the holder, which writes
+// it too. A restore's restore-read reads the holder's durable copy and
+// restore-write ships it back to the partition's (possibly failed-over)
+// machine, which writes it locally.
+func runStateCopy[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], reps *storage.Replicas, iter int, restore bool) (engine.Metrics, error) {
+	prefix, first, second := "ckpt", "write", "sync"
+	if restore {
+		prefix, first, second = "restore", "read", "write"
+	}
 	bytesPer := statePartBytes(pg, prog, st)
-	p := pg.Part.P
-	write := make([]*engine.Task, p)
-	sync := make([]*engine.Task, p)
+	from := make([]*engine.Task, pg.Part.P)
+	to := make([]*engine.Task, pg.Part.P)
 	var totalBytes int64
-	for i := 0; i < p; i++ {
-		m := pl.MachineOf[i]
-		totalBytes += bytesPer[i]
-		write[i] = &engine.Task{
-			Name: fmt.Sprintf("ckpt-write-p%d", i), Kind: engine.KindTransfer,
-			Part: partition.PartID(i), Machine: m,
-			DiskWrite: bytesPer[i],
-			Outputs:   []engine.Output{{DstTask: i, Bytes: bytesPer[i]}},
+	for i := range from {
+		src, dst := pl.MachineOf[i], syncHolder(reps, i, pl.MachineOf[i])
+		if restore {
+			src, dst = dst, src
 		}
-		sync[i] = &engine.Task{
-			Name: fmt.Sprintf("ckpt-sync-p%d", i), Kind: engine.KindCombine,
-			Part: partition.PartID(i), Machine: syncHolder(reps, i, m),
+		totalBytes += bytesPer[i]
+		from[i] = &engine.Task{
+			Name: fmt.Sprintf("%s-%s-p%d", prefix, first, i), Kind: engine.KindTransfer,
+			Part: partition.PartID(i), Machine: src,
+			Outputs: []engine.Output{{DstTask: i, Bytes: bytesPer[i]}},
+		}
+		if restore {
+			from[i].DiskRead = bytesPer[i]
+		} else {
+			from[i].DiskWrite = bytesPer[i]
+		}
+		to[i] = &engine.Task{
+			Name: fmt.Sprintf("%s-%s-p%d", prefix, second, i), Kind: engine.KindCombine,
+			Part: partition.PartID(i), Machine: dst,
 			DiskWrite: bytesPer[i],
 		}
 	}
-	name := fmt.Sprintf("ckpt-%03d", iter)
+	name := fmt.Sprintf("%s-%03d", prefix, iter)
 	m, err := r.Run(&engine.Job{Name: name, Stages: []*engine.Stage{
-		{Name: "ckpt-write", Tasks: write},
-		{Name: "ckpt-sync", Tasks: sync},
+		{Name: prefix + "-" + first, Tasks: from},
+		{Name: prefix + "-" + second, Tasks: to},
 	}})
 	if err != nil {
 		return m, err
 	}
-	r.NoteCheckpoint(name, totalBytes)
-	m.Checkpoints++
-	return m, nil
-}
-
-// runRestoreJob reloads the last checkpoint: restore-read reads each
-// partition's durable copy on its sync holder, restore-write ships it back
-// to the partition's (possibly failed-over) machine and writes it locally.
-func runRestoreJob[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], reps *storage.Replicas, iter int) (engine.Metrics, error) {
-	bytesPer := statePartBytes(pg, prog, st)
-	p := pg.Part.P
-	read := make([]*engine.Task, p)
-	write := make([]*engine.Task, p)
-	var totalBytes int64
-	for i := 0; i < p; i++ {
-		m := pl.MachineOf[i]
-		holder := syncHolder(reps, i, m)
-		totalBytes += bytesPer[i]
-		read[i] = &engine.Task{
-			Name: fmt.Sprintf("restore-read-p%d", i), Kind: engine.KindTransfer,
-			Part: partition.PartID(i), Machine: holder,
-			DiskRead: bytesPer[i],
-			Outputs:  []engine.Output{{DstTask: i, Bytes: bytesPer[i]}},
-		}
-		write[i] = &engine.Task{
-			Name: fmt.Sprintf("restore-write-p%d", i), Kind: engine.KindCombine,
-			Part: partition.PartID(i), Machine: m,
-			DiskWrite: bytesPer[i],
-		}
+	if restore {
+		r.NoteRestore(name, totalBytes)
+		m.Restores++
+	} else {
+		r.NoteCheckpoint(name, totalBytes)
+		m.Checkpoints++
 	}
-	name := fmt.Sprintf("restore-%03d", iter)
-	m, err := r.Run(&engine.Job{Name: name, Stages: []*engine.Stage{
-		{Name: "restore-read", Tasks: read},
-		{Name: "restore-write", Tasks: write},
-	}})
-	if err != nil {
-		return m, err
-	}
-	r.NoteRestore(name, totalBytes)
-	m.Restores++
 	return m, nil
 }

@@ -131,3 +131,32 @@ func TestReadEventsAllocations(t *testing.T) {
 		t.Errorf("%d events read with %.0f allocations, want a few hundred at most", nSmall, small)
 	}
 }
+
+// TestWriterAllocations pins what each writer allocates over one small
+// capture, at the counts measured when WriteChrome moved onto the codec's
+// append helpers: WriteEvents allocates its block buffer; WriteChrome that,
+// the run labels and a name per machine lane, transfer, drop and retry row.
+// An allocation per field would add thousands.
+func TestWriterAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	events := tracetest.Capture(2000, 8)
+	for _, w := range []struct {
+		name    string
+		ceiling float64
+		write   func() error
+	}{
+		{"WriteEvents", 1, func() error { return trace.WriteEvents(io.Discard, nil, events) }},
+		{"WriteChrome", 6234, func() error { return trace.WriteChrome(io.Discard, events) }},
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := w.write(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > w.ceiling {
+			t.Errorf("%s: %.0f allocations over %d events, want at most %.0f", w.name, allocs, len(events), w.ceiling)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -16,9 +14,12 @@ import (
 // stage-barrier spans. docs/METRICS.md §4 lists every rendering.
 //
 // Times are microseconds of virtual time. The writer emits events in
-// stream order with struct-driven field order and strconv float
-// formatting, so identical event streams produce byte-identical files —
-// the property the determinism tests pin down.
+// stream order, each row's fields in one fixed order (name, ph, cat, pid,
+// tid, ts, dur, s, args) and every value in encoding/json's form through
+// the raw codec's append helpers (events.go), so identical event streams
+// produce byte-identical files — the property the determinism tests pin
+// down. The encoding/json writer this replaced is the reference
+// FuzzWriteChrome holds it to.
 
 // Thread lane IDs within a machine process.
 const (
@@ -27,97 +28,99 @@ const (
 	laneIngress
 )
 
-// chromeEvent is one trace_event entry. Field order (and therefore output
-// byte layout) is fixed by the struct; optional fields are omitted when
-// empty so instant and metadata events stay minimal.
-type chromeEvent struct {
-	Name  string      `json:"name"`
-	Ph    string      `json:"ph"`
-	Cat   string      `json:"cat,omitempty"`
-	Pid   int         `json:"pid"`
-	Tid   int         `json:"tid"`
-	Ts    float64     `json:"ts"`
-	Dur   *float64    `json:"dur,omitempty"`
-	Scope string      `json:"s,omitempty"`
-	Args  *chromeArgs `json:"args,omitempty"`
-}
-
-// chromeArgs carries the structured payload of an event. Only the fields
-// relevant to the event kind are set.
-type chromeArgs struct {
-	Name    string   `json:"name,omitempty"` // metadata events
-	Part    *int     `json:"part,omitempty"`
-	Bytes   *int64   `json:"bytes,omitempty"`
-	Src     *int     `json:"src,omitempty"`
-	Dst     *int     `json:"dst,omitempty"`
-	StallUs *float64 `json:"stall_us,omitempty"`
-	Incast  bool     `json:"incast,omitempty"`
-	Job     string   `json:"job,omitempty"`
-}
-
-func usec(t float64) float64 { return t * 1e6 }
-
-func ptrF(v float64) *float64 { return &v }
-func ptrI(v int) *int         { return &v }
-func ptrB(v int64) *int64     { return &v }
-
 // WriteChrome writes the event stream as Chrome trace_event JSON, one event
 // per line inside the traceEvents array so diffs and golden files stay
 // readable, in blocks of at least writeBlock bytes (the last one excepted).
+// A time that is NaN or infinite in microseconds is an error, as it is for
+// encoding/json.
 func WriteChrome(w io.Writer, events []Event) error {
 	maxMachine := None
 	for i := range events {
 		maxMachine = max(maxMachine, events[i].Machine, events[i].Dst)
 	}
 	jobPid := maxMachine + 1
-
 	runs := Label(events)
 
-	buf := bytes.NewBufferString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-	enc := json.NewEncoder(buf)
-	var cur chromeEvent // emit encodes through one copy, not one per event
+	buf := make([]byte, 0, writeBlock+4096)
+	buf = append(buf, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"...)
+	// scratch backs each row's args: the object's fields, each with a
+	// leading comma that emit drops from the first. It is non-nil, so a row
+	// whose args has no field still writes "args":{}.
+	scratch := make([]byte, 0, 256)
 	sep := ""
 	var err error
-	emit := func(ce chromeEvent) {
-		if err != nil {
-			return
+	// usec appends a time in microseconds; JSON has no NaN or infinity.
+	usec := func(dst []byte, key string, t float64) []byte {
+		us := t * 1e6
+		if us-us != 0 && err == nil {
+			err = fmt.Errorf("trace: chrome: unsupported float value %v", us)
 		}
-		buf.WriteString(sep)
+		return appendFloat(dst, key, us, false)
+	}
+	num := func(dst []byte, key string, v int) []byte { return appendInt(dst, key, int64(v), false) }
+	// emit appends one row, flushing the buffer once it holds a block; a
+	// nil args leaves the args object out.
+	emit := func(name, ph, cat string, pid, tid int, ts, dur float64, scope string, args []byte) {
+		buf = append(buf, sep...)
 		sep = ",\n"
-		cur = ce
-		if err = enc.Encode(&cur); err != nil {
-			return
+		buf = appendString(buf, `{"name":`, name)
+		if name == "" { // which appendString leaves out, as omitempty would
+			buf = append(buf, `{"name":""`...)
 		}
-		buf.Truncate(buf.Len() - 1) // Encode's newline
-		if buf.Len() >= writeBlock {
-			_, err = w.Write(buf.Bytes())
-			buf.Reset()
+		buf = appendString(buf, `,"ph":`, ph)
+		buf = appendString(buf, `,"cat":`, cat)
+		buf = num(buf, `,"pid":`, pid)
+		buf = num(buf, `,"tid":`, tid)
+		buf = usec(buf, `,"ts":`, ts)
+		if ph == "X" {
+			buf = usec(buf, `,"dur":`, dur)
+		}
+		buf = appendString(buf, `,"s":`, scope)
+		if args != nil {
+			buf = append(append(buf, `,"args":{`...), args[min(1, len(args)):]...)
+			buf = append(buf, '}')
+		}
+		buf = append(buf, '}')
+		if len(buf) >= writeBlock {
+			if err == nil {
+				_, err = w.Write(buf)
+			}
+			buf = buf[:0]
 		}
 	}
 	meta := func(pid, tid int, name, value string) {
-		emit(chromeEvent{Name: name, Ph: "M", Pid: pid, Tid: tid, Args: &chromeArgs{Name: value}})
+		emit(name, "M", "", pid, tid, 0, 0, "", appendString(scratch[:0], `,"name":`, value))
 	}
-	span := func(name, cat string, pid, tid int, start, end float64, args *chromeArgs) {
-		emit(chromeEvent{Name: name, Ph: "X", Cat: cat, Pid: pid, Tid: tid,
-			Ts: usec(start), Dur: ptrF(usec(end - start)), Args: args})
+	span := func(name, cat string, pid, tid int, start, end float64, args []byte) {
+		emit(name, "X", cat, pid, tid, start, end-start, "", args)
 	}
-	instant := func(name, cat string, pid, tid int, at float64, scope string, args *chromeArgs) {
-		emit(chromeEvent{Name: name, Ph: "i", Cat: cat, Pid: pid, Tid: tid, Ts: usec(at), Scope: scope, Args: args})
+	instant := func(name, cat string, pid, tid int, at float64, scope string, args []byte) {
+		emit(name, "i", cat, pid, tid, at, 0, scope, args)
+	}
+	taskArgs := func(ev *Event) []byte {
+		if ev.Part == None {
+			return nil
+		}
+		return num(scratch[:0], `,"part":`, ev.Part)
+	}
+	// link appends the payload every row of an event that held a NIC carries.
+	link := func(dst []byte, ev *Event) []byte {
+		return num(num(appendInt(dst, `,"bytes":`, ev.Bytes, false), `,"src":`, ev.Machine), `,"dst":`, ev.Dst)
 	}
 	// pair renders a transfer or a migration, which hold two NICs: a span on
 	// the sender's egress lane and one on the receiver's ingress lane,
-	// sharing one payload and one dur.
+	// sharing one payload.
 	pair := func(send, recv, cat string, ev *Event) {
-		args := &chromeArgs{Bytes: ptrB(ev.Bytes), Src: ptrI(ev.Machine), Dst: ptrI(ev.Dst),
-			StallUs: ptrF(usec(ev.Stall)), Incast: ev.Incast && ev.Kind == KindTransfer}
+		args := scratch[:0]
 		if ev.Part != None {
-			args.Part = ptrI(ev.Part)
+			args = num(args, `,"part":`, ev.Part)
 		}
-		dur := ptrF(usec(ev.End - ev.Start))
-		emit(chromeEvent{Name: fmt.Sprintf("%sm%02d", send, ev.Dst), Ph: "X", Cat: cat,
-			Pid: ev.Machine, Tid: laneEgress, Ts: usec(ev.Start), Dur: dur, Args: args})
-		emit(chromeEvent{Name: fmt.Sprintf("%sm%02d", recv, ev.Machine), Ph: "X", Cat: cat,
-			Pid: ev.Dst, Tid: laneIngress, Ts: usec(ev.Start), Dur: dur, Args: args})
+		args = usec(link(args, ev), `,"stall_us":`, ev.Stall)
+		if ev.Incast && ev.Kind == KindTransfer {
+			args = append(args, `,"incast":true`...)
+		}
+		span(fmt.Sprintf("%sm%02d", send, ev.Dst), cat, ev.Machine, laneEgress, ev.Start, ev.End, args)
+		span(fmt.Sprintf("%sm%02d", recv, ev.Machine), cat, ev.Dst, laneIngress, ev.Start, ev.End, args)
 	}
 
 	// Metadata: name every machine process and its lanes, then the job row.
@@ -140,7 +143,7 @@ func WriteChrome(w io.Writer, events []Event) error {
 			}
 		case KindStageBegin:
 			if run := runs.Stages[runs.Stage[i]]; run.Ended {
-				span(ev.Stage, "stage", jobPid, 1, ev.Time, run.End, &chromeArgs{Job: ev.Job})
+				span(ev.Stage, "stage", jobPid, 1, ev.Time, run.End, appendString(scratch[:0], `,"job":`, ev.Job))
 			}
 		case KindTaskEnd:
 			span(ev.Name, "task", ev.Machine, laneTasks, ev.Start, ev.End, taskArgs(ev))
@@ -156,15 +159,14 @@ func WriteChrome(w io.Writer, events []Event) error {
 			instant(ev.Kind.String(), "elastic", ev.Machine, laneTasks, ev.Time, "p", nil)
 		case KindCheckpoint, KindRestore:
 			instant(ev.Kind.String(), "checkpoint", jobPid, 0, ev.Time, "p",
-				&chromeArgs{Bytes: ptrB(ev.Bytes), Job: ev.Job})
+				appendString(appendInt(scratch[:0], `,"bytes":`, ev.Bytes, false), `,"job":`, ev.Job))
 		case KindTransferDrop:
 			// The failed attempt held the sender's egress NIC from Start until
 			// the timeout at End: a span shows the wasted NIC time.
-			span(fmt.Sprintf("drop→m%02d", ev.Dst), "fault", ev.Machine, laneEgress, ev.Start, ev.End,
-				&chromeArgs{Bytes: ptrB(ev.Bytes), Src: ptrI(ev.Machine), Dst: ptrI(ev.Dst)})
+			span(fmt.Sprintf("drop→m%02d", ev.Dst), "fault", ev.Machine, laneEgress, ev.Start, ev.End, link(scratch[:0], ev))
 		case KindTransferRetry:
 			instant(fmt.Sprintf("transfer-retry→m%02d", ev.Dst), "fault", ev.Machine, laneEgress, ev.Time, "t",
-				&chromeArgs{Dst: ptrI(ev.Dst)})
+				num(scratch[:0], `,"dst":`, ev.Dst))
 		case KindTransfer:
 			pair("send→", "recv←", "transfer", ev)
 		case KindPartitionMigrate:
@@ -173,15 +175,8 @@ func WriteChrome(w io.Writer, events []Event) error {
 		}
 	}
 	if err == nil {
-		buf.WriteString("\n]}\n")
-		_, err = w.Write(buf.Bytes())
+		buf = append(buf, "\n]}\n"...)
+		_, err = w.Write(buf)
 	}
 	return err
-}
-
-func taskArgs(ev *Event) *chromeArgs {
-	if ev.Part == None {
-		return nil
-	}
-	return &chromeArgs{Part: ptrI(ev.Part)}
 }
