@@ -92,6 +92,21 @@ go run ./cmd/surfer-metrics -trace "$smoke/run.events" -prom | grep -q surfer_se
 # (nonzero exit on a malformed or acausal stream) and emit the blame table.
 go run ./cmd/surfer-analyze -trace "$smoke/run.events" > "$smoke/report.txt"
 grep -q "blame attribution" "$smoke/report.txt"
+# And it refuses the Chrome export in the scan itself, as the other format
+# rather than a damaged stream.
+if go run ./cmd/surfer-analyze -trace "$smoke/trace.json" 2> "$smoke/chrome-refused.txt"; then
+    echo "surfer-analyze accepted a Chrome export" >&2
+    exit 1
+fi
+grep -q "not a raw event trace" "$smoke/chrome-refused.txt"
+# A window far shorter than the run is refused in one line, not grown until
+# memory runs out; the address-space limit makes a regression fail fast.
+go build -o "$smoke/surfer-metrics" ./cmd/surfer-metrics
+if (ulimit -v 4000000 && "$smoke/surfer-metrics" -trace "$smoke/run.events" -window 1e-12) 2> "$smoke/window-refused.txt"; then
+    echo "surfer-metrics accepted a 1e-12 s window" >&2
+    exit 1
+fi
+grep -q "windows a series may hold" "$smoke/window-refused.txt"
 # Bench report schema + regression gate: a small table1 run must emit a
 # valid surfer-bench/v1 report, and comparing it against itself must pass.
 go run ./cmd/surfer-bench -experiment table1 -vertices 8192 -machines 8 \

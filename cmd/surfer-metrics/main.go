@@ -109,7 +109,7 @@ func derive(path string, window float64, rulesPath string) (*metrics.Set, []metr
 			return err
 		}, func(ev *trace.Event) error {
 			col.Observe(ev)
-			return nil
+			return col.Err()
 		})
 		if err != nil {
 			return nil, nil, err

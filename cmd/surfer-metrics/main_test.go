@@ -119,6 +119,15 @@ func seriesFile(window float64, windows int, values string) string {
 	return fmt.Sprintf(`{"format":"surfer-metrics-series","version":1,"window":%g,"windows":%d,"series":[%s]}`, window, windows, series)
 }
 
+// farStream is a three-event job whose middle event has the given kind,
+// machines and times.
+func farStream(fields string) string {
+	return `{"format":"surfer-trace-events","version":1,"topology":null,"events":[
+{"kind":0,"seq":0,"cause":-1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":0},
+{"seq":1,"cause":0,"job":"j","part":-1,` + fields + `},
+{"kind":1,"seq":2,"cause":1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":1}]}`
+}
+
 func TestBadInvocations(t *testing.T) {
 	dir := t.TempDir()
 	events, series := filepath.Join(dir, "run.events"), filepath.Join(dir, "live.series")
@@ -154,6 +163,12 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-trace", events, "-window", "NaN"}, 1, "-window NaN: want 0 (automatic) or a positive number"},
 		{[]string{"-trace", events, "-window", "-1"}, 1, "-window -1: want 0 (automatic) or a positive number"},
 		{[]string{"-trace", events, "-window", "Inf"}, 1, "metrics: window must be positive and finite, got +Inf"},
+		// was: a series grown until the process ran out of memory.
+		{[]string{"-trace", events, "-window", "1e-12"}, 1, "which a 1e-12 s window puts past the 1048576 windows a series may hold"},
+		// was: index out of range [-9223372036854775808].
+		{[]string{"-trace", write("far.events", farStream(`"kind":14,"machine":-1,"dst":-1,"time":1e300`)), "-window", "1"}, 1, "far.events: metrics: event 1 reaches t = 1e+300 s, which a 1 s window puts past the 1048576 windows"},
+		// was: out of memory, at the automatic window.
+		{[]string{"-trace", write("farend.events", farStream(`"kind":7,"machine":0,"dst":1,"bytes":8,"time":1,"start":1,"end":1e300`))}, 1, "farend.events: metrics: event 1 reaches t = 1e+300 s, which a 0.03125 s window puts past the 1048576 windows"},
 
 		{[]string{"-trace", missing}, 1, "missing"},
 		{[]string{"-trace", empty}, 1, "empty: trace: not a raw event trace"},

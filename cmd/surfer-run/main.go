@@ -141,6 +141,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 
 		if *metricsOut != "" {
+			if err := col.Err(); err != nil {
+				return err
+			}
 			// Finish seals the remaining windows — final alert transitions are
 			// emitted here, so it must precede the trace/event writers.
 			set := col.Finish()

@@ -152,6 +152,8 @@ func TestBadInvocations(t *testing.T) {
 		{small(g, "-heartbeat", "-1"), 1, "Config.HeartbeatInterval = -1"},
 		// was: a series that grew until the process was killed.
 		{small(g, "-metrics", missing+".series", "-metrics-window", "NaN"), 1, "metrics: window must be positive and finite, got NaN"},
+		// was: a series grown until the process ran out of memory.
+		{small(g, "-metrics", missing+".series", "-metrics-window", "1e-12"), 1, "s window puts past the 1048576 windows a series may hold"},
 		{small(g, "-rules", write("slo.json", `{"rules":[]}`)), 1, "-rules needs -metrics"},
 
 		{[]string{"-graph", missing + ".srfg"}, 1, "missing.srfg"},

@@ -37,8 +37,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *in == "" {
 			return errors.New("missing -in trace.json")
 		}
-		// The reader sniffs the raw-trace marker from the first bytes of the
-		// file; what does not carry it is read as the other export.
+		// The scan refuses a file that has not named the raw-trace format
+		// before its body; what it refuses so is read as the other export.
 		err := checkRaw(stdout, *in, *breakdown)
 		if !errors.Is(err, trace.ErrNotStream) {
 			return err

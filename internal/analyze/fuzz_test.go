@@ -20,10 +20,15 @@ import (
 // such a stream itself.
 const fuzzMachines = 1 << 12
 
+// fuzzWindow is the fixed window the metrics fold runs at beside the
+// automatic one.
+const fuzzWindow = 0.25
+
 // FuzzAnalyze: on any stream the reader accepts, every fold of it — the
-// analyzer's report and both its renderings, Summarize, WriteChrome and,
-// when the stream carries a topology header, metrics.JobWindows — returns
-// or refuses, and never panics.
+// analyzer's report and both its renderings, Summarize, WriteChrome, the
+// metrics fold at the automatic window and at a fixed one and, when the
+// stream carries a topology header, metrics.JobWindows and Autoscale —
+// returns or refuses, and never panics.
 //
 //	go test -run '^$' -fuzz FuzzAnalyze -fuzztime 30s ./internal/analyze
 func FuzzAnalyze(f *testing.F) {
@@ -52,6 +57,14 @@ func FuzzAnalyze(f *testing.F) {
 {"kind":5,"seq":1,"cause":0,"job":"j","machine":` + machine + `,"dst":-1,"part":-1,"time":1,"end":1},
 {"kind":1,"seq":2,"cause":1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":1}]}`))
 	}
+	// A job-queued and a transfer's end far past any window count, which
+	// the metrics fold once indexed a series with and grew one to.
+	for _, far := range []string{`"kind":14,"machine":-1,"dst":-1,"time":1e300`, `"kind":7,"machine":0,"dst":1,"bytes":8,"time":1,"start":1,"end":1e300`} {
+		f.Add([]byte(`{"format":"surfer-trace-events","version":1,"topology":null,"events":[
+{"kind":0,"seq":0,"cause":-1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":0},
+{"seq":1,"cause":0,"job":"j","part":-1,` + far + `},
+{"kind":1,"seq":2,"cause":1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":1}]}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := trace.ReadEvents(bytes.NewReader(data))
 		if err != nil {
@@ -68,8 +81,13 @@ func FuzzAnalyze(f *testing.F) {
 		if chromeSized(s.Events) {
 			_ = trace.WriteChrome(io.Discard, s.Events)
 		}
+		if w := metrics.AutoWindow(s.Events); w > 0 {
+			_, _, _ = metrics.FromEvents(s.Events, metrics.Config{Window: w, Topo: topo})
+		}
+		_, _, _ = metrics.FromEvents(s.Events, metrics.Config{Window: fuzzWindow, Topo: topo})
 		if topo != nil {
 			metrics.JobWindows(s.Events, topo)
+			_, _ = analyze.Autoscale(s.Events, topo)
 		}
 	})
 }

@@ -36,13 +36,15 @@ type TCValue struct {
 	Count int64
 }
 
-type tcProgram struct {
-	propagation.NonAssociative[TCValue]
+// tcSample is the graph and the 1-in-ratio vertex sample both programs and
+// ReferenceTC count triangles among.
+type tcSample struct {
 	g     *graph.Graph
 	ratio int
 }
 
-func (p *tcProgram) selectedNeighbors(v graph.VertexID) []graph.VertexID {
+// selectedNeighbors lists v's sampled neighbors, in adjacency order.
+func (p tcSample) selectedNeighbors(v graph.VertexID) []graph.VertexID {
 	var out []graph.VertexID
 	for _, w := range p.g.Neighbors(v) {
 		if Selected(uint32(w), p.ratio) {
@@ -50,6 +52,11 @@ func (p *tcProgram) selectedNeighbors(v graph.VertexID) []graph.VertexID {
 		}
 	}
 	return out
+}
+
+type tcProgram struct {
+	propagation.NonAssociative[TCValue]
+	tcSample
 }
 
 func (p *tcProgram) Init(graph.VertexID) TCValue { return TCValue{} }
@@ -104,7 +111,7 @@ func intersectCount(a, b []graph.VertexID) int64 {
 
 // RunPropagation returns the total directed-triangle count over the sample.
 func (a *TC) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
-	prog := &tcProgram{g: pg.G, ratio: a.ratio}
+	prog := &tcProgram{tcSample: tcSample{pg.G, a.ratio}}
 	st := propagation.NewState[TCValue](pg, prog)
 	st, m, err := propagation.Iterate(r, pg, pl, prog, st, opt)
 	if err != nil {
@@ -120,18 +127,7 @@ func (a *TC) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *
 // tcMR mirrors the propagation logic under MapReduce: map ships neighbor
 // lists keyed by the destination vertex, reduce intersects.
 type tcMR struct {
-	g     *graph.Graph
-	ratio int
-}
-
-func (p *tcMR) selectedNeighbors(v graph.VertexID) []graph.VertexID {
-	var out []graph.VertexID
-	for _, w := range p.g.Neighbors(v) {
-		if Selected(uint32(w), p.ratio) {
-			out = append(out, w)
-		}
-	}
-	return out
+	tcSample
 }
 
 func (p *tcMR) Map(pi *storage.PartInfo, g *graph.Graph, emit func(graph.VertexID, []graph.VertexID)) {
@@ -162,7 +158,7 @@ func (p *tcMR) ResultBytes(int64) int64                              { return 12
 
 // RunMapReduce returns the total triangle count.
 func (a *TC) RunMapReduce(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement) (any, engine.Metrics, error) {
-	prog := &tcMR{g: pg.G, ratio: a.ratio}
+	prog := &tcMR{tcSample{pg.G, a.ratio}}
 	res, m, err := mapreduce.Run[graph.VertexID, []graph.VertexID, int64](r, pg, pl, prog, mapreduce.Options{})
 	if err != nil {
 		return nil, m, err
@@ -176,25 +172,15 @@ func (a *TC) RunMapReduce(r *engine.Runner, pg *storage.PartitionedGraph, pl *pa
 
 // ReferenceTC counts directed triangles among the sample sequentially.
 func ReferenceTC(g *graph.Graph, ratio int) int64 {
+	sample := tcSample{g, ratio}
 	var total int64
 	for u := 0; u < g.NumVertices(); u++ {
 		if !Selected(uint32(u), ratio) {
 			continue
 		}
-		var nu []graph.VertexID
-		for _, w := range g.Neighbors(graph.VertexID(u)) {
-			if Selected(uint32(w), ratio) {
-				nu = append(nu, w)
-			}
-		}
+		nu := sample.selectedNeighbors(graph.VertexID(u))
 		for _, v := range nu {
-			var nv []graph.VertexID
-			for _, w := range g.Neighbors(v) {
-				if Selected(uint32(w), ratio) {
-					nv = append(nv, w)
-				}
-			}
-			total += intersectCount(nu, nv)
+			total += intersectCount(nu, sample.selectedNeighbors(v))
 		}
 	}
 	return total

@@ -118,11 +118,7 @@ func (a *VDD) RunMapReduce(r *engine.Runner, pg *storage.PartitionedGraph, pl *p
 	if err != nil {
 		return nil, m, err
 	}
-	hist := make(map[int]int64, len(res))
-	for d, c := range res {
-		hist[d] = c
-	}
-	return hist, m, nil
+	return res, m, nil
 }
 
 // ReferenceVDD computes the histogram sequentially.

@@ -42,6 +42,12 @@ import (
 // signals of short tasks and transfers land before their window is judged.
 const sealLagWindows = 1
 
+// maxWindows bounds the windows a series may hold. Every window index the
+// fold computes comes from an event's Time, Start or End, so Observe checks
+// the furthest of the three before it folds an event: a time far past the
+// run, or a window far shorter than it, is refused rather than allocated.
+const maxWindows = 1 << 20
+
 // Config parameterizes a Collector.
 type Config struct {
 	// Window is the fixed virtual-clock window length in seconds. Required.
@@ -87,7 +93,8 @@ type Collector struct {
 	alerts   []Alert
 	emit     func(trace.Event) int // live alert emission; nil offline
 	finished bool
-	presize  int // windows of capacity a new accumulator starts with
+	presize  int   // windows of capacity a new accumulator starts with
+	err      error // the refusal of an event past maxWindows; nothing folds after it
 }
 
 // NewCollector validates cfg and returns an empty collector.
@@ -140,9 +147,17 @@ func FromEvents(events []trace.Event, cfg Config) (*Set, []Alert, error) {
 	for i := range events {
 		c.Observe(&events[i])
 	}
+	if c.err != nil {
+		return nil, nil, c.err
+	}
 	set := c.Finish()
 	return set, c.Alerts(), nil
 }
+
+// Err reports the event that stopped the fold, if one did: one whose Time,
+// Start or End lies maxWindows windows or more past zero. Observe ignores
+// every event after it; Finish returns the series folded before it.
+func (c *Collector) Err() error { return c.err }
 
 // AutoWindow sizes a window for a captured stream whose length is only known
 // afterwards: a thirty-second of the makespan, 0 for a stream that never
@@ -397,7 +412,7 @@ func (c *Collector) linkOK(src, dst int) bool {
 // Observe folds one event. Events must arrive in Seq order (the Recorder
 // guarantees this live; FromEvents replays captures in stream order).
 func (c *Collector) Observe(ev *trace.Event) {
-	if c == nil || c.finished {
+	if c == nil || c.finished || c.err != nil {
 		return
 	}
 	switch ev.Kind {
@@ -405,6 +420,11 @@ func (c *Collector) Observe(ev *trace.Event) {
 		// Alerts are outputs of this fold, not inputs: skipping them makes
 		// deriving from a live capture (which contains them) reproduce the
 		// live series exactly, and keeps the rule engine from feeding back.
+		return
+	}
+	if far := max(ev.Time, ev.Start, ev.End); !(far/c.cfg.Window < maxWindows) {
+		c.err = fmt.Errorf("metrics: event %d reaches t = %g s, which a %g s window puts past the %d windows a series may hold",
+			ev.Seq, far, c.cfg.Window, maxWindows)
 		return
 	}
 

@@ -490,40 +490,45 @@ func TestReadEventsReturnsReaderError(t *testing.T) {
 	}
 }
 
-// TestSniffFormat: the format is read off the head of the file, so
-// ReadFile and ScanFile refuse another format without reading it.
+// TestSniffFormat: the format is read off the head of the input in the one
+// scan, so anything that has not named StreamFormat before it fails is
+// ErrNotStream, and another format's body is refused without being read.
 func TestSniffFormat(t *testing.T) {
-	var file bytes.Buffer
-	topo := &TopoInfo{Name: "T1", Machines: 2, Bandwidth: [][]float64{{1, 2}, {3, 4}}}
-	if err := WriteEvents(&file, topo, manyEvents(2000)); err != nil {
-		t.Fatal(err)
-	}
-	head := &countingReader{r: bytes.NewReader(file.Bytes())}
-	if got := sniffFormat(head); got != StreamFormat {
-		t.Fatalf("sniffed %q from a raw stream", got)
-	}
-	if head.n > 128<<10 {
-		t.Errorf("sniffing read %d of %d bytes", head.n, file.Len())
-	}
-	for in, want := range map[string]string{
-		`{"version":1,"topology":{"a":[1]},"format":"x","events":[]}`: "x",
-		`{"displayTimeUnit":"ms","traceEvents":[],"format":"x"}`:      "",
-		`{"events":[],"format":"x"}`:                                  "",
-		`{"format":7}`:                                                "",
-		`{"format":"x`:                                                "",
-		`["format"]`:                                                  "",
-		``:                                                            "",
+	none := func(*Stream) error { return nil }
+	skip := func(*Event) error { return nil }
+	for _, in := range []string{
+		`{"version":1,"topology":{"a":[1]},"format":"x","events":[]}`,
+		`{"displayTimeUnit":"ms","traceEvents":[],"format":"x"}`,
+		`{"events":[],"format":"x"}`,
+		`{"format":7}`,
+		`{"format":"x`,
+		`["format"]`,
+		``,
 	} {
-		if got := sniffFormat(strings.NewReader(in)); got != want {
-			t.Errorf("%s: sniffed %q, want %q", in, got, want)
+		if err := ScanEvents(strings.NewReader(in), none, skip); !errors.Is(err, ErrNotStream) {
+			t.Errorf("%s: %v, want ErrNotStream", in, err)
 		}
 	}
 	chrome, err := os.ReadFile(filepath.Join("testdata", "chrome_golden.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sniffFormat(bytes.NewReader(chrome)); got != "" {
-		t.Errorf("sniffed %q from a Chrome export", got)
+	// And a Chrome export far larger than the reader's buffer.
+	var big bytes.Buffer
+	if err := WriteChrome(&big, manyEvents(5000)); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{chrome, big.Bytes()} {
+		r := &countingReader{r: bytes.NewReader(data)}
+		if err := ScanEvents(r, none, skip); !errors.Is(err, ErrNotStream) || !strings.Contains(err.Error(), "Chrome exports cannot be analyzed") {
+			t.Errorf("Chrome export of %d bytes: %v", len(data), err)
+		}
+		if r.n > 128<<10 {
+			t.Errorf("refusing a Chrome export read %d of %d bytes", r.n, len(data))
+		}
+	}
+	if big.Len() < 1<<20 {
+		t.Fatalf("the large Chrome export is only %d bytes", big.Len())
 	}
 }
 

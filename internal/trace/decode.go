@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -31,7 +29,7 @@ type decoder struct {
 	// which is the next one more often than not.
 	names   map[string]string
 	last    [keyName + 1]string
-	scratch []byte // unquoted form of the string in hand
+	scratch []byte // decoded form of the string in hand
 }
 
 // maxInterned bounds the intern table: past it a new name is allocated per
@@ -177,7 +175,7 @@ func (d *decoder) literal(lit string) error {
 // str consumes a string literal and returns the bytes between its quotes,
 // a view of the buffer valid until the next read. plain reports that they
 // are the string itself: ASCII with no escape. Control bytes are refused
-// here, bad escapes by unquote.
+// here, bad escapes by text.
 func (d *decoder) str() (raw []byte, plain bool, err error) {
 	if err := d.expect('"'); err != nil {
 		return nil, false, err
@@ -222,97 +220,21 @@ func (d *decoder) key() ([]byte, error) {
 	return raw, err
 }
 
-// text consumes a string literal and returns its value, unquoted into
-// scratch when it is not plain.
+// text consumes a string literal and returns its value. One that is not
+// plain is decoded by encoding/json itself from a copy of its quoted bytes
+// in scratch: after a refill the opening quote is no longer in the buffer.
 func (d *decoder) text() ([]byte, error) {
 	raw, plain, err := d.str()
 	if err != nil || plain {
 		return raw, err
 	}
-	return d.unquote(raw)
-}
-
-// unquote resolves escapes and coerces invalid UTF-8 to U+FFFD exactly as
-// encoding/json does; an unpaired surrogate escape becomes U+FFFD too.
-func (d *decoder) unquote(s []byte) ([]byte, error) {
-	out := d.scratch[:0]
-	for r := 0; r < len(s); {
-		c := s[r]
-		switch {
-		case c == '\\':
-			r++
-			if r == len(s) {
-				return nil, d.errorf("invalid escape in string literal")
-			}
-			switch s[r] {
-			case '"', '\\', '/':
-				out = append(out, s[r])
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'u':
-				rr := hex4(s[r+1:])
-				if rr < 0 {
-					return nil, d.errorf("invalid \\u escape in string literal")
-				}
-				r += 4
-				if utf16.IsSurrogate(rr) {
-					low := rune(-1)
-					if r+2 < len(s) && s[r+1] == '\\' && s[r+2] == 'u' {
-						low = hex4(s[r+3:])
-					}
-					if dec := utf16.DecodeRune(rr, low); dec != unicode.ReplacementChar {
-						rr = dec
-						r += 6
-					} else {
-						rr = unicode.ReplacementChar
-					}
-				}
-				out = utf8.AppendRune(out, rr)
-			default:
-				return nil, d.errorf("invalid escape %q in string literal", s[r])
-			}
-			r++
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			r++
-		default:
-			rr, size := utf8.DecodeRune(s[r:])
-			out = utf8.AppendRune(out, rr)
-			r += size
-		}
+	d.scratch = append(append(append(d.scratch[:0], '"'), raw...), '"')
+	var v string
+	if err := json.Unmarshal(d.scratch, &v); err != nil {
+		return nil, d.errorf("%v", err)
 	}
-	d.scratch = out
-	return out, nil
-}
-
-// hex4 decodes four hex digits, -1 when s does not start with four.
-func hex4(s []byte) rune {
-	if len(s) < 4 {
-		return -1
-	}
-	var r rune
-	for _, c := range s[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
-	}
-	return r
+	d.scratch = append(d.scratch[:0], v...)
+	return d.scratch, nil
 }
 
 // number consumes the run of number characters ahead and returns it, a view
@@ -732,9 +654,22 @@ func (d *decoder) field(ev *Event, id keyID, c byte) (err error) {
 }
 
 // stream decodes the envelope, hands it to header once it is complete, and
-// then every event to fn.
+// then every event to fn. Until the envelope has named StreamFormat the
+// input may be any JSON — the Chrome export, say — so every refusal but the
+// reader's own error is then ErrNotStream.
 func (d *decoder) stream(header func(*Stream) error, fn func(*Event) error) error {
 	s := &Stream{}
+	err := d.envelope(s, header, fn)
+	if err != nil && s.Format != StreamFormat && d.rerr == nil {
+		return checkHeader(s)
+	}
+	return err
+}
+
+// envelope decodes the top-level object into s. Before s names StreamFormat
+// an array under an unknown key stops the read: it is another format's
+// body, which is refused unread.
+func (d *decoder) envelope(s *Stream, header func(*Stream) error, fn func(*Event) error) error {
 	handed := false
 	done, err := d.open('{')
 	for !done && err == nil {
@@ -747,6 +682,8 @@ func (d *decoder) stream(header func(*Stream) error, fn func(*Event) error) erro
 			break
 		}
 		switch {
+		case id == keyUnknown && c == '[' && s.Format != StreamFormat:
+			err = checkHeader(s)
 		case id == keyUnknown:
 			err = d.skipValue(envelopeDepth)
 		case handed:

@@ -20,7 +20,7 @@ import (
 // direction goes through reflection: appendEvent writes an event's fields
 // into a reused line buffer and ScanEvents tokenises the file straight from
 // the reader into a reused Event. Only the topology header, once per file,
-// is still encoding/json's. The reflection round trip survives in
+// and a string with escapes or non-ASCII bytes are still encoding/json's. The reflection round trip survives in
 // codec_test.go as the reference both are fuzzed against.
 
 // StreamFormat and StreamVersion identify the raw trace file format. The
@@ -249,7 +249,8 @@ func ReadEvents(r io.Reader) (*Stream, error) {
 // event in stream order, each already checked for Seq == position and
 // Cause < Seq. The *Event is reused between calls — copy what must outlive
 // one (its strings are safe to keep). An error from either callback stops
-// the scan and is returned as is.
+// the scan and is returned as is. Input refused before its envelope names
+// StreamFormat is ErrNotStream, unless the reader itself failed.
 //
 // Accepted grammar (docs/METRICS.md §5): one JSON object whose format,
 // version and topology keys precede events; any JSON whitespace; inside an
@@ -257,41 +258,6 @@ func ReadEvents(r io.Reader) (*Stream, error) {
 func ScanEvents(r io.Reader, header func(*Stream) error, fn func(*Event) error) error {
 	d := newDecoder(r)
 	return d.classify(d.stream(header, fn))
-}
-
-// sniffFormat reads only the leading key/value pairs of a JSON object — up
-// to its first array value, which in a raw trace is the event list — and
-// returns the string under "format", or "" when there is none there (or r
-// does not start a JSON object at all).
-func sniffFormat(r io.Reader) string {
-	d := newDecoder(r)
-	if d.expect('{') != nil {
-		return ""
-	}
-	for {
-		key, err := d.key()
-		if err != nil {
-			return ""
-		}
-		isFormat := string(key) == "format"
-		if d.expect(':') != nil {
-			return ""
-		}
-		c, err := d.peek()
-		if err != nil || c == '[' {
-			return ""
-		}
-		if isFormat && c == '"' {
-			b, err := d.text()
-			if err != nil {
-				return ""
-			}
-			return string(b)
-		}
-		if d.skipValue(envelopeDepth) != nil || d.expect(',') != nil {
-			return ""
-		}
-	}
 }
 
 // checkHeader validates the envelope of a raw trace.

@@ -3,7 +3,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/cluster"
@@ -27,33 +26,15 @@ func (ti *TopoInfo) Topology() *cluster.Topology {
 	return cluster.NewTopologyFromMatrix(ti.Name, ti.Bandwidth)
 }
 
-// ErrNotStream is wrapped by every refusal of a file that is not a raw
-// event trace at all, so a tool that also reads the Chrome export can tell
-// "the other format" from a damaged stream.
+// ErrNotStream is wrapped by every refusal of input that had not yet named
+// StreamFormat — the Chrome export, an empty file — so a tool that also
+// reads the Chrome export can tell "the other format" from a damaged stream.
 var ErrNotStream = errors.New("trace: not a raw event trace")
-
-// openStream opens path and sniffs its leading bytes: a file that does not
-// announce StreamFormat is refused before it is read.
-func openStream(path string) (*os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if format := sniffFormat(f); format != StreamFormat {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, checkHeader(&Stream{Format: format}))
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
-}
 
 // ScanFile is ScanEvents over the raw trace at path; every error names the
 // file.
 func ScanFile(path string, header func(*Stream) error, fn func(*Event) error) error {
-	f, err := openStream(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
@@ -67,7 +48,7 @@ func ScanFile(path string, header func(*Stream) error, fn func(*Event) error) er
 // ReadFile is ReadEvents over the raw trace at path; every error names the
 // file.
 func ReadFile(path string) (*Stream, error) {
-	f, err := openStream(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
