@@ -66,6 +66,10 @@ go test -run '^$' -fuzz FuzzParseRules -fuzztime 10s ./internal/metrics
 # an allocation its input cannot back, and what it accepts writes back to the
 # bytes it read.
 go test -run '^$' -fuzz FuzzReadPartition -fuzztime 10s ./internal/storage
+# And the bisection kernel's contraction against the sort-based reference it
+# replaced: equal coarse graphs, with parallel edges and weights near the top
+# of the 32-bit range a work graph can reach.
+go test -run '^$' -fuzz FuzzContract -fuzztime 10s ./internal/partition
 # And through the bench-report reader behind surfer-analyze -compare: an
 # accepted report writes and re-loads equal.
 go test -run '^$' -fuzz FuzzLoadReport -fuzztime 10s ./internal/bench

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -148,11 +149,18 @@ func (g *Graph) Reverse() *Graph {
 //
 // It runs in O(V+E) and sorts nothing: transposing g sorts the in-neighbor
 // lists, transposing that back sorts the out-neighbor lists whatever order g
-// held them in, and each vertex's result is the merge of its two lists.
+// held them in, and each vertex's result is the merge of its two lists. When
+// g's rows are already non-decreasing (every Builder-made graph), g is its
+// own re-sorted transpose and the second transpose is skipped.
 func (g *Graph) Undirected() *Graph {
-	in := g.Reverse()
-	out := in.Reverse()
 	n := g.NumVertices()
+	in, out := g.Reverse(), g
+	for v := 0; v < n; v++ {
+		if !slices.IsSorted(g.Neighbors(VertexID(v))) {
+			out = in.Reverse()
+			break
+		}
+	}
 	offsets := make([]int64, n+1)
 	targets := make([]VertexID, 2*len(g.targets))
 	w := int64(0)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -159,16 +160,24 @@ func refUndirected(g *Graph) *Graph {
 
 // TestQuickUndirectedMatchesReference: the merge of the two transposes equals
 // the sort-and-deduplicate reference, also on graphs a file could hold but no
-// Builder makes — unsorted adjacency with self-loops and repeated edges.
+// Builder makes — unsorted adjacency with self-loops and repeated edges. With
+// sorted set, every row is sorted and holds a self-loop and a repeat: a
+// graph that takes the one-transpose path although no Builder made it.
 func TestQuickUndirectedMatchesReference(t *testing.T) {
-	f := func(seed int64, nPick uint8, mPick uint16) bool {
+	f := func(seed int64, nPick uint8, mPick uint16, sorted bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nPick)
 		offsets := make([]int64, n+1)
 		var targets []VertexID
 		for v := 0; v < n; v++ {
+			row := len(targets)
 			for d := rng.Intn(1 + int(mPick)%12); d > 0; d-- {
 				targets = append(targets, VertexID(rng.Intn(n)))
+			}
+			if sorted {
+				u := VertexID(rng.Intn(n))
+				targets = append(targets, VertexID(v), u, u)
+				slices.Sort(targets[row:])
 			}
 			offsets[v+1] = int64(len(targets))
 		}
@@ -264,11 +273,25 @@ func TestEqual(t *testing.T) {
 
 var benchSink int64
 
+// BenchmarkUndirected runs the 65k Social graph as built (sorted rows, one
+// transpose) and with every row reversed (the two-transpose path a file
+// with unsorted rows takes).
 func BenchmarkUndirected(b *testing.B) {
 	g := Social(DefaultSocial(1<<16, 42))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink += g.Undirected().NumEdges()
+	targets := slices.Clone(g.targets)
+	for v := range g.NumVertices() {
+		slices.Reverse(targets[g.offsets[v]:g.offsets[v+1]])
+	}
+	unsorted := NewFromCSR(g.offsets, targets)
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{{"sorted", g}, {"unsorted", unsorted}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += c.g.Undirected().NumEdges()
+			}
+		})
 	}
 }

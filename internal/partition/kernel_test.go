@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -20,7 +21,7 @@ func (w *wgraph) validate() error {
 		return fmt.Errorf("xadj does not frame %d edges over %d vertices", len(w.edges), n)
 	}
 	type pair struct{ u, v int32 }
-	weight := make(map[pair]int64, len(w.edges))
+	weight := make(map[pair]int32, len(w.edges))
 	for u := 0; u < n; u++ {
 		if w.xadj[u] > w.xadj[u+1] {
 			return fmt.Errorf("xadj decreases at %d", u)
@@ -67,11 +68,13 @@ func sameGraph(a, b *wgraph) bool {
 // vertex pairs. With multi set, a pair drawn twice stays two parallel
 // edges, which breaks the no-duplicate invariant on purpose: contraction
 // must merge them like any other parallel coarse edges. Weights are small,
-// or when big is set straddle 2^32 — where the old packed-word path switched
-// to its wide fallback.
+// or when big is set mostly near the top of the range a work graph can
+// reach: at most m edges listed twice keep the total weight below 2^31 (see
+// wedge), so contracting them all into one coarse pair comes near it.
 func randomWGraph(rng *rand.Rand, n, m int, multi, big bool) *wgraph {
 	adj := make([][]wedge, n)
 	seen := map[[2]int32]bool{}
+	top := int32((1<<31 - 1) / (2 * max(m, 1)))
 	for i := 0; i < m && n > 1; i++ {
 		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
 		if u == v {
@@ -83,9 +86,9 @@ func randomWGraph(rng *rand.Rand, n, m int, multi, big bool) *wgraph {
 			}
 			seen[[2]int32{u, v}], seen[[2]int32{v, u}] = true, true
 		}
-		wt := 1 + rng.Int63n(5)
-		if big && rng.Intn(3) == 0 {
-			wt = 1<<32 - 3 + rng.Int63n(6)
+		wt := 1 + rng.Int31n(5)
+		if big && rng.Intn(3) != 0 {
+			wt = top - rng.Int31n(min(top, 5))
 		}
 		adj[u] = append(adj[u], wedge{to: v, w: wt})
 		adj[v] = append(adj[v], wedge{to: u, w: wt})
@@ -254,6 +257,52 @@ func TestWorkGraphInvariants(t *testing.T) {
 	}
 }
 
+// totalEdgeWeight sums every adjacency entry's weight (each undirected edge
+// twice).
+func totalEdgeWeight(w *wgraph) int64 {
+	var s int64
+	for _, e := range w.edges {
+		s += int64(e.w)
+	}
+	return s
+}
+
+// TestContractKeepsWeightBelow2To31 pins the argument that makes wedge's
+// weights 32 bits wide: on a Social graph, every coarse level's total edge
+// weight is the finer level's total minus the weight that collapsed inside
+// matched pairs, so no level's total (nor any one weight) exceeds the root's
+// — one per entry, below 2^31.
+func TestContractKeepsWeightBelow2To31(t *testing.T) {
+	und := graph.Social(graph.DefaultSocial(1<<14, 42)).Undirected()
+	w, sc := testWorkGraph(und, allVertices(und.NumVertices()))
+	root := totalEdgeWeight(w)
+	if root != int64(len(w.edges)) || root >= 1<<31 {
+		t.Fatalf("root work graph: total weight %d over %d entries, want one per entry and below 2^31", root, len(w.edges))
+	}
+	rng := rand.New(rand.NewSource(42))
+	for level := 0; w.n() > coarsenTarget; level++ {
+		match, cn := w.heavyEdgeMatching(rng, sc)
+		if cn == w.n() {
+			break
+		}
+		var collapsed int64
+		for v := 0; v < w.n(); v++ {
+			for _, e := range w.adjOf(v) {
+				if match[v] == match[e.to] {
+					collapsed += int64(e.w)
+				}
+			}
+		}
+		c := w.contract(match, cn, sc)
+		fine, coarse := totalEdgeWeight(w), totalEdgeWeight(&c)
+		if coarse != fine-collapsed {
+			t.Fatalf("level %d: coarse total weight %d, want %d - %d collapsed", level+1, coarse, fine, collapsed)
+		}
+		t.Logf("level %d: %d vertices, total weight %d", level+1, c.n(), coarse)
+		w = &c
+	}
+}
+
 // star is a hub (vertex 0) with the given number of leaves.
 func star(leaves int) *graph.Graph {
 	offsets := make([]int64, leaves+2)
@@ -282,12 +331,15 @@ func TestStarBisectsInLinearTime(t *testing.T) {
 
 // TestRecursiveBisectAllocations pins the arena: a whole run makes a fixed
 // number of allocations — the subsets, the arena's chunks — whatever the
-// vertex count (119 and 130 when the ceiling was set; the arena's chunk count
+// vertex count (52 and 63 when the ceiling was set; the arena's chunk count
 // grows with the number of coarsening levels, log n), and none per sketch
-// node: the sketch is a view of Assign (copying each node's vertex set cost
-// 127 more). The old kernel made two allocations per vertex.
+// node or bisection: the sketch is a view of Assign and each bisection
+// splits its subset in place. The ceiling is the larger count plus 7 (~10%)
+// for a chunk or two more at other sizes. A fresh slice per bisection and a
+// second transpose in graph.Undirected made 120 and 130, and the old kernel
+// made two allocations per vertex.
 func TestRecursiveBisectAllocations(t *testing.T) {
-	const ceiling = 200
+	const ceiling = 70
 	for _, n := range []int{1 << 12, 1 << 14} {
 		g := graph.Social(graph.DefaultSocial(n, 42))
 		allocs := testing.AllocsPerRun(1, func() { RecursiveBisect(g, 6, Options{Seed: 42}) })
@@ -295,5 +347,26 @@ func TestRecursiveBisectAllocations(t *testing.T) {
 		if allocs > ceiling {
 			t.Errorf("RecursiveBisect(%d vertices, 6 levels) made %.0f allocations, want <= %d", n, allocs, ceiling)
 		}
+	}
+}
+
+// TestRecursiveBisectBytes is the bytes budget of one run on the 16k Social
+// graph: the growth of runtime.MemStats.TotalAlloc across the call, which is
+// deterministic because RecursiveBisect is serial and allocates the same
+// sizes on every call. The ceiling is the count measured when it was set
+// plus 5%. 16-byte work-graph entries, a second transpose in
+// graph.Undirected and a fresh slice per bisection took 31 647 504 bytes.
+func TestRecursiveBisectBytes(t *testing.T) {
+	const measured = 17_318_240
+	const ceiling = measured + measured/20
+	g := graph.Social(graph.DefaultSocial(1<<14, 42))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	RecursiveBisect(g, 6, Options{Seed: 42})
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("16k vertices: %d bytes", got)
+	if got > ceiling {
+		t.Errorf("RecursiveBisect(16k vertices, 6 levels) allocated %d bytes, want <= %d", got, ceiling)
 	}
 }

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 
@@ -70,6 +69,7 @@ func RecursiveBisect(g *graph.Graph, levels int, opt Options) (*Partitioning, *S
 	pt := &Partitioning{Assign: make([]PartID, n), P: 1 << levels}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	sc := newWScratch(n)
+	spill := make([]graph.VertexID, n)
 	// divide gives subset the 2^left partition IDs from first, left to
 	// right, so that sketch leaf order is partition order.
 	var divide func(subset []graph.VertexID, left int, first PartID)
@@ -80,7 +80,7 @@ func RecursiveBisect(g *graph.Graph, levels int, opt Options) (*Partitioning, *S
 			}
 			return
 		}
-		l, r := bisectSubset(und, subset, rng, sc)
+		l, r := bisectSubset(und, subset, spill, rng, sc)
 		divide(l, left-1, first)
 		divide(r, left-1, first+1<<(left-1))
 	}
@@ -88,17 +88,24 @@ func RecursiveBisect(g *graph.Graph, levels int, opt Options) (*Partitioning, *S
 	return pt, &Sketch{levels: levels, assign: pt.Assign}
 }
 
-// bisectSubset bisects the subgraph of und induced by subset and returns the
-// two sides, each in subset order.
-func bisectSubset(und *graph.Graph, subset []graph.VertexID, rng *rand.Rand, sc *wscratch) (left, right []graph.VertexID) {
+// bisectSubset bisects the subgraph of und induced by subset and splits
+// subset in place into the two sides, each in subset order: a stable
+// partition through spill, which must be at least as long as subset's side 1.
+func bisectSubset(und *graph.Graph, subset, spill []graph.VertexID, rng *rand.Rand, sc *wscratch) (left, right []graph.VertexID) {
 	w := newWorkGraph(und, subset, sc)
 	side := bisectWork(&w, rng, sc)
-	zeros := bytes.Count(side, []byte{0})
-	out := make([]graph.VertexID, len(subset))
-	next := [2]int{0, zeros} // where the next vertex of each side goes
+	// Side 0 moves down within subset (never past where it reads), side 1
+	// waits in spill.
+	zeros, ones := 0, 0
 	for i, s := range side {
-		out[next[s]] = subset[i]
-		next[s]++
+		if s == 0 {
+			subset[zeros] = subset[i]
+			zeros++
+		} else {
+			spill[ones] = subset[i]
+			ones++
+		}
 	}
-	return out[:zeros:zeros], out[zeros:]
+	copy(subset[zeros:], spill[:ones])
+	return subset[:zeros:zeros], subset[zeros:]
 }

@@ -6,15 +6,14 @@ import (
 )
 
 // refContract is the sort-based contraction the kernel shipped with before the
-// rewrite, kept as the differential reference with one repair: it used to
-// clear slot through the packed words, so a weight that carried into a
-// word's neighbor bits left a stale slot behind and the wide fallback then
-// indexed out of range — the overflow path had never run. It builds the coarse graph given a matching: match[v] is the coarse
-// vertex index of v. Parallel edges between the same coarse pair merge with
-// summed weight; edges internal to a coarse vertex disappear. Accumulation
-// uses a stamp array (slot[cn] holds cn's position in the current coarse
-// vertex's output range, cleared by walking back over that range) — no
-// per-coarse-vertex map to clear, no per-edge hashing.
+// rewrite, kept as the differential reference without its 2^32 overflow
+// fallback, which 32-bit weights cannot reach (see wedge). It builds the
+// coarse graph given a matching: match[v] is the coarse vertex index of v.
+// Parallel edges between the same coarse pair merge with summed weight;
+// edges internal to a coarse vertex disappear. Accumulation uses a stamp
+// array (slot[cn] holds cn's position in the current coarse vertex's output
+// range, cleared by walking back over that range) — no per-coarse-vertex map
+// to clear, no per-edge hashing.
 func (w *wgraph) refContract(match []int32, coarseN int) *wgraph {
 	c := &wgraph{
 		vwgt: make([]int64, coarseN),
@@ -48,18 +47,16 @@ func (w *wgraph) refContract(match []int32, coarseN int) *wgraph {
 	}
 	// Accumulate each coarse vertex's neighbors as packed (to<<32 | w)
 	// words: sorting []uint64 with slices.Sort is several times faster than
-	// comparison-function sorting of 16-byte structs, and because neighbor
-	// IDs are unique within a range, ordering the packed words orders the
-	// range by neighbor. Weights are far below 2^32 at our scales (they
-	// count collapsed undirected edges); the overflow guard falls back to
-	// widening arithmetic should that ever change.
+	// comparison-function sorting of structs, and because neighbor IDs are
+	// unique within a range, ordering the packed words orders the range by
+	// neighbor. A graph's total weight is below 2^31, so no sum carries into
+	// the neighbor bits.
 	var packed []uint64
 	var touched []int32
 	c.edges = make([]wedge, 0, len(w.edges))
 	for cv := int32(0); cv < int32(coarseN); cv++ {
 		packed = packed[:0]
 		touched = touched[:0]
-		overflow := false
 		for _, v := range members[counts[cv]:counts[cv+1]] {
 			for _, e := range w.adjOf(int(v)) {
 				cn := match[e.to]
@@ -68,63 +65,23 @@ func (w *wgraph) refContract(match []int32, coarseN int) *wgraph {
 				}
 				if s := slot[cn]; s >= 0 {
 					packed[s] += uint64(e.w)
-					if packed[s]>>32 != uint64(cn) {
-						overflow = true
-					}
 				} else {
 					slot[cn] = int32(len(packed))
 					touched = append(touched, cn)
 					packed = append(packed, uint64(cn)<<32|uint64(e.w))
-					if e.w >= 1<<32 {
-						overflow = true
-					}
 				}
 			}
 		}
 		for _, cn := range touched {
 			slot[cn] = -1
 		}
-		if overflow {
-			// A weight crossed 2^32: redo this coarse vertex with full-width
-			// weights. Deterministic and vanishingly rare (requires 4G+
-			// collapsed edges between one coarse pair).
-			c.edges = refContractWide(w, match, members[counts[cv]:counts[cv+1]], cv, slot, c.edges)
-		} else {
-			slices.Sort(packed)
-			for _, pk := range packed {
-				c.edges = append(c.edges, wedge{to: int32(pk >> 32), w: int64(pk & 0xFFFFFFFF)})
-			}
+		slices.Sort(packed)
+		for _, pk := range packed {
+			c.edges = append(c.edges, wedge{to: int32(pk >> 32), w: int32(pk & 0xFFFFFFFF)})
 		}
 		c.xadj[cv+1] = int32(len(c.edges))
 	}
 	return c
-}
-
-// refContractWide is contract's overflow fallback for one coarse vertex: the
-// same accumulation with 64-bit weights. slot must arrive all -1 and is
-// restored before returning.
-func refContractWide(w *wgraph, match []int32, members []int32, cv int32, slot []int32, out []wedge) []wedge {
-	start := len(out)
-	for _, v := range members {
-		for _, e := range w.adjOf(int(v)) {
-			cn := match[e.to]
-			if cn == cv {
-				continue
-			}
-			if s := slot[cn]; s >= 0 {
-				out[s].w += e.w
-			} else {
-				slot[cn] = int32(len(out))
-				out = append(out, wedge{to: cn, w: e.w})
-			}
-		}
-	}
-	rng := out[start:]
-	slices.SortFunc(rng, func(a, b wedge) int { return int(a.to) - int(b.to) })
-	for _, e := range rng {
-		slot[e.to] = -1
-	}
-	return out
 }
 
 // refGGGP is the scan-all-vertices GGGP the kernel shipped with before the
@@ -150,7 +107,7 @@ func refGGGP(w *wgraph, rng *rand.Rand) []uint8 {
 		gain := make([]int64, n)
 		for v := range gain {
 			for _, e := range w.adjOf(v) {
-				gain[v] -= e.w
+				gain[v] -= int64(e.w)
 			}
 		}
 		seed := rng.Intn(n)
@@ -160,7 +117,7 @@ func refGGGP(w *wgraph, rng *rand.Rand) []uint8 {
 			side[v] = 0
 			grown += w.vwgt[v]
 			for _, e := range w.adjOf(v) {
-				gain[e.to] += 2 * e.w
+				gain[e.to] += 2 * int64(e.w)
 			}
 		}
 		add(seed)
@@ -230,9 +187,9 @@ func refRefine(w *wgraph, side []uint8) {
 		var g int64
 		for _, e := range w.adjOf(v) {
 			if side[e.to] != side[v] {
-				g += e.w
+				g += int64(e.w)
 			} else {
-				g -= e.w
+				g -= int64(e.w)
 			}
 		}
 		return g

@@ -14,10 +14,15 @@ import (
 	"repro/internal/graph"
 )
 
-// wedge is a weighted adjacency entry in the coarsening work graph.
+// wedge is a weighted adjacency entry in the coarsening work graph, 8 bytes.
+// An int32 weight cannot overflow: newWorkGraph gives every entry weight 1,
+// and every coarse weight is a sum of distinct finer entries' weights, so no
+// weight — nor the sum of all of a graph's weights — exceeds the level-0
+// entry count, which the int32 xadj already holds. Sums over several entries
+// (gains, cuts) are int64, as are vertex weights.
 type wedge struct {
 	to int32
-	w  int64
+	w  int32
 }
 
 // wgraph is the weighted graph the multilevel kernel coarsens, in
@@ -264,8 +269,7 @@ func (w *wgraph) heavyEdgeMatching(rng *rand.Rand, sc *wscratch) ([]int32, int) 
 		if match[v] >= 0 {
 			continue
 		}
-		var best int32 = -1
-		var bestW int64 = -1
+		var best, bestW int32 = -1, -1
 		for _, e := range w.adjOf(int(v)) {
 			// Weight first: it is at hand, match[e.to] is a cache miss.
 			if (e.w > bestW || e.w == bestW && e.to < best) && match[e.to] < 0 && e.to != v {
