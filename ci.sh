@@ -77,8 +77,8 @@ go test -run '^$' -fuzz FuzzLoadReport -fuzztime 10s ./internal/bench
 # 1M-vertex partitioner size and plans propagation and MapReduce at 16k
 # vertices).
 go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph \
-    ./internal/storage ./internal/propagation ./internal/mapreduce ./internal/apps ./internal/jobsvc \
-    ./internal/trace ./internal/metrics ./internal/analyze
+    ./internal/storage ./internal/propagation ./internal/mapreduce ./internal/apps ./internal/engine \
+    ./internal/jobsvc ./internal/trace ./internal/metrics ./internal/analyze
 # The examples, run once each so they cannot rot; the fault-tolerance demo
 # must end with ranks bit-identical to its failure-free run.
 for ex in examples/*/; do

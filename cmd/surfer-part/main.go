@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// Both algorithms run the one bisection; they differ only in which
 		// machines process each step, and so in its elapsed time.
-		aware, baseline := surfer.DefaultPartitionCostModel().PartitioningTime(g, sys.Sketch, topo, *seed+1)
+		aware, baseline := surfer.PartitioningTime(g, sys.Sketch, topo, *seed+1)
 		pt := sys.PG.Part
 		ier, ivr, cross := sys.InnerEdgeRatio(), partition.InnerVertexRatio(g, pt), partition.CrossEdges(g, pt)
 		for i, elapsed := range []float64{aware, baseline} {

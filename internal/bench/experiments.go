@@ -47,12 +47,11 @@ func Table1(s Scale) ([]Table1Row, error) {
 		_, sk := partition.RecursiveBisect(g, s.Levels, partition.Options{Seed: s.Seed + trial})
 		sketches = append(sketches, sk)
 	}
-	cm := partition.DefaultCostModel()
 	var rows []Table1Row
 	for _, topo := range topos {
 		var tBA, tPM float64
 		for trial, sk := range sketches {
-			aware, baseline := cm.PartitioningTime(g, sk, topo, s.Seed+int64(trial)+1)
+			aware, baseline := partition.PartitioningTime(g, sk, topo, s.Seed+int64(trial)+1)
 			if trial == 0 {
 				tBA = aware
 			}

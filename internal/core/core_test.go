@@ -149,7 +149,7 @@ func TestPartitioningTimeOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tBA, tPM := partition.DefaultCostModel().PartitioningTime(sys.Graph, sys.Sketch, sys.Topology, 5)
+	tBA, tPM := partition.PartitioningTime(sys.Graph, sys.Sketch, sys.Topology, 5)
 	if tBA <= 0 || tPM <= tBA {
 		t.Fatalf("partitioning times BA=%.3f PM=%.3f", tBA, tPM)
 	}

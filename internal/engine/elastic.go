@@ -12,26 +12,29 @@ import (
 // migration as ordinary NIC-charged transfers, and a drain whose deadline
 // expires before the last byte lands degrades into the existing machine-
 // death/failover path.
-//
-// Migration state lives in the runner's home overlay, never in the shared
-// storage.Replicas: deployments reuse one Replicas across runners at
-// different worker counts, and mutating it from one run would leak into the
-// next.
 
-// drainState tracks one active drain: the trace Seq of its machine-drain
-// event (the cause of the deadline death, should it come to that) and the
-// number of partition migrations still in flight.
-type drainState struct {
-	seq         int
-	outstanding int
-}
+// state is a machine's membership. A machine no join names starts live, a
+// join target dormant. A join makes a dormant machine live. A drain makes a
+// live machine draining; its last landed migration makes it retired (at
+// once when nothing needs to move), its deadline passing first dead. A kill
+// makes any state dead, and dead is final: whatever the earlier state
+// awaited is ignored. Only a live machine takes tasks, failovers, backups
+// and partitions.
+type state uint8
 
-// unavailable reports whether machine m can accept work and data right now:
-// dead, still-dormant, draining and retired machines cannot. It is the
-// exclusion predicate for placement, failover, speculation and migration
-// targeting.
+const (
+	live state = iota
+	dormant
+	draining
+	retired
+	dead
+)
+
+// unavailable reports whether machine m cannot accept work and data right
+// now: it is not live. It is the exclusion predicate for placement,
+// failover, speculation and migration targeting.
 func (r *Runner) unavailable(m cluster.MachineID) bool {
-	return r.dead[m] || r.dormant[m] || r.draining[m] || r.retired[m]
+	return r.machines[m].state != live
 }
 
 // homeOf reports the current machine of partition p: the migration overlay
@@ -72,46 +75,47 @@ func (r *Runner) place(t *Task) (cluster.MachineID, error) {
 // failovers, speculation backups and migrated partitions, and its NICs
 // (capped at its configured line rate) carry traffic.
 func (sr *StageRun) onJoin(e *event) {
-	r := sr.r
-	m := e.failMachine
-	if !r.dormant[m] {
+	mc := &sr.r.machines[e.machine]
+	if mc.state != dormant {
 		sr.popSeq = trace.None
 		return
 	}
-	delete(r.dormant, m)
+	mc.state = live
 	sr.m.Joins++
 	// A join is exogenous, like a failure: anchor it to the enclosing stage.
 	sr.popSeq = sr.emit(trace.Event{Kind: trace.KindMachineJoin,
-		Cause: sr.beginSeq, Machine: int(m), Dst: trace.None, Part: trace.None, Time: e.at})
+		Cause: sr.beginSeq, Machine: int(e.machine), Dst: trace.None, Part: trace.None, Time: e.at})
 }
 
 // onDrain starts a graceful decommission: the machine stops accepting new
 // work (it is unavailable from here on; tasks already queued on it finish),
 // every partition homed on it starts migrating to a survivor, and the
 // deadline is armed. A machine with nothing to migrate retires on the spot.
+// Only a live machine drains: a dormant one's drain waits for its join (arm
+// pushes it again for the next stage).
 func (sr *StageRun) onDrain(e *event) {
-	r := sr.r
-	m := e.failMachine
-	if r.dead[m] || r.draining[m] || r.retired[m] || r.dormant[m] {
+	m := e.machine
+	mc := &sr.r.machines[m]
+	if mc.state != live {
 		sr.popSeq = trace.None
 		return
 	}
-	r.draining[m] = true
+	mc.state = draining
 	sr.m.Drains++
 	drainSeq := sr.emit(trace.Event{Kind: trace.KindMachineDrain,
 		Cause: sr.beginSeq, Machine: int(m), Dst: trace.None, Part: trace.None,
 		Time: e.at, End: e.deadline})
 	sr.popSeq = drainSeq
-	outstanding := sr.startMigrations(m, e.at, drainSeq)
-	if outstanding == 0 {
-		sr.retire(m)
+	mc.stateSeq = drainSeq
+	mc.outstanding = sr.startMigrations(m, e.at, drainSeq)
+	if mc.outstanding == 0 {
+		mc.state = retired
 		return
 	}
-	r.drainState[m] = &drainState{seq: drainSeq, outstanding: outstanding}
 	// The deadline event does not hold the stage barrier: if every
 	// migration lands first the machine retires and the deadline is moot
 	// (a stale pop is ignored; an unpopped event is cancelled with the stage).
-	sr.push(event{at: e.deadline, kind: evDrainDeadline, failMachine: m})
+	sr.push(event{at: e.deadline, kind: evDrainDeadline, machine: m})
 }
 
 // startMigrations issues one live migration per partition homed on the
@@ -158,35 +162,23 @@ func (sr *StageRun) startMigrations(m cluster.MachineID, at float64, drainSeq in
 
 // onMigrateDone commits one landed partition migration: the partition is
 // rehomed to its destination and the machine retires once its last
-// migration lands. An arrival after the source died at its drain deadline
-// is stale — the copy never completed; the partition recovers through the
-// failover path instead.
+// migration lands. Retired is distinct from dead — Deaths() stays
+// untouched, so multi-iteration drivers do not mistake a clean drain for a
+// failure and roll back to a checkpoint. An arrival after the source died
+// (at its drain deadline or by a kill) is stale — the copy never completed;
+// the partition recovers through the failover path instead.
 func (sr *StageRun) onMigrateDone(e *event) {
-	r := sr.r
 	ts := e.transfer
-	if r.dead[ts.src] {
+	mc := &sr.r.machines[ts.src]
+	if mc.state != draining {
 		return
 	}
 	sr.m.Migrations++
 	sr.m.MigrationBytes += ts.bytes
-	r.home[ts.part] = ts.dst
-	if ds := r.drainState[ts.src]; ds != nil {
-		ds.outstanding--
-		if ds.outstanding <= 0 {
-			sr.retire(ts.src)
-		}
+	sr.r.home[ts.part] = ts.dst
+	if mc.outstanding--; mc.outstanding == 0 {
+		mc.state = retired
 	}
-}
-
-// retire completes a clean drain: the machine leaves the cluster with all
-// its state handed off and nothing lost. Retired is distinct from dead —
-// Deaths() stays untouched, so multi-iteration drivers do not mistake a
-// clean drain for a failure and roll back to a checkpoint.
-func (sr *StageRun) retire(m cluster.MachineID) {
-	r := sr.r
-	delete(r.drainState, m)
-	delete(r.draining, m)
-	r.retired[m] = true
 }
 
 // onDrainDeadline fires at a drain's deadline: if migrations are still in
@@ -195,14 +187,10 @@ func (sr *StageRun) retire(m cluster.MachineID) {
 // heartbeat / failover recovery takes over. A deadline whose drain already
 // retired (or died) is stale and ignored.
 func (sr *StageRun) onDrainDeadline(e *event) {
-	r := sr.r
-	m := e.failMachine
-	ds := r.drainState[m]
-	if ds == nil || !r.draining[m] || r.dead[m] {
+	mc := &sr.r.machines[e.machine]
+	if mc.state != draining {
 		sr.popSeq = trace.None
 		return
 	}
-	delete(r.drainState, m)
-	delete(r.draining, m)
-	sr.failMachine(m, e.at, ds.seq)
+	sr.failMachine(e.machine, e.at, mc.stateSeq)
 }

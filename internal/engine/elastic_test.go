@@ -55,8 +55,8 @@ func TestCleanDrainMigratesAndRetires(t *testing.T) {
 	if r.Deaths() != 0 {
 		t.Fatalf("deaths = %d, want 0 (clean drain)", r.Deaths())
 	}
-	if !r.retired[2] || r.draining[2] {
-		t.Fatalf("machine 2: retired=%v draining=%v, want retired", r.retired[2], r.draining[2])
+	if st := r.machines[2].state; st != retired {
+		t.Fatalf("machine 2 is %v, want retired", st)
 	}
 	c := countKinds(rec.Events())
 	if c[trace.KindMachineDrain] != 1 || c[trace.KindPartitionMigrate] != 1 || c[trace.KindFailure] != 0 {
@@ -105,8 +105,8 @@ func TestDrainDeadlineExpiryDegradesToFailure(t *testing.T) {
 	if math.Abs(m.ResponseSeconds-6) > 1e-9 {
 		t.Fatalf("response = %g, want 6", m.ResponseSeconds)
 	}
-	if r.Deaths() != 1 || r.retired[2] {
-		t.Fatalf("deaths=%d retired=%v, want a real death", r.Deaths(), r.retired[2])
+	if st := r.machines[2].state; r.Deaths() != 1 || st != dead {
+		t.Fatalf("deaths=%d, machine 2 is %v; want a real death", r.Deaths(), st)
 	}
 	// The aborted migration never commits.
 	if m.Drains != 1 || m.Migrations != 0 || m.MigrationBytes != 0 {
@@ -153,8 +153,8 @@ func TestJoinedMachineReceivesMigration(t *testing.T) {
 	if m.Joins != 1 || m.Drains != 1 || m.Migrations != 1 {
 		t.Fatalf("joins/drains/migrations = %d/%d/%d, want 1/1/1", m.Joins, m.Drains, m.Migrations)
 	}
-	if !r.retired[1] || r.dormant[3] {
-		t.Fatalf("machine 1 retired=%v, machine 3 dormant=%v", r.retired[1], r.dormant[3])
+	if st1, st3 := r.machines[1].state, r.machines[3].state; st1 != retired || st3 != live {
+		t.Fatalf("machine 1 is %v, machine 3 is %v; want retired and live", st1, st3)
 	}
 	// Partition 1 migrates to its replica holder machine 3 — live since its
 	// join — at the joiner's NIC rate: 2s on the wire (0.5→2.5), which gates
@@ -200,8 +200,8 @@ func TestDormantMachineExcludedUntilJoin(t *testing.T) {
 			t.Fatal("dormant machine ran a task before its join")
 		}
 	}
-	if !r.dormant[2] {
-		t.Fatal("machine 2 should still be dormant (join at t=5, job ended at 1)")
+	if st := r.machines[2].state; st != dormant {
+		t.Fatalf("machine 2 is %v, want dormant (join at t=5, job ended at 1)", st)
 	}
 }
 
@@ -363,5 +363,133 @@ func TestDrainWithoutReplicasRejected(t *testing.T) {
 	_, err := r.Run(&Job{Stages: []*Stage{{Tasks: []*Task{{Machine: 0, Compute: 1}}}}})
 	if err == nil {
 		t.Fatal("drain without replicas should be rejected")
+	}
+}
+
+// TestMachineLifecycle walks a machine through each transition of its state
+// (see state): every case runs pinned three-task jobs on the shared replica
+// layout and checks the final state of the machine under test, the death
+// count multi-iteration drivers roll back on, and the events that tell the
+// transitions apart.
+func TestMachineLifecycle(t *testing.T) {
+	bw := int64(cluster.LinkBandwidth)
+	cases := []struct {
+		name      string
+		machines  int
+		sched     fault.Schedule
+		partBytes []int64
+		jobs      int
+		compute   float64
+		machine   cluster.MachineID
+		want      state
+		deaths    int
+		check     func(t *testing.T, m Metrics, c map[trace.EventKind]int, evs []trace.Event)
+	}{
+		{name: "join", machines: 4, jobs: 1, compute: 2, machine: 3, want: live,
+			sched: fault.Schedule{Joins: []fault.MachineJoin{{Machine: 3, At: 1}}},
+			check: func(t *testing.T, m Metrics, c map[trace.EventKind]int, _ []trace.Event) {
+				if m.Joins != 1 || c[trace.KindMachineJoin] != 1 {
+					t.Errorf("joins = %d, join events = %d; want 1 and 1", m.Joins, c[trace.KindMachineJoin])
+				}
+			}},
+		{name: "drain with nothing to move retires at once", machines: 4, jobs: 1, compute: 2, machine: 3, want: retired,
+			sched: fault.Schedule{Drains: []fault.MachineDrain{{Machine: 3, At: 0.5, Deadline: 10}}},
+			check: func(t *testing.T, m Metrics, c map[trace.EventKind]int, _ []trace.Event) {
+				if m.Drains != 1 || m.Migrations != 0 || c[trace.KindPartitionMigrate] != 0 {
+					t.Errorf("drains/migrations = %d/%d, want 1/0", m.Drains, m.Migrations)
+				}
+			}},
+		{name: "migration past its deadline ends dead", machines: 3, jobs: 1, compute: 3, machine: 2, want: dead, deaths: 1,
+			sched:     fault.Schedule{Drains: []fault.MachineDrain{{Machine: 2, At: 0.5, Deadline: 1}}},
+			partBytes: []int64{0, 0, 2 * bw},
+			check: func(t *testing.T, m Metrics, c map[trace.EventKind]int, _ []trace.Event) {
+				if m.Migrations != 0 || c[trace.KindFailure] != 1 {
+					t.Errorf("migrations = %d, failures = %d; want 0 and 1", m.Migrations, c[trace.KindFailure])
+				}
+			}},
+		// The migration would land at 2.5 and the deadline fires at 3, both
+		// inside the stage: a dead machine ignores them.
+		{name: "kill mid-drain", machines: 3, jobs: 1, compute: 5, machine: 2, want: dead, deaths: 1,
+			sched: fault.Schedule{
+				Drains: []fault.MachineDrain{{Machine: 2, At: 0.5, Deadline: 3}},
+				Kills:  []fault.Kill{{Machine: 2, At: 1}},
+			},
+			partBytes: []int64{0, 0, 2 * bw},
+			check: func(t *testing.T, m Metrics, c map[trace.EventKind]int, _ []trace.Event) {
+				if m.Migrations != 0 || m.MigrationBytes != 0 || c[trace.KindFailure] != 1 {
+					t.Errorf("migrations/bytes/failures = %d/%d/%d, want 0/0/1",
+						m.Migrations, m.MigrationBytes, c[trace.KindFailure])
+				}
+			}},
+		// Retiring leaves the queued and running tasks to finish; a kill
+		// then loses the running one.
+		{name: "kill after retirement while a task runs", machines: 3, jobs: 1, compute: 5, machine: 2, want: dead, deaths: 1,
+			sched: fault.Schedule{
+				Drains: []fault.MachineDrain{{Machine: 2, At: 0.5, Deadline: 10}},
+				Kills:  []fault.Kill{{Machine: 2, At: 2}},
+			},
+			check: func(t *testing.T, m Metrics, c map[trace.EventKind]int, _ []trace.Event) {
+				if m.Migrations != 1 || c[trace.KindTaskLost] != 1 || m.Recoveries != 1 {
+					t.Errorf("migrations/lost/recoveries = %d/%d/%d, want 1/1/1",
+						m.Migrations, c[trace.KindTaskLost], m.Recoveries)
+				}
+			}},
+		// fault.Validate refuses this plan; the engine still keeps the
+		// drain pending until the machine is live, and the next job arms it.
+		{name: "drain of a dormant machine waits for its join", machines: 4, jobs: 2, compute: 2, machine: 3, want: retired,
+			sched: fault.Schedule{
+				Joins:  []fault.MachineJoin{{Machine: 3, At: 1}},
+				Drains: []fault.MachineDrain{{Machine: 3, At: 0.5, Deadline: 10}},
+			},
+			check: func(t *testing.T, m Metrics, _ map[trace.EventKind]int, evs []trace.Event) {
+				joinAt, drainAt := -1.0, -1.0
+				for _, ev := range evs {
+					switch ev.Kind {
+					case trace.KindMachineJoin:
+						joinAt = ev.Time
+					case trace.KindMachineDrain:
+						drainAt = ev.Time
+					}
+				}
+				if m.Joins != 1 || m.Drains != 1 || joinAt != 1 || drainAt != 2 {
+					t.Errorf("joins/drains = %d/%d at %g/%g, want 1/1 at 1/2", m.Joins, m.Drains, joinAt, drainAt)
+				}
+			}},
+		{name: "equal-time drains arm in machine order", machines: 3, jobs: 1, compute: 2, machine: 2, want: retired,
+			sched: fault.Schedule{Drains: []fault.MachineDrain{
+				{Machine: 2, At: 0.5, Deadline: 10}, {Machine: 1, At: 0.5, Deadline: 10},
+			}},
+			check: func(t *testing.T, _ Metrics, _ map[trace.EventKind]int, evs []trace.Event) {
+				var order []int
+				for _, ev := range evs {
+					if ev.Kind == trace.KindMachineDrain {
+						order = append(order, ev.Machine)
+					}
+				}
+				if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+					t.Errorf("drain events on machines %v, want [1 2]", order)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := trace.NewRecorder()
+			r := New(Config{
+				Topo: cluster.NewT1(tc.machines), Replicas: threeMachineReplicas(), Trace: rec,
+				Faults: &tc.sched, PartBytes: tc.partBytes,
+			})
+			var m Metrics
+			for range tc.jobs {
+				jm, err := r.Run(&Job{Name: "life", Stages: []*Stage{pinnedStage("s", 3, tc.compute)}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Add(jm)
+			}
+			if st := r.machines[tc.machine].state; st != tc.want || r.Deaths() != tc.deaths {
+				t.Errorf("machine %d is %v with %d deaths, want %v with %d", tc.machine, st, r.Deaths(), tc.want, tc.deaths)
+			}
+			tc.check(t, m, countKinds(rec.Events()), rec.Events())
+		})
 	}
 }

@@ -34,7 +34,7 @@ type Config struct {
 	// Faults is the run's fault plan — machine kills, degraded links,
 	// dropped transfers, machine slowdowns, joins and drains — replayed
 	// deterministically from the serial event loop. Nil means none, at
-	// zero cost.
+	// zero cost. It must pass Validate for Topo.
 	Faults *fault.Schedule
 	// Retry governs dropped-transfer detection and exponential backoff.
 	// The zero value selects the defaults (1s timeout, 0.25s backoff
@@ -59,64 +59,64 @@ type Runner struct {
 	pool    *Pool
 	clock   float64
 	metrics Metrics
-	dead    map[cluster.MachineID]bool
-	kills   []fault.Kill // pending, sorted stably by At
-	// busySeconds is each machine's busy time (Appendix B: the job manager
-	// records resource utilization).
-	busySeconds []float64
+	// machines is the cluster's execution state, one record per machine
+	// (see elastic.go for the lifecycle), shared by every open stage and
+	// kept across stages and jobs. More than one stage can be open over it
+	// — that is where concurrent jobs of the job service contend.
+	machines []machine
+	kills    []fault.Kill // pending, sorted stably by At
 	// tr receives structured trace events; nil means tracing is disabled
 	// and every emission site reduces to a nil check.
 	tr *trace.Recorder
 	// Causal-DAG threading (docs/METRICS.md): lastJobEnd is the Seq of the
-	// previous job's end (the cause of the next job's begin), failSeq the
-	// Seq of each dead machine's failure event (the cause of everything that
-	// machine's death enabled), lastFailSeq the most recent failure, and
-	// recoveryPending marks that the next job is a rollback reaction whose
-	// begin should be caused by that failure instead of the previous job.
+	// previous job's end (the cause of the next job's begin), lastFailSeq
+	// the most recent failure, and recoveryPending marks that the next job
+	// is a rollback reaction whose begin should be caused by that failure
+	// instead of the previous job.
 	lastJobEnd      int
-	failSeq         map[cluster.MachineID]int
 	lastFailSeq     int
 	recoveryPending bool
 	// faults is the transient-fault schedule (nil = fault-free: every
 	// query is a nil check), retry the defaulted policy.
 	faults *fault.Schedule
 	retry  fault.RetryPolicy
-	// Elastic membership (see elastic.go). dormant marks provisioned
-	// machines whose join has not fired; draining marks machines mid-drain;
-	// retired marks cleanly decommissioned machines. home overlays the
-	// replica primary as a partition's current location after migration —
-	// the shared Replicas is never mutated, so runners at different worker
-	// counts stay independent. nicRate caps a machine's NIC line rate
-	// (0 = topology rate); joins and drains are the pending elastic events
-	// in deterministic (At, Machine) order; drainState tracks each active
-	// drain's outstanding migrations.
-	dormant    map[cluster.MachineID]bool
-	draining   map[cluster.MachineID]bool
-	retired    map[cluster.MachineID]bool
-	home       map[partition.PartID]cluster.MachineID
-	nicRate    []float64
-	joins      []fault.MachineJoin
-	drains     []fault.MachineDrain
-	drainState map[cluster.MachineID]*drainState
-	// Cluster-wide execution state, shared by every open stage and kept
-	// across stages and jobs (see stage.go): the event queue with its
-	// tie-break sequence, the machines' task queues and busy slots, the
-	// registry of running task copies, and the NIC free-times. More than
-	// one stage can be open over it — that is where concurrent jobs of the
-	// job service contend. A machine has one slot: the job manager
-	// "dispatches one more task to a slave node when the slave node
-	// finishes a task" (Appendix B).
+	// home overlays the replica primary as a partition's current location
+	// after migration — the shared Replicas is never mutated, so runners at
+	// different worker counts stay independent. joins and drains are the
+	// pending membership events in deterministic (At, Machine) order.
+	home   map[partition.PartID]cluster.MachineID
+	joins  []fault.MachineJoin
+	drains []fault.MachineDrain
+	// The event queue with its tie-break sequence, and the registry of
+	// running task copies (see stage.go).
 	evq      eventQueue
 	seq      int
-	queues   [][]taskRef
-	running  []int
 	attempts []runAttempt
+}
+
+// machine is one machine's record: its membership state, its task queue
+// and its one slot — the job manager "dispatches one more task to a slave
+// node when the slave node finishes a task" (Appendix B) — and its NICs.
+type machine struct {
+	state state
+	// stateSeq is the trace Seq of the event that put the machine in its
+	// state: the machine-drain while draining (the cause of a deadline
+	// death), the failure once dead (the cause of everything the death
+	// enabled).
+	stateSeq int
+	// outstanding counts a draining machine's migrations in flight.
+	outstanding int
+	queue       []taskRef
+	busy        bool
 	// egressFree / ingressFree model the NIC as the shared resource: a
 	// transfer occupies the sender's egress and the receiver's ingress
 	// for bytes/bandwidth(src,dst) seconds. All-to-all bursts therefore
-	// serialize at the NICs (incast), as on a real cluster.
-	egressFree  []float64
-	ingressFree []float64
+	// serialize at the NICs (incast), as on a real cluster. nicRate caps
+	// the line rate (0 = topology rate).
+	egressFree, ingressFree, nicRate float64
+	// busySeconds is the machine's busy time (Appendix B: the job manager
+	// records resource utilization).
+	busySeconds float64
 }
 
 // New creates a Runner.
@@ -124,26 +124,14 @@ func New(cfg Config) *Runner {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 1.0
 	}
-	nm := cfg.Topo.NumMachines()
 	r := &Runner{
 		cfg: cfg, pool: NewPool(cfg.Workers), tr: cfg.Trace,
-		dead:        make(map[cluster.MachineID]bool),
+		machines:    make([]machine, cfg.Topo.NumMachines()),
 		faults:      cfg.Faults,
 		retry:       cfg.Retry.WithDefaults(),
 		lastJobEnd:  trace.None,
-		failSeq:     make(map[cluster.MachineID]int),
 		lastFailSeq: trace.None,
-		dormant:     make(map[cluster.MachineID]bool),
-		draining:    make(map[cluster.MachineID]bool),
-		retired:     make(map[cluster.MachineID]bool),
 		home:        make(map[partition.PartID]cluster.MachineID),
-		nicRate:     make([]float64, nm),
-		drainState:  make(map[cluster.MachineID]*drainState),
-		busySeconds: make([]float64, nm),
-		queues:      make([][]taskRef, nm),
-		running:     make([]int, nm),
-		egressFree:  make([]float64, nm),
-		ingressFree: make([]float64, nm),
 	}
 	if cfg.Faults != nil {
 		// Equal-time kills keep their plan order: it is the order their
@@ -154,13 +142,17 @@ func New(cfg Config) *Runner {
 		// the moment they go live — and throughout for a client that places
 		// stages itself (StageSpec.Place) and so never waits for the join.
 		for _, j := range cfg.Faults.Joins {
-			if int(j.Machine) >= 0 && int(j.Machine) < len(r.nicRate) {
-				r.dormant[j.Machine] = true
-				r.nicRate[j.Machine] = j.NICs
-			}
+			r.machines[j.Machine].state = dormant
+			r.machines[j.Machine].nicRate = j.NICs
 		}
-		r.joins = cfg.Faults.SortedJoins()
-		r.drains = cfg.Faults.SortedDrains()
+		r.joins = slices.Clone(cfg.Faults.Joins)
+		slices.SortStableFunc(r.joins, func(a, b fault.MachineJoin) int {
+			return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Machine, b.Machine))
+		})
+		r.drains = slices.Clone(cfg.Faults.Drains)
+		slices.SortStableFunc(r.drains, func(a, b fault.MachineDrain) int {
+			return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Machine, b.Machine))
+		})
 	}
 	return r
 }
@@ -187,8 +179,8 @@ func (r *Runner) MachineUtilization() []float64 {
 	if r.clock <= 0 {
 		return out
 	}
-	for m, b := range r.busySeconds {
-		out[m] = b / r.clock
+	for m := range r.machines {
+		out[m] = r.machines[m].busySeconds / r.clock
 	}
 	return out
 }
@@ -199,7 +191,15 @@ func (r *Runner) NumMachines() int { return r.cfg.Topo.NumMachines() }
 // Deaths reports how many machines have died so far. Multi-iteration
 // drivers use the delta across an iteration to detect that state stored on
 // a now-dead machine was lost and a checkpoint rollback is needed.
-func (r *Runner) Deaths() int { return len(r.dead) }
+func (r *Runner) Deaths() int {
+	n := 0
+	for m := range r.machines {
+		if r.machines[m].state == dead {
+			n++
+		}
+	}
+	return n
+}
 
 // NoteCheckpoint records a committed iteration checkpoint on the runner's
 // metrics and trace stream. The checkpoint's I/O cost is charged by the

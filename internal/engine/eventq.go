@@ -28,21 +28,19 @@ type event struct {
 	// sr is the stage run the event belongs to; events of a closed stage
 	// are cancelled (Runner.peek skips them).
 	sr *StageRun
-	// task events
-	task    *Task
+	// machine is the machine a task ran on, or the one a failure or
+	// membership event is about.
 	machine cluster.MachineID
-	// start and dur record the task attempt's actual start time and
-	// duration (slowdown-adjusted), so accounting never has to re-derive
-	// them from fault-dependent state.
+	// task events: the task's index in sr's stage; start and dur record the
+	// attempt's actual start time and duration (slowdown-adjusted), so
+	// accounting never has to re-derive them from fault-dependent state.
+	task       int
 	start, dur float64
 	// transfer events
-	bytes    int64
 	transfer *pendingTransfer
-	// failure and elastic-membership events (failMachine doubles as the
-	// joining/draining machine; deadline is a drain's migration deadline)
-	failMachine cluster.MachineID
-	lost        []taskRef
-	deadline    float64
+	// recovery events carry the lost tasks, drains their deadline
+	lost     []taskRef
+	deadline float64
 	// traceSeq is the Seq of the trace event whose consequence this heap
 	// event is (the transfer for evTransferDone, the failure for evRecovery,
 	// the drop for evTransferRetry); startSeq is the task-start Seq carried

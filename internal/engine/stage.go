@@ -48,10 +48,33 @@ type StageSpec struct {
 
 // taskRef is a machine-queue entry: queues are shared between open stages,
 // and one plan may be running as several jobs at once, so a queued task is
-// identified by its stage run, never by the *Task alone.
+// identified by its stage run and its index in the stage, never by the
+// *Task alone.
 type taskRef struct {
 	sr *StageRun
-	t  *Task
+	i  int
+}
+
+// task is the plan's task the reference names.
+func (ref taskRef) task() *Task { return ref.sr.tasks[ref.i] }
+
+// taskState is the execution state of one task of a stage run.
+type taskState struct {
+	// machine is where the task's committed copy ran (-1 = nowhere yet),
+	// for input re-transfer on recovery.
+	machine cluster.MachineID
+	// copies counts the currently running copies (original plus
+	// speculative backups).
+	copies int32
+	// committed marks a task whose first completed copy already committed
+	// its results; later copies (speculative backups, stale completions)
+	// burn machine time but change nothing — first completion wins, and
+	// because commitment happens in the serial event loop the committed
+	// results are identical in task order for every worker count.
+	committed bool
+	// speculated marks a task that already received a backup copy, so the
+	// straggler rule fires at most once per task.
+	speculated bool
 }
 
 // runAttempt is one currently-executing copy of a task, registered when the
@@ -85,13 +108,14 @@ type pendingTransfer struct {
 }
 
 // StageRun is one open (then closed) stage barrier: the state that belongs
-// to the barrier alone. All per-task state is indexed by the task's position
-// in the stage (Task.idx, stamped at open); slots, queues and NICs are the
-// Runner's.
+// to the barrier alone. Per-task state is indexed by the task's position in
+// the stage, which queue entries and events carry; slots, queues and NICs
+// are the Runner's. The plan itself is only read.
 type StageRun struct {
 	r        *Runner
 	job      *Job
 	stageIdx int
+	tasks    []*Task
 	// name, label and tenant are the Stage, Job and Tenant of the stage's
 	// trace events; m accumulates its costs.
 	name, label, tenant string
@@ -105,22 +129,8 @@ type StageRun struct {
 	// stage left in the machine queues and the event queue is skipped.
 	closed bool
 	// busy is the stage's delivered machine-seconds, in event order.
-	busy float64
-	// taskMachine records where each task actually ran (-1 = nowhere yet),
-	// for input re-transfer on recovery.
-	taskMachine []cluster.MachineID
-	// committed marks tasks whose first completed copy already committed
-	// its results; later copies (speculative backups, stale completions)
-	// burn machine time but change nothing — first completion wins, and
-	// because commitment happens in the serial event loop the committed
-	// results are identical in task order for every worker count.
-	committed []bool
-	// copies counts the currently running copies of each task (original
-	// plus speculative backups).
-	copies []int
-	// speculated marks tasks that already received a backup copy, so the
-	// straggler rule fires at most once per task.
-	speculated []bool
+	busy  float64
+	state []taskState
 	// doneDurs collects committed task durations for the median the
 	// speculation policy compares stragglers against.
 	doneDurs []float64
@@ -156,15 +166,12 @@ func (r *Runner) Open(sp StageSpec) (*StageRun, error) {
 	stage := sp.Job.Stages[sp.Index]
 	nt := len(stage.Tasks)
 	sr := &StageRun{
-		r: r, job: sp.Job, stageIdx: sp.Index,
+		r: r, job: sp.Job, stageIdx: sp.Index, tasks: stage.Tasks,
 		name: stage.Name, label: sp.Label, tenant: sp.Tenant, m: sp.Metrics,
 		prev: sp.prev, managed: sp.Place == nil,
-		taskMachine: make([]cluster.MachineID, nt),
-		committed:   make([]bool, nt),
-		copies:      make([]int, nt),
-		speculated:  make([]bool, nt),
-		remaining:   nt,
-		end:         sp.At,
+		state:     make([]taskState, nt),
+		remaining: nt,
+		end:       sp.At,
 	}
 	if sp.prev != nil {
 		sp.prev.prev = nil // recovery looks one stage back, no further
@@ -177,17 +184,14 @@ func (r *Runner) Open(sp StageSpec) (*StageRun, error) {
 	if place == nil {
 		place = r.place
 	}
-	// Each task is stamped with its stage-local index, the key of all
-	// per-task state above.
 	for i, t := range stage.Tasks {
-		t.idx = i
-		sr.taskMachine[i] = -1
+		sr.state[i].machine = -1
 		m, err := place(t)
 		if err != nil {
 			r.cancel(sr)
 			return nil, err
 		}
-		r.queues[m] = append(r.queues[m], taskRef{sr, t})
+		r.machines[m].queue = append(r.machines[m].queue, taskRef{sr, i})
 	}
 	sr.beginSeq = sr.mark(trace.KindStageBegin, cause, sp.At)
 	// An empty (or instantaneous) stage's barrier is bound by its own begin.
@@ -195,7 +199,7 @@ func (r *Runner) Open(sp StageSpec) (*StageRun, error) {
 	// Start machines in ID order for determinism. These launches are
 	// enabled by the stage barrier opening; a machine whose queue held work
 	// before has no free slot, so only this stage's tasks can start.
-	for m := range r.queues {
+	for m := range r.machines {
 		r.startNext(cluster.MachineID(m), sp.At, sr.beginSeq)
 	}
 	if nt == 0 {
@@ -219,18 +223,18 @@ func (r *Runner) arm(sr *StageRun) {
 		return t
 	}
 	for _, k := range r.kills {
-		if !r.dead[k.Machine] {
-			sr.push(event{at: at(k.At), kind: evFailure, failMachine: k.Machine})
+		if r.machines[k.Machine].state != dead {
+			sr.push(event{at: at(k.At), kind: evFailure, machine: k.Machine})
 		}
 	}
 	for _, j := range r.joins {
-		if r.dormant[j.Machine] {
-			sr.push(event{at: at(j.At), kind: evJoin, failMachine: j.Machine})
+		if r.machines[j.Machine].state == dormant {
+			sr.push(event{at: at(j.At), kind: evJoin, machine: j.Machine})
 		}
 	}
 	for _, d := range r.drains {
-		if !r.draining[d.Machine] && !r.retired[d.Machine] && !r.dead[d.Machine] {
-			sr.push(event{at: at(d.At), kind: evDrain, failMachine: d.Machine, deadline: d.Deadline})
+		if st := r.machines[d.Machine].state; st == live || st == dormant {
+			sr.push(event{at: at(d.At), kind: evDrain, machine: d.Machine, deadline: d.Deadline})
 		}
 	}
 }
@@ -258,7 +262,13 @@ func (r *Runner) NextEvent() (float64, bool) {
 }
 
 // Load is the work pending on machine m: queued plus running tasks.
-func (r *Runner) Load(m cluster.MachineID) int { return len(r.queues[m]) + r.running[m] }
+func (r *Runner) Load(m cluster.MachineID) int {
+	mc := &r.machines[m]
+	if mc.busy {
+		return len(mc.queue) + 1
+	}
+	return len(mc.queue)
+}
 
 // Step handles the next pending event and returns the stage whose barrier
 // it closed, nil when it closed none.
@@ -329,7 +339,7 @@ func (r *Runner) cancel(sr *StageRun) {
 	kept := r.attempts[:0]
 	for _, a := range r.attempts {
 		if a.sr == sr {
-			r.running[a.machine]--
+			r.machines[a.machine].busy = false
 			continue
 		}
 		kept = append(kept, a)
@@ -381,25 +391,27 @@ func (sr *StageRun) push(ev event) {
 // Seq of the event that freed the slot or enqueued the task — possibly
 // another job's.
 func (r *Runner) startNext(m cluster.MachineID, now float64, cause int) {
-	if r.dead[m] {
+	mc := &r.machines[m]
+	if mc.state == dead {
 		return
 	}
-	for r.running[m] == 0 && len(r.queues[m]) > 0 {
-		ref := r.queues[m][0]
-		r.queues[m] = r.queues[m][1:]
-		sr, t := ref.sr, ref.t
-		if sr.closed || sr.committed[t.idx] {
+	for !mc.busy && len(mc.queue) > 0 {
+		ref := mc.queue[0]
+		mc.queue = mc.queue[1:]
+		sr, ts := ref.sr, &ref.sr.state[ref.i]
+		if sr.closed || ts.committed {
 			// A queued backup whose original already finished: drop it.
 			continue
 		}
-		r.running[m]++
-		sr.copies[t.idx]++
+		t := ref.task()
+		mc.busy = true
+		ts.copies++
 		// Stragglers: a machine slowed by a transient fault stretches
 		// every task that starts during the slowdown window.
 		dur := (t.Compute + float64(t.DiskRead+t.DiskWrite)/r.cfg.Topo.DiskBandwidth()) * r.faults.SlowdownFactor(m, now)
 		startSeq := sr.emitTask(trace.KindTaskStart, t, m, now, now, 0, cause)
 		r.attempts = append(r.attempts, runAttempt{taskRef: ref, machine: m, dur: dur})
-		sr.push(event{at: now + dur, kind: evTaskDone, task: t, machine: m, start: now, dur: dur, startSeq: startSeq})
+		sr.push(event{at: now + dur, kind: evTaskDone, task: ref.i, machine: m, start: now, dur: dur, startSeq: startSeq})
 	}
 }
 
@@ -416,32 +428,33 @@ func (r *Runner) dropAttempt(ref taskRef, m cluster.MachineID) {
 
 func (sr *StageRun) onTaskDone(e *event) {
 	r := sr.r
-	if r.dead[e.machine] {
+	mc := &r.machines[e.machine]
+	if mc.state == dead {
 		// The machine died while this completion event was in flight;
 		// the failure handler already requeued the task. If this stale
 		// completion still advances the stage barrier, blame the failure.
-		sr.popSeq = r.failSeq[e.machine]
+		sr.popSeq = mc.stateSeq
 		return
 	}
-	t := e.task
-	r.dropAttempt(taskRef{sr, t}, e.machine)
+	t, ts := sr.tasks[e.task], &sr.state[e.task]
+	r.dropAttempt(taskRef{sr, e.task}, e.machine)
 	sr.m.MachineSeconds += e.dur
 	sr.m.DiskBytes += t.DiskRead + t.DiskWrite
 	sr.m.TasksRun++
 	sr.busy += e.dur
-	r.busySeconds[e.machine] += e.dur
+	mc.busySeconds += e.dur
 	endSeq := sr.emitTask(trace.KindTaskEnd, t, e.machine, e.at, e.start, e.at, e.startSeq)
 	sr.popSeq = endSeq
-	r.running[e.machine]--
-	sr.copies[t.idx]--
-	if sr.committed[t.idx] {
+	mc.busy = false
+	ts.copies--
+	if ts.committed {
 		// A speculative duplicate losing the race: its work is charged
 		// above, but the first completion already committed the results.
 		r.startNext(e.machine, e.at, endSeq)
 		return
 	}
-	sr.committed[t.idx] = true
-	sr.taskMachine[t.idx] = e.machine
+	ts.committed = true
+	ts.machine = e.machine
 	sr.remaining--
 	sr.doneDurs = append(sr.doneDurs, e.dur)
 	// Launch output transfers toward next-stage task machines.
@@ -474,39 +487,36 @@ func (sr *StageRun) maybeSpeculate(now float64) {
 	if !r.cfg.Speculate || r.cfg.Replicas == nil {
 		return
 	}
-	total := len(sr.job.Stages[sr.stageIdx].Tasks)
+	total := len(sr.tasks)
 	median := medianOf(sr.doneDurs)
 	// Collect stragglers from the running-attempt registry first: launching
 	// backups mutates it via startNext. Attempts on dead machines were
 	// already dropped by the failure handler.
-	type straggler struct {
-		t       *Task
-		machine cluster.MachineID
-	}
-	var found []straggler
+	var found []runAttempt
 	for _, a := range r.attempts {
-		if a.sr != sr || sr.committed[a.t.idx] || sr.speculated[a.t.idx] || a.t.Part == NoPart {
+		if a.sr != sr || sr.state[a.i].committed || sr.state[a.i].speculated || a.task().Part == NoPart {
 			continue
 		}
 		if isStraggler(a.dur, median, len(sr.doneDurs), total) {
-			found = append(found, straggler{t: a.t, machine: a.machine})
+			found = append(found, a)
 		}
 	}
 	// Deterministic launch order: the registry order is deterministic, but
 	// sort by task name anyway so the order is obvious, not incidental.
-	sort.Slice(found, func(i, j int) bool { return found[i].t.Name < found[j].t.Name })
+	sort.Slice(found, func(i, j int) bool { return found[i].task().Name < found[j].task().Name })
 	for _, s := range found {
-		backup := r.backupMachine(s.t, s.machine)
+		t := s.task()
+		backup := r.backupMachine(t, s.machine)
 		if backup < 0 {
 			continue
 		}
-		sr.speculated[s.t.idx] = true
+		sr.state[s.i].speculated = true
 		sr.m.Speculations++
 		// The committed completion whose median triggered this check is the
 		// cause of the backup launch (sr.popSeq: the task-end just handled).
-		specSeq := sr.emit(trace.Event{Kind: trace.KindSpeculate, Name: s.t.Name, Cause: sr.popSeq,
-			Machine: int(backup), Dst: trace.None, Part: int(s.t.Part), Time: now})
-		r.queues[backup] = append(r.queues[backup], taskRef{sr, s.t})
+		specSeq := sr.emit(trace.Event{Kind: trace.KindSpeculate, Name: t.Name, Cause: sr.popSeq,
+			Machine: int(backup), Dst: trace.None, Part: int(t.Part), Time: now})
+		r.machines[backup].queue = append(r.machines[backup].queue, s.taskRef)
 		r.startNext(backup, now, specSeq)
 	}
 }
@@ -569,7 +579,8 @@ func (sr *StageRun) sendBytes(src, dst cluster.MachineID, bytes int64, now float
 // bytes / (bandwidth ÷ degradation factor) seconds and delivers the bytes.
 func (sr *StageRun) dispatch(ts *pendingTransfer, now float64) {
 	r := sr.r
-	egFree, inFree := r.egressFree[ts.src], r.ingressFree[ts.dst]
+	src, dst := &r.machines[ts.src], &r.machines[ts.dst]
+	egFree, inFree := src.egressFree, dst.ingressFree
 	start := now
 	if egFree > start {
 		start = egFree
@@ -581,8 +592,8 @@ func (sr *StageRun) dispatch(ts *pendingTransfer, now float64) {
 		// The attempt makes no progress, but the sender cannot know that
 		// until its timeout fires: both NICs stay held until detection.
 		detect := start + r.retry.Timeout
-		r.egressFree[ts.src] = detect
-		r.ingressFree[ts.dst] = detect
+		src.egressFree = detect
+		dst.ingressFree = detect
 		ts.attempt++
 		sr.m.TransferDrops++
 		dropSeq := sr.emit(trace.Event{
@@ -603,15 +614,15 @@ func (sr *StageRun) dispatch(ts *pendingTransfer, now float64) {
 	// (min of link bandwidth and either endpoint's rate), the slow-spot-
 	// instance model.
 	bw := r.cfg.Topo.Bandwidth(ts.src, ts.dst)
-	if nr := r.nicRate[ts.src]; nr > 0 && nr < bw {
+	if nr := src.nicRate; nr > 0 && nr < bw {
 		bw = nr
 	}
-	if nr := r.nicRate[ts.dst]; nr > 0 && nr < bw {
+	if nr := dst.nicRate; nr > 0 && nr < bw {
 		bw = nr
 	}
 	dur := float64(ts.bytes) * factor / bw
-	r.egressFree[ts.src] = start + dur
-	r.ingressFree[ts.dst] = start + dur
+	src.egressFree = start + dur
+	dst.ingressFree = start + dur
 	// Only delivered bytes count as network I/O; dropped attempts moved
 	// nothing.
 	sr.m.NetworkBytes += ts.bytes
@@ -628,7 +639,7 @@ func (sr *StageRun) dispatch(ts *pendingTransfer, now float64) {
 		Incast:  inFree > now && inFree >= egFree,
 		Attempt: ts.attempt, Degraded: factor > 1,
 	})
-	done := event{at: start + dur, kind: evTransferDone, bytes: ts.bytes, traceSeq: seq}
+	done := event{at: start + dur, kind: evTransferDone, traceSeq: seq}
 	if ts.migrate {
 		// The completion handler needs the transfer record to rehome the
 		// partition on arrival.
@@ -658,7 +669,7 @@ func (sr *StageRun) onTransferRetry(e *event) {
 // blames the gap to the stage's start on the fault model (retry backoff),
 // not on work.
 func (sr *StageRun) onFailure(e *event) {
-	sr.failMachine(e.failMachine, e.at, sr.beginSeq)
+	sr.failMachine(e.machine, e.at, sr.beginSeq)
 }
 
 // failMachine executes a machine death at time at: the failure trace event
@@ -667,47 +678,49 @@ func (sr *StageRun) onFailure(e *event) {
 // reaction scheduled one heartbeat later.
 func (sr *StageRun) failMachine(m cluster.MachineID, at float64, cause int) {
 	r := sr.r
-	if r.dead[m] {
-		sr.popSeq = r.failSeq[m]
+	mc := &r.machines[m]
+	if mc.state == dead {
+		sr.popSeq = mc.stateSeq
 		return
 	}
-	r.dead[m] = true
+	mc.state = dead
 	failSeq := sr.emit(trace.Event{Kind: trace.KindFailure,
 		Cause: cause, Machine: int(m), Dst: trace.None, Part: trace.None, Time: at})
-	r.failSeq[m] = failSeq
+	mc.stateSeq = failSeq
 	r.lastFailSeq = failSeq
 	sr.popSeq = failSeq
 	var lost []taskRef
 	// Queued tasks are lost — unless another copy is committed or still
 	// running elsewhere (a queued speculative backup loses nothing).
-	for _, q := range r.queues[m] {
-		if !q.sr.closed && !q.sr.committed[q.t.idx] && q.sr.copies[q.t.idx] == 0 {
+	for _, q := range mc.queue {
+		if ts := q.sr.state[q.i]; !q.sr.closed && !ts.committed && ts.copies == 0 {
 			lost = append(lost, q)
 		}
 	}
-	r.queues[m] = nil
+	mc.queue = nil
 	// Running tasks are lost in attempt-start order: their completion
 	// events stay on the queue, but the completion handler sees the dead
 	// machine and ignores them. A task is only requeued when this death
 	// killed its last running copy and no copy has committed — a surviving
 	// speculative backup carries on.
-	if r.running[m] > 0 {
+	if mc.busy {
 		kept := r.attempts[:0]
 		for _, a := range r.attempts {
 			if a.machine != m {
 				kept = append(kept, a)
 				continue
 			}
-			a.sr.copies[a.t.idx]--
-			if !a.sr.committed[a.t.idx] && a.sr.copies[a.t.idx] == 0 {
+			ts := &a.sr.state[a.i]
+			ts.copies--
+			if !ts.committed && ts.copies == 0 {
 				lost = append(lost, a.taskRef)
 			}
 		}
 		r.attempts = kept
-		r.running[m] = 0
+		mc.busy = false
 	}
 	for _, l := range lost {
-		l.sr.emitTask(trace.KindTaskLost, l.t, m, at, 0, 0, failSeq)
+		l.sr.emitTask(trace.KindTaskLost, l.task(), m, at, 0, 0, failSeq)
 	}
 	sr.push(event{
 		at:       at + r.cfg.HeartbeatInterval,
@@ -726,37 +739,38 @@ func (sr *StageRun) onRecovery(e *event) {
 	sr.inflight--
 	sr.popSeq = e.traceSeq
 	for _, l := range e.lost {
-		if l.sr.closed || l.sr.committed[l.t.idx] {
+		if l.sr.closed || l.sr.state[l.i].committed {
 			// A copy elsewhere committed between the failure and the
 			// manager noticing it; nothing to recover.
 			continue
 		}
-		m, err := r.failover(l.t)
+		m, err := r.failover(l.task())
 		if err != nil {
 			// No live replica: surface as a deadlock; tests assert on
 			// the error path via Run's deadlock message.
 			continue
 		}
-		l.sr.recoverTask(l.t, m, e.at, e.traceSeq)
+		l.sr.recoverTask(l.i, m, e.at, e.traceSeq)
 	}
 }
 
-// recoverTask requeues lost task t of this stage on machine m.
-func (sr *StageRun) recoverTask(t *Task, m cluster.MachineID, at float64, failSeq int) {
+// recoverTask requeues lost task i of this stage on machine m.
+func (sr *StageRun) recoverTask(i int, m cluster.MachineID, at float64, failSeq int) {
 	r := sr.r
+	t := sr.tasks[i]
 	sr.m.Recoveries++
 	// The retry is caused by the failure (via the heartbeat); emit it
 	// before the input re-transfers so they can cite it as their cause.
 	retrySeq := sr.emitTask(trace.KindRetry, t, m, at, 0, 0, failSeq)
 	if t.Kind == KindCombine && sr.prev != nil {
 		// Re-transfer this task's inputs from their producers.
-		for pi, pt := range sr.job.Stages[sr.stageIdx-1].Tasks {
+		for pi, pt := range sr.prev.tasks {
 			for _, out := range pt.Outputs {
-				if out.DstTask != t.idx {
+				if out.DstTask != i {
 					continue
 				}
-				src := sr.prev.taskMachine[pi]
-				if src < 0 || r.dead[src] {
+				src := sr.prev.state[pi].machine
+				if src < 0 || r.machines[src].state == dead {
 					// Producer machine gone: fetch from the
 					// producing partition's replica.
 					if fm, err := r.failover(pt); err == nil {
@@ -769,7 +783,7 @@ func (sr *StageRun) recoverTask(t *Task, m cluster.MachineID, at float64, failSe
 			}
 		}
 	}
-	r.queues[m] = append(r.queues[m], taskRef{sr, t})
+	r.machines[m].queue = append(r.machines[m].queue, taskRef{sr, i})
 	r.startNext(m, at, retrySeq)
 }
 

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -89,5 +91,32 @@ func TestFailedRunLeavesRunnerClean(t *testing.T) {
 	}
 	if math.Abs(m.ResponseSeconds-2) > 1e-9 || m.TasksRun != 2 {
 		t.Fatalf("job after a failed run: %+v, want 2 tasks in 2 s", m)
+	}
+}
+
+// TestConcurrentReplaysShareOnePlan: the engine only reads the plans it is
+// given, so two runners may replay one *Job at once, as a plan memo or a
+// parallel sweep does. Under -race any write to a Job, Stage or Task the
+// replays share is reported.
+func TestConcurrentReplaysShareOnePlan(t *testing.T) {
+	job, _ := randomJob(rand.New(rand.NewSource(5)), 4)
+	var wg sync.WaitGroup
+	ms := make([]Metrics, 2)
+	errs := make([]error, 2)
+	for i := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ms[i], errs[i] = New(Config{Topo: cluster.NewT1(4)}).RunJobs([]*Job{job, job, job})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ms[0] != ms[1] || ms[0].TasksRun == 0 {
+		t.Fatalf("replays of one plan differ or ran nothing:\n%+v\n%+v", ms[0], ms[1])
 	}
 }

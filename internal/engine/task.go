@@ -71,9 +71,6 @@ type Task struct {
 	DiskWrite int64
 	// Outputs are the data this task produces for next-stage tasks.
 	Outputs []Output
-	// idx is the task's position in its stage's task list, stamped by the
-	// engine when the stage starts; it keys all per-task stage state.
-	idx int
 }
 
 // NoPart marks a task not bound to any partition.

@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"sort"
-
-	"repro/internal/cluster"
-)
+import "repro/internal/cluster"
 
 // Elastic cluster membership: production clouds do not only break, they
 // grow and shrink — spot instances arrive and are reclaimed, autoscalers
@@ -72,35 +68,4 @@ func (s *Schedule) AcceptingAt(m cluster.MachineID, t float64) bool {
 		}
 	}
 	return true
-}
-
-// SortedJoins returns the schedule's joins ordered by (At, Machine), the
-// deterministic arming order the engine uses.
-func (s *Schedule) SortedJoins() []MachineJoin {
-	if s == nil || len(s.Joins) == 0 {
-		return nil
-	}
-	out := append([]MachineJoin(nil), s.Joins...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Machine < out[j].Machine
-	})
-	return out
-}
-
-// SortedDrains returns the schedule's drains ordered by (At, Machine).
-func (s *Schedule) SortedDrains() []MachineDrain {
-	if s == nil || len(s.Drains) == 0 {
-		return nil
-	}
-	out := append([]MachineDrain(nil), s.Drains...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Machine < out[j].Machine
-	})
-	return out
 }

@@ -11,31 +11,36 @@ import (
 
 func TestValidateElastic(t *testing.T) {
 	cases := []struct {
-		name   string
-		joins  []MachineJoin
-		drains []MachineDrain
-		want   string // substring of the error, "" = valid
+		name string
+		s    Schedule
+		want string // substring of the error, "" = valid
 	}{
-		{"empty", nil, nil, ""},
-		{"valid join and drain", []MachineJoin{{Machine: 3, At: 1}},
-			[]MachineDrain{{Machine: 1, At: 2, Deadline: 5}}, ""},
-		{"join outside topology", []MachineJoin{{Machine: 4, At: 1}}, nil, "outside"},
-		{"join negative machine", []MachineJoin{{Machine: -1, At: 1}}, nil, "outside"},
-		{"join negative time", []MachineJoin{{Machine: 3, At: -0.5}}, nil, "negative time"},
-		{"join negative NIC rate", []MachineJoin{{Machine: 3, At: 1, NICs: -1}}, nil, "negative NIC rate"},
-		{"duplicate join", []MachineJoin{{Machine: 3, At: 1}, {Machine: 3, At: 2}}, nil, "already live"},
-		{"drain outside topology", nil, []MachineDrain{{Machine: 9, At: 1, Deadline: 2}}, "outside"},
-		{"drain negative time", nil, []MachineDrain{{Machine: 1, At: -1, Deadline: 2}}, "negative time"},
-		{"deadline before start", nil, []MachineDrain{{Machine: 1, At: 3, Deadline: 3}}, "could never finish"},
-		{"drain before its join", []MachineJoin{{Machine: 3, At: 5}},
-			[]MachineDrain{{Machine: 3, At: 2, Deadline: 9}}, "before it joins"},
-		{"drain after its join is fine", []MachineJoin{{Machine: 3, At: 1}},
-			[]MachineDrain{{Machine: 3, At: 2, Deadline: 9}}, ""},
-		{"duplicate drain", nil,
-			[]MachineDrain{{Machine: 1, At: 1, Deadline: 2}, {Machine: 1, At: 3, Deadline: 4}}, "duplicate drain"},
+		{"empty", Schedule{}, ""},
+		{"valid join and drain", Schedule{Joins: []MachineJoin{{Machine: 3, At: 1}},
+			Drains: []MachineDrain{{Machine: 1, At: 2, Deadline: 5}}}, ""},
+		{"join outside topology", Schedule{Joins: []MachineJoin{{Machine: 4, At: 1}}}, "outside"},
+		{"join negative machine", Schedule{Joins: []MachineJoin{{Machine: -1, At: 1}}}, "outside"},
+		{"join negative time", Schedule{Joins: []MachineJoin{{Machine: 3, At: -0.5}}}, "negative time"},
+		{"join negative NIC rate", Schedule{Joins: []MachineJoin{{Machine: 3, At: 1, NICs: -1}}}, "negative NIC rate"},
+		{"duplicate join", Schedule{Joins: []MachineJoin{{Machine: 3, At: 1}, {Machine: 3, At: 2}}}, "already live"},
+		{"drain outside topology", Schedule{Drains: []MachineDrain{{Machine: 9, At: 1, Deadline: 2}}}, "outside"},
+		{"drain negative time", Schedule{Drains: []MachineDrain{{Machine: 1, At: -1, Deadline: 2}}}, "negative time"},
+		{"deadline before start", Schedule{Drains: []MachineDrain{{Machine: 1, At: 3, Deadline: 3}}}, "could never finish"},
+		{"drain before its join", Schedule{Joins: []MachineJoin{{Machine: 3, At: 5}},
+			Drains: []MachineDrain{{Machine: 3, At: 2, Deadline: 9}}}, "before it joins"},
+		{"drain after its join is fine", Schedule{Joins: []MachineJoin{{Machine: 3, At: 1}},
+			Drains: []MachineDrain{{Machine: 3, At: 2, Deadline: 9}}}, ""},
+		{"duplicate drain", Schedule{Drains: []MachineDrain{
+			{Machine: 1, At: 1, Deadline: 2}, {Machine: 1, At: 3, Deadline: 4}}}, "duplicate drain"},
+		{"kill before its join", Schedule{Joins: []MachineJoin{{Machine: 2, At: 1}},
+			Kills: []Kill{{Machine: 2, At: 0.5}}}, "kills machine 2 at 0.5, before it joins at 1"},
+		{"kill at its join", Schedule{Joins: []MachineJoin{{Machine: 2, At: 1}},
+			Kills: []Kill{{Machine: 2, At: 1}}}, "before it joins"},
+		{"kill after its join is fine", Schedule{Joins: []MachineJoin{{Machine: 2, At: 1}},
+			Kills: []Kill{{Machine: 2, At: 1.5}}}, ""},
 	}
 	for _, tc := range cases {
-		err := (&Schedule{Joins: tc.joins, Drains: tc.drains}).Validate(4)
+		err := tc.s.Validate(4)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -80,27 +85,6 @@ func TestAcceptingAt(t *testing.T) {
 	var nilSched *Schedule
 	if !nilSched.AcceptingAt(0, 0) {
 		t.Error("nil schedule should accept everywhere")
-	}
-}
-
-func TestDormantAndSortedAccessors(t *testing.T) {
-	s := &Schedule{
-		Joins: []MachineJoin{{Machine: 5, At: 3}, {Machine: 4, At: 1}},
-		Drains: []MachineDrain{
-			{Machine: 2, At: 4, Deadline: 9}, {Machine: 1, At: 4, Deadline: 8},
-		},
-	}
-	js := s.SortedJoins()
-	if js[0].Machine != 4 || js[1].Machine != 5 {
-		t.Fatalf("SortedJoins order = %v", js)
-	}
-	ds := s.SortedDrains()
-	if ds[0].Machine != 1 || ds[1].Machine != 2 {
-		t.Fatalf("SortedDrains tie-break = %v", ds)
-	}
-	var nilSched *Schedule
-	if nilSched.SortedJoins() != nil || nilSched.SortedDrains() != nil {
-		t.Error("nil schedule accessors should return nil")
 	}
 }
 

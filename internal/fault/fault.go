@@ -155,9 +155,9 @@ func (s *Schedule) Empty() bool {
 // with one machine left alive; whether the replicas survive the kills is
 // engine.ValidateKills'. A drop window needs a finite end, or retries never
 // succeed and the stage deadlocks. A machine joins at most once (a second
-// join would join a live machine); a drain targets a machine live at its
-// start (initially live, or joined before it), at most once, with a
-// deadline after its start.
+// join would join a live machine). A kill or a drain targets a machine live
+// at its time (initially live, or joined before it); a drain comes at most
+// once, with a deadline after its start.
 func (s *Schedule) Validate(numMachines int) error {
 	if s == nil {
 		return nil
@@ -224,6 +224,11 @@ func (s *Schedule) Validate(numMachines int) error {
 			return fmt.Errorf("fault: join %d joins machine %d, which is already live (joined earlier)", i, j.Machine)
 		}
 		joinAt[j.Machine] = j.At
+	}
+	for i, k := range s.Kills {
+		if at, joins := joinAt[k.Machine]; joins && at >= k.At {
+			return fmt.Errorf("fault: kill %d kills machine %d at %g, before it joins at %g", i, k.Machine, k.At, at)
+		}
 	}
 	drained := make(map[cluster.MachineID]bool, len(s.Drains))
 	for i, d := range s.Drains {

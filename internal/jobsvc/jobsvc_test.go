@@ -207,19 +207,37 @@ func TestBlameSumsToMakespanMultiTenant(t *testing.T) {
 // TestPlanPurity pins the planning-vs-execution split: the same spec
 // planned at different worker counts yields byte-identical plans (asserted
 // indirectly by TestDeterminismAcrossWorkers) and re-running the same jobs
-// under a different policy leaves the plans untouched.
+// under a different policy leaves every task of every plan untouched.
 func TestPlanPurity(t *testing.T) {
 	jobs := realWorkload(t, 2)
-	before := fmt.Sprintf("%+v", jobs[0].Plan[0].Stages[0].Tasks[0])
+	snapshot := func() []string {
+		var out []string
+		for _, j := range jobs {
+			for _, pj := range j.Plan {
+				for _, st := range pj.Stages {
+					for _, task := range st.Tasks {
+						out = append(out, fmt.Sprintf("%s/%s %+v", pj.Name, st.Name, *task))
+					}
+				}
+			}
+		}
+		return out
+	}
+	before := snapshot()
 	if _, err := Run(Config{Topo: testTopo(), Policy: Fair, Concurrency: 1}, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Run(Config{Topo: testTopo(), Policy: Priority, Concurrency: 3}, jobs); err != nil {
 		t.Fatal(err)
 	}
-	after := fmt.Sprintf("%+v", jobs[0].Plan[0].Stages[0].Tasks[0])
-	if before != after {
-		t.Fatalf("plan mutated by execution:\nbefore %s\nafter  %s", before, after)
+	after := snapshot()
+	if len(before) < 2 || len(after) != len(before) {
+		t.Fatalf("plans hold %d tasks before and %d after; want the same, at least 2", len(before), len(after))
+	}
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("plan mutated by execution:\nbefore %s\nafter  %s", before[i], after[i])
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ type PlannerConfig struct {
 // Planner turns job specs into engine-job plans via the propagation
 // planning API. Plans are pure functions of (app, iterations) over the
 // shared deployment, so they are cached and safely shared between jobs:
-// the service never mutates a plan.
+// neither the service nor the engine writes to a plan.
 type Planner struct {
 	pg    *storage.PartitionedGraph
 	pl    *partition.Placement

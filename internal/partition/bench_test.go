@@ -60,12 +60,11 @@ func BenchmarkSketchWalk(b *testing.B) {
 	g := benchSocial(1 << 16)
 	_, sk := RecursiveBisect(g, 6, Options{Seed: 42})
 	topo := cluster.NewT2(cluster.T2Config{Machines: 32, Pods: 4, Levels: 1})
-	cm := DefaultCostModel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pl := SketchPlacement(sk, topo)
-		aware, baseline := cm.PartitioningTime(g, sk, topo, 43)
+		aware, baseline := PartitioningTime(g, sk, topo, 43)
 		benchSink += pl.NumPartitions() + int(aware+baseline)
 	}
 }

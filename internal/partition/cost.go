@@ -10,10 +10,10 @@ import (
 // A distributed multilevel bisection of a subgraph on a machine set costs:
 //
 //  1. compute — coarsening, initial partitioning and refinement touch each
-//     edge a few times: ComputePerEdge × edges / |machines|.
+//     edge a few times: computePerEdge × edges / |machines|.
 //  2. exchange — the machines performing the bisection exchange the
 //     subgraph repeatedly during coarsening and refinement (matching
-//     proposals, contracted graphs, boundary updates): ExchangeFactor ×
+//     proposals, contracted graphs, boundary updates): exchangeFactor ×
 //     bytes in an all-to-all pattern. Each machine moves its share across
 //     its links into the rest of the set; the step finishes when the
 //     worst-connected machine does.
@@ -29,34 +29,27 @@ import (
 // Sibling bisections run on disjoint machine sets in parallel, so a level's
 // elapsed time is the maximum over its nodes and the total is the sum over
 // levels.
-type CostModel struct {
-	// ComputePerEdge is seconds of CPU work per directed edge per pass of
+//
+// The constants are calibrated so that the simulated cluster reproduces the
+// relative ordering of Table 1 (equal methods on T1; bandwidth-aware 39–55%
+// faster elsewhere).
+const (
+	// computePerEdge is seconds of CPU work per directed edge per pass of
 	// the multilevel pipeline.
-	ComputePerEdge float64
-	// ExchangeFactor scales the subgraph bytes exchanged all-to-all during
+	computePerEdge = 1.0e-6
+	// exchangeFactor scales the subgraph bytes exchanged all-to-all during
 	// a distributed bisection.
-	ExchangeFactor float64
-	// StagingRounds is how many times a bandwidth-oblivious step re-moves
-	// the node's data over random links (fetch + write-back = 2).
-	StagingRounds float64
-}
-
-// DefaultCostModel returns constants calibrated so that the simulated
-// cluster reproduces the relative ordering of Table 1 (equal methods on T1;
-// bandwidth-aware 39–55% faster elsewhere).
-func DefaultCostModel() CostModel {
-	return CostModel{
-		ComputePerEdge: 1.0e-6,
-		ExchangeFactor: 3.0,
-		StagingRounds:  3,
-	}
-}
+	exchangeFactor = 3.0
+	// stagingRounds is how many times a bandwidth-oblivious step re-moves
+	// the node's data over random links.
+	stagingRounds = 3
+)
 
 // PartitioningTime estimates the elapsed seconds of the distributed run that
 // bisects g into sk on topo, two ways: aware is Algorithm 4, machine sets split
 // by MachineGraph.Bisect; baseline is the bandwidth-oblivious run, machine sets
 // split into random halves by a shuffle seeded with seed, paying staging.
-func (cm CostModel) PartitioningTime(g *graph.Graph, sk *Sketch, topo *cluster.Topology, seed int64) (aware, baseline float64) {
+func PartitioningTime(g *graph.Graph, sk *Sketch, topo *cluster.Topology, seed int64) (aware, baseline float64) {
 	vertices, edges := sk.nodeSizes(g)
 	elapsed := func(split func(*cluster.MachineGraph) (a, b *cluster.MachineGraph), staged bool) float64 {
 		// Each level's elapsed time is the max over its nodes (disjoint
@@ -68,7 +61,7 @@ func (cm CostModel) PartitioningTime(g *graph.Graph, sk *Sketch, topo *cluster.T
 			for len(levelMax) <= s.depth {
 				levelMax = append(levelMax, 0)
 			}
-			t := cm.stepTime(s, float64(vertices[s.node]), float64(edges[s.node]), topo, staged, avgRandom)
+			t := stepTime(s, float64(vertices[s.node]), float64(edges[s.node]), topo, staged, avgRandom)
 			levelMax[s.depth] = max(levelMax[s.depth], t)
 		}
 		var total float64
@@ -80,10 +73,10 @@ func (cm CostModel) PartitioningTime(g *graph.Graph, sk *Sketch, topo *cluster.T
 	return elapsed((*cluster.MachineGraph).Bisect, false), elapsed(randomHalves(seed), true)
 }
 
-func (cm CostModel) stepTime(s bisectStep, vertices, edges float64, topo *cluster.Topology, staged bool, avgRandom float64) float64 {
+func stepTime(s bisectStep, vertices, edges float64, topo *cluster.Topology, staged bool, avgRandom float64) float64 {
 	bytes := 8*vertices + 4*edges
 	nm := len(s.machines)
-	compute := cm.ComputePerEdge * edges / float64(nm)
+	compute := computePerEdge * edges / float64(nm)
 	if s.local || nm <= 1 {
 		// Single-machine bisection: CPU plus a disk pass over the data.
 		return compute + 2*bytes/topo.DiskBandwidth()
@@ -91,7 +84,7 @@ func (cm CostModel) stepTime(s bisectStep, vertices, edges float64, topo *cluste
 	// All-to-all exchange: each machine moves its share (bytes/nm ×
 	// factor) into the rest of the set; bottleneck is the machine with the
 	// lowest average bandwidth to its peers.
-	perMachine := cm.ExchangeFactor * bytes / float64(nm)
+	perMachine := exchangeFactor * bytes / float64(nm)
 	worst := 0.0
 	for _, i := range s.machines {
 		var bwSum float64
@@ -108,7 +101,7 @@ func (cm CostModel) stepTime(s bisectStep, vertices, edges float64, topo *cluste
 	t := compute + worst
 	if staged && s.depth > 0 {
 		// Re-stage the node's data over average random links.
-		t += cm.StagingRounds * (bytes / float64(nm)) / avgRandom
+		t += stagingRounds * (bytes / float64(nm)) / avgRandom
 	}
 	return t
 }

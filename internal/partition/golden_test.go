@@ -93,7 +93,7 @@ func TestPartitionDigestsGolden(t *testing.T) {
 			g := graph.Social(graph.DefaultSocial(sz.n, seed))
 			pt, sk := RecursiveBisect(g, sz.levels, Options{Seed: seed})
 			fmt.Fprintf(&got, "RecursiveBisect %d %d %s\n", sz.n, seed, digestResult(pt, sk, nil))
-			aware, baseline := DefaultCostModel().PartitioningTime(g, sk, topo, seed+1)
+			aware, baseline := PartitioningTime(g, sk, topo, seed+1)
 			fmt.Fprintf(&got, "BandwidthAware %d %d %s\n", sz.n, seed, digestResult(pt, sk, SketchPlacement(sk, topo)))
 			fmt.Fprintf(&got, "BandwidthAwareSteps %d %d %s\n", sz.n, seed, digestSteps(g, sk, topo, (*cluster.MachineGraph).Bisect, aware))
 			fmt.Fprintf(&got, "ParMetisLike %d %d %s\n", sz.n, seed, digestResult(pt, sk, RandomPlacement(pt.P, topo, seed+1)))

@@ -188,10 +188,9 @@ func TestPartitioningTimeT1Equal(t *testing.T) {
 	// inflate the baseline alone.
 	g := testGraph(9)
 	topo := cluster.NewT1(8)
-	cm := DefaultCostModel()
 	for _, levels := range []int{4, 2} {
 		_, sk := RecursiveBisect(g, levels, Options{Seed: 9})
-		tBA, tPM := cm.PartitioningTime(g, sk, topo, 10)
+		tBA, tPM := PartitioningTime(g, sk, topo, 10)
 		if tBA <= 0 || tPM <= 0 {
 			t.Fatalf("levels %d: non-positive times %g %g", levels, tBA, tPM)
 		}
@@ -208,7 +207,7 @@ func TestPartitioningTimeBandwidthAwareWinsOnT2(t *testing.T) {
 	g := testGraph(10)
 	topo := cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1})
 	_, sk := RecursiveBisect(g, 4, Options{Seed: 10})
-	tBA, tPM := DefaultCostModel().PartitioningTime(g, sk, topo, 11)
+	tBA, tPM := PartitioningTime(g, sk, topo, 11)
 	if tPM < tBA*1.2 {
 		t.Fatalf("bandwidth-aware not winning on T2: BA=%.3fs PM=%.3fs", tBA, tPM)
 	}

@@ -58,7 +58,6 @@ func TestQuickOneRecursion(t *testing.T) {
 		cluster.NewT2(cluster.T2Config{Machines: 6, Pods: 2, Levels: 1}),
 		cluster.NewT3(16, 7),
 	}
-	cm := DefaultCostModel()
 	f := func(seed int64, topoPick, levelPick uint8) bool {
 		n := 300 + int(uint64(seed)%700)
 		g := graph.Uniform(n, n*4, seed)
@@ -79,9 +78,9 @@ func TestQuickOneRecursion(t *testing.T) {
 				seen[s.node] = true
 			}
 		}
-		a1, b1 := cm.PartitioningTime(g, sk, topo, seed+1)
+		a1, b1 := PartitioningTime(g, sk, topo, seed+1)
 		pt2, sk2 := RecursiveBisect(g, levels, Options{Seed: seed})
-		a2, b2 := cm.PartitioningTime(g, sk2, topo, seed+1)
+		a2, b2 := PartitioningTime(g, sk2, topo, seed+1)
 		return reflect.DeepEqual(pt, pt2) && reflect.DeepEqual(sk, sk2) && a1 == a2 && b1 == b2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -295,9 +295,9 @@ func RunMapReduce[K MRKey, V any, R any](sys *System, r *Runner, prog MRProgram[
 
 // ----------------------------------------------------------- diagnostics
 
-// PartitionCostModel is the elapsed-time model for distributed partitioning
-// (Table 1).
-type PartitionCostModel = partition.CostModel
-
-// DefaultPartitionCostModel returns the calibrated Table 1 constants.
-func DefaultPartitionCostModel() PartitionCostModel { return partition.DefaultCostModel() }
+// PartitioningTime estimates the elapsed seconds of the distributed run that
+// bisects g into sk on topo (Table 1), bandwidth-aware and, with machine
+// sets split by a shuffle seeded with seed, bandwidth-oblivious.
+func PartitioningTime(g *Graph, sk *partition.Sketch, topo *Topology, seed int64) (aware, baseline float64) {
+	return partition.PartitioningTime(g, sk, topo, seed)
+}

@@ -150,7 +150,7 @@ func TestPublicAPIStrategies(t *testing.T) {
 	if sys.PG.Part.P != 8 {
 		t.Fatalf("P = %d", sys.PG.Part.P)
 	}
-	aware, baseline := DefaultPartitionCostModel().PartitioningTime(g, sys.Sketch, topo, 4)
+	aware, baseline := PartitioningTime(g, sys.Sketch, topo, 4)
 	if aware <= 0 || baseline <= aware {
 		t.Fatalf("partitioning times: bandwidth-aware %g, baseline %g", aware, baseline)
 	}
