@@ -55,6 +55,9 @@ go test -run '^$' -fuzz FuzzReadWorkload -fuzztime 10s ./internal/jobsvc
 # nor from what the tools do next with an accepted schedule, and what it
 # accepts writes back and re-reads to the same bytes.
 go test -run '^$' -fuzz FuzzLoad -fuzztime 10s ./internal/fault
+# And the index the engine looks faults up through against the linear scans
+# it replaced: equal bits on all three queries, at every window edge.
+go test -run '^$' -fuzz FuzzFaultIndex -fuzztime 10s ./internal/fault
 # And through the series-file reader behind surfer-metrics -series: never a
 # panic, nor from the three renderers on an accepted set, and what it accepts
 # writes back and re-reads to the same bytes.

@@ -70,3 +70,54 @@ func BenchmarkRunJobs(b *testing.B) {
 		})
 	}
 }
+
+// TestRunJobsAllocBudget pins what the event loop allocates on a small
+// fixed faulted run: an all-to-all exchange of 32 producers into 8 combiners
+// on 8 machines, three times over, under degraded links, drops and
+// slowdowns. A transfer allocates nothing; a drop's retry allocates its
+// record once. The ceiling is the measured count: a change that beats it
+// lowers it.
+func TestRunJobsAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const machines, producers, combiners, ceiling = 8, 32, 8, 436
+	topo := cluster.NewT1(machines)
+	var jobs []*engine.Job
+	for j := 0; j < 3; j++ {
+		send := &engine.Stage{Name: "send"}
+		for i := 0; i < producers; i++ {
+			task := &engine.Task{Name: "p", Machine: cluster.MachineID(i % machines), Compute: 0.01}
+			for d := 0; d < combiners; d++ {
+				task.Outputs = append(task.Outputs, engine.Output{DstTask: d, Bytes: 1 << 20})
+			}
+			send.Tasks = append(send.Tasks, task)
+		}
+		combine := &engine.Stage{Name: "combine"}
+		for d := 0; d < combiners; d++ {
+			combine.Tasks = append(combine.Tasks, &engine.Task{Name: "c", Machine: cluster.MachineID(d), Compute: 0.01, Kind: engine.KindCombine})
+		}
+		jobs = append(jobs, &engine.Job{Name: "x", Stages: []*engine.Stage{send, combine}})
+	}
+	base, err := engine.New(engine.Config{Topo: topo, Workers: 1}).RunJobs(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := base.ResponseSeconds
+	faults, _ := fault.Generate(fault.GenConfig{Machines: machines, Horizon: h, Degrades: 16, Drops: 16, Slowdowns: 4, Seed: 1})
+	cfg := engine.Config{Topo: topo, Workers: 1, Faults: faults,
+		Retry: fault.RetryPolicy{Timeout: h / 100, Backoff: h / 400, MaxBackoff: h / 10}}
+	var m engine.Metrics
+	allocs := testing.AllocsPerRun(5, func() {
+		if m, err = engine.New(cfg).RunJobs(jobs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m.TransferDrops == 0 || m.TransferRetries == 0 {
+		t.Fatalf("the faulted run dropped %d transfers and retried %d; the budget covers neither", m.TransferDrops, m.TransferRetries)
+	}
+	t.Logf("%.0f allocations, %d drops", allocs, m.TransferDrops)
+	if allocs > ceiling {
+		t.Errorf("a faulted run allocates %.0f times, over its ceiling of %d", allocs, ceiling)
+	}
+}

@@ -154,7 +154,7 @@ func (sr *StageRun) startMigrations(m cluster.MachineID, at float64, drainSeq in
 		}
 		sr.inflight++
 		outstanding++
-		sr.dispatch(&pendingTransfer{src: m, dst: dst, bytes: bytes, part: pid,
+		sr.dispatch(pendingTransfer{src: m, dst: dst, bytes: bytes, part: pid,
 			cause: drainSeq, migrate: true}, at)
 	}
 	return outstanding

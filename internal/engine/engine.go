@@ -76,9 +76,9 @@ type Runner struct {
 	lastJobEnd      int
 	lastFailSeq     int
 	recoveryPending bool
-	// faults is the transient-fault schedule (nil = fault-free: every
-	// query is a nil check), retry the defaulted policy.
-	faults *fault.Schedule
+	// faults indexes the transient faults, built once here (nil =
+	// fault-free: every query is a nil check), retry the defaulted policy.
+	faults *fault.Index
 	retry  fault.RetryPolicy
 	// home overlays the replica primary as a partition's current location
 	// after migration — the shared Replicas is never mutated, so runners at
@@ -127,7 +127,7 @@ func New(cfg Config) *Runner {
 	r := &Runner{
 		cfg: cfg, pool: NewPool(cfg.Workers), tr: cfg.Trace,
 		machines:    make([]machine, cfg.Topo.NumMachines()),
-		faults:      cfg.Faults,
+		faults:      cfg.Faults.Index(),
 		retry:       cfg.Retry.WithDefaults(),
 		lastJobEnd:  trace.None,
 		lastFailSeq: trace.None,

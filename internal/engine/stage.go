@@ -88,8 +88,8 @@ type runAttempt struct {
 }
 
 // pendingTransfer is the retry state machine of one logical transfer: the
-// same record is re-dispatched until an attempt succeeds, carrying the
-// attempt count that drives the exponential backoff.
+// record is re-dispatched until an attempt succeeds, carrying the attempt
+// count that drives the exponential backoff.
 type pendingTransfer struct {
 	src, dst cluster.MachineID
 	bytes    int64
@@ -570,14 +570,16 @@ func (sr *StageRun) sendBytes(src, dst cluster.MachineID, bytes int64, now float
 		return
 	}
 	sr.inflight++
-	sr.dispatch(&pendingTransfer{src: src, dst: dst, bytes: bytes, part: dstPart, dstName: dstName, cause: cause}, now)
+	sr.dispatch(pendingTransfer{src: src, dst: dst, bytes: bytes, part: dstPart, dstName: dstName, cause: cause}, now)
 }
 
 // dispatch issues one attempt of a (possibly retried) transfer at time now.
 // A blackholed attempt holds both NICs until the sender's timeout, then
 // schedules a backoff retry; a successful attempt occupies the NICs for
 // bytes / (bandwidth ÷ degradation factor) seconds and delivers the bytes.
-func (sr *StageRun) dispatch(ts *pendingTransfer, now float64) {
+// The record travels by value: only an event that outlives the call — the
+// retry after a drop, the landing of a migration — holds a heap copy.
+func (sr *StageRun) dispatch(ts pendingTransfer, now float64) {
 	r := sr.r
 	src, dst := &r.machines[ts.src], &r.machines[ts.dst]
 	egFree, inFree := src.egressFree, dst.ingressFree
@@ -606,7 +608,8 @@ func (sr *StageRun) dispatch(ts *pendingTransfer, now float64) {
 				sr.label, ts.src, ts.dst, ts.bytes, ts.attempt)
 			return
 		}
-		sr.push(event{at: detect + r.retry.BackoffAt(ts.attempt), kind: evTransferRetry, transfer: ts, traceSeq: dropSeq})
+		pending := ts
+		sr.push(event{at: detect + r.retry.BackoffAt(ts.attempt), kind: evTransferRetry, transfer: &pending, traceSeq: dropSeq})
 		return
 	}
 	factor := r.faults.LinkFactor(ts.src, ts.dst, start)
@@ -643,7 +646,8 @@ func (sr *StageRun) dispatch(ts *pendingTransfer, now float64) {
 	if ts.migrate {
 		// The completion handler needs the transfer record to rehome the
 		// partition on arrival.
-		done.transfer = ts
+		landed := ts
+		done.transfer = &landed
 	}
 	sr.push(done)
 }
@@ -660,7 +664,7 @@ func (sr *StageRun) onTransferRetry(e *event) {
 	sr.popSeq = retrySeq
 	// The re-issued attempt is caused by the retry, not the original send.
 	ts.cause = retrySeq
-	sr.dispatch(ts, e.at)
+	sr.dispatch(*ts, e.at)
 }
 
 // onFailure marks the machine dead, collects its lost work and schedules the

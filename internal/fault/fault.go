@@ -6,11 +6,12 @@
 // the engine's own fixed rule.
 //
 // The package deliberately holds no engine state: a Schedule is a pure,
-// immutable description of *when* the cluster misbehaves, queried by the
-// engine's serial event loop at transfer-start and task-start times. That
-// keeps the whole fault model inside the discrete-event determinism
-// contract — the same schedule replays identically for every compute
-// worker count, so faulty runs stay bit-reproducible.
+// immutable description of *when* the cluster misbehaves, queried through
+// its Index by the engine's serial event loop at transfer-start and
+// task-start times. That keeps the whole fault model inside the
+// discrete-event determinism contract — the same schedule replays
+// identically for every compute worker count, so faulty runs stay
+// bit-reproducible.
 package fault
 
 import (
@@ -57,10 +58,9 @@ type Slowdown struct {
 	Factor float64 `json:"factor"`
 }
 
-// Schedule is a run's whole deterministic fault plan: every query is a pure
-// function of (link or machine, virtual time), so replaying a run replays
-// its faults. A nil *Schedule is valid and means "no faults" — every query
-// on it is a nil-check and allocates nothing (the fault-free hot path).
+// Schedule is a run's whole deterministic fault plan: every query of its
+// Index is a pure function of (link or machine, virtual time), so replaying
+// a run replays its faults. A nil *Schedule is valid and means "no faults".
 //
 // Its JSON form is the fault file the CLIs read (Load):
 //
@@ -93,20 +93,54 @@ type Schedule struct {
 // active reports whether t falls inside [from, until).
 func active(from, until, t float64) bool { return t >= from && t < until }
 
+// Index is a schedule's transient faults keyed for the engine's per-event
+// queries: each directed link's degradations and drops, and each machine's
+// slowdowns, in schedule order, so overlapping factors compound in the
+// order the schedule lists them. A nil *Index is fault-free: every query
+// on it is a nil check and allocates nothing.
+type Index struct {
+	links     map[link]linkFaults
+	slowdowns map[cluster.MachineID][]Slowdown
+}
+
+// link is a directed machine pair.
+type link struct{ src, dst cluster.MachineID }
+
+type linkFaults struct{ degrades, drops []LinkFault }
+
+// Index builds the schedule's lookup index, nil when nothing degrades,
+// drops or slows. The engine builds it once per runner.
+func (s *Schedule) Index() *Index {
+	if s == nil || len(s.Links)+len(s.Drops)+len(s.Slowdowns) == 0 {
+		return nil
+	}
+	ix := &Index{links: make(map[link]linkFaults), slowdowns: make(map[cluster.MachineID][]Slowdown)}
+	for _, lf := range s.Links {
+		l := ix.links[link{lf.Src, lf.Dst}]
+		l.degrades = append(l.degrades, lf)
+		ix.links[link{lf.Src, lf.Dst}] = l
+	}
+	for _, lf := range s.Drops {
+		l := ix.links[link{lf.Src, lf.Dst}]
+		l.drops = append(l.drops, lf)
+		ix.links[link{lf.Src, lf.Dst}] = l
+	}
+	for _, sd := range s.Slowdowns {
+		ix.slowdowns[sd.Machine] = append(ix.slowdowns[sd.Machine], sd)
+	}
+	return ix
+}
+
 // LinkFactor returns the combined bandwidth divisor of all degradations
 // active on src→dst at time t (overlapping faults compound). It is 1 when
 // the link is healthy and never less than 1.
-func (s *Schedule) LinkFactor(src, dst cluster.MachineID, t float64) float64 {
-	if s == nil {
+func (ix *Index) LinkFactor(src, dst cluster.MachineID, t float64) float64 {
+	if ix == nil {
 		return 1
 	}
 	f := 1.0
-	for i := range s.Links {
-		lf := &s.Links[i]
-		if lf.Src != src || lf.Dst != dst || !active(lf.From, lf.Until, t) {
-			continue
-		}
-		if lf.Factor > 1 {
+	for _, lf := range ix.links[link{src, dst}].degrades {
+		if active(lf.From, lf.Until, t) && lf.Factor > 1 {
 			f *= lf.Factor
 		}
 	}
@@ -115,13 +149,12 @@ func (s *Schedule) LinkFactor(src, dst cluster.MachineID, t float64) float64 {
 
 // DropsTransfer reports whether a transfer starting on src→dst at time t is
 // dropped by an active blackhole fault.
-func (s *Schedule) DropsTransfer(src, dst cluster.MachineID, t float64) bool {
-	if s == nil {
+func (ix *Index) DropsTransfer(src, dst cluster.MachineID, t float64) bool {
+	if ix == nil {
 		return false
 	}
-	for i := range s.Drops {
-		lf := &s.Drops[i]
-		if lf.Src == src && lf.Dst == dst && active(lf.From, lf.Until, t) {
+	for _, lf := range ix.links[link{src, dst}].drops {
+		if active(lf.From, lf.Until, t) {
 			return true
 		}
 	}
@@ -130,14 +163,13 @@ func (s *Schedule) DropsTransfer(src, dst cluster.MachineID, t float64) bool {
 
 // SlowdownFactor returns the compute slowdown of machine m at time t: the
 // product of all active Slowdown factors, never less than 1.
-func (s *Schedule) SlowdownFactor(m cluster.MachineID, t float64) float64 {
-	if s == nil {
+func (ix *Index) SlowdownFactor(m cluster.MachineID, t float64) float64 {
+	if ix == nil {
 		return 1
 	}
 	f := 1.0
-	for i := range s.Slowdowns {
-		sd := &s.Slowdowns[i]
-		if sd.Machine == m && active(sd.From, sd.Until, t) && sd.Factor > 1 {
+	for _, sd := range ix.slowdowns[m] {
+		if active(sd.From, sd.Until, t) && sd.Factor > 1 {
 			f *= sd.Factor
 		}
 	}
@@ -157,7 +189,8 @@ func (s *Schedule) Empty() bool {
 // succeed and the stage deadlocks. A machine joins at most once (a second
 // join would join a live machine). A kill or a drain targets a machine live
 // at its time (initially live, or joined before it); a drain comes at most
-// once, with a deadline after its start.
+// once, with a deadline after its start. Every check accepts only what
+// passes it, so a NaN anywhere is refused.
 func (s *Schedule) Validate(numMachines int) error {
 	if s == nil {
 		return nil
@@ -188,13 +221,13 @@ func (s *Schedule) Validate(numMachines int) error {
 		if lf.Src == lf.Dst {
 			return fmt.Errorf("fault: link fault %d on loopback link %d→%d", i, lf.Src, lf.Dst)
 		}
-		if lf.From < 0 || lf.Until <= lf.From {
+		if !(lf.From >= 0) || !(lf.Until > lf.From) {
 			return fmt.Errorf("fault: link fault %d has malformed window [%g,%g)", i, lf.From, lf.Until)
 		}
 		if drop && math.IsInf(lf.Until, 1) {
 			return fmt.Errorf("fault: link fault %d drops transfers forever; retries could never succeed", i)
 		}
-		if !drop && lf.Factor <= 1 {
+		if !drop && !(lf.Factor > 1) {
 			return fmt.Errorf("fault: link fault %d degrades by factor %g (want > 1)", i, lf.Factor)
 		}
 	}
@@ -202,10 +235,10 @@ func (s *Schedule) Validate(numMachines int) error {
 		if outside(sd.Machine) {
 			return fmt.Errorf("fault: slowdown %d references machine outside [0,%d)", i, numMachines)
 		}
-		if sd.From < 0 || sd.Until <= sd.From {
+		if !(sd.From >= 0) || !(sd.Until > sd.From) {
 			return fmt.Errorf("fault: slowdown %d has malformed window [%g,%g)", i, sd.From, sd.Until)
 		}
-		if sd.Factor <= 1 {
+		if !(sd.Factor > 1) {
 			return fmt.Errorf("fault: slowdown %d has factor %g (want > 1)", i, sd.Factor)
 		}
 	}
@@ -214,10 +247,10 @@ func (s *Schedule) Validate(numMachines int) error {
 		if outside(j.Machine) {
 			return fmt.Errorf("fault: join %d references machine %d outside [0,%d)", i, j.Machine, numMachines)
 		}
-		if j.At < 0 {
+		if !(j.At >= 0) {
 			return fmt.Errorf("fault: join %d of machine %d at negative time %g", i, j.Machine, j.At)
 		}
-		if j.NICs < 0 {
+		if !(j.NICs >= 0) {
 			return fmt.Errorf("fault: join %d of machine %d has negative NIC rate %g", i, j.Machine, j.NICs)
 		}
 		if _, dup := joinAt[j.Machine]; dup {
@@ -235,10 +268,10 @@ func (s *Schedule) Validate(numMachines int) error {
 		if outside(d.Machine) {
 			return fmt.Errorf("fault: drain %d references machine %d outside [0,%d)", i, d.Machine, numMachines)
 		}
-		if d.At < 0 {
+		if !(d.At >= 0) {
 			return fmt.Errorf("fault: drain %d of machine %d at negative time %g", i, d.Machine, d.At)
 		}
-		if d.Deadline <= d.At {
+		if !(d.Deadline > d.At) {
 			return fmt.Errorf("fault: drain %d of machine %d has deadline %g <= start %g; migration could never finish", i, d.Machine, d.Deadline, d.At)
 		}
 		if at, joins := joinAt[d.Machine]; joins && at >= d.At {

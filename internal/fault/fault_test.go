@@ -11,6 +11,53 @@ import (
 	"repro/internal/cluster"
 )
 
+// The linear scans the engine's Index replaced, kept as its reference:
+// every query walks the whole schedule in order.
+
+func (s *Schedule) LinkFactor(src, dst cluster.MachineID, t float64) float64 {
+	if s == nil {
+		return 1
+	}
+	f := 1.0
+	for i := range s.Links {
+		lf := &s.Links[i]
+		if lf.Src != src || lf.Dst != dst || !active(lf.From, lf.Until, t) {
+			continue
+		}
+		if lf.Factor > 1 {
+			f *= lf.Factor
+		}
+	}
+	return f
+}
+
+func (s *Schedule) DropsTransfer(src, dst cluster.MachineID, t float64) bool {
+	if s == nil {
+		return false
+	}
+	for i := range s.Drops {
+		lf := &s.Drops[i]
+		if lf.Src == src && lf.Dst == dst && active(lf.From, lf.Until, t) {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *Schedule) SlowdownFactor(m cluster.MachineID, t float64) float64 {
+	if s == nil {
+		return 1
+	}
+	f := 1.0
+	for i := range s.Slowdowns {
+		sd := &s.Slowdowns[i]
+		if sd.Machine == m && active(sd.From, sd.Until, t) && sd.Factor > 1 {
+			f *= sd.Factor
+		}
+	}
+	return f
+}
+
 func TestScheduleQueries(t *testing.T) {
 	s := &Schedule{
 		Links: []LinkFault{
@@ -23,6 +70,7 @@ func TestScheduleQueries(t *testing.T) {
 			{Machine: 1, From: 5, Until: 6, Factor: 2},
 		},
 	}
+	ix := s.Index()
 	cases := []struct {
 		src, dst cluster.MachineID
 		at, want float64
@@ -35,45 +83,51 @@ func TestScheduleQueries(t *testing.T) {
 		{1, 0, 2.0, 1}, // directed: reverse link healthy
 	}
 	for _, c := range cases {
-		if got := s.LinkFactor(c.src, c.dst, c.at); got != c.want {
+		if got := ix.LinkFactor(c.src, c.dst, c.at); got != c.want {
 			t.Errorf("LinkFactor(%d→%d, %g) = %g, want %g", c.src, c.dst, c.at, got, c.want)
 		}
 	}
-	if !s.DropsTransfer(2, 3, 0.5) {
+	if !ix.DropsTransfer(2, 3, 0.5) {
 		t.Error("drop window not active at 0.5")
 	}
-	if s.DropsTransfer(2, 3, 1.0) {
+	if ix.DropsTransfer(2, 3, 1.0) {
 		t.Error("drop window active at its exclusive end")
 	}
-	if s.DropsTransfer(3, 2, 0.5) {
+	if ix.DropsTransfer(3, 2, 0.5) {
 		t.Error("drop applies to the reverse link")
 	}
-	if got := s.SlowdownFactor(1, 5.5); got != 6 {
+	if got := ix.SlowdownFactor(1, 5.5); got != 6 {
 		t.Errorf("SlowdownFactor overlap = %g, want 6", got)
 	}
-	if got := s.SlowdownFactor(0, 5.5); got != 1 {
+	if got := ix.SlowdownFactor(0, 5.5); got != 1 {
 		t.Errorf("healthy machine slowdown = %g, want 1", got)
+	}
+	// A plan with no transient fault indexes to the fault-free nil.
+	if (&Schedule{Kills: []Kill{{Machine: 1, At: 2}}}).Index() != nil {
+		t.Error("a plan with no link fault or slowdown has a non-nil index")
 	}
 }
 
 // TestNilScheduleHotPathAllocatesNothing pins the fault-free hot path: the
-// engine queries the schedule on every task start and transfer start, and
-// with no faults configured (nil schedule) those queries must stay
-// allocation-free so the untraced, fault-free event loop is as cheap as it
-// was before the fault model existed.
+// engine queries the schedule's index on every task start and transfer
+// start, and with no faults configured (a nil schedule, so a nil index)
+// those queries must stay allocation-free so the untraced, fault-free event
+// loop is as cheap as it was before the fault model existed.
 func TestNilScheduleHotPathAllocatesNothing(t *testing.T) {
 	var s *Schedule
+	ix := s.Index()
 	allocs := testing.AllocsPerRun(1000, func() {
-		if s.LinkFactor(0, 1, 2.5) != 1 || s.SlowdownFactor(0, 2.5) != 1 || s.DropsTransfer(0, 1, 2.5) {
-			t.Fatal("nil schedule injected a fault")
+		if ix.LinkFactor(0, 1, 2.5) != 1 || ix.SlowdownFactor(0, 2.5) != 1 || ix.DropsTransfer(0, 1, 2.5) {
+			t.Fatal("nil index injected a fault")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("nil-schedule queries allocate %.1f objects per call, want 0", allocs)
+		t.Fatalf("nil-index queries allocate %.1f objects per call, want 0", allocs)
 	}
 }
 
 func TestScheduleValidate(t *testing.T) {
+	nan := math.NaN()
 	for _, tc := range []struct {
 		s    *Schedule
 		want string // substring of the error
@@ -94,6 +148,19 @@ func TestScheduleValidate(t *testing.T) {
 		{&Schedule{Kills: []Kill{{Machine: 0, At: 1}, {Machine: 1, At: 1}, {Machine: 2, At: 1}, {Machine: 3, At: 1}}}, "kills all 4 machines"},
 		{&Schedule{Slowdowns: []Slowdown{{Machine: 9, From: 0, Until: 1, Factor: 2}}}, "slowdown 0 references machine outside"},
 		{&Schedule{Slowdowns: []Slowdown{{Machine: 0, From: 0, Until: 1, Factor: 1}}}, "factor 1 (want > 1)"},
+		// NaN fails every comparison, so each check refuses what it does not
+		// accept rather than accepting what it does not refuse.
+		{&Schedule{Links: []LinkFault{{Src: 0, Dst: 1, From: nan, Until: 1, Factor: 2}}}, "malformed window [NaN,1)"},
+		{&Schedule{Links: []LinkFault{{Src: 0, Dst: 1, From: 0, Until: nan, Factor: 2}}}, "malformed window [0,NaN)"},
+		{&Schedule{Links: []LinkFault{{Src: 0, Dst: 1, From: 0, Until: 1, Factor: nan}}}, "degrades by factor NaN"},
+		{&Schedule{Drops: []LinkFault{{Src: 0, Dst: 1, From: 0, Until: nan}}}, "malformed window [0,NaN)"},
+		{&Schedule{Slowdowns: []Slowdown{{Machine: 0, From: nan, Until: 1, Factor: 2}}}, "malformed window [NaN,1)"},
+		{&Schedule{Slowdowns: []Slowdown{{Machine: 0, From: 0, Until: nan, Factor: 2}}}, "malformed window [0,NaN)"},
+		{&Schedule{Slowdowns: []Slowdown{{Machine: 0, From: 0, Until: 1, Factor: nan}}}, "factor NaN (want > 1)"},
+		{&Schedule{Joins: []MachineJoin{{Machine: 3, At: nan}}}, "join 0 of machine 3 at negative time NaN"},
+		{&Schedule{Joins: []MachineJoin{{Machine: 3, At: 1, NICs: nan}}}, "negative NIC rate NaN"},
+		{&Schedule{Drains: []MachineDrain{{Machine: 1, At: nan, Deadline: 2}}}, "drain 0 of machine 1 at negative time NaN"},
+		{&Schedule{Drains: []MachineDrain{{Machine: 1, At: 1, Deadline: nan}}}, "deadline NaN <= start 1"},
 	} {
 		if err := tc.s.Validate(4); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: err = %v, want %q", tc.s, err, tc.want)
@@ -181,13 +248,14 @@ func TestFileRoundTrip(t *testing.T) {
 	if len(s.Links) != 1 || len(s.Drops) != 1 || len(s.Slowdowns) != 1 {
 		t.Fatalf("unexpected schedule: %+v", s)
 	}
-	if got := s.LinkFactor(0, 3, 1.0); got != 4 {
+	ix := s.Index()
+	if got := ix.LinkFactor(0, 3, 1.0); got != 4 {
 		t.Errorf("degradation factor = %g, want 4", got)
 	}
-	if !s.DropsTransfer(1, 2, 0.5) || s.LinkFactor(1, 2, 0.5) != 1 {
+	if !ix.DropsTransfer(1, 2, 0.5) || ix.LinkFactor(1, 2, 0.5) != 1 {
 		t.Error("the drop entry does not drop, or degrades")
 	}
-	if got := s.SlowdownFactor(5, 5); got != 3 {
+	if got := ix.SlowdownFactor(5, 5); got != 3 {
 		t.Errorf("slowdown factor = %g, want 3", got)
 	}
 	if len(s.Kills) != 1 || s.Kills[0] != (Kill{Machine: 2, At: 1.5}) {

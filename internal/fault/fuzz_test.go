@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,6 +72,60 @@ func FuzzLoad(f *testing.F) {
 		}
 		if out2, err := json.Marshal(again); err != nil || !bytes.Equal(out, out2) {
 			t.Fatalf("round trip changed the file (%v):\n%s\n%s", err, out, out2)
+		}
+	})
+}
+
+// FuzzFaultIndex: the Index the engine queries answers exactly as the
+// linear scans it replaced (the reference in fault_test.go), bit for bit,
+// on all three queries. Every four input bytes are one fault among three
+// machines — its class, its link or machine, its window and its factor —
+// so windows overlap on one link and on one machine, and factors that are
+// not powers of two compound in an order the result can tell. Queries fall
+// on every window edge, just below it and inside it.
+//
+//	go test -run '^$' -fuzz FuzzFaultIndex -fuzztime 30s ./internal/fault
+func FuzzFaultIndex(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 0, 4, 2, 6, 1, 8, 3, 7, 2})
+	f.Add([]byte{2, 0, 9, 3, 6, 1, 4, 4, 2, 3, 9, 5, 1, 0, 8, 0, 5, 2, 3, 0})
+	f.Add([]byte{0, 0, 9, 0, 0, 0, 9, 1, 0, 0, 9, 2, 0, 0, 9, 3})
+	times := []float64{0, 0.1, 0.25, 1.0 / 3, 0.5, 0.7, 1, 2.5, math.Inf(1), math.NaN()}
+	factors := []float64{1.1, 1.3, 1.7, 3.7, 2, 1, 0.5, math.Inf(1), math.NaN()}
+	const machines = 3
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := &Schedule{}
+		var edges []float64
+		for ; len(data) >= 4; data = data[4:] {
+			src := cluster.MachineID(data[0] >> 2 % machines)
+			dst := (src + 1 + cluster.MachineID(data[0]>>4%2)) % machines
+			from, until := times[int(data[1])%len(times)], times[int(data[2])%len(times)]
+			factor := factors[int(data[3])%len(factors)]
+			switch data[0] % 3 {
+			case 0:
+				s.Links = append(s.Links, LinkFault{Src: src, Dst: dst, From: from, Until: until, Factor: factor})
+			case 1:
+				s.Drops = append(s.Drops, LinkFault{Src: src, Dst: dst, From: from, Until: until})
+			default:
+				s.Slowdowns = append(s.Slowdowns, Slowdown{Machine: src, From: from, Until: until, Factor: factor})
+			}
+			edges = append(edges, from, until, math.Nextafter(from, math.Inf(-1)),
+				math.Nextafter(until, math.Inf(-1)), from+(until-from)/2)
+		}
+		ix := s.Index()
+		for _, at := range edges {
+			for src := cluster.MachineID(0); src < machines; src++ {
+				if got, want := ix.SlowdownFactor(src, at), s.SlowdownFactor(src, at); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("SlowdownFactor(%d, %g) = %v, reference %v\n%+v", src, at, got, want, s)
+				}
+				for dst := cluster.MachineID(0); dst < machines; dst++ {
+					if got, want := ix.LinkFactor(src, dst, at), s.LinkFactor(src, dst, at); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("LinkFactor(%d→%d, %g) = %v, reference %v\n%+v", src, dst, at, got, want, s)
+					}
+					if got, want := ix.DropsTransfer(src, dst, at), s.DropsTransfer(src, dst, at); got != want {
+						t.Fatalf("DropsTransfer(%d→%d, %g) = %v, reference %v\n%+v", src, dst, at, got, want, s)
+					}
+				}
+			}
 		}
 	})
 }

@@ -70,3 +70,25 @@ func TestObserveAllocatesNothingOnceSeriesExist(t *testing.T) {
 		}
 	}
 }
+
+// TestFromEventsAllocBudget pins what folding a capture allocates: a sum or
+// an average series hands its accumulator over as its exported values, so
+// finishing copies none. The ceiling is the measured count: a change that
+// beats it lowers it.
+func TestFromEventsAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const ceiling = 748
+	events := tracetest.Capture(5_000, 8)
+	cfg := metrics.Config{Window: benchWindow, Topo: cluster.NewT1(8)}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := metrics.FromEvents(events, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations", allocs)
+	if allocs > ceiling {
+		t.Errorf("folding %d events allocates %.0f times, over its ceiling of %d", len(events), allocs, ceiling)
+	}
+}

@@ -119,19 +119,26 @@ func (s *series) value(w int, window float64) float64 {
 	return 0
 }
 
-// export renders the series over nw windows.
+// export renders the series over nw windows. A sum or an average hands
+// over its accumulator, extended with zeros and divided in place: the
+// series is read no more once the collector has finished.
 func (s *series) export(nw int, window float64) []float64 {
-	out := make([]float64, nw)
-	switch s.class {
-	case classSum:
-		copy(out, s.acc)
-	case classAvg:
-		for w, v := range s.acc[:min(nw, len(s.acc))] {
-			out[w] = v / window
-		}
-	default:
+	if s.class == classP99 {
+		out := make([]float64, nw)
 		for w := range out {
 			out[w] = s.value(w, window)
+		}
+		return out
+	}
+	out := s.acc
+	s.acc = nil
+	if len(out) < nw {
+		out = append(out, make([]float64, nw-len(out))...)
+	}
+	out = out[:nw]
+	if s.class == classAvg {
+		for w := range out {
+			out[w] /= window
 		}
 	}
 	return out
