@@ -44,8 +44,15 @@ func TestSteadyStateAllocsPerMessageZero(t *testing.T) {
 	}
 	// And the absolute count must stay bounded: a fixed overhead per
 	// iteration (next state, job scaffolding), nothing proportional to the
-	// ~100k messages the 8k-vertex fixture moves.
-	if large > 600 {
-		t.Fatalf("steady-state iteration allocates %.0f times; pooled loop should stay in the low hundreds", large)
+	// ~100k messages the 8k-vertex fixture moves. The ceiling is the measured
+	// count: a change that beats it lowers it. The race detector adds a
+	// varying handful of its own, so under it the old coarse bound holds.
+	ceiling := 113.0
+	if raceEnabled {
+		ceiling = 600
+	}
+	t.Logf("%.0f allocations at 1k vertices, %.0f at 8k", small, large)
+	if large > ceiling {
+		t.Fatalf("steady-state iteration allocates %.0f times, budget %.0f", large, ceiling)
 	}
 }
