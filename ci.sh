@@ -48,6 +48,9 @@ go test -run '^$' -fuzz FuzzPlanReuse -fuzztime 10s ./internal/propagation
 # And through MapReduce's reducer-owned shuffle against the serial shuffle it
 # replaced: edge bytes plus a key-width and combiner selector, 1 and 4 workers.
 go test -run '^$' -fuzz FuzzShuffle -fuzztime 10s ./internal/mapreduce
+# And the exchange kernel under both against a comparison-sort reference:
+# equal groups, value order, offsets and landing places, at every key width.
+go test -run '^$' -fuzz FuzzExchange -fuzztime 10s ./internal/exchange
 # And through the jobs-file reader behind surfer-submit -jobs: never a panic,
 # and what it accepts writes back and re-reads to the same bytes.
 go test -run '^$' -fuzz FuzzReadWorkload -fuzztime 10s ./internal/jobsvc
@@ -80,7 +83,7 @@ go test -run '^$' -fuzz FuzzLoadReport -fuzztime 10s ./internal/bench
 # 1M-vertex partitioner size and plans propagation and MapReduce at 16k
 # vertices).
 go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph \
-    ./internal/storage ./internal/propagation ./internal/mapreduce ./internal/apps ./internal/engine \
+    ./internal/storage ./internal/propagation ./internal/mapreduce ./internal/exchange ./internal/apps ./internal/engine \
     ./internal/jobsvc ./internal/trace ./internal/metrics ./internal/analyze
 # The examples, run once each so they cannot rot; the fault-tolerance demo
 # must end with ranks bit-identical to its failure-free run.

@@ -212,7 +212,7 @@ func findEmissions(body *ast.BlockStmt) (direct, appends []emission) {
 
 // sortedAfter reports whether any statement in rest sorts target: a
 // sort.* / slices.* call taking it, or any call to a function whose name
-// mentions sorting (a sortKeys-style helper).
+// mentions sorting (a sortByKey-style helper).
 func sortedAfter(rest []ast.Stmt, target string) bool {
 	found := false
 	for _, st := range rest {

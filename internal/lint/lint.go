@@ -135,6 +135,7 @@ func DefaultConfig(root string) Config {
 			"internal/engine",
 			"internal/propagation",
 			"internal/mapreduce",
+			"internal/exchange",
 			"internal/jobsvc",
 			"internal/cluster",
 			"internal/apps",

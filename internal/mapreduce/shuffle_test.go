@@ -19,6 +19,12 @@ import (
 // per-reducer runs in map-task index order — the serial delivery order — and
 // each run is grouped by a comparison sort of an index permutation.
 
+// kv is one emitted key/value pair.
+type kv[K Key, V any] struct {
+	key K
+	val V
+}
+
 // shuffled is one entry of a reference map log: the pair plus its
 // destination reducer.
 type shuffled[K Key, V any] struct {

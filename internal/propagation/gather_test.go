@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/exchange"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/storage"
@@ -311,10 +312,10 @@ func planStep(t testing.TB, pool *engine.Pool, pg *storage.PartitionedGraph, pl 
 	for p := range ref {
 		for q := 0; q < np; q++ {
 			var got, wantLog []int64
-			groups, start := ex.sc.parts[p].bucket(q)
+			groups, start := ex.sc.parts[p].log.Run(q + 1)
 			for _, g := range groups {
-				got = append(got, int64(g.dst), ex.sc.parts[p].gbuf[start])
-				start = g.end
+				got = append(got, int64(g.Key), ex.sc.parts[p].log.Vals[start])
+				start = g.End
 			}
 			for _, e := range ref[p].sent[ref[p].off[q]:ref[p].off[q+1]] {
 				if e.kind() != emitFused {
@@ -493,15 +494,14 @@ func TestTransferPanicLeavesScratchReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	type plan struct {
-		slots  []slot
-		groups []group
-		fused  int
-		cur    []int32
+		slots  []exchange.Entry[graph.VertexID]
+		groups []exchange.Group[graph.VertexID]
+		off    []int32
 	}
 	var plans []plan
 	for p := range st.sc.parts {
 		ps := &st.sc.parts[p]
-		plans = append(plans, plan{slices.Clone(ps.slots), slices.Clone(ps.groups), ps.fused, slices.Clone(ps.cur)})
+		plans = append(plans, plan{slices.Clone(ps.slots), slices.Clone(ps.log.Groups), slices.Clone(ps.log.Off)})
 	}
 	func() {
 		defer func() {
@@ -520,8 +520,8 @@ func TestTransferPanicLeavesScratchReusable(t *testing.T) {
 	}
 	for p, want := range plans {
 		ps := &st.sc.parts[p]
-		if len(want.slots) == 0 || !slices.Equal(ps.slots, want.slots) || !slices.Equal(ps.groups, want.groups) ||
-			ps.fused != want.fused || !slices.Equal(ps.cur, want.cur) {
+		if len(want.slots) == 0 || !slices.Equal(ps.slots, want.slots) || !slices.Equal(ps.log.Groups, want.groups) ||
+			!slices.Equal(ps.log.Off, want.off) {
 			t.Fatalf("partition %d's plan did not survive a panicked iteration", p)
 		}
 	}
