@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI gate: format, vet, lint, build, the whole suite once under the race
-# detector, ten seconds of fuzzing, every layer benchmark once, each example
-# once, then the tools end to end (traced run -> both exports -> analyzer ->
-# bench report -> regression gates against the committed BENCH_*.json
-# baselines).
+# detector, the allocation budgets three times without it, ten seconds of
+# fuzzing, every layer benchmark once, each example once, then the tools end
+# to end (traced run -> both exports -> analyzer -> bench report -> regression
+# gates against the committed BENCH_*.json baselines).
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -32,6 +32,10 @@ go build ./...
 # and 8 workers; the stream codec is held to encoding/json and its digests;
 # and the lint engine gets the scrutiny it imposes.
 go test -race ./...
+# The allocation budgets (ROADMAP item 15), which skip or fall back to a coarse
+# ceiling under the race detector: three times each without it, so a count
+# that moves between runs fails here rather than on a later change.
+go test -count 3 -run 'AllocBudget|Allocations|AllocsPerMessage|AllocatesNothing|AllocatesOnce|AllocatesTheStream|BisectBytes' ./internal/...
 # Fresh inputs through the stream reader's differential against encoding/json
 # (stricter than the reference is allowed, different is not); the committed
 # seeds already ran above.

@@ -37,6 +37,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *scale < 0 || *scale > 30 {
 			return fmt.Errorf("-scale %d: want 0 <= scale <= 30", *scale)
 		}
+		// And silently write a graph other than the one asked for on these.
+		if *edgeFactor < 0 {
+			return fmt.Errorf("-edgefactor %d: must not be negative", *edgeFactor)
+		}
+		if !(*rewire >= 0 && *rewire <= 1) {
+			return fmt.Errorf("-rewire %g: want 0 <= rewire <= 1", *rewire)
+		}
 		var g *surfer.Graph
 		switch *kind {
 		case "social":

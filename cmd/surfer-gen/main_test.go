@@ -64,6 +64,10 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-kind", "torus"}, 1, `surfer-gen: unknown kind "torus"`},
 		{[]string{"-vertices", "-5"}, 1, "surfer-gen: -vertices -5: must not be negative"},
 		{[]string{"-kind", "rmat", "-scale", "-1"}, 1, "surfer-gen: -scale -1: want 0 <= scale <= 30"},
+		{[]string{"-kind", "uniform", "-edgefactor", "-3"}, 1, "surfer-gen: -edgefactor -3: must not be negative"},
+		{[]string{"-kind", "smallworld", "-rewire", "2"}, 1, "surfer-gen: -rewire 2: want 0 <= rewire <= 1"},
+		{[]string{"-kind", "smallworld", "-rewire", "-0.5"}, 1, "surfer-gen: -rewire -0.5: want 0 <= rewire <= 1"},
+		{[]string{"-kind", "smallworld", "-rewire", "NaN"}, 1, "surfer-gen: -rewire NaN: want 0 <= rewire <= 1"},
 		{[]string{"-vertices", "64", "-out", filepath.Join(dir, "no", "such", "dir.srfg")}, 1, "dir.srfg"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)

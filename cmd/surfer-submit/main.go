@@ -87,6 +87,9 @@ func submit(stdout io.Writer, sub submission) error {
 	if sub.concurrency <= 0 {
 		return fmt.Errorf("-concurrency %d: must be positive", sub.concurrency)
 	}
+	if sub.queueLimit < 0 {
+		return fmt.Errorf("-queue-limit %d: must not be negative", sub.queueLimit)
+	}
 	if sub.vertices < 0 {
 		return fmt.Errorf("-vertices %d: must not be negative", sub.vertices)
 	}

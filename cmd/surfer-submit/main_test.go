@@ -142,6 +142,8 @@ func TestBadInvocations(t *testing.T) {
 		{replayArgs(jobs, "-machines", "0"), 1, "-machines: cluster: a topology needs at least one machine, got 0"},
 		{replayArgs(jobs, "-vertices", "-4"), 1, "-vertices -4: must not be negative"},
 		{replayArgs(jobs, "-concurrency", "0"), 1, "-concurrency 0: must be positive"},
+		// was: a silent "unlimited".
+		{replayArgs(jobs, "-queue-limit", "-1"), 1, "-queue-limit -1: must not be negative"},
 		{[]string{"-gen", "2", "-max-priority", "-1", "-out", gen}, 1, "-max-priority -1: must not be negative"},
 		{[]string{"-gen", "2", "-tenants", "0", "-out", gen}, 1, "-tenants 0: must be positive"},
 		{[]string{"-gen", "2", "-tenants", "-2", "-out", gen}, 1, "-tenants -2: must be positive"},

@@ -330,7 +330,10 @@ func planStep(t testing.TB, pool *engine.Pool, pg *storage.PartitionedGraph, pl 
 	}
 	virtual := 0
 	for q := range ex.sc.parts {
-		for d, bag := range ex.sc.parts[q].virt {
+		vlog, start := &ex.sc.parts[q].vlog, int32(0)
+		for _, g := range vlog.Groups {
+			d, bag := g.Key, vlog.Vals[start:g.End]
+			start = g.End
 			if int(VirtualPartition(d, np)) != q {
 				t.Logf("virtual vertex %d gathered by partition %d", d, q)
 				ok = false

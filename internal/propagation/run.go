@@ -2,7 +2,6 @@ package propagation
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -78,20 +77,21 @@ type partScratch[V any] struct {
 	// group's first value is the one value it sends.
 	log exchange.Log[graph.VertexID, V]
 	b   exchange.Builder[graph.VertexID, V]
-	// vals is the reused buffer tree aggregation hands to Program.Merge.
-	vals []V
 
 	// slab backs the bags of the partition's own vertices.
 	slab []V
-	// virt holds the bags of the virtual vertices this partition owns
-	// (lazily allocated — the common VirtualVertices=0 case never touches
-	// it); vdst/vout are their sorted ids and combined values.
-	virt map[graph.VertexID][]V
-	vdst []graph.VertexID
+	// vb gathers what reaches the virtual vertices this partition owns, as a
+	// reducer gathers its keys: vlog is one group per vertex, ids ascending,
+	// its values the vertex's bag in delivery order, and vout holds the
+	// groups' combined values. With VirtualVertices=0 nothing is built.
+	vb   exchange.Builder[graph.VertexID, V]
+	vlog exchange.Log[graph.VertexID, V]
 	vout []V
-	// agg collects the cross-pod values tree aggregation claimed on their
-	// way to this partition (see tree.go).
-	agg []aggValue[V]
+	// ab gathers the cross-pod values tree aggregation claimed on their way
+	// to this partition, and alog groups them by (sending pod, destination)
+	// (see tree.go).
+	ab   exchange.Builder[uint64, V]
+	alog exchange.Log[uint64, V]
 }
 
 func newScratch[V any](pg *storage.PartitionedGraph) *scratch[V] {
@@ -454,19 +454,26 @@ func (ex *execution[V]) startCollecting(pi *storage.PartInfo, ps *partScratch[V]
 // It writes only what q owns.
 //
 // A counting pass first sizes every bag as a window into the partition's
-// slab, so delivery appends never allocate. The counts are an upper bound
-// (tree aggregation claims cross-pod values), which also leaves room for the
-// per-(pod, destination) merged values it appends after the walk.
+// slab, and the builders for the virtual and cross-pod arrivals, so delivery
+// never allocates. The counts are an upper bound (tree aggregation claims
+// cross-pod values), which also leaves room for the per-(pod, destination)
+// merged values it appends after the walk. The virtual bags are grouped last,
+// once everything has arrived.
 func (ex *execution[V]) gatherPart(q int) {
 	sc := ex.sc
 	ps := &sc.parts[q]
-	total := 0
+	total, virt, cross := 0, 0, 0
 	for p := range sc.parts {
 		groups, _ := sc.parts[p].log.Run(q + 1)
+		if ex.tree != nil && ex.tree.pod[p] != ex.tree.pod[q] {
+			cross += len(groups)
+		}
 		for _, g := range groups {
 			if int(g.Key) < ex.n {
 				sc.counts[sc.enc.ToNew(g.Key)]++
 				total++
+			} else {
+				virt++
 			}
 		}
 	}
@@ -486,8 +493,8 @@ func (ex *execution[V]) gatherPart(q int) {
 		off += int(c)
 		counts[i] = 0
 	}
-	clear(ps.virt)
-	ps.agg = ps.agg[:0]
+	ps.vb.Reset(virt)
+	ps.ab.Reset(cross)
 	np := len(sc.parts)
 	var local int64
 	for p := range sc.parts {
@@ -510,7 +517,7 @@ func (ex *execution[V]) gatherPart(q int) {
 			case p == q: // materialized to local disk
 				local += ex.prog.Bytes(v)
 			case crossPod:
-				ps.agg = append(ps.agg, aggValue[V]{pod: ex.tree.pod[p], dst: g.Key, val: v})
+				ps.ab.Add(uint64(ex.tree.pod[p])<<32|uint64(g.Key), v)
 				toAgg += ex.prog.Bytes(v)
 				continue
 			default:
@@ -527,6 +534,10 @@ func (ex *execution[V]) gatherPart(q int) {
 	if ex.tree != nil {
 		ex.aggregatePart(q)
 	}
+	ps.vlog.Groups = ps.vlog.Groups[:0]
+	if ps.vb.Len() > 0 {
+		ps.vb.Build(&ps.vlog, true, 1, nil)
+	}
 }
 
 // appendBag adds v to dst's bag; ps is the scratch of the partition owning
@@ -537,10 +548,7 @@ func (ex *execution[V]) appendBag(ps *partScratch[V], dst graph.VertexID, v V) {
 		*bag = append(*bag, v)
 		return
 	}
-	if ps.virt == nil {
-		ps.virt = make(map[graph.VertexID][]V)
-	}
-	ps.virt[dst] = append(ps.virt[dst], v)
+	ps.vb.Add(dst, v)
 }
 
 // combinePart runs partition q's Combine calls into next and charges the
@@ -565,14 +573,12 @@ func (ex *execution[V]) combinePart(q int, next *State[V]) {
 		}
 	}
 	ps := &ex.sc.parts[q]
-	ps.vdst, ps.vout = ps.vdst[:0], ps.vout[:0]
-	for d := range ps.virt {
-		ps.vdst = append(ps.vdst, d)
-	}
-	slices.Sort(ps.vdst)
-	for _, d := range ps.vdst {
-		bag := ps.virt[d]
-		val := ex.prog.Combine(d, ex.st.Virtual[d], bag)
+	ps.vout = ps.vout[:0]
+	start := int32(0)
+	for _, g := range ps.vlog.Groups {
+		bag := ps.vlog.Vals[start:g.End:g.End]
+		start = g.End
+		val := ex.prog.Combine(g.Key, ex.st.Virtual[g.Key], bag)
 		ps.vout = append(ps.vout, val)
 		count += int64(len(bag)) + 1
 		stateWrite += ex.prog.Bytes(val)
@@ -587,13 +593,13 @@ func (ex *execution[V]) combinePart(q int, next *State[V]) {
 func (ex *execution[V]) publishVirtual(next *State[V]) {
 	total := 0
 	for q := range ex.sc.parts {
-		total += len(ex.sc.parts[q].vdst)
+		total += len(ex.sc.parts[q].vlog.Groups)
 	}
 	next.Virtual = make(map[graph.VertexID]V, total)
 	for q := range ex.sc.parts {
 		ps := &ex.sc.parts[q]
-		for i, d := range ps.vdst {
-			next.Virtual[d] = ps.vout[i]
+		for i, g := range ps.vlog.Groups {
+			next.Virtual[g.Key] = ps.vout[i]
 		}
 	}
 	for d, v := range ex.st.Virtual {

@@ -1,9 +1,6 @@
 package propagation
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -65,39 +62,26 @@ func newTreeAgg(topo *cluster.Topology, pl *partition.Placement) *treeAgg {
 	return t
 }
 
-// aggValue is one cross-pod value claimed on its way to the partition whose
-// scratch holds it, tagged with the pod it was sent from.
-type aggValue[V any] struct {
-	pod int
-	dst graph.VertexID
-	val V
-}
-
 // aggregatePart is partition q's share of the Aggregate stage semantics: the
-// cross-pod values gatherPart(q) set aside are merged per (sending pod,
-// destination vertex) and the one merged value joins the destination's bag
-// after its direct arrivals, pods in index order. The stable sort keeps each
-// group in gather order — source partitions by index, then log order.
+// cross-pod values gatherPart(q) set aside, keyed pod<<32 | destination, are
+// grouped by (sending pod, destination vertex) and each group's merged value
+// joins the destination's bag after its direct arrivals, pods in index order.
+// The grouping is stable, so each group keeps gather order — source
+// partitions by index, then log order — and Merge sees a capped window of it.
 func (ex *execution[V]) aggregatePart(q int) {
-	t := ex.tree
-	ps := &ex.sc.parts[q]
-	np := len(ex.sc.parts)
-	slices.SortStableFunc(ps.agg, func(a, b aggValue[V]) int {
-		return cmp.Or(cmp.Compare(a.pod, b.pod), cmp.Compare(a.dst, b.dst))
-	})
-	for i := 0; i < len(ps.agg); {
-		k := &ps.agg[i]
-		ps.vals = ps.vals[:0]
-		for ; i < len(ps.agg) && ps.agg[i].pod == k.pod && ps.agg[i].dst == k.dst; i++ {
-			ps.vals = append(ps.vals, ps.agg[i].val)
+	t, ps, np := ex.tree, &ex.sc.parts[q], len(ex.sc.parts)
+	ps.ab.Build(&ps.alog, true, 1, nil)
+	start := int32(0)
+	for _, g := range ps.alog.Groups {
+		pod, dst := int(g.Key>>32), graph.VertexID(g.Key)
+		merged := ps.alog.Vals[start]
+		if g.End-start > 1 {
+			merged = ex.prog.Merge(dst, ps.alog.Vals[start:g.End:g.End])
 		}
-		merged := ps.vals[0]
-		if len(ps.vals) > 1 {
-			merged = ex.prog.Merge(k.dst, ps.vals)
-		}
-		ex.appendBag(ps, k.dst, merged)
-		t.outBytes[k.pod*np+q] += ex.prog.Bytes(merged)
-		t.inValues[k.pod*np+q] += int64(len(ps.vals))
+		ex.appendBag(ps, dst, merged)
+		t.outBytes[pod*np+q] += ex.prog.Bytes(merged)
+		t.inValues[pod*np+q] += int64(g.End - start)
+		start = g.End
 	}
 }
 
