@@ -21,6 +21,16 @@ trap 'rm -rf "$smoke"' EXIT
 # zero unsuppressed findings.
 go run ./cmd/surfer-lint -json ./... > "$smoke/surfer-lint.json"
 go build ./...
+# No fused multiply-add (DESIGN.md's determinism contract): arm64 fuses a
+# product into the sum it meets, even across statements, where amd64 rounds
+# it first, so the gate reads the arm64 assembly, not the source. It fails
+# on any fused instruction and prints its source line.
+GOARCH=arm64 go build -gcflags=-S ./internal/... . 2> "$smoke/arm64.s"
+grep -q 'TEXT' "$smoke/arm64.s"
+if grep -E '\bF(N?MADD|N?MSUB)[DS]\b' "$smoke/arm64.s"; then
+    echo "fused multiply-add on arm64: round the product with float64()" >&2
+    exit 1
+fi
 # The whole suite, once, raced. No subset runs first: under set -e a subset
 # buys ordering, not coverage, at twice the race time. What needs the race
 # detector: the fault model (failover, retry/backoff, speculation, checkpoint

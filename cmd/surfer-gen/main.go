@@ -14,6 +14,7 @@ import (
 
 	surfer "repro"
 	"repro/cmd/internal/cli"
+	"repro/internal/graph"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -46,16 +47,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		var g *surfer.Graph
 		switch *kind {
-		case "social":
-			g = surfer.Social(surfer.DefaultSocial(*vertices, *seed))
-		case "smallworld":
+		case "social", "smallworld":
+			// Both stitch equal components, so they write a multiple of
+			// the component count.
 			cfg := surfer.DefaultSmallWorld(*vertices, *seed)
-			cfg.RewireRatio = *rewire
-			g = surfer.SmallWorld(cfg)
+			if n := cfg.Components * cfg.VerticesPerComponent; n != *vertices {
+				return fmt.Errorf("-vertices %d: %s would write %d vertices (%d components of %d)",
+					*vertices, *kind, n, cfg.Components, cfg.VerticesPerComponent)
+			}
+			if *kind == "social" {
+				g = surfer.Social(surfer.DefaultSocial(*vertices, *seed))
+			} else {
+				cfg.RewireRatio = *rewire
+				g = surfer.SmallWorld(cfg)
+			}
 		case "rmat":
 			g = surfer.RMAT(surfer.DefaultRMAT(*scale, *edgeFactor, *seed))
 		case "uniform":
-			g = uniform(*vertices, *edgeFactor, *seed)
+			g = graph.Uniform(*vertices, *vertices**edgeFactor, *seed)
 		default:
 			return fmt.Errorf("unknown kind %q (want social, smallworld, rmat or uniform)", *kind)
 		}
@@ -69,21 +78,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s: %d vertices, %d edges, %d bytes\n", *out, g.NumVertices(), g.NumEdges(), fi.Size())
 		return nil
 	})
-}
-
-func uniform(n, edgeFactor int, seed int64) *surfer.Graph {
-	b := surfer.NewBuilder(n)
-	// Simple LCG so the tool stays self-contained and deterministic.
-	x := uint64(seed)*6364136223846793005 + 1442695040888963407
-	next := func() int {
-		x = x*6364136223846793005 + 1442695040888963407
-		return int((x >> 33) % uint64(n))
-	}
-	for i := 0; i < n*edgeFactor; i++ {
-		u, v := next(), next()
-		if u != v {
-			b.AddEdge(surfer.VertexID(u), surfer.VertexID(v))
-		}
-	}
-	return b.Build()
 }

@@ -68,6 +68,10 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-kind", "smallworld", "-rewire", "2"}, 1, "surfer-gen: -rewire 2: want 0 <= rewire <= 1"},
 		{[]string{"-kind", "smallworld", "-rewire", "-0.5"}, 1, "surfer-gen: -rewire -0.5: want 0 <= rewire <= 1"},
 		{[]string{"-kind", "smallworld", "-rewire", "NaN"}, 1, "surfer-gen: -rewire NaN: want 0 <= rewire <= 1"},
+		// The stitched generators round -vertices down to whole components.
+		{[]string{"-kind", "smallworld", "-vertices", "3"}, 1, "surfer-gen: -vertices 3: smallworld would write 0 vertices"},
+		{[]string{"-kind", "social", "-vertices", "5"}, 1, "surfer-gen: -vertices 5: social would write 4 vertices"},
+		{[]string{"-kind", "smallworld", "-vertices", "65537"}, 1, "surfer-gen: -vertices 65537: smallworld would write 65536 vertices"},
 		{[]string{"-vertices", "64", "-out", filepath.Join(dir, "no", "such", "dir.srfg")}, 1, "dir.srfg"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)

@@ -58,7 +58,9 @@ func linkReport(events []trace.Event, topo *cluster.Topology, start, end float64
 	n := topo.NumMachines()
 	lvl := cluster.BisectionLevels(topo)
 	span := end - start
-	width := span / timelineBuckets
+	// Rounded here and in the bucket loop: the division compiles to a
+	// multiply, and no product may fuse into a multiply-add (DESIGN.md).
+	width := float64(span / timelineBuckets)
 
 	links := make(map[[2]int]*LinkStat)
 	levels := make(map[int]*LevelStat)
@@ -98,7 +100,7 @@ func linkReport(events []trace.Event, topo *cluster.Topology, start, end float64
 		if width > 0 {
 			// Spread the busy interval over the buckets it overlaps.
 			for b := 0; b < timelineBuckets; b++ {
-				blo := start + float64(b)*width
+				blo := start + float64(float64(b)*width)
 				bhi := blo + width
 				lo, hi := ev.Start, ev.End
 				if lo < blo {

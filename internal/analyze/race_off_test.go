@@ -1,0 +1,7 @@
+//go:build !race
+
+package analyze_test
+
+// raceEnabled reports whether the race detector is compiled in; allocation
+// ceilings skip under it.
+const raceEnabled = false

@@ -60,6 +60,7 @@ func Ablation(s Scale) ([]AblationRow, error) {
 				rows = append(rows, AblationRow{Topology: topo.Name(), App: app.Name(), Variant: variant, Metrics: m})
 				return nil
 			}
+			both := propagation.Options{LocalPropagation: true, LocalCombination: true}
 			// Optimization split (balanced-random placement).
 			for _, v := range []struct {
 				name string
@@ -68,20 +69,20 @@ func Ablation(s Scale) ([]AblationRow, error) {
 				{"opts:none", propagation.Options{}},
 				{"opts:local-prop", propagation.Options{LocalPropagation: true}},
 				{"opts:local-comb", propagation.Options{LocalCombination: true}},
-				{"opts:both", propagation.Options{LocalPropagation: true, LocalCombination: true}},
+				{"opts:both", both},
 			} {
 				if err := run(v.name, d.PlacePM, v.opt); err != nil {
 					return nil, err
 				}
 			}
-			// Placement split (both optimizations on).
-			both := propagation.Options{LocalPropagation: true, LocalCombination: true}
+			// Placement split (both optimizations on). Balanced-random is
+			// the opts:both run just made: its row is reused, not re-run.
+			balanced := rows[len(rows)-1]
+			balanced.Variant = "place:balanced"
 			if err := run("place:unbalanced", unbalanced, both); err != nil {
 				return nil, err
 			}
-			if err := run("place:balanced", d.PlacePM, both); err != nil {
-				return nil, err
-			}
+			rows = append(rows, balanced)
 			if err := run("place:sketch", d.PlaceBA, both); err != nil {
 				return nil, err
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/partition"
 )
 
 // TestNewDeploymentForRejectsBadLevels: deployments are assembled by
@@ -24,8 +25,8 @@ func TestNewDeploymentForRejectsBadLevels(t *testing.T) {
 	}
 }
 
-// TestDeploymentsShareOneBisection: within one experiment table, Table 1's
-// own-seed row and every deployment of the scale's graph — tables 2–3, fig6's
+// TestDeploymentsShareOneBisection: within one experiment table, Table 1
+// and every deployment of the scale's graph — tables 2–3, fig6's
 // four topologies, fig7, fig9's seven delay factors, fig10, fig11's full-size
 // step and ablation's two clusters — come from one graph and one bisection:
 // one *storage.PartitionedGraph, whatever the topology.
@@ -110,6 +111,40 @@ func TestTable1Shapes(t *testing.T) {
 		}
 	}
 	WriteTable1(os.Stderr, rows)
+}
+
+// TestTable1PricesOneBisection: both columns of Table 1 price the scale's
+// one bisection, so the baseline averages only its five random machine draws
+// (seeds Seed+1 … Seed+5) and the bandwidth-aware column is the first draw's.
+func TestTable1PricesOneBisection(t *testing.T) {
+	s := TestScale().withMemo()
+	rows, err := Table1(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.shared.bisections) != 1 {
+		t.Fatalf("%d bisections in the memo, want 1", len(s.shared.bisections))
+	}
+	g := s.MakeGraph()
+	sys := s.shared.bisections[bisectKey{g, s.Levels, s.Seed}]
+	topos, err := s.Topologies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, topo := range topos {
+		var ba, pm float64
+		for k := int64(1); k <= 5; k++ {
+			aware, baseline := partition.PartitioningTime(g, sys.Sketch, topo, s.Seed+k)
+			if k == 1 {
+				ba = aware
+			}
+			pm += baseline
+		}
+		pm /= 5
+		if r := rows[i]; r.ParMetisSec != pm || r.BandwidthSec != ba {
+			t.Errorf("%s: ParMetis-like %g, bandwidth aware %g; want %g and %g on the scale's bisection", r.Topology, r.ParMetisSec, r.BandwidthSec, pm, ba)
+		}
+	}
 }
 
 func TestTables23Shapes(t *testing.T) {

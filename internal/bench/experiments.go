@@ -34,24 +34,20 @@ func Table1(s Scale) ([]Table1Row, error) {
 	}
 	g := s.MakeGraph()
 	// The oblivious baseline's cost depends on which random machine subsets
-	// its recursion happens to draw; average several seeds so the row
-	// reflects the expected behaviour, not one lucky draw. Each seed is one
-	// bisection priced on every topology; the first is the scale's own.
+	// its recursion happens to draw; average several draws so the row
+	// reflects the expected behaviour, not one lucky draw. Every draw prices
+	// the scale's own bisection: the table compares placement awareness,
+	// not bisection quality.
 	const pmTrials = 5
 	sys, err := s.shared.deploy(core.Config{Graph: g, Topology: topos[0], Levels: s.Levels, Seed: s.Seed})
 	if err != nil {
 		return nil, err
 	}
-	sketches := []*partition.Sketch{sys.Sketch}
-	for trial := int64(1); trial < pmTrials; trial++ {
-		_, sk := partition.RecursiveBisect(g, s.Levels, partition.Options{Seed: s.Seed + trial})
-		sketches = append(sketches, sk)
-	}
 	var rows []Table1Row
 	for _, topo := range topos {
 		var tBA, tPM float64
-		for trial, sk := range sketches {
-			aware, baseline := partition.PartitioningTime(g, sk, topo, s.Seed+int64(trial)+1)
+		for trial := int64(0); trial < pmTrials; trial++ {
+			aware, baseline := partition.PartitioningTime(g, sys.Sketch, topo, s.Seed+trial+1)
 			if trial == 0 {
 				tBA = aware
 			}

@@ -407,8 +407,9 @@ func (r *Runner) startNext(m cluster.MachineID, now float64, cause int) {
 		mc.busy = true
 		ts.copies++
 		// Stragglers: a machine slowed by a transient fault stretches
-		// every task that starts during the slowdown window.
-		dur := (t.Compute + float64(t.DiskRead+t.DiskWrite)/r.cfg.Topo.DiskBandwidth()) * r.faults.SlowdownFactor(m, now)
+		// every task that starts during the slowdown window. The product
+		// is rounded: no fused multiply-add (DESIGN.md).
+		dur := float64((t.Compute + float64(t.DiskRead+t.DiskWrite)/r.cfg.Topo.DiskBandwidth()) * r.faults.SlowdownFactor(m, now))
 		startSeq := sr.emitTask(trace.KindTaskStart, t, m, now, now, 0, cause)
 		r.attempts = append(r.attempts, runAttempt{taskRef: ref, machine: m, dur: dur})
 		sr.push(event{at: now + dur, kind: evTaskDone, task: ref.i, machine: m, start: now, dur: dur, startSeq: startSeq})

@@ -42,10 +42,13 @@ type GenConfig struct {
 func Generate(cfg GenConfig) (*Schedule, []Kill) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := &Schedule{}
+	// Every product that meets a sum is rounded by a float64 conversion, so
+	// no platform fuses the two into one multiply-add (DESIGN.md); an
+	// inlined rng.Float64() is such a product.
 	window := func(maxLen float64) (float64, float64) {
-		lo, hi := 0.05*cfg.Horizon, 0.95*cfg.Horizon
-		from := lo + rng.Float64()*(hi-lo)
-		until := from + (0.05+rng.Float64())*maxLen
+		lo, hi := float64(0.05*cfg.Horizon), float64(0.95*cfg.Horizon)
+		from := lo + float64(rng.Float64()*(hi-lo))
+		until := from + float64((0.05+float64(rng.Float64()))*maxLen)
 		return from, until
 	}
 	pair := func() (cluster.MachineID, cluster.MachineID) {
@@ -61,7 +64,7 @@ func Generate(cfg GenConfig) (*Schedule, []Kill) {
 		from, until := window(0.3 * cfg.Horizon)
 		s.Links = append(s.Links, LinkFault{
 			Src: src, Dst: dst, From: from, Until: until,
-			Factor: 2 + rng.Float64()*6,
+			Factor: 2 + float64(rng.Float64()*6),
 		})
 	}
 	for i := 0; i < cfg.Drops; i++ {
@@ -74,7 +77,7 @@ func Generate(cfg GenConfig) (*Schedule, []Kill) {
 		from, until := window(0.5 * cfg.Horizon)
 		s.Slowdowns = append(s.Slowdowns, Slowdown{
 			Machine: m, From: from, Until: until,
-			Factor: 2 + rng.Float64()*4,
+			Factor: 2 + float64(rng.Float64()*4),
 		})
 	}
 	var kills []Kill
@@ -87,13 +90,13 @@ func Generate(cfg GenConfig) (*Schedule, []Kill) {
 		used[m] = true
 		kills = append(kills, Kill{
 			Machine: m,
-			At:      (0.1 + 0.6*rng.Float64()) * cfg.Horizon,
+			At:      (0.1 + float64(0.6*rng.Float64())) * cfg.Horizon,
 		})
 	}
 	for i := 0; i < cfg.Joins; i++ {
 		s.Joins = append(s.Joins, MachineJoin{
 			Machine: cluster.MachineID(cfg.Machines + i),
-			At:      (0.05 + 0.5*rng.Float64()) * cfg.Horizon,
+			At:      (0.05 + float64(0.5*rng.Float64())) * cfg.Horizon,
 			NICs:    0,
 		})
 	}
@@ -105,12 +108,12 @@ func Generate(cfg GenConfig) (*Schedule, []Kill) {
 			m = cluster.MachineID(1 + rng.Intn(cfg.Machines-1))
 		}
 		used[m] = true
-		at := (0.1 + 0.5*rng.Float64()) * cfg.Horizon
+		at := float64((0.1 + float64(0.5*rng.Float64())) * cfg.Horizon)
 		// Alternate loose and tight deadlines: loose drains migrate out
 		// cleanly, tight ones expire into the death/failover path.
-		slack := 0.5 * cfg.Horizon
+		slack := float64(0.5 * cfg.Horizon)
 		if i%2 == 1 {
-			slack = 0.01 * cfg.Horizon
+			slack = float64(0.01 * cfg.Horizon)
 		}
 		s.Drains = append(s.Drains, MachineDrain{
 			Machine: m, At: at, Deadline: at + slack,

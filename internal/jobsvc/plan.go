@@ -152,7 +152,7 @@ func SyntheticPlan(seed int64, machines, planJobs, stages, tasksPerStage int) []
 					Name:      fmt.Sprintf("s%d-t%d", si, ti),
 					Part:      engine.NoPart,
 					Machine:   cluster.MachineID(rng.Intn(machines)),
-					Compute:   0.0002 + 0.0008*rng.Float64(),
+					Compute:   0.0002 + float64(0.0008*rng.Float64()), // rounded: no fused multiply-add (DESIGN.md)
 					DiskRead:  int64(1 + rng.Intn(1<<14)),
 					DiskWrite: int64(1 + rng.Intn(1<<14)),
 				}

@@ -143,7 +143,7 @@ func GenerateWorkload(cfg GenConfig) *Workload {
 	at := 0.0
 	for i := 0; i < cfg.Jobs; i++ {
 		if i > 0 {
-			at += rng.ExpFloat64() * cfg.MeanGap
+			at += float64(rng.ExpFloat64() * cfg.MeanGap) // rounded: no fused multiply-add (DESIGN.md)
 		}
 		app := Apps[rng.Intn(len(Apps))]
 		wl.Jobs = append(wl.Jobs, JobSpec{
@@ -225,7 +225,7 @@ func JainIndex(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x) // rounded: no fused multiply-add (DESIGN.md)
 	}
 	if sumSq == 0 {
 		return 0

@@ -207,7 +207,7 @@ func (c *Collector) seal(w int) {
 // decide records one alert transition and, on the live path, emits the
 // matching trace event; it returns the emitted Seq (trace.None offline).
 func (c *Collector) decide(r *Rule, key string, w int, v float64, resolved bool, firedSeq int) int {
-	start := float64(w) * c.cfg.Window
+	start := float64(float64(w) * c.cfg.Window) // rounded: no fused multiply-add (DESIGN.md)
 	end := start + c.cfg.Window
 	cause := trace.None
 	if !resolved && w < len(c.lastSeq) {

@@ -317,7 +317,7 @@ func (c *Collector) spanWindows(lo, hi float64, f func(w int, overlap float64)) 
 	}
 	w := c.windowOf(lo)
 	for {
-		wlo := float64(w) * c.cfg.Window
+		wlo := float64(float64(w) * c.cfg.Window) // rounded: no fused multiply-add (DESIGN.md)
 		whi := wlo + c.cfg.Window
 		olo, ohi := lo, hi
 		if olo < wlo {
@@ -347,7 +347,7 @@ func (c *Collector) addAt(s *series, t, v float64) {
 func (c *Collector) addSpan(s *series, lo, hi, rate float64) {
 	c.spanWindows(lo, hi, func(w int, o float64) {
 		s.grow(w)
-		s.acc[w] += rate * o
+		s.acc[w] += float64(rate * o) // rounded: no fused multiply-add (DESIGN.md)
 	})
 }
 

@@ -74,7 +74,7 @@ func PartitioningTime(g *graph.Graph, sk *Sketch, topo *cluster.Topology, seed i
 }
 
 func stepTime(s bisectStep, vertices, edges float64, topo *cluster.Topology, staged bool, avgRandom float64) float64 {
-	bytes := 8*vertices + 4*edges
+	bytes := float64(8*vertices) + float64(4*edges) // rounded: no fused multiply-add (DESIGN.md)
 	nm := len(s.machines)
 	compute := computePerEdge * edges / float64(nm)
 	if s.local || nm <= 1 {

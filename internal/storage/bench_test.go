@@ -33,3 +33,26 @@ func BenchmarkBuild(b *testing.B) {
 		})
 	}
 }
+
+// TestBuildAllocBudget pins what Build allocates over a finished bisection
+// of the 4k social graph into 16 partitions. The ceiling is the measured
+// count: a change that beats it lowers it.
+// Twenty runs, because AllocsPerRun floors the mean: the extra allocations
+// an occasional run makes do not move it, one more per call does.
+func TestBuildAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const ceiling = 156
+	g := graph.Social(graph.DefaultSocial(4096, 42))
+	pt, _ := partition.RecursiveBisect(g, 4, partition.Options{Seed: 42})
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Build(g, pt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations", allocs)
+	if allocs > ceiling {
+		t.Errorf("building %d partitions allocates %.0f times, over its ceiling of %d", pt.P, allocs, ceiling)
+	}
+}

@@ -77,6 +77,23 @@ func BenchmarkSummarize(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
 }
 
+// TestSummarizeAllocBudget pins what summarizing a small capture allocates.
+// The ceiling is the measured count: a change that beats it lowers it.
+// Twenty runs, because AllocsPerRun floors the mean: the extra allocation an
+// occasional run makes does not move it, one more per call does.
+func TestSummarizeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const ceiling = 1184
+	events := tracetest.Capture(5_000, 8)
+	allocs := testing.AllocsPerRun(20, func() { trace.Summarize(events) })
+	t.Logf("%.0f allocations", allocs)
+	if allocs > ceiling {
+		t.Errorf("summarizing %d events allocates %.0f times, over its ceiling of %d", len(events), allocs, ceiling)
+	}
+}
+
 // BenchmarkLabel is the run-resolution pass under Summarize, WriteChrome,
 // the analyzer's stage labels and metrics.JobWindows.
 func BenchmarkLabel(b *testing.B) {

@@ -51,7 +51,9 @@ func WriteChrome(w io.Writer, events []Event) error {
 	var err error
 	// usec appends a time in microseconds; JSON has no NaN or infinity.
 	usec := func(dst []byte, key string, t float64) []byte {
-		us := t * 1e6
+		// Rounded first: a fused multiply-subtract in the check below would
+		// read the product's rounding error, not NaN or infinity (DESIGN.md).
+		us := float64(t * 1e6)
 		if us-us != 0 && err == nil {
 			err = fmt.Errorf("trace: chrome: unsupported float value %v", us)
 		}
