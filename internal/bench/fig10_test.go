@@ -13,7 +13,7 @@ import (
 	"repro/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/fig10.golden and testdata/experiments.golden")
+var update = flag.Bool("update", false, "rewrite testdata/fig10.golden, testdata/experiments.golden and testdata/suite_stream.golden")
 
 // TestFig10Golden pins Figure 10's text — normal and recovered response, the
 // kill, and every disk-I/O bucket — at two scales, each without and with a
