@@ -143,6 +143,15 @@ if go run ./cmd/surfer-analyze -compare "$smoke/bench.json" "$smoke/bench-bad.js
     echo "compare gate failed to catch a regression" >&2
     exit 1
 fi
+# The whole experiment suite, whose runs replay plans shared through each
+# bisection's memo, at one and at two workers: the two event streams must be
+# the same bytes.
+go build -o "$smoke/surfer-bench" ./cmd/surfer-bench
+for w in 1 2; do
+    "$smoke/surfer-bench" -experiment all -vertices 4096 -machines 8 -levels 3 \
+        -workers "$w" -events "$smoke/all-w$w.events" > /dev/null
+done
+cmp "$smoke/all-w1.events" "$smoke/all-w2.events"
 # Elastic membership smoke: a fault file with a spot-instance join (outside
 # the topology, so surfer-run must expand the cluster) and a drain runs end
 # to end, and the autoscaler turns the capture into a replayable plan.

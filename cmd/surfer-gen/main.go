@@ -8,9 +8,12 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	surfer "repro"
 	"repro/cmd/internal/cli"
@@ -31,6 +34,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out        = fs.String("out", "graph.srfg", "output file")
 	)
 	return cli.Run(fs, args, stderr, func([]string) error {
+		if !slices.Contains([]string{"social", "smallworld", "rmat", "uniform"}, *kind) {
+			return fmt.Errorf("unknown kind %q (want social, smallworld, rmat or uniform)", *kind)
+		}
 		// The generators size slices and shifts from these and panic on a bad one.
 		if *vertices < 0 {
 			return fmt.Errorf("-vertices %d: must not be negative", *vertices)
@@ -44,6 +50,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if !(*rewire >= 0 && *rewire <= 1) {
 			return fmt.Errorf("-rewire %g: want 0 <= rewire <= 1", *rewire)
+		}
+		// A set flag the kind does not read would be silently ignored.
+		reads := map[string][]string{"vertices": {"social", "smallworld", "uniform"}, "scale": {"rmat"},
+			"edgefactor": {"rmat", "uniform"}, "rewire": {"smallworld"}}
+		var unread error
+		fs.Visit(func(f *flag.Flag) {
+			if kinds := reads[f.Name]; kinds != nil && !slices.Contains(kinds, *kind) && unread == nil {
+				unread = fmt.Errorf("-%s %s: -kind %s does not read it (only %s)", f.Name, f.Value, *kind, strings.Join(kinds, ", "))
+			}
+		})
+		if unread != nil {
+			return unread
 		}
 		var g *surfer.Graph
 		switch *kind {
@@ -65,8 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			g = surfer.RMAT(surfer.DefaultRMAT(*scale, *edgeFactor, *seed))
 		case "uniform":
 			g = graph.Uniform(*vertices, *vertices**edgeFactor, *seed)
-		default:
-			return fmt.Errorf("unknown kind %q (want social, smallworld, rmat or uniform)", *kind)
 		}
 		if err := g.Save(*out); err != nil {
 			return fmt.Errorf("saving %s: %v", *out, err)

@@ -31,8 +31,11 @@ type App interface {
 	// Iterations is the number of propagation iterations the workload
 	// runs (1 for single-pass applications).
 	Iterations() int
-	// RunPropagation executes the propagation implementation and returns
-	// an opaque result for cross-checking.
+	// Plan plans the propagation implementation: the opaque result it
+	// computes, for cross-checking, and its engine jobs, a pure function of
+	// pg, pl, the application's value and opt, not yet run.
+	Plan(pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, []*engine.Job, error)
+	// RunPropagation is Plan replayed on r.
 	RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error)
 	// RunMapReduce executes the MapReduce implementation.
 	RunMapReduce(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement) (any, engine.Metrics, error)
@@ -57,6 +60,27 @@ var table = []struct {
 	{"TFL", func(int) App { return NewTFL(DefaultSelectRatio) }},
 	{"CC", func(int) App { return NewCC(0) }},
 	{"SSSP", func(int) App { return NewSSSP(0, 0) }},
+}
+
+// runPropagation is every application's RunPropagation: Plan, replayed on r.
+func runPropagation(a App, r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+	res, jobs, err := a.Plan(r.Pool(), pg, pl, opt)
+	if err != nil {
+		return nil, engine.Metrics{}, err
+	}
+	m, err := r.RunJobs(jobs)
+	if err != nil {
+		return nil, m, err
+	}
+	return res, m, nil
+}
+
+// planValues is a plan whose result is its final state's values.
+func planValues[V any](jobs []*engine.Job, st *propagation.State[V], err error) (any, []*engine.Job, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return st.Values, jobs, nil
 }
 
 // paperApps is how many leading rows of table are the paper's own.

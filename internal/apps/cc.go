@@ -37,7 +37,7 @@ func roundCap(maxIterations int, pg *storage.PartitionedGraph) int {
 }
 
 // errRoundCap is the MapReduce drivers' form of the error
-// propagation.RunUntilConverged returns.
+// propagation.PlanUntilConverged returns.
 func errRoundCap(limit int) error {
 	return fmt.Errorf("apps: values still changing after the cap of %d round(s)", limit)
 }
@@ -81,25 +81,24 @@ func changeOf[V comparable](a, b V) float64 {
 	return 1
 }
 
-// RunPropagation runs label propagation to convergence on the symmetrized
-// graph and returns the per-vertex component labels.
+// Plan plans label propagation to convergence on the symmetrized graph; the
+// result is the per-vertex component labels.
 //
 // Weak connectivity needs labels to flow against edge direction too, so the
 // execution runs on the undirected view of the partitioned graph. The
 // partitioning is inherited from the directed graph (cut structure is
 // direction-blind).
-func (a *CC) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+func (a *CC) Plan(pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, []*engine.Job, error) {
 	upg, err := undirectedView(pg)
 	if err != nil {
-		return nil, engine.Metrics{}, err
+		return nil, nil, err
 	}
 	prog := ccProgram{}
-	st := propagation.NewState[uint32](upg, prog)
-	st, m, err := propagation.RunUntilConverged(r, upg, pl, prog, st, opt, roundCap(a.MaxIterations, upg), changeOf[uint32], 0)
-	if err != nil {
-		return nil, m, err
-	}
-	return st.Values, m, nil
+	return planValues(propagation.PlanUntilConverged(pool, upg, pl, prog, propagation.NewState[uint32](upg, prog), opt, roundCap(a.MaxIterations, upg), changeOf[uint32], 0))
+}
+
+func (a *CC) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+	return runPropagation(a, r, pg, pl, opt)
 }
 
 // undirectedView rebuilds the partition metadata over the symmetric closure

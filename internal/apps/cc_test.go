@@ -60,7 +60,7 @@ func TestCCDisconnectedComponents(t *testing.T) {
 
 func TestCCConvergesEarly(t *testing.T) {
 	// A small ring converges in about its diameter; a huge MaxIterations
-	// budget must not be consumed (RunUntilConverged stops at fixpoint).
+	// budget must not be consumed (PlanUntilConverged stops at fixpoint).
 	g := graph.Ring(32)
 	f := fixtureFor(t, g, 2, 22)
 	app := NewCC(1000)

@@ -66,16 +66,15 @@ func NRProgram(g *graph.Graph) propagation.Program[float64] {
 	return &nrProgram{g: g, n: float64(g.NumVertices())}
 }
 
-// RunPropagation runs the configured number of PageRank iterations and
-// returns the final rank vector.
-func (a *NR) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+// Plan plans the configured number of PageRank iterations; the result is the
+// final rank vector.
+func (a *NR) Plan(pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, []*engine.Job, error) {
 	prog := NRProgram(pg.G)
-	st := propagation.NewState[float64](pg, prog)
-	st, m, err := propagation.RunIterations(r, pg, pl, prog, st, opt, a.iterations)
-	if err != nil {
-		return nil, m, err
-	}
-	return st.Values, m, nil
+	return planValues(propagation.PlanIterations(pool, pg, pl, prog, propagation.NewState(pg, prog), opt, a.iterations, "propagation"))
+}
+
+func (a *NR) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+	return runPropagation(a, r, pg, pl, opt)
 }
 
 // nrMR is the MapReduce implementation of Algorithm 2: map computes partial

@@ -59,15 +59,14 @@ func (rlgProgram) Merge(_ graph.VertexID, values [][]graph.VertexID) []graph.Ver
 	return out
 }
 
-// RunPropagation returns the reversed adjacency lists indexed by vertex.
-func (a *RLG) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+// Plan's result is the reversed adjacency lists indexed by vertex.
+func (a *RLG) Plan(pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, []*engine.Job, error) {
 	prog := rlgProgram{}
-	st := propagation.NewState[[]graph.VertexID](pg, prog)
-	st, m, err := propagation.Iterate(r, pg, pl, prog, st, opt)
-	if err != nil {
-		return nil, m, err
-	}
-	return st.Values, m, nil
+	return planValues(propagation.PlanIteration(pool, pg, pl, prog, propagation.NewState[[]graph.VertexID](pg, prog), opt))
+}
+
+func (a *RLG) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+	return runPropagation(a, r, pg, pl, opt)
 }
 
 // rlgMR: map emits (dst, src) per edge; reduce sorts the in-neighbor list.

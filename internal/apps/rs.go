@@ -96,16 +96,15 @@ func (p *rsProgram) Merge(_ graph.VertexID, values []uint8) uint8 {
 	return 1
 }
 
-// RunPropagation simulates the recommendation rounds and returns the final
-// adoption vector.
-func (a *RS) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+// Plan plans the recommendation rounds; the result is the final adoption
+// vector.
+func (a *RS) Plan(pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, []*engine.Job, error) {
 	prog := &rsProgram{cfg: a.cfg}
-	st := propagation.NewState[uint8](pg, prog)
-	st, m, err := propagation.RunIterations(r, pg, pl, prog, st, opt, a.cfg.Iterations)
-	if err != nil {
-		return nil, m, err
-	}
-	return st.Values, m, nil
+	return planValues(propagation.PlanIterations(pool, pg, pl, prog, propagation.NewState[uint8](pg, prog), opt, a.cfg.Iterations, "propagation"))
+}
+
+func (a *RS) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+	return runPropagation(a, r, pg, pl, opt)
 }
 
 // rsMR is the MapReduce variant: map emits a recommendation pair per friend

@@ -63,15 +63,15 @@ func (p *ssspProgram) Bytes(int32) int64                            { return 4 }
 func (p *ssspProgram) Associative() bool                            { return true }
 func (p *ssspProgram) Merge(_ graph.VertexID, values []int32) int32 { return slices.Min(values) }
 
-// RunPropagation relaxes distances until fixpoint and returns the per-vertex hop distances (Unreachable where no path exists).
-func (a *SSSP) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+// Plan relaxes distances until fixpoint; the result is the per-vertex hop
+// distances (Unreachable where no path exists).
+func (a *SSSP) Plan(pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, []*engine.Job, error) {
 	prog := &ssspProgram{source: a.Source}
-	st := propagation.NewState[int32](pg, prog)
-	st, m, err := propagation.RunUntilConverged(r, pg, pl, prog, st, opt, roundCap(a.MaxIterations, pg), changeOf[int32], 0)
-	if err != nil {
-		return nil, m, err
-	}
-	return st.Values, m, nil
+	return planValues(propagation.PlanUntilConverged(pool, pg, pl, prog, propagation.NewState[int32](pg, prog), opt, roundCap(a.MaxIterations, pg), changeOf[int32], 0))
+}
+
+func (a *SSSP) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+	return runPropagation(a, r, pg, pl, opt)
 }
 
 // ssspMR is one relaxation round under MapReduce.

@@ -109,19 +109,22 @@ func intersectCount(a, b []graph.VertexID) int64 {
 	return c
 }
 
-// RunPropagation returns the total directed-triangle count over the sample.
-func (a *TC) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+// Plan's result is the total directed-triangle count over the sample.
+func (a *TC) Plan(pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, []*engine.Job, error) {
 	prog := &tcProgram{tcSample: tcSample{pg.G, a.ratio}}
-	st := propagation.NewState[TCValue](pg, prog)
-	st, m, err := propagation.Iterate(r, pg, pl, prog, st, opt)
+	jobs, st, err := propagation.PlanIteration(pool, pg, pl, prog, propagation.NewState[TCValue](pg, prog), opt)
 	if err != nil {
-		return nil, m, err
+		return nil, nil, err
 	}
 	var total int64
 	for _, v := range st.Values {
 		total += v.Count
 	}
-	return total, m, nil
+	return total, jobs, nil
+}
+
+func (a *TC) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+	return runPropagation(a, r, pg, pl, opt)
 }
 
 // tcMR mirrors the propagation logic under MapReduce: map ships neighbor

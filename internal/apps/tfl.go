@@ -126,15 +126,14 @@ func mergeDistinct(a, b []graph.VertexID) []graph.VertexID {
 	return out
 }
 
-// RunPropagation returns each vertex's two-hop list (indexed by vertex).
-func (a *TFL) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+// Plan's result is each vertex's two-hop list (indexed by vertex).
+func (a *TFL) Plan(pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, []*engine.Job, error) {
 	prog := &tflProgram{g: pg.G, ratio: a.ratio}
-	st := propagation.NewState[[]graph.VertexID](pg, prog)
-	st, m, err := propagation.Iterate(r, pg, pl, prog, st, opt)
-	if err != nil {
-		return nil, m, err
-	}
-	return st.Values, m, nil
+	return planValues(propagation.PlanIteration(pool, pg, pl, prog, propagation.NewState[[]graph.VertexID](pg, prog), opt))
+}
+
+func (a *TFL) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+	return runPropagation(a, r, pg, pl, opt)
 }
 
 // tflMR mirrors the logic under MapReduce.

@@ -64,21 +64,24 @@ func (p *vddProgram) Merge(_ graph.VertexID, values []int64) int64 {
 	return sum
 }
 
-// RunPropagation returns the degree histogram as map[degree]count.
-func (a *VDD) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+// Plan's result is the degree histogram as map[degree]count.
+func (a *VDD) Plan(pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, []*engine.Job, error) {
 	prog := &vddProgram{g: pg.G}
 	opt.VirtualVertices = pg.G.MaxOutDegree() + 1
-	st := propagation.NewState[int64](pg, prog)
-	st, m, err := propagation.Iterate(r, pg, pl, prog, st, opt)
+	jobs, st, err := propagation.PlanIteration(pool, pg, pl, prog, propagation.NewState[int64](pg, prog), opt)
 	if err != nil {
-		return nil, m, err
+		return nil, nil, err
 	}
 	hist := make(map[int]int64)
 	n := pg.G.NumVertices()
 	for vid, count := range st.Virtual {
 		hist[int(vid)-n] = count
 	}
-	return hist, m, nil
+	return hist, jobs, nil
+}
+
+func (a *VDD) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
+	return runPropagation(a, r, pg, pl, opt)
 }
 
 // vddMR is the natural MapReduce implementation: emit (degree, 1), sum.

@@ -53,7 +53,7 @@ func Ablation(s Scale) ([]AblationRow, error) {
 		unbalanced := partition.UnbalancedRandomPlacement(d.PG.Part.P, topo, s.Seed)
 		for _, app := range workloads {
 			run := func(variant string, pl *partition.Placement, opt propagation.Options) error {
-				_, m, err := app.RunPropagation(d.Runner(), d.PG, pl, opt)
+				_, m, err := d.run(app, pl, opt)
 				if err != nil {
 					return fmt.Errorf("%s/%s/%s: %w", topo.Name(), app.Name(), variant, err)
 				}

@@ -405,16 +405,8 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// NR is planned once: planning is a pure function of the deployment, so
-	// the baseline and every probe replay the jobs NR.RunPropagation would
-	// plan on each of them.
-	prog := apps.NRProgram(d.PG.G)
-	plan, _, err := propagation.PlanIterations(engine.NewPool(s.Workers), d.PG, d.PlaceBA, prog,
-		propagation.NewState(d.PG, prog), d.Options(O4), 3, "propagation")
-	if err != nil {
-		return nil, err
-	}
-	base, err := d.Runner().RunJobs(plan)
+	// The baseline and every probe replay NR's one plan.
+	plan, base, err := d.run(apps.NewNR(3), d.PlaceBA, d.Options(O4))
 	if err != nil {
 		return nil, err
 	}

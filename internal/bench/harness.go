@@ -228,8 +228,23 @@ func (d *Deployment) Runner() *engine.Runner { return d.sys.NewRunner() }
 
 // RunApp executes one application at one optimization level.
 func (d *Deployment) RunApp(app apps.App, o OptLevel) (engine.Metrics, error) {
-	_, m, err := app.RunPropagation(d.Runner(), d.PG, d.Placement(o), d.Options(o))
+	_, m, err := d.run(app, d.Placement(o), d.Options(o))
 	return m, err
+}
+
+// run is app.RunPropagation on pl under opt on a fresh runner, replaying the
+// plan the deployment's bisection keeps for them; it returns that plan too.
+func (d *Deployment) run(app apps.App, pl *partition.Placement, opt propagation.Options) ([]*engine.Job, engine.Metrics, error) {
+	r := d.Runner()
+	jobs, err := d.sys.Plan(pl, app, opt, func() ([]*engine.Job, error) {
+		_, jobs, err := app.Plan(r.Pool(), d.PG, pl, opt)
+		return jobs, err
+	})
+	if err != nil {
+		return nil, engine.Metrics{}, err
+	}
+	m, err := r.RunJobs(jobs)
+	return jobs, m, err
 }
 
 // RunAppMR executes one application's MapReduce implementation (always on

@@ -102,7 +102,7 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 	eval := func(d *Deployment, p TunePoint) error {
 		app, _ := apps.ByName(cfg.App, tuneIterations)
 		opt := propagation.Options{LocalPropagation: p.LocalProp, LocalCombination: p.LocalComb}
-		_, m, err := app.RunPropagation(d.Runner(), d.PG, d.PlacePM, opt)
+		_, m, err := d.run(app, d.PlacePM, opt)
 		if err != nil {
 			return err
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/propagation"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -70,6 +71,9 @@ type System struct {
 	Replicas  *storage.Replicas
 
 	cfg Config
+	// plans is the plan memo every system placed from this bisection
+	// shares: engine jobs, never states, by what was planned.
+	plans map[string][]*engine.Job
 }
 
 // Build bisects the configured graph and places it: validate, RecursiveBisect,
@@ -95,7 +99,7 @@ func Build(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&System{Graph: cfg.Graph, PG: pg, Sketch: sk}).Place(cfg)
+	return (&System{Graph: cfg.Graph, PG: pg, Sketch: sk, plans: map[string][]*engine.Job{}}).Place(cfg)
 }
 
 // Place deploys the system's bisection (graph, sketch and partitioned graph,
@@ -112,13 +116,34 @@ func (s *System) Place(cfg Config) (*System, error) {
 	}
 	sys := &System{
 		Graph: s.Graph, Topology: cfg.Topology, PG: s.PG, Sketch: s.Sketch,
-		Placement: pl, Replicas: storage.PlaceReplicas(pl, cfg.Topology, cfg.Seed), cfg: cfg,
+		Placement: pl, Replicas: storage.PlaceReplicas(pl, cfg.Topology, cfg.Seed), cfg: cfg, plans: s.plans,
 	}
 	if err := engine.ValidateKills(cfg.Faults, sys.Replicas); err != nil {
 		return nil, err
 	}
 	return sys, nil
 }
+
+// Plan returns the jobs plan computes for program on placement pl under opt,
+// calling plan only the first time a system of this bisection is asked for
+// them (a failed plan is not kept). A plan is a pure function of these, and
+// the engine only reads plans, so a kept plan replays exactly. The key is the
+// placement's machines, program's value as %#v (type and contents, through a
+// pointer) and opt. Like a runner, a system plans from one goroutine at a time.
+func (s *System) Plan(pl *partition.Placement, program any, opt propagation.Options, plan func() ([]*engine.Job, error)) ([]*engine.Job, error) {
+	k := fmt.Sprintf("%v %#v %+v", pl.MachineOf, program, opt)
+	if jobs, ok := s.plans[k]; ok {
+		return jobs, nil
+	}
+	jobs, err := plan()
+	if err == nil {
+		s.plans[k] = jobs
+	}
+	return jobs, err
+}
+
+// Plans reports how many plans the bisection's memo holds, each computed once.
+func (s *System) Plans() int { return len(s.plans) }
 
 // checkRun validates cfg's run configuration against its topology, so a bad
 // heartbeat or fault window fails before any bisecting, not mid-run.

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -333,5 +336,87 @@ func TestBuildRejectsBadHeartbeat(t *testing.T) {
 		if _, err := Build(cfg); err != nil {
 			t.Errorf("HeartbeatInterval=%g: %v", h, err)
 		}
+	}
+}
+
+// TestPlanMemoKeys: a bisection plans once per (placement contents,
+// application value, options), for every system placed from it. Apps are
+// keyed by value, so NewTC(5) and NewTC(10) plan twice but two NewTC(5)
+// once; equal placements held in distinct Placements plan once; changed
+// options plan again; a failed plan is not kept.
+func TestPlanMemoKeys(t *testing.T) {
+	cfg := testConfig(1)
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg
+	c.Topology = cluster.NewT1(8)
+	flat, err := sys.Place(c) // another topology, same bisection and memo
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := propagation.Options{LocalPropagation: true, LocalCombination: true}
+	pool := engine.NewPool(1)
+	planned := 0
+	plan := func(s *System, app apps.App, pl *partition.Placement, opt propagation.Options) []*engine.Job {
+		t.Helper()
+		jobs, err := s.Plan(pl, app, opt, func() ([]*engine.Job, error) {
+			planned++
+			_, jobs, err := app.Plan(pool, s.PG, pl, opt)
+			return jobs, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jobs
+	}
+	copyOf := &partition.Placement{MachineOf: slices.Clone(sys.Placement.MachineOf)}
+	other := partition.RandomPlacement(sys.PG.Part.P, sys.Topology, 9)
+	for _, step := range []struct {
+		name string
+		sys  *System
+		app  apps.App
+		pl   *partition.Placement
+		opt  propagation.Options
+		want int // plans computed so far
+	}{
+		{"first", sys, apps.NewTC(5), sys.Placement, both, 1},
+		{"an equal app", sys, apps.NewTC(5), sys.Placement, both, 1},
+		{"another ratio", sys, apps.NewTC(10), sys.Placement, both, 2},
+		{"an equal placement", sys, apps.NewTC(5), copyOf, both, 2},
+		{"a system placed from the bisection", flat, apps.NewTC(10), copyOf, both, 2},
+		{"changed options", sys, apps.NewTC(5), sys.Placement, propagation.Options{}, 3},
+		{"another placement", sys, apps.NewTC(5), other, both, 4},
+		{"another app type", sys, apps.NewTFL(5), sys.Placement, both, 5},
+	} {
+		jobs := plan(step.sys, step.app, step.pl, step.opt)
+		if planned != step.want {
+			t.Errorf("%s: %d plans computed, want %d", step.name, planned, step.want)
+		}
+		_, want, err := step.app.Plan(pool, sys.PG, step.pl, step.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(jobs, want) {
+			t.Errorf("%s: the memo's jobs differ from a fresh plan", step.name)
+		}
+	}
+	if held := flat.Plans(); held != 5 {
+		t.Errorf("the memo holds %d plans, want 5", held)
+	}
+	fail := func() ([]*engine.Job, error) { planned++; return nil, fmt.Errorf("no plan") }
+	for range 2 {
+		if _, err := sys.Plan(sys.Placement, apps.NewNR(1), both, fail); err == nil {
+			t.Fatal("a failed plan returned no error")
+		}
+	}
+	if planned != 7 {
+		t.Errorf("a failed plan was kept: %d plans computed, want 7", planned)
+	}
+	if rebuilt, err := Build(cfg); err != nil {
+		t.Fatal(err)
+	} else if held := rebuilt.Plans(); held != 0 {
+		t.Errorf("a new bisection starts with %d plans, want none", held)
 	}
 }

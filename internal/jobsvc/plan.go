@@ -9,9 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/partition"
 	"repro/internal/propagation"
-	"repro/internal/storage"
 )
 
 // Apps lists the plannable application names of a jobs file.
@@ -34,14 +32,12 @@ type PlannerConfig struct {
 
 // Planner turns job specs into engine-job plans via the propagation
 // planning API. Plans are pure functions of (app, iterations) over the
-// shared deployment, so they are cached and safely shared between jobs:
-// neither the service nor the engine writes to a plan.
+// shared deployment, so the deployment's bisection keeps them and jobs share
+// them safely: neither the service nor the engine writes to a plan.
 type Planner struct {
-	pg    *storage.PartitionedGraph
-	pl    *partition.Placement
-	pool  *engine.Pool
-	opt   propagation.Options
-	cache map[string][]*engine.Job
+	sys  *core.System
+	pool *engine.Pool
+	opt  propagation.Options
 }
 
 // NewPlanner partitions the graph and places it on the topology, as
@@ -53,41 +49,28 @@ func NewPlanner(cfg PlannerConfig) (*Planner, error) {
 		return nil, err
 	}
 	return &Planner{
-		pg:    sys.PG,
-		pl:    sys.Placement,
-		pool:  engine.NewPool(cfg.Workers),
-		opt:   propagation.Options{LocalPropagation: true, LocalCombination: true},
-		cache: make(map[string][]*engine.Job),
+		sys:  sys,
+		pool: engine.NewPool(cfg.Workers),
+		opt:  propagation.Options{LocalPropagation: true, LocalCombination: true},
 	}, nil
 }
 
 // Plan returns the engine jobs of one spec ("<app>-iter-001"…).
 func (p *Planner) Plan(spec JobSpec) ([]*engine.Job, error) {
-	key := fmt.Sprintf("%s/%d", spec.App, spec.Iterations)
-	if jobs, ok := p.cache[key]; ok {
-		return jobs, nil
-	}
-	var (
-		jobs []*engine.Job
-		err  error
-	)
+	pg, pl := p.sys.PG, p.sys.Placement
+	var prog propagation.Program[float64]
 	switch spec.App {
 	case "rank":
-		prog := apps.NRProgram(p.pg.G)
-		st := propagation.NewState(p.pg, prog)
-		jobs, _, err = propagation.PlanIterations(p.pool, p.pg, p.pl, prog, st, p.opt, spec.Iterations, "rank")
+		prog = apps.NRProgram(pg.G)
 	case "reach":
-		prog := reachProg{}
-		st := propagation.NewState(p.pg, propagation.Program[float64](prog))
-		jobs, _, err = propagation.PlanIterations(p.pool, p.pg, p.pl, prog, st, p.opt, spec.Iterations, "reach")
+		prog = reachProg{}
 	default:
 		return nil, fmt.Errorf("jobsvc: unknown app %q (want one of %v)", spec.App, Apps)
 	}
-	if err != nil {
-		return nil, err
-	}
-	p.cache[key] = jobs
-	return jobs, nil
+	return p.sys.Plan(pl, fmt.Sprintf("%s/%d", spec.App, spec.Iterations), p.opt, func() ([]*engine.Job, error) {
+		jobs, _, err := propagation.PlanIterations(p.pool, pg, pl, prog, propagation.NewState(pg, prog), p.opt, spec.Iterations, spec.App)
+		return jobs, err
+	})
 }
 
 // Jobs plans a whole workload into service submissions.

@@ -145,16 +145,15 @@ func RunIterations[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *pa
 	return runPlan(r, jobs, final, err)
 }
 
-// RunUntilConverged iterates propagation until the summed per-vertex delta
-// between consecutive states drops to eps or below. delta measures the
-// change of one vertex's value; fixpoint algorithms (label propagation,
-// PageRank with a tolerance) use it to stop as soon as an iteration changes
-// nothing. The iterations are planned until the states converge, then run.
-// maxIters caps them, and reaching it while values still change is an error
-// naming it, with nothing run: an unconverged state is not a result.
-func RunUntilConverged[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, maxIters int, delta func(old, new V) float64, eps float64) (*State[V], engine.Metrics, error) {
+// PlanUntilConverged plans propagation iterations until the summed per-vertex
+// delta between consecutive states drops to eps or below, and returns their
+// jobs and the final state. delta measures the change of one vertex's value;
+// fixpoint algorithms (label propagation, PageRank with a tolerance) use it to
+// stop as soon as an iteration changes nothing. maxIters caps the iterations,
+// and reaching it while values still change is an error naming it.
+func PlanUntilConverged[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, maxIters int, delta func(old, new V) float64, eps float64) ([]*engine.Job, *State[V], error) {
 	converged := false
-	p := planner[V]{pool: r.Pool(), pg: pg, pl: pl, prog: prog, opt: opt, prefix: "propagation"}
+	p := planner[V]{pool: pool, pg: pg, pl: pl, prog: prog, opt: opt, prefix: "propagation"}
 	jobs, final, err := p.plan(st, maxIters, func(_ int, prev, next *State[V]) bool {
 		var change float64
 		for v := range next.Values {
@@ -166,7 +165,7 @@ func RunUntilConverged[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl
 	if err == nil && !converged {
 		err = fmt.Errorf("propagation: values still changing after the cap of %d iteration(s)", maxIters)
 	}
-	return runPlan(r, jobs, final, err)
+	return jobs, final, err
 }
 
 // RunCascaded executes `iters` iterations with cascaded propagation: the

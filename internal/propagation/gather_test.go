@@ -492,7 +492,7 @@ func TestTransferPanicLeavesScratchReusable(t *testing.T) {
 	prog := strayProgram{n: f.pg.G.NumVertices(), armed: &armed}
 	opt := Options{LocalPropagation: true, LocalCombination: true}
 	r := engine.New(engine.Config{Topo: f.topo, Workers: 4})
-	st, _, err := Iterate(r, f.pg, f.pl, prog, NewState[int64](f.pg, prog), opt)
+	st, _, err := iterate(r, f.pg, f.pl, prog, NewState[int64](f.pg, prog), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestTransferPanicLeavesScratchReusable(t *testing.T) {
 			}
 		}()
 		armed = true
-		_, _, _ = Iterate(r, f.pg, f.pl, prog, st, opt)
+		_, _, _ = iterate(r, f.pg, f.pl, prog, st, opt)
 	}()
 	armed = false
 	for v, c := range st.sc.counts {
@@ -528,12 +528,12 @@ func TestTransferPanicLeavesScratchReusable(t *testing.T) {
 			t.Fatalf("partition %d's plan did not survive a panicked iteration", p)
 		}
 	}
-	wantSt, wantM, err := Iterate(engine.New(engine.Config{Topo: f.topo, Workers: 4}), f.pg, f.pl, prog, fresh(st), opt)
+	wantSt, wantM, err := iterate(engine.New(engine.Config{Topo: f.topo, Workers: 4}), f.pg, f.pl, prog, fresh(st), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reused := engine.New(engine.Config{Topo: f.topo, Workers: 4})
-	gotSt, gotM, err := Iterate(reused, f.pg, f.pl, prog, st, opt)
+	gotSt, gotM, err := iterate(reused, f.pg, f.pl, prog, st, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func TestPlanDroppedWhenOptionsChange(t *testing.T) {
 	opt := Options{LocalPropagation: true, LocalCombination: true, VirtualVertices: 5}
 	st := NewState[float64](f.pg, prog)
 	for i := 0; i < 2; i++ {
-		next, _, err := Iterate(f.runner(), f.pg, f.pl, prog, st, opt)
+		next, _, err := iterate(f.runner(), f.pg, f.pl, prog, st, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -568,18 +568,18 @@ func TestPlanDroppedWhenOptionsChange(t *testing.T) {
 		{LocalPropagation: true, VirtualVertices: 5},
 		{LocalPropagation: true, LocalCombination: true, VirtualVertices: 9},
 	} {
-		wantSt, wantM, err := Iterate(f.runner(), f.pg, f.pl, prog, fresh(st), changed)
+		wantSt, wantM, err := iterate(f.runner(), f.pg, f.pl, prog, fresh(st), changed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotSt, gotM, err := Iterate(f.runner(), f.pg, f.pl, prog, st, changed)
+		gotSt, gotM, err := iterate(f.runner(), f.pg, f.pl, prog, st, changed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gotM != wantM || !slices.Equal(gotSt.Values, wantSt.Values) || !maps.Equal(gotSt.Virtual, wantSt.Virtual) {
 			t.Fatalf("options %+v after two iterations under %+v: not what a fresh state plans", changed, opt)
 		}
-		if _, _, err := Iterate(f.runner(), f.pg, f.pl, prog, st, opt); err != nil { // plans back under opt
+		if _, _, err := iterate(f.runner(), f.pg, f.pl, prog, st, opt); err != nil { // plans back under opt
 			t.Fatal(err)
 		}
 	}
@@ -589,7 +589,7 @@ func TestPlanDroppedWhenOptionsChange(t *testing.T) {
 		}
 	}()
 	opt.VirtualVertices = 3
-	_, _, _ = Iterate(f.runner(), f.pg, f.pl, prog, st, opt)
+	_, _, _ = iterate(f.runner(), f.pg, f.pl, prog, st, opt)
 }
 
 // benchDeployment is the layer benchmarks' input: the host-clock benchmark's
@@ -611,7 +611,7 @@ func benchDeployment(b *testing.B) (*storage.PartitionedGraph, *partition.Placem
 	return pg, partition.SketchPlacement(sk, topo)
 }
 
-// BenchmarkPlanIterations is propagation.Iterate without the event loop:
+// BenchmarkPlanIterations is planning without the event loop:
 // a fresh state and ten planned iterations (one nr_262k repetition) of the
 // scalar program with no local optimisation (o1: every edge is logged) and
 // with both (o4: the log is what local combination leaves), and of drift at

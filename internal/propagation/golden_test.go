@@ -86,7 +86,8 @@ type goldenProgram[V any] struct {
 	prog    Program[V]
 	virtual int
 	put     func(d *digest, v V)
-	// delta and eps, when set, add a RunUntilConverged row that stops before
+	// delta and eps, when set, add a RunUntilConverged row (recorded under
+	// that name; PlanUntilConverged's jobs, run) that stops before
 	// goldenConvergeCap.
 	delta func(old, new V) float64
 	eps   float64
@@ -353,7 +354,8 @@ func goldenRow[V any](t *testing.T, d *goldenDeployment, gp goldenProgram[V], le
 	case "RunIterations":
 		final, m, err = RunIterations(r, d.pg, pl, gp.prog, st, opt, goldenIters)
 	case "RunUntilConverged":
-		final, m, err = RunUntilConverged(r, d.pg, pl, gp.prog, st, opt, goldenConvergeCap, gp.delta, gp.eps)
+		jobs, planned, perr := PlanUntilConverged(r.Pool(), d.pg, pl, gp.prog, st, opt, goldenConvergeCap, gp.delta, gp.eps)
+		final, m, err = runPlan(r, jobs, planned, perr)
 	case "RunCascaded":
 		final, m, err = RunCascaded(r, d.pg, pl, gp.prog, st, opt, goldenIters, nil)
 	case "RunIterationsTree":
@@ -402,7 +404,7 @@ func goldenProgramRows[V any](t *testing.T, out *strings.Builder, name string, s
 // are {scalar, associative list, non-associative list, virtual-vertex, drift}
 // programs x O1-O4 x the multi-iteration drivers x three seeds; each row must
 // also agree with itself at 1, 2 and 8 workers. -short keeps one seed.
-// RunUntilConverged runs the scalar program only; RunCheckpointedKilled kills
+// RunUntilConverged (PlanUntilConverged, then run) covers the scalar program only; RunCheckpointedKilled kills
 // a machine after the checkpoint and must restore once.
 // The first four emit exactly once per edge; drift is the one whose emission
 // sequence differs from one iteration to the next.

@@ -16,7 +16,7 @@ func steadyAllocs[V any](t *testing.T, n int, prog Program[V], opt Options, tree
 	t.Helper()
 	f := newFixture(t, n, 3, 1)
 	iterate := func(r *engine.Runner, st *State[V]) (*State[V], engine.Metrics, error) {
-		return Iterate(r, f.pg, f.pl, prog, st, opt)
+		return iterate(r, f.pg, f.pl, prog, st, opt)
 	}
 	if tree {
 		f.topo = cluster.NewT2(cluster.T2Config{Machines: 8, Pods: 2, Levels: 1})

@@ -11,6 +11,13 @@ import (
 	"repro/internal/storage"
 )
 
+// iterate plans one iteration and runs it on r: PlanIteration replayed, as
+// the one-pass applications run.
+func iterate[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options) (*State[V], engine.Metrics, error) {
+	next, job, err := planIteration(r.Pool(), pg, pl, prog, st, opt, "propagation-iteration", nil, nil)
+	return runPlan(r, []*engine.Job{job}, next, err)
+}
+
 // sumProgram is a minimal associative program: every vertex sends its value
 // along each out-edge; combine sums.
 type sumProgram struct{}
@@ -93,7 +100,7 @@ func TestIterateMatchesReferenceAllOptLevels(t *testing.T) {
 		{LocalPropagation: true, LocalCombination: true},
 	} {
 		st := NewState[int64](f.pg, sumProgram{})
-		next, _, err := Iterate(f.runner(), f.pg, f.pl, sumProgram{}, st, opt)
+		next, _, err := iterate(f.runner(), f.pg, f.pl, sumProgram{}, st, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +118,7 @@ func TestOptimizationLevelsOrderedByIO(t *testing.T) {
 	f := newFixture(t, 2000, 3, 2)
 	run := func(opt Options) engine.Metrics {
 		st := NewState[int64](f.pg, sumProgram{})
-		_, m, err := Iterate(f.runner(), f.pg, f.pl, sumProgram{}, st, opt)
+		_, m, err := iterate(f.runner(), f.pg, f.pl, sumProgram{}, st, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +151,7 @@ func TestNonAssociativeIgnoresLocalCombination(t *testing.T) {
 	f := newFixture(t, 800, 2, 3)
 	run := func(opt Options) engine.Metrics {
 		st := NewState[[]int64](f.pg, listProgram{})
-		_, m, err := Iterate(f.runner(), f.pg, f.pl, listProgram{}, st, opt)
+		_, m, err := iterate(f.runner(), f.pg, f.pl, listProgram{}, st, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +171,7 @@ func TestVirtualVertexRouting(t *testing.T) {
 	prog := &virtProgram{n: n}
 	st := NewState[int64](f.pg, prog)
 	opt := Options{VirtualVertices: 3}
-	next, _, err := Iterate(f.runner(), f.pg, f.pl, prog, st, opt)
+	next, _, err := iterate(f.runner(), f.pg, f.pl, prog, st, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,18 +222,18 @@ func TestEmitOutsideSpacePanics(t *testing.T) {
 		}
 	}()
 	// VirtualVertices = 0 makes the virtual emission invalid.
-	_, _, _ = Iterate(f.runner(), f.pg, f.pl, prog, st, Options{VirtualVertices: 0})
+	_, _, _ = iterate(f.runner(), f.pg, f.pl, prog, st, Options{VirtualVertices: 0})
 }
 
 func TestIterateValidatesSizes(t *testing.T) {
 	f := newFixture(t, 100, 1, 6)
 	st := &State[int64]{Values: make([]int64, 5)}
-	if _, _, err := Iterate(f.runner(), f.pg, f.pl, sumProgram{}, st, Options{}); err == nil {
+	if _, _, err := iterate(f.runner(), f.pg, f.pl, sumProgram{}, st, Options{}); err == nil {
 		t.Fatal("expected size mismatch error")
 	}
 	badPl := &partition.Placement{MachineOf: make([]cluster.MachineID, 1)}
 	st2 := NewState[int64](f.pg, sumProgram{})
-	if _, _, err := Iterate(f.runner(), f.pg, badPl, sumProgram{}, st2, Options{}); err == nil {
+	if _, _, err := iterate(f.runner(), f.pg, badPl, sumProgram{}, st2, Options{}); err == nil {
 		t.Fatal("expected placement mismatch error")
 	}
 }
@@ -234,7 +241,7 @@ func TestIterateValidatesSizes(t *testing.T) {
 func TestRunIterationsAccumulates(t *testing.T) {
 	f := newFixture(t, 500, 2, 7)
 	st := NewState[int64](f.pg, sumProgram{})
-	_, m1, err := Iterate(f.runner(), f.pg, f.pl, sumProgram{}, st, Options{})
+	_, m1, err := iterate(f.runner(), f.pg, f.pl, sumProgram{}, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

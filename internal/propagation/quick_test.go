@@ -222,7 +222,7 @@ func TestQuickIOOrdering(t *testing.T) {
 		run := func(opt Options) engine.Metrics {
 			r := engine.New(engine.Config{Topo: topo})
 			st := NewState[int64](pg, prog)
-			_, m, err := Iterate(r, pg, pl, prog, st, opt)
+			_, m, err := iterate(r, pg, pl, prog, st, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

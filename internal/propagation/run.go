@@ -135,14 +135,13 @@ func VirtualPartition(v graph.VertexID, p int) partition.PartID {
 	return partition.PartID(int(v) % p)
 }
 
-// Iterate runs one propagation iteration (Algorithm 5) on the simulated
-// cluster: the Transfer stage applies Program.Transfer to every out-edge of
-// every partition in parallel, the Combine stage folds the received bags.
-// It returns the next state and the iteration's metrics. The runner's clock
-// and cumulative metrics advance.
-func Iterate[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options) (*State[V], engine.Metrics, error) {
-	next, job, err := planIteration(r.Pool(), pg, pl, prog, st, opt, "propagation-iteration", nil, nil)
-	return runPlan(r, []*engine.Job{job}, next, err)
+// PlanIteration plans one propagation iteration (Algorithm 5): the Transfer
+// stage applies Program.Transfer to every out-edge of every partition, the
+// Combine stage folds the received bags. It returns the iteration's one job,
+// named "propagation-iteration", and the next state, without running the job.
+func PlanIteration[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options) ([]*engine.Job, *State[V], error) {
+	next, job, err := planIteration(pool, pg, pl, prog, st, opt, "propagation-iteration", nil, nil)
+	return []*engine.Job{job}, next, err
 }
 
 // planIteration computes one iteration's semantics — the next state and the

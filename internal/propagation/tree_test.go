@@ -62,7 +62,7 @@ func TestTreeAggregationCutsCrossPodTime(t *testing.T) {
 	prog := sumProgram{}
 
 	stA := NewState[int64](pg, prog)
-	_, plain, err := Iterate(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stA, opt)
+	_, plain, err := iterate(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stA, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTreeAggregationOverheadBounded(t *testing.T) {
 	prog := sumProgram{}
 
 	stA := NewState[int64](pg, prog)
-	_, plain, err := Iterate(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stA, opt)
+	_, plain, err := iterate(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stA, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTreeAggregationOnSinglePod(t *testing.T) {
 	prog := sumProgram{}
 
 	stA := NewState[int64](pg, prog)
-	_, plain, err := Iterate(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stA, Options{LocalPropagation: true, LocalCombination: true})
+	_, plain, err := iterate(engine.New(engine.Config{Topo: topo}), pg, pl, prog, stA, Options{LocalPropagation: true, LocalCombination: true})
 	if err != nil {
 		t.Fatal(err)
 	}
