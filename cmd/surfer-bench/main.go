@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		levels     = fs.Int("levels", 6, "log2 of partition count")
 		seed       = fs.Int64("seed", 42, "random seed")
 		iterations = fs.Int("iterations", 3, "iterations for the cascade study")
-		workers    = fs.Int("workers", 0, "compute worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
+		workers    = fs.Int("workers", 0, "worker pool size for partitioning and compute (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
 		traceOut   = fs.String("trace", "", "write a Chrome trace_event JSON timeline of every simulated run to this file")
 		eventsOut  = fs.String("events", "", "write the raw event stream of every simulated run to this file for surfer-analyze")
 		jsonOut    = fs.String("json", "", "write a machine-readable bench report (surfer-bench/v1 schema) to this file for surfer-analyze -compare")

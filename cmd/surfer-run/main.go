@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pods       = fs.Int("pods", 2, "pods (t2)")
 		levels     = fs.Int("levels", 6, "log2 of partition count")
 		seed       = fs.Int64("seed", 42, "random seed")
-		workers    = fs.Int("workers", 0, "compute worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
+		workers    = fs.Int("workers", 0, "worker pool size for partitioning and compute (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
 		traceOut   = fs.String("trace", "", "write a Chrome trace_event JSON timeline of the run to this file (open in chrome://tracing or Perfetto)")
 		eventsOut  = fs.String("events", "", "write the raw event stream (with topology header) to this file for surfer-analyze / surfer-trace -breakdown")
 		failSpec   = fs.String("fail", "", "comma-separated machine deaths as machine@time (virtual seconds), e.g. 2@1.5,7@3, or a .json fault-schedule file (kills, link faults, slowdowns, joins, drains); failed partitions fail over to replicas")

@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&sub.machines, "machines", 8, "machines in the shared T3 cluster")
 	fs.IntVar(&sub.levels, "levels", 4, "log2 of partition count")
 	fs.Int64Var(&sub.seed, "seed", 42, "random seed (generation, partitioning, topology)")
-	fs.IntVar(&sub.workers, "workers", 0, "planning worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
+	fs.IntVar(&sub.workers, "workers", 0, "worker pool size for partitioning and planning (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
 	fs.StringVar(&sub.faultsPath, "faults", "", "JSON fault-schedule file injected into the run")
 	fs.StringVar(&sub.eventsOut, "events", "", "write the raw event stream (with topology header) to this file for surfer-analyze")
 	return cli.Run(fs, args, stderr, func([]string) error {

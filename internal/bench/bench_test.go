@@ -75,6 +75,26 @@ func TestDeploymentsShareOneBisection(t *testing.T) {
 	}
 }
 
+// TestCascadeBisectsOnce: the cascade study's small-world graph is kept in
+// the scale's memo like the social graph, so running its row twice on one
+// memo bisects once.
+func TestCascadeBisectsOnce(t *testing.T) {
+	p := Params{Scale: TestScale().withMemo(), Iterations: 2}
+	for _, e := range Experiments() {
+		if e.Name != "cascade" {
+			continue
+		}
+		for run := 1; run <= 2; run++ {
+			if _, err := e.Run(p, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(p.Scale.shared.bisections); n != 1 {
+				t.Fatalf("run %d: %d bisections in the memo, want 1", run, n)
+			}
+		}
+	}
+}
+
 func TestTable1Shapes(t *testing.T) {
 	rows, err := Table1(TestScale())
 	if err != nil {

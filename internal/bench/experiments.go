@@ -170,7 +170,7 @@ func Table5(s Scale) ([]Table5Row, error) {
 	var rows []Table5Row
 	for levels := s.Levels + 1; levels >= s.Levels-2 && levels >= 1; levels-- {
 		p := 1 << levels
-		pt, _ := partition.RecursiveBisect(g, levels, partition.Options{Seed: s.Seed})
+		pt, _ := partition.RecursiveBisect(g, levels, partition.Options{Seed: s.Seed, Workers: s.Workers})
 		rnd := partition.Random(g, p, s.Seed)
 		rows = append(rows, Table5Row{
 			Partitions:    p,
@@ -629,10 +629,12 @@ func Cascade(s Scale, iterations int) (*CascadeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	swCfg := graph.DefaultSmallWorld(s.Vertices, s.Seed)
-	swCfg.RewireRatio = 0.01
-	swCfg.Beta = 0.05
-	g := graph.SmallWorld(swCfg)
+	g := s.memoGraph("cascade", func(s Scale) *graph.Graph {
+		swCfg := graph.DefaultSmallWorld(s.Vertices, s.Seed)
+		swCfg.RewireRatio = 0.01
+		swCfg.Beta = 0.05
+		return graph.SmallWorld(swCfg)
+	})
 	d, err := NewDeploymentFor(s, topo, g)
 	if err != nil {
 		return nil, err

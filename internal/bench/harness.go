@@ -36,9 +36,9 @@ type Scale struct {
 	Machines int
 	// Seed drives generation and partitioning.
 	Seed int64
-	// Workers sizes the engine's compute worker pool (0 = GOMAXPROCS,
-	// 1 = serial). Measured virtual-time results are identical for every
-	// value; only wall-clock changes.
+	// Workers sizes the partitioner's and the engine's worker pools (0 =
+	// GOMAXPROCS, 1 = serial). Measured virtual-time results are identical
+	// for every value; only wall-clock changes.
 	Workers int
 	// Trace, when non-nil, receives the structured event stream of every
 	// run built from this scale. The stream is identical for every
@@ -57,12 +57,20 @@ type Scale struct {
 }
 
 // memo is what the deployments of one experiment table share: one graph per
-// (Vertices, Seed), and one bisection per (graph, levels, seed) — the first
-// system built from them, which later deployments place. Both are pure
-// functions of their keys, so sharing them changes no number.
+// (generator, Vertices, Seed), and one bisection per (graph, levels, seed) —
+// the first system built from them, which later deployments place. Both are
+// pure functions of their keys, so sharing them changes no number.
 type memo struct {
-	graphs     map[[2]int64]*graph.Graph
+	graphs     map[graphKey]*graph.Graph
 	bisections map[bisectKey]*core.System
+}
+
+// graphKey names a generated graph: its generator and the scale's size and
+// seed.
+type graphKey struct {
+	kind     string
+	vertices int
+	seed     int64
 }
 
 type bisectKey struct {
@@ -72,7 +80,7 @@ type bisectKey struct {
 }
 
 func newMemo() *memo {
-	return &memo{map[[2]int64]*graph.Graph{}, map[bisectKey]*core.System{}}
+	return &memo{map[graphKey]*graph.Graph{}, map[bisectKey]*core.System{}}
 }
 
 // withMemo gives s a memo of its own unless it shares one already.
@@ -107,12 +115,17 @@ func TestScale() Scale {
 // (small-world communities + power-law hubs) standing in for the MSN
 // snapshot. A scale with a memo generates each (Vertices, Seed) once.
 func (s Scale) MakeGraph() *graph.Graph {
+	return s.memoGraph("social", func(s Scale) *graph.Graph { return graph.Social(graph.DefaultSocial(s.Vertices, s.Seed)) })
+}
+
+// memoGraph is gen(s), generated once per scale memo and kind.
+func (s Scale) memoGraph(kind string, gen func(Scale) *graph.Graph) *graph.Graph {
 	if s.shared == nil {
-		return graph.Social(graph.DefaultSocial(s.Vertices, s.Seed))
+		return gen(s)
 	}
-	k := [2]int64{int64(s.Vertices), s.Seed}
+	k := graphKey{kind, s.Vertices, s.Seed}
 	if s.shared.graphs[k] == nil {
-		s.shared.graphs[k] = graph.Social(graph.DefaultSocial(s.Vertices, s.Seed))
+		s.shared.graphs[k] = gen(s)
 	}
 	return s.shared.graphs[k]
 }

@@ -38,9 +38,9 @@ type Config struct {
 	// engine's 1 s, anything else must be a positive finite number of
 	// virtual seconds.
 	HeartbeatInterval float64
-	// Workers sizes the engine's compute worker pool for runners created
-	// by NewRunner: 0 selects GOMAXPROCS, 1 forces serial execution.
-	// Results are bit-identical for every value.
+	// Workers sizes the worker pool Build partitions on and the engine's
+	// compute pool for runners created by NewRunner: 0 selects GOMAXPROCS,
+	// 1 forces serial execution. Results are bit-identical for every value.
 	Workers int
 	// Trace, when non-nil, receives the structured event stream of every
 	// runner created by NewRunner: task starts/finishes, NIC transfers
@@ -94,7 +94,7 @@ func Build(cfg Config) (*System, error) {
 	if n := cfg.Graph.NumVertices(); levels < 0 || levels > 30 || levels > 0 && 1<<levels > n {
 		return nil, fmt.Errorf("core: Config.Levels = %d out of range: 2^Levels partitions need 0 <= Levels <= 30 and at most the graph's %d vertices", levels, n)
 	}
-	pt, sk := partition.RecursiveBisect(cfg.Graph, levels, partition.Options{Seed: cfg.Seed})
+	pt, sk := partition.RecursiveBisect(cfg.Graph, levels, partition.Options{Seed: cfg.Seed, Workers: cfg.Workers})
 	pg, err := storage.Build(cfg.Graph, pt)
 	if err != nil {
 		return nil, err

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"repro/internal/pool"
 )
 
 // VertexID identifies a vertex. Vertex IDs are dense: a graph with n vertices
@@ -152,8 +154,28 @@ func (g *Graph) Reverse() *Graph {
 // held them in, and each vertex's result is the merge of its two lists. When
 // g's rows are already non-decreasing (every Builder-made graph), g is its
 // own re-sorted transpose and the second transpose is skipped.
-func (g *Graph) Undirected() *Graph {
+func (g *Graph) Undirected() *Graph { return g.UndirectedOn(nil) }
+
+// undirectedGrain is the fewest merged entries (of the bound) worth a range
+// of their own in UndirectedOn.
+const undirectedGrain = 1 << 15
+
+// UndirectedOn is Undirected with the merges run on p over contiguous vertex
+// ranges (nil: serially). Vertex v's merged row has at most its out-degree
+// plus its in-degree entries, so a range starting at v writes from that
+// bound's prefix on, and the ranges' rows are then moved down to close the
+// gaps: the result is the serial one byte for byte, for every worker count.
+func (g *Graph) UndirectedOn(p *pool.Pool) *Graph {
+	// Each edge is merged twice, once per direction.
+	return g.undirected(p, min(p.Ranges(), 2*len(g.targets)/undirectedGrain))
+}
+
+// undirected is UndirectedOn over at most k ranges.
+func (g *Graph) undirected(p *pool.Pool, k int) *Graph {
 	n := g.NumVertices()
+	if n == 0 {
+		return &Graph{offsets: make([]int64, 1)}
+	}
 	in, out := g.Reverse(), g
 	for v := 0; v < n; v++ {
 		if !slices.IsSorted(g.Neighbors(VertexID(v))) {
@@ -162,9 +184,22 @@ func (g *Graph) Undirected() *Graph {
 		}
 	}
 	offsets := make([]int64, n+1)
-	targets := make([]VertexID, 2*len(g.targets))
-	w := int64(0)
-	for v := 0; v < n; v++ {
+	targets := make([]VertexID, out.offsets[n]+in.offsets[n])
+	if k > 1 {
+		offsets[n] = mergeRanges(p, k, out, in, offsets, targets)
+	} else {
+		offsets[n] = mergeRows(out, in, offsets, targets, 0, n)
+	}
+	return &Graph{offsets: offsets, targets: targets[:offsets[n]]}
+}
+
+// mergeRows writes the merged rows of vertices [lo, hi) from their bound on,
+// sets their offsets, and returns where the last row ended.
+func mergeRows(out, in *Graph, offsets []int64, targets []VertexID, lo, hi int) int64 {
+	w := out.offsets[lo] + in.offsets[lo]
+	for v := lo; v < hi; v++ {
+		start := w
+		offsets[v] = start
 		a, b := out.Neighbors(VertexID(v)), in.Neighbors(VertexID(v))
 		for len(a) > 0 || len(b) > 0 {
 			var t VertexID
@@ -174,14 +209,40 @@ func (g *Graph) Undirected() *Graph {
 				t, b = b[0], b[1:]
 			}
 			// Merged order puts duplicates next to each other.
-			if t != VertexID(v) && (w == offsets[v] || t != targets[w-1]) {
+			if t != VertexID(v) && (w == start || t != targets[w-1]) {
 				targets[w] = t
 				w++
 			}
 		}
-		offsets[v+1] = w
 	}
-	return &Graph{offsets: offsets, targets: targets[:w]}
+	return w
+}
+
+// mergeRanges is mergeRows over k ranges of about equal bound on p, joined.
+func mergeRanges(p *pool.Pool, k int, out, in *Graph, offsets []int64, targets []VertexID) int64 {
+	n := len(offsets) - 1
+	bound := func(v int) int64 { return out.offsets[v] + in.offsets[v] }
+	// cuts[r] is range r's first vertex, ends[r] where its rows end.
+	buf := make([]int64, 2*k+1)
+	cuts, ends := buf[:k+1], buf[k+1:]
+	cuts[k] = int64(n)
+	for r := 1; r < k; r++ {
+		target := bound(n) * int64(r) / int64(k)
+		cuts[r] = int64(sort.Search(n, func(v int) bool { return bound(v) >= target }))
+	}
+	p.ForEach(k, func(r int) {
+		ends[r] = mergeRows(out, in, offsets, targets, int(cuts[r]), int(cuts[r+1]))
+	})
+	w := ends[0]
+	for r := 1; r < k; r++ {
+		base := bound(int(cuts[r]))
+		copy(targets[w:], targets[base:ends[r]])
+		for v := cuts[r]; v < cuts[r+1]; v++ {
+			offsets[v] -= base - w
+		}
+		w += ends[r] - base
+	}
+	return w
 }
 
 // Equal reports whether two graphs have identical vertex counts and

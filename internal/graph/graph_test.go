@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pool"
 )
 
 func TestEmptyGraph(t *testing.T) {
@@ -162,7 +164,8 @@ func refUndirected(g *Graph) *Graph {
 // the sort-and-deduplicate reference, also on graphs a file could hold but no
 // Builder makes — unsorted adjacency with self-loops and repeated edges. With
 // sorted set, every row is sorted and holds a self-loop and a repeat: a
-// graph that takes the one-transpose path although no Builder made it.
+// graph that takes the one-transpose path although no Builder made it. The
+// merges run in 1, 2 and 8 ranges, whatever the graph's size.
 func TestQuickUndirectedMatchesReference(t *testing.T) {
 	f := func(seed int64, nPick uint8, mPick uint16, sorted bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -182,7 +185,13 @@ func TestQuickUndirectedMatchesReference(t *testing.T) {
 			offsets[v+1] = int64(len(targets))
 		}
 		g := NewFromCSR(offsets, targets)
-		return g.Undirected().Equal(refUndirected(g))
+		want := refUndirected(g)
+		for _, k := range []int{1, 2, 8} {
+			if !g.undirected(pool.New(k), k).Equal(want) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -275,7 +284,8 @@ var benchSink int64
 
 // BenchmarkUndirected runs the 65k Social graph as built (sorted rows, one
 // transpose) and with every row reversed (the two-transpose path a file
-// with unsorted rows takes).
+// with unsorted rows takes), serially (w1) and with the merges on a
+// GOMAXPROCS pool (wN).
 func BenchmarkUndirected(b *testing.B) {
 	g := Social(DefaultSocial(1<<16, 42))
 	targets := slices.Clone(g.targets)
@@ -286,11 +296,12 @@ func BenchmarkUndirected(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		g    *Graph
-	}{{"sorted", g}, {"unsorted", unsorted}} {
+		p    *pool.Pool
+	}{{"sorted/w1", g, nil}, {"sorted/wN", g, pool.New(0)}, {"unsorted/w1", unsorted, nil}, {"unsorted/wN", unsorted, pool.New(0)}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink += c.g.Undirected().NumEdges()
+				benchSink += c.g.UndirectedOn(c.p).NumEdges()
 			}
 		})
 	}

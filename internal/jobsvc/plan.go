@@ -25,8 +25,9 @@ type PlannerConfig struct {
 	Levels int
 	// Seed drives partitioning.
 	Seed int64
-	// Workers sizes the planning compute pool (0 = GOMAXPROCS, 1 =
-	// serial); plans are bit-identical for every value.
+	// Workers sizes the pool the graph is partitioned and the jobs planned
+	// on (0 = GOMAXPROCS, 1 = serial); plans are bit-identical for every
+	// value.
 	Workers int
 }
 
@@ -44,7 +45,7 @@ type Planner struct {
 // core.Build does (which also rejects a missing graph or topology and a bad
 // Levels).
 func NewPlanner(cfg PlannerConfig) (*Planner, error) {
-	sys, err := core.Build(core.Config{Graph: cfg.Graph, Topology: cfg.Topo, Levels: cfg.Levels, Seed: cfg.Seed})
+	sys, err := core.Build(core.Config{Graph: cfg.Graph, Topology: cfg.Topo, Levels: cfg.Levels, Seed: cfg.Seed, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

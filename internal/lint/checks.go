@@ -83,7 +83,7 @@ func checkEntropy(ctx *fileCtx) {
 }
 
 // checkConcurrency is SL003: go statements and multi-case selects outside
-// the sanctioned worker pool (internal/engine/parallel.go). Goroutine
+// the sanctioned worker pool (internal/pool/pool.go). Goroutine
 // scheduling order is nondeterministic; the contract allows concurrency
 // only behind Pool.ForEach's index-disjoint discipline.
 func checkConcurrency(ctx *fileCtx) {
@@ -91,7 +91,7 @@ func checkConcurrency(ctx *fileCtx) {
 		switch s := n.(type) {
 		case *ast.GoStmt:
 			ctx.add(s.Pos(), IDConcurrency,
-				"go statement outside the sanctioned worker pool; route parallel work through engine.Pool.ForEach")
+				"go statement outside the sanctioned worker pool; route parallel work through pool.Pool.ForEach")
 		case *ast.SelectStmt:
 			if len(s.Body.List) > 1 {
 				ctx.add(s.Pos(), IDConcurrency,

@@ -108,7 +108,7 @@ type Config struct {
 	// the event loop, so only SL001 and SL006 apply.
 	SupportingDirs []string
 	// SanctionedConcurrency lists slash-relative files allowed to spawn
-	// goroutines and select: the engine's worker pool.
+	// goroutines and select: the worker pool.
 	SanctionedConcurrency []string
 	// MetricsDoc is the document the vocabulary of TraceDir (event kinds),
 	// AnalyzeDir (blame categories) and BenchDir (surfer-bench/v1 fields)
@@ -124,8 +124,8 @@ type Config struct {
 // packages from DESIGN.md (including the post-PR-4 additions
 // internal/jobsvc and internal/analyze — both are pure functions of their
 // seeded inputs whose outputs must be byte-identical), the seed-driven
-// supporting packages, and the engine worker pool as the one sanctioned
-// concurrency site. cmd/ and examples/ are process-boundary drivers (flag
+// supporting packages, and the worker pool (internal/pool) as the one
+// sanctioned concurrency site. cmd/ and examples/ are process-boundary drivers (flag
 // parsing, wall-clock progress output) and are not scanned.
 func DefaultConfig(root string) Config {
 	return Config{
@@ -133,6 +133,7 @@ func DefaultConfig(root string) Config {
 		Module: "repro",
 		DeterministicDirs: []string{
 			"internal/engine",
+			"internal/pool",
 			"internal/propagation",
 			"internal/mapreduce",
 			"internal/exchange",
@@ -153,7 +154,7 @@ func DefaultConfig(root string) Config {
 			"internal/lint",
 			".", // the root package (surfer.go, workloads.go)
 		},
-		SanctionedConcurrency: []string{"internal/engine/parallel.go"},
+		SanctionedConcurrency: []string{"internal/pool/pool.go"},
 		MetricsDoc:            "docs/METRICS.md",
 		TraceDir:              "internal/trace",
 		AnalyzeDir:            "internal/analyze",

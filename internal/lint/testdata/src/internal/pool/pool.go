@@ -1,6 +1,6 @@
-// Package engine fixture: this path (internal/engine/parallel.go) is the
+// Package pool fixture: this path (internal/pool/pool.go) is the
 // sanctioned worker pool, so its go statement must produce no SL003.
-package engine
+package pool
 
 import "sync"
 

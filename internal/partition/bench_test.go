@@ -7,10 +7,12 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
+	"repro/internal/pool"
 )
 
 // Layer benchmarks of the bisection kernel (ROADMAP 2a). The kernel
-// benchmarks run one phase on the root work graph of the 65k social graph;
+// benchmarks run one phase on the root work graph of the 65k social graph,
+// the pooled ones (NewWorkGraph, Contract, Refine) serially and on GOMAXPROCS;
 // BenchmarkRecursiveBisect runs the whole partitioner at the sizes of the
 // benchmark/ workloads and of the scale trajectory (1M is skipped under
 // -short), and BenchmarkSketchWalk prices the machine side over a finished
@@ -26,12 +28,21 @@ func benchSocial(n int) *graph.Graph {
 	return benchGraphs[n]
 }
 
-// benchRoot is the root work graph of the 65k social graph.
-func benchRoot() (*graph.Graph, *wgraph, *wscratch) {
+// benchRoot is the root work graph of the 65k social graph, in a scratch
+// whose pure phases run on p.
+func benchRoot(p *pool.Pool) (*graph.Graph, *wgraph, *wscratch) {
 	und := benchSocial(1 << 16).Undirected()
-	w, sc := testWorkGraph(und, allVertices(und.NumVertices()))
-	return und, w, sc
+	sc := newWScratch(und.NumVertices(), p)
+	w := newWorkGraph(und, allVertices(und.NumVertices()), sc)
+	return und, &w, sc
 }
+
+// benchPools are the pool sizes of the pooled phases' benchmarks: serial,
+// and GOMAXPROCS as RecursiveBisect runs them by default.
+var benchPools = []struct {
+	name    string
+	workers int
+}{{"w1", 1}, {"wN", 0}}
 
 var benchSink int
 
@@ -70,18 +81,22 @@ func BenchmarkSketchWalk(b *testing.B) {
 }
 
 func BenchmarkNewWorkGraph(b *testing.B) {
-	und, _, sc := benchRoot()
-	all := allVertices(und.NumVertices())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := newWorkGraph(und, all, sc)
-		benchSink += w.n()
+	for _, bp := range benchPools {
+		b.Run(bp.name, func(b *testing.B) {
+			und, _, sc := benchRoot(pool.New(bp.workers))
+			all := allVertices(und.NumVertices())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := newWorkGraph(und, all, sc)
+				benchSink += w.n()
+			}
+		})
 	}
 }
 
 func BenchmarkHeavyEdgeMatching(b *testing.B) {
-	_, w, sc := benchRoot()
+	_, w, sc := benchRoot(nil)
 	rng := rand.New(rand.NewSource(42))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -94,31 +109,40 @@ func BenchmarkHeavyEdgeMatching(b *testing.B) {
 }
 
 func BenchmarkContract(b *testing.B) {
-	_, w, sc := benchRoot()
-	match, cn := w.heavyEdgeMatching(rand.New(rand.NewSource(42)), sc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, e := sc.marks(), sc.edges.mark()
-		c := w.contract(match, cn, sc)
-		benchSink += c.n()
-		sc.release(m)
-		sc.edges.release(e)
+	for _, bp := range benchPools {
+		b.Run(bp.name, func(b *testing.B) {
+			_, w, sc := benchRoot(pool.New(bp.workers))
+			match, cn := w.heavyEdgeMatching(rand.New(rand.NewSource(42)), sc)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, e := sc.marks(), sc.edges.mark()
+				c := w.contract(match, cn, sc)
+				benchSink += c.n()
+				sc.release(m)
+				sc.edges.release(e)
+			}
+		})
 	}
 }
 
+// BenchmarkRefine is the refinement of a projected bisection — what every
+// uncoarsening step does — whose initial gains run on the pool.
 func BenchmarkRefine(b *testing.B) {
-	_, w, sc := benchRoot()
-	// Refinement of a projected bisection: what every uncoarsening step does.
-	match, cn := w.heavyEdgeMatching(rand.New(rand.NewSource(42)), sc)
-	c := w.contract(match, cn, sc)
-	coarse := bisectWork(&c, rand.New(rand.NewSource(42)), sc)
-	start := project(coarse, match, sc)
-	side := make([]uint8, len(start))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(side, start)
-		refine(w, side, sc)
+	for _, bp := range benchPools {
+		b.Run(bp.name, func(b *testing.B) {
+			_, w, sc := benchRoot(pool.New(bp.workers))
+			match, cn := w.heavyEdgeMatching(rand.New(rand.NewSource(42)), sc)
+			c := w.contract(match, cn, sc)
+			coarse := bisectWork(&c, rand.New(rand.NewSource(42)), sc)
+			start := project(coarse, match, sc)
+			side := make([]uint8, len(start))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(side, start)
+				refine(w, side, sc)
+			}
+		})
 	}
 }

@@ -229,22 +229,7 @@ func refine(w *wgraph, side []uint8, sc *wscratch) {
 
 	defer sc.release(sc.marks())
 	gain := sc.i64.take(n)
-	sideWeight := [2]int64{}
-	for v := 0; v < n; v++ {
-		sv := side[v]
-		sideWeight[sv] += w.vwgt[v]
-		var g int64
-		for _, e := range w.adjOf(v) {
-			// Widen once, negate, then add: two widening branches ran
-			// BenchmarkRefine 1.7x slower.
-			d := int64(e.w)
-			if side[e.to] == sv {
-				d = -d
-			}
-			g += d
-		}
-		gain[v] = g
-	}
+	sideWeight := sc.initGains(w, side, gain)
 	for pass := 0; pass < 8; pass++ {
 		improved := false
 		// One sweep: move any vertex with positive gain whose move keeps

@@ -143,7 +143,7 @@ func TestRefineNeverWorsensCut(t *testing.T) {
 
 // testWorkGraph builds the work graph of a subset in a scratch of its own.
 func testWorkGraph(und *graph.Graph, subset []graph.VertexID) (*wgraph, *wscratch) {
-	sc := newWScratch(und.NumVertices())
+	sc := newWScratch(und.NumVertices(), nil)
 	w := newWorkGraph(und, subset, sc)
 	return &w, sc
 }

@@ -72,6 +72,22 @@ func digestSteps(g *graph.Graph, sk *Sketch, topo *cluster.Topology, split func(
 	return fmt.Sprintf("%x %.9g", h.Sum(nil), secs)
 }
 
+// bisectAtWorkers bisects g at 1, 2 and 8 workers and writes each run's
+// RecursiveBisect row, so that every pool size is held to the same golden
+// row (-update records the serial run's alone). It returns the serial run.
+func bisectAtWorkers(got *strings.Builder, name string, g *graph.Graph, levels int, seed int64) (*Partitioning, *Sketch) {
+	pt, sk := RecursiveBisect(g, levels, Options{Seed: seed, Workers: 1})
+	fmt.Fprintf(got, "RecursiveBisect %s %s\n", name, digestResult(pt, sk, nil))
+	for _, workers := range testRanges[1:] {
+		if *update {
+			break
+		}
+		pt, sk := RecursiveBisect(g, levels, Options{Seed: seed, Workers: workers})
+		fmt.Fprintf(got, "RecursiveBisect %s %s\n", name, digestResult(pt, sk, nil))
+	}
+	return pt, sk
+}
+
 // TestPartitionDigestsGolden pins the bisection and both placements of it bit
 // for bit: the golden was recorded with the sort-based contraction and the
 // recompute-every-gain refinement, so a kernel rewrite that changes a single
@@ -79,7 +95,8 @@ func digestSteps(g *graph.Graph, sk *Sketch, topo *cluster.Topology, split func(
 // SketchPlacement's layout and the ParMetisLike rows RandomPlacement's with
 // the bisection seed + 1; the *Steps rows (recorded on the two-recursion code,
 // when each partitioner bisected for itself) pin the cost model's walks and
-// their modelled time the same way. The 65k rows are skipped under -short.
+// their modelled time the same way. Every bisection runs at 1, 2 and 8
+// workers. The 65k rows are skipped under -short.
 func TestPartitionDigestsGolden(t *testing.T) {
 	const path = "testdata/partition_digests.golden"
 	sizes := []struct{ n, levels int }{{4096, 4}, {65536, 6}}
@@ -91,8 +108,7 @@ func TestPartitionDigestsGolden(t *testing.T) {
 		}
 		for _, seed := range []int64{1, 42, 2010} {
 			g := graph.Social(graph.DefaultSocial(sz.n, seed))
-			pt, sk := RecursiveBisect(g, sz.levels, Options{Seed: seed})
-			fmt.Fprintf(&got, "RecursiveBisect %d %d %s\n", sz.n, seed, digestResult(pt, sk, nil))
+			pt, sk := bisectAtWorkers(&got, fmt.Sprintf("%d %d", sz.n, seed), g, sz.levels, seed)
 			aware, baseline := PartitioningTime(g, sk, topo, seed+1)
 			fmt.Fprintf(&got, "BandwidthAware %d %d %s\n", sz.n, seed, digestResult(pt, sk, SketchPlacement(sk, topo)))
 			fmt.Fprintf(&got, "BandwidthAwareSteps %d %d %s\n", sz.n, seed, digestSteps(g, sk, topo, (*cluster.MachineGraph).Bisect, aware))
@@ -114,8 +130,7 @@ func TestPartitionDigestsGolden(t *testing.T) {
 		{"grid64", graph.Grid(64, 64)},
 		{"smallworld5000", graph.SmallWorld(graph.DefaultSmallWorld(5000, 9))},
 	} {
-		pt, sk := RecursiveBisect(c.g, 3, Options{Seed: 7})
-		fmt.Fprintf(&got, "RecursiveBisect %s 7 %s\n", c.name, digestResult(pt, sk, nil))
+		bisectAtWorkers(&got, c.name+" 7", c.g, 3, 7)
 	}
 	if *update {
 		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {

@@ -126,7 +126,7 @@ func checkContract(seed int64, n, m int, multi, big bool) error {
 			return fmt.Errorf("generator: %w", err)
 		}
 	}
-	sc := newWScratch(0)
+	sc := newWScratch(0, nil)
 	matches := [][]int32{randomMatch(rng, n, 1+rng.Intn(n))}
 	if !multi {
 		hem, _ := w.heavyEdgeMatching(rng, sc)
@@ -186,7 +186,7 @@ func TestQuickMatchingIgnoresRowOrder(t *testing.T) {
 			row := shuffled.adjOf(v)
 			rng.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
 		}
-		sc := newWScratch(0)
+		sc := newWScratch(0, nil)
 		a, cnA := w.heavyEdgeMatching(rand.New(rand.NewSource(seed)), sc)
 		b, cnB := shuffled.heavyEdgeMatching(rand.New(rand.NewSource(seed)), sc)
 		return cnA == cnB && slices.Equal(a, b)
@@ -209,7 +209,7 @@ func TestQuickRefineMatchesReference(t *testing.T) {
 		}
 		want := slices.Clone(side)
 		refRefine(w, want)
-		refine(w, side, newWScratch(0))
+		refine(w, side, newWScratch(0, nil))
 		return bytes.Equal(side, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -226,7 +226,7 @@ func TestQuickGGGPMatchesReference(t *testing.T) {
 		// m below n leaves isolated vertices and several components.
 		w := randomWGraph(rng, n, int(mPick)%(3*n), false, false)
 		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		got, want := gggp(w, rngA, newWScratch(0)), refGGGP(w, rngB)
+		got, want := gggp(w, rngA, newWScratch(0, nil)), refGGGP(w, rngB)
 		return bytes.Equal(got, want) && rngA.Int63() == rngB.Int63()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

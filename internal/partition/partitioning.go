@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/graph"
+	"repro/internal/pool"
 )
 
 // PartID identifies a partition, densely numbered 0..P-1. The numbering
@@ -48,6 +49,11 @@ func (pt *Partitioning) Sizes() []int {
 type Options struct {
 	// Seed drives all randomized steps (matching order, GGGP seeds).
 	Seed int64
+	// Workers sizes the pool the pure phases run on — building each
+	// bisection's work graph and each coarse level (0 = GOMAXPROCS, 1 =
+	// serial). Matching, GGGP and refinement draw from the one seeded
+	// generator and stay serial. The result is identical for every value.
+	Workers int
 }
 
 // RecursiveBisect partitions g into P = 2^levels partitions with multilevel
@@ -60,16 +66,19 @@ func RecursiveBisect(g *graph.Graph, levels int, opt Options) (*Partitioning, *S
 		// Unreachable from bytes or flags: core.Build's Levels range check, or surfer-bench's -levels check, runs first.
 		panic("partition: negative level count")
 	}
-	und := g.Undirected()
+	p := pool.New(opt.Workers)
+	und := g.UndirectedOn(p)
 	n := g.NumVertices()
-	all := make([]graph.VertexID, n)
+	// The vertex list every subset is a range of, and the spill the splits
+	// pass side 1 through, in one allocation.
+	ids := make([]graph.VertexID, 2*n)
+	all, spill := ids[:n:n], ids[n:]
 	for i := range all {
 		all[i] = graph.VertexID(i)
 	}
 	pt := &Partitioning{Assign: make([]PartID, n), P: 1 << levels}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	sc := newWScratch(n)
-	spill := make([]graph.VertexID, n)
+	sc := newWScratch(n, p)
 	// divide gives subset the 2^left partition IDs from first, left to
 	// right, so that sketch leaf order is partition order.
 	var divide func(subset []graph.VertexID, left int, first PartID)

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"repro/internal/graph"
+	"repro/internal/pool"
 )
 
 // wedge is a weighted adjacency entry in the coarsening work graph, 8 bytes.
@@ -104,7 +105,7 @@ func (b *bump[T]) release(m mark) { b.ci, b.off = m.ci, m.off }
 //     graph, each coarse level's vwgt/xadj/edges and matching, the side
 //     arrays, bisectWork's result — is valid until the next newWorkGraph on
 //     the same scratch, and no longer.
-//   - Inside a bisection, a function's temporaries (contract's members, slot
+//   - Inside a bisection, a function's temporaries (contract's members, slots
 //     and cursors, the matching's visit order, refine's gains) are taken
 //     after a marks() and handed back by release when it returns.
 //
@@ -118,6 +119,7 @@ type wscratch struct {
 	i64    bump[int64]
 	u8     bump[uint8]
 	edges  bump[wedge]
+	job    rangeJob
 }
 
 // marks is the position of the three bumps that hold temporaries.
@@ -131,12 +133,20 @@ func (sc *wscratch) release(m marks) {
 	sc.u8.release(m.u8)
 }
 
-func newWScratch(n int) *wscratch {
+// newWScratch makes the arena of a run over n vertices whose pure phases run
+// on p (nil: serially).
+func newWScratch(n int, p *pool.Pool) *wscratch {
 	l := make([]int32, n)
 	for i := range l {
 		l[i] = -1
 	}
-	return &wscratch{local: l}
+	sc := &wscratch{local: l}
+	sc.job.setRanges(p.Ranges(), rangeGrain)
+	if p != nil {
+		sc.job.pool = *p
+	}
+	sc.job.run = sc.job.runRange
+	return sc
 }
 
 // newWorkGraph starts a bisection: it rewinds the arena and builds in it the
@@ -146,7 +156,8 @@ func newWScratch(n int) *wscratch {
 // balances partitions by *edge* count — the paper's constraint ("all
 // partitions with similar number of edges", §2), which also balances
 // per-partition bytes and work on skewed graphs. Adjacency order is the
-// neighbor order of und, so und's sortedness and symmetry carry over.
+// neighbor order of und, so und's sortedness and symmetry carry over. The
+// rows are built on the pool (rangeJob).
 func newWorkGraph(und *graph.Graph, subset []graph.VertexID, sc *wscratch) wgraph {
 	sc.release(marks{})
 	sc.edges.release(mark{})
@@ -158,25 +169,22 @@ func newWorkGraph(und *graph.Graph, subset []graph.VertexID, sc *wscratch) wgrap
 		vwgt: sc.i64.take(len(subset)),
 		xadj: sc.i32.take(len(subset) + 1),
 	}
-	// The induced subgraph has at most the subset's total degree; the unused
-	// tail goes back to the arena.
-	bound := 0
-	for i, v := range subset {
-		bound += und.OutDegree(v)
-		w.vwgt[i] = 1 + int64(und.OutDegree(v))
-	}
-	edges := sc.edges.take(bound)[:0]
+	// The induced subgraph has at most the subset's total degree, and row i
+	// at most subset[i]'s degree; the unused tail goes back to the arena.
 	w.xadj[0] = 0
 	for i, v := range subset {
-		for _, nb := range und.Neighbors(v) {
-			if j := local[nb]; j >= 0 {
-				edges = append(edges, wedge{to: j, w: 1})
-			}
-		}
-		w.xadj[i+1] = int32(len(edges))
+		d := und.OutDegree(v)
+		w.vwgt[i] = 1 + int64(d)
+		w.xadj[i+1] = w.xadj[i] + int32(d)
 	}
-	sc.edges.untake(bound - len(edges))
-	w.edges = edges[:len(edges):len(edges)]
+	bound := w.xadj[len(subset)]
+	j := &sc.job
+	j.phase, j.xadj, j.out, j.und, j.subset, j.local = induce, w.xadj, sc.edges.take(int(bound)), und, subset, local
+	k := j.split(len(subset))
+	j.pool.ForEach(k, j.run)
+	n := j.join(k)
+	sc.edges.untake(int(bound - n))
+	w.edges = j.out[:n:n]
 	for _, v := range subset {
 		local[v] = -1
 	}
@@ -186,27 +194,35 @@ func newWorkGraph(und *graph.Graph, subset []graph.VertexID, sc *wscratch) wgrap
 // contract builds the coarse graph given a matching: match[v] is the coarse
 // vertex index of v. Parallel edges between the same coarse pair merge with
 // summed weight; edges internal to a coarse vertex disappear. It is linear
-// in the fine edges: each coarse vertex's row is accumulated in place in the
-// coarse slab, slot[cn] remembering where neighbor cn sits in it; the slab
-// only grows, so a slot below the current row's start is stale and slot is
-// never cleared between rows. Rows are left in first-seen order — no consumer
-// needs them sorted (see wgraph).
+// in the fine edges: fine vertices are grouped by coarse vertex, and each
+// coarse vertex's row is accumulated in place in the coarse slab (see
+// contractRange); the rows are built on the pool (rangeJob). Rows are left in
+// first-seen order — no consumer needs them sorted (see wgraph).
 func (w *wgraph) contract(match []int32, coarseN int, sc *wscratch) wgraph {
 	c := wgraph{vwgt: sc.i64.take(coarseN), xadj: sc.i32.take(coarseN + 1)}
 	defer sc.release(sc.marks())
-	// Group fine vertices by coarse vertex (counting sort).
+	// Group fine vertices by coarse vertex (counting sort), and bound each
+	// coarse row by its members' fine degrees, as a prefix in xadj.
 	clear(c.vwgt)
+	clear(c.xadj)
 	start := sc.i32.take(coarseN + 1)
 	clear(start)
 	for v, cv := range match {
 		c.vwgt[cv] += w.vwgt[v]
 		start[cv+1]++
+		c.xadj[cv+1] += w.xadj[v+1] - w.xadj[v]
 	}
 	for i := 1; i <= coarseN; i++ {
 		start[i] += start[i-1]
+		c.xadj[i] += c.xadj[i-1]
 	}
+	j := &sc.job
+	j.phase, j.xadj = coarsen, c.xadj
+	k := j.split(coarseN)
 	members := sc.i32.take(len(match))
-	cursor := sc.i32.take(coarseN)
+	// The first range's slot array doubles as the grouping's cursors.
+	j.slots = sc.i32.take(k * coarseN)
+	cursor := j.slots[:coarseN]
 	copy(cursor, start)
 	for v, cv := range match {
 		members[cursor[cv]] = int32(v)
@@ -215,32 +231,11 @@ func (w *wgraph) contract(match []int32, coarseN int, sc *wscratch) wgraph {
 
 	// The coarse graph has at most as many edges as the fine one; the unused
 	// tail goes back to the arena.
-	rows := sc.edges.take(len(w.edges))[:0]
-	slot := cursor
-	for i := range slot {
-		slot[i] = -1
-	}
-	for cv := int32(0); cv < int32(coarseN); cv++ {
-		lo := int32(len(rows))
-		c.xadj[cv] = lo
-		for _, v := range members[start[cv]:start[cv+1]] {
-			for _, e := range w.adjOf(int(v)) {
-				cn := match[e.to]
-				if cn == cv {
-					continue
-				}
-				if s := slot[cn]; s >= lo {
-					rows[s].w += e.w
-				} else {
-					slot[cn] = int32(len(rows))
-					rows = append(rows, wedge{to: cn, w: e.w})
-				}
-			}
-		}
-	}
-	c.xadj[coarseN] = int32(len(rows))
-	sc.edges.untake(cap(rows) - len(rows))
-	c.edges = rows[:len(rows):len(rows)]
+	j.out, j.g, j.match, j.start, j.members = sc.edges.take(len(w.edges)), *w, match, start, members
+	j.pool.ForEach(k, j.run)
+	n := j.join(k)
+	sc.edges.untake(len(w.edges) - int(n))
+	c.edges = j.out[:n:n]
 	return c
 }
 
