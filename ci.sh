@@ -20,6 +20,11 @@ trap 'rm -rf "$smoke"' EXIT
 # kept as the auditable suppression inventory; its exit status is the gate:
 # zero unsuppressed findings.
 go run ./cmd/surfer-lint -json ./... > "$smoke/surfer-lint.json"
+# The words other tools parse, held to docs/METRICS.md where the program
+# makes them (the retired SL004's place): event kinds, blame categories,
+# and the schema and keys of every bench report. Seconds, not the raced
+# suite's minutes, before a missing word fails.
+go test -run '^(TestKindsDocumented|TestCategoriesDocumented|TestExperimentTable)$' ./internal/trace ./internal/analyze ./internal/bench
 go build ./...
 # No fused multiply-add (DESIGN.md's determinism contract): arm64 fuses a
 # product into the sum it meets, even across statements, where amd64 rounds

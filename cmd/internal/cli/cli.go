@@ -23,6 +23,12 @@ func Flags(tool string, stderr io.Writer) *flag.FlagSet {
 	return fs
 }
 
+// Given reports whether the command line set the named flag.
+func Given(fs *flag.FlagSet, name string) (given bool) {
+	fs.Visit(func(f *flag.Flag) { given = given || f.Name == name })
+	return given
+}
+
 type usageError struct{ error }
 
 // Usage marks err as the command line's fault: Run exits 2 on it, not 1.

@@ -50,9 +50,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return cli.Usage(err)
 		}
-		// Table 5 and Table 1's trial seeds bisect without core.Build, so its
-		// range check is made here for every experiment; Table 5 also sweeps
-		// one level past -levels.
+		// core.Build checks the range too, but names Config.Levels and fails
+		// only when a row reaches it: check the flag before any row runs.
+		// Table 5 also sweeps one level past -levels.
 		if *levels < 0 || *levels > 30 || *vertices < 1<<*levels {
 			return fmt.Errorf("-levels %d out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices %d", *levels, *vertices)
 		}

@@ -8,9 +8,9 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"slices"
 	"strings"
@@ -54,14 +54,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// A set flag the kind does not read would be silently ignored.
 		reads := map[string][]string{"vertices": {"social", "smallworld", "uniform"}, "scale": {"rmat"},
 			"edgefactor": {"rmat", "uniform"}, "rewire": {"smallworld"}}
-		var unread error
-		fs.Visit(func(f *flag.Flag) {
-			if kinds := reads[f.Name]; kinds != nil && !slices.Contains(kinds, *kind) && unread == nil {
-				unread = fmt.Errorf("-%s %s: -kind %s does not read it (only %s)", f.Name, f.Value, *kind, strings.Join(kinds, ", "))
+		for _, name := range slices.Sorted(maps.Keys(reads)) {
+			if kinds := reads[name]; cli.Given(fs, name) && !slices.Contains(kinds, *kind) {
+				return fmt.Errorf("-%s %s: -kind %s does not read it (only %s)", name, fs.Lookup(name).Value, *kind, strings.Join(kinds, ", "))
 			}
-		})
-		if unread != nil {
-			return unread
 		}
 		var g *surfer.Graph
 		switch *kind {

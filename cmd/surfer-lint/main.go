@@ -1,8 +1,7 @@
 // Command surfer-lint enforces Surfer's determinism contract statically
 // (docs/LINTS.md): wall-clock and global-randomness calls, map-iteration
 // order leaking into ordered output, concurrency outside the engine's
-// worker pool, order-sensitive float folds, and output vocabulary missing
-// from docs/METRICS.md never reach a replay.
+// worker pool and order-sensitive float folds never reach a replay.
 //
 // Usage:
 //

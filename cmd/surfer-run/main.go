@@ -58,6 +58,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
+		if cli.Given(fs, "pods") && *topoKind != "t2" { // ByName reads it only for t2
+			return fmt.Errorf("-pods %d: -topology %s does not read it (only t2)", *pods, *topoKind)
+		}
 		var faults *fault.Schedule
 		if strings.HasSuffix(*failSpec, ".json") {
 			if faults, err = fault.Load(*failSpec); err != nil {

@@ -139,6 +139,9 @@ func TestBadInvocations(t *testing.T) {
 		{small(g, "-primitive", "pregel"), 1, `unknown primitive "pregel"`},
 		{small(g, "-topology", "t9"), 1, `unknown topology "t9"`},
 		{small(g, "-topology", "t2", "-pods", "3"), 1, "8 machines, 3 pods"},
+		// was: T1 and T3 runs that ignored it.
+		{small(g, "-pods", "4"), 1, "-pods 4: -topology t1 does not read it (only t2)"},
+		{small(g, "-topology", "t3", "-pods", "2"), 1, "-pods 2: -topology t3 does not read it (only t2)"},
 		{small(g, "-levels", "-1"), 1, "Config.Levels"},
 		{small(g, "-fail", "2"), 1, `bad -fail entry "2"`},
 		{small(g, "-fail", "x@1"), 1, "bad machine in -fail entry"},

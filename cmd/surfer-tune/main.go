@@ -15,6 +15,8 @@
 package main
 
 import (
+	"cmp"
+	"fmt"
 	"io"
 	"os"
 
@@ -37,6 +39,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonOut   = fs.String("json", "", "write the result as a surfer-bench/v1 report to this file")
 	)
 	return cli.Run(fs, args, stderr, func([]string) error {
+		if hi := cmp.Or(*levelsMax, *levels+2); *levelsMin < 1 || *levelsMax < 0 || *levels < *levelsMin || *levels > hi {
+			return fmt.Errorf("-levels %d, -levels-min %d, -levels-max %d: want 1 <= -levels-min <= -levels <= -levels-max (0 = -levels+2)", *levels, *levelsMin, *levelsMax)
+		}
 		cfg := bench.TuneConfig{
 			Scale:     bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed},
 			App:       *app,

@@ -49,6 +49,13 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-machines", "0"}, 1, "surfer-tune: cluster: a topology needs at least one machine, got 0"},
 		{[]string{"-levels", "20", "-vertices", "4096"}, 1, "surfer-tune: core: Config.Levels = 22 out of range"},
 		{[]string{"-levels-max", "40"}, 1, "surfer-tune: core: Config.Levels = 40 out of range"},
+		// A sweep that does not hold -levels is refused, not clamped.
+		{[]string{"-levels-min", "5", "-levels-max", "3"}, 1, "surfer-tune: -levels 6, -levels-min 5, -levels-max 3: want 1 <= -levels-min <= -levels <= -levels-max"},
+		{[]string{"-levels", "9", "-levels-max", "4"}, 1, "surfer-tune: -levels 9, -levels-min 1, -levels-max 4: want"},
+		{[]string{"-levels-min", "-3"}, 1, "surfer-tune: -levels 6, -levels-min -3, -levels-max 0: want"},
+		{[]string{"-levels-min", "0"}, 1, "-levels-min 0"},
+		{[]string{"-levels-max", "-1"}, 1, "-levels-max -1"},
+		{[]string{"-levels", "0"}, 1, "-levels 0, -levels-min 1"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.want) || stdout != "" {

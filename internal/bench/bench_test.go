@@ -167,6 +167,32 @@ func TestTable1PricesOneBisection(t *testing.T) {
 	}
 }
 
+// TestTable5DeploysThroughTheMemo: after table1 and table5 run on one memo,
+// it holds the scale's bisection, which table1 made and table5 reused, and
+// one of each other partition count table5 sweeps, whose inner-edge ratio is
+// the row's.
+func TestTable5DeploysThroughTheMemo(t *testing.T) {
+	s := TestScale().withMemo()
+	if _, err := Table1(s); err != nil {
+		t.Fatal(err)
+	}
+	g := s.MakeGraph()
+	own := s.shared.bisections[bisectKey{g, s.Levels, s.Seed}]
+	rows, err := Table5(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 || len(s.shared.bisections) != 4 || s.shared.bisections[bisectKey{g, s.Levels, s.Seed}] != own {
+		t.Fatalf("%d rows and %d bisections in the memo, want 4 and 4 with table1's kept", len(rows), len(s.shared.bisections))
+	}
+	for i, r := range rows {
+		sys := s.shared.bisections[bisectKey{g, s.Levels + 1 - i, s.Seed}]
+		if sys == nil || r.Partitions != sys.PG.Part.P || r.IerOursPct != 100*partition.InnerEdgeRatio(g, sys.PG.Part) {
+			t.Errorf("%d partitions: the row is not the memo's bisection", r.Partitions)
+		}
+	}
+}
+
 func TestTables23Shapes(t *testing.T) {
 	cells, err := Tables23(TestScale())
 	if err != nil {

@@ -163,20 +163,23 @@ type Table5Row struct {
 	IerRandomPct  float64
 }
 
-// Table5 sweeps the partition count and reports inner-edge ratios for the
-// multilevel partitioner versus random partitioning.
+// Table5 sweeps the partition count, deploying each on T1 through the memo,
+// and reports inner-edge ratios of the multilevel partitioner versus random.
 func Table5(s Scale) ([]Table5Row, error) {
-	g := s.MakeGraph()
 	var rows []Table5Row
 	for levels := s.Levels + 1; levels >= s.Levels-2 && levels >= 1; levels-- {
+		at := s
+		at.Levels, at.Faults = levels, nil // the table runs nothing a fault plan could hit
+		d, err := NewDeployment(at)
+		if err != nil {
+			return nil, err
+		}
 		p := 1 << levels
-		pt, _ := partition.RecursiveBisect(g, levels, partition.Options{Seed: s.Seed, Workers: s.Workers})
-		rnd := partition.Random(g, p, s.Seed)
 		rows = append(rows, Table5Row{
 			Partitions:    p,
-			GranularityMB: float64(g.SizeBytes()) / float64(p) / 1e6,
-			IerOursPct:    100 * partition.InnerEdgeRatio(g, pt),
-			IerRandomPct:  100 * partition.InnerEdgeRatio(g, rnd),
+			GranularityMB: float64(d.Graph.SizeBytes()) / float64(p) / 1e6,
+			IerOursPct:    100 * partition.InnerEdgeRatio(d.Graph, d.PG.Part),
+			IerRandomPct:  100 * partition.InnerEdgeRatio(d.Graph, partition.Random(d.Graph, p, s.Seed)),
 		})
 	}
 	return rows, nil
@@ -640,16 +643,13 @@ func Cascade(s Scale, iterations int) (*CascadeResult, error) {
 		return nil, err
 	}
 	ci := propagation.AnalyzeCascade(d.PG)
-	prog := apps.NRProgram(d.Graph)
 	opt := d.Options(O4)
-
-	stA := propagation.NewState[float64](d.PG, prog)
-	_, plain, err := propagation.RunIterations(d.Runner(), d.PG, d.PlaceBA, prog, stA, opt, iterations)
+	_, plain, err := d.run(apps.NewNR(iterations), d.PlaceBA, opt)
 	if err != nil {
 		return nil, err
 	}
-	stB := propagation.NewState[float64](d.PG, prog)
-	_, casc, err := propagation.RunCascaded(d.Runner(), d.PG, d.PlaceBA, prog, stB, opt, iterations, ci)
+	prog := apps.NRProgram(d.Graph)
+	_, casc, err := propagation.RunCascaded(d.Runner(), d.PG, d.PlaceBA, prog, propagation.NewState(d.PG, prog), opt, iterations, ci)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,10 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,11 +17,13 @@ import (
 // surfer-analyze -compare would accept. The rendered text of every row is
 // pinned by testdata/experiments.golden (re-record only for an intended
 // change, with -update). What "all" selects, what a name selects and what an
-// unknown name says are read off the same table.
+// unknown name says are read off the same table. Every word of those
+// reports, and of FromTune's, is documented (requireDocumented).
 func TestExperimentTable(t *testing.T) {
 	const path = "testdata/experiments.golden"
 	p := Params{Scale: TestScale(), Iterations: 2}
 	reported := map[string]bool{}
+	reports := []*Report{FromTune(TuneConfig{Scale: TestScale()}, &TuneResult{})}
 	var text strings.Builder
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
@@ -33,6 +38,7 @@ func TestExperimentTable(t *testing.T) {
 			fmt.Fprintf(&text, "== %s\n%s", e.Name, out.Bytes())
 			if rep != nil {
 				reported[e.Name] = true
+				reports = append(reports, rep)
 				if err := rep.Validate(); err != nil {
 					t.Error(err)
 				}
@@ -51,6 +57,7 @@ func TestExperimentTable(t *testing.T) {
 	} else if text.String() != string(want) {
 		t.Errorf("experiment text differs from %s:\n%s", path, text.String())
 	}
+	requireDocumented(t, reports)
 	// table2 and table3 share one grid: the first to run reports it, once.
 	if !reported["table1"] || !reported["table2"] || reported["table3"] || !reported["multitenant"] || !reported["scale"] {
 		t.Errorf("reports came from %v; want table1, table2 (not table3 again), multitenant and scale", reported)
@@ -75,5 +82,31 @@ func TestExperimentTable(t *testing.T) {
 	_, err = SelectExperiments("tabel1")
 	if err == nil || !strings.Contains(err.Error(), `"tabel1"`) || !strings.Contains(err.Error(), strings.Join(ExperimentNames(), "|")) {
 		t.Errorf("unknown name: err = %v, want one listing %v", err, ExperimentNames())
+	}
+}
+
+// requireDocumented holds docs/METRICS.md, the surfer-bench/v1 vocabulary of
+// record, to the reports: their schema and every Metrics and Info key,
+// literal or computed, appear backticked in it.
+func requireDocumented(t *testing.T, reports []*Report) {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "METRICS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := map[string]bool{}
+	for _, r := range reports {
+		words := []string{r.Schema}
+		for _, e := range r.Entries {
+			words = slices.AppendSeq(slices.AppendSeq(words, maps.Keys(e.Metrics)), maps.Keys(e.Info))
+		}
+		for _, w := range words {
+			if !strings.Contains(string(doc), "`"+w+"`") {
+				missing[w] = true
+			}
+		}
+	}
+	for _, w := range slices.Sorted(maps.Keys(missing)) {
+		t.Errorf("bench report word %q is not documented in docs/METRICS.md", w)
 	}
 }

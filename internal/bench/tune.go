@@ -44,8 +44,8 @@ type TuneConfig struct {
 	// App is any name apps.ByName knows (default "nr"), run for
 	// tuneIterations where it iterates.
 	App string
-	// LevelsMin/LevelsMax bound the partition-count sweep. Zeros select
-	// [1, Scale.Levels+2].
+	// LevelsMin/LevelsMax bound the partition-count sweep, which must hold
+	// Scale.Levels. Zeros select [1, Scale.Levels+2].
 	LevelsMin, LevelsMax int
 }
 
@@ -57,14 +57,11 @@ type TuneResult struct {
 }
 
 func (c TuneConfig) withDefaults() TuneConfig {
-	if c.LevelsMax <= 0 {
+	if c.LevelsMax == 0 {
 		c.LevelsMax = c.Scale.Levels + 2
 	}
-	if c.LevelsMin <= 0 {
+	if c.LevelsMin == 0 {
 		c.LevelsMin = 1
-	}
-	if c.LevelsMax < c.LevelsMin {
-		c.LevelsMax = c.LevelsMin
 	}
 	if c.App == "" {
 		c.App = "nr"
@@ -79,6 +76,9 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 	cfg = cfg.withDefaults()
 	if _, err := apps.ByName(cfg.App, tuneIterations); err != nil {
 		return nil, err
+	}
+	if cfg.LevelsMin < 0 || cfg.Scale.Levels < cfg.LevelsMin || cfg.Scale.Levels > cfg.LevelsMax {
+		return nil, fmt.Errorf("bench: tune sweeps [LevelsMin %d, LevelsMax %d], which must hold Scale.Levels %d", cfg.LevelsMin, cfg.LevelsMax, cfg.Scale.Levels)
 	}
 	topo, err := cluster.ByName("t1", cfg.Scale.Machines, 0, 0, cfg.Scale.Seed)
 	if err != nil {
@@ -116,10 +116,9 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 
 	// Sweep 1: the partition counts, both local optimisations on, starting
 	// from the scale's own.
-	start := min(max(cfg.Scale.Levels, cfg.LevelsMin), cfg.LevelsMax)
-	levels := []int{start}
+	levels := []int{cfg.Scale.Levels}
 	for l := cfg.LevelsMin; l <= cfg.LevelsMax; l++ {
-		if l != start {
+		if l != cfg.Scale.Levels {
 			levels = append(levels, l)
 		}
 	}

@@ -70,6 +70,10 @@ func TestTuneRejectsBadBounds(t *testing.T) {
 		{TuneConfig{Scale: Scale{Vertices: 256, Levels: 2, Seed: 1}}, "at least one machine"},
 		{TuneConfig{Scale: Scale{Vertices: 256, Levels: 2, Machines: 4, Seed: 1}, LevelsMax: 40}, "Levels = 40 out of range"},
 		{TuneConfig{Scale: Scale{Vertices: 256, Levels: 20, Machines: 4, Seed: 1}}, "Levels = 22 out of range"},
+		// A sweep that does not hold Scale.Levels is refused, not clamped.
+		{TuneConfig{Scale: Scale{Vertices: 256, Levels: 2, Machines: 4, Seed: 1}, LevelsMin: 3, LevelsMax: 2}, "must hold Scale.Levels 2"},
+		{TuneConfig{Scale: Scale{Vertices: 256, Levels: 5, Machines: 4, Seed: 1}, LevelsMax: 4}, "must hold Scale.Levels 5"},
+		{TuneConfig{Scale: Scale{Vertices: 256, Levels: 2, Machines: 4, Seed: 1}, LevelsMin: -3}, "[LevelsMin -3,"},
 	} {
 		if _, err := Tune(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: err = %v, want one naming %q", tc.cfg, err, tc.want)

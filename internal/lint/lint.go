@@ -14,8 +14,8 @@
 // does this qualifier name" are answered by the type checker.
 //
 // Each check has a stable ID (see docs/LINTS.md, which also records what
-// each one has caught on this tree and why SL005, SL007 and SL008 were
-// retired) and every finding fails the build. A finding on a legitimate
+// each one has caught on this tree and why SL004, SL005, SL007 and SL008
+// were retired) and every finding fails the build. A finding on a legitimate
 // line is suppressed explicitly with a
 //
 //	//lint:allow SLnnn reason
@@ -36,7 +36,7 @@ import (
 )
 
 // Check IDs. Stable: tests, pragmas and docs refer to them by name, and a
-// retired ID (SL005, SL007, SL008) is never reused.
+// retired ID (SL004, SL005, SL007, SL008) is never reused.
 const (
 	// IDPragma is SL000: a malformed //lint:allow pragma — missing or
 	// unknown check ID, or no reason. A bare pragma suppresses nothing and
@@ -51,10 +51,6 @@ const (
 	// IDConcurrency is SL003: go statements or multi-case selects outside
 	// the sanctioned worker pool.
 	IDConcurrency = "SL003"
-	// IDDocSync is SL004: vocabulary consumers parse — trace event kinds,
-	// analyze blame categories, surfer-bench/v1 report fields — missing
-	// from docs/METRICS.md.
-	IDDocSync = "SL004"
 	// IDFloatAccum is SL006: order-sensitive float accumulation — a
 	// float compound assignment inside a map range, or into a variable
 	// captured across Pool.ForEach worker goroutines. Float addition is
@@ -62,7 +58,7 @@ const (
 	IDFloatAccum = "SL006"
 )
 
-var checkIDs = []string{IDPragma, IDEntropy, IDMapOrder, IDConcurrency, IDDocSync, IDFloatAccum}
+var checkIDs = []string{IDPragma, IDEntropy, IDMapOrder, IDConcurrency, IDFloatAccum}
 
 // CheckIDs lists every check ID in order.
 func CheckIDs() []string { return slices.Clone(checkIDs) }
@@ -110,14 +106,6 @@ type Config struct {
 	// SanctionedConcurrency lists slash-relative files allowed to spawn
 	// goroutines and select: the worker pool.
 	SanctionedConcurrency []string
-	// MetricsDoc is the document the vocabulary of TraceDir (event kinds),
-	// AnalyzeDir (blame categories) and BenchDir (surfer-bench/v1 fields)
-	// must appear in (SL004). An empty MetricsDoc disables the check, an
-	// empty directory that vocabulary.
-	MetricsDoc string
-	TraceDir   string
-	AnalyzeDir string
-	BenchDir   string
 }
 
 // DefaultConfig returns the repository's real scoping: the deterministic
@@ -155,10 +143,6 @@ func DefaultConfig(root string) Config {
 			".", // the root package (surfer.go, workloads.go)
 		},
 		SanctionedConcurrency: []string{"internal/pool/pool.go"},
-		MetricsDoc:            "docs/METRICS.md",
-		TraceDir:              "internal/trace",
-		AnalyzeDir:            "internal/analyze",
-		BenchDir:              "internal/bench",
 	}
 }
 
@@ -246,17 +230,6 @@ func Run(cfg Config, patterns []string) ([]Finding, error) {
 			pragmas[relFile] = filePragmas(prog.fset, file)
 			findings = append(findings, pragmaFindings(relFile, pragmas[relFile])...)
 		}
-	}
-
-	// The doc-sync pass parses its target packages directly, so it holds
-	// even when the pattern excludes them; it adds their pragmas to the
-	// index so its findings are suppressible like any other.
-	if cfg.MetricsDoc != "" {
-		docFindings, err := checkDocSync(cfg, prog.fset, pragmas)
-		if err != nil {
-			return nil, err
-		}
-		findings = append(findings, docFindings...)
 	}
 	suppress(findings, pragmas)
 

@@ -98,6 +98,8 @@ const (
 	// KindAlertResolved marks the first sealed window in which a fired alert's
 	// series no longer breaches; its Cause is the matching KindAlertFired.
 	KindAlertResolved
+
+	numKinds // how many kinds there are: a new kind goes above this line
 )
 
 func (k EventKind) String() string {
