@@ -16,10 +16,9 @@ smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 
 # Determinism-contract static gate (docs/LINTS.md), before the tests that
-# would (sometimes) catch the same violations dynamically. The -json run is
-# kept as the auditable suppression inventory; its exit status is the gate:
-# zero unsuppressed findings.
-go run ./cmd/surfer-lint -json ./... > "$smoke/surfer-lint.json"
+# would (sometimes) catch the same violations dynamically: any finding
+# fails the build, and a clean tree prints nothing.
+go run ./cmd/surfer-lint ./...
 # The words other tools parse, held to docs/METRICS.md where the program
 # makes them (the retired SL004's place): event kinds, blame categories,
 # and the schema and keys of every bench report. Seconds, not the raced

@@ -46,7 +46,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		asJSON    = fs.Bool("json", false, "emit the report as JSON instead of text")
 	)
 	return cli.Run(fs, args, stderr, func(files []string) error {
+		var modes []string
+		for _, name := range []string{"trace", "autoscale", "diff", "compare"} {
+			if cli.Given(fs, name) {
+				modes = append(modes, "-"+name)
+			}
+		}
 		switch {
+		case len(modes) > 1:
+			return cli.Usage(fmt.Errorf("%s: one mode per call", strings.Join(modes, " and ")))
+		case cli.Given(fs, "threshold") && !*doCompare:
+			return cli.Usage(fmt.Errorf("-threshold %s: only -compare reads it", *threshold))
+		case *asJSON && *doCompare:
+			return cli.Usage(errors.New("-json: -compare does not read it (its verdict is text)"))
+		case len(files) > 0 && *traceIn+*autoscale != "":
+			return cli.Usage(fmt.Errorf("%s takes its stream as its value, not as positional args: %s", modes[0], strings.Join(files, " ")))
 		case *doCompare:
 			if len(files) != 2 {
 				return errors.New("-compare wants two positional args: old.json new.json")

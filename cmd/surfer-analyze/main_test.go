@@ -171,6 +171,14 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-autoscale", bare}, 1, "bare.events: no topology header"},
 		{[]string{"-trace", machineless}, 1, "machineless.events: analyze: event 1 is a task-end on machine -1"},
 		{[]string{"-trace", far}, 1, "far.events: analyze: event 1 is a task-end on machine 8589934592"},
+		// was: exit 0, one mode run and the rest of the command line ignored.
+		{[]string{"-trace", good, "-autoscale", good}, 2, "-trace and -autoscale: one mode per call"},
+		{[]string{"-compare", "-diff", good, good}, 2, "-diff and -compare: one mode per call"},
+		{[]string{"-trace", good, "-threshold", "1"}, 2, "-threshold 1: only -compare reads it"},
+		{[]string{"-autoscale", good, "-threshold", "1"}, 2, "-threshold 1: only -compare reads it"},
+		{[]string{"-compare", report, report, "-json"}, 2, "-json: -compare does not read it"},
+		{[]string{"-trace", good, bare}, 2, "-trace takes its stream as its value, not as positional args: " + bare},
+		{[]string{"-autoscale", good, bare}, 2, "-autoscale takes its stream as its value, not as positional args: " + bare},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.want) || stdout != "" {

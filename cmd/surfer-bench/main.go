@@ -50,13 +50,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return cli.Usage(err)
 		}
+		runs := func(name string) bool {
+			return slices.ContainsFunc(selected, func(e bench.Experiment) bool { return e.Name == name })
+		}
+		for _, f := range [][2]string{{"sizes", "scale"}, {"iterations", "cascade"}} {
+			if cli.Given(fs, f[0]) && !runs(f[1]) {
+				return cli.Usage(fmt.Errorf("-%s %s: -experiment %s does not read it (only %s)", f[0], fs.Lookup(f[0]).Value, *experiment, f[1]))
+			}
+		}
 		// core.Build checks the range too, but names Config.Levels and fails
 		// only when a row reaches it: check the flag before any row runs.
 		// Table 5 also sweeps one level past -levels.
 		if *levels < 0 || *levels > 30 || *vertices < 1<<*levels {
 			return fmt.Errorf("-levels %d out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices %d", *levels, *vertices)
 		}
-		if *vertices < 2<<*levels && slices.ContainsFunc(selected, func(e bench.Experiment) bool { return e.Name == "table5" }) {
+		if *vertices < 2<<*levels && runs("table5") {
 			return fmt.Errorf("-levels %d out of range for table5, which sweeps to levels+1: its %d partitions need at least as many -vertices, got %d", *levels, 2<<*levels, *vertices)
 		}
 		p := bench.Params{
@@ -68,6 +76,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				n, err := strconv.Atoi(strings.TrimSpace(f))
 				if err != nil || n <= 0 {
 					return fmt.Errorf("bad -sizes entry %q", f)
+				}
+				if n < 1<<*levels {
+					return fmt.Errorf("-sizes entry %d out of range for -levels %d: its %d partitions need at least as many vertices", n, *levels, 1<<*levels)
 				}
 				p.Sizes = append(p.Sizes, n)
 			}

@@ -157,7 +157,12 @@ func TestBadInvocations(t *testing.T) {
 		{small("-experiment", "fig7", "-machines", "0"), 1, "fig7: cluster: a topology needs at least one machine, got 0"},
 		{small("-experiment", "cascade", "-iterations", "-1"), 1, "cascade: bench: the cascade study needs at least one iteration, got Iterations = -1"},
 		{small("-experiment", "fig11", "-machines", "4"), 1, "fig11: bench: figures 11-12 grow the cluster from 8 machines in steps of 8, got Machines = 4"},
-		{small("-experiment", "scale", "-sizes", "16", "-levels", "6"), 1, "scale: bench: scale at 16 vertices: core: Config.Levels = 6 out of range"},
+		// was: a failure naming Config.Levels once the scale row reached core.
+		{small("-experiment", "scale", "-sizes", "1024,10", "-levels", "6"), 1, "-sizes entry 10 out of range for -levels 6: its 64 partitions need at least as many vertices"},
+		// was: exit 0, the flag never read.
+		{small("-experiment", "table4", "-sizes", "100,200"), 2, "-sizes 100,200: -experiment table4 does not read it (only scale)"},
+		{small("-experiment", "all", "-sizes", "1024"), 2, "-sizes 1024: -experiment all does not read it (only scale)"},
+		{small("-experiment", "table4", "-iterations", "7"), 2, "-iterations 7: -experiment table4 does not read it (only cascade)"},
 		{small("-experiment", "table4", "-json", filepath.Join(dir, "no", "dir", "r.json")), 1, "writing bench report"},
 		{small("-experiment", "table1", "-cpuprofile", filepath.Join(dir, "no", "dir", "cpu.prof")), 1, "cpu profile"},
 		{small("-faults", filepath.Join(dir, "missing.json")), 1, "missing.json"},

@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"edgefactor": {"rmat", "uniform"}, "rewire": {"smallworld"}}
 		for _, name := range slices.Sorted(maps.Keys(reads)) {
 			if kinds := reads[name]; cli.Given(fs, name) && !slices.Contains(kinds, *kind) {
-				return fmt.Errorf("-%s %s: -kind %s does not read it (only %s)", name, fs.Lookup(name).Value, *kind, strings.Join(kinds, ", "))
+				return cli.Usage(fmt.Errorf("-%s %s: -kind %s does not read it (only %s)", name, fs.Lookup(name).Value, *kind, strings.Join(kinds, ", ")))
 			}
 		}
 		var g *surfer.Graph

@@ -73,13 +73,13 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-kind", "social", "-vertices", "5"}, 1, "surfer-gen: -vertices 5: social would write 4 vertices"},
 		{[]string{"-kind", "smallworld", "-vertices", "65537"}, 1, "surfer-gen: -vertices 65537: smallworld would write 65536 vertices"},
 		// A set flag the kind does not read.
-		{[]string{"-kind", "social", "-vertices", "1024", "-rewire", "0.5"}, 1, "surfer-gen: -rewire 0.5: -kind social does not read it (only smallworld)"},
-		{[]string{"-kind", "uniform", "-rewire", "0.05"}, 1, "surfer-gen: -rewire 0.05: -kind uniform does not read it"},
-		{[]string{"-kind", "rmat", "-scale", "4", "-vertices", "100"}, 1, "surfer-gen: -vertices 100: -kind rmat does not read it (only social, smallworld, uniform)"},
-		{[]string{"-kind", "social", "-scale", "4"}, 1, "surfer-gen: -scale 4: -kind social does not read it (only rmat)"},
-		{[]string{"-kind", "uniform", "-scale", "16"}, 1, "surfer-gen: -scale 16: -kind uniform does not read it"},
-		{[]string{"-kind", "social", "-edgefactor", "3"}, 1, "surfer-gen: -edgefactor 3: -kind social does not read it (only rmat, uniform)"},
-		{[]string{"-kind", "smallworld", "-edgefactor", "12"}, 1, "surfer-gen: -edgefactor 12: -kind smallworld does not read it"},
+		{[]string{"-kind", "social", "-vertices", "1024", "-rewire", "0.5"}, 2, "surfer-gen: -rewire 0.5: -kind social does not read it (only smallworld)"},
+		{[]string{"-kind", "uniform", "-rewire", "0.05"}, 2, "surfer-gen: -rewire 0.05: -kind uniform does not read it"},
+		{[]string{"-kind", "rmat", "-scale", "4", "-vertices", "100"}, 2, "surfer-gen: -vertices 100: -kind rmat does not read it (only social, smallworld, uniform)"},
+		{[]string{"-kind", "social", "-scale", "4"}, 2, "surfer-gen: -scale 4: -kind social does not read it (only rmat)"},
+		{[]string{"-kind", "uniform", "-scale", "16"}, 2, "surfer-gen: -scale 16: -kind uniform does not read it"},
+		{[]string{"-kind", "social", "-edgefactor", "3"}, 2, "surfer-gen: -edgefactor 3: -kind social does not read it (only rmat, uniform)"},
+		{[]string{"-kind", "smallworld", "-edgefactor", "12"}, 2, "surfer-gen: -edgefactor 12: -kind smallworld does not read it"},
 		{[]string{"-kind", "torus", "-scale", "4"}, 1, `surfer-gen: unknown kind "torus"`},
 		{[]string{"-vertices", "64", "-out", filepath.Join(dir, "no", "such", "dir.srfg")}, 1, "dir.srfg"},
 	} {

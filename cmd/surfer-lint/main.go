@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	surfer-lint [-json] [-root dir] [packages]
+//	surfer-lint [-root dir] [packages]
 //
 // Packages default to ./... relative to the module root (found by walking
 // up from the working directory; overridable with -root, which is how the
@@ -13,15 +13,12 @@
 // A pattern that matches no Go files is an error (exit 2): an empty run
 // must not masquerade as a clean one.
 //
-// Every finding not covered by a reasoned //lint:allow pragma fails the
-// gate (exit 1) and is printed as file:line:col: SLnnn[error]: message.
-// -json emits every finding instead — suppressed ones included, with
-// "suppressed": true and the pragma reason — so the suppression inventory
-// is auditable. The output is byte-deterministic.
+// Every finding fails the gate (exit 1) and is printed on stdout as
+// file:line:col: SLnnn[error]: message, in a byte-deterministic order; the
+// findings are the verdict, so nothing is added on stderr.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -33,11 +30,9 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the whole tool: 0 clean, 1 unsuppressed findings, 2 usage or load
-// errors.
+// run is the whole tool: 0 clean, 1 findings, 2 usage or load errors.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := cli.Flags("surfer-lint", stderr)
-	jsonOut := fs.Bool("json", false, "emit every finding as JSON (includes suppressed findings)")
 	root := fs.String("root", "", "analyze this tree instead of the enclosing module")
 	return cli.Run(fs, args, stderr, func(patterns []string) error {
 		if len(patterns) == 0 {
@@ -53,35 +48,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return cli.Usage(err)
 		}
-		failing := lint.Unsuppressed(findings)
-
-		if *jsonOut {
-			out := struct {
-				Findings     []lint.Finding `json:"findings"`
-				Total        int            `json:"total"`
-				Unsuppressed int            `json:"unsuppressed"`
-			}{Findings: findings, Total: len(findings), Unsuppressed: len(failing)}
-			if out.Findings == nil {
-				out.Findings = []lint.Finding{}
-			}
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(out); err != nil {
-				return err
-			}
-			if len(failing) > 0 {
-				return cli.Failed
-			}
-			return nil
-		}
-		for _, f := range failing {
+		for _, f := range findings {
 			fmt.Fprintln(stdout, f)
 		}
-		if n := len(findings) - len(failing); n > 0 {
-			fmt.Fprintf(stderr, "surfer-lint: %d finding(s) suppressed by //lint:allow pragmas (run -json to audit)\n", n)
-		}
-		if len(failing) > 0 {
-			return fmt.Errorf("%d failing finding(s)", len(failing))
+		if len(findings) > 0 {
+			return cli.Failed
 		}
 		return nil
 	})

@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, name := range []string{"pods", "tree-levels"} { // ByName reads them only for t2
 			if cli.Given(fs, name) && *topoKind != "t2" {
-				return fmt.Errorf("-%s %s: -topology %s does not read it (only t2)", name, fs.Lookup(name).Value, *topoKind)
+				return cli.Usage(fmt.Errorf("-%s %s: -topology %s does not read it (only t2)", name, fs.Lookup(name).Value, *topoKind))
 			}
 		}
 		fmt.Fprintf(stdout, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())

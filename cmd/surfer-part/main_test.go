@@ -106,8 +106,8 @@ func TestBadInputs(t *testing.T) {
 		{[]string{"-graph", good, "-topology", "t9"}, 1, `unknown topology "t9"`},
 		{[]string{"-graph", good, "-topology", "t2", "-machines", "8", "-pods", "3"}, 1, "8 machines, 3 pods"},
 		// was: T1{machines=8 pods=1}, the flags ignored.
-		{[]string{"-graph", good, "-topology", "t1", "-machines", "8", "-pods", "4", "-tree-levels", "2"}, 1, "-pods 4: -topology t1 does not read it (only t2)"},
-		{[]string{"-graph", good, "-topology", "t3", "-machines", "8", "-tree-levels", "2"}, 1, "-tree-levels 2: -topology t3 does not read it (only t2)"},
+		{[]string{"-graph", good, "-topology", "t1", "-machines", "8", "-pods", "4", "-tree-levels", "2"}, 2, "-pods 4: -topology t1 does not read it (only t2)"},
+		{[]string{"-graph", good, "-topology", "t3", "-machines", "8", "-tree-levels", "2"}, 2, "-tree-levels 2: -topology t3 does not read it (only t2)"},
 		{[]string{"-graph", good, "-machines", "0"}, 1, "at least one machine"},
 	} {
 		code, _, stderr := invoke(tc.args...)

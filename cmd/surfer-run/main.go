@@ -50,6 +50,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rulesPath  = fs.String("rules", "", "JSON SLO alert rules evaluated live at every window seal; fired/resolved alerts land in the event stream (needs -metrics)")
 	)
 	return cli.Run(fs, args, stderr, func([]string) error {
+		if cli.Given(fs, "opt") && *primitive != "propagation" {
+			return cli.Usage(fmt.Errorf("-opt %s: -primitive %s does not read it (only propagation)", *optLevel, *primitive))
+		}
+		if cli.Given(fs, "metrics-window") && *metricsOut == "" {
+			return cli.Usage(fmt.Errorf("-metrics-window %v needs -metrics (it sizes the live series' windows)", *metricsWin))
+		}
 		g, err := graph.Load(*graphPath)
 		if err != nil {
 			return fmt.Errorf("loading graph %s: %v", *graphPath, err)
@@ -59,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return err
 		}
 		if cli.Given(fs, "pods") && *topoKind != "t2" { // ByName reads it only for t2
-			return fmt.Errorf("-pods %d: -topology %s does not read it (only t2)", *pods, *topoKind)
+			return cli.Usage(fmt.Errorf("-pods %d: -topology %s does not read it (only t2)", *pods, *topoKind))
 		}
 		var faults *fault.Schedule
 		if strings.HasSuffix(*failSpec, ".json") {

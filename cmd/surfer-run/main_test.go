@@ -110,7 +110,7 @@ func TestEveryAppAndPrimitive(t *testing.T) {
 			t.Errorf("-app %s: header %q", name, strings.SplitN(stdout, "\n", 2)[0])
 		}
 	}
-	code, stdout, stderr := invoke(small(g, "-app", "tfl", "-primitive", "mapreduce", "-topology", "t2", "-fail", "2@0.001, 5@0.002", "-opt", "ignored-by-mapreduce")...)
+	code, stdout, stderr := invoke(small(g, "-app", "tfl", "-primitive", "mapreduce", "-topology", "t2", "-fail", "2@0.001, 5@0.002")...)
 	if code != 0 || !strings.Contains(stdout, "primitive: mapreduce") || !strings.Contains(stdout, "cluster: T2(2,1)") {
 		t.Errorf("mapreduce with a kill list: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
@@ -140,8 +140,8 @@ func TestBadInvocations(t *testing.T) {
 		{small(g, "-topology", "t9"), 1, `unknown topology "t9"`},
 		{small(g, "-topology", "t2", "-pods", "3"), 1, "8 machines, 3 pods"},
 		// was: T1 and T3 runs that ignored it.
-		{small(g, "-pods", "4"), 1, "-pods 4: -topology t1 does not read it (only t2)"},
-		{small(g, "-topology", "t3", "-pods", "2"), 1, "-pods 2: -topology t3 does not read it (only t2)"},
+		{small(g, "-pods", "4"), 2, "-pods 4: -topology t1 does not read it (only t2)"},
+		{small(g, "-topology", "t3", "-pods", "2"), 2, "-pods 2: -topology t3 does not read it (only t2)"},
 		{small(g, "-levels", "-1"), 1, "Config.Levels"},
 		{small(g, "-fail", "2"), 1, `bad -fail entry "2"`},
 		{small(g, "-fail", "x@1"), 1, "bad machine in -fail entry"},
@@ -158,6 +158,9 @@ func TestBadInvocations(t *testing.T) {
 		// was: a series grown until the process ran out of memory.
 		{small(g, "-metrics", missing+".series", "-metrics-window", "1e-12"), 1, "s window puts past the 1048576 windows a series may hold"},
 		{small(g, "-rules", write("slo.json", `{"rules":[]}`)), 1, "-rules needs -metrics"},
+		// was: exit 0, the flag never read.
+		{small(g, "-primitive", "mapreduce", "-opt", "o1"), 2, "-opt o1: -primitive mapreduce does not read it (only propagation)"},
+		{small(g, "-metrics-window", "0.5"), 2, "-metrics-window 0.5 needs -metrics"},
 
 		{[]string{"-graph", missing + ".srfg"}, 1, "missing.srfg"},
 		{[]string{"-graph", write("empty.srfg", "")}, 1, "empty.srfg"},

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/cmd/internal/cli"
 	"repro/internal/trace"
@@ -33,7 +34,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := cli.Flags("surfer-trace", stderr)
 	in := fs.String("in", "", "trace file to validate (Chrome trace_event JSON or raw event stream)")
 	breakdown := fs.Bool("breakdown", false, "print the job→stage→machine accounting table (raw event streams only)")
-	return cli.Run(fs, args, stderr, func([]string) error {
+	return cli.Run(fs, args, stderr, func(extra []string) error {
+		if len(extra) > 0 {
+			return cli.Usage(fmt.Errorf("positional args are not read (the file to check is -in's value): %s", strings.Join(extra, " ")))
+		}
 		if *in == "" {
 			return errors.New("missing -in trace.json")
 		}

@@ -1,58 +1,10 @@
-// Fuzz targets for the two parsers whose inputs are least controlled: the
-// //lint:allow pragma parser (arbitrary comment text from any file the
-// analyzer ever reads) and the finding deduplicator (streams merged from
-// several passes). Seed corpus under testdata/fuzz/ is committed; `go test
-// -fuzz` extends it locally.
+// Fuzz target for the finding deduplicator, whose input is a stream merged
+// from several passes. Seed corpus under testdata/fuzz/ is committed; `go
+// test -fuzz` extends it locally.
 
 package lint
 
-import (
-	"strings"
-	"testing"
-)
-
-func FuzzParsePragma(f *testing.F) {
-	for _, seed := range []string{
-		"//lint:allow SL001 one-shot process start stamp",
-		"//lint:allow SL001",
-		"//lint:allow",
-		"//lint:allowed is prose, not a pragma",
-		"//lint:allow SL999 retired check",
-		"//lint:allow entropy misspelled reference",
-		"//lint:allow SL006\ttab-separated reason",
-		"//lint:allow  SL003   extra   interior   spacing",
-		"// ordinary comment",
-		"//lint:allow SL001 SL002 two IDs, second one is reason text",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, text string) {
-		id, reason, malformed, ok := parsePragma(text)
-		if !ok {
-			// Not a pragma: nothing may leak out.
-			if id != "" || reason != "" || malformed != "" {
-				t.Fatalf("non-pragma %q returned (%q, %q, %q)", text, id, reason, malformed)
-			}
-			return
-		}
-		if !strings.HasPrefix(text, pragmaMarker) {
-			t.Fatalf("parsed a pragma out of %q, which lacks the marker", text)
-		}
-		if malformed == "" {
-			// Valid pragma: usable ID, mandatory non-blank reason.
-			if !KnownCheck(id) {
-				t.Fatalf("valid pragma %q carries unknown check %q", text, id)
-			}
-			if strings.TrimSpace(reason) == "" {
-				t.Fatalf("valid pragma %q has a blank reason", text)
-			}
-		} else if reason != "" {
-			// Malformed pragmas never suppress, so they must never carry a
-			// reason a suppression could use.
-			t.Fatalf("malformed pragma %q carries reason %q", text, reason)
-		}
-	})
-}
+import "testing"
 
 func FuzzDedup(f *testing.F) {
 	f.Add("SL001", "a.go", "m1", 1, 2, "SL002", "b.go", "m2", 3, 4)

@@ -14,15 +14,10 @@
 // does this qualifier name" are answered by the type checker.
 //
 // Each check has a stable ID (see docs/LINTS.md, which also records what
-// each one has caught on this tree and why SL004, SL005, SL007 and SL008
-// were retired) and every finding fails the build. A finding on a legitimate
-// line is suppressed explicitly with a
-//
-//	//lint:allow SLnnn reason
-//
-// pragma on the offending line or the line directly above it. The reason
-// is mandatory — a bare or malformed pragma is itself a finding (SL000) —
-// so every suppression is auditable.
+// each one has caught on this tree and why SL000, SL004, SL005, SL007 and
+// SL008 were retired) and every finding fails the build. There is no
+// suppression comment: code that may legitimately read the clock or start
+// goroutines is placed by the tier table of Config, the one escape hatch.
 package lint
 
 import (
@@ -35,13 +30,9 @@ import (
 	"strings"
 )
 
-// Check IDs. Stable: tests, pragmas and docs refer to them by name, and a
-// retired ID (SL004, SL005, SL007, SL008) is never reused.
+// Check IDs. Stable: tests and docs refer to them by name, and a retired ID
+// (SL000, SL004, SL005, SL007, SL008) is never reused.
 const (
-	// IDPragma is SL000: a malformed //lint:allow pragma — missing or
-	// unknown check ID, or no reason. A bare pragma suppresses nothing and
-	// fails the build so silent dead suppressions cannot accumulate.
-	IDPragma = "SL000"
 	// IDEntropy is SL001: direct wall-clock / environment /
 	// global-randomness calls in simulation packages.
 	IDEntropy = "SL001"
@@ -58,30 +49,21 @@ const (
 	IDFloatAccum = "SL006"
 )
 
-var checkIDs = []string{IDPragma, IDEntropy, IDMapOrder, IDConcurrency, IDFloatAccum}
-
 // CheckIDs lists every check ID in order.
-func CheckIDs() []string { return slices.Clone(checkIDs) }
-
-// KnownCheck reports whether id names a check this analyzer runs — the
-// set a //lint:allow pragma may reference.
-func KnownCheck(id string) bool { return slices.Contains(checkIDs, id) }
+func CheckIDs() []string { return []string{IDEntropy, IDMapOrder, IDConcurrency, IDFloatAccum} }
 
 // Finding is one analyzer report. File is slash-separated and relative to
 // the configured root.
 type Finding struct {
-	ID         string `json:"id"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-	// Reason is the pragma justification when Suppressed.
-	Reason string `json:"reason,omitempty"`
+	ID      string
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the finding the way a compiler would. There is one
-// severity: every unsuppressed finding fails the build.
+// severity: every finding fails the build.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s[error]: %s", f.File, f.Line, f.Col, f.ID, f.Message)
 }
@@ -170,11 +152,11 @@ func (c *Config) tierOf(relDir string) tier {
 }
 
 // Run analyzes the packages matched by patterns under cfg.Root and returns
-// all findings (suppressed ones included, flagged), sorted by position and
-// deduplicated. Patterns are slash-relative to Root: "./..." (or "...")
-// walks everything, "dir/..." walks a subtree, a plain directory analyzes
-// that one package. A pattern that matches no Go files at all is an error —
-// an empty run must not masquerade as a clean one.
+// all findings, sorted by position and deduplicated. Patterns are
+// slash-relative to Root: "./..." (or "...") walks everything, "dir/..."
+// walks a subtree, a plain directory analyzes that one package. A pattern
+// that matches no Go files at all is an error — an empty run must not
+// masquerade as a clean one.
 func Run(cfg Config, patterns []string) ([]Finding, error) {
 	perPattern, err := expandPatterns(cfg.Root, patterns)
 	if err != nil {
@@ -213,9 +195,7 @@ func Run(cfg Config, patterns []string) ([]Finding, error) {
 		}
 	}
 
-	// Per-file checks and the pragma audit (SL000), over every analyzed file.
 	var findings []Finding
-	pragmas := map[string][]pragma{}
 	for _, pi := range analyzed {
 		for i, file := range pi.files {
 			relFile := pi.relFiles[i]
@@ -227,11 +207,8 @@ func Run(cfg Config, patterns []string) ([]Finding, error) {
 				tier:       pi.tier,
 				sanctioned: slices.Contains(cfg.SanctionedConcurrency, relFile),
 			})...)
-			pragmas[relFile] = filePragmas(prog.fset, file)
-			findings = append(findings, pragmaFindings(relFile, pragmas[relFile])...)
 		}
 	}
-	suppress(findings, pragmas)
 
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -275,27 +252,8 @@ func Dedup(findings []Finding) []Finding {
 	return out
 }
 
-// Unsuppressed filters to the findings not covered by a //lint:allow
-// pragma: the ones that fail the build. This is the CLI's exit-status
-// predicate.
-func Unsuppressed(all []Finding) []Finding {
-	var out []Finding
-	for _, f := range all {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// analyzeFile runs the per-file checks appropriate to the tier. Test files
-// are exempt from the whole contract: they may time, randomize and spawn
-// freely (the determinism suite itself races worker pools against each
-// other).
+// analyzeFile runs the per-file checks appropriate to the tier.
 func analyzeFile(ctx *fileCtx) []Finding {
-	if strings.HasSuffix(ctx.relFile, "_test.go") {
-		return nil
-	}
 	var findings []Finding
 	ctx.add = func(pos token.Pos, id, format string, args ...any) {
 		p := ctx.fset.Position(pos)

@@ -77,7 +77,7 @@ func (p *program) loadRel(rel string) (*pkgInfo, error) {
 	pi := &pkgInfo{rel: rel, tier: p.cfg.tierOf(rel)}
 	for _, name := range names {
 		path := filepath.Join(dir, name)
-		file, err := parser.ParseFile(p.fset, path, nil, parser.ParseComments)
+		file, err := parser.ParseFile(p.fset, path, nil, 0)
 		if err != nil {
 			return nil, fmt.Errorf("surfer-lint: %w", err)
 		}
@@ -199,7 +199,10 @@ func walkGoDirs(base string, fn func(path string)) error {
 	})
 }
 
-// goSources lists the non-test .go files of one directory, sorted.
+// goSources lists the non-test .go files of one directory, sorted. Test
+// files are exempt from the whole contract: they may time, randomize and
+// spawn freely (the determinism suite itself races worker pools against
+// each other).
 func goSources(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -6,10 +6,10 @@ package analyze
 
 // SL004 (output vocabulary missing from docs/METRICS.md) is retired: tests
 // in internal/trace, internal/analyze and internal/bench read the document
-// instead, and the ID is never reused. A pragma naming it suppresses
-// nothing and is an SL000 finding, like one naming SL005, SL007 or SL008.
-// The vocabulary tests have no pragma to silence them: a missing word
-// fails until it is documented.
+// instead, and the ID is never reused. So is SL000, the audit of the
+// //lint:allow pragma, which the linter no longer reads: the comment below
+// is left over from it, has no finding of its own and suppresses nothing.
+// The vocabulary tests have nothing to silence them either.
 //
 //lint:allow SL004 fixture: a pragma the retired check left behind
 

@@ -1,8 +1,8 @@
-// Package metrics fixture: the pragma path. The first finding is
-// suppressed by a reasoned //lint:allow on the line above, the second by a
-// trailing pragma; the third pragma has no reason, so it is itself an
-// SL000 error and must NOT suppress. The two pragmas at the bottom are the
-// rest of the SL000 corpus: an unknown check ID and a malformed ID.
+// Package metrics fixture: comments left over from the retired
+// //lint:allow pragma suppress nothing. Each time.Now below is an SL001
+// finding whatever comment sits on or above its line, reasoned or bare,
+// and the two naming an unknown or malformed check at the bottom are
+// ordinary comments with no finding of their own.
 package metrics
 
 import "time"

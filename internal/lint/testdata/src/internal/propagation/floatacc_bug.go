@@ -3,7 +3,7 @@
 // change run to run. perKey is the carve-out (one slot per range key,
 // order-free). mergeRanks races a captured scalar across ForEach workers
 // while its indexed writes follow the pool's index-disjoint discipline.
-// totalAllowed is the suppressed-SL006 corpus case.
+// totalAllowed's leftover //lint:allow comment suppresses nothing.
 package propagation
 
 func totalRank(ranks map[vertexID]float64) float64 {
