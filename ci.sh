@@ -12,6 +12,10 @@ test -z "$(gofmt -l .)"
 for pkgs in ./internal/... ./cmd/... .; do
     go vet "$pkgs"
 done
+# The benchmark is a module of its own, outside ./...: it implements
+# propagation.Program and calls what it measures, so a change that breaks
+# its build or its checks fails here, not when the benchmark next runs.
+(cd benchmark && go vet ./... && go test ./...)
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 // Flags returns the flag set of the named tool, reporting to stderr.
@@ -68,6 +69,17 @@ func Run(fs *flag.FlagSet, args []string, stderr io.Writer, body func(positional
 		return 2
 	}
 	return 1
+}
+
+// NoArgs is the body of a tool that reads no positional arguments: it refuses
+// any, naming them, before body runs.
+func NoArgs(body func() error) func(positional []string) error {
+	return func(positional []string) error {
+		if len(positional) > 0 {
+			return Usage(fmt.Errorf("positional args are not read: %s", strings.Join(positional, " ")))
+		}
+		return body()
+	}
 }
 
 // WriteFile creates path, hands it to write and closes it, reporting the

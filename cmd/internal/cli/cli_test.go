@@ -70,6 +70,31 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestNoArgs: a tool that reads no positional argument refuses any with exit
+// 2, naming it, and never runs its body; with none, the body's outcome
+// stands.
+func TestNoArgs(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{nil, 0, ""},
+		{[]string{"-n", "3"}, 0, ""},
+		{[]string{"-n", "3", "extra"}, 2, "tool: positional args are not read: extra\n"},
+		{[]string{"a", "-n", "3", "b"}, 2, "tool: positional args are not read: a b\n"},
+	} {
+		var stderr bytes.Buffer
+		fs := Flags("tool", &stderr)
+		fs.Int("n", 0, "a number")
+		ran := false
+		code := Run(fs, tc.args, &stderr, NoArgs(func() error { ran = true; return nil }))
+		if code != tc.code || stderr.String() != tc.stderr || ran != (tc.code == 0) {
+			t.Errorf("%q: exit %d, stderr %q, body ran %v; want exit %d, stderr %q", tc.args, code, stderr.String(), ran, tc.code, tc.stderr)
+		}
+	}
+}
+
 func TestWriteFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.txt")
 	if err := WriteFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "hello\n"); return err }); err != nil {

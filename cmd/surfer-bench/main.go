@@ -22,10 +22,19 @@ import (
 	"repro/cmd/internal/cli"
 	"repro/internal/bench"
 	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/trace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// builds is the vertex count of every bench graph asked for n vertices: the
+// stitched small-world base (also under the social overlay) rounds n down to
+// a whole number of components.
+func builds(n int) int {
+	c := graph.DefaultSmallWorld(n, 0)
+	return c.Components * c.VerticesPerComponent
+}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := cli.Flags("surfer-bench", stderr)
@@ -45,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU pprof profile of the bench process to this file (go tool pprof; see docs/TUNING.md)")
 		memProfile = fs.String("memprofile", "", "write a heap pprof profile at exit to this file (go tool pprof)")
 	)
-	return cli.Run(fs, args, stderr, func([]string) (err error) {
+	return cli.Run(fs, args, stderr, cli.NoArgs(func() (err error) {
 		selected, err := bench.SelectExperiments(*experiment)
 		if err != nil {
 			return cli.Usage(err)
@@ -59,13 +68,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		// core.Build checks the range too, but names Config.Levels and fails
-		// only when a row reaches it: check the flag before any row runs.
-		// Table 5 also sweeps one level past -levels.
-		if *levels < 0 || *levels > 30 || *vertices < 1<<*levels {
-			return fmt.Errorf("-levels %d out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices %d", *levels, *vertices)
+		// only when a row reaches it: check the flag before any row runs,
+		// against the vertex count the stitched generator builds, which
+		// rounds a size down to whole components. Table 5 also sweeps one
+		// level past -levels.
+		if *levels < 0 || *levels > 30 {
+			return cli.Usage(fmt.Errorf("-levels %d out of range: want 0 <= levels <= 30", *levels))
 		}
-		if *vertices < 2<<*levels && runs("table5") {
-			return fmt.Errorf("-levels %d out of range for table5, which sweeps to levels+1: its %d partitions need at least as many -vertices, got %d", *levels, 2<<*levels, *vertices)
+		if n := builds(*vertices); n < 1<<*levels {
+			return cli.Usage(fmt.Errorf("-vertices %d builds %d vertices, fewer than the %d partitions of -levels %d", *vertices, n, 1<<*levels, *levels))
+		} else if n < 2<<*levels && runs("table5") {
+			return cli.Usage(fmt.Errorf("-levels %d out of range for table5, which sweeps to levels+1: its %d partitions need at least as many vertices, -vertices %d builds %d", *levels, 2<<*levels, *vertices, n))
 		}
 		p := bench.Params{
 			Scale:      bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed, Workers: *workers},
@@ -75,10 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for _, f := range strings.Split(*sizes, ",") {
 				n, err := strconv.Atoi(strings.TrimSpace(f))
 				if err != nil || n <= 0 {
-					return fmt.Errorf("bad -sizes entry %q", f)
+					return cli.Usage(fmt.Errorf("bad -sizes entry %q", f))
 				}
-				if n < 1<<*levels {
-					return fmt.Errorf("-sizes entry %d out of range for -levels %d: its %d partitions need at least as many vertices", n, *levels, 1<<*levels)
+				if b := builds(n); b < 1<<*levels {
+					return cli.Usage(fmt.Errorf("-sizes entry %d builds %d vertices, fewer than the %d partitions of -levels %d", n, b, 1<<*levels, *levels))
 				}
 				p.Sizes = append(p.Sizes, n)
 			}
@@ -162,5 +175,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "wrote %s (%d entries)\n", *jsonOut, len(report.Entries))
 		}
 		return nil
-	})
+	}))
 }

@@ -145,11 +145,15 @@ func TestBadInvocations(t *testing.T) {
 	}{
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-bench"},
 		{[]string{"-prom", filepath.Join(dir, "out.prom")}, 2, "flag provided but not defined: -prom"},
-		{small("-experiment", "scale", "-sizes", "1024,lots"), 1, `bad -sizes entry "lots"`},
-		{small("-experiment", "table1", "-levels", "-1"), 1, "-levels -1 out of range"},
-		{small("-experiment", "table1", "-levels", "12"), 1, "-levels 12 out of range: 2^levels partitions need 0 <= levels <= 30 and at most the -vertices 2048"},
-		{small("-experiment", "table5", "-vertices", "64", "-levels", "6"), 1, "-levels 6 out of range for table5, which sweeps to levels+1: its 128 partitions need at least as many -vertices, got 64"},
-		{small("-experiment", "all", "-vertices", "64", "-levels", "6"), 1, "-levels 6 out of range for table5"},
+		// was: exit 0, the argument ignored.
+		{small("-experiment", "table4", "extra"), 2, "positional args are not read: extra"},
+		{small("-experiment", "scale", "-sizes", "1024,lots"), 2, `bad -sizes entry "lots"`},
+		{small("-experiment", "table1", "-levels", "-1"), 2, "-levels -1 out of range: want 0 <= levels <= 30"},
+		{small("-experiment", "table1", "-levels", "12"), 2, "-vertices 2048 builds 2048 vertices, fewer than the 4096 partitions of -levels 12"},
+		{small("-experiment", "table5", "-vertices", "64", "-levels", "6"), 2, "-levels 6 out of range for table5, which sweeps to levels+1: its 128 partitions need at least as many vertices, -vertices 64 builds 64"},
+		{small("-experiment", "all", "-vertices", "64", "-levels", "6"), 2, "-levels 6 out of range for table5"},
+		// was: exit 0, the stitched generator's rounding unchecked.
+		{small("-experiment", "table4", "-vertices", "3", "-levels", "0"), 2, "-vertices 3 builds 0 vertices, fewer than the 1 partitions of -levels 0"},
 		{small("-experiment", "parallel"), 2, `unknown experiment "parallel"`},
 		{small("-experiment", "table1", "-machines", "0"), 1, "table1: cluster: a topology needs at least one machine, got 0"},
 		{small("-experiment", "table1", "-machines", "3"), 1, "table1: cluster: T2 needs machines that divide into pods and 1 or 2 switch levels, got 3 machines, 2 pods"},
@@ -158,7 +162,9 @@ func TestBadInvocations(t *testing.T) {
 		{small("-experiment", "cascade", "-iterations", "-1"), 1, "cascade: bench: the cascade study needs at least one iteration, got Iterations = -1"},
 		{small("-experiment", "fig11", "-machines", "4"), 1, "fig11: bench: figures 11-12 grow the cluster from 8 machines in steps of 8, got Machines = 4"},
 		// was: a failure naming Config.Levels once the scale row reached core.
-		{small("-experiment", "scale", "-sizes", "1024,10", "-levels", "6"), 1, "-sizes entry 10 out of range for -levels 6: its 64 partitions need at least as many vertices"},
+		{small("-experiment", "scale", "-sizes", "1024,10", "-levels", "6"), 2, "-sizes entry 10 builds 8 vertices, fewer than the 64 partitions of -levels 6"},
+		// was: exit 0 and a trajectory row of 0 vertices.
+		{small("-experiment", "scale", "-sizes", "3", "-levels", "0", "-vertices", "64"), 2, "-sizes entry 3 builds 0 vertices, fewer than the 1 partitions of -levels 0"},
 		// was: exit 0, the flag never read.
 		{small("-experiment", "table4", "-sizes", "100,200"), 2, "-sizes 100,200: -experiment table4 does not read it (only scale)"},
 		{small("-experiment", "all", "-sizes", "1024"), 2, "-sizes 1024: -experiment all does not read it (only scale)"},

@@ -33,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 42, "random seed")
 		out        = fs.String("out", "graph.srfg", "output file")
 	)
-	return cli.Run(fs, args, stderr, func([]string) error {
+	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
 		if !slices.Contains([]string{"social", "smallworld", "rmat", "uniform"}, *kind) {
 			return fmt.Errorf("unknown kind %q (want social, smallworld, rmat or uniform)", *kind)
 		}
@@ -89,5 +89,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "wrote %s: %d vertices, %d edges, %d bytes\n", *out, g.NumVertices(), g.NumEdges(), fi.Size())
 		return nil
-	})
+	}))
 }

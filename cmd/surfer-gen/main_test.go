@@ -61,6 +61,8 @@ func TestBadInvocations(t *testing.T) {
 	}{
 		{[]string{"-h"}, 0, "Usage of surfer-gen"},
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-gen"},
+		// was: exit 0, the argument ignored.
+		{[]string{"-vertices", "64", "-out", filepath.Join(dir, "g.srfg"), "extra"}, 2, "positional args are not read: extra"},
 		{[]string{"-kind", "torus"}, 1, `surfer-gen: unknown kind "torus"`},
 		{[]string{"-vertices", "-5"}, 1, "surfer-gen: -vertices -5: must not be negative"},
 		{[]string{"-kind", "rmat", "-scale", "-1"}, 1, "surfer-gen: -scale -1: want 0 <= scale <= 30"},

@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		match     = fs.String("match", "", "only render series whose name contains this substring")
 		width     = fs.Int("width", 48, "sparkline width in columns (dashboard)")
 	)
-	return cli.Run(fs, args, stderr, func([]string) error {
+	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
 		var set *metrics.Set
 		var alerts []metrics.Alert
 		var err error
@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		metrics.WriteDashboard(stdout, set, alerts, *width)
 		return nil
-	})
+	}))
 }
 
 // derive folds the captured stream into windowed series, exactly as a live

@@ -155,6 +155,8 @@ func TestBadInvocations(t *testing.T) {
 	}{
 		{[]string{"-h"}, 0, "Usage of surfer-metrics"},
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-metrics"},
+		// was: exit 0, the argument ignored.
+		{[]string{"-trace", events, "extra"}, 2, "positional args are not read: extra"},
 		{nil, 1, "pass -trace run.events (derive) or -series run.series (re-render)"},
 		{[]string{"-trace", events, "-series", series}, 1, "alternatives"},
 		{[]string{"-series", series, "-rules", missing}, 1, "-rules needs -trace"},

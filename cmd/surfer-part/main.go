@@ -34,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outDir    = fs.String("outdir", "", "write the bandwidth-aware partitions to this directory")
 		dotPath   = fs.String("dot", "", "write the partition sketch as Graphviz DOT to this file")
 	)
-	return cli.Run(fs, args, stderr, func([]string) error {
+	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
 		g, err := surfer.LoadGraph(*graphPath)
 		if err != nil {
 			return fmt.Errorf("loading graph %s: %v", *graphPath, err)
@@ -82,5 +82,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  inner vertex ratio:  %.1f%%\n", 100*ivr)
 		}
 		return nil
-	})
+	}))
 }

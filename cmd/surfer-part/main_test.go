@@ -99,6 +99,8 @@ func TestBadInputs(t *testing.T) {
 		want string
 	}{
 		{[]string{"-h"}, 0, "Usage of surfer-part"},
+		// was: exit 0, the argument ignored.
+		{[]string{"-graph", good, "-machines", "8", "extra"}, 2, "positional args are not read: extra"},
 		{[]string{"-graph", filepath.Join(dir, "missing.srfg")}, 1, "missing.srfg"},
 		{[]string{"-graph", write("empty.srfg", nil)}, 1, "empty.srfg"},
 		{[]string{"-graph", write("truncated.srfg", whole[:len(whole)/2])}, 1, "truncated.srfg"},

@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsWin = fs.Float64("metrics-window", 0.25, "metrics window length in virtual seconds")
 		rulesPath  = fs.String("rules", "", "JSON SLO alert rules evaluated live at every window seal; fired/resolved alerts land in the event stream (needs -metrics)")
 	)
-	return cli.Run(fs, args, stderr, func([]string) error {
+	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
 		if cli.Given(fs, "opt") && *primitive != "propagation" {
 			return cli.Usage(fmt.Errorf("-opt %s: -primitive %s does not read it (only propagation)", *optLevel, *primitive))
 		}
@@ -182,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "events:             %s (%d events)\n", *eventsOut, rec.Len())
 		}
 		return nil
-	})
+	}))
 }
 
 // parseKills decodes the -fail flag: a comma-separated list of machine@time

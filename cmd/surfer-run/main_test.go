@@ -132,6 +132,8 @@ func TestBadInvocations(t *testing.T) {
 	}{
 		{[]string{"-h"}, 0, "Usage of surfer-run"},
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-run"},
+		// was: exit 0, the argument ignored.
+		{small(g, "extra"), 2, "positional args are not read: extra"},
 		// was: "want vdd, rs, nr, rlg, tc or tfl", while accepting eight.
 		{small(g, "-app", "xyz"), 1, `unknown application "xyz" (want one of VDD, RS, NR, RLG, TC, TFL, CC, SSSP)`},
 		// was: log.Fatalf from inside a helper, after the deployment was built.

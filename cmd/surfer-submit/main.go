@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&sub.workers, "workers", 0, "worker pool size for partitioning and planning (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
 	fs.StringVar(&sub.faultsPath, "faults", "", "JSON fault-schedule file injected into the run")
 	fs.StringVar(&sub.eventsOut, "events", "", "write the raw event stream (with topology header) to this file for surfer-analyze")
-	return cli.Run(fs, args, stderr, func([]string) error {
+	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
 		if *gen > 0 {
 			if *tenants <= 0 {
 				return fmt.Errorf("-tenants %d: must be positive", *tenants)
@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return generate(stdout, *out, jobsvc.GenConfig{Jobs: *gen, Tenants: *tenants, MaxPriority: *maxPriority, Seed: sub.seed})
 		}
 		return submit(stdout, sub)
-	})
+	}))
 }
 
 // generate writes a seeded arrival workload to path.

@@ -122,6 +122,8 @@ func TestBadInvocations(t *testing.T) {
 	}{
 		// was: exit 2, where the other nine tools exit 0.
 		{[]string{"-h"}, 0, "Usage of surfer-submit"},
+		// was: exit 0, the argument ignored.
+		{[]string{"-gen", "2", "-out", gen, "extra"}, 2, "positional args are not read: extra"},
 		{nil, 1, "nothing to do"},
 		{[]string{"-jobs", "/nonexistent/jobs.json"}, 1, "/nonexistent/jobs.json: no such file"},
 		{[]string{"-jobs", write("empty.json", "")}, 1, "empty.json: "},

@@ -38,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		levelsMax = fs.Int("levels-max", 0, "partition-count sweep upper bound (log2, 0 = levels+2)")
 		jsonOut   = fs.String("json", "", "write the result as a surfer-bench/v1 report to this file")
 	)
-	return cli.Run(fs, args, stderr, func([]string) error {
+	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
 		if hi := cmp.Or(*levelsMax, *levels+2); *levelsMin < 1 || *levelsMax < 0 || *levels < *levelsMin || *levels > hi {
 			return fmt.Errorf("-levels %d, -levels-min %d, -levels-max %d: want 1 <= -levels-min <= -levels <= -levels-max (0 = -levels+2)", *levels, *levelsMin, *levelsMax)
 		}
@@ -57,5 +57,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return bench.WriteReport(*jsonOut, bench.FromTune(cfg, res))
 		}
 		return nil
-	})
+	}))
 }

@@ -43,6 +43,8 @@ func TestBadInvocations(t *testing.T) {
 	}{
 		{[]string{"-h"}, 0, "Usage of surfer-tune"},
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-tune"},
+		// was: exit 0, the argument ignored.
+		{[]string{"-vertices", "256", "extra"}, 2, "positional args are not read: extra"},
 		{[]string{"-objective", "wall"}, 2, "flag provided but not defined: -objective"},
 		{[]string{"-budget", "24"}, 2, "flag provided but not defined: -budget"},
 		{[]string{"-app", "xyz", "-vertices", "256"}, 1, `unknown application "xyz"`},

@@ -61,6 +61,10 @@ func (ccProgram) Transfer(_ graph.VertexID, label uint32, dst graph.VertexID, em
 	emit(dst, label)
 }
 
+// Scatter is Transfer's one value along every out-edge
+// (propagation.Scatterer).
+func (ccProgram) Scatter(_ graph.VertexID, label uint32) (uint32, bool) { return label, true }
+
 func (ccProgram) Combine(v graph.VertexID, prev uint32, values []uint32) uint32 {
 	for _, l := range values {
 		prev = min(prev, l)

@@ -39,6 +39,12 @@ func (p *nrProgram) Transfer(src graph.VertexID, rank float64, dst graph.VertexI
 	emit(dst, rank*Damping/float64(p.g.OutDegree(src)))
 }
 
+// Scatter is Transfer's one value along every out-edge of src
+// (propagation.Scatterer).
+func (p *nrProgram) Scatter(src graph.VertexID, rank float64) (float64, bool) {
+	return rank * Damping / float64(p.g.OutDegree(src)), true
+}
+
 func (p *nrProgram) Combine(_ graph.VertexID, _ float64, values []float64) float64 {
 	sum := 0.0
 	for _, r := range values {

@@ -32,11 +32,17 @@ func (rlgProgram) Transfer(src graph.VertexID, _ []graph.VertexID, dst graph.Ver
 	emit(dst, []graph.VertexID{src})
 }
 
+// Scatter is Transfer's one value along every out-edge of src, built once
+// per vertex instead of once per edge (propagation.Scatterer).
+func (rlgProgram) Scatter(src graph.VertexID, _ []graph.VertexID) ([]graph.VertexID, bool) {
+	return []graph.VertexID{src}, true
+}
+
 func (rlgProgram) Combine(_ graph.VertexID, _ []graph.VertexID, values [][]graph.VertexID) []graph.VertexID {
-	var out []graph.VertexID
-	for _, l := range values {
-		out = append(out, l...)
-	}
+	// The bag's lists are concatenated into one slice allocated at its
+	// exact length (nil for an empty bag, as ReferenceRLG leaves a vertex
+	// with no in-edges) and sorted in place.
+	out := slices.Concat(values...)
 	slices.Sort(out)
 	return out
 }
@@ -51,10 +57,10 @@ func (rlgProgram) Bytes(l []graph.VertexID) int64 {
 func (rlgProgram) Associative() bool { return true }
 
 func (rlgProgram) Merge(_ graph.VertexID, values [][]graph.VertexID) []graph.VertexID {
-	var out []graph.VertexID
-	for _, l := range values {
-		out = append(out, l...)
-	}
+	// A new slice at its exact length, as in Combine, never one of the
+	// values' lists: Scatter sends one list along all of a source's
+	// out-edges, so each may sit in many bags.
+	out := slices.Concat(values...)
 	slices.Sort(out)
 	return out
 }

@@ -77,6 +77,10 @@ func (p *rsProgram) Transfer(_ graph.VertexID, use uint8, dst graph.VertexID, em
 	}
 }
 
+// Scatter is Transfer's one value along every out-edge of a user
+// (propagation.Scatterer).
+func (p *rsProgram) Scatter(_ graph.VertexID, use uint8) (uint8, bool) { return 1, use == 1 }
+
 func (p *rsProgram) Combine(v graph.VertexID, prev uint8, values []uint8) uint8 {
 	if prev == 1 {
 		return 1

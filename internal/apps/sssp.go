@@ -52,6 +52,15 @@ func (p *ssspProgram) Transfer(_ graph.VertexID, dist int32, dst graph.VertexID,
 	}
 }
 
+// Scatter is Transfer's one value along every out-edge of a reached vertex
+// (propagation.Scatterer).
+func (p *ssspProgram) Scatter(_ graph.VertexID, dist int32) (int32, bool) {
+	if dist == Unreachable {
+		return 0, false
+	}
+	return dist + 1, true
+}
+
 func (p *ssspProgram) Combine(_ graph.VertexID, prev int32, values []int32) int32 {
 	for _, d := range values {
 		prev = min(prev, d)

@@ -41,6 +41,15 @@ func (p *tflProgram) Transfer(src graph.VertexID, _ []graph.VertexID, dst graph.
 	emit(dst, p.g.Neighbors(src))
 }
 
+// Scatter is Transfer's one value along every out-edge of src
+// (propagation.Scatterer).
+func (p *tflProgram) Scatter(src graph.VertexID, _ []graph.VertexID) ([]graph.VertexID, bool) {
+	if !Selected(uint32(src), p.ratio) {
+		return nil, false
+	}
+	return p.g.Neighbors(src), true
+}
+
 func (p *tflProgram) Combine(_ graph.VertexID, _ []graph.VertexID, values [][]graph.VertexID) []graph.VertexID {
 	return distinctUnion(values)
 }

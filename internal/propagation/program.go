@@ -75,6 +75,15 @@ type VertexTransferrer[V any] interface {
 	TransferVertex(v graph.VertexID, val V, emit Emit[V])
 }
 
+// Scatterer is an optional fast path for a Transfer that emits one value, a
+// function of the source alone, along every out-edge: Scatter returns it, or
+// false when Transfer emits nothing. The executor then calls it once per
+// vertex with out-edges instead of Transfer once per edge, making the same
+// emissions in the same order (so every bag shares the one value).
+type Scatterer[V any] interface {
+	Scatter(src graph.VertexID, val V) (V, bool)
+}
+
 // NonAssociative is a mixin providing the two methods of Program that
 // non-associative programs do not support.
 type NonAssociative[V any] struct{}

@@ -352,8 +352,8 @@ func (ex *execution[V]) run() *State[V] {
 	return next
 }
 
-// transferPart runs one partition's Transfer calls along its emission plan
-// and flushes the grouped values into its log. It writes only
+// transferPart runs one partition's Transfer (or Scatter) calls along its
+// emission plan and flushes the grouped values into its log. It writes only
 // partition-indexed slots (stateRead[p], its partScratch), so concurrent
 // invocations for different partitions never share state.
 func (ex *execution[V]) transferPart(p int) {
@@ -361,6 +361,7 @@ func (ex *execution[V]) transferPart(p int) {
 	ps := &ex.sc.parts[p]
 	ps.next, ps.collecting = 0, false
 	vt, hasVT := any(ex.prog).(VertexTransferrer[V])
+	sc, hasSc := any(ex.prog).(Scatterer[V])
 	// An emission naming the destination the plan expects is one compare and
 	// one store: partition, kind and group were decided when the plan was
 	// built. Any other leaves the plan for good.
@@ -382,8 +383,14 @@ func (ex *execution[V]) transferPart(p int) {
 		if hasVT {
 			vt.TransferVertex(u, val, emit)
 		}
-		for _, dst := range ex.pg.G.Neighbors(u) {
-			ex.prog.Transfer(u, val, dst, emit)
+		if ns := ex.pg.G.Neighbors(u); !hasSc {
+			for _, dst := range ns {
+				ex.prog.Transfer(u, val, dst, emit)
+			}
+		} else if len(ns) > 0 {
+			if v, ok := sc.Scatter(u, val); ok {
+				ex.scatter(pi, ps, ns, v)
+			}
 		}
 	}
 	ex.stateRead[p] = stateRead
@@ -415,6 +422,19 @@ func (ex *execution[V]) transferPart(p int) {
 			ps.log.Vals[start] = ex.prog.Merge(g.Key, ps.log.Vals[start:g.End:g.End])
 		}
 		start = g.End
+	}
+}
+
+// scatter emits v to each destination in ns as emit would, without a call per
+// edge while the plan names them; the first it does not name leaves the plan.
+func (ex *execution[V]) scatter(pi *storage.PartInfo, ps *partScratch[V], ns []graph.VertexID, v V) {
+	slots, vals, i := ps.slots, ps.log.Vals, ps.next
+	for ; len(ns) > 0 && i < len(slots) && slots[i].Key == ns[0]; i, ns = i+1, ns[1:] {
+		vals[slots[i].Pos] = v
+	}
+	ps.next = i
+	for _, d := range ns {
+		ex.collect(pi, ps, d, v)
 	}
 }
 
