@@ -15,6 +15,13 @@ import (
 // Identical arguments give identical streams.
 func Capture(n, machines int) []trace.Event {
 	rec := trace.NewRecorder()
+	Record(rec, n, machines)
+	return rec.Events()
+}
+
+// Record emits Capture's stream into rec, so an observer attached to rec
+// sees it live, until rec holds at least n events.
+func Record(rec *trace.Recorder, n, machines int) {
 	x := uint64(42)
 	next := func(mod int) int {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -83,5 +90,4 @@ func Capture(n, machines int) []trace.Event {
 		job.Stage = ""
 		mark(trace.KindJobEnd, cause, t)
 	}
-	return rec.Events()
 }
