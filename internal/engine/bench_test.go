@@ -82,7 +82,7 @@ func TestRunJobsAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
-	const machines, producers, combiners, ceiling = 8, 32, 8, 436
+	const machines, producers, combiners, ceiling = 8, 32, 8, 222
 	topo := cluster.NewT1(machines)
 	var jobs []*engine.Job
 	for j := 0; j < 3; j++ {

@@ -55,11 +55,18 @@ type event struct {
 // event records across pushes, stages and jobs. The event loop pops one
 // event per task completion and per transfer; at millions of events the
 // 4-ary layout halves the sift-down depth of a binary heap and the freelist
-// keeps the loop allocation-free in steady state.
+// keeps the loop allocation-free in steady state. Records the freelist
+// cannot supply are carved from slab, a block sized to the queue, so a run
+// allocates records per block rather than per event; a record never moves,
+// as the heap and the freelist hold pointers to it.
 type eventQueue struct {
 	h    []*event
 	free []*event
+	slab []event
 }
+
+// A new slab holds as many records as the queue, within these bounds.
+const minSlab, maxSlab = 64, 4096
 
 func (q *eventQueue) Len() int { return len(q.h) }
 
@@ -82,7 +89,12 @@ func (q *eventQueue) alloc() *event {
 		*e = event{}
 		return e
 	}
-	return &event{}
+	if len(q.slab) == 0 {
+		q.slab = make([]event, min(max(len(q.h), minSlab), maxSlab))
+	}
+	e := &q.slab[0]
+	q.slab = q.slab[1:]
+	return e
 }
 
 // recycle returns a popped event to the freelist. The caller must not hold

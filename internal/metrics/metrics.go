@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/trace"
@@ -82,6 +83,13 @@ type Collector struct {
 	// counters are the series fed through counter(), which alone hold a
 	// level between events and so alone need flushing at a seal.
 	counters []*series
+	// Series records come from chunks that never move, as the tables above
+	// hold pointers to them; each accumulator starts as a capped window,
+	// presize long, of a shared slab; and each name is sliced out of one
+	// builder, which never rewrites the bytes it has handed out.
+	chunk []series
+	slab  []float64
+	names strings.Builder
 
 	lastSeq []int // per window: Seq of the last event whose Time fell in it
 	// queuedAt maps a queued job's spec ID to its job-queued time, for the
@@ -237,12 +245,51 @@ type tenantSeries struct {
 	s      *series
 }
 
+// A new chunk of series, or of their accumulators' slab, holds as many
+// series as exist so far, within these bounds.
+const minChunk, maxChunk = 16, 1024
+
 // newSeries registers the series id under key.
 func (c *Collector) newSeries(id seriesID, key string) *series {
-	s := &series{id: id, key: key, class: families[id.f].class, acc: make([]float64, 0, c.presize)}
+	n := min(max(len(c.all), minChunk), maxChunk)
+	if len(c.chunk) == 0 {
+		c.chunk = make([]series, n)
+	}
+	s := &c.chunk[0]
+	c.chunk = c.chunk[1:]
+	*s = series{id: id, key: key, class: families[id.f].class}
+	if c.presize > 0 {
+		if len(c.slab) < c.presize {
+			c.slab = make([]float64, n*c.presize)
+		}
+		s.acc = c.slab[:0:c.presize]
+		c.slab = c.slab[c.presize:]
+	}
 	c.all = append(c.all, s)
 	c.sorted = false
 	return s
+}
+
+// name renders family f's series name with the given suffix parts (an ID
+// where a is not negative, ">"+ID where b is not, ":"+tenant where tenant
+// is set) into the collector's name builder and returns it.
+func (c *Collector) name(f family, a, b int, tenant string) string {
+	start := c.names.Len()
+	c.names.WriteString(families[f].name)
+	var buf [20]byte
+	if a >= 0 {
+		c.names.WriteByte(':')
+		c.names.Write(strconv.AppendInt(buf[:0], int64(a), 10))
+	}
+	if b >= 0 {
+		c.names.WriteByte('>')
+		c.names.Write(strconv.AppendInt(buf[:0], int64(b), 10))
+	}
+	if tenant != "" {
+		c.names.WriteByte(':')
+		c.names.WriteString(tenant)
+	}
+	return c.names.String()[start:]
 }
 
 // at returns (creating if needed) family f's series of the directed link
@@ -266,14 +313,7 @@ func (c *Collector) at(f family, a, b int) *series {
 		s = c.dense[f][idx]
 	}
 	if s == nil {
-		key := families[f].name
-		if a >= 0 {
-			key += ":" + strconv.Itoa(a)
-		}
-		if b >= 0 {
-			key += ">" + strconv.Itoa(b)
-		}
-		s = c.newSeries(id, key)
+		s = c.newSeries(id, c.name(f, a, b, ""))
 		if dense {
 			c.dense[f][idx] = s
 		} else {
@@ -293,7 +333,7 @@ func (c *Collector) tenant(f family, name string) *series {
 			return t.s
 		}
 	}
-	s := c.newSeries(seriesID{f, trace.None, trace.None}, families[f].name+":"+name)
+	s := c.newSeries(seriesID{f, trace.None, trace.None}, c.name(f, trace.None, trace.None, name))
 	c.tenants = append(c.tenants, tenantSeries{f, name, s})
 	return s
 }

@@ -14,7 +14,9 @@ const (
 
 // Set is the exported form of a collection run: every series padded to the
 // same window count, sorted by name (natural order, so machine-tasks:2
-// precedes machine-tasks:10).
+// precedes machine-tasks:10). In a set a Collector exports, each series'
+// Values may be a capped window of a slab that other series' windows share:
+// appending to Values reallocates it and never reaches a neighbour.
 type Set struct {
 	Format  string   `json:"format"`
 	Version int      `json:"version"`
@@ -120,8 +122,8 @@ func (s *series) value(w int, window float64) float64 {
 }
 
 // export renders the series over nw windows. A sum or an average hands
-// over its accumulator, extended with zeros and divided in place: the
-// series is read no more once the collector has finished.
+// over its accumulator, extended with zeros and divided in place, capped at
+// nw: the series is read no more once the collector has finished.
 func (s *series) export(nw int, window float64) []float64 {
 	if s.class == classP99 {
 		out := make([]float64, nw)
@@ -135,7 +137,7 @@ func (s *series) export(nw int, window float64) []float64 {
 	if len(out) < nw {
 		out = append(out, make([]float64, nw-len(out))...)
 	}
-	out = out[:nw]
+	out = out[:nw:nw]
 	if s.class == classAvg {
 		for w := range out {
 			out[w] /= window

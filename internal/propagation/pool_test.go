@@ -61,13 +61,13 @@ func TestSteadyStateAllocsPerMessageZero(t *testing.T) {
 		ceiling float64
 		allocs  func(t *testing.T, n int) float64
 	}{
-		{"plain", 113, func(t *testing.T, n int) float64 {
+		{"plain", 50, func(t *testing.T, n int) float64 {
 			return steadyAllocs[int64](t, n, sumProgram{}, o4, false)
 		}},
-		{"virtual", 116, func(t *testing.T, n int) float64 {
+		{"virtual", 53, func(t *testing.T, n int) float64 {
 			return steadyAllocs[float64](t, n, degreeLike{n: n, buckets: 64}, virtual, false)
 		}},
-		{"tree", 203, func(t *testing.T, n int) float64 {
+		{"tree", 140, func(t *testing.T, n int) float64 {
 			return steadyAllocs[float64](t, n, degreeLike{n: n, buckets: 64}, virtual, true)
 		}},
 	} {

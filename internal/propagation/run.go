@@ -45,6 +45,9 @@ type scratch[V any] struct {
 	// that pass's workspace (all-zero outside gatherPart).
 	bags   [][]V
 	counts []int32
+	// names are the iteration job's task names, rendered once for every
+	// plan on the graph: "transfer-p<i>" at i, "combine-p<i>" at P+i.
+	names []string
 }
 
 // planKey is what, besides the graph, a destination's classification depends
@@ -102,6 +105,10 @@ func newScratch[V any](pg *storage.PartitionedGraph) *scratch[V] {
 		enc:    partition.NewEncoding(pg.Part),
 		bags:   make([][]V, n),
 		counts: make([]int32, n),
+		names:  make([]string, 2*p),
+	}
+	for i := 0; i < p; i++ {
+		sc.names[i], sc.names[p+i] = fmt.Sprintf("transfer-p%d", i), fmt.Sprintf("combine-p%d", i)
 	}
 	// The logs' offsets, P+1 owners each, in one allocation.
 	off := make([]int32, p*(p+2))
@@ -677,12 +684,29 @@ func (ex *execution[V]) buildJob(name string) *engine.Job {
 			ex.receivedBytes[q] += t.outBytes[k]
 		}
 	}
-	transfer := make([]*engine.Task, p)
-	combine := make([]*engine.Task, p)
+	// The Transfer and Combine tasks come from one slab of 2P records, their
+	// stages' task lists from one of 2P pointers, and every transfer task's
+	// outputs are a capped window of one slab sized by counting them.
+	nout := 0
+	for _, b := range ex.remoteBytes {
+		if b > 0 {
+			nout++
+		}
+	}
+	if aggregate != nil {
+		for _, b := range ex.tree.toAgg {
+			if b > 0 {
+				nout++
+			}
+		}
+	}
+	outs := make([]engine.Output, 0, nout)
+	tasks, ptrs := make([]engine.Task, 2*p), make([]*engine.Task, 2*p)
+	transfer, combine := ptrs[:p:p], ptrs[p:]
 	for i := 0; i < p; i++ {
 		pi := ex.pg.Parts[i]
 		m := ex.pl.MachineOf[i]
-		var outs []engine.Output
+		first := len(outs)
 		for q := 0; q < p; q++ {
 			if b := ex.remoteBytes[i*p+q]; b > 0 {
 				outs = append(outs, engine.Output{DstTask: q, Bytes: b})
@@ -693,18 +717,23 @@ func (ex *execution[V]) buildJob(name string) *engine.Job {
 				outs = append(outs, engine.Output{DstTask: aggTask[ex.tree.pod[i]*p+q], Bytes: b})
 			}
 		}
-		transfer[i] = &engine.Task{
-			Name:      fmt.Sprintf("transfer-p%d", i),
+		var own []engine.Output
+		if len(outs) > first {
+			own = outs[first:len(outs):len(outs)]
+		}
+		transfer[i], combine[i] = &tasks[i], &tasks[p+i]
+		*transfer[i] = engine.Task{
+			Name:      ex.sc.names[i],
 			Kind:      engine.KindTransfer,
 			Part:      partition.PartID(i),
 			Machine:   m,
 			Compute:   computePerEdge * float64(pi.OutEdges()),
 			DiskRead:  pi.Bytes + ex.stateRead[i],
 			DiskWrite: ex.localBytes[i],
-			Outputs:   outs,
+			Outputs:   own,
 		}
-		combine[i] = &engine.Task{
-			Name:    fmt.Sprintf("combine-p%d", i),
+		*combine[i] = engine.Task{
+			Name:    ex.sc.names[p+i],
 			Kind:    engine.KindCombine,
 			Part:    partition.PartID(i),
 			Machine: m,
