@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // Builder accumulates directed edges and produces an immutable Graph.
 // It tolerates unsorted and duplicate input; Build sorts each adjacency list
@@ -61,7 +61,7 @@ func (b *Builder) Build() *Graph {
 	for v := 0; v < b.n; v++ {
 		lo, hi := offsets[v], offsets[v+1]
 		list := targets[lo:hi]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		slices.Sort(list)
 		outOff[v] = w
 		var prev VertexID
 		first := true

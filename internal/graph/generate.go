@@ -107,14 +107,19 @@ func DefaultSmallWorld(n int, seed int64) SmallWorldConfig {
 // generator adds the reverse direction with probability 0.5 to keep the
 // graph strongly-connected-ish without doubling every edge.
 func SmallWorld(cfg SmallWorldConfig) *Graph {
-	n := cfg.Components * cfg.VerticesPerComponent
+	b := NewBuilder(cfg.Components * cfg.VerticesPerComponent).DropSelfLoops()
+	addSmallWorld(b, cfg)
+	return b.Build()
+}
+
+// addSmallWorld emits the edges of the stitched small-world graph cfg
+// describes into b, which spans its vertices.
+func addSmallWorld(b *Builder, cfg SmallWorldConfig) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	b := NewBuilder(n).DropSelfLoops()
 	for c := 0; c < cfg.Components; c++ {
 		base := c * cfg.VerticesPerComponent
-		addWattsStrogatz(b, rng, base, cfg.VerticesPerComponent, cfg.K, cfg.Beta, n, cfg.RewireRatio)
+		addWattsStrogatz(b, rng, base, cfg.VerticesPerComponent, cfg.K, cfg.Beta, b.n, cfg.RewireRatio)
 	}
-	return b.Build()
 }
 
 // addWattsStrogatz emits the edges of one component. An edge is first
@@ -161,19 +166,16 @@ func DefaultSocial(n int, seed int64) SocialConfig {
 }
 
 // Social generates the hybrid social graph: the union of a stitched
-// small-world graph and an R-MAT overlay on the same vertex set.
+// small-world graph and an R-MAT overlay on the same vertex set, built once:
+// the small-world edges go into the overlay's builder as they are drawn.
 func Social(cfg SocialConfig) *Graph {
-	base := SmallWorld(cfg.SmallWorld)
-	n := base.NumVertices()
+	n := cfg.SmallWorld.Components * cfg.SmallWorld.VerticesPerComponent
 	scale := 0
 	for (1 << (scale + 1)) <= n {
 		scale++
 	}
 	b := NewBuilder(n).DropSelfLoops()
-	base.ForEachEdge(func(u, v VertexID) bool {
-		b.AddEdge(u, v)
-		return true
-	})
+	addSmallWorld(b, cfg.SmallWorld)
 	rng := rand.New(rand.NewSource(cfg.Seed + 0x5F5E1))
 	rcfg := DefaultRMAT(scale, cfg.HubEdgeFactor, cfg.Seed)
 	m := (1 << scale) * cfg.HubEdgeFactor

@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestRMATDeterministic(t *testing.T) {
 	a := RMAT(DefaultRMAT(10, 8, 42))
@@ -129,5 +132,63 @@ func TestBFSUnreachable(t *testing.T) {
 	d := g.BFSDistances(0)
 	if d[2] != -1 {
 		t.Fatalf("unreachable vertex has dist %d", d[2])
+	}
+}
+
+// socialTwoBuilds is Social as it was first written, the reference its
+// one-builder form is held to: the small-world graph built on its own, its
+// edges re-added to a second builder beside the R-MAT overlay's.
+func socialTwoBuilds(cfg SocialConfig) *Graph {
+	base := SmallWorld(cfg.SmallWorld)
+	n := base.NumVertices()
+	scale := 0
+	for (1 << (scale + 1)) <= n {
+		scale++
+	}
+	b := NewBuilder(n).DropSelfLoops()
+	base.ForEachEdge(func(u, v VertexID) bool {
+		b.AddEdge(u, v)
+		return true
+	})
+	rng := rand.New(rand.NewSource(cfg.Seed + 0x5F5E1))
+	rcfg := DefaultRMAT(scale, cfg.HubEdgeFactor, cfg.Seed)
+	for i := 0; i < (1<<scale)*cfg.HubEdgeFactor; i++ {
+		if u, v := rmatEdge(rng, rcfg); u != v {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.Build()
+}
+
+// TestSocialMatchesTwoBuilds holds Social to its reference bit for bit at
+// several sizes and seeds, and at the benchmark workloads' 262k (not with
+// -short).
+func TestSocialMatchesTwoBuilds(t *testing.T) {
+	type row struct {
+		n    int
+		seed int64
+	}
+	rows := []row{{1000, 1}, {1000, 7}, {4096, 42}, {16384, 1}, {65536, 7}, {65536, 42}}
+	if !testing.Short() {
+		rows = append(rows, row{262144, 7})
+	}
+	for _, r := range rows {
+		cfg := DefaultSocial(r.n, r.seed)
+		if got, want := Social(cfg), socialTwoBuilds(cfg); !got.Equal(want) {
+			t.Errorf("Social(%d, seed %d): %d edges, the two-build reference %d", r.n, r.seed, got.NumEdges(), want.NumEdges())
+		}
+	}
+}
+
+// BenchmarkSocial is the benchmark workloads' graph generator at 262k
+// vertices (16k with -short).
+func BenchmarkSocial(b *testing.B) {
+	n := 262144
+	if testing.Short() {
+		n = 16384
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		Social(DefaultSocial(n, 42))
 	}
 }
