@@ -150,10 +150,10 @@ func TestReadEventsAllocations(t *testing.T) {
 }
 
 // TestWriterAllocations pins what each writer allocates over one small
-// capture, at the counts measured when WriteChrome moved onto the codec's
-// append helpers: WriteEvents allocates its block buffer; WriteChrome that,
-// the run labels and a name per machine lane, transfer, drop and retry row.
-// An allocation per field would add thousands.
+// capture, at the measured counts: WriteEvents allocates its block buffer;
+// WriteChrome that, the run labels, and each machine's process name and row
+// names (transfer, migration, drop, retry), rendered once per machine. An
+// allocation per row or per field would add thousands.
 func TestWriterAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
@@ -165,7 +165,7 @@ func TestWriterAllocations(t *testing.T) {
 		write   func() error
 	}{
 		{"WriteEvents", 1, func() error { return trace.WriteEvents(io.Discard, nil, events) }},
-		{"WriteChrome", 6234, func() error { return trace.WriteChrome(io.Discard, events) }},
+		{"WriteChrome", 85, func() error { return trace.WriteChrome(io.Discard, events) }},
 	} {
 		allocs := testing.AllocsPerRun(3, func() {
 			if err := w.write(); err != nil {

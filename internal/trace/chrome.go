@@ -28,6 +28,21 @@ const (
 	laneIngress
 )
 
+// The rows named after the machine at a link's other end: a transfer's two
+// spans, a migration's two, a drop's and a transfer retry's.
+const (
+	rowSend = iota
+	rowRecv
+	rowMigrateSend
+	rowMigrateRecv
+	rowDrop
+	rowRetry
+	numRows
+)
+
+// rowPrefix is each row's name before its "mNN" machine suffix.
+var rowPrefix = [numRows]string{"send→", "recv←", "migrate→", "migrate←", "drop→", "transfer-retry→"}
+
 // WriteChrome writes the event stream as Chrome trace_event JSON, one event
 // per line inside the traceEvents array so diffs and golden files stay
 // readable, in blocks of at least writeBlock bytes (the last one excepted).
@@ -60,6 +75,17 @@ func WriteChrome(w io.Writer, events []Event) error {
 		return appendFloat(dst, key, us, false)
 	}
 	num := func(dst []byte, key string, v int) []byte { return appendInt(dst, key, int64(v), false) }
+	// rowName is row's name toward machine m, rendered once per machine.
+	names := make([][numRows]string, maxMachine+1)
+	rowName := func(row, m int) string {
+		if m < 0 || m > maxMachine {
+			return fmt.Sprintf("%sm%02d", rowPrefix[row], m)
+		}
+		if names[m][row] == "" {
+			names[m][row] = fmt.Sprintf("%sm%02d", rowPrefix[row], m)
+		}
+		return names[m][row]
+	}
 	// emit appends one row, flushing the buffer once it holds a block; a
 	// nil args leaves the args object out.
 	emit := func(name, ph, cat string, pid, tid int, ts, dur float64, scope string, args []byte) {
@@ -112,7 +138,7 @@ func WriteChrome(w io.Writer, events []Event) error {
 	// pair renders a transfer or a migration, which hold two NICs: a span on
 	// the sender's egress lane and one on the receiver's ingress lane,
 	// sharing one payload.
-	pair := func(send, recv, cat string, ev *Event) {
+	pair := func(send, recv int, cat string, ev *Event) {
 		args := scratch[:0]
 		if ev.Part != None {
 			args = num(args, `,"part":`, ev.Part)
@@ -121,8 +147,8 @@ func WriteChrome(w io.Writer, events []Event) error {
 		if ev.Incast && ev.Kind == KindTransfer {
 			args = append(args, `,"incast":true`...)
 		}
-		span(fmt.Sprintf("%sm%02d", send, ev.Dst), cat, ev.Machine, laneEgress, ev.Start, ev.End, args)
-		span(fmt.Sprintf("%sm%02d", recv, ev.Machine), cat, ev.Dst, laneIngress, ev.Start, ev.End, args)
+		span(rowName(send, ev.Dst), cat, ev.Machine, laneEgress, ev.Start, ev.End, args)
+		span(rowName(recv, ev.Machine), cat, ev.Dst, laneIngress, ev.Start, ev.End, args)
 	}
 
 	// Metadata: name every machine process and its lanes, then the job row.
@@ -165,15 +191,15 @@ func WriteChrome(w io.Writer, events []Event) error {
 		case KindTransferDrop:
 			// The failed attempt held the sender's egress NIC from Start until
 			// the timeout at End: a span shows the wasted NIC time.
-			span(fmt.Sprintf("drop→m%02d", ev.Dst), "fault", ev.Machine, laneEgress, ev.Start, ev.End, link(scratch[:0], ev))
+			span(rowName(rowDrop, ev.Dst), "fault", ev.Machine, laneEgress, ev.Start, ev.End, link(scratch[:0], ev))
 		case KindTransferRetry:
-			instant(fmt.Sprintf("transfer-retry→m%02d", ev.Dst), "fault", ev.Machine, laneEgress, ev.Time, "t",
+			instant(rowName(rowRetry, ev.Dst), "fault", ev.Machine, laneEgress, ev.Time, "t",
 				num(scratch[:0], `,"dst":`, ev.Dst))
 		case KindTransfer:
-			pair("send→", "recv←", "transfer", ev)
+			pair(rowSend, rowRecv, "transfer", ev)
 		case KindPartitionMigrate:
 			// Labeled so drain traffic is distinguishable from app traffic.
-			pair("migrate→", "migrate←", "elastic", ev)
+			pair(rowMigrateSend, rowMigrateRecv, "elastic", ev)
 		}
 	}
 	if err == nil {
