@@ -30,6 +30,34 @@ func Given(fs *flag.FlagSet, name string) (given bool) {
 	return given
 }
 
+// Unread refuses the flags among names that the command line set but the
+// mode it chose, described by mode, would not read: a usage error naming
+// each with its value, nil when none was set.
+func Unread(fs *flag.FlagSet, mode string, names ...string) error {
+	var set []string
+	for _, name := range names {
+		if Given(fs, name) {
+			set = append(set, "-"+name+" "+fs.Lookup(name).Value.String())
+		}
+	}
+	switch len(set) {
+	case 0:
+		return nil
+	case 1:
+		return Usage(fmt.Errorf("%s: %s does not read it", set[0], mode))
+	}
+	return Usage(fmt.Errorf("%s: %s does not read them", strings.Join(set, ", "), mode))
+}
+
+// Workers refuses a negative -workers, which no pool size means; 0 is
+// GOMAXPROCS.
+func Workers(n int) error {
+	if n < 0 {
+		return Usage(fmt.Errorf("-workers %d: must not be negative (0 = GOMAXPROCS, 1 = serial)", n))
+	}
+	return nil
+}
+
 type usageError struct{ error }
 
 // Usage marks err as the command line's fault: Run exits 2 on it, not 1.

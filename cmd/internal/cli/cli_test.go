@@ -111,3 +111,36 @@ func TestWriteFile(t *testing.T) {
 		t.Error("creating a file below a file succeeded")
 	}
 }
+
+// TestUnread: the flags a mode would not read are refused with exit 2,
+// named with their values in the order given; a flag left at its default,
+// or set but read, is not named.
+func TestUnread(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{nil, 0, ""},
+		{[]string{"-kept", "1"}, 0, ""},
+		{[]string{"-b", "x"}, 2, "tool: -b x: mode m does not read it\n"},
+		{[]string{"-b", "x", "-a", "2", "-kept", "1"}, 2, "tool: -a 2, -b x: mode m does not read them\n"},
+		{[]string{"-workers", "-1"}, 2, "tool: -workers -1: must not be negative (0 = GOMAXPROCS, 1 = serial)\n"},
+	} {
+		var stderr bytes.Buffer
+		fs := Flags("tool", &stderr)
+		fs.Int("a", 0, "")
+		fs.String("b", "", "")
+		fs.Int("kept", 0, "")
+		workers := fs.Int("workers", 0, "")
+		code := Run(fs, tc.args, &stderr, NoArgs(func() error {
+			if err := Workers(*workers); err != nil {
+				return err
+			}
+			return Unread(fs, "mode m", "a", "b")
+		}))
+		if code != tc.code || stderr.String() != tc.stderr {
+			t.Errorf("%q: exit %d, stderr %q; want exit %d, stderr %q", tc.args, code, stderr.String(), tc.code, tc.stderr)
+		}
+	}
+}

@@ -55,6 +55,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memProfile = fs.String("memprofile", "", "write a heap pprof profile at exit to this file (go tool pprof)")
 	)
 	return cli.Run(fs, args, stderr, cli.NoArgs(func() (err error) {
+		if err := cli.Workers(*workers); err != nil {
+			return err
+		}
 		selected, err := bench.SelectExperiments(*experiment)
 		if err != nil {
 			return cli.Usage(err)

@@ -169,6 +169,8 @@ func TestBadInvocations(t *testing.T) {
 		{small("-experiment", "table4", "-sizes", "100,200"), 2, "-sizes 100,200: -experiment table4 does not read it (only scale)"},
 		{small("-experiment", "all", "-sizes", "1024"), 2, "-sizes 1024: -experiment all does not read it (only scale)"},
 		{small("-experiment", "table4", "-iterations", "7"), 2, "-iterations 7: -experiment table4 does not read it (only cascade)"},
+		// was: exit 0, read as GOMAXPROCS.
+		{small("-experiment", "table4", "-workers", "-2"), 2, "-workers -2: must not be negative"},
 		{small("-experiment", "table4", "-json", filepath.Join(dir, "no", "dir", "r.json")), 1, "writing bench report"},
 		{small("-experiment", "table1", "-cpuprofile", filepath.Join(dir, "no", "dir", "cpu.prof")), 1, "cpu profile"},
 		{small("-faults", filepath.Join(dir, "missing.json")), 1, "missing.json"},

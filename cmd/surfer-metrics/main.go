@@ -46,6 +46,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		width     = fs.Int("width", 48, "sparkline width in columns (dashboard)")
 	)
 	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
+		var chosen []string
+		for _, f := range []struct {
+			name string
+			on   bool
+		}{{"json", *asJSON}, {"csv", *asCSV}, {"prom", *asProm}} {
+			if f.on {
+				chosen = append(chosen, "-"+f.name)
+			}
+		}
+		if len(chosen) > 1 {
+			return cli.Usage(fmt.Errorf("%s: alternative outputs; pass one", strings.Join(chosen, ", ")))
+		}
+		if len(chosen) == 1 {
+			if err := cli.Unread(fs, chosen[0], "width"); err != nil {
+				return err
+			}
+		}
+		if *traceIn == "" && *seriesIn != "" {
+			// The series file's windows are fixed when it is written.
+			if err := cli.Unread(fs, "-series", "window"); err != nil {
+				return err
+			}
+		}
 		var set *metrics.Set
 		var alerts []metrics.Alert
 		var err error

@@ -161,6 +161,14 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-trace", events, "-series", series}, 1, "alternatives"},
 		{[]string{"-series", series, "-rules", missing}, 1, "-rules needs -trace"},
 		{[]string{"-trace", still}, 1, "still.events: empty stream; pass -window explicitly"},
+		// was: exit 0, the flag never read.
+		{[]string{"-series", series, "-window", "0.5"}, 2, "-window 0.5: -series does not read it"},
+		{[]string{"-trace", events, "-json", "-width", "20"}, 2, "-width 20: -json does not read it"},
+		{[]string{"-series", series, "-csv", "-width", "20"}, 2, "-width 20: -csv does not read it"},
+		{[]string{"-trace", events, "-prom", "-width", "20"}, 2, "-width 20: -prom does not read it"},
+		// was: exit 0, the JSON alone.
+		{[]string{"-trace", events, "-json", "-csv"}, 2, "-json, -csv: alternative outputs; pass one"},
+		{[]string{"-series", series, "-csv", "-prom"}, 2, "-csv, -prom: alternative outputs; pass one"},
 		// was: silently the automatic window.
 		{[]string{"-trace", events, "-window", "NaN"}, 1, "-window NaN: want 0 (automatic) or a positive number"},
 		{[]string{"-trace", events, "-window", "-1"}, 1, "-window -1: want 0 (automatic) or a positive number"},

@@ -50,6 +50,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rulesPath  = fs.String("rules", "", "JSON SLO alert rules evaluated live at every window seal; fired/resolved alerts land in the event stream (needs -metrics)")
 	)
 	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
+		if err := cli.Workers(*workers); err != nil {
+			return err
+		}
 		if cli.Given(fs, "opt") && *primitive != "propagation" {
 			return cli.Usage(fmt.Errorf("-opt %s: -primitive %s does not read it (only propagation)", *optLevel, *primitive))
 		}

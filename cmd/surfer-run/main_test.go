@@ -163,6 +163,8 @@ func TestBadInvocations(t *testing.T) {
 		// was: exit 0, the flag never read.
 		{small(g, "-primitive", "mapreduce", "-opt", "o1"), 2, "-opt o1: -primitive mapreduce does not read it (only propagation)"},
 		{small(g, "-metrics-window", "0.5"), 2, "-metrics-window 0.5 needs -metrics"},
+		// was: exit 0, read as GOMAXPROCS.
+		{small(g, "-workers", "-2"), 2, "-workers -2: must not be negative"},
 
 		{[]string{"-graph", missing + ".srfg"}, 1, "missing.srfg"},
 		{[]string{"-graph", write("empty.srfg", "")}, 1, "empty.srfg"},

@@ -47,7 +47,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&sub.faultsPath, "faults", "", "JSON fault-schedule file injected into the run")
 	fs.StringVar(&sub.eventsOut, "events", "", "write the raw event stream (with topology header) to this file for surfer-analyze")
 	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
+		if err := cli.Workers(sub.workers); err != nil {
+			return err
+		}
 		if *gen > 0 {
+			if err := cli.Unread(fs, "-gen", "jobs", "policy", "concurrency", "queue-limit", "vertices", "machines", "levels", "workers", "faults", "events"); err != nil {
+				return err
+			}
 			if *tenants <= 0 {
 				return fmt.Errorf("-tenants %d: must be positive", *tenants)
 			}
@@ -55,6 +61,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fmt.Errorf("-max-priority %d: must not be negative", *maxPriority)
 			}
 			return generate(stdout, *out, jobsvc.GenConfig{Jobs: *gen, Tenants: *tenants, MaxPriority: *maxPriority, Seed: sub.seed})
+		}
+		if err := cli.Unread(fs, "the -jobs replay", "gen", "tenants", "max-priority", "out"); err != nil {
+			return err
 		}
 		return submit(stdout, sub)
 	}))

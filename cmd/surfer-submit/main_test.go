@@ -149,6 +149,13 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-gen", "2", "-max-priority", "-1", "-out", gen}, 1, "-max-priority -1: must not be negative"},
 		{[]string{"-gen", "2", "-tenants", "0", "-out", gen}, 1, "-tenants 0: must be positive"},
 		{[]string{"-gen", "2", "-tenants", "-2", "-out", gen}, 1, "-tenants -2: must be positive"},
+		// was: exit 0, the flags never read.
+		{[]string{"-gen", "5", "-jobs", jobs, "-out", gen}, 2, "-jobs " + jobs + ": -gen does not read it"},
+		{[]string{"-gen", "2", "-out", gen, "-policy", "fair", "-events", gen}, 2, "-policy fair, -events " + gen + ": -gen does not read them"},
+		{[]string{"-jobs", jobs, "-tenants", "9", "-out", gen}, 2, "-tenants 9, -out " + gen + ": the -jobs replay does not read them"},
+		{replayArgs(jobs, "-max-priority", "1"), 2, "-max-priority 1: the -jobs replay does not read it"},
+		// was: exit 0, read as GOMAXPROCS.
+		{replayArgs(jobs, "-workers", "-2"), 2, "-workers -2: must not be negative"},
 	} {
 		code, _, stderr := invoke(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.want) {
