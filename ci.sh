@@ -103,10 +103,11 @@ go test -run '^$' -fuzz FuzzContract -fuzztime 10s ./internal/partition
 go test -run '^$' -fuzz FuzzLoadReport -fuzztime 10s ./internal/bench
 # Layer benchmarks, once each, so they cannot rot (-short skips the
 # 1M-vertex partitioner size and plans propagation and MapReduce at 16k
-# vertices).
+# vertices), with the worker pool's ForEach and the root package's paper
+# benchmarks (one per table and figure).
 go test -short -run '^$' -bench . -benchtime 1x ./internal/partition ./internal/graph \
     ./internal/storage ./internal/propagation ./internal/mapreduce ./internal/exchange ./internal/apps ./internal/engine \
-    ./internal/jobsvc ./internal/trace ./internal/metrics ./internal/analyze
+    ./internal/jobsvc ./internal/trace ./internal/metrics ./internal/analyze ./internal/pool .
 # The examples, run once each so they cannot rot; the fault-tolerance demo
 # must end with ranks bit-identical to its failure-free run.
 for ex in examples/*/; do

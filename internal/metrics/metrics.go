@@ -257,14 +257,11 @@ func (c *Collector) newSeries(id seriesID, key string) *series {
 	}
 	s := &c.chunk[0]
 	c.chunk = c.chunk[1:]
-	*s = series{id: id, key: key, class: families[id.f].class}
-	if c.presize > 0 {
-		if len(c.slab) < c.presize {
-			c.slab = make([]float64, n*c.presize)
-		}
-		s.acc = c.slab[:0:c.presize]
-		c.slab = c.slab[c.presize:]
+	if len(c.slab) < c.presize {
+		c.slab = make([]float64, n*c.presize)
 	}
+	*s = series{id: id, key: key, class: families[id.f].class, acc: c.slab[:0:c.presize]}
+	c.slab = c.slab[c.presize:]
 	c.all = append(c.all, s)
 	c.sorted = false
 	return s

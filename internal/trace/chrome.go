@@ -75,10 +75,11 @@ func WriteChrome(w io.Writer, events []Event) error {
 		return appendFloat(dst, key, us, false)
 	}
 	num := func(dst []byte, key string, v int) []byte { return appendInt(dst, key, int64(v), false) }
-	// rowName is row's name toward machine m, rendered once per machine.
+	// rowName is row's name toward machine m, rendered once per machine (a
+	// negative m, which only a malformed stream carries, every time).
 	names := make([][numRows]string, maxMachine+1)
 	rowName := func(row, m int) string {
-		if m < 0 || m > maxMachine {
+		if m < 0 {
 			return fmt.Sprintf("%sm%02d", rowPrefix[row], m)
 		}
 		if names[m][row] == "" {
