@@ -246,8 +246,9 @@ type tenantSeries struct {
 }
 
 // A new chunk of series, or of their accumulators' slab, holds as many
-// series as exist so far, within these bounds.
-const minChunk, maxChunk = 16, 1024
+// series as exist so far, within these bounds: the cap bounds what a
+// chunk's unused tail costs at the end of the fold.
+const minChunk, maxChunk = 16, 256
 
 // newSeries registers the series id under key.
 func (c *Collector) newSeries(id seriesID, key string) *series {
