@@ -33,7 +33,7 @@ func TestAnalyzeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
-	const ceiling = 225
+	const ceiling = 147
 	events := tracetest.Capture(5_000, 8)
 	topo := cluster.NewT1(8)
 	allocs := testing.AllocsPerRun(20, func() {

@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -62,15 +63,17 @@ func linkReport(events []trace.Event, topo *cluster.Topology, start, end float64
 	// multiply, and no product may fuse into a multiply-add (DESIGN.md).
 	width := float64(span / timelineBuckets)
 
-	links := make(map[[2]int]*LinkStat)
-	levels := make(map[int]*LevelStat)
-	level := func(d int) *LevelStat {
-		ls := levels[d]
-		if ls == nil {
-			ls = &LevelStat{Level: d, Timeline: make([]float64, timelineBuckets)}
-			levels[d] = ls
-		}
-		return ls
+	// Dense tables: links[src*n+dst] per directed pair and levels[d] per
+	// bisection level down to the deepest. A row is in use once a transfer
+	// has landed on it.
+	depth := 0
+	for _, row := range lvl {
+		depth = max(depth, slices.Max(row))
+	}
+	links := make([]LinkStat, n*n)
+	levels := make([]LevelStat, depth+1)
+	for d := range levels {
+		levels[d] = LevelStat{Level: d, Timeline: make([]float64, timelineBuckets)}
 	}
 	for i := range events {
 		ev := &events[i]
@@ -82,18 +85,17 @@ func linkReport(events []trace.Event, topo *cluster.Topology, start, end float64
 		if ev.Machine < 0 || ev.Dst < 0 || ev.Machine >= n || ev.Dst >= n {
 			continue
 		}
-		key := [2]int{ev.Machine, ev.Dst}
-		st := links[key]
-		if st == nil {
-			st = &LinkStat{Src: ev.Machine, Dst: ev.Dst, Level: lvl[ev.Machine][ev.Dst]}
-			links[key] = st
+		st := &links[ev.Machine*n+ev.Dst]
+		ls := &levels[lvl[ev.Machine][ev.Dst]]
+		if st.Transfers == 0 {
+			*st = LinkStat{Src: ev.Machine, Dst: ev.Dst, Level: ls.Level}
+			ls.Links++
 		}
 		st.Transfers++
 		st.Bytes += ev.Bytes
 		st.BusySeconds += ev.End - ev.Start
 		st.StallSeconds += ev.Stall
 
-		ls := level(st.Level)
 		ls.Transfers++
 		ls.Bytes += ev.Bytes
 		ls.BusySeconds += ev.End - ev.Start
@@ -118,19 +120,13 @@ func linkReport(events []trace.Event, topo *cluster.Topology, start, end float64
 
 	rep := &LinkReport{}
 	for _, ls := range levels {
-		for _, st := range links {
-			if st.Level == ls.Level {
-				ls.Links++
-			}
+		if ls.Transfers > 0 {
+			rep.Levels = append(rep.Levels, ls)
 		}
-		rep.Levels = append(rep.Levels, *ls)
 	}
-	sort.Slice(rep.Levels, func(i, j int) bool { return rep.Levels[i].Level < rep.Levels[j].Level })
-
-	all := make([]LinkStat, 0, len(links))
-	for _, st := range links {
-		all = append(all, *st)
-	}
+	// The pairs in use, compacted in place: an empty list stays non-nil,
+	// so a report without transfers keeps "hot": [] in its JSON.
+	all := slices.DeleteFunc(links, func(st LinkStat) bool { return st.Transfers == 0 })
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if a.BusySeconds != b.BusySeconds {

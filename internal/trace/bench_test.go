@@ -85,7 +85,7 @@ func TestSummarizeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
-	const ceiling = 1184
+	const ceiling = 288
 	events := tracetest.Capture(5_000, 8)
 	allocs := testing.AllocsPerRun(20, func() { trace.Summarize(events) })
 	t.Logf("%.0f allocations", allocs)

@@ -59,8 +59,6 @@ type MachineBreakdown struct {
 	// to the engine's Metrics.NetworkBytes across all machines.
 	EgressBytes  int64
 	IngressBytes int64
-	// BytesToPart attributes sent bytes to the destination partition.
-	BytesToPart map[int]int64
 	// StallSeconds is the total NIC queueing delay of transfers this
 	// machine sent; IncastStallSeconds is the share of inbound transfers'
 	// delay where this machine's ingress NIC was the binding constraint
@@ -94,12 +92,6 @@ func (m *MachineBreakdown) add(other *MachineBreakdown) {
 	m.IngressBusySeconds += other.IngressBusySeconds
 	m.EgressBytes += other.EgressBytes
 	m.IngressBytes += other.IngressBytes
-	for p, b := range other.BytesToPart {
-		if m.BytesToPart == nil {
-			m.BytesToPart = make(map[int]int64)
-		}
-		m.BytesToPart[p] += b
-	}
 	m.StallSeconds += other.StallSeconds
 	m.IncastStallSeconds += other.IncastStallSeconds
 	m.TasksRun += other.TasksRun
@@ -190,10 +182,6 @@ func Summarize(events []Event) *Breakdown {
 			src.EgressBytes += ev.Bytes
 			src.Transfers++
 			src.StallSeconds += ev.Stall
-			if src.BytesToPart == nil {
-				src.BytesToPart = make(map[int]int64)
-			}
-			src.BytesToPart[ev.Part] += ev.Bytes
 			dst.IngressBusySeconds += dur
 			dst.IngressBytes += ev.Bytes
 			if ev.Incast {
