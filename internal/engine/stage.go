@@ -132,7 +132,8 @@ type StageRun struct {
 	busy  float64
 	state []taskState
 	// doneDurs collects committed task durations for the median the
-	// speculation policy compares stragglers against.
+	// speculation policy compares stragglers against; only a run that
+	// speculates collects them.
 	doneDurs []float64
 	end      float64
 	// Causal threading: beginSeq is this stage's begin event, popSeq the Seq
@@ -457,7 +458,9 @@ func (sr *StageRun) onTaskDone(e *event) {
 	ts.committed = true
 	ts.machine = e.machine
 	sr.remaining--
-	sr.doneDurs = append(sr.doneDurs, e.dur)
+	if r.cfg.Speculate {
+		sr.doneDurs = append(sr.doneDurs, e.dur)
+	}
 	// Launch output transfers toward next-stage task machines.
 	if len(t.Outputs) > 0 {
 		next := sr.job.Stages[sr.stageIdx+1]
