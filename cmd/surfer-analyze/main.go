@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return cli.Usage(fmt.Errorf("%s takes its stream as its value, not as positional args: %s", modes[0], strings.Join(files, " ")))
 		case *doCompare:
 			if len(files) != 2 {
-				return errors.New("-compare wants two positional args: old.json new.json")
+				return cli.Usage(errors.New("-compare wants two positional args: old.json new.json"))
 			}
 			pct, err := parseThreshold(*threshold)
 			if err != nil {
@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return runCompare(stdout, files[0], files[1], pct)
 		case *doDiff:
 			if len(files) != 2 {
-				return errors.New("-diff wants two positional args: A.events B.events")
+				return cli.Usage(errors.New("-diff wants two positional args: A.events B.events"))
 			}
 			a, err := analyzeFile(files[0])
 			if err != nil {
@@ -99,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return analyze.WriteText(stdout, r)
 		}
-		return errors.New("nothing to do: want -trace f, -autoscale f, -diff a b, or -compare old new")
+		return cli.Usage(errors.New("nothing to do: want -trace f, -autoscale f, -diff a b, or -compare old new"))
 	})
 }
 

@@ -164,9 +164,9 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-h"}, 0, "Usage of surfer-analyze"},
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-analyze"},
 		{[]string{"-compare", report, report, "-no-such-flag"}, 2, "Usage of surfer-analyze"},
-		{nil, 1, "nothing to do"},
-		{[]string{"-diff", good}, 1, "-diff wants two positional args"},
-		{[]string{"-compare", report}, 1, "-compare wants two positional args"},
+		{nil, 2, "nothing to do"},
+		{[]string{"-diff", good}, 2, "-diff wants two positional args"},
+		{[]string{"-compare", report}, 2, "-compare wants two positional args"},
 		{[]string{"-compare", report, report, "-threshold", "lots"}, 1, `bad -threshold "lots"`},
 		{[]string{"-autoscale", bare}, 1, "bare.events: no topology header"},
 		{[]string{"-trace", machineless}, 1, "machineless.events: analyze: event 1 is a task-end on machine -1"},

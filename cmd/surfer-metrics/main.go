@@ -74,14 +74,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var err error
 		switch {
 		case *traceIn != "" && *seriesIn != "":
-			return errors.New("-trace and -series are alternatives; pass one")
+			return cli.Usage(errors.New("-trace and -series are alternatives; pass one"))
 		case *traceIn != "":
 			if set, alerts, err = derive(*traceIn, *window, *rulesPath); err != nil {
 				return err
 			}
 		case *seriesIn != "":
 			if *rulesPath != "" {
-				return errors.New("-rules needs -trace (alerts evaluate at window seals, which a flat series file no longer has)")
+				return cli.Usage(errors.New("-rules needs -trace (alerts evaluate at window seals, which a flat series file no longer has)"))
 			}
 			f, err := os.Open(*seriesIn)
 			if err != nil {
@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fmt.Errorf("%s: %v", *seriesIn, err)
 			}
 		default:
-			return errors.New("pass -trace run.events (derive) or -series run.series (re-render)")
+			return cli.Usage(errors.New("pass -trace run.events (derive) or -series run.series (re-render)"))
 		}
 
 		if *match != "" {

@@ -157,9 +157,9 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-metrics"},
 		// was: exit 0, the argument ignored.
 		{[]string{"-trace", events, "extra"}, 2, "positional args are not read: extra"},
-		{nil, 1, "pass -trace run.events (derive) or -series run.series (re-render)"},
-		{[]string{"-trace", events, "-series", series}, 1, "alternatives"},
-		{[]string{"-series", series, "-rules", missing}, 1, "-rules needs -trace"},
+		{nil, 2, "pass -trace run.events (derive) or -series run.series (re-render)"},
+		{[]string{"-trace", events, "-series", series}, 2, "alternatives"},
+		{[]string{"-series", series, "-rules", missing}, 2, "-rules needs -trace"},
 		{[]string{"-trace", still}, 1, "still.events: empty stream; pass -window explicitly"},
 		// was: exit 0, the flag never read.
 		{[]string{"-series", series, "-window", "0.5"}, 2, "-window 0.5: -series does not read it"},

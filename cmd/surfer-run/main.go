@@ -59,6 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if cli.Given(fs, "metrics-window") && *metricsOut == "" {
 			return cli.Usage(fmt.Errorf("-metrics-window %v needs -metrics (it sizes the live series' windows)", *metricsWin))
 		}
+		if *rulesPath != "" && *metricsOut == "" {
+			return cli.Usage(fmt.Errorf("-rules needs -metrics (rules evaluate against the live series)"))
+		}
 		g, err := graph.Load(*graphPath)
 		if err != nil {
 			return fmt.Errorf("loading graph %s: %v", *graphPath, err)
@@ -111,8 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			col.Attach(rec)
-		} else if *rulesPath != "" {
-			return fmt.Errorf("-rules needs -metrics (rules evaluate against the live series)")
 		}
 		d, err := bench.NewDeploymentFor(bench.Scale{
 			Vertices: g.NumVertices(), Levels: *levels, Machines: topo.NumMachines(),

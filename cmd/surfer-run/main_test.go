@@ -159,7 +159,9 @@ func TestBadInvocations(t *testing.T) {
 		{small(g, "-metrics", missing+".series", "-metrics-window", "NaN"), 1, "metrics: window must be positive and finite, got NaN"},
 		// was: a series grown until the process ran out of memory.
 		{small(g, "-metrics", missing+".series", "-metrics-window", "1e-12"), 1, "s window puts past the 1048576 windows a series may hold"},
-		{small(g, "-rules", write("slo.json", `{"rules":[]}`)), 1, "-rules needs -metrics"},
+		{small(g, "-rules", write("slo.json", `{"rules":[]}`)), 2, "-rules needs -metrics"},
+		// Refused before the graph is read.
+		{[]string{"-graph", missing + ".srfg", "-rules", missing + ".rules"}, 2, "-rules needs -metrics"},
 		// was: exit 0, the flag never read.
 		{small(g, "-primitive", "mapreduce", "-opt", "o1"), 2, "-opt o1: -primitive mapreduce does not read it (only propagation)"},
 		{small(g, "-metrics-window", "0.5"), 2, "-metrics-window 0.5 needs -metrics"},

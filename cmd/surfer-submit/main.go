@@ -91,7 +91,7 @@ type submission struct {
 // job service and prints per-job latency, wait and fairness.
 func submit(stdout io.Writer, sub submission) error {
 	if sub.jobsPath == "" {
-		return errors.New("nothing to do: pass -gen N to generate a workload or -jobs FILE to run one")
+		return cli.Usage(errors.New("nothing to do: pass -gen N to generate a workload or -jobs FILE to run one"))
 	}
 	if sub.concurrency <= 0 {
 		return fmt.Errorf("-concurrency %d: must be positive", sub.concurrency)

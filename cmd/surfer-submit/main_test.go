@@ -124,7 +124,7 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-h"}, 0, "Usage of surfer-submit"},
 		// was: exit 0, the argument ignored.
 		{[]string{"-gen", "2", "-out", gen, "extra"}, 2, "positional args are not read: extra"},
-		{nil, 1, "nothing to do"},
+		{nil, 2, "nothing to do"},
 		{[]string{"-jobs", "/nonexistent/jobs.json"}, 1, "/nonexistent/jobs.json: no such file"},
 		{[]string{"-jobs", write("empty.json", "")}, 1, "empty.json: "},
 		{[]string{"-jobs", write("truncated.json", string(whole[:len(whole)/2]))}, 1, "truncated.json: "},

@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return cli.Usage(fmt.Errorf("positional args are not read (the file to check is -in's value): %s", strings.Join(extra, " ")))
 		}
 		if *in == "" {
-			return errors.New("missing -in trace.json")
+			return cli.Usage(errors.New("missing -in trace.json"))
 		}
 		// The scan refuses a file that has not named the raw-trace format
 		// before its body; what it refuses so is read as the other export.

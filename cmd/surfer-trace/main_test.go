@@ -127,7 +127,7 @@ func TestBadInputs(t *testing.T) {
 	}{
 		{[]string{"-h"}, 0, "Usage of surfer-trace"},
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-trace"},
-		{nil, 1, "missing -in"},
+		{nil, 2, "missing -in"},
 		// was: exit 0, b never read.
 		{[]string{"-in", events, "b"}, 2, "positional args are not read (the file to check is -in's value): b"},
 		{[]string{"-in", chrome, "-breakdown"}, 1, "trace.json: -breakdown needs a raw event stream"},
