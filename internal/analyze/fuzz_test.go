@@ -65,6 +65,12 @@ func FuzzAnalyze(f *testing.F) {
 {"seq":1,"cause":0,"job":"j","part":-1,` + far + `},
 {"kind":1,"seq":2,"cause":1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":1}]}`))
 	}
+	// A transfer under a header of no machines, whose bisection levels the
+	// metrics fold once indexed.
+	f.Add([]byte(`{"format":"surfer-trace-events","version":1,"topology":{},"events":[
+{"kind":0,"seq":0,"cause":-1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":0},
+{"kind":7,"seq":1,"cause":0,"job":"j","machine":0,"dst":0,"part":-1,"time":1,"start":1,"end":1},
+{"kind":1,"seq":2,"cause":1,"job":"j","machine":-1,"dst":-1,"part":-1,"time":1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := trace.ReadEvents(bytes.NewReader(data))
 		if err != nil {

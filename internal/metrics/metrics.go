@@ -471,7 +471,7 @@ func (c *Collector) Observe(ev *trace.Event) {
 		if c.linkOK(ev.Machine, ev.Dst) {
 			link := c.at(linkUtil, ev.Machine, ev.Dst)
 			var level *series
-			if c.lvl != nil {
+			if c.n > 0 { // linkOK bounds both ends by the topology
 				level = c.at(levelUtil, c.lvl[ev.Machine][ev.Dst], trace.None)
 			}
 			c.spanWindows(ev.Start, ev.End, func(w int, o float64) {
