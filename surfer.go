@@ -210,8 +210,8 @@ func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 func WriteChromeTrace(w io.Writer, events []TraceEvent) error { return trace.WriteChrome(w, events) }
 
 // SummarizeTrace folds an event stream into the per-job, per-stage,
-// per-machine breakdown (compute seconds, NIC busy time, bytes by
-// destination partition, incast stalls).
+// per-machine breakdown (compute seconds, NIC busy time and bytes, stalls
+// and incast stalls).
 func SummarizeTrace(events []TraceEvent) *TraceBreakdown { return trace.Summarize(events) }
 
 // ----------------------------------------------------------- propagation
