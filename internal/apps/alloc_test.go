@@ -21,7 +21,7 @@ func TestRLGPlanAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
-	const ceiling = 13804
+	const ceiling = 13732
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := graph.Social(graph.DefaultSocial(4096, 42))
 	pt, sk := partition.RecursiveBisect(g, 3, partition.Options{Seed: 42})

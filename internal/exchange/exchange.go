@@ -45,10 +45,10 @@ func (l *Log[K, V]) Run(o int) ([]Group[K], int32) {
 	return l.Groups[lo:l.Off[o+1]], start
 }
 
-// Builder collects one source's inputs and lays them out in a Log, keeping
-// its buffers' capacity from one build to the next: the inputs and their
-// values, the radix sort's second buffer (after a build, the report), each
-// group's owner and the placement's cursors per owner.
+// Builder collects a source's inputs and lays them out in a Log, keeping its
+// buffers' capacity from one build to the next (the inputs and their values,
+// the radix sort's second buffer, each group's owner, the placement's cursors
+// per owner) but nothing a later build reads: it serves any sources in turn.
 type Builder[K Key, V any] struct {
 	in, spare  []Entry[K]
 	vals       []V
@@ -103,28 +103,28 @@ func (b *Builder[K, V]) Gather(l *Log[K, V], o int) {
 // owner is called once per group, in that order, so it may also account the
 // value the group will send.
 func (b *Builder[K, V]) Build(l *Log[K, V], group bool, owners int, owner func(K, V) int) {
-	b.build(l, group, owners, owner, false)
+	b.build(l, nil, group, owners, owner)
 }
 
-// BuildReport is Build that also reports where the inputs landed: entry i is
-// input i's key and its value's place in l.Vals, valid until the next build.
-func (b *Builder[K, V]) BuildReport(l *Log[K, V], group bool, owners int, owner func(K, V) int) []Entry[K] {
-	return b.build(l, group, owners, owner, true)
+// BuildReport is Build that also reports where the inputs landed, into at
+// resized: entry i is input i's key and its value's place in l.Vals.
+func (b *Builder[K, V]) BuildReport(l *Log[K, V], at []Entry[K], group bool, owners int, owner func(K, V) int) []Entry[K] {
+	return b.build(l, Sized(at, len(b.in)), group, owners, owner)
 }
 
-func (b *Builder[K, V]) build(l *Log[K, V], group bool, owners int, owner func(K, V) int, report bool) []Entry[K] {
+func (b *Builder[K, V]) build(l *Log[K, V], at []Entry[K], group bool, owners int, owner func(K, V) int) []Entry[K] {
 	n := len(b.in)
-	sorted, at := b.in, Sized(b.spare, n)
+	sorted, spare := b.in, b.spare
 	if group {
-		sorted, at = radixSort(sorted, at)
+		sorted, spare = radixSort(sorted, Sized(spare, n))
 	}
 	l.Off, l.Vals = Sized(l.Off, owners+1), Sized(l.Vals, n)
 	cur := Sized(b.cur, 2*(owners+1))
 	clear(cur)
 	if group {
-		b.placeGroups(l, cur[:owners+1], cur[owners+1:], sorted, at, owner, report)
+		b.placeGroups(l, cur[:owners+1], cur[owners+1:], sorted, at, owner)
 	} else {
-		b.placeEach(l, cur[:owners+1], sorted, at, owner, report)
+		b.placeEach(l, cur[:owners+1], sorted, at, owner)
 	}
 	// Placing through cur[o] left it at the start of owner o+1's run: the
 	// offsets are the cursors shifted up by one slot. The cursors are the
@@ -132,7 +132,7 @@ func (b *Builder[K, V]) build(l *Log[K, V], group bool, owners int, owner func(K
 	l.Off[0] = 0
 	copy(l.Off[1:], cur[:owners])
 	l.Groups = l.Groups[:l.Off[owners]]
-	b.in, b.spare, b.vals, b.cur = sorted[:0], at, b.vals[:0], cur
+	b.in, b.spare, b.vals, b.cur = sorted[:0], spare, b.vals[:0], cur
 	return at
 }
 
@@ -141,7 +141,7 @@ func (b *Builder[K, V]) build(l *Log[K, V], group bool, owners int, owner func(K
 // input's Pos (an ungrouped input's index is its place in in), the sums turn
 // the counts into each owner's first place, and a second walk places the
 // inputs through them.
-func (b *Builder[K, V]) placeEach(l *Log[K, V], off []int32, in, at []Entry[K], owner func(K, V) int, report bool) {
+func (b *Builder[K, V]) placeEach(l *Log[K, V], off []int32, in, at []Entry[K], owner func(K, V) int) {
 	vals, from, groups := l.Vals, b.vals, Sized(l.Groups, len(in))
 	for i := range in {
 		o := 0
@@ -159,7 +159,7 @@ func (b *Builder[K, V]) placeEach(l *Log[K, V], off []int32, in, at []Entry[K], 
 		off[e.Pos]++
 		groups[pos] = Group[K]{Key: e.Key, End: pos + 1}
 		vals[pos] = from[i]
-		if report {
+		if at != nil {
 			at[i] = Entry[K]{Key: e.Key, Pos: pos}
 		}
 	}
@@ -170,7 +170,7 @@ func (b *Builder[K, V]) placeEach(l *Log[K, V], off []int32, in, at []Entry[K], 
 // finds each group's owner and counts the group, and its values, in the slot
 // after the owner's (a nil owner needs no counts), the sums turn the counts
 // into each owner's first group and value, and a second walk places them.
-func (b *Builder[K, V]) placeGroups(l *Log[K, V], off, cur []int32, sorted, at []Entry[K], owner func(K, V) int, report bool) {
+func (b *Builder[K, V]) placeGroups(l *Log[K, V], off, cur []int32, sorted, at []Entry[K], owner func(K, V) int) {
 	own, from := Sized(b.owner, len(sorted))[:0], b.vals
 	for i := 0; owner != nil && i < len(sorted); {
 		j := groupEnd(sorted, i)
@@ -196,7 +196,7 @@ func (b *Builder[K, V]) placeGroups(l *Log[K, V], off, cur []int32, sorted, at [
 		k, pos := sorted[i].Key, cur[o]
 		for j := groupEnd(sorted, i); i < j; i, pos = i+1, pos+1 {
 			in := sorted[i].Pos
-			if report {
+			if at != nil {
 				at[in] = Entry[K]{Key: k, Pos: pos}
 			}
 			vals[pos] = from[in]

@@ -81,7 +81,7 @@ func TestFromEventsAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
-	const ceiling = 151
+	const ceiling = 144
 	events := tracetest.Capture(5_000, 8)
 	cfg := metrics.Config{Window: benchWindow, Topo: cluster.NewT1(8)}
 	allocs := testing.AllocsPerRun(20, func() {

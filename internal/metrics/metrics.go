@@ -85,11 +85,15 @@ type Collector struct {
 	counters []*series
 	// Series records come from chunks that never move, as the tables above
 	// hold pointers to them; each accumulator starts as a capped window,
-	// presize long, of a shared slab; and each name is sliced out of one
-	// builder, which never rewrites the bytes it has handed out.
+	// presize long, of a shared slab; and each name is sliced out of a
+	// builder reserved for a chunk of names, which never rewrites the bytes
+	// it has handed out and is replaced, not grown, when a name would not fit.
 	chunk []series
 	slab  []float64
 	names strings.Builder
+	// unmade counts the dense tables' slots that hold no series yet: with a
+	// topology, a bound on the series still to come, short of sparse ones.
+	unmade int
 
 	lastSeq []int // per window: Seq of the last event whose Time fell in it
 	// queuedAt maps a queued job's spec ID to its job-queued time, for the
@@ -250,9 +254,21 @@ type tenantSeries struct {
 // chunk's unused tail costs at the end of the fold.
 const minChunk, maxChunk = 16, 256
 
+// chunkLen is how many series a new chunk holds: as many as exist so far,
+// within the bounds, and with a topology no more than the dense tables have
+// slots left (at least minChunk, for the sparse series), so the chunk made
+// last ends near the fold's last series.
+func (c *Collector) chunkLen() int {
+	n := min(max(len(c.all), minChunk), maxChunk)
+	if c.n > 0 {
+		n = min(n, max(c.unmade, minChunk))
+	}
+	return n
+}
+
 // newSeries registers the series id under key.
 func (c *Collector) newSeries(id seriesID, key string) *series {
-	n := min(max(len(c.all), minChunk), maxChunk)
+	n := c.chunkLen()
 	if len(c.chunk) == 0 {
 		c.chunk = make([]series, n)
 	}
@@ -270,8 +286,15 @@ func (c *Collector) newSeries(id seriesID, key string) *series {
 
 // name renders family f's series name with the given suffix parts (an ID
 // where a is not negative, ">"+ID where b is not, ":"+tenant where tenant
-// is set) into the collector's name builder and returns it.
+// is set) into the collector's name builder and returns it. A builder that
+// could not hold the longest such name is replaced by one reserved for a
+// chunk of names, sized as the series chunks are at 32 bytes a name, so no
+// name is ever copied by the builder's growth.
 func (c *Collector) name(f family, a, b int, tenant string) string {
+	if most := len(families[f].name) + 42 + len(tenant); c.names.Cap()-c.names.Len() < most {
+		c.names = strings.Builder{}
+		c.names.Grow(max(most, 32*c.chunkLen()))
+	}
 	start := c.names.Len()
 	c.names.WriteString(families[f].name)
 	var buf [20]byte
@@ -307,6 +330,7 @@ func (c *Collector) at(f family, a, b int) *series {
 		s = c.sparse[id]
 	} else if c.dense[f] == nil {
 		c.dense[f] = make([]*series, size)
+		c.unmade += size
 	} else {
 		s = c.dense[f][idx]
 	}
@@ -314,6 +338,7 @@ func (c *Collector) at(f family, a, b int) *series {
 		s = c.newSeries(id, c.name(f, a, b, ""))
 		if dense {
 			c.dense[f][idx] = s
+			c.unmade--
 		} else {
 			c.sparse[id] = s
 		}

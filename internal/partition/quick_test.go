@@ -36,8 +36,8 @@ func TestQuickRecursiveBisectInvariants(t *testing.T) {
 			}
 			prev = tl
 		}
-		// Balance within the kernel's documented tolerance compounded
-		// per level (3% per bisection).
+		// Vertex-count balance: the largest partition holds less than 1.5
+		// times |V|/P, at every level count drawn (1 to 4).
 		return Balance(pt) < 1.5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

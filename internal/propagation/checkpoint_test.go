@@ -1,11 +1,13 @@
 package propagation
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 func (f *fixture) replicatedRunner(kills []fault.Kill, heartbeat float64, workers int) *engine.Runner {
@@ -180,5 +182,72 @@ func TestRunCheckpointedValidation(t *testing.T) {
 	if _, _, err := RunCheckpointed(f.runner(), f.pg, f.pl, sumProgram{}, st, Options{}, 2,
 		CheckpointConfig{Interval: 2}); err == nil {
 		t.Fatal("interval without replicas accepted")
+	}
+}
+
+// sizedSum is sumProgram whose values weigh what their low bits say, so that
+// a state's bytes tell one iteration's values from another's.
+type sizedSum struct{ sumProgram }
+
+func (sizedSum) Bytes(v int64) int64 { return 1 + int64(uint64(v)%16) }
+
+// TestEachStatesKeepTheirValues: a plan writes a new state's values over the
+// array of a state it made earlier only when no each callback has seen that
+// state. RunCheckpointed keeps the states its checkpoints persist and
+// prices each checkpoint from them after the whole plan: the bytes charged
+// must be what those states weigh, planned on their own. PlanUntilConverged's
+// callback, like any each, may keep every state it is handed: each must hold
+// the values it had when handed over, after the plan has finished.
+func TestEachStatesKeepTheirValues(t *testing.T) {
+	f := newFixture(t, 600, 2, 1)
+	opt := Options{LocalPropagation: true, LocalCombination: true}
+	const iters = 7
+	prog := sizedSum{}
+	weigh := func(st *State[int64]) int64 {
+		var b int64
+		for _, v := range st.Values {
+			b += prog.Bytes(v)
+		}
+		return b
+	}
+	rec := trace.NewRecorder()
+	reps := f.replicas()
+	r := engine.New(engine.Config{Topo: f.topo, Replicas: reps, Trace: rec})
+	if _, _, err := RunCheckpointed(r, f.pg, f.pl, prog, NewState(f.pg, prog), opt, iters, CheckpointConfig{Interval: 2, Replicas: reps}); err != nil {
+		t.Fatal(err)
+	}
+	var got, want []int64
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindCheckpoint {
+			got = append(got, ev.Bytes)
+		}
+	}
+	for i := 2; i < iters; i += 2 {
+		_, st, err := PlanIterations(nil, f.pg, f.pl, Program[int64](prog), NewState(f.pg, prog), opt, i, "alone")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, weigh(st))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("checkpoints charged %v bytes, the states they persist weigh %v", got, want)
+	}
+
+	type seen struct {
+		st     *State[int64]
+		values []int64
+	}
+	var kept []seen
+	p := planner[int64]{pg: f.pg, pl: f.pl, prog: prog, opt: opt, prefix: "kept"}
+	if _, _, err := p.plan(NewState(f.pg, prog), iters, func(_ int, prev, next *State[int64]) bool {
+		kept = append(kept, seen{prev, slices.Clone(prev.Values)}, seen{next, slices.Clone(next.Values)})
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range kept {
+		if !slices.Equal(k.st.Values, k.values) {
+			t.Fatalf("state %d handed to each changed after it was handed over", i)
+		}
 	}
 }

@@ -624,11 +624,18 @@ func benchDeployment(b *testing.B) (*storage.PartitionedGraph, *partition.Placem
 	if testing.Short() {
 		n = 16384
 	}
+	return deployment(b, n)
+}
+
+// deployment is nr_262k's deployment at n vertices: a social graph bisected
+// into 64 partitions, sketch-placed on a T2 of 32 machines in 4 pods.
+func deployment(tb testing.TB, n int) (*storage.PartitionedGraph, *partition.Placement) {
+	tb.Helper()
 	g := graph.Social(graph.DefaultSocial(n, 42))
 	pt, sk := partition.RecursiveBisect(g, 6, partition.Options{Seed: 42})
 	pg, err := storage.Build(g, pt)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	topo := cluster.NewT2(cluster.T2Config{Machines: 32, Pods: 4, Levels: 1})
 	return pg, partition.SketchPlacement(sk, topo)
@@ -696,7 +703,7 @@ func benchTransfer[V any](b *testing.B, pg *storage.PartitionedGraph, pl *partit
 		if err != nil {
 			b.Fatal(err)
 		}
-		exs[i], st = ex, ex.run()
+		exs[i], st = ex, ex.run(nil)
 	}
 	emissions := 0
 	b.ReportAllocs()

@@ -1,6 +1,8 @@
 package propagation
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/cluster"
@@ -91,5 +93,41 @@ func TestSteadyStateAllocsPerMessageZero(t *testing.T) {
 				t.Fatalf("steady-state iteration allocates %.0f times, budget %.0f", large, ceiling)
 			}
 		})
+	}
+}
+
+// TestPlanBytesAllocBudget is the bytes budget of one fresh ten-iteration
+// plan of the scalar program at O4 on nr_262k's deployment at 16k vertices,
+// on a serial pool: the growth of runtime.MemStats.TotalAlloc across
+// PlanIterations, with the collector off so that fmt's buffer pool is not
+// emptied halfway. The ceiling is the measured count plus 4 KiB, for the
+// few hundred bytes the runtime now and then allocates beside the plan; a
+// change that beats it lowers it. With a builder per partition and a fresh
+// value array per iteration the plan took 14 087 368 bytes.
+func TestPlanBytesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the plan")
+	}
+	const measured = 9_192_152
+	const ceiling = measured + 4096
+	pg, pl := deployment(t, 16384)
+	pool := engine.NewPool(1)
+	opt := Options{LocalPropagation: true, LocalCombination: true}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	plan := func() uint64 {
+		st := NewState[float64](pg, rankLike{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := PlanIterations(pool, pg, pl, Program[float64](rankLike{}), st, opt, 10, "budget"); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	plan() // first calls of the process, warmed once
+	got := plan()
+	t.Logf("one fresh 10-iteration O4 plan at 16k vertices: %d bytes", got)
+	if got > ceiling {
+		t.Errorf("one fresh plan allocated %d bytes, budget %d", got, ceiling)
 	}
 }

@@ -1,6 +1,7 @@
 package propagation
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // iterate plans one iteration and runs it on r: PlanIteration replayed, as
 // the one-pass applications run.
 func iterate[V any](r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options) (*State[V], engine.Metrics, error) {
-	next, job, err := planIteration(r.Pool(), pg, pl, prog, st, opt, "propagation-iteration", nil, nil)
+	next, job, err := planIteration(r.Pool(), pg, pl, prog, st, opt, "propagation-iteration", nil, nil, nil)
 	return runPlan(r, []*engine.Job{job}, next, err)
 }
 
@@ -366,5 +367,24 @@ func TestCascadeRejectsDepthLength(t *testing.T) {
 	_, _, err := RunCascaded(f.runner(), f.pg, f.pl, sumProgram{}, NewState[int64](f.pg, sumProgram{}), Options{}, 3, ci)
 	if err == nil || !strings.Contains(err.Error(), "CascadeInfo.Depth has 201 entries") {
 		t.Errorf("err = %v, want one naming CascadeInfo.Depth", err)
+	}
+}
+
+// TestTaskNames: the task names sliced out of one buffer read as fmt renders
+// them, "transfer-p<i>" at i and "combine-p<i>" at P+i.
+func TestTaskNames(t *testing.T) {
+	for _, p := range []int{1, 64, 256} {
+		names := taskNames(p)
+		if len(names) != 2*p {
+			t.Fatalf("P=%d: %d names, want %d", p, len(names), 2*p)
+		}
+		for i := 0; i < p; i++ {
+			if want := fmt.Sprintf("transfer-p%d", i); names[i] != want {
+				t.Fatalf("P=%d: name %d is %q, want %q", p, i, names[i], want)
+			}
+			if want := fmt.Sprintf("combine-p%d", i); names[p+i] != want {
+				t.Fatalf("P=%d: name %d is %q, want %q", p, p+i, names[p+i], want)
+			}
+		}
 	}
 }

@@ -2,6 +2,9 @@ package propagation
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -24,11 +27,11 @@ type State[V any] struct {
 }
 
 // scratch is the pooled working memory of the propagation fast path. Every
-// buffer has one owner — a partition in its role as source (its emission plan
-// and log) or as destination (the slab its vertices' bags are windows into,
-// its virtual bags) — so no phase needs a lock or a serial pass. Buffers keep
-// their capacity across iterations; everything is re-sliced before reuse,
-// never reallocated while sizes are steady.
+// buffer a phase leaves for a later one has one owner — a partition as source
+// (its emission plan and log) or as destination (its bags' slab, its virtual
+// bags) — so no phase needs a serial pass; the builders are lent to workers.
+// Buffers keep their capacity across iterations and are re-sliced before
+// reuse, never reallocated while sizes are steady.
 type scratch[V any] struct {
 	// pg is the partitioned graph, and key the options, the plans were built
 	// for: another graph means another scratch, another key drops every plan.
@@ -48,6 +51,33 @@ type scratch[V any] struct {
 	// names are the iteration job's task names, rendered once for every
 	// plan on the graph: "transfer-p<i>" at i, "combine-p<i>" at P+i.
 	names []string
+	// builders and aggBuilders hold the builders no partition has borrowed.
+	builders    freeList[exchange.Builder[graph.VertexID, V]]
+	aggBuilders freeList[exchange.Builder[uint64, V]]
+}
+
+// freeList lends out values of T, making one only when every value made so
+// far is out: it never waits, so any number of workers may share it.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		t := f.free[n-1]
+		f.free = f.free[:n-1]
+		return t
+	}
+	return new(T)
+}
+
+func (f *freeList[T]) put(t *T) {
+	f.mu.Lock()
+	f.free = append(f.free, t)
+	f.mu.Unlock()
 }
 
 // planKey is what, besides the graph, a destination's classification depends
@@ -68,32 +98,28 @@ type partScratch[V any] struct {
 	// independently of the values (NR, TFL, ...). slots[i] is where the i-th
 	// emission landed when the plan was built: the destination it must name
 	// again to follow the plan, and its value's place in log.Vals. next is
-	// the emission expected next; collecting, that the sequence has left the
-	// plan and waits in b to be laid out again.
-	slots      []exchange.Entry[graph.VertexID]
-	next       int
-	collecting bool
+	// the emission expected next; b, set only while the sequence has left the
+	// plan, the borrowed builder it waits in to be laid out again.
+	slots []exchange.Entry[graph.VertexID]
+	next  int
+	b     *exchange.Builder[graph.VertexID, V]
 	// log is the partition's side of the exchange: one group per destination
 	// under local combination, else one per emission; owner 0 the fused
 	// groups, read only by this partition's own gather, owner q+1 those
 	// headed to partition q. Once the partition has flushed, a non-fused
 	// group's first value is the one value it sends.
 	log exchange.Log[graph.VertexID, V]
-	b   exchange.Builder[graph.VertexID, V]
 
 	// slab backs the bags of the partition's own vertices.
 	slab []V
-	// vb gathers what reaches the virtual vertices this partition owns, as a
-	// reducer gathers its keys: vlog is one group per vertex, ids ascending,
-	// its values the vertex's bag in delivery order, and vout holds the
-	// groups' combined values. With VirtualVertices=0 nothing is built.
-	vb   exchange.Builder[graph.VertexID, V]
+	// vlog holds what reached the virtual vertices this partition owns,
+	// grouped as a reducer groups its keys: one group per vertex, ids
+	// ascending, its values the vertex's bag in delivery order, and vout holds
+	// the groups' combined values. With VirtualVertices=0 nothing is built.
 	vlog exchange.Log[graph.VertexID, V]
 	vout []V
-	// ab gathers the cross-pod values tree aggregation claimed on their way
-	// to this partition, and alog groups them by (sending pod, destination)
-	// (see tree.go).
-	ab   exchange.Builder[uint64, V]
+	// alog groups the cross-pod values tree aggregation claimed on their way
+	// to this partition by (sending pod, destination) (see tree.go).
 	alog exchange.Log[uint64, V]
 }
 
@@ -105,10 +131,7 @@ func newScratch[V any](pg *storage.PartitionedGraph) *scratch[V] {
 		enc:    partition.NewEncoding(pg.Part),
 		bags:   make([][]V, n),
 		counts: make([]int32, n),
-		names:  make([]string, 2*p),
-	}
-	for i := 0; i < p; i++ {
-		sc.names[i], sc.names[p+i] = fmt.Sprintf("transfer-p%d", i), fmt.Sprintf("combine-p%d", i)
+		names:  taskNames(p),
 	}
 	// The logs' offsets, P+1 owners each, in one allocation.
 	off := make([]int32, p*(p+2))
@@ -116,6 +139,21 @@ func newScratch[V any](pg *storage.PartitionedGraph) *scratch[V] {
 		sc.parts[q].log.Off = off[q*(p+2) : (q+1)*(p+2) : (q+1)*(p+2)]
 	}
 	return sc
+}
+
+// taskNames renders the 2P task names of an iteration's job into one buffer
+// and slices them out of it.
+func taskNames(p int) []string {
+	names, buf := make([]string, 2*p), [20]byte{}
+	var b strings.Builder
+	b.Grow(p * (len("transfer-pcombine-p") + 2*len(strconv.AppendInt(buf[:0], int64(p), 10))))
+	for j := range names {
+		start := b.Len()
+		b.WriteString([2]string{"transfer-p", "combine-p"}[j/p])
+		b.Write(strconv.AppendInt(buf[:0], int64(j%p), 10))
+		names[j] = b.String()[start:]
+	}
+	return names
 }
 
 // dropPlan leaves the empty plan, which no emission follows.
@@ -147,7 +185,7 @@ func VirtualPartition(v graph.VertexID, p int) partition.PartID {
 // Combine stage folds the received bags. It returns the iteration's one job,
 // named "propagation-iteration", and the next state, without running the job.
 func PlanIteration[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options) ([]*engine.Job, *State[V], error) {
-	next, job, err := planIteration(pool, pg, pl, prog, st, opt, "propagation-iteration", nil, nil)
+	next, job, err := planIteration(pool, pg, pl, prog, st, opt, "propagation-iteration", nil, nil, nil)
 	return []*engine.Job{job}, next, err
 }
 
@@ -155,10 +193,11 @@ func PlanIteration[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *p
 // engine job, named name, carrying its exact I/O accounting — without running
 // the job. skip, when set, marks the vertices whose state I/O cascaded
 // propagation suppresses; topo, when set, routes cross-pod values through an
-// Aggregate stage on its pods (tree.go). The semantic computation never reads
+// Aggregate stage on its pods (tree.go); values, when set, is the array the
+// next state's values are written into. The semantic computation never reads
 // the simulated clock, so the plan is independent of when (or against what
 // contention) the job later executes.
-func planIteration[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, name string, skip []bool, topo *cluster.Topology) (*State[V], *engine.Job, error) {
+func planIteration[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *partition.Placement, prog Program[V], st *State[V], opt Options, name string, skip []bool, topo *cluster.Topology, values []V) (*State[V], *engine.Job, error) {
 	if topo != nil {
 		if !prog.Associative() {
 			return nil, nil, fmt.Errorf("propagation: tree aggregation requires an associative program")
@@ -173,7 +212,7 @@ func planIteration[V any](pool *engine.Pool, pg *storage.PartitionedGraph, pl *p
 	if topo != nil {
 		ex.tree = newTreeAgg(topo, pl)
 	}
-	next := ex.run()
+	next := ex.run(values)
 	return next, ex.buildJob(name), nil
 }
 
@@ -208,15 +247,20 @@ func (p planner[V]) plan(st *State[V], iters int, each func(i int, prev, next *S
 		return nil, nil, fmt.Errorf("propagation: CascadeInfo.Depth has %d entries, graph has %d vertices", len(ci.Depth), p.pg.G.NumVertices())
 	}
 	var jobs []*engine.Job
+	var dead []V // the values of a state this plan made and no one reads again
 	for i := 0; i < iters; i++ {
 		next, job, err := planIteration(p.pool, p.pg, p.pl, p.prog, st, p.opt,
-			fmt.Sprintf("%s-iter-%03d", p.prefix, i+1), p.ci.skip(i, iters), p.topo)
+			fmt.Sprintf("%s-iter-%03d", p.prefix, i+1), p.ci.skip(i, iters), p.topo, dead)
 		if err != nil {
 			return nil, nil, err
 		}
 		jobs = append(jobs, job)
 		if each != nil && each(i, st, next) {
 			return jobs, next, nil
+		}
+		// Only this loop saw st, made by this plan: the next iteration reuses it.
+		if each == nil && i > 0 && i+1 < iters {
+			dead = st.Values
 		}
 		st = next
 	}
@@ -345,9 +389,9 @@ func (ex *execution[V]) partOf(dst graph.VertexID) partition.PartID {
 // run computes the iteration: the Transfer stage semantics for every
 // partition, then each partition's gather and Combine, both spread over the
 // pool. It returns the next state; the accounting stays on ex for the job.
-func (ex *execution[V]) run() *State[V] {
+func (ex *execution[V]) run(values []V) *State[V] {
 	np := len(ex.pg.Parts)
-	next := &State[V]{Values: make([]V, ex.n), sc: ex.sc}
+	next := &State[V]{Values: exchange.Sized(values, ex.n), sc: ex.sc}
 	ex.pool.ForEach(np, ex.transferPart)
 	ex.pool.ForEach(np, func(q int) {
 		// Combine runs straight after the gather, while the partition's
@@ -366,7 +410,7 @@ func (ex *execution[V]) run() *State[V] {
 func (ex *execution[V]) transferPart(p int) {
 	pi := ex.pg.Parts[p]
 	ps := &ex.sc.parts[p]
-	ps.next, ps.collecting = 0, false
+	ps.next, ps.b = 0, nil
 	vt, hasVT := any(ex.prog).(VertexTransferrer[V])
 	sc, hasSc := any(ex.prog).(Scatterer[V])
 	// An emission naming the destination the plan expects is one compare and
@@ -404,18 +448,20 @@ func (ex *execution[V]) transferPart(p int) {
 	if ps.next < len(ps.slots) {
 		ex.startCollecting(pi, ps) // fewer emissions than planned
 	}
-	if ps.collecting {
+	if ps.b != nil {
 		// The collected emissions are laid out in the log, and where they
 		// landed is the plan. A same-partition emission is fused — consumed
 		// in memory, no I/O charged — when the destination's inputs are all
 		// local (no cross in-edge) and local propagation is on; otherwise it
 		// is materialized to local disk for the Combine stage.
-		ps.slots = ps.b.BuildReport(&ps.log, ex.grouping, len(ex.pg.Parts)+1, func(d graph.VertexID, _ V) int {
+		ps.slots = ps.b.BuildReport(&ps.log, ps.slots, ex.grouping, len(ex.pg.Parts)+1, func(d graph.VertexID, _ V) int {
 			if q := ex.partOf(d); q != pi.ID || !ex.opt.LocalPropagation || int(d) >= ex.n || pi.HasCrossInEdge(d) {
 				return int(q) + 1
 			}
 			return 0
 		})
+		ex.sc.builders.put(ps.b)
+		ps.b = nil
 	}
 	if !ex.grouping {
 		return // every group is one emission
@@ -452,23 +498,23 @@ func (ex *execution[V]) collect(pi *storage.PartInfo, ps *partScratch[V], dst gr
 		// Unreachable from bytes or flags: every built-in program (apps.ByName) emits only to neighbours and its own VirtualVertices.
 		panic(fmt.Sprintf("propagation: emission to vertex %d outside real+virtual space", dst))
 	}
-	if !ps.collecting {
+	if ps.b == nil {
 		ex.startCollecting(pi, ps)
 	}
 	ps.b.Add(dst, v)
 }
 
 // startCollecting leaves the plan: the emissions that followed it so far are
-// recovered from where it scattered them and the plan is dropped, so a later
-// panic leaves no half of one behind. The buffers are sized for the common
+// recovered into a borrowed builder and the plan is dropped, so a later panic
+// leaves no half of one behind. The buffers are sized for the common
 // sequence, one emission per out-edge, not by doubling.
 func (ex *execution[V]) startCollecting(pi *storage.PartInfo, ps *partScratch[V]) {
+	ps.b = ex.sc.builders.get()
 	ps.b.Reset(max(int(pi.OutEdges()), ps.next))
 	for _, sl := range ps.slots[:ps.next] {
 		ps.b.Add(sl.Key, ps.log.Vals[sl.Pos])
 	}
 	ps.dropPlan()
-	ps.collecting = true
 }
 
 // gatherPart delivers to partition q everything the transfer phase left for
@@ -480,11 +526,11 @@ func (ex *execution[V]) startCollecting(pi *storage.PartInfo, ps *partScratch[V]
 // It writes only what q owns.
 //
 // A counting pass first sizes every bag as a window into the partition's
-// slab, and the builders for the virtual and cross-pod arrivals, so delivery
-// never allocates. The counts are an upper bound (tree aggregation claims
-// cross-pod values), which also leaves room for the per-(pod, destination)
-// merged values it appends after the walk. The virtual bags are grouped last,
-// once everything has arrived.
+// slab, and the builders borrowed for the virtual and cross-pod arrivals, so
+// delivery never allocates. The counts are an upper bound (tree aggregation
+// claims cross-pod values), which also leaves room for the per-(pod,
+// destination) merged values it appends after the walk. The virtual bags are
+// grouped last, once everything has arrived.
 func (ex *execution[V]) gatherPart(q int) {
 	sc := ex.sc
 	ps := &sc.parts[q]
@@ -519,8 +565,9 @@ func (ex *execution[V]) gatherPart(q int) {
 		off += int(c)
 		counts[i] = 0
 	}
-	ps.vb.Reset(virt)
-	ps.ab.Reset(cross)
+	vb, ab := sc.builders.get(), sc.aggBuilders.get()
+	vb.Reset(virt)
+	ab.Reset(cross)
 	np := len(sc.parts)
 	var local int64
 	for p := range sc.parts {
@@ -543,13 +590,13 @@ func (ex *execution[V]) gatherPart(q int) {
 			case p == q: // materialized to local disk
 				local += ex.prog.Bytes(v)
 			case crossPod:
-				ps.ab.Add(uint64(ex.tree.pod[p])<<32|uint64(g.Key), v)
+				ab.Add(uint64(ex.tree.pod[p])<<32|uint64(g.Key), v)
 				toAgg += ex.prog.Bytes(v)
 				continue
 			default:
 				remote += ex.prog.Bytes(v)
 			}
-			ex.appendBag(ps, g.Key, v)
+			ex.appendBag(vb, g.Key, v)
 		}
 		ex.remoteBytes[p*np+q] = remote
 		if crossPod {
@@ -558,23 +605,25 @@ func (ex *execution[V]) gatherPart(q int) {
 	}
 	ex.localBytes[q] = local
 	if ex.tree != nil {
-		ex.aggregatePart(q)
+		ex.aggregatePart(q, ab, vb)
 	}
 	ps.vlog.Groups = ps.vlog.Groups[:0]
-	if ps.vb.Len() > 0 {
-		ps.vb.Build(&ps.vlog, true, 1, nil)
+	if vb.Len() > 0 {
+		vb.Build(&ps.vlog, true, 1, nil)
 	}
+	sc.builders.put(vb)
+	sc.aggBuilders.put(ab)
 }
 
-// appendBag adds v to dst's bag; ps is the scratch of the partition owning
-// dst.
-func (ex *execution[V]) appendBag(ps *partScratch[V], dst graph.VertexID, v V) {
+// appendBag adds v to dst's bag; vb gathers the virtual arrivals of the
+// partition owning dst.
+func (ex *execution[V]) appendBag(vb *exchange.Builder[graph.VertexID, V], dst graph.VertexID, v V) {
 	if int(dst) < ex.n {
 		bag := &ex.sc.bags[ex.sc.enc.ToNew(dst)]
 		*bag = append(*bag, v)
 		return
 	}
-	ps.vb.Add(dst, v)
+	vb.Add(dst, v)
 }
 
 // combinePart runs partition q's Combine calls into next and charges the

@@ -3,6 +3,7 @@ package propagation
 import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/exchange"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/storage"
@@ -63,14 +64,14 @@ func newTreeAgg(topo *cluster.Topology, pl *partition.Placement) *treeAgg {
 }
 
 // aggregatePart is partition q's share of the Aggregate stage semantics: the
-// cross-pod values gatherPart(q) set aside, keyed pod<<32 | destination, are
-// grouped by (sending pod, destination vertex) and each group's merged value
-// joins the destination's bag after its direct arrivals, pods in index order.
-// The grouping is stable, so each group keeps gather order — source
-// partitions by index, then log order — and Merge sees a capped window of it.
-func (ex *execution[V]) aggregatePart(q int) {
+// cross-pod values gatherPart(q) set aside in ab, keyed pod<<32 | destination,
+// are grouped by (sending pod, destination vertex); each group's merged value
+// joins the destination's bag (vb's, if virtual) after its direct arrivals,
+// pods in index order. The grouping is stable: Merge sees a capped window in
+// gather order (source partitions by index, then log order).
+func (ex *execution[V]) aggregatePart(q int, ab *exchange.Builder[uint64, V], vb *exchange.Builder[graph.VertexID, V]) {
 	t, ps, np := ex.tree, &ex.sc.parts[q], len(ex.sc.parts)
-	ps.ab.Build(&ps.alog, true, 1, nil)
+	ab.Build(&ps.alog, true, 1, nil)
 	start := int32(0)
 	for _, g := range ps.alog.Groups {
 		pod, dst := int(g.Key>>32), graph.VertexID(g.Key)
@@ -78,7 +79,7 @@ func (ex *execution[V]) aggregatePart(q int) {
 		if g.End-start > 1 {
 			merged = ex.prog.Merge(dst, ps.alog.Vals[start:g.End:g.End])
 		}
-		ex.appendBag(ps, dst, merged)
+		ex.appendBag(vb, dst, merged)
 		t.outBytes[pod*np+q] += ex.prog.Bytes(merged)
 		t.inValues[pod*np+q] += int64(g.End - start)
 		start = g.End
