@@ -18,11 +18,13 @@ done
 (cd benchmark && go vet ./... && go test ./...)
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
+# The ten tools, built once; every tool call below runs these binaries.
+go build -o "$smoke/bin/" ./cmd/...
 
 # Determinism-contract static gate (docs/LINTS.md), before the tests that
 # would (sometimes) catch the same violations dynamically: any finding
 # fails the build, and a clean tree prints nothing.
-go run ./cmd/surfer-lint ./...
+"$smoke/bin/surfer-lint" ./...
 # The words other tools parse, held to docs/METRICS.md where the program
 # makes them (the retired SL004's place): event kinds, blame categories,
 # and the schema and keys of every bench report. Seconds, not the raced
@@ -114,50 +116,48 @@ for ex in examples/*/; do
     go run "./$ex" > "$smoke/$(basename "$ex").txt"
 done
 grep -q "^max rank difference vs baseline: 0.00e+00 " "$smoke/faulttolerance.txt"
-go run ./cmd/surfer-gen -kind social -vertices 4096 -seed 42 -out "$smoke/g.srfg"
-go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t3 \
+"$smoke/bin/surfer-gen" -kind social -vertices 4096 -seed 42 -out "$smoke/g.srfg"
+"$smoke/bin/surfer-run" -graph "$smoke/g.srfg" -app nr -topology t3 \
     -machines 8 -levels 2 -trace "$smoke/trace.json" -events "$smoke/run.events"
-go run ./cmd/surfer-trace -in "$smoke/trace.json"
-go run ./cmd/surfer-trace -in "$smoke/run.events" -breakdown
+"$smoke/bin/surfer-trace" -in "$smoke/trace.json"
+"$smoke/bin/surfer-trace" -in "$smoke/run.events" -breakdown
 # The one Prometheus exposition writer, on the capture above.
-go run ./cmd/surfer-metrics -trace "$smoke/run.events" -prom | grep -q surfer_series_last
+"$smoke/bin/surfer-metrics" -trace "$smoke/run.events" -prom | grep -q surfer_series_last
 # Critical-path analysis gate: the analyzer must accept its own capture
 # (nonzero exit on a malformed or acausal stream) and emit the blame table.
-go run ./cmd/surfer-analyze -trace "$smoke/run.events" > "$smoke/report.txt"
+"$smoke/bin/surfer-analyze" -trace "$smoke/run.events" > "$smoke/report.txt"
 grep -q "blame attribution" "$smoke/report.txt"
 # And it refuses the Chrome export in the scan itself, as the other format
 # rather than a damaged stream.
-if go run ./cmd/surfer-analyze -trace "$smoke/trace.json" 2> "$smoke/chrome-refused.txt"; then
+if "$smoke/bin/surfer-analyze" -trace "$smoke/trace.json" 2> "$smoke/chrome-refused.txt"; then
     echo "surfer-analyze accepted a Chrome export" >&2
     exit 1
 fi
 grep -q "not a raw event trace" "$smoke/chrome-refused.txt"
 # A window far shorter than the run is refused in one line, not grown until
 # memory runs out; the address-space limit makes a regression fail fast.
-go build -o "$smoke/surfer-metrics" ./cmd/surfer-metrics
-if (ulimit -v 4000000 && "$smoke/surfer-metrics" -trace "$smoke/run.events" -window 1e-12) 2> "$smoke/window-refused.txt"; then
+if (ulimit -v 4000000 && "$smoke/bin/surfer-metrics" -trace "$smoke/run.events" -window 1e-12) 2> "$smoke/window-refused.txt"; then
     echo "surfer-metrics accepted a 1e-12 s window" >&2
     exit 1
 fi
 grep -q "windows a series may hold" "$smoke/window-refused.txt"
 # Bench report schema + regression gate: a small table1 run must emit a
 # valid surfer-bench/v1 report, and comparing it against itself must pass.
-go run ./cmd/surfer-bench -experiment table1 -vertices 8192 -machines 8 \
+"$smoke/bin/surfer-bench" -experiment table1 -vertices 8192 -machines 8 \
     -levels 3 -json "$smoke/bench.json" > /dev/null
-go run ./cmd/surfer-analyze -compare "$smoke/bench.json" "$smoke/bench.json" -threshold 5%
+"$smoke/bin/surfer-analyze" -compare "$smoke/bench.json" "$smoke/bench.json" -threshold 5%
 # And a tampered copy (parmetis_seconds inflated ~10x) must fail the gate.
 sed 's/"parmetis_seconds": \([0-9]\)/"parmetis_seconds": 9\1/' \
     "$smoke/bench.json" > "$smoke/bench-bad.json"
-if go run ./cmd/surfer-analyze -compare "$smoke/bench.json" "$smoke/bench-bad.json" -threshold 5%; then
+if "$smoke/bin/surfer-analyze" -compare "$smoke/bench.json" "$smoke/bench-bad.json" -threshold 5%; then
     echo "compare gate failed to catch a regression" >&2
     exit 1
 fi
 # The whole experiment suite, whose runs replay plans shared through each
 # bisection's memo, at one and at two workers: the two event streams must be
 # the same bytes.
-go build -o "$smoke/surfer-bench" ./cmd/surfer-bench
 for w in 1 2; do
-    "$smoke/surfer-bench" -experiment all -vertices 4096 -machines 8 -levels 3 \
+    "$smoke/bin/surfer-bench" -experiment all -vertices 4096 -machines 8 -levels 3 \
         -workers "$w" -events "$smoke/all-w$w.events" > /dev/null
 done
 cmp "$smoke/all-w1.events" "$smoke/all-w2.events"
@@ -170,20 +170,20 @@ cat > "$smoke/elastic.json" <<'EOF'
   "drains": [{"machine": 3, "at": 0.001, "deadline": 1.0}]
 }
 EOF
-go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t1 \
+"$smoke/bin/surfer-run" -graph "$smoke/g.srfg" -app nr -topology t1 \
     -machines 8 -levels 3 -fail "$smoke/elastic.json" \
     -events "$smoke/elastic.events" -metrics "$smoke/live.series" > "$smoke/elastic.txt"
 grep -q "elasticity:.*1 join(s), 1 drain(s)" "$smoke/elastic.txt"
 # Series sampled live during the run above must be byte-identical to series
 # derived offline from its capture (EXPERIMENTS.md's two-path contract), here
 # on a seeded fault+elastic schedule.
-go run ./cmd/surfer-metrics -trace "$smoke/elastic.events" -window 0.25 -json \
+"$smoke/bin/surfer-metrics" -trace "$smoke/elastic.events" -window 0.25 -json \
     > "$smoke/derived.series"
 cmp "$smoke/live.series" "$smoke/derived.series"
 # "migration=" appears only when the critical path spent time on the eviction.
-go run ./cmd/surfer-analyze -trace "$smoke/elastic.events" | grep -q "migration="
-go run ./cmd/surfer-analyze -autoscale "$smoke/elastic.events" -json > "$smoke/plan.json"
-go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t1 \
+"$smoke/bin/surfer-analyze" -trace "$smoke/elastic.events" | grep -q "migration="
+"$smoke/bin/surfer-analyze" -autoscale "$smoke/elastic.events" -json > "$smoke/plan.json"
+"$smoke/bin/surfer-run" -graph "$smoke/g.srfg" -app nr -topology t1 \
     -machines 8 -levels 3 -fail "$smoke/plan.json" > /dev/null
 # Chaos smoke: one fault file with all six keys (the join names a machine of
 # the topology, so surfer-bench takes it as it stands) through a traced run,
@@ -198,41 +198,41 @@ cat > "$smoke/chaos.json" <<'EOF'
   "drains":    [{"machine": 3, "at": 0.001, "deadline": 1.0}]
 }
 EOF
-go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t1 \
+"$smoke/bin/surfer-run" -graph "$smoke/g.srfg" -app nr -topology t1 \
     -machines 8 -levels 3 -fail "$smoke/chaos.json" \
     -events "$smoke/chaos.events" > "$smoke/chaos.txt"
 grep -q "elasticity:.*1 join(s), 1 drain(s)" "$smoke/chaos.txt"
-go run ./cmd/surfer-trace -in "$smoke/chaos.events" -breakdown > "$smoke/chaos-breakdown.txt"
+"$smoke/bin/surfer-trace" -in "$smoke/chaos.events" -breakdown > "$smoke/chaos-breakdown.txt"
 grep -q "drops=1" "$smoke/chaos-breakdown.txt"
 grep -q "FAILED" "$smoke/chaos-breakdown.txt"
-go run ./cmd/surfer-bench -experiment fig10 -vertices 4096 -machines 8 \
+"$smoke/bin/surfer-bench" -experiment fig10 -vertices 4096 -machines 8 \
     -levels 3 -faults "$smoke/chaos.json" > "$smoke/chaos-fig10.txt"
 grep -q "task recoveries" "$smoke/chaos-fig10.txt"
 # Multi-tenant smoke + regression gate: replay a generated workload through
 # the job service, find the scheduler's queued-preempted category in the blame
 # table, then gate the multitenant bench against BENCH_multitenant.json.
-go run ./cmd/surfer-submit -gen 6 -tenants 3 -seed 7 -out "$smoke/jobs.json"
-go run ./cmd/surfer-submit -jobs "$smoke/jobs.json" -policy fair \
+"$smoke/bin/surfer-submit" -gen 6 -tenants 3 -seed 7 -out "$smoke/jobs.json"
+"$smoke/bin/surfer-submit" -jobs "$smoke/jobs.json" -policy fair \
     -events "$smoke/jobs.events" > "$smoke/submit.txt"
 grep -q "Jain fairness" "$smoke/submit.txt"
 # The breakdown files each event under its own job and stage, so on this
 # two-slot run every stage line has a machine row under it and no stage is
 # "(untracked)".
-go run ./cmd/surfer-trace -in "$smoke/jobs.events" -breakdown > "$smoke/jobs-breakdown.txt"
+"$smoke/bin/surfer-trace" -in "$smoke/jobs.events" -breakdown > "$smoke/jobs-breakdown.txt"
 awk '/^  stage /{if (open || /\(untracked\)/) bad = 1; open = 1; next}
      /^    m/{open = 0} END{exit bad || open}' "$smoke/jobs-breakdown.txt"
-go run ./cmd/surfer-analyze -trace "$smoke/jobs.events" | grep -q "queued-preempted"
-go run ./cmd/surfer-bench -experiment multitenant -vertices 4096 -levels 4 \
+"$smoke/bin/surfer-analyze" -trace "$smoke/jobs.events" | grep -q "queued-preempted"
+"$smoke/bin/surfer-bench" -experiment multitenant -vertices 4096 -levels 4 \
     -machines 8 -json "$smoke/mt.json" > /dev/null
-go run ./cmd/surfer-analyze -compare BENCH_multitenant.json "$smoke/mt.json" -threshold 5%
+"$smoke/bin/surfer-analyze" -compare BENCH_multitenant.json "$smoke/mt.json" -threshold 5%
 # Auto-tuner smoke: a tiny deterministic search (virtual objective, fixed
 # seed) must find a winner and print the trace.
-go run ./cmd/surfer-tune -app nr -vertices 4096 -machines 8 -levels 3 \
+"$smoke/bin/surfer-tune" -app nr -vertices 4096 -machines 8 -levels 3 \
     -seed 42 > "$smoke/tune.txt"
 grep -q '^best:' "$smoke/tune.txt"
 # Scale gate: the 65k row at the committed baseline's exact parameters
 # against BENCH_scale.json (-compare checks only the entries the new report
 # has, so the baseline's 1M rows ride along as reference).
-go run ./cmd/surfer-bench -experiment scale -sizes 65536 -vertices 65536 \
+"$smoke/bin/surfer-bench" -experiment scale -sizes 65536 -vertices 65536 \
     -machines 32 -levels 6 -seed 42 -json "$smoke/scale.json" > /dev/null
-go run ./cmd/surfer-analyze -compare BENCH_scale.json "$smoke/scale.json" -threshold 5%
+"$smoke/bin/surfer-analyze" -compare BENCH_scale.json "$smoke/scale.json" -threshold 5%

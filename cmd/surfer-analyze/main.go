@@ -33,9 +33,9 @@ import (
 	"repro/internal/trace"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { os.Exit(tool(os.Stdout, os.Stderr).Run(os.Args[1:])) }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func tool(stdout, stderr io.Writer) cli.Tool {
 	fs := cli.Flags("surfer-analyze", stderr)
 	var (
 		traceIn   = fs.String("trace", "", "raw event stream to analyze (from surfer-run -events)")
@@ -45,62 +45,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		autoscale = fs.String("autoscale", "", "raw event stream (with topology header) to run the utilization-driven autoscaling policy on; prints the recommended joins/drains and, with -json, a fault-schedule file ready for surfer-run -fail")
 		asJSON    = fs.Bool("json", false, "emit the report as JSON instead of text")
 	)
-	return cli.Run(fs, args, stderr, func(files []string) error {
-		var modes []string
-		for _, name := range []string{"trace", "autoscale", "diff", "compare"} {
-			if cli.Given(fs, name) {
-				modes = append(modes, "-"+name)
+	return cli.Tool{Flags: fs,
+		Check: map[string]func(string) error{"threshold": cli.Parse(parseThreshold)},
+		Reads: []cli.Cond{cli.Only("threshold", "compare"),
+			{Flags: []string{"json"}, By: "compare", Not: true, Say: "-json: -compare does not read it (its verdict is text)"}},
+		Modes: []cli.Modes{{Flags: []string{"trace", "autoscale", "diff", "compare"}, Sep: " and ", Say: "%s: one mode per call"}},
+		Args: map[string]cli.Arity{"diff": {N: 2, Say: "-diff wants two positional args: A.events B.events"},
+			"compare":   {N: 2, Say: "-compare wants two positional args: old.json new.json"},
+			"trace":     {Say: "-trace takes its stream as its value, not as positional args: %s"},
+			"autoscale": {Say: "-autoscale takes its stream as its value, not as positional args: %s"}},
+		Body: func(files []string) error {
+			switch {
+			case *doCompare:
+				pct, _ := parseThreshold(*threshold)
+				return runCompare(stdout, files[0], files[1], pct)
+			case *doDiff:
+				a, err := analyzeFile(files[0])
+				if err != nil {
+					return err
+				}
+				b, err := analyzeFile(files[1])
+				if err != nil {
+					return err
+				}
+				d := analyze.Diff(a, b)
+				if *asJSON {
+					return analyze.WriteDiffJSON(stdout, d)
+				}
+				return analyze.WriteDiffText(stdout, d)
+			case *autoscale != "":
+				return runAutoscale(stdout, *autoscale, *asJSON)
+			case *traceIn != "":
+				r, err := analyzeFile(*traceIn)
+				if err != nil {
+					return err
+				}
+				if *asJSON {
+					return analyze.WriteJSON(stdout, r)
+				}
+				return analyze.WriteText(stdout, r)
 			}
-		}
-		switch {
-		case len(modes) > 1:
-			return cli.Usage(fmt.Errorf("%s: one mode per call", strings.Join(modes, " and ")))
-		case cli.Given(fs, "threshold") && !*doCompare:
-			return cli.Usage(fmt.Errorf("-threshold %s: only -compare reads it", *threshold))
-		case *asJSON && *doCompare:
-			return cli.Usage(errors.New("-json: -compare does not read it (its verdict is text)"))
-		case len(files) > 0 && *traceIn+*autoscale != "":
-			return cli.Usage(fmt.Errorf("%s takes its stream as its value, not as positional args: %s", modes[0], strings.Join(files, " ")))
-		case *doCompare:
-			if len(files) != 2 {
-				return cli.Usage(errors.New("-compare wants two positional args: old.json new.json"))
-			}
-			pct, err := parseThreshold(*threshold)
-			if err != nil {
-				return err
-			}
-			return runCompare(stdout, files[0], files[1], pct)
-		case *doDiff:
-			if len(files) != 2 {
-				return cli.Usage(errors.New("-diff wants two positional args: A.events B.events"))
-			}
-			a, err := analyzeFile(files[0])
-			if err != nil {
-				return err
-			}
-			b, err := analyzeFile(files[1])
-			if err != nil {
-				return err
-			}
-			d := analyze.Diff(a, b)
-			if *asJSON {
-				return analyze.WriteDiffJSON(stdout, d)
-			}
-			return analyze.WriteDiffText(stdout, d)
-		case *autoscale != "":
-			return runAutoscale(stdout, *autoscale, *asJSON)
-		case *traceIn != "":
-			r, err := analyzeFile(*traceIn)
-			if err != nil {
-				return err
-			}
-			if *asJSON {
-				return analyze.WriteJSON(stdout, r)
-			}
-			return analyze.WriteText(stdout, r)
-		}
-		return cli.Usage(errors.New("nothing to do: want -trace f, -autoscale f, -diff a b, or -compare old new"))
-	})
+			return cli.Usage(errors.New("nothing to do: want -trace f, -autoscale f, -diff a b, or -compare old new"))
+		}}
 }
 
 // runAutoscale applies the default autoscaling policy to an event stream.
@@ -189,7 +175,7 @@ func parseThreshold(s string) (float64, error) {
 	s = strings.TrimSuffix(strings.TrimSpace(s), "%")
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad -threshold %q (want a percentage like 5%%)", s)
+		return 0, errors.New("want a percentage like 5%")
 	}
 	return v, nil
 }

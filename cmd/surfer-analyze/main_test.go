@@ -21,7 +21,7 @@ import (
 // invoke runs the tool in-process and returns its exit status and output.
 func invoke(args ...string) (code int, stdout, stderr string) {
 	var o, e bytes.Buffer
-	code = run(args, &o, &e)
+	code = tool(&o, &e).Run(args)
 	return code, o.String(), e.String()
 }
 
@@ -167,7 +167,7 @@ func TestBadInvocations(t *testing.T) {
 		{nil, 2, "nothing to do"},
 		{[]string{"-diff", good}, 2, "-diff wants two positional args"},
 		{[]string{"-compare", report}, 2, "-compare wants two positional args"},
-		{[]string{"-compare", report, report, "-threshold", "lots"}, 1, `bad -threshold "lots"`},
+		{[]string{"-compare", report, report, "-threshold", "lots"}, 2, "-threshold lots: want a percentage like 5%"},
 		{[]string{"-autoscale", bare}, 1, "bare.events: no topology header"},
 		{[]string{"-trace", machineless}, 1, "machineless.events: analyze: event 1 is a task-end on machine -1"},
 		{[]string{"-trace", far}, 1, "far.events: analyze: event 1 is a task-end on machine 8589934592"},
@@ -199,3 +199,7 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestContract runs a command line that breaks each rule the tool declares:
+// each must exit 2 with that rule's refusal alone.
+func TestContract(t *testing.T) { cli.Contract(t, tool) }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/bench"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -15,7 +16,7 @@ import (
 // invoke runs the tool in-process and returns its exit status and output.
 func invoke(args ...string) (code int, stdout, stderr string) {
 	var o, e bytes.Buffer
-	code = run(args, &o, &e)
+	code = tool(&o, &e).Run(args)
 	return code, o.String(), e.String()
 }
 
@@ -98,7 +99,7 @@ func TestExperimentSelection(t *testing.T) {
 	names := strings.Join(bench.ExperimentNames(), "|")
 	unwritten := filepath.Join(dir, "unwritten.json")
 	code, stdout, stderr = invoke(small("-experiment", "tabel1", "-json", unwritten)...)
-	if code != 2 || stdout != "" || !strings.Contains(stderr, `surfer-bench: bench: unknown experiment "tabel1" (want `+names+")") {
+	if code != 2 || stdout != "" || !strings.Contains(stderr, `surfer-bench: -experiment tabel1: bench: unknown experiment "tabel1" (want `+names+")") {
 		t.Errorf("unknown name: exit %d, stdout %q, stderr %q; want 2 and the registered names", code, stdout, stderr)
 	}
 	if _, err := os.Stat(unwritten); err == nil {
@@ -193,3 +194,7 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestContract runs a command line that breaks each rule the tool declares:
+// each must exit 2 with that rule's refusal alone.
+func TestContract(t *testing.T) { cli.Contract(t, tool) }

@@ -8,12 +8,14 @@ import (
 	"testing"
 
 	surfer "repro"
+
+	"repro/cmd/internal/cli"
 )
 
 // invoke runs the tool in-process and returns its exit status and output.
 func invoke(args ...string) (code int, stdout, stderr string) {
 	var o, e bytes.Buffer
-	code = run(args, &o, &e)
+	code = tool(&o, &e).Run(args)
 	return code, o.String(), e.String()
 }
 
@@ -63,17 +65,17 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-gen"},
 		// was: exit 0, the argument ignored.
 		{[]string{"-vertices", "64", "-out", filepath.Join(dir, "g.srfg"), "extra"}, 2, "positional args are not read: extra"},
-		{[]string{"-kind", "torus"}, 1, `surfer-gen: unknown kind "torus"`},
-		{[]string{"-vertices", "-5"}, 1, "surfer-gen: -vertices -5: must not be negative"},
-		{[]string{"-kind", "rmat", "-scale", "-1"}, 1, "surfer-gen: -scale -1: want 0 <= scale <= 30"},
-		{[]string{"-kind", "uniform", "-edgefactor", "-3"}, 1, "surfer-gen: -edgefactor -3: must not be negative"},
-		{[]string{"-kind", "smallworld", "-rewire", "2"}, 1, "surfer-gen: -rewire 2: want 0 <= rewire <= 1"},
-		{[]string{"-kind", "smallworld", "-rewire", "-0.5"}, 1, "surfer-gen: -rewire -0.5: want 0 <= rewire <= 1"},
-		{[]string{"-kind", "smallworld", "-rewire", "NaN"}, 1, "surfer-gen: -rewire NaN: want 0 <= rewire <= 1"},
+		{[]string{"-kind", "torus"}, 2, "surfer-gen: -kind torus: want social, smallworld, rmat or uniform"},
+		{[]string{"-vertices", "-5"}, 2, "surfer-gen: -vertices -5: must not be negative"},
+		{[]string{"-kind", "rmat", "-scale", "-1"}, 2, "surfer-gen: -scale -1: out of range [0, 30]"},
+		{[]string{"-kind", "uniform", "-edgefactor", "-3"}, 2, "surfer-gen: -edgefactor -3: must not be negative"},
+		{[]string{"-kind", "smallworld", "-rewire", "2"}, 2, "surfer-gen: -rewire 2: out of range [0, 1]"},
+		{[]string{"-kind", "smallworld", "-rewire", "-0.5"}, 2, "surfer-gen: -rewire -0.5: out of range [0, 1]"},
+		{[]string{"-kind", "smallworld", "-rewire", "NaN"}, 2, "surfer-gen: -rewire NaN: out of range [0, 1]"},
 		// The stitched generators round -vertices down to whole components.
-		{[]string{"-kind", "smallworld", "-vertices", "3"}, 1, "surfer-gen: -vertices 3: smallworld would write 0 vertices"},
-		{[]string{"-kind", "social", "-vertices", "5"}, 1, "surfer-gen: -vertices 5: social would write 4 vertices"},
-		{[]string{"-kind", "smallworld", "-vertices", "65537"}, 1, "surfer-gen: -vertices 65537: smallworld would write 65536 vertices"},
+		{[]string{"-kind", "smallworld", "-vertices", "3"}, 2, "surfer-gen: -vertices 3: smallworld would write 0 vertices"},
+		{[]string{"-kind", "social", "-vertices", "5"}, 2, "surfer-gen: -vertices 5: social would write 4 vertices"},
+		{[]string{"-kind", "smallworld", "-vertices", "65537"}, 2, "surfer-gen: -vertices 65537: smallworld would write 65536 vertices"},
 		// A set flag the kind does not read.
 		{[]string{"-kind", "social", "-vertices", "1024", "-rewire", "0.5"}, 2, "surfer-gen: -rewire 0.5: -kind social does not read it (only smallworld)"},
 		{[]string{"-kind", "uniform", "-rewire", "0.05"}, 2, "surfer-gen: -rewire 0.05: -kind uniform does not read it"},
@@ -82,7 +84,7 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-kind", "uniform", "-scale", "16"}, 2, "surfer-gen: -scale 16: -kind uniform does not read it"},
 		{[]string{"-kind", "social", "-edgefactor", "3"}, 2, "surfer-gen: -edgefactor 3: -kind social does not read it (only rmat, uniform)"},
 		{[]string{"-kind", "smallworld", "-edgefactor", "12"}, 2, "surfer-gen: -edgefactor 12: -kind smallworld does not read it"},
-		{[]string{"-kind", "torus", "-scale", "4"}, 1, `surfer-gen: unknown kind "torus"`},
+		{[]string{"-kind", "torus", "-scale", "4"}, 2, "surfer-gen: -kind torus: want social, smallworld, rmat or uniform"},
 		{[]string{"-vertices", "64", "-out", filepath.Join(dir, "no", "such", "dir.srfg")}, 1, "dir.srfg"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
@@ -94,3 +96,7 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestContract runs a command line that breaks each rule the tool declares:
+// each must exit 2 with that rule's refusal alone.
+func TestContract(t *testing.T) { cli.Contract(t, tool) }

@@ -28,13 +28,13 @@ import (
 	"repro/internal/lint"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { os.Exit(tool(os.Stdout, os.Stderr).Run(os.Args[1:])) }
 
-// run is the whole tool: 0 clean, 1 findings, 2 usage or load errors.
-func run(args []string, stdout, stderr io.Writer) int {
+// tool is the whole tool: 0 clean, 1 findings, 2 usage or load errors.
+func tool(stdout, stderr io.Writer) cli.Tool {
 	fs := cli.Flags("surfer-lint", stderr)
 	root := fs.String("root", "", "analyze this tree instead of the enclosing module")
-	return cli.Run(fs, args, stderr, func(patterns []string) error {
+	return cli.Tool{Flags: fs, Args: map[string]cli.Arity{"": {N: -1}}, Body: func(patterns []string) error {
 		if len(patterns) == 0 {
 			patterns = []string{"./..."}
 		}
@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return cli.Failed
 		}
 		return nil
-	})
+	}}
 }
 
 // moduleRoot walks up from the working directory to the nearest go.mod.

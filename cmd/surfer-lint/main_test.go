@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/cmd/internal/cli"
 )
 
 // TestRun drives the whole tool in process: the real tree is clean and
@@ -47,7 +49,7 @@ func TestRun(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if got := run(tc.args, &stdout, &stderr); got != tc.exit {
+			if got := tool(&stdout, &stderr).Run(tc.args); got != tc.exit {
 				t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", got, tc.exit, &stdout, &stderr)
 			}
 			if got := stdout.String(); got != tc.wantStdout {
@@ -59,3 +61,7 @@ func TestRun(t *testing.T) {
 		})
 	}
 }
+
+// TestContract runs a command line that breaks each rule the tool declares:
+// each must exit 2 with that rule's refusal alone.
+func TestContract(t *testing.T) { cli.Contract(t, tool) }

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"slices"
 	"strings"
@@ -30,9 +29,9 @@ import (
 	"repro/internal/trace"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { os.Exit(tool(os.Stdout, os.Stderr).Run(os.Args[1:])) }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func tool(stdout, stderr io.Writer) cli.Tool {
 	fs := cli.Flags("surfer-metrics", stderr)
 	var (
 		traceIn   = fs.String("trace", "", "raw event stream to derive series from (surfer-run -events)")
@@ -45,72 +44,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 		match     = fs.String("match", "", "only render series whose name contains this substring")
 		width     = fs.Int("width", 48, "sparkline width in columns (dashboard)")
 	)
-	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
-		var chosen []string
-		for _, f := range []struct {
-			name string
-			on   bool
-		}{{"json", *asJSON}, {"csv", *asCSV}, {"prom", *asProm}} {
-			if f.on {
-				chosen = append(chosen, "-"+f.name)
+	return cli.Tool{Flags: fs,
+		Check: map[string]func(string) error{"window": cli.NonNegative, "width": cli.Positive},
+		// A series file's windows are fixed when it is written.
+		Reads: []cli.Cond{cli.Unless("series", "window"), {Flags: []string{"rules"}, By: "trace",
+			Say: "-rules needs -trace (alerts evaluate at window seals, which a flat series file no longer has)"},
+			cli.Unless("json", "width"), cli.Unless("csv", "width"), cli.Unless("prom", "width")},
+		Modes: []cli.Modes{{Flags: []string{"trace", "series"}, Sep: " and ", Say: "%s are alternatives; pass one"},
+			{Flags: []string{"json", "csv", "prom"}, Sep: ", ", Say: "%s: alternative outputs; pass one"}},
+		Body: func([]string) error {
+			var set *metrics.Set
+			var alerts []metrics.Alert
+			var err error
+			switch {
+			case *traceIn != "":
+				if set, alerts, err = derive(*traceIn, *window, *rulesPath); err != nil {
+					return err
+				}
+			case *seriesIn != "":
+				f, err := os.Open(*seriesIn)
+				if err != nil {
+					return err
+				}
+				set, err = metrics.ReadSet(f)
+				f.Close()
+				if err != nil {
+					return fmt.Errorf("%s: %v", *seriesIn, err)
+				}
+			default:
+				return cli.Usage(errors.New("pass -trace run.events (derive) or -series run.series (re-render)"))
 			}
-		}
-		if len(chosen) > 1 {
-			return cli.Usage(fmt.Errorf("%s: alternative outputs; pass one", strings.Join(chosen, ", ")))
-		}
-		if len(chosen) == 1 {
-			if err := cli.Unread(fs, chosen[0], "width"); err != nil {
-				return err
-			}
-		}
-		if *traceIn == "" && *seriesIn != "" {
-			// The series file's windows are fixed when it is written.
-			if err := cli.Unread(fs, "-series", "window"); err != nil {
-				return err
-			}
-		}
-		var set *metrics.Set
-		var alerts []metrics.Alert
-		var err error
-		switch {
-		case *traceIn != "" && *seriesIn != "":
-			return cli.Usage(errors.New("-trace and -series are alternatives; pass one"))
-		case *traceIn != "":
-			if set, alerts, err = derive(*traceIn, *window, *rulesPath); err != nil {
-				return err
-			}
-		case *seriesIn != "":
-			if *rulesPath != "" {
-				return cli.Usage(errors.New("-rules needs -trace (alerts evaluate at window seals, which a flat series file no longer has)"))
-			}
-			f, err := os.Open(*seriesIn)
-			if err != nil {
-				return err
-			}
-			set, err = metrics.ReadSet(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("%s: %v", *seriesIn, err)
-			}
-		default:
-			return cli.Usage(errors.New("pass -trace run.events (derive) or -series run.series (re-render)"))
-		}
 
-		if *match != "" {
-			set.Series = slices.DeleteFunc(set.Series, func(s metrics.Series) bool { return !strings.Contains(s.Name, *match) })
-		}
+			if *match != "" {
+				set.Series = slices.DeleteFunc(set.Series, func(s metrics.Series) bool { return !strings.Contains(s.Name, *match) })
+			}
 
-		switch {
-		case *asJSON:
-			return metrics.WriteSet(stdout, set)
-		case *asCSV:
-			return metrics.WriteCSV(stdout, set)
-		case *asProm:
-			return metrics.WriteProm(stdout, set)
-		}
-		metrics.WriteDashboard(stdout, set, alerts, *width)
-		return nil
-	}))
+			switch {
+			case *asJSON:
+				return metrics.WriteSet(stdout, set)
+			case *asCSV:
+				return metrics.WriteCSV(stdout, set)
+			case *asProm:
+				return metrics.WriteProm(stdout, set)
+			}
+			metrics.WriteDashboard(stdout, set, alerts, *width)
+			return nil
+		}}
 }
 
 // derive folds the captured stream into windowed series, exactly as a live
@@ -118,9 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 // folded as it streams by and no event is held; the automatic window is a
 // fraction of the makespan, which only the whole stream tells.
 func derive(path string, window float64, rulesPath string) (*metrics.Set, []metrics.Alert, error) {
-	if window < 0 || math.IsNaN(window) {
-		return nil, nil, fmt.Errorf("-window %g: want 0 (automatic) or a positive number of virtual seconds", window)
-	}
 	rules, err := metrics.LoadRules(rulesPath)
 	if err != nil {
 		return nil, nil, err

@@ -21,7 +21,7 @@ import (
 // invoke runs the tool in-process and returns its exit status and output.
 func invoke(args ...string) (code int, stdout, stderr string) {
 	var o, e bytes.Buffer
-	code = run(args, &o, &e)
+	code = tool(&o, &e).Run(args)
 	return code, o.String(), e.String()
 }
 
@@ -170,8 +170,11 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-trace", events, "-json", "-csv"}, 2, "-json, -csv: alternative outputs; pass one"},
 		{[]string{"-series", series, "-csv", "-prom"}, 2, "-csv, -prom: alternative outputs; pass one"},
 		// was: silently the automatic window.
-		{[]string{"-trace", events, "-window", "NaN"}, 1, "-window NaN: want 0 (automatic) or a positive number"},
-		{[]string{"-trace", events, "-window", "-1"}, 1, "-window -1: want 0 (automatic) or a positive number"},
+		{[]string{"-trace", events, "-window", "NaN"}, 2, "-window NaN: must not be negative"},
+		{[]string{"-trace", events, "-window", "-1"}, 2, "-window -1: must not be negative"},
+		// was: exit 0, a dashboard without sparklines.
+		{[]string{"-trace", events, "-width", "0"}, 2, "-width 0: must be positive"},
+		{[]string{"-trace", events, "-width", "-5"}, 2, "-width -5: must be positive"},
 		{[]string{"-trace", events, "-window", "Inf"}, 1, "metrics: window must be positive and finite, got +Inf"},
 		// was: a series grown until the process ran out of memory.
 		{[]string{"-trace", events, "-window", "1e-12"}, 1, "which a 1e-12 s window puts past the 1048576 windows a series may hold"},
@@ -212,3 +215,7 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestContract runs a command line that breaks each rule the tool declares:
+// each must exit 2 with that rule's refusal alone.
+func TestContract(t *testing.T) { cli.Contract(t, tool) }

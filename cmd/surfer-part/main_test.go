@@ -8,12 +8,14 @@ import (
 	"testing"
 
 	surfer "repro"
+
+	"repro/cmd/internal/cli"
 )
 
 // invoke runs the tool in-process and returns its exit status and output.
 func invoke(args ...string) (code int, stdout, stderr string) {
 	var o, e bytes.Buffer
-	code = run(args, &o, &e)
+	code = tool(&o, &e).Run(args)
 	return code, o.String(), e.String()
 }
 
@@ -105,7 +107,7 @@ func TestBadInputs(t *testing.T) {
 		{[]string{"-graph", write("empty.srfg", nil)}, 1, "empty.srfg"},
 		{[]string{"-graph", write("truncated.srfg", whole[:len(whole)/2])}, 1, "truncated.srfg"},
 		{[]string{"-graph", write("wrong.srfg", []byte(`{"format":"surfer-trace-events"}`))}, 1, "wrong.srfg"},
-		{[]string{"-graph", good, "-topology", "t9"}, 1, `unknown topology "t9"`},
+		{[]string{"-graph", good, "-topology", "t9"}, 2, `unknown topology "t9"`},
 		{[]string{"-graph", good, "-topology", "t2", "-machines", "8", "-pods", "3"}, 1, "8 machines, 3 pods"},
 		// was: T1{machines=8 pods=1}, the flags ignored.
 		{[]string{"-graph", good, "-topology", "t1", "-machines", "8", "-pods", "4", "-tree-levels", "2"}, 2, "-pods 4: -topology t1 does not read it (only t2)"},
@@ -121,3 +123,7 @@ func TestBadInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestContract runs a command line that breaks each rule the tool declares:
+// each must exit 2 with that rule's refusal alone.
+func TestContract(t *testing.T) { cli.Contract(t, tool) }

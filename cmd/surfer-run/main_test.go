@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/apps"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -16,7 +17,7 @@ import (
 // invoke runs the tool in-process and returns its exit status and output.
 func invoke(args ...string) (code int, stdout, stderr string) {
 	var o, e bytes.Buffer
-	code = run(args, &o, &e)
+	code = tool(&o, &e).Run(args)
 	return code, o.String(), e.String()
 }
 
@@ -135,18 +136,18 @@ func TestBadInvocations(t *testing.T) {
 		// was: exit 0, the argument ignored.
 		{small(g, "extra"), 2, "positional args are not read: extra"},
 		// was: "want vdd, rs, nr, rlg, tc or tfl", while accepting eight.
-		{small(g, "-app", "xyz"), 1, `unknown application "xyz" (want one of VDD, RS, NR, RLG, TC, TFL, CC, SSSP)`},
+		{small(g, "-app", "xyz"), 2, `unknown application "xyz" (want one of VDD, RS, NR, RLG, TC, TFL, CC, SSSP)`},
 		// was: log.Fatalf from inside a helper, after the deployment was built.
-		{small(g, "-opt", "o5"), 1, `unknown optimization level "o5" (want o1..o4)`},
-		{small(g, "-primitive", "pregel"), 1, `unknown primitive "pregel"`},
-		{small(g, "-topology", "t9"), 1, `unknown topology "t9"`},
+		{small(g, "-opt", "o5"), 2, `unknown optimization level "o5" (want o1..o4)`},
+		{small(g, "-primitive", "pregel"), 2, "-primitive pregel: want propagation or mapreduce"},
+		{small(g, "-topology", "t9"), 2, `unknown topology "t9"`},
 		{small(g, "-topology", "t2", "-pods", "3"), 1, "8 machines, 3 pods"},
 		// was: T1 and T3 runs that ignored it.
 		{small(g, "-pods", "4"), 2, "-pods 4: -topology t1 does not read it (only t2)"},
 		{small(g, "-topology", "t3", "-pods", "2"), 2, "-pods 2: -topology t3 does not read it (only t2)"},
 		{small(g, "-levels", "-1"), 1, "Config.Levels"},
-		{small(g, "-fail", "2"), 1, `bad -fail entry "2"`},
-		{small(g, "-fail", "x@1"), 1, "bad machine in -fail entry"},
+		{small(g, "-fail", "2"), 2, `-fail 2: bad entry "2"`},
+		{small(g, "-fail", "x@1"), 2, "-fail x@1: bad machine in entry"},
 		{small(g, "-fail", "40@1"), 1, "machine 40"},
 		// was: a run, slower than fault-free or fault-free itself.
 		{small(g, "-fail", "2@NaN"), 1, "kill 0 of machine 2 at time NaN"},
@@ -162,6 +163,11 @@ func TestBadInvocations(t *testing.T) {
 		{small(g, "-rules", write("slo.json", `{"rules":[]}`)), 2, "-rules needs -metrics"},
 		// Refused before the graph is read.
 		{[]string{"-graph", missing + ".srfg", "-rules", missing + ".rules"}, 2, "-rules needs -metrics"},
+		// was: the missing graph reported, the name not checked until after it.
+		{[]string{"-graph", missing + ".srfg", "-primitive", "foo"}, 2, "-primitive foo: want propagation or mapreduce"},
+		{[]string{"-graph", missing + ".srfg", "-opt", "o9"}, 2, `-opt o9: unknown optimization level "o9"`},
+		{[]string{"-graph", missing + ".srfg", "-app", "foo"}, 2, `-app foo: apps: unknown application "foo"`},
+		{[]string{"-graph", missing + ".srfg", "-topology", "t9"}, 2, `-topology t9: cluster: unknown topology "t9"`},
 		// was: exit 0, the flag never read.
 		{small(g, "-primitive", "mapreduce", "-opt", "o1"), 2, "-opt o1: -primitive mapreduce does not read it (only propagation)"},
 		{small(g, "-metrics-window", "0.5"), 2, "-metrics-window 0.5 needs -metrics"},
@@ -199,3 +205,7 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestContract runs a command line that breaks each rule the tool declares:
+// each must exit 2 with that rule's refusal alone.
+func TestContract(t *testing.T) { cli.Contract(t, tool) }

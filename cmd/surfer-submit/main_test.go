@@ -8,13 +8,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/trace"
 )
 
 // invoke runs the tool in-process and returns its exit status and output.
 func invoke(args ...string) (code int, stdout, stderr string) {
 	var o, e bytes.Buffer
-	code = run(args, &o, &e)
+	code = tool(&o, &e).Run(args)
 	return code, o.String(), e.String()
 }
 
@@ -134,7 +135,7 @@ func TestBadInvocations(t *testing.T) {
 		{replayArgs(jobs, "-faults", jobs), 1, "jobs.json"},
 		{replayArgs(jobs, "-faults", write("past.json", `{"joins": [{"machine": 8, "at": 0}]}`)), 1, "outside"},
 		{replayArgs(jobs, "-events", "/nonexistent/dir/run.events"), 1, "/nonexistent/dir/run.events"},
-		{[]string{"-jobs", "x", "-policy", "lifo"}, 1, `unknown policy "lifo"`},
+		{[]string{"-jobs", "x", "-policy", "lifo"}, 2, `unknown policy "lifo"`},
 		{[]string{"-no-such-flag"}, 2, "Usage of surfer-submit"},
 		// 2^levels must be a partition count of the 512-vertex graph.
 		{replayArgs(jobs, "-levels", "-1"), 1, "Levels = -1"},
@@ -142,13 +143,13 @@ func TestBadInvocations(t *testing.T) {
 		{replayArgs(jobs, "-levels", "12"), 1, "Levels = 12"},
 		// was: a panic, or a run that printed a value it did not use.
 		{replayArgs(jobs, "-machines", "0"), 1, "-machines: cluster: a topology needs at least one machine, got 0"},
-		{replayArgs(jobs, "-vertices", "-4"), 1, "-vertices -4: must not be negative"},
-		{replayArgs(jobs, "-concurrency", "0"), 1, "-concurrency 0: must be positive"},
+		{replayArgs(jobs, "-vertices", "-4"), 2, "-vertices -4: must not be negative"},
+		{replayArgs(jobs, "-concurrency", "0"), 2, "-concurrency 0: must be positive"},
 		// was: a silent "unlimited".
-		{replayArgs(jobs, "-queue-limit", "-1"), 1, "-queue-limit -1: must not be negative"},
-		{[]string{"-gen", "2", "-max-priority", "-1", "-out", gen}, 1, "-max-priority -1: must not be negative"},
-		{[]string{"-gen", "2", "-tenants", "0", "-out", gen}, 1, "-tenants 0: must be positive"},
-		{[]string{"-gen", "2", "-tenants", "-2", "-out", gen}, 1, "-tenants -2: must be positive"},
+		{replayArgs(jobs, "-queue-limit", "-1"), 2, "-queue-limit -1: must not be negative"},
+		{[]string{"-gen", "2", "-max-priority", "-1", "-out", gen}, 2, "-max-priority -1: must not be negative"},
+		{[]string{"-gen", "2", "-tenants", "0", "-out", gen}, 2, "-tenants 0: must be positive"},
+		{[]string{"-gen", "2", "-tenants", "-2", "-out", gen}, 2, "-tenants -2: must be positive"},
 		// was: exit 0, the flags never read.
 		{[]string{"-gen", "5", "-jobs", jobs, "-out", gen}, 2, "-jobs " + jobs + ": -gen does not read it"},
 		{[]string{"-gen", "2", "-out", gen, "-policy", "fair", "-events", gen}, 2, "-policy fair, -events " + gen + ": -gen does not read them"},
@@ -166,3 +167,7 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestContract runs a command line that breaks each rule the tool declares:
+// each must exit 2 with that rule's refusal alone.
+func TestContract(t *testing.T) { cli.Contract(t, tool) }

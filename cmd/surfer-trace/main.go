@@ -22,36 +22,34 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/cmd/internal/cli"
 	"repro/internal/trace"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { os.Exit(tool(os.Stdout, os.Stderr).Run(os.Args[1:])) }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func tool(stdout, stderr io.Writer) cli.Tool {
 	fs := cli.Flags("surfer-trace", stderr)
 	in := fs.String("in", "", "trace file to validate (Chrome trace_event JSON or raw event stream)")
 	breakdown := fs.Bool("breakdown", false, "print the job→stage→machine accounting table (raw event streams only)")
-	return cli.Run(fs, args, stderr, func(extra []string) error {
-		if len(extra) > 0 {
-			return cli.Usage(fmt.Errorf("positional args are not read (the file to check is -in's value): %s", strings.Join(extra, " ")))
-		}
-		if *in == "" {
-			return cli.Usage(errors.New("missing -in trace.json"))
-		}
-		// The scan refuses a file that has not named the raw-trace format
-		// before its body; what it refuses so is read as the other export.
-		err := checkRaw(stdout, *in, *breakdown)
-		if !errors.Is(err, trace.ErrNotStream) {
-			return err
-		}
-		if *breakdown {
-			return fmt.Errorf("%s: -breakdown needs a raw event stream (surfer-run -events); Chrome exports drop the event fields it is computed from", *in)
-		}
-		return checkChrome(stdout, *in)
-	})
+	return cli.Tool{Flags: fs,
+		Args: map[string]cli.Arity{"": {Say: "positional args are not read (the file to check is -in's value): %s"}},
+		Body: func([]string) error {
+			if *in == "" {
+				return cli.Usage(errors.New("missing -in trace.json"))
+			}
+			// The scan refuses a file that has not named the raw-trace format
+			// before its body; what it refuses so is read as the other export.
+			err := checkRaw(stdout, *in, *breakdown)
+			if !errors.Is(err, trace.ErrNotStream) {
+				return err
+			}
+			if *breakdown {
+				return fmt.Errorf("%s: -breakdown needs a raw event stream (surfer-run -events); Chrome exports drop the event fields it is computed from", *in)
+			}
+			return checkChrome(stdout, *in)
+		}}
 }
 
 // checkRaw validates a raw event stream (the scan enforces the seq/cause

@@ -20,7 +20,7 @@ import (
 // invoke runs the tool in-process and returns its exit status and output.
 func invoke(args ...string) (code int, stdout, stderr string) {
 	var o, e bytes.Buffer
-	code = run(args, &o, &e)
+	code = tool(&o, &e).Run(args)
 	return code, o.String(), e.String()
 }
 
@@ -149,3 +149,7 @@ func TestBadInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestContract runs a command line that breaks each rule the tool declares:
+// each must exit 2 with that rule's refusal alone.
+func TestContract(t *testing.T) { cli.Contract(t, tool) }

@@ -24,9 +24,9 @@ import (
 	"repro/internal/bench"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { os.Exit(tool(os.Stdout, os.Stderr).Run(os.Args[1:])) }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func tool(stdout, stderr io.Writer) cli.Tool {
 	fs := cli.Flags("surfer-tune", stderr)
 	var (
 		app       = fs.String("app", "nr", "application to tune: nr, tfl or any other surfer-run -app name")
@@ -38,9 +38,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		levelsMax = fs.Int("levels-max", 0, "partition-count sweep upper bound (log2, 0 = levels+2)")
 		jsonOut   = fs.String("json", "", "write the result as a surfer-bench/v1 report to this file")
 	)
-	return cli.Run(fs, args, stderr, cli.NoArgs(func() error {
+	return cli.Tool{Flags: fs, Body: func([]string) error {
 		if hi := cmp.Or(*levelsMax, *levels+2); *levelsMin < 1 || *levelsMax < 0 || *levels < *levelsMin || *levels > hi {
-			return fmt.Errorf("-levels %d, -levels-min %d, -levels-max %d: want 1 <= -levels-min <= -levels <= -levels-max (0 = -levels+2)", *levels, *levelsMin, *levelsMax)
+			return cli.Usage(fmt.Errorf("-levels %d, -levels-min %d, -levels-max %d: want 1 <= -levels-min <= -levels <= -levels-max (0 = -levels+2)", *levels, *levelsMin, *levelsMax))
 		}
 		cfg := bench.TuneConfig{
 			Scale:     bench.Scale{Vertices: *vertices, Levels: *levels, Machines: *machines, Seed: *seed},
@@ -57,5 +57,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return bench.WriteReport(*jsonOut, bench.FromTune(cfg, res))
 		}
 		return nil
-	}))
+	}}
 }

@@ -6,13 +6,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/bench"
 )
 
 // invoke runs the tool in-process and returns its exit status and output.
 func invoke(args ...string) (code int, stdout, stderr string) {
 	var o, e bytes.Buffer
-	code = run(args, &o, &e)
+	code = tool(&o, &e).Run(args)
 	return code, o.String(), e.String()
 }
 
@@ -52,12 +53,12 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-levels", "20", "-vertices", "4096"}, 1, "surfer-tune: core: Config.Levels = 22 out of range"},
 		{[]string{"-levels-max", "40"}, 1, "surfer-tune: core: Config.Levels = 40 out of range"},
 		// A sweep that does not hold -levels is refused, not clamped.
-		{[]string{"-levels-min", "5", "-levels-max", "3"}, 1, "surfer-tune: -levels 6, -levels-min 5, -levels-max 3: want 1 <= -levels-min <= -levels <= -levels-max"},
-		{[]string{"-levels", "9", "-levels-max", "4"}, 1, "surfer-tune: -levels 9, -levels-min 1, -levels-max 4: want"},
-		{[]string{"-levels-min", "-3"}, 1, "surfer-tune: -levels 6, -levels-min -3, -levels-max 0: want"},
-		{[]string{"-levels-min", "0"}, 1, "-levels-min 0"},
-		{[]string{"-levels-max", "-1"}, 1, "-levels-max -1"},
-		{[]string{"-levels", "0"}, 1, "-levels 0, -levels-min 1"},
+		{[]string{"-levels-min", "5", "-levels-max", "3"}, 2, "surfer-tune: -levels 6, -levels-min 5, -levels-max 3: want 1 <= -levels-min <= -levels <= -levels-max"},
+		{[]string{"-levels", "9", "-levels-max", "4"}, 2, "surfer-tune: -levels 9, -levels-min 1, -levels-max 4: want"},
+		{[]string{"-levels-min", "-3"}, 2, "surfer-tune: -levels 6, -levels-min -3, -levels-max 0: want"},
+		{[]string{"-levels-min", "0"}, 2, "-levels-min 0"},
+		{[]string{"-levels-max", "-1"}, 2, "-levels-max -1"},
+		{[]string{"-levels", "0"}, 2, "-levels 0, -levels-min 1"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.want) || stdout != "" {
@@ -68,3 +69,7 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestContract runs a command line that breaks each rule the tool declares:
+// each must exit 2 with that rule's refusal alone.
+func TestContract(t *testing.T) { cli.Contract(t, tool) }
